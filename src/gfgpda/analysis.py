@@ -444,7 +444,7 @@ def _pump_witness(
         if e_d is None or e_l is None:
             continue
         loop = _close_walk(head, [e_d, e_l], scc_edges)
-        loop_start = replay(pda, stem).last
+        loop_start = replay(pda, stem, start).last
         return EmptinessWitness(tuple(stem), tuple(loop), loop_start)
     return None
 
@@ -492,9 +492,7 @@ def _close_walk(head, required: list, scc_edges) -> list[Transition]:
 
 def validate_witness(pda: OmegaPDA, w: EmptinessWitness, start: Optional[Configuration] = None):
     """Raise if the witness does not certify nonemptiness."""
-    if start is None:
-        start = pda.initial_configuration()
-    run = _replay_from(pda, start, w.stem + w.loop + w.loop)
+    run = replay(pda, w.stem + w.loop + w.loop, start)
     k = len(w.stem)
     n = len(w.loop)
     c0, c1, c2 = run.configurations[k], run.configurations[k + n], run.configurations[k + 2 * n]
@@ -509,18 +507,6 @@ def validate_witness(pda: OmegaPDA, w: EmptinessWitness, start: Optional[Configu
         raise AssertionError("loop has no letter transition")
     if max(t.color for t in w.loop) % 2 != 0:
         raise AssertionError("loop max color is odd")
-
-
-def _replay_from(pda: OmegaPDA, start: Configuration, ts):
-    from .core import NotARun, RunPrefix, step, NotEnabled
-
-    configs = [start]
-    for i, t in enumerate(ts):
-        try:
-            configs.append(step(configs[-1], t))
-        except NotEnabled:
-            raise NotARun(i) from None
-    return RunPrefix(tuple(ts), tuple(configs))
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,7 @@
 Subcommands: validate, member, empty, tailset, universal, solve, synth,
 determinize, product, play, zoo.  Automaton arguments accept ``zoo:<name>``
 pseudo-paths.  Exit codes: 0 ok, 1 negative verdict, 2 usage, 3 resource
-budget exceeded, 4 malformed input.
+budget exceeded, 4 malformed input, 5 engine error.
 """
 
 from __future__ import annotations
@@ -18,12 +18,13 @@ from . import analysis, closure, games, zoo
 from .core import (
     FormatError,
     OmegaPDA,
+    PdaError,
     format_pda,
     parse_lasso,
     parse_pda,
     validate,
 )
-from .games import ResourceExceeded
+from .games import Player1Wins, ResourceExceeded
 from .resolvers import determinize_moore, parse_moore
 
 EXIT_OK = 0
@@ -31,6 +32,7 @@ EXIT_NEGATIVE = 1
 EXIT_USAGE = 2
 EXIT_RESOURCE = 3
 EXIT_INPUT = 4
+EXIT_ENGINE = 5
 
 
 class CommandResult:
@@ -142,7 +144,7 @@ def cmd_synth(args) -> CommandResult:
     spec = games.parse_gs_spec(read_text(args.specfile))
     try:
         strategy = games.synthesize_strategy_pdt(spec, args.budget)
-    except ValueError as exc:
+    except Player1Wins as exc:
         return CommandResult(EXIT_NEGATIVE, str(exc), {"verdict": "player1"})
     text = games.format_strategy_pdt(strategy)
     with open(args.output, "w", encoding="utf-8") as fh:
@@ -201,8 +203,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", action="store_true", help="machine-readable report")
     p.add_argument("--budget", type=int, default=5_000_000,
                    help="solver vertex budget")
-    p.add_argument("--seed", type=int, default=0, help="seed for sampled data")
-    p.add_argument("--guard", type=int, default=5000, help="simulation step guard")
     sub = p.add_subparsers(dest="command", required=True)
 
     s = sub.add_parser("validate");  s.add_argument("file"); s.set_defaults(fn=cmd_validate)
@@ -246,6 +246,8 @@ def main(argv=None) -> int:
                                {"verdict": "resource-exceeded"})
     except (FormatError, FileNotFoundError, KeyError, ValueError) as exc:
         result = CommandResult(EXIT_INPUT, f"input error: {exc}", {"verdict": "input-error"})
+    except PdaError as exc:
+        result = CommandResult(EXIT_ENGINE, f"engine error: {exc}", {"verdict": "engine-error"})
     elapsed_ms = int((time.monotonic() - started) * 1000)
     if args.json:
         stats = result.report.pop("stats", {})

@@ -13,7 +13,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Optional
 
-from .core import FormatError, LassoWord, OmegaPDA, Transition
+from .core import FormatError, LassoWord, OmegaPDA, Transition, step
 from .resolvers import Resolver, ResolverStuck
 
 MODES = ("intersect", "union", "minus")
@@ -240,28 +240,20 @@ class LiftedResolver(Resolver):
         self.info = info
 
     def start(self):
-        from .core import replay
-
-        return (self.base.start(), replay(self.base_pda, ()))
+        return (self.base.start(), self.base_pda.initial_configuration())
 
     def feed(self, state, t):
-        from .core import RunPrefix, step
-
-        base_state, base_run = state
+        base_state, base_config = state
         bt = self.info.base_of[t]
-        run = RunPrefix(
-            base_run.transitions + (bt,),
-            base_run.configurations + (step(base_run.last, bt),),
-        )
-        return (self.base.feed(base_state, bt), run)
+        return (self.base.feed(base_state, bt), step(base_config, bt))
 
-    def pick(self, state, run, letter):
-        base_state, base_run = state
-        bt = self.base.pick(base_state, base_run, letter)
+    def pick(self, state, config, letter):
+        base_state, base_config = state
+        bt = self.base.pick(base_state, base_config, letter)
         try:
-            return self.info.extend[(run.last.state, bt)]
+            return self.info.extend[(config.state, bt)]
         except KeyError:
-            raise ResolverStuck(f"no product transition extends {bt} at {run.last}") from None
+            raise ResolverStuck(f"no product transition extends {bt} at {config}") from None
 
     def summary(self, state):
         # The DPA and LAR components are functions of the history, so the

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Optional, Sequence
+from typing import Any, Hashable, Iterable, Optional, Sequence
 
 BOTTOM = "_"
 
@@ -122,7 +122,7 @@ class RunPrefix:
     """A finite run: transitions plus the derived configuration sequence.
 
     ``configurations`` is one longer than ``transitions`` and starts at the
-    initial configuration of the automaton the run was replayed on.
+    configuration the run was replayed from.
     """
 
     transitions: tuple[Transition, ...]
@@ -163,6 +163,31 @@ class LassoWord:
 
     def __str__(self) -> str:
         return f"{' '.join(self.prefix)};{' '.join(self.loop)}"
+
+
+class LassoDetector:
+    """First repeat of a key at two steps (positions after which the stack
+    never drops below its current height) of a run fed one position at a
+    time.  Candidate steps have unique keys, as a repeat is reported, not
+    pushed."""
+
+    def __init__(self):
+        self._stack: list[tuple[Hashable, int]] = []
+        self._marks: dict[Hashable, Any] = {}
+
+    def dip(self, height: int) -> None:
+        """The run went through ``height``: positions above it are no steps."""
+        while self._stack and self._stack[-1][1] > height:
+            del self._marks[self._stack.pop()[0]]
+
+    def visit(self, key: Hashable, height: int, mark: Any) -> Any:
+        """The mark of the candidate with ``key``, or None after recording this one."""
+        self.dip(height)
+        hit = self._marks.get(key)
+        if hit is None:
+            self._stack.append((key, height))
+            self._marks[key] = mark
+        return hit
 
 
 def parse_lasso(text: str) -> LassoWord:
@@ -252,9 +277,12 @@ def step(c: Configuration, t: Transition) -> Configuration:
     return Configuration(t.target, c.stack[:-1] + t.push)
 
 
-def replay(pda: OmegaPDA, ts: Sequence[Transition]) -> RunPrefix:
-    """The unique run prefix with transition sequence ``ts`` (Remark-style replay)."""
-    configs = [pda.initial_configuration()]
+def replay(
+    pda: OmegaPDA, ts: Sequence[Transition], start: Optional[Configuration] = None
+) -> RunPrefix:
+    """The unique run prefix with transition sequence ``ts`` from ``start``
+    (by default the initial configuration)."""
+    configs = [pda.initial_configuration() if start is None else start]
     for i, t in enumerate(ts):
         try:
             configs.append(step(configs[-1], t))

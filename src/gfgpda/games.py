@@ -25,6 +25,7 @@ from .core import (
     BOTTOM,
     Configuration,
     GuardExceeded,
+    LassoDetector,
     LassoWord,
     OmegaPDA,
     PdaError,
@@ -38,6 +39,10 @@ ADAM = "adam"
 
 class ResourceExceeded(PdaError):
     """The solver hit its vertex budget before reaching a conclusive bound."""
+
+
+class Player1Wins(PdaError):
+    """Synthesis was asked for a specification that Player 2 does not win."""
 
 
 def pair_id(a1: str, a2: str) -> str:
@@ -816,7 +821,7 @@ def synthesize_strategy_pdt(spec: GaleStewartSpec, budget: int = 5_000_000) -> S
     """Winning strategy for Player 2 as a pushdown transducer over sigma1."""
     gs = solve_gale_stewart(spec, budget)
     if gs.winner != EVE:
-        raise ValueError("Player 2 does not win this specification")
+        raise Player1Wins("Player 2 does not win this specification")
     t = extract_strategy_pdt(gs)
     tprime = mode_tracking_pdt(t)
 
@@ -837,26 +842,16 @@ def simulate_play(strategy: StrategyPDT, adam: LassoWord, guard: int = 2000) -> 
     cfg = strategy.start()
     outcome: list[str] = []
     pos = 0
-    snapshots: list[tuple] = []  # (key, height, len(outcome))
-    candidates: list[int] = []
-    steps = 0
+    lasso = LassoDetector()
     while True:
-        key = (cfg.state, cfg.top, pos)
-        height = cfg.height
-        while candidates and snapshots[candidates[-1]][1] > height:
-            candidates.pop()
-        for idx in candidates:
-            if snapshots[idx][0] == key:
-                cut = snapshots[idx][2]
-                return LassoWord(tuple(outcome[:cut]), tuple(outcome[cut:]))
-        snapshots.append((key, height, len(outcome)))
-        candidates.append(len(snapshots) - 1)
+        cut = lasso.visit((cfg.state, cfg.top, pos), cfg.height, len(outcome))
+        if cut is not None:
+            return LassoWord(tuple(outcome[:cut]), tuple(outcome[cut:]))
         x1 = adam.letter_at(pos)
         cfg, a2 = strategy.round(cfg, x1)
         outcome.append(pair_id(x1, a2))
-        pos = pos + 1 if pos + 1 < adam.positions() else len(adam.prefix)
-        steps += 1
-        if steps > guard:
+        pos = adam.next_position(pos)
+        if len(outcome) > guard:
             raise GuardExceeded(f"no outcome lasso within {guard} rounds")
 
 

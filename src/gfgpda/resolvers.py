@@ -1,9 +1,10 @@
 """Resolvers: guided simulation, Moore machines, determinization, PDT resolvers.
 
 A resolver answers "which transition next?" from the run history and the next
-input letter.  Implementations expose an incremental interface (start / feed /
-pick) so that guided runs cost O(1) resolver work per step; ``resolver_query``
-recovers the one-shot function-of-history view.
+input letter.  Implementations fold the history into a state (start / feed)
+and ``pick`` from that state and the current configuration, so guided runs
+cost O(1) resolver work per step; ``resolver_query`` recovers the one-shot
+function-of-history view.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from .core import (
     BOTTOM,
     Configuration,
     GuardExceeded,
+    LassoDetector,
     LassoWord,
     OmegaPDA,
     PdaError,
@@ -44,9 +46,10 @@ class TransducerStuck(PdaError):
 class Resolver:
     """Incremental resolver interface.
 
-    ``pick`` may consult the full run prefix (in particular the current top
-    stack symbol); ``summary`` returns a finite fingerprint of the resolver
-    state when one exists (used for exact periodicity detection), else None.
+    ``pick`` sees the state fed with the transitions so far and the current
+    configuration (in particular its top stack symbol); ``summary`` returns a
+    finite fingerprint of the resolver state when one exists (used for exact
+    periodicity detection), else None.
     """
 
     def start(self) -> Any:
@@ -55,7 +58,7 @@ class Resolver:
     def feed(self, state: Any, t: Transition) -> Any:
         raise NotImplementedError
 
-    def pick(self, state: Any, run: RunPrefix, letter: str) -> Transition:
+    def pick(self, state: Any, config: Configuration, letter: str) -> Transition:
         raise NotImplementedError
 
     def summary(self, state: Any) -> Optional[Hashable]:
@@ -67,7 +70,7 @@ def resolver_query(r: Resolver, history: RunPrefix, letter: str) -> Transition:
     st = r.start()
     for t in history.transitions:
         st = r.feed(st, t)
-    return r.pick(st, history, letter)
+    return r.pick(st, history.last, letter)
 
 
 @dataclass(frozen=True)
@@ -88,49 +91,54 @@ def default_eps_cap(pda: OmegaPDA, height: int) -> int:
     return len(pda.states) * (height + 2) * (len(pda.stack_alphabet) + 1) + 1
 
 
-def ext(
-    pda: OmegaPDA,
-    r: Resolver,
-    g: GuidedRun,
-    a: str,
-    eps_cap: Optional[int] = None,
-) -> GuidedRun:
-    """Extend the guided run by the unique resolver-induced infix processing ``a``."""
+def _infix(pda: OmegaPDA, r: Resolver, transitions: list, configs: list, state, a: str,
+           eps_cap: Optional[int] = None):
+    """Append the resolver-induced infix processing ``a`` to ``transitions``
+    and ``configs``; return the new resolver state.  On an error the lists
+    may end inside the infix."""
     if a not in pda.input_alphabet:
         raise ValueError(f"letter {a!r} not in the input alphabet")
+    c = configs[-1]
     if eps_cap is None:
-        eps_cap = default_eps_cap(pda, g.run.last.height)
-    transitions = list(g.run.transitions)
-    configs = list(g.run.configurations)
-    state = g.resolver_state
+        eps_cap = default_eps_cap(pda, c.height)
     eps_steps = 0
     while True:
-        here = RunPrefix(tuple(transitions), tuple(configs))
-        t = r.pick(state, here, a)
+        t = r.pick(state, c, a)
         if t.label is not None and t.label != a:
             raise ResolverStuck(f"resolver returned {t} while processing {a!r}")
         try:
-            configs.append(step(configs[-1], t))
+            c = step(c, t)
         except PdaError:
-            raise ResolverStuck(f"resolver returned disabled {t} in {configs[-1]}") from None
+            raise ResolverStuck(f"resolver returned disabled {t} in {c}") from None
+        configs.append(c)
         transitions.append(t)
         state = r.feed(state, t)
         if t.label == a:
-            return GuidedRun(
-                RunPrefix(tuple(transitions), tuple(configs)), g.letters_consumed + 1, state
-            )
+            return state
         eps_steps += 1
         if eps_steps > eps_cap:
             raise EpsilonDivergence(f"more than {eps_cap} epsilon steps before {a!r}")
 
 
+def ext(pda: OmegaPDA, r: Resolver, g: GuidedRun, a: str,
+        eps_cap: Optional[int] = None) -> GuidedRun:
+    """Extend the guided run by the unique resolver-induced infix processing ``a``."""
+    transitions, configs = list(g.run.transitions), list(g.run.configurations)
+    state = _infix(pda, r, transitions, configs, g.resolver_state, a, eps_cap)
+    run = RunPrefix(tuple(transitions), tuple(configs))
+    return GuidedRun(run, g.letters_consumed + 1, state)
+
+
 def run_on_prefix(
     pda: OmegaPDA, r: Resolver, word, eps_cap: Optional[int] = None
 ) -> GuidedRun:
-    g = new_guided_run(pda, r)
+    transitions, configs = [], [pda.initial_configuration()]
+    state = r.start()
+    letters = 0
     for a in word:
-        g = ext(pda, r, g, a, eps_cap)
-    return g
+        state = _infix(pda, r, transitions, configs, state, a, eps_cap)
+        letters += 1
+    return GuidedRun(RunPrefix(tuple(transitions), tuple(configs)), letters, state)
 
 
 # ---------------------------------------------------------------------------
@@ -160,8 +168,8 @@ class MooreResolver(Resolver):
         except KeyError:
             raise ResolverStuck(f"Moore delta undefined at ({state}, {t})") from None
 
-    def pick(self, state, run, letter):
-        key = (state, letter, run.last.top)
+    def pick(self, state, config, letter):
+        key = (state, letter, config.top)
         try:
             return self.output[key]
         except KeyError:
@@ -205,51 +213,41 @@ def moore_lasso_acceptance(
 
 
 def periodic_split(pda, r, w, guard=5000, require_summary=True) -> PeriodicSplit:
-    g = new_guided_run(pda, r)
+    transitions, configs = [], [pda.initial_configuration()]
+    state = r.start()
     position = 0
     letters = 0
-    # Snapshots are taken between letters; candidates form a monotone stack of
-    # still-possible step positions.
-    snapshots = []  # (key, height, transitions_len, letters)
-    candidates: list[int] = []  # indices into snapshots
-
-    def snap_key():
-        summary = r.summary(g.resolver_state)
+    # Candidate steps are taken between letters.
+    lasso = LassoDetector()
+    while True:
+        c = configs[-1]
+        summary = r.summary(state)
         if summary is None and require_summary:
             raise ResolverUndefined("resolver has no finite summary")
-        return (g.run.last.state, summary, g.run.last.top, position)
+        key = (c.state, summary, c.top, position)
+        hit = lasso.visit(key, c.height, (len(transitions), letters))
+        if hit is not None:
+            cut, stem_letters = hit
+            run = RunPrefix(tuple(transitions), tuple(configs))
+            loop = run.transitions[cut:]
+            verdict = "accepted" if max(t.color for t in loop) % 2 == 0 else "rejected"
+            return PeriodicSplit(
+                verdict, run, run.transitions[:cut], loop, stem_letters, letters - stem_letters
+            )
 
-    while True:
-        key = snap_key()
-        height = g.run.last.height
-        while candidates and snapshots[candidates[-1]][1] > height:
-            candidates.pop()
-        for idx in candidates:
-            if snapshots[idx][0] == key:
-                cut = snapshots[idx][2]
-                loop = g.run.transitions[cut:]
-                verdict = "accepted" if max(t.color for t in loop) % 2 == 0 else "rejected"
-                return PeriodicSplit(
-                    verdict, g.run, g.run.transitions[:cut], loop,
-                    snapshots[idx][3], letters - snapshots[idx][3],
-                )
-        snapshots.append((key, height, len(g.run.transitions), letters))
-        candidates.append(len(snapshots) - 1)
-
-        if len(g.run.transitions) > guard:
+        if len(transitions) > guard:
             raise GuardExceeded(f"no period within {guard} transitions")
-        letter = w.letter_at(position)
-        before = len(g.run.transitions)
+        before = len(transitions)
         try:
-            g = ext(pda, r, g, letter)
+            state = _infix(pda, r, transitions, configs, state, w.letter_at(position))
         except (ResolverStuck, ResolverUndefined, EpsilonDivergence):
-            return PeriodicSplit("stuck", g.run, g.run.transitions, (), letters, 0)
+            run = RunPrefix(tuple(transitions[:before]), tuple(configs[:before + 1]))
+            return PeriodicSplit("stuck", run, run.transitions, (), letters, 0)
         letters += 1
         # Intra-block dips also invalidate candidate steps.
-        for c in g.run.configurations[before:]:
-            while candidates and snapshots[candidates[-1]][1] > c.height:
-                candidates.pop()
-        position = position + 1 if position + 1 < w.positions() else len(w.prefix)
+        for c in configs[before + 1:]:
+            lasso.dip(c.height)
+        position = w.next_position(position)
 
 
 def determinize_moore(pda: OmegaPDA, m: MooreResolver) -> OmegaPDA:
@@ -405,8 +403,8 @@ class PDTResolver(Resolver):
     def feed(self, state, t):
         return self.machine.consume(state, t)
 
-    def pick(self, state, run, letter):
-        key = (state.state, letter, run.last.top)
+    def pick(self, state, config, letter):
+        key = (state.state, letter, config.top)
         try:
             return self.output[key]
         except KeyError:
@@ -475,18 +473,18 @@ def verify_resolver(
 
 
 def _bounded_verdict(pda: OmegaPDA, r: Resolver, w: LassoWord, guard: int) -> str:
-    g = new_guided_run(pda, r)
-    annotated = []  # (transition, position) pairs
+    transitions, configs = [], [pda.initial_configuration()]
+    positions = []  # lasso position of each transition
+    state = r.start()
     position = 0
     try:
-        while len(annotated) < guard:
-            before = len(g.run.transitions)
-            g = ext(pda, r, g, w.letter_at(position))
-            for t in g.run.transitions[before:]:
-                annotated.append((t, position))
-            position = position + 1 if position + 1 < w.positions() else len(w.prefix)
+        while len(transitions) < guard:
+            state = _infix(pda, r, transitions, configs, state, w.letter_at(position))
+            positions += [position] * (len(transitions) - len(positions))
+            position = w.next_position(position)
     except (ResolverStuck, ResolverUndefined, EpsilonDivergence):
         return "fail"
+    annotated = list(zip(transitions, positions))
     n = len(annotated)
     for period in range(1, n // 3 + 1):
         tail = annotated[n - 3 * period:]

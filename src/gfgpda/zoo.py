@@ -289,13 +289,12 @@ class LssResolver(Resolver):
             return state
         return self._advance(state, t.label)
 
-    def pick(self, state, run, letter):
+    def pick(self, state, config, letter):
         n, d1, d2 = self._advance(state, letter)
         min1 = min(d1) if d1 else n
         min2 = min(d2) if d2 else n
         target = "1" if min1 <= min2 else "2"
-        cur = run.last.state
-        for t in self.pda.by_source_top.get((cur, run.last.top), ()):
+        for t in self.pda.by_source_top.get((config.state, config.top), ()):
             if t.label == letter and t.target == target:
                 return t
         raise AssertionError("lss automaton is total per letter")  # pragma: no cover

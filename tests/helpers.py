@@ -5,7 +5,7 @@ from __future__ import annotations
 import random
 from collections import deque
 
-from gfgpda.core import BOTTOM, LassoWord, OmegaPDA, RunPrefix, Transition, replay, step
+from gfgpda.core import BOTTOM, LassoWord, OmegaPDA, Transition, step
 from gfgpda.games import (
     ADAM,
     EVE,
@@ -156,20 +156,16 @@ class MappedResolver(Resolver):
         self.letter_bwd = dict(zip(image_pda.input_alphabet, base_pda.input_alphabet))
 
     def start(self):
-        return (self.base.start(), replay(self.base_pda, ()))
+        return (self.base.start(), self.base_pda.initial_configuration())
 
     def feed(self, state, t):
-        base_state, base_run = state
+        base_state, base_config = state
         bt = self.bwd[t]
-        run = RunPrefix(
-            base_run.transitions + (bt,),
-            base_run.configurations + (step(base_run.last, bt),),
-        )
-        return (self.base.feed(base_state, bt), run)
+        return (self.base.feed(base_state, bt), step(base_config, bt))
 
-    def pick(self, state, run, letter):
-        base_state, base_run = state
-        return self.fwd[self.base.pick(base_state, base_run, self.letter_bwd[letter])]
+    def pick(self, state, config, letter):
+        base_state, base_config = state
+        return self.fwd[self.base.pick(base_state, base_config, self.letter_bwd[letter])]
 
     def summary(self, state):
         return self.base.summary(state[0])

@@ -176,6 +176,19 @@ def _accepts_tail_brute(pda, config, letter, height_cap=5, node_cap=3000):
     return False if not overflow else None
 
 
+def test_tail_sets_of_every_fixture_match_brute_force():
+    # Tail sets check heads with a pushed top symbol, so they need witnesses
+    # that replay from a start configuration other than the initial one.
+    for fx in zoo.all_fixtures():
+        pda = fx.automaton
+        for letter in pda.input_alphabet:
+            C = accepts_tail_of(pda, letter)
+            for c in all_configs(pda, 2):
+                expect = _accepts_tail_brute(pda, c, letter)
+                if expect is not None:
+                    assert C.accepts(c) == expect, (fx.name, letter, c)
+
+
 def test_accepts_tail_of_all_odd():
     fx = zoo.allodd()
     C = accepts_tail_of(fx.automaton, "x")
@@ -222,6 +235,17 @@ def test_witnesses_validate_on_all_nonempty_fixtures():
         w = parity_nonempty(fx.automaton)
         if w is not None:
             validate_witness(fx.automaton, w)
+
+
+def test_witnesses_from_every_head_validate():
+    for fx in zoo.all_fixtures():
+        pda = fx.automaton
+        for q in pda.states:
+            for stack in [(BOTTOM,)] + [(BOTTOM, x) for x in pda.stack_alphabet]:
+                start = Configuration(q, stack)
+                w = parity_nonempty(pda, start)
+                if w is not None:
+                    validate_witness(pda, w, start)
 
 
 # -- membership ---------------------------------------------------------------

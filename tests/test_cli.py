@@ -3,6 +3,7 @@ import json
 
 from gfgpda import cli, games, zoo
 from gfgpda.core import parse_pda
+from helpers import copycat_spec
 
 
 def run(capsys, *argv):
@@ -58,6 +59,9 @@ def test_missing_file_is_input_error(capsys):
 def test_tailset(capsys):
     code, out = run(capsys, "tailset", "zoo:example23", "#")
     assert code == 0 and "pa-edge" in out
+    # Heads with a pushed top symbol get witnesses that replay from that head.
+    code, out = run(capsys, "tailset", "zoo:lss", "(0,+)")
+    assert code == 0 and out.startswith("nonempty")
 
 
 def test_zoo_list_and_dump(capsys):
@@ -76,9 +80,9 @@ def test_json_report_schema(capsys):
     assert "time_ms" in doc["stats"] and "vertices" in doc["stats"]
 
 
-def test_json_stable_given_seed(capsys):
-    _, out1 = run(capsys, "--json", "--seed", "7", "empty", "zoo:example23")
-    _, out2 = run(capsys, "--json", "--seed", "7", "empty", "zoo:example23")
+def test_json_stable(capsys):
+    _, out1 = run(capsys, "--json", "empty", "zoo:example23")
+    _, out2 = run(capsys, "--json", "empty", "zoo:example23")
     d1, d2 = json.loads(out1), json.loads(out2)
     d1["stats"].pop("time_ms"), d2["stats"].pop("time_ms")
     assert d1 == d2
@@ -112,8 +116,6 @@ def test_product(capsys, tmp_path):
 
 
 def test_solve_and_synth_and_play(capsys, tmp_path, monkeypatch):
-    from helpers import copycat_spec
-
     specfile = tmp_path / "copycat.gs"
     specfile.write_text(games.format_gs_spec(copycat_spec()))
     code, out = run(capsys, "solve", str(specfile))
@@ -136,8 +138,31 @@ def test_solve_adam_spec(capsys, tmp_path):
     specfile.write_text(games.format_gs_spec(spec))
     code, out = run(capsys, "solve", str(specfile))
     assert code == 1 and "player 1" in out
-    code, out = run(capsys, "synth", str(specfile), "-o", str(tmp_path / "no.pdt"))
-    assert code == 1
+    code, out = run(capsys, "--json", "synth", str(specfile), "-o", str(tmp_path / "no.pdt"))
+    assert code == 1 and json.loads(out)["verdict"] == "player1"
+
+
+def test_synth_input_error_is_not_player1(capsys, tmp_path, monkeypatch):
+    # Only a Player 1 win is a negative synthesis verdict; a ValueError
+    # raised while synthesizing reports bad input.
+    def fail(spec, budget):
+        raise ValueError("nondeterministic rules")
+
+    monkeypatch.setattr(games, "synthesize_strategy_pdt", fail)
+    specfile = tmp_path / "copycat.gs"
+    specfile.write_text(games.format_gs_spec(copycat_spec()))
+    code, out = run(capsys, "--json", "synth", str(specfile), "-o", str(tmp_path / "no.pdt"))
+    assert code == 4 and json.loads(out)["verdict"] == "input-error"
+
+
+def test_engine_error_exit_five(capsys, tmp_path, monkeypatch):
+    specfile = tmp_path / "copycat.gs"
+    specfile.write_text(games.format_gs_spec(copycat_spec()))
+    strategyfile = tmp_path / "stuck.pdt"
+    strategyfile.write_text("tstate s0\ntinitial s0\ntinput a b\ntoutput x y\n")
+    monkeypatch.setattr("sys.stdin", io.StringIO("a\n"))
+    code, out = run(capsys, "play", str(specfile), str(strategyfile))
+    assert code == 5 and "engine error" in out
 
 
 def test_budget_flag_resource_exit(capsys, tmp_path):

@@ -42,7 +42,7 @@ CLOSED_FORMS = {
     "palindrome": ((3, 1), _in_palindrome),
     "ncw1": ((4, 1), _in_ncw1),
     "ncw2": ((4, 1), _in_ncw2),
-    "allodd": ((2, 2), lambda w: False),
+    "allodd": ((7, 3), lambda w: False),
 }
 
 

@@ -9,6 +9,7 @@ from gfgpda.games import (
     EVE,
     FiniteParityGame,
     GameMove,
+    Player1Wins,
     PushdownParityGame,
     ResourceExceeded,
     build_pd,
@@ -336,7 +337,7 @@ def test_synthesize_eps_blocks():
 
 
 def test_synthesize_refuses_adam_wins():
-    with pytest.raises(ValueError):
+    with pytest.raises(Player1Wins):
         synthesize_strategy_pdt(make_universality_spec(zoo.example23().automaton))
 
 

@@ -64,12 +64,11 @@ def test_ext_consumes_one_letter_one_nonepsilon(ex23):
         def feed(self, state, t):
             return None
 
-        def pick(self, state, run, letter):
-            c = run.last
-            for t in pda.by_source_top.get((c.state, c.top), ()):
+        def pick(self, state, config, letter):
+            for t in pda.by_source_top.get((config.state, config.top), ()):
                 if t.label == letter:
                     return t
-            for t in pda.by_source_top.get((c.state, c.top), ()):
+            for t in pda.by_source_top.get((config.state, config.top), ()):
                 if t.label is None:
                     return t
             raise ResolverUndefined("no move")
@@ -91,7 +90,7 @@ def test_ext_resolver_stuck(ex23):
         def feed(self, state, t):
             return None
 
-        def pick(self, state, run, letter):
+        def pick(self, state, config, letter):
             return pda.transitions[5]  # d-transition needing top N
 
     with pytest.raises(ResolverStuck):
@@ -114,7 +113,7 @@ def test_ext_epsilon_divergence():
         def feed(self, state, t):
             return None
 
-        def pick(self, state, run, letter):
+        def pick(self, state, config, letter):
             return pda.transitions[0]
 
     with pytest.raises(EpsilonDivergence):
@@ -171,6 +170,45 @@ def test_periodic_split_structure(ex23):
     assert split.loop_letters >= 1
     run = replay(pda, split.stem_transitions + split.loop_transitions)
     assert run.transitions == split.run.transitions
+
+
+def test_periodic_split_stuck_keeps_processed_letters(ex23):
+    pda, r = ex23.automaton, ex23.resolver
+    split = periodic_split(pda, r, parse_lasso("acdd;#"))
+    assert split.verdict == "stuck"
+    assert split.run == run_on_prefix(pda, r, "acd").run
+
+
+def test_periodic_split_stuck_drops_partial_infix():
+    from gfgpda.core import OmegaPDA, Transition
+
+    pda = OmegaPDA(
+        ("u", "v"), ("a",), (), "u",
+        (Transition("u", BOTTOM, "a", "u", (BOTTOM,), 2),
+         Transition("u", BOTTOM, None, "v", (BOTTOM,), 0)),
+    )
+
+    class SecondLetterStuck(Resolver):
+        """Reads one letter, then takes an epsilon step into a dead end."""
+
+        def start(self):
+            return 0
+
+        def feed(self, state, t):
+            return state + (t.label is not None)
+
+        def pick(self, state, config, letter):
+            if config.state == "v":
+                raise ResolverUndefined("dead end")
+            return pda.transitions[min(state, 1)]
+
+        def summary(self, state):
+            return state
+
+    r = SecondLetterStuck()
+    split = periodic_split(pda, r, parse_lasso(";a"))
+    assert split.verdict == "stuck"
+    assert split.run == run_on_prefix(pda, r, "a").run
 
 
 # -- determinization -------------------------------------------------------------
