@@ -45,8 +45,7 @@ class CommandResult:
 def load_pda(path: str) -> OmegaPDA:
     if path.startswith("zoo:"):
         return zoo.get(path[4:]).automaton
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_pda(fh.read())
+    return parse_pda(read_text(path))
 
 
 def read_text(path: str) -> str:

@@ -11,16 +11,15 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Optional
 
-from .core import FormatError, LassoWord, OmegaPDA, Transition, step
+from .core import FormatError, LassoWord, OmegaPDA, Transition, read_declarations, step
 from .resolvers import Resolver, ResolverStuck
 
 MODES = ("intersect", "union", "minus")
 
 
-class AlphabetMismatch(Exception):
-    pass
+class AlphabetMismatch(ValueError):
+    """The automaton and the DPA read different alphabets."""
 
 
 @dataclass(frozen=True)
@@ -266,7 +265,8 @@ def lift_resolver(base: Resolver, base_pda: OmegaPDA, info: ProductInfo) -> Lift
 
 
 # ---------------------------------------------------------------------------
-# DPA text format (the PDA format minus stack fields):
+# DPA text format (the PDA format minus stack fields; rules in
+# ``core.read_declarations``):
 #   dstate <id> / dinitial <id> / dletter <id> / dtrans <src> <letter> <dst> <color>
 # ---------------------------------------------------------------------------
 
@@ -283,33 +283,18 @@ def format_dpa(dpa: DeterministicParityAutomaton) -> str:
 def parse_dpa(text: str) -> DeterministicParityAutomaton:
     states: list[str] = []
     alphabet: list[str] = []
-    initial: Optional[str] = None
+    initial: list[str] = []
     delta: dict[tuple[str, str], str] = {}
     colors: dict[tuple[str, str], int] = {}
-    for ln, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split()
-        try:
-            if parts[0] == "dstate":
-                states.append(parts[1])
-            elif parts[0] == "dinitial":
-                initial = parts[1]
-            elif parts[0] == "dletter":
-                alphabet.append(parts[1])
-            elif parts[0] == "dtrans":
-                delta[(parts[1], parts[2])] = parts[3]
-                colors[(parts[1], parts[2])] = int(parts[4])
-            else:
-                raise FormatError(f"line {ln}: unknown declaration {parts[0]!r}")
-        except (IndexError, ValueError) as exc:
-            raise FormatError(f"line {ln}: {raw!r}: {exc}") from None
-    if initial is None:
+
+    def dtrans(q, a, q2, color):
+        delta[(q, a)], colors[(q, a)] = q2, int(color)
+
+    read_declarations(text, {"dstate": (1, states.append), "dinitial": (1, initial.append),
+                             "dletter": (1, alphabet.append), "dtrans": (4, dtrans)})
+    if not initial:
         raise FormatError("missing 'dinitial' declaration")
-    dpa = DeterministicParityAutomaton(
-        tuple(states), tuple(alphabet), initial, delta, colors
-    )
+    dpa = DeterministicParityAutomaton(tuple(states), tuple(alphabet), initial[-1], delta, colors)
     bad = dpa.validate()
     if bad:
         raise FormatError("; ".join(bad))

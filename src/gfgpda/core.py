@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Any, Hashable, Iterable, Optional, Sequence
+from typing import Any, Callable, Hashable, Iterable, Optional, Sequence
 
 BOTTOM = "_"
 
@@ -60,9 +60,6 @@ class Transition:
     target: str
     push: tuple[str, ...]
     color: int
-
-    def is_letter(self) -> bool:
-        return self.label is not None
 
     def __str__(self) -> str:
         lab = self.label if self.label is not None else "eps"
@@ -112,9 +109,6 @@ class OmegaPDA:
 
     def initial_configuration(self) -> Configuration:
         return Configuration(self.initial, (BOTTOM,))
-
-    def transition_index(self, t: Transition) -> int:
-        return self.transitions.index(t)
 
 
 @dataclass(frozen=True)
@@ -355,15 +349,45 @@ def lim_sup_color(colors: Iterable[int]) -> tuple[int, bool]:
 
 
 # ---------------------------------------------------------------------------
-# Text format.
-#
-# One declaration per line:
-#   state <id> / initial <id> / letter <id> / stacksym <id>
-#   trans <src> <top|_> <letter|eps> <dst> <push|eps> <color>
-# `_` denotes the stack bottom.  A push word is `eps`, a single symbol,
-# `_` (bottom kept alone), `_<sym>` (bottom plus one symbol) or two symbols
-# joined by `.`.  Lines whose first token starts with `#` are comments.
+# Text formats.
 # ---------------------------------------------------------------------------
+
+
+def read_declarations(
+    text: str, handlers: dict[str, tuple[Optional[int], Callable[..., Any]]]
+) -> None:
+    """Feed each declaration line of ``text`` to its keyword's handler.
+
+    All five text formats (automata, Moore resolvers, DPAs, game
+    specifications, strategy transducers) share these rules: one declaration
+    per line, a keyword followed by whitespace-separated fields; blank lines
+    and lines whose first token starts with `#` are skipped.  ``handlers``
+    maps each keyword to its exact field count (None: any number) and a
+    callable that receives the fields as arguments.  Unknown keywords, wrong
+    field counts and a ``ValueError``, ``IndexError`` or ``KeyError`` (an
+    unknown name) from a handler become a ``FormatError`` naming the line.
+
+    Automata: `state <id>` / `initial <id>` / `letter <id>` / `stacksym <id>` /
+    `trans <src> <top|_> <letter|eps> <dst> <push|eps> <color>`.  `_` denotes
+    the stack bottom.  A push word is `eps`, a single symbol, `_` (bottom kept
+    alone), `_<sym>` (bottom plus one symbol) or two symbols joined by `.`.
+    """
+    for ln, raw in enumerate(text.splitlines(), start=1):
+        fields = raw.split()
+        if not fields or fields[0][0] == "#":
+            continue
+        kind = fields.pop(0)
+        entry = handlers.get(kind)
+        try:
+            if entry is None:
+                raise ValueError(f"unknown declaration {kind!r}")
+            arity, handle = entry
+            if arity is not None and len(fields) != arity:
+                raise ValueError(f"{kind!r} takes {arity} field(s), got {len(fields)}")
+            handle(*fields)
+        except (ValueError, IndexError, KeyError) as exc:
+            reason = f"unknown {exc}" if isinstance(exc, KeyError) else exc
+            raise FormatError(f"line {ln}: {raw.strip()!r}: {reason}") from None
 
 
 def top_to_text(top: str) -> str:
@@ -403,47 +427,38 @@ def format_pda(pda: OmegaPDA) -> str:
     return "\n".join(lines) + "\n"
 
 
-def parse_pda(text: str) -> OmegaPDA:
+def pda_declarations() -> tuple[dict, Callable[[], OmegaPDA]]:
+    """The automaton keyword table for ``read_declarations`` and a function
+    that builds and validates the automaton once the text is read."""
     states: list[str] = []
     letters: list[str] = []
     stack: list[str] = []
-    initial: Optional[str] = None
+    initial: list[str] = []
     transitions: list[Transition] = []
-    for ln, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split()
-        kind, args = parts[0], parts[1:]
-        try:
-            if kind == "state":
-                states.append(args[0])
-            elif kind == "initial":
-                initial = args[0]
-            elif kind == "letter":
-                letters.append(args[0])
-            elif kind == "stacksym":
-                stack.append(args[0])
-            elif kind == "trans":
-                src, top, lab, dst, push, color = args
-                transitions.append(
-                    Transition(
-                        source=src,
-                        top=BOTTOM if top == "_" else top,
-                        label=None if lab == "eps" else lab,
-                        target=dst,
-                        push=push_from_text(push),
-                        color=int(color),
-                    )
-                )
-            else:
-                raise FormatError(f"line {ln}: unknown declaration {kind!r}")
-        except (IndexError, ValueError) as exc:
-            raise FormatError(f"line {ln}: {raw!r}: {exc}") from None
-    if initial is None:
-        raise FormatError("missing 'initial' declaration")
-    pda = OmegaPDA(tuple(states), tuple(letters), tuple(stack), initial, tuple(transitions))
-    diags = validate(pda)
-    if diags:
-        raise FormatError("; ".join(diags))
-    return pda
+
+    def trans(src, top, lab, dst, push, color):
+        transitions.append(Transition(
+            src, BOTTOM if top == "_" else top, None if lab == "eps" else lab, dst,
+            push_from_text(push), int(color),
+        ))
+
+    def build() -> OmegaPDA:
+        if not initial:
+            raise FormatError("missing 'initial' declaration")
+        pda = OmegaPDA(tuple(states), tuple(letters), tuple(stack), initial[-1],
+                       tuple(transitions))
+        diags = validate(pda)
+        if diags:
+            raise FormatError("; ".join(diags))
+        return pda
+
+    handlers = {"state": (1, states.append), "initial": (1, initial.append),
+                "letter": (1, letters.append), "stacksym": (1, stack.append),
+                "trans": (6, trans)}
+    return handlers, build
+
+
+def parse_pda(text: str) -> OmegaPDA:
+    handlers, build = pda_declarations()
+    read_declarations(text, handlers)
+    return build()

@@ -24,12 +24,21 @@ from typing import Any, Callable, Optional
 from .core import (
     BOTTOM,
     Configuration,
+    FormatError,
     GuardExceeded,
     LassoDetector,
     LassoWord,
     OmegaPDA,
     PdaError,
     Transition,
+    format_pda,
+    is_deterministic,
+    pda_declarations,
+    push_from_text,
+    push_to_text,
+    read_declarations,
+    replay,
+    top_to_text,
 )
 from .resolvers import DetPushdown, PdtRule, Resolver, resolver_query
 
@@ -122,11 +131,14 @@ class PdInfo:
 
     @property
     def y_values(self) -> tuple[str, ...]:
-        ids = tuple(self.transition_ids[t] for t in self.condition.transitions)
-        return self.sigma2 + ids
+        return self.sigma2 + tuple(self.transition_ids.values())
 
     def pd_letter(self, x1: str, y: str) -> str:
         return f"{x1}&{y}"
+
+    def transition_of(self, tid: str) -> Transition:
+        """The condition transition whose id is ``tid``."""
+        return self.decomp[self.pd_letter(self.sigma1[0], tid)][2]
 
     def letter_for(self, a1: str, a2: str) -> str:
         return self.pairing_rev[(a1, a2)]
@@ -187,14 +199,16 @@ def build_pd(spec: GaleStewartSpec) -> tuple[OmegaPDA, PdInfo]:
     if bad:
         raise ValueError("; ".join(bad))
     cond = spec.condition
-    tids = {t: f"t{i}" for i, t in enumerate(cond.transitions)}
+    tids: dict[Transition, str] = {}
+    for i, t in enumerate(cond.transitions):
+        tids.setdefault(t, f"t{i}")  # a repeated transition keeps its first id
     pairing_rev = {pair: letter for letter, pair in spec.pairing.items()}
     decomp: dict[str, tuple[str, str, Any]] = {}
     info = PdInfo(spec.sigma1, spec.sigma2, cond, tids, decomp, pairing_rev)
     for x1 in spec.sigma1:
         for a2 in spec.sigma2:
             decomp[info.pd_letter(x1, a2)] = (x1, "a2", a2)
-        for t in cond.transitions:
+        for t in tids:
             decomp[info.pd_letter(x1, tids[t])] = (x1, "tr", t)
 
     def await_state(q: str) -> str:
@@ -207,7 +221,7 @@ def build_pd(spec: GaleStewartSpec) -> tuple[OmegaPDA, PdInfo]:
         return c if acc is None else max(acc, c)
 
     by_source: dict[str, list[Transition]] = {}
-    for t in cond.transitions:
+    for t in tids:
         by_source.setdefault(t.source, []).append(t)
 
     states: list[str] = []
@@ -546,8 +560,6 @@ def gs_to_pushdown_game(
     the Gale-Stewart game requires that the dpda cannot starve on epsilon
     transitions (the block automata built here are epsilon-free).
     """
-    from .core import is_deterministic
-
     det, pairs = is_deterministic(dpda)
     if not det:
         raise ValueError(f"arena needs a deterministic automaton: {pairs[:1]}")
@@ -828,8 +840,7 @@ def synthesize_strategy_pdt(spec: GaleStewartSpec, budget: int = 5_000_000) -> S
     def classify(y: str) -> str:
         if y in spec.sigma2:
             return "sigma2"
-        tr = next(t for t, tid in gs.info.transition_ids.items() if tid == y)
-        return "eps_trans" if tr.label is None else "letter_trans"
+        return "eps_trans" if gs.info.transition_of(y).label is None else "letter_trans"
 
     return delay_transform(
         tprime, reading_modes(t), classify, spec.sigma1[0], spec.sigma1, spec.sigma2
@@ -862,8 +873,6 @@ def compose_sigma_d(
     """Strategy for the block game from a strategy for the original game plus
     a resolver: alternate between simulating sigma's letter choice and letting
     the resolver build the run infix that processes it."""
-    from .core import replay
-
     if info is None:
         info = build_pd(spec)[1]
     cache: dict[tuple[str, ...], str] = {}
@@ -877,21 +886,11 @@ def compose_sigma_d(
             out = sigma((v[0],))
         else:
             prev = outputs[-1]
-            prev_kind = "a2" if prev in spec.sigma2 else "tr"
-            prev_tr = None
-            if prev_kind == "tr":
-                prev_tr = next(
-                    t for t, tid in info.transition_ids.items() if tid == prev
-                )
-            if prev_kind == "tr" and prev_tr.label is not None:
+            if prev not in spec.sigma2 and info.transition_of(prev).label is not None:
                 word = tuple(v[j] for j in range(len(outputs)) if outputs[j] in spec.sigma2)
                 out = sigma(word + (v[-1],))
             else:
-                history = [
-                    next(t for t, tid in info.transition_ids.items() if tid == outputs[j])
-                    for j in range(len(outputs))
-                    if outputs[j] not in spec.sigma2
-                ]
+                history = [info.transition_of(y) for y in outputs if y not in spec.sigma2]
                 j_prime = max(j for j in range(len(outputs)) if outputs[j] in spec.sigma2)
                 pending = spec.letter_of(v[j_prime], outputs[j_prime])
                 run = replay(spec.condition, tuple(history))
@@ -909,31 +908,23 @@ def compose_sigma_d(
 
 
 def parse_gs_spec(text: str) -> GaleStewartSpec:
-    from .core import FormatError, parse_pda
-
+    """The condition automaton's declarations plus `sigma1 ...`, `sigma2 ...`,
+    `pair <condition-letter> <a1> <a2>` and `gfg <claim>`, read in one pass."""
     sigma1: list[str] = []
     sigma2: list[str] = []
     pairing: dict[str, tuple[str, str]] = {}
-    gfg = False
-    pda_lines: list[str] = []
-    for raw in text.splitlines():
-        line = raw.strip()
-        parts = line.split()
-        if not parts or line.startswith("#"):
-            continue
-        if parts[0] == "sigma1":
-            sigma1 += parts[1:]
-        elif parts[0] == "sigma2":
-            sigma2 += parts[1:]
-        elif parts[0] == "pair":
-            pairing[parts[1]] = (parts[2], parts[3])
-        elif parts[0] == "gfg":
-            gfg = parts[1].lower() in ("true", "1", "yes")
-        else:
-            pda_lines.append(raw)
-    spec = GaleStewartSpec(
-        tuple(sigma1), tuple(sigma2), parse_pda("\n".join(pda_lines)), pairing, gfg
-    )
+    claim: list[str] = []
+
+    def pair(letter, a1, a2):
+        pairing[letter] = (a1, a2)
+
+    handlers, build = pda_declarations()
+    handlers.update({"sigma1": (None, lambda *xs: sigma1.extend(xs)),
+                     "sigma2": (None, lambda *xs: sigma2.extend(xs)),
+                     "pair": (3, pair), "gfg": (1, claim.append)})
+    read_declarations(text, handlers)
+    gfg = bool(claim) and claim[-1].lower() in ("true", "1", "yes")
+    spec = GaleStewartSpec(tuple(sigma1), tuple(sigma2), build(), pairing, gfg)
     bad = spec.validate()
     if bad:
         raise FormatError("; ".join(bad))
@@ -941,8 +932,6 @@ def parse_gs_spec(text: str) -> GaleStewartSpec:
 
 
 def format_gs_spec(spec: GaleStewartSpec) -> str:
-    from .core import format_pda
-
     lines = [format_pda(spec.condition).rstrip("\n")]
     lines.append("sigma1 " + " ".join(spec.sigma1))
     lines.append("sigma2 " + " ".join(spec.sigma2))
@@ -957,8 +946,6 @@ def format_strategy_pdt(t: StrategyPDT) -> str:
     lines = [f"tstate {ids[q]}" for q in t.machine.states]
     lines.append(f"tinitial {ids[t.machine.initial]}")
     lines += [f"tstacksym {x}" for x in t.machine.stack_alphabet]
-    from .core import push_to_text, top_to_text
-
     for r in t.machine.rules:
         sym = "eps" if r.symbol is None else r.symbol
         lines.append(
@@ -973,46 +960,28 @@ def format_strategy_pdt(t: StrategyPDT) -> str:
 
 
 def parse_strategy_pdt(text: str) -> StrategyPDT:
-    from .core import FormatError, push_from_text
-
     states: list[str] = []
-    initial: Optional[str] = None
+    initial: list[str] = []
     stack: list[str] = []
     rules: list[PdtRule] = []
     output: dict = {}
-    input_alphabet: tuple[str, ...] = ()
-    output_alphabet: tuple[str, ...] = ()
-    for ln, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split()
-        try:
-            if parts[0] == "tstate":
-                states.append(parts[1])
-            elif parts[0] == "tinitial":
-                initial = parts[1]
-            elif parts[0] == "tstacksym":
-                stack.append(parts[1])
-            elif parts[0] == "ttrans":
-                src, top, sym, dst, push = parts[1:6]
-                rules.append(
-                    PdtRule(
-                        src, BOTTOM if top == "_" else top,
-                        None if sym == "eps" else sym, dst, push_from_text(push),
-                    )
-                )
-            elif parts[0] == "tout":
-                output[parts[1]] = parts[2]
-            elif parts[0] == "tinput":
-                input_alphabet = tuple(parts[1:])
-            elif parts[0] == "toutput":
-                output_alphabet = tuple(parts[1:])
-            else:
-                raise FormatError(f"line {ln}: unknown declaration {parts[0]!r}")
-        except IndexError as exc:
-            raise FormatError(f"line {ln}: {raw!r}: {exc}") from None
-    if initial is None:
+    input_alphabet: list[str] = []
+    output_alphabet: list[str] = []
+
+    def ttrans(src, top, sym, dst, push):
+        rules.append(PdtRule(src, BOTTOM if top == "_" else top,
+                             None if sym == "eps" else sym, dst, push_from_text(push)))
+
+    def tout(q, out):
+        output[q] = out
+
+    read_declarations(text, {
+        "tstate": (1, states.append), "tinitial": (1, initial.append),
+        "tstacksym": (1, stack.append), "ttrans": (5, ttrans), "tout": (2, tout),
+        "tinput": (None, lambda *xs: input_alphabet.extend(xs)),
+        "toutput": (None, lambda *xs: output_alphabet.extend(xs)),
+    })
+    if not initial:
         raise FormatError("missing 'tinitial' declaration")
-    machine = DetPushdown(tuple(states), initial, tuple(stack), tuple(rules))
-    return StrategyPDT(machine, output, input_alphabet, output_alphabet)
+    machine = DetPushdown(tuple(states), initial[-1], tuple(stack), tuple(rules))
+    return StrategyPDT(machine, output, tuple(input_alphabet), tuple(output_alphabet))

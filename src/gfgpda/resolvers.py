@@ -15,6 +15,7 @@ from typing import Any, Hashable, Optional
 from .core import (
     BOTTOM,
     Configuration,
+    FormatError,
     GuardExceeded,
     LassoDetector,
     LassoWord,
@@ -22,8 +23,10 @@ from .core import (
     PdaError,
     RunPrefix,
     Transition,
+    read_declarations,
     replay,
     step,
+    top_to_text,
 )
 
 
@@ -177,14 +180,6 @@ class MooreResolver(Resolver):
 
     def summary(self, state):
         return state
-
-    def check_total(self, pda: OmegaPDA) -> list[str]:
-        missing = []
-        for m in self.states:
-            for t in pda.transitions:
-                if (m, t) not in self.delta:
-                    missing.append(f"delta({m}, {t}) missing")
-        return missing
 
 
 @dataclass(frozen=True)
@@ -495,7 +490,7 @@ def _bounded_verdict(pda: OmegaPDA, r: Resolver, w: LassoWord, guard: int) -> st
 
 
 # ---------------------------------------------------------------------------
-# Text format for Moore resolvers.
+# Text format for Moore resolvers (rules in ``core.read_declarations``):
 #   mstate <id> / minitial <id> / mtrans <m> <transition-index> <m'>
 #   mout <m> <letter> <top|_> <transition-index>
 # ---------------------------------------------------------------------------
@@ -508,37 +503,28 @@ def format_moore(pda: OmegaPDA, m: MooreResolver) -> str:
     for (mm, t), m2 in sorted(m.delta.items(), key=lambda kv: (kv[0][0], index[kv[0][1]])):
         lines.append(f"mtrans {mm} {index[t]} {m2}")
     for (mm, a, x), t in sorted(m.output.items(), key=str):
-        top = "_" if x == BOTTOM else x
-        lines.append(f"mout {mm} {a} {top} {index[t]}")
+        lines.append(f"mout {mm} {a} {top_to_text(x)} {index[t]}")
     return "\n".join(lines) + "\n"
 
 
 def parse_moore(pda: OmegaPDA, text: str) -> MooreResolver:
-    from .core import FormatError
-
     states: list[str] = []
-    initial: Optional[str] = None
+    initial: list[str] = []
     delta: dict[tuple[str, Transition], str] = {}
     output: dict[tuple[str, str, str], Transition] = {}
-    for ln, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split()
-        try:
-            if parts[0] == "mstate":
-                states.append(parts[1])
-            elif parts[0] == "minitial":
-                initial = parts[1]
-            elif parts[0] == "mtrans":
-                delta[(parts[1], pda.transitions[int(parts[2])])] = parts[3]
-            elif parts[0] == "mout":
-                top = BOTTOM if parts[3] == "_" else parts[3]
-                output[(parts[1], parts[2], top)] = pda.transitions[int(parts[4])]
-            else:
-                raise FormatError(f"line {ln}: unknown declaration {parts[0]!r}")
-        except (IndexError, ValueError) as exc:
-            raise FormatError(f"line {ln}: {raw!r}: {exc}") from None
-    if initial is None:
+
+    # Only the indices 0..n-1, written as format_moore writes them, name a
+    # transition; a negative index is not counted from the end.
+    by_index = {str(i): t for i, t in enumerate(pda.transitions)}
+
+    def mtrans(m, i, m2):
+        delta[(m, by_index[i])] = m2
+
+    def mout(m, letter, top, i):
+        output[(m, letter, BOTTOM if top == "_" else top)] = by_index[i]
+
+    read_declarations(text, {"mstate": (1, states.append), "minitial": (1, initial.append),
+                             "mtrans": (3, mtrans), "mout": (4, mout)})
+    if not initial:
         raise FormatError("missing 'minitial' declaration")
-    return MooreResolver(tuple(states), initial, delta, output)
+    return MooreResolver(tuple(states), initial[-1], delta, output)

@@ -262,27 +262,26 @@ def _components(letter: str) -> tuple[str, str]:
 class LssResolver(Resolver):
     """Track the component whose safe suffix starts earliest (ties favor 1).
 
-    The state keeps, per component, the energy level of every suffix that is
-    still safe, keyed by its start position; min of the keys is min S_i.
+    A suffix is safe while its energy stays nonnegative, so min S_i is the
+    first position where component i's prefix energy reaches its minimum (the
+    current length when no suffix is safe).  The state is the length plus,
+    per component, ``(level, low, at)``: the prefix energy, its minimum so
+    far and the first position attaining it.
     """
 
     def __init__(self, pda: OmegaPDA):
         self.pda = pda
 
     def start(self):
-        return (0, {}, {})
+        return (0, (0, 0, 0), (0, 0, 0))
 
     def _advance(self, state, letter):
-        n, d1, d2 = state
-        x, y = _components(letter)
-        new = []
-        for d, c in ((d1, x), (d2, y)):
-            delta = _DELTA[c]
-            nd = {j: e + delta for j, e in d.items() if e + delta >= 0}
-            if delta >= 0:
-                nd[n] = delta
-            new.append(nd)
-        return (n + 1, new[0], new[1])
+        n, *components = state
+        out = [n + 1]
+        for (level, low, at), c in zip(components, _components(letter)):
+            level += _DELTA[c]
+            out.append((level, low, at) if level >= low else (level, level, n + 1))
+        return tuple(out)
 
     def feed(self, state, t):
         if t.label is None:
@@ -290,9 +289,7 @@ class LssResolver(Resolver):
         return self._advance(state, t.label)
 
     def pick(self, state, config, letter):
-        n, d1, d2 = self._advance(state, letter)
-        min1 = min(d1) if d1 else n
-        min2 = min(d2) if d2 else n
+        _, (_, _, min1), (_, _, min2) = self._advance(state, letter)
         target = "1" if min1 <= min2 else "2"
         for t in self.pda.by_source_top.get((config.state, config.top), ()):
             if t.label == letter and t.target == target:
@@ -680,10 +677,6 @@ def ncw1() -> Fixture:
 
 def ncw2() -> Fixture:
     return Fixture("ncw2", _ncw2_pda(), _ncw_sampler(_in_ncw2))
-
-
-def non_closure_witnesses() -> list[Fixture]:
-    return [ncw1(), ncw2()]
 
 
 # ---------------------------------------------------------------------------

@@ -115,6 +115,19 @@ def test_product(capsys, tmp_path):
     assert code == 0 and parse_pda(out).initial
 
 
+def test_product_alphabet_mismatch_is_input_error(capsys, tmp_path):
+    from gfgpda.closure import DeterministicParityAutomaton, format_dpa
+
+    dpa = DeterministicParityAutomaton(
+        ("d0",), ("a", "b"), "d0", {("d0", "a"): "d0", ("d0", "b"): "d0"},
+        {("d0", "a"): 2, ("d0", "b"): 2},
+    )
+    dfile = tmp_path / "ab.dpa"
+    dfile.write_text(format_dpa(dpa))
+    code, out = run(capsys, "product", "zoo:example23", str(dfile), "--mode", "union")
+    assert code == 4 and "input error" in out
+
+
 def test_solve_and_synth_and_play(capsys, tmp_path, monkeypatch):
     specfile = tmp_path / "copycat.gs"
     specfile.write_text(games.format_gs_spec(copycat_spec()))

@@ -1,0 +1,113 @@
+"""The five text formats share one declaration reader: exact field counts,
+line-numbered FormatErrors, and no other exception type on malformed input."""
+
+import pytest
+
+from gfgpda import cli, zoo
+from gfgpda.closure import DeterministicParityAutomaton, format_dpa, parse_dpa
+from gfgpda.core import FormatError, format_pda, parse_pda, read_declarations
+from gfgpda.games import (
+    format_gs_spec,
+    format_strategy_pdt,
+    make_universality_spec,
+    parse_gs_spec,
+    parse_strategy_pdt,
+    synthesize_strategy_pdt,
+)
+from gfgpda.resolvers import format_moore, parse_moore
+from helpers import copycat_spec
+
+VARIADIC = {"sigma1", "sigma2", "tinput", "toutput"}
+
+
+def _dpa() -> DeterministicParityAutomaton:
+    letters = ("a", "b")
+    return DeterministicParityAutomaton(
+        ("d0", "d1"), letters, "d0",
+        {(q, a): ("d1" if a == "b" else q) for q in ("d0", "d1") for a in letters},
+        {(q, a): (2 if q == "d1" else 1) for q in ("d0", "d1") for a in letters},
+    )
+
+
+def _cases():
+    """(name, text, parse) per writer-produced text."""
+    for fx in zoo.all_fixtures():
+        yield f"pda:{fx.name}", format_pda(fx.automaton), parse_pda
+    for fx in (zoo.figure1(), zoo.example23()):
+        pda = fx.automaton
+        yield (f"moore:{fx.name}", format_moore(pda, fx.resolver),
+               lambda text, pda=pda: parse_moore(pda, text))
+    yield "dpa", format_dpa(_dpa()), parse_dpa
+    yield ("gs:figure1", format_gs_spec(make_universality_spec(zoo.figure1().automaton)),
+           parse_gs_spec)
+    yield ("pdt:copycat", format_strategy_pdt(synthesize_strategy_pdt(copycat_spec())),
+           parse_strategy_pdt)
+
+
+CASES = list(_cases())
+
+
+@pytest.mark.parametrize("name,text,parse", CASES, ids=[c[0] for c in CASES])
+def test_wrong_field_counts_name_their_line(name, text, parse):
+    parse(text)  # the unmutated text is valid
+    lines = text.splitlines()
+    for i, line in enumerate(lines):
+        fields = line.split()
+        for mutated in (fields[:-1], fields + ["extra"]):
+            bad = "\n".join(lines[:i] + [" ".join(mutated)] + lines[i + 1:]) + "\n"
+            if fields[0] in VARIADIC:
+                try:
+                    parse(bad)
+                except FormatError:
+                    pass
+                continue
+            with pytest.raises(FormatError, match=rf"^line {i + 1}: "):
+                parse(bad)
+
+
+def test_reader_skips_comments_and_blank_lines():
+    seen = []
+    read_declarations("# header\n\n  #x y\nkey a b\n   \nkey c d # not a comment\n",
+                      {"key": (None, lambda *xs: seen.append(xs))})
+    assert seen == [("a", "b"), ("c", "d", "#", "not", "a", "comment")]
+
+
+def test_reader_errors_carry_line_and_reason():
+    handlers = {"one": (1, int)}
+    with pytest.raises(FormatError, match=r"^line 3: 'two x': unknown declaration 'two'$"):
+        read_declarations("one 1\n\ntwo x\n", handlers)
+    with pytest.raises(FormatError, match=r"^line 1: 'one 1 2': 'one' takes 1 field"):
+        read_declarations("one 1 2\n", handlers)
+    with pytest.raises(FormatError, match=r"^line 2: 'one x': invalid literal"):
+        read_declarations("one 1\none x\n", handlers)
+
+    def lookup(key):
+        return {}[key]
+
+    with pytest.raises(FormatError, match=r"^line 1: 'k z': unknown 'z'$"):
+        read_declarations("k z\n", {"k": (1, lookup)})
+
+
+def test_spec_errors_use_the_files_line_numbers():
+    # Spec lines first: the condition lines are read in place, not re-joined
+    # without the spec lines before them.
+    text = format_gs_spec(make_universality_spec(zoo.figure1().automaton))
+    cond = [line for line in text.splitlines() if line.split()[0] in
+            ("state", "initial", "letter", "stacksym", "trans")]
+    lines = ["# spec"] + [line for line in text.splitlines() if line not in cond] + cond
+    n = len(lines) - 1
+    lines[n] = lines[n].rsplit(" ", 1)[0] + " red"
+    with pytest.raises(FormatError, match=rf"^line {n + 1}: "):
+        parse_gs_spec("\n".join(lines))
+
+
+@pytest.mark.parametrize("short", ["pair (a,#)", "gfg"])
+def test_solve_short_spec_line_is_input_error(capsys, tmp_path, short):
+    text = format_gs_spec(make_universality_spec(zoo.figure1().automaton))
+    specfile = tmp_path / "short.gs"
+    specfile.write_text(text + short + "\n")
+    code = cli.main(["solve", str(specfile)])
+    out = capsys.readouterr()
+    n = len(text.splitlines()) + 1
+    assert code == 4 and f"input error: line {n}: " in out.out
+    assert "Traceback" not in out.err

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from gfgpda import analysis, zoo
-from gfgpda.core import BOTTOM, LassoWord, is_deterministic, parse_lasso
+from gfgpda.core import BOTTOM, LassoWord, OmegaPDA, is_deterministic, parse_lasso
 from gfgpda.games import (
     ADAM,
     EVE,
@@ -296,6 +296,21 @@ def test_universality_fixtures():
     assert universality(zoo.figure1().automaton)
     assert not universality(zoo.example23().automaton)
     assert not universality(zoo.lss().automaton)
+
+
+@pytest.mark.parametrize("name", ["figure1", "allodd", "parity2"])
+def test_duplicate_transitions_keep_universality(name):
+    # Transitions are values: a repeated trans line adds no run and must not
+    # make the block automaton nondeterministic.
+    pda = zoo.get(name).automaton
+    want = universality(pda)
+    for i in (0, len(pda.transitions) - 1):
+        ts = pda.transitions
+        dup = OmegaPDA(pda.states, pda.input_alphabet, pda.stack_alphabet, pda.initial,
+                       ts[:i + 1] + ts[i:])
+        assert universality(dup) == want, (name, i)
+        y_values = build_pd(make_universality_spec(dup))[1].y_values
+        assert len(set(y_values)) == len(y_values)
 
 
 def test_copycat_and_pq_drain_are_eve_wins():

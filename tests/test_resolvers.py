@@ -1,7 +1,11 @@
+import random
+
 import pytest
 
 from gfgpda import analysis, zoo
-from gfgpda.core import BOTTOM, Configuration, GuardExceeded, LassoWord, parse_lasso, replay
+from gfgpda.core import (
+    BOTTOM, Configuration, FormatError, GuardExceeded, LassoWord, parse_lasso, replay,
+)
 from gfgpda.resolvers import (
     DetPushdown,
     EpsilonDivergence,
@@ -330,6 +334,24 @@ def test_lss_resolver_no_late_state_switch(lss_fx):
         assert all(t.color == 0 for t in tail), (w, [str(t) for t in tail])
 
 
+def test_lss_resolver_tracks_first_argmin_of_prefix_energy(lss_fx):
+    # min S_i is the first position where component i's prefix energy is
+    # minimal; the resolver moves to the component with the smaller one.
+    pda, r = lss_fx.automaton, lss_fx.resolver
+    letters = pda.input_alphabet
+    rng = random.Random(5)
+    for _ in range(40):
+        word = tuple(rng.choice(letters) for _ in range(rng.randint(1, 60)))
+        run = run_on_prefix(pda, r, word).run
+        assert len(run) == len(word)
+        for k, t in enumerate(run.transitions):
+            firsts = []
+            for component in (1, 2):
+                levels = [zoo.prefix_energy_level(word[:m], component) for m in range(k + 2)]
+                firsts.append(levels.index(min(levels)))
+            assert t.target == ("1" if firsts[0] <= firsts[1] else "2"), (word, k)
+
+
 # -- Moore text format -----------------------------------------------------------------
 
 
@@ -341,3 +363,16 @@ def test_moore_text_round_trip(ex23):
     assert again.delta == ex23.resolver.delta
     assert again.output == ex23.resolver.output
     assert format_moore(ex23.automaton, again) == text
+
+
+@pytest.mark.parametrize("kind,field", [("mtrans", 2), ("mout", 4)])
+@pytest.mark.parametrize("index", ["-1", "{n}", "x", "01"])
+def test_moore_transition_index_out_of_range(ex23, kind, field, index):
+    # Only 0..n-1 name a transition; a negative index is not the last one.
+    lines = format_moore(ex23.automaton, ex23.resolver).splitlines()
+    i = next(i for i, line in enumerate(lines) if line.startswith(kind))
+    fields = lines[i].split()
+    fields[field] = index.format(n=len(ex23.automaton.transitions))
+    lines[i] = " ".join(fields)
+    with pytest.raises(FormatError, match=rf"^line {i + 1}: "):
+        parse_moore(ex23.automaton, "\n".join(lines))
