@@ -15,8 +15,6 @@ block game into one for the original game.
 
 from __future__ import annotations
 
-import sys
-import threading
 from collections import deque
 from dataclasses import dataclass
 from typing import Any, Callable, Optional
@@ -301,121 +299,100 @@ class FiniteSolveResult:
 
 
 def solve_finite_parity_game(g: FiniteParityGame) -> FiniteSolveResult:
-    """Zielonka on an edge-colored game; edges become midpoint vertices, dead
-    ends become losing self-loops for their owner."""
+    """Zielonka on an edge-colored game.  Vertices get dense ids: ``i < n`` is
+    ``g.vertices[i]``, ``n + j`` is the midpoint of edge ``j``, and each dead
+    end gets a losing self-loop for its owner after those."""
+    n, m = len(g.vertices), len(g.edges)
+    index = {v: i for i, v in enumerate(g.vertices)}
     colors = [c for _, c, _ in g.edges]
     cmax = max(colors, default=0)
     cmin = min(colors, default=0)
     lose = {EVE: cmax + 1 + (cmax % 2), ADAM: cmax + 2 - (cmax % 2)}
-
-    vertex_color: dict = {}
-    owner: dict = {}
-    succ: dict = {}
-    pred: dict = {}
-    edge_of_mid: dict = {}
-
-    def add_vertex(v, own, col):
-        vertex_color[v] = col
-        owner[v] = own
-        succ.setdefault(v, [])
-        pred.setdefault(v, [])
-
-    def add_edge(u, v):
-        succ[u].append(v)
-        pred[v].append(u)
-
-    for v in g.vertices:
-        add_vertex(v, g.owner[v], cmin)
-    for i, (u, c, v) in enumerate(g.edges):
-        mid = ("#mid", i)
-        add_vertex(mid, EVE, c)
-        edge_of_mid[mid] = i
-        add_edge(u, mid)
-        add_edge(mid, v)
-    for v in g.vertices:
+    owner = [g.owner[v] for v in g.vertices] + [EVE] * m
+    color = [cmin] * n + colors
+    succ: list[list[int]] = [[] for _ in range(n)] + [[index[v]] for _, _, v in g.edges]
+    pred: list[list[int]] = [[] for _ in range(n + m)]
+    for j, (u, _, v) in enumerate(g.edges):
+        succ[index[u]].append(n + j)
+        pred[n + j].append(index[u])
+        pred[index[v]].append(n + j)
+    for v in range(n):
         if not succ[v]:
-            mid = ("#dead", v)
-            add_vertex(mid, EVE, lose[g.owner[v]])
-            add_edge(v, mid)
-            add_edge(mid, v)
+            succ[v].append(len(succ))
+            pred[v].append(len(succ))
+            owner.append(EVE)
+            color.append(lose[owner[v]])
+            succ.append([v])
+            pred.append([v])
 
-    result = _zielonka_threaded(set(vertex_color), succ, pred, owner, vertex_color)
-    winning = {p: frozenset(v for v in result[0][p] if v in g.owner) for p in (EVE, ADAM)}
-    strategy: dict = {EVE: {}, ADAM: {}}
-    for p in (EVE, ADAM):
-        for v, mid in result[1][p].items():
-            if v in g.owner and isinstance(mid, tuple) and mid[0] == "#mid":
-                strategy[p][v] = edge_of_mid[mid]
-    return FiniteSolveResult(winning, strategy)
-
-
-def _zielonka_threaded(vertices, succ, pred, owner, color):
-    holder: dict = {}
-
-    def run():
-        sys.setrecursionlimit(max(sys.getrecursionlimit(), 4 * len(vertices) + 10000))
-        holder["out"] = _zielonka(frozenset(vertices), succ, pred, owner, color)
-
-    old = threading.stack_size()
-    threading.stack_size(256 * 1024 * 1024)
-    try:
-        worker = threading.Thread(target=run)
-        worker.start()
-        worker.join()
-    finally:
-        threading.stack_size(old)
-    return holder["out"]
+    stack = [_zielonka(set(range(len(succ))), succ, pred, owner, color)]
+    result = None
+    while stack:
+        try:
+            sub = stack[-1].send(result)
+        except StopIteration as done:
+            stack.pop()
+            result = done.value
+        else:
+            stack.append(_zielonka(sub, succ, pred, owner, color))
+            result = None
+    wins, strats = result
+    return FiniteSolveResult(
+        {p: frozenset(g.vertices[v] for v in wins[p] if v < n) for p in (EVE, ADAM)},
+        {p: {g.vertices[v]: w - n for v, w in strats[p].items() if v < n and w < n + m}
+         for p in (EVE, ADAM)},
+    )
 
 
 def _attractor(player, targets, sub, succ, pred, owner):
     attracted = set(targets)
     strat: dict = {}
     counts: dict = {}
-    queue = deque(sorted(targets, key=str))
+    queue = deque(sorted(targets))
     while queue:
         u = queue.popleft()
-        for v in pred.get(u, ()):
+        for v in pred[u]:
             if v not in sub or v in attracted:
                 continue
             if owner[v] == player:
-                attracted.add(v)
                 strat[v] = u
-                queue.append(v)
             else:
                 if v not in counts:
                     counts[v] = sum(1 for w in succ[v] if w in sub)
                 counts[v] -= 1
-                if counts[v] == 0:
-                    attracted.add(v)
-                    queue.append(v)
+                if counts[v]:
+                    continue
+            attracted.add(v)
+            queue.append(v)
     return attracted, strat
 
 
 def _zielonka(sub, succ, pred, owner, color):
-    if not sub:
-        return ({EVE: set(), ADAM: set()}, {EVE: {}, ADAM: {}})
-    d = max(color[v] for v in sub)
-    p = EVE if d % 2 == 0 else ADAM
-    opp = ADAM if p == EVE else EVE
-    targets = {v for v in sub if color[v] == d}
-    region, rstrat = _attractor(p, targets, sub, succ, pred, owner)
-    wins, strats = _zielonka(frozenset(sub - region), succ, pred, owner, color)
-    if not wins[opp]:
-        strat_p = dict(strats[p])
-        strat_p.update(rstrat)
-        for v in sorted(targets, key=str):
-            if owner[v] == p and v not in strat_p:
-                strat_p[v] = next(w for w in succ[v] if w in sub)
-        return ({p: set(sub), opp: set()}, {p: strat_p, opp: {}})
-    region2, bstrat = _attractor(opp, wins[opp], sub, succ, pred, owner)
-    wins2, strats2 = _zielonka(frozenset(sub - region2), succ, pred, owner, color)
-    strat_opp = dict(strats[opp])
-    strat_opp.update(strats2[opp])
-    strat_opp.update(bstrat)
-    return (
-        {p: wins2[p], opp: wins2[opp] | region2},
-        {p: strats2[p], opp: strat_opp},
-    )
+    """Winning regions and strategies on ``sub``.  The subgame left after
+    peeling the opponent's attractor is solved by the loop; the subgame
+    without the top color's attractor is yielded, and the caller sends its
+    result back, so nesting lives on the caller's list, not the Python stack."""
+    wins_all: dict = {EVE: set(), ADAM: set()}
+    strats_all: dict = {EVE: {}, ADAM: {}}
+    while sub:
+        d = max(color[v] for v in sub)
+        p = EVE if d % 2 == 0 else ADAM
+        opp = ADAM if p == EVE else EVE
+        targets = {v for v in sub if color[v] == d}
+        region, rstrat = _attractor(p, targets, sub, succ, pred, owner)
+        wins, strats = yield sub - region
+        if not wins[opp]:
+            wins_all[p] |= sub
+            strats_all[p] |= strats[p] | rstrat
+            for v in targets:
+                if owner[v] == p:
+                    strats_all[p][v] = next(w for w in succ[v] if w in sub)
+            break
+        region2, bstrat = _attractor(opp, wins[opp], sub, succ, pred, owner)
+        wins_all[opp] |= region2
+        strats_all[opp] |= strats[opp] | bstrat
+        sub = sub - region2
+    return wins_all, strats_all
 
 
 @dataclass(frozen=True)
@@ -983,5 +960,11 @@ def parse_strategy_pdt(text: str) -> StrategyPDT:
     })
     if not initial:
         raise FormatError("missing 'tinitial' declaration")
+    declared = set(states)
+    used = [("tinitial", initial[-1])] + [("tout", q) for q in output]
+    used += [("ttrans", q) for r in rules for q in (r.source, r.target)]
+    for kind, q in used:
+        if q not in declared:
+            raise FormatError(f"{kind} names undeclared state {q!r}")
     machine = DetPushdown(tuple(states), initial[-1], tuple(stack), tuple(rules))
     return StrategyPDT(machine, output, tuple(input_alphabet), tuple(output_alphabet))

@@ -128,6 +128,15 @@ def test_product_alphabet_mismatch_is_input_error(capsys, tmp_path):
     assert code == 4 and "input error" in out
 
 
+def test_product_undeclared_dpa_target_is_input_error(capsys, tmp_path):
+    dfile = tmp_path / "bad.dpa"
+    dfile.write_text("dstate d0\ndinitial d0\n" + "".join(
+        f"dletter {a}\ndtrans d0 {a} d0 2\n" for a in zoo.example23().automaton.input_alphabet
+    ) + "dtrans d0 a d9 2\n")
+    code, out = run(capsys, "product", "zoo:example23", str(dfile), "--mode", "intersect")
+    assert code == 4 and "state 'd9' not declared" in out
+
+
 def test_solve_and_synth_and_play(capsys, tmp_path, monkeypatch):
     specfile = tmp_path / "copycat.gs"
     specfile.write_text(games.format_gs_spec(copycat_spec()))
@@ -176,6 +185,15 @@ def test_engine_error_exit_five(capsys, tmp_path, monkeypatch):
     monkeypatch.setattr("sys.stdin", io.StringIO("a\n"))
     code, out = run(capsys, "play", str(specfile), str(strategyfile))
     assert code == 5 and "engine error" in out
+
+
+def test_play_undeclared_transducer_state_is_input_error(capsys, tmp_path):
+    specfile = tmp_path / "copycat.gs"
+    specfile.write_text(games.format_gs_spec(copycat_spec()))
+    strategyfile = tmp_path / "bad.pdt"
+    strategyfile.write_text("tstate s0\ntinitial s9\ntinput a b\ntoutput x y\n")
+    code, out = run(capsys, "play", str(specfile), str(strategyfile))
+    assert code == 4 and "input error: tinitial names undeclared state 's9'" in out
 
 
 def test_budget_flag_resource_exit(capsys, tmp_path):

@@ -111,3 +111,26 @@ def test_solve_short_spec_line_is_input_error(capsys, tmp_path, short):
     n = len(text.splitlines()) + 1
     assert code == 4 and f"input error: line {n}: " in out.out
     assert "Traceback" not in out.err
+
+
+@pytest.mark.parametrize("line,named", [
+    ("dtrans d0 a d9 2", "state 'd9'"),
+    ("dtrans d7 b d0 1", "state 'd7'"),
+    ("dtrans d0 c d1 1", "letter 'c'"),
+])
+def test_dpa_transitions_use_declared_names(line, named):
+    with pytest.raises(FormatError, match=f"{named} not declared"):
+        parse_dpa(format_dpa(_dpa()) + line + "\n")
+
+
+@pytest.mark.parametrize("line,kind,state", [
+    ("tinitial s9", "tinitial", "s9"),
+    ("tout s5 x", "tout", "s5"),
+    ("ttrans s3 _ a s0 _", "ttrans", "s3"),
+    ("ttrans s0 _ a s4 _", "ttrans", "s4"),
+])
+def test_strategy_transducer_uses_declared_states(line, kind, state):
+    text = "tstate s0\ntinitial s0\ntinput a\ntoutput x\n"
+    parse_strategy_pdt(text)
+    with pytest.raises(FormatError, match=f"^{kind} names undeclared state '{state}'$"):
+        parse_strategy_pdt(text + line + "\n")

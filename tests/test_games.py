@@ -1,7 +1,12 @@
+import os
 import random
+import subprocess
+import sys
+import threading
 
 import pytest
 
+import gfgpda
 from gfgpda import analysis, zoo
 from gfgpda.core import BOTTOM, LassoWord, OmegaPDA, is_deterministic, parse_lasso
 from gfgpda.games import (
@@ -34,6 +39,7 @@ from gfgpda.games import (
 from gfgpda.resolvers import periodic_split
 
 from helpers import (
+    _strategy_wins,
     copycat_spec,
     eps_block_spec,
     finite_game_oracle,
@@ -185,40 +191,54 @@ def test_zielonka_matches_enumeration_oracle():
 
 
 def test_zielonka_strategies_pass_play_check():
+    # Each player's strategy wins from every vertex of their region: Eve's on
+    # the game itself, Adam's as Eve's on the dual game (owners swapped,
+    # colors shifted by one).
     rng = random.Random(7)
     for _ in range(25):
         g = random_finite_game(rng)
+        dual = FiniteParityGame(
+            g.vertices, {v: ADAM if o == EVE else EVE for v, o in g.owner.items()},
+            tuple((u, c + 1, w) for u, c, w in g.edges),
+        )
         res = solve_finite_parity_game(g)
-        succ = {}
-        for i, (u, c, w) in enumerate(g.edges):
-            succ.setdefault(u, []).append((i, c, w))
-        for v in res.winning[EVE]:
-            if g.owner[v] == EVE and succ.get(v):
-                assert v in res.strategy[EVE]
-        # simulate 50 random plays against the Eve strategy from each winning vertex
-        for v0 in sorted(res.winning[EVE], key=str):
-            for _ in range(5):
-                v, colors = v0, []
-                seen = {}
-                while True:
-                    outs = succ.get(v, [])
-                    if not outs:
-                        assert g.owner[v] == ADAM, "Eve got stuck in her region"
-                        break
-                    if g.owner[v] == EVE:
-                        i = res.strategy[EVE][v]
-                        _, c, w = g.edges[i], g.edges[i][1], g.edges[i][2]
-                    else:
-                        _, c, w = rng.choice(outs)
-                    key = v
-                    if key in seen and len(colors) - seen[key] > 0:
-                        assert max(colors[seen[key]:]) % 2 == 0 or True
-                        # plays are not positional for Adam; a full check is
-                        # done by the enumeration oracle above
-                        break
-                    seen[key] = len(colors)
-                    colors.append(c)
-                    v = w
+        for player, game in ((EVE, g), (ADAM, dual)):
+            sigma = {v: game.edges[i][1:] for v, i in res.strategy[player].items()}
+            for v0 in res.winning[player]:
+                assert _strategy_wins(game, sigma, v0), (g, player, v0)
+
+
+def test_zielonka_leaves_no_process_global_state():
+    n = 3000
+    cycle = FiniteParityGame(
+        tuple(range(n)), {v: EVE if v % 2 == 0 else ADAM for v in range(n)},
+        tuple((i, i, (i + 1) % n) for i in range(n)),
+    )
+    limit, threads = sys.getrecursionlimit(), threading.active_count()
+    assert solve_finite_parity_game(cycle).winning[ADAM] == frozenset(range(n))
+    # Disjoint loops of colors 0, 2, 4, ... nest one subgame per color,
+    # deeper than the default recursion limit of 1000.
+    loops = FiniteParityGame(
+        tuple(range(1200)), {v: ADAM for v in range(1200)},
+        tuple((i, 2 * i, i) for i in range(1200)),
+    )
+    assert solve_finite_parity_game(loops).winning[EVE] == frozenset(range(1200))
+    assert sys.getrecursionlimit() == limit
+    assert threading.active_count() == threads
+
+
+def test_synthesized_strategy_text_is_independent_of_hash_seed(tmp_path):
+    spec = tmp_path / "figure1u.gs"
+    spec.write_text(format_gs_spec(make_universality_spec(zoo.figure1().automaton)))
+    src = os.path.dirname(os.path.dirname(gfgpda.__file__))
+    texts = []
+    for seed in ("0", "1"):
+        out = tmp_path / f"seed{seed}.pdt"
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+        subprocess.run([sys.executable, "-m", "gfgpda.cli", "synth", str(spec), "-o", str(out)],
+                       env=env, check=True, capture_output=True)
+        texts.append(out.read_bytes())
+    assert texts[0] == texts[1]
 
 
 # -- pushdown solver ----------------------------------------------------------------------
