@@ -3,13 +3,20 @@
 Configuration sets are encoded as words ``BOTTOM gamma q`` with the state
 last, so a P-automaton reads the stack bottom-up and then one state symbol.
 
-Parity nonemptiness searches, per even color ``d``, for a reachable head
-``(q, X)`` that can pump: an abstract run from stack ``[X]`` back to state
-``q`` with top ``X`` again, never dipping below the start level, using only
-colors ``<= d``, with at least one color-``d`` transition and at least one
-letter transition on the way.  The letter flag makes epsilon-only loops
-non-accepting directly, so no color normalization pass is needed and the
-returned witness replays on the input automaton unchanged.
+Emptiness rests on one summary per automaton, which does not depend on the
+start configuration (Bouajjani, Esparza & Maler, CONCUR'97): pop summaries,
+the head relation between heads ``(q, X)``, and for each even color ``d``
+the color-``<= d`` head graph with its SCCs.  A head is *good* for ``d`` when
+its SCC has an internal color-``d`` edge and an internal letter edge, i.e.
+it can pump: an abstract run from stack ``[X]`` back to state ``q`` with top
+``X`` again, never dipping below the start level, using only colors ``<= d``.
+The letter edge makes epsilon-only loops non-accepting directly, so no color
+normalization pass is needed and witnesses replay on the input unchanged.
+
+``parity_nonempty`` walks the heads reachable from its start and stops at
+the lowest even color with a reachable good head.  ``accepts_tail_of``
+needs every accepting head at once: one backward search over the head
+relation, seeded at the good heads of all colors.
 """
 
 from __future__ import annotations
@@ -171,15 +178,13 @@ def saturate_pre_star(
 
 
 # ---------------------------------------------------------------------------
-# Pop summaries and reachable heads (the emptiness substrate).
+# The emptiness summary: pop summaries, head relation, color layers.
 # ---------------------------------------------------------------------------
 
 # Witnesses are stored lazily as derivation nodes and expanded on demand:
 #   ("t", tau)            pop rule
 #   ("s", tau, key)       swap rule, then pop summarized by key
 #   ("p", tau, key, key)  push rule, then two pops
-PopKey = tuple[str, str, str]
-PopKeyF = tuple[str, str, str, Flags]
 
 
 class _Pops:
@@ -192,7 +197,7 @@ class _Pops:
         """
         self.d = even_color
         self.defs: dict = {}
-        self.by_px: dict[tuple[str, str], set] = {}
+        by_px: dict[tuple[str, str], set] = {}
         swaps_on: dict[tuple[str, str], list[Transition]] = {}
         pushes_on_top: dict[tuple[str, str], list[Transition]] = {}
         pushes_on_below: dict[str, list[Transition]] = {}
@@ -216,19 +221,19 @@ class _Pops:
         def union(f1: Flags, f2: Flags) -> Flags:
             return (f1[0] or f2[0], f1[1] or f2[1])
 
+        def key_of(q: str, y: str, r: str, fl: Flags):
+            return (q, y, r, fl) if self.d is not None else (q, y, r)
+
         def add(p: str, x: str, r: str, fl: Flags, wit) -> None:
-            key = (p, x, r, fl) if self.d is not None else (p, x, r)
+            key = key_of(p, x, r, fl)
             if key in self.defs:
                 return
             self.defs[key] = wit
-            self.by_px.setdefault((p, x), set()).add((r, fl))
+            by_px.setdefault((p, x), set()).add((r, fl))
             work.append((p, x, r, fl))
 
         for t in pops:
             add(t.source, t.top, t.target, flags_of(t), ("t", t))
-
-        def key_of(q: str, y: str, r: str, fl: Flags):
-            return (q, y, r, fl) if self.d is not None else (q, y, r)
 
         while work:
             q, y, r, fl = work.popleft()
@@ -237,7 +242,7 @@ class _Pops:
                 add(t.source, t.top, r, union(flags_of(t), fl), ("s", t, fact_key))
             for t in pushes_on_top.get((q, y), ()):
                 below = t.push[0]
-                for r2, fl2 in list(self.by_px.get((r, below), ())):
+                for r2, fl2 in list(by_px.get((r, below), ())):
                     add(
                         t.source, t.top, r2,
                         union(union(flags_of(t), fl), fl2),
@@ -245,7 +250,7 @@ class _Pops:
                     )
             for t in pushes_on_below.get(y, ()):
                 top_sym = t.push[1]
-                for s, fl1 in list(self.by_px.get((t.target, top_sym), ())):
+                for s, fl1 in list(by_px.get((t.target, top_sym), ())):
                     if s == q:
                         add(
                             t.source, t.top, r,
@@ -253,132 +258,229 @@ class _Pops:
                             ("p", t, key_of(t.target, top_sym, q, fl1), fact_key),
                         )
 
+        # (r, flags, key) triples per (p, X), sorted once for stable witnesses.
+        self.by_px = {
+            (p, x): [(r, fl, key_of(p, x, r, fl)) for r, fl in sorted(facts, key=str)]
+            for (p, x), facts in by_px.items()
+        }
+
     def results(self, p: str, x: str) -> list:
         """(r, flags, key) triples for pops of ``x`` from state ``p``."""
-        out = []
-        for r, fl in sorted(self.by_px.get((p, x), ()), key=str):
-            key = (p, x, r, fl) if self.d is not None else (p, x, r)
-            out.append((r, fl, key))
-        return out
+        return self.by_px.get((p, x), [])
 
-    def expand(self, key) -> tuple[Transition, ...]:
-        """Flatten a lazy witness into the transition sequence it denotes."""
-        memo: dict = {}
-        order: list = []
-        stack = [key]
+    def expand(self, *parts) -> tuple[Transition, ...]:
+        """Flatten transitions and lazy pop witnesses (keys) into one sequence."""
+        out: list[Transition] = []
+        stack = list(reversed(parts))
         while stack:
-            k = stack.pop()
-            if k in memo:
-                continue
-            node = self.defs[k]
-            deps = [d for d in node[2:] if d not in memo]
-            if deps:
-                stack.append(k)
-                stack.extend(deps)
+            part = stack.pop()
+            if isinstance(part, Transition):
+                out.append(part)
             else:
-                memo[k] = True
-                order.append(k)
-        out: dict = {}
-        for k in order:
-            node = self.defs[k]
-            seq: tuple[Transition, ...] = (node[1],)
-            for dep in node[2:]:
-                seq = seq + out[dep]
-            out[k] = seq
-        return out[key]
+                stack.extend(reversed(self.defs[part][1:]))
+        return tuple(out)
 
+    def steps(self, t: Transition, fl: Flags = (False, False)):
+        """Head moves of ``t`` that stay at or above its level.
 
-class _Heads:
-    """Heads ``(q, X)`` reachable from a start configuration, with stem witnesses."""
-
-    def __init__(self, pda: OmegaPDA, pops: _Pops, start: Configuration):
-        self.facts: dict[tuple[str, str], tuple[Transition, ...]] = {}
-        work: deque = deque()
-
-        def add(q: str, x: str, stem: tuple[Transition, ...]) -> None:
-            if (q, x) in self.facts:
-                return
-            self.facts[(q, x)] = stem
-            work.append((q, x))
-
-        add(start.state, start.top, ())
-        # Popping into the start stack exposes the symbols below the top.
-        carriers = [(start.state, ())]
-        for i in range(len(start.stack) - 1, 0, -1):
-            sym = start.stack[i]
-            nxt = []
-            for st, wit in carriers:
-                for r, _fl, key in pops.results(st, sym):
-                    nxt.append((r, wit + pops.expand(key)))
-            carriers = nxt
-            below = start.stack[i - 1]
-            for st, wit in carriers:
-                add(st, below, wit)
-
-        by_source: dict[str, list[Transition]] = {}
-        for t in pda.transitions:
-            by_source.setdefault(t.source, []).append(t)
-
-        while work:
-            q, x = work.popleft()
-            stem = self.facts[(q, x)]
-            for t in by_source.get(q, ()):
-                if t.top != x:
-                    continue
-                if len(t.push) == 1:
-                    add(t.target, t.push[0], stem + (t,))
-                elif len(t.push) == 2:
-                    add(t.target, t.push[1], stem + (t,))
-                    for r, _fl, key in pops.results(t.target, t.push[1]):
-                        add(r, t.push[0], stem + (t,) + pops.expand(key))
+        Yields ``(target head, flags, parts)``: the head ``t`` pushes on top,
+        and for a push of two symbols also each head exposed once the new
+        top is popped again; ``parts`` expand to the infix.
+        """
+        if len(t.push) == 1:
+            yield (t.target, t.push[0]), fl, (t,)
+        elif len(t.push) == 2:
+            yield (t.target, t.push[1]), fl, (t,)
+            for r, fl2, key in self.results(t.target, t.push[1]):
+                yield (r, t.push[0]), (fl[0] or fl2[0], fl[1] or fl2[1]), (t, key)
 
 
 def _tarjan_sccs(nodes: list, succ: dict) -> dict:
-    """Iterative Tarjan; returns node -> scc id."""
+    """Iterative Tarjan; returns node -> the root node of its SCC."""
     index: dict = {}
     low: dict = {}
-    on_stack: dict = {}
     scc_of: dict = {}
     stack: list = []
-    counter = [0]
-    sccs = [0]
     for root in nodes:
         if root in index:
             continue
-        call = [(root, iter(succ.get(root, ())))]
-        index[root] = low[root] = counter[0]
-        counter[0] += 1
+        index[root] = low[root] = len(index)
         stack.append(root)
-        on_stack[root] = True
+        call = [(root, iter(succ.get(root, ())))]
         while call:
             v, it = call[-1]
-            advanced = False
             for w in it:
                 if w not in index:
-                    index[w] = low[w] = counter[0]
-                    counter[0] += 1
+                    index[w] = low[w] = len(index)
                     stack.append(w)
-                    on_stack[w] = True
                     call.append((w, iter(succ.get(w, ()))))
-                    advanced = True
                     break
-                elif on_stack.get(w):
+                if w not in scc_of:  # visited and unfinished: on the stack
                     low[v] = min(low[v], index[w])
-            if advanced:
-                continue
-            call.pop()
-            if call:
-                pv = call[-1][0]
-                low[pv] = min(low[pv], low[v])
-            if low[v] == index[v]:
-                while True:
-                    w = stack.pop()
-                    on_stack[w] = False
-                    scc_of[w] = sccs[0]
-                    if w == v:
-                        break
-                sccs[0] += 1
+            else:
+                call.pop()
+                if call:
+                    u = call[-1][0]
+                    low[u] = min(low[u], low[v])
+                if low[v] == index[v]:
+                    while True:
+                        w = stack.pop()
+                        scc_of[w] = v
+                        if w == v:
+                            break
     return scc_of
+
+
+class _ColorLayer:
+    """Color-``<= d`` head graph of one even color ``d``, its SCCs and good heads.
+
+    Edges ``(src, dst, flags, parts)`` are abstract run infixes that never
+    dip below the source head's level.  A head is good when its SCC has an
+    internal color-``d`` edge and an internal letter edge: it can pump with
+    maximal color ``d``.
+    """
+
+    def __init__(self, transitions: tuple[Transition, ...], d: int):
+        self.pops = _Pops(transitions, even_color=d)
+        succ: dict = {}
+        edges: list = []
+        for t in transitions:
+            if t.color > d:
+                continue
+            src = (t.source, t.top)
+            for dst, fl, parts in self.pops.steps(t, (t.color == d, t.label is not None)):
+                succ.setdefault(src, []).append(dst)
+                edges.append((src, dst, fl, parts))
+        # Every edge target is reached from some source, so sources suffice as roots.
+        self.scc_of = _tarjan_sccs(list(succ), succ)
+        self.internal: dict = {}
+        for e in edges:
+            if self.scc_of[e[0]] == self.scc_of[e[1]]:
+                self.internal.setdefault(self.scc_of[e[0]], []).append(e)
+        pumping = {
+            scc for scc, es in self.internal.items()
+            if any(e[2][0] for e in es) and any(e[2][1] for e in es)
+        }
+        self.good = {head for head, scc in self.scc_of.items() if scc in pumping}
+
+    def loop(self, head) -> tuple[Transition, ...]:
+        """Closed walk from a good ``head`` through a color-``d`` and a letter edge."""
+        scc_edges = self.internal[self.scc_of[head]]
+        e_d = next(e for e in scc_edges if e[2][0])
+        e_l = next(e for e in scc_edges if e[2][1])
+        succ_e: dict = {}
+        for e in scc_edges:
+            succ_e.setdefault(e[0], []).append(e)
+
+        def path(src, dst) -> list:
+            prev: dict = {src: None}
+            queue = deque([src])
+            while dst not in prev:
+                for e in succ_e.get(queue.popleft(), ()):
+                    if e[1] not in prev:
+                        prev[e[1]] = e
+                        queue.append(e[1])
+            out = []
+            while prev[dst] is not None:
+                out.append(prev[dst])
+                dst = prev[dst][0]
+            return out[::-1]
+
+        walk: list = []
+        cur = head
+        for e in [e_d] if e_d is e_l else [e_d, e_l]:
+            walk += path(cur, e[0]) + [e]
+            cur = e[1]
+        walk += path(cur, head)
+        return self.pops.expand(*(part for e in walk for part in e[3]))
+
+
+class _Summary:
+    """Start-independent emptiness summary of one automaton.
+
+    Pop summaries and head SCCs depend only on the automaton (Bouajjani,
+    Esparza & Maler, CONCUR'97), so one summary serves every start
+    configuration.  Head ``(p, X)`` moves by each transition of
+    ``by_source_top[(p, X)]`` to the heads of ``pops.steps``.  Each even
+    color's ``_ColorLayer`` is built only when a query reaches it.
+    """
+
+    def __init__(self, pda: OmegaPDA):
+        self.pda = pda
+        self.pops = _Pops(pda.transitions)
+        self.evens = sorted({t.color for t in pda.transitions if t.color % 2 == 0})
+
+    def heads_from(self, start: Configuration) -> dict:
+        """Heads reachable from ``start`` in breadth-first order.
+
+        Each head maps to its stem as a parent pointer: ``None`` for the
+        empty stem, else ``(parent stem, transition or pop key)``.
+        """
+        facts: dict = {}
+        work: deque = deque()
+
+        def add(head, stem) -> None:
+            if head not in facts:
+                facts[head] = stem
+                work.append(head)
+
+        add((start.state, start.top), None)
+        # Popping into the start stack exposes the symbols below the top;
+        # one carrier per state, the first found, as add keeps the first stem.
+        carriers = {start.state: None}
+        for i in range(len(start.stack) - 1, 0, -1):
+            below: dict = {}
+            for st, stem in carriers.items():
+                for r, _fl, key in self.pops.results(st, start.stack[i]):
+                    below.setdefault(r, (stem, key))
+            carriers = below
+            for st, stem in carriers.items():
+                add((st, start.stack[i - 1]), stem)
+
+        while work:
+            head = work.popleft()
+            for t in self.pda.by_source_top.get(head, ()):
+                for dst, _fl, parts in self.pops.steps(t):
+                    stem = facts[head]
+                    for part in parts:
+                        stem = (stem, part)
+                    add(dst, stem)
+        return facts
+
+    def witness(self, start: Configuration) -> Optional[EmptinessWitness]:
+        """First witness from ``start``: lowest even color, then first head found."""
+        heads = self.heads_from(start)
+        for d in self.evens:
+            layer = _ColorLayer(self.pda.transitions, d)
+            for head, stem in heads.items():
+                if head in layer.good:
+                    parts = []
+                    while stem is not None:
+                        stem, part = stem
+                        parts.append(part)
+                    stem_ts = self.pops.expand(*reversed(parts))
+                    loop_start = replay(self.pda, stem_ts, start).last
+                    return EmptinessWitness(stem_ts, layer.loop(head), loop_start)
+        return None
+
+    def accepting_heads(self) -> set:
+        """Heads ``(q, X)`` from which some run pumps without going below ``X``.
+
+        One backward search over the plain head relation, seeded at the good
+        heads of every color layer.
+        """
+        pred: dict = {}
+        for t in self.pda.transitions:
+            for dst, _fl, _parts in self.pops.steps(t):
+                pred.setdefault(dst, set()).add((t.source, t.top))
+        found = set().union(*(_ColorLayer(self.pda.transitions, d).good for d in self.evens))
+        work = list(found)
+        while work:
+            for src in pred.get(work.pop(), ()):
+                if src not in found:
+                    found.add(src)
+                    work.append(src)
+        return found
 
 
 def parity_nonempty(
@@ -387,107 +489,7 @@ def parity_nonempty(
     """First emptiness witness found (even colors ascending), or None."""
     if start is None:
         start = pda.initial_configuration()
-    plain = _Pops(pda.transitions)
-    heads = _Heads(pda, plain, start)
-    evens = sorted({t.color for t in pda.transitions if t.color % 2 == 0})
-    for d in evens:
-        witness = _pump_witness(pda, heads, d, start)
-        if witness is not None:
-            return witness
-    return None
-
-
-def _pump_witness(
-    pda: OmegaPDA, heads: _Heads, d: int, start: Configuration
-) -> Optional[EmptinessWitness]:
-    pops_d = _Pops(pda.transitions, even_color=d)
-    # Head graph: nodes (q, X); edge witnesses are abstract run infixes that
-    # never dip below the source head's level.
-    succ: dict = {}
-    edges: list = []  # (src, dst, flags, witness_thunk)
-
-    def add_edge(src, dst, fl: Flags, wit) -> None:
-        succ.setdefault(src, []).append(dst)
-        edges.append((src, dst, fl, wit))
-
-    for t in pda.transitions:
-        if t.color > d:
-            continue
-        fl = (t.color == d, t.label is not None)
-        src = (t.source, t.top)
-        if len(t.push) == 1:
-            add_edge(src, (t.target, t.push[0]), fl, (t,))
-        elif len(t.push) == 2:
-            add_edge(src, (t.target, t.push[1]), fl, (t,))
-            for r, fl2, key in pops_d.results(t.target, t.push[1]):
-                add_edge(
-                    src, (r, t.push[0]),
-                    (fl[0] or fl2[0], fl[1] or fl2[1]),
-                    (t,) + pops_d.expand(key),
-                )
-
-    nodes = sorted(set(succ) | {dst for _, dst, _, _ in edges} | set(heads.facts), key=str)
-    scc_of = _tarjan_sccs(nodes, succ)
-    internal: dict[int, list] = {}
-    for e in edges:
-        src, dst = e[0], e[1]
-        if scc_of.get(src) is not None and scc_of.get(src) == scc_of.get(dst):
-            internal.setdefault(scc_of[src], []).append(e)
-
-    for head, stem in heads.facts.items():
-        scc = scc_of.get(head)
-        if scc is None:
-            continue
-        scc_edges = internal.get(scc, ())
-        e_d = next((e for e in scc_edges if e[2][0]), None)
-        e_l = next((e for e in scc_edges if e[2][1]), None)
-        if e_d is None or e_l is None:
-            continue
-        loop = _close_walk(head, [e_d, e_l], scc_edges)
-        loop_start = replay(pda, stem, start).last
-        return EmptinessWitness(tuple(stem), tuple(loop), loop_start)
-    return None
-
-
-def _close_walk(head, required: list, scc_edges) -> list[Transition]:
-    """Closed walk from ``head`` through the required edges, inside one SCC."""
-    succ_e: dict = {}
-    for e in scc_edges:
-        succ_e.setdefault(e[0], []).append(e)
-
-    def path(src, dst) -> list:
-        if src == dst:
-            return []
-        prev: dict = {src: None}
-        queue = deque([src])
-        while queue:
-            v = queue.popleft()
-            for e in succ_e.get(v, ()):
-                if e[1] not in prev:
-                    prev[e[1]] = e
-                    if e[1] == dst:
-                        queue.clear()
-                        break
-                    queue.append(e[1])
-        out = []
-        cur = dst
-        while prev[cur] is not None:
-            out.append(prev[cur])
-            cur = prev[cur][0]
-        return list(reversed(out))
-
-    walk: list = []
-    cur = head
-    seen_ids = set()
-    for e in required:
-        if id(e) in seen_ids:
-            continue
-        walk += path(cur, e[0])
-        walk.append(e)
-        seen_ids.add(id(e))
-        cur = e[1]
-    walk += path(cur, head)
-    return [t for e in walk for t in e[3]]
+    return _Summary(pda).witness(start)
 
 
 def validate_witness(pda: OmegaPDA, w: EmptinessWitness, start: Optional[Configuration] = None):
@@ -710,9 +712,12 @@ def normalize_colors(pda: OmegaPDA) -> OmegaPDA:
 def accepts_tail_of(pda: OmegaPDA, tail_letter: str) -> PAutomaton:
     """The regular set of configurations from which ``tail_letter^omega`` is accepted.
 
-    Level-preserving accepting heads first (runs that never go below their
-    start height, decided per head by parity nonemptiness on a restricted
-    automaton), then pre* saturation over tail-letter and epsilon transitions.
+    First the accepting heads ``(q, X)``: those with a run on tail-letter and
+    epsilon transitions that never goes below the height of ``X``.  They come
+    from one emptiness summary of the restricted automaton: the good heads
+    of its color layers, then one backward search over its head relation.
+    A head above the bottom never reaches a bottom head, so one summary
+    decides both.  Then pre* saturation over the same transitions.
     """
     if tail_letter not in pda.input_alphabet:
         raise ValueError(f"{tail_letter!r} not in the input alphabet")
@@ -720,22 +725,11 @@ def accepts_tail_of(pda: OmegaPDA, tail_letter: str) -> PAutomaton:
     def allowed(t: Transition) -> bool:
         return t.label is None or t.label == tail_letter
 
-    restricted = tuple(t for t in pda.transitions if allowed(t))
-    level = OmegaPDA(
+    restricted = OmegaPDA(
         pda.states, pda.input_alphabet, pda.stack_alphabet, pda.initial,
-        tuple(t for t in restricted if t.top != BOTTOM),
+        tuple(t for t in pda.transitions if allowed(t)),
     )
-    bottom_level = OmegaPDA(
-        pda.states, pda.input_alphabet, pda.stack_alphabet, pda.initial, restricted
-    )
-
-    accepted_heads = []
-    for q in pda.states:
-        if parity_nonempty(bottom_level, Configuration(q, (BOTTOM,))) is not None:
-            accepted_heads.append((q, BOTTOM))
-        for x in pda.stack_alphabet:
-            if parity_nonempty(level, Configuration(q, (BOTTOM, x))) is not None:
-                accepted_heads.append((q, x))
+    accepted_heads = _Summary(restricted).accepting_heads()
 
     # C0: a finite union of languages (stack ending in X, state q).
     states = ["i", "acc"] + [f"s[{y}]" for y in pda.gamma_bottom]

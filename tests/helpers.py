@@ -95,7 +95,7 @@ def _strategy_wins(g: FiniteParityGame, sigma: dict, v0) -> bool:
             if w not in reach:
                 reach.add(w)
                 queue.append(w)
-    for bad in (1, 3):
+    for bad in sorted({c for _u, c, _w in sub_edges if c % 2}):
         small = [(u, c, w) for (u, c, w) in sub_edges if c <= bad]
         for u, c, w in small:
             if c == bad and _path_exists(small, w, u):

@@ -17,7 +17,8 @@ from gfgpda.analysis import (
     saturate_pre_star,
     validate_witness,
 )
-from gfgpda.core import BOTTOM, Configuration, LassoWord, parse_lasso
+from gfgpda.core import BOTTOM, Configuration, LassoWord, OmegaPDA, Transition, parse_lasso
+from gfgpda.resolvers import determinize_moore
 
 
 @pytest.fixture(scope="module")
@@ -189,6 +190,69 @@ def test_tail_sets_of_every_fixture_match_brute_force():
                     assert C.accepts(c) == expect, (fx.name, letter, c)
 
 
+def _tail_set_automata():
+    for fx in zoo.all_fixtures():
+        yield fx.name, fx.automaton
+    for name in ("example23", "figure1"):
+        fx = zoo.get(name)
+        yield f"det({name})", determinize_moore(fx.automaton, fx.resolver)
+
+
+def test_tail_set_heads_match_per_start_emptiness(monkeypatch):
+    # The accepting heads (the set saturation starts from) must be exactly
+    # the heads whose per-start emptiness check finds a level-preserving
+    # accepting run: from (q, _X) on the automaton without bottom moves,
+    # from (q, _) on the automaton with them.
+    seeds = []
+    saturate = analysis.saturate_pre_star
+    monkeypatch.setattr(
+        analysis, "saturate_pre_star",
+        lambda pda, allowed, target: seeds.append(target) or saturate(pda, allowed, target),
+    )
+    for name, pda in _tail_set_automata():
+        for letter in pda.input_alphabet:
+            accepts_tail_of(pda, letter)
+            heads = seeds.pop()
+            kept = tuple(t for t in pda.transitions if t.label in (None, letter))
+            parts = (pda.states, pda.input_alphabet, pda.stack_alphabet, pda.initial)
+            bottom_level = OmegaPDA(*parts, kept)
+            level = OmegaPDA(*parts, tuple(t for t in kept if t.top != BOTTOM))
+            for q in pda.states:
+                starts = [(bottom_level, (BOTTOM,))]
+                starts += [(level, (BOTTOM, x)) for x in pda.stack_alphabet]
+                for auto, stack in starts:
+                    start = Configuration(q, stack)
+                    expected = parity_nonempty(auto, start) is not None
+                    assert heads.accepts(start) == expected, (name, letter, start)
+
+
+def test_tail_set_work_does_not_grow_with_heads(monkeypatch):
+    fx = zoo.example23()
+    det = determinize_moore(fx.automaton, fx.resolver)
+    evens = {t.color for t in det.transitions if t.color % 2 == 0}
+    bound = 2 * (1 + len(evens))
+    assert len(det.states) * (1 + len(det.stack_alphabet)) > 100 * bound
+    calls = {"nonempty": 0, "pops": 0}
+    nonempty, pops = analysis.parity_nonempty, analysis._Pops
+
+    def counting_nonempty(*args, **kwargs):
+        calls["nonempty"] += 1
+        return nonempty(*args, **kwargs)
+
+    class CountingPops(pops):
+        def __init__(self, *args, **kwargs):
+            calls["pops"] += 1
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(analysis, "parity_nonempty", counting_nonempty)
+    monkeypatch.setattr(analysis, "_Pops", CountingPops)
+    for letter in det.input_alphabet:
+        calls.update(nonempty=0, pops=0)
+        accepts_tail_of(det, letter)
+        assert calls["nonempty"] == 0, letter
+        assert 1 <= calls["pops"] <= bound, (letter, calls)
+
+
 def test_accepts_tail_of_all_odd():
     fx = zoo.allodd()
     C = accepts_tail_of(fx.automaton, "x")
@@ -246,6 +310,23 @@ def test_witnesses_from_every_head_validate():
                 w = parity_nonempty(pda, start)
                 if w is not None:
                     validate_witness(pda, w, start)
+
+
+def test_tall_start_stack_queries_each_state_once_per_level(monkeypatch):
+    # Both states pop X into both states: following every popping run
+    # separately would query the pop summaries 2^h times for height h.
+    ts = [Transition(s, "X", None, r, (), 1) for s in "ab" for r in "ab"]
+    ts.append(Transition("a", BOTTOM, "x", "a", (BOTTOM,), 2))
+    pda = OmegaPDA(("a", "b"), ("x",), ("X",), "a", tuple(ts))
+    queried = []
+    results = analysis._Pops.results
+    monkeypatch.setattr(
+        analysis._Pops, "results", lambda self, p, x: queried.append(p) or results(self, p, x)
+    )
+    start = Configuration("a", (BOTTOM,) + ("X",) * 12)
+    w = parity_nonempty(pda, start)
+    validate_witness(pda, w, start)
+    assert len(queried) <= 2 * 12
 
 
 # -- membership ---------------------------------------------------------------

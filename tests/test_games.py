@@ -208,6 +208,17 @@ def test_zielonka_strategies_pass_play_check():
                 assert _strategy_wins(game, sigma, v0), (g, player, v0)
 
 
+def test_strategy_check_sees_every_odd_color():
+    # Eve's only strategy lets Adam close a cycle whose top color is 5.
+    owner = {"e": EVE, "a": ADAM}
+    odd = FiniteParityGame(("e", "a"), owner, (("e", 4, "a"), ("a", 5, "e")))
+    assert not _strategy_wins(odd, {"e": (4, "a")}, "e")
+    assert finite_game_oracle(odd, "e") == ADAM
+    assert solve_finite_parity_game(odd).winner_of("e") == ADAM
+    even = FiniteParityGame(("e", "a"), owner, (("e", 4, "a"), ("a", 6, "e")))
+    assert _strategy_wins(even, {"e": (4, "a")}, "e")
+
+
 def test_zielonka_leaves_no_process_global_state():
     n = 3000
     cycle = FiniteParityGame(
