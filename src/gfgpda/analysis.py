@@ -1,7 +1,10 @@
 """Regular configuration sets, saturation, parity emptiness, lasso membership.
 
-Configuration sets are encoded as words ``BOTTOM gamma q`` with the state
-last, so a P-automaton reads the stack bottom-up and then one state symbol.
+Regular configuration sets are P-automata (Bouajjani, Esparza & Maler,
+CONCUR'97): the control states are the initial states, and ``(q, stack)`` is
+accepted when ``q`` reads the stack top first into a final state.  pre* is
+the worklist saturation of Esparza, Hansel, Rossmanith & Schwoon (CAV 2000),
+which adds edges between existing states only.
 
 Emptiness rests on one summary per automaton, which does not depend on the
 start configuration (Bouajjani, Esparza & Maler, CONCUR'97): pop summaries,
@@ -23,6 +26,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Iterable, Optional, Union
 
 from .core import (
@@ -41,30 +45,56 @@ Flags = tuple[bool, bool]  # (saw color d, saw letter transition)
 
 @dataclass(frozen=True)
 class PAutomaton:
-    """NFA over ``Gamma_bottom + Q`` recognizing a set of configuration words."""
+    """NFA over ``Gamma_bottom`` whose control states are its initial states.
 
-    states: tuple[str, ...]
-    initial: str
+    A configuration ``(q, stack)`` is accepted iff ``q`` reads the stack top
+    first, ending in ``BOTTOM``, into a final state.  States that are not
+    control states have names starting with ``.``, which no identifier of an
+    automaton may contain.
+    """
+
     finals: frozenset[str]
     edges: frozenset[tuple[str, str, str]]
 
-    def edge_index(self) -> dict[tuple[str, str], set[str]]:
-        index: dict[tuple[str, str], set[str]] = {}
+    @cached_property
+    def by_source_symbol(self) -> dict[tuple[str, str], tuple[str, ...]]:
+        index: dict[tuple[str, str], list[str]] = {}
         for s, sym, t in self.edges:
-            index.setdefault((s, sym), set()).add(t)
-        return index
-
-    def accepts_word(self, word: Iterable[str]) -> bool:
-        index = self.edge_index()
-        frontier = {self.initial}
-        for sym in word:
-            frontier = {t for s in frontier for t in index.get((s, sym), ())}
-            if not frontier:
-                return False
-        return bool(frontier & self.finals)
+            index.setdefault((s, sym), []).append(t)
+        return {k: tuple(v) for k, v in index.items()}
 
     def accepts(self, config: Configuration) -> bool:
-        return self.accepts_word(config.stack + (config.state,))
+        frontier = {config.state}
+        for sym in reversed(config.stack):
+            frontier = {t for s in frontier for t in self.by_source_symbol.get((s, sym), ())}
+        return bool(frontier & self.finals)
+
+    def nonempty(self) -> bool:
+        """Is some configuration accepted, i.e. does a control state reach a final?"""
+        pred: dict[str, list[str]] = {}
+        for s, _sym, t in self.edges:
+            pred.setdefault(t, []).append(s)
+        seen = set(self.finals)
+        work = list(seen)
+        while work:
+            for s in pred.get(work.pop(), ()):
+                if not s.startswith("."):
+                    return True
+                if s not in seen:
+                    seen.add(s)
+                    work.append(s)
+        return False
+
+    def bottom_first(self) -> tuple[str, str, frozenset[tuple[str, str, str]]]:
+        """``(initial, final, edges)`` of an NFA over words ``stack + (state,)``.
+
+        The edges reversed, a fresh initial state entering where a final was
+        left, and ``q -q-> final`` out of each control state ``q``.
+        """
+        edges = {(t, sym, s) for s, sym, t in self.edges}
+        edges |= {(".i", sym, s) for s, sym, t in self.edges if t in self.finals}
+        edges |= {(s, s, ".end") for s, _sym, _t in self.edges if not s.startswith(".")}
+        return ".i", ".end", frozenset(edges)
 
 
 @dataclass(frozen=True)
@@ -77,37 +107,32 @@ class EmptinessWitness:
 
 
 def pa_from_words(words: Iterable[tuple[str, ...]]) -> PAutomaton:
-    """Trie-shaped P-automaton accepting exactly the given configuration words."""
-    states = ["n0"]
-    edges: set[tuple[str, str, str]] = set()
-    finals: set[str] = set()
+    """Trie-shaped P-automaton accepting exactly the words ``stack + (state,)``."""
     trie: dict[tuple[str, str], str] = {}
+    finals: set[str] = set()
     for word in words:
-        cur = "n0"
-        for sym in word:
-            nxt = trie.get((cur, sym))
-            if nxt is None:
-                nxt = f"n{len(states)}"
-                states.append(nxt)
-                trie[(cur, sym)] = nxt
-                edges.add((cur, sym, nxt))
-            cur = nxt
+        cur = word[-1]
+        for sym in reversed(word[:-1]):
+            cur = trie.setdefault((cur, sym), f".n{len(trie)}")
         finals.add(cur)
-    return PAutomaton(tuple(states), "n0", frozenset(finals), frozenset(edges))
+    return PAutomaton(frozenset(finals), frozenset((s, sym, t) for (s, sym), t in trie.items()))
+
+
+def _pa_of_heads(pda: OmegaPDA, heads: Iterable[tuple[str, str]]) -> PAutomaton:
+    """Accepts the configurations whose head ``(state, top)`` is in ``heads``."""
+    edges = {(q, x, ".f" if x == BOTTOM else ".m") for q, x in heads}
+    edges |= {(".m", x, ".m") for x in pda.stack_alphabet}
+    edges.add((".m", BOTTOM, ".f"))
+    return PAutomaton(frozenset({".f"}), frozenset(edges))
 
 
 def pa_universal(pda: OmegaPDA) -> PAutomaton:
-    """Accepts every configuration word ``BOTTOM Gamma* Q``."""
-    edges = {("i", BOTTOM, "m")}
-    for x in pda.stack_alphabet:
-        edges.add(("m", x, "m"))
-    for q in pda.states:
-        edges.add(("m", q, "f"))
-    return PAutomaton(("i", "m", "f"), "i", frozenset({"f"}), frozenset(edges))
+    """Accepts every configuration."""
+    return _pa_of_heads(pda, [(q, x) for q in pda.states for x in pda.gamma_bottom])
 
 
 def pa_empty() -> PAutomaton:
-    return PAutomaton(("i",), "i", frozenset(), frozenset())
+    return PAutomaton(frozenset(), frozenset())
 
 
 def saturate_pre_star(
@@ -115,66 +140,44 @@ def saturate_pre_star(
     allowed: Callable[[Transition], bool],
     target: PAutomaton,
 ) -> PAutomaton:
-    """Classical pre* saturation adapted to the state-last word encoding.
+    """pre* of ``target`` under the allowed rules, by worklist saturation.
 
-    Adds an edge ``(t, X, u_p)`` (with ``u_p -p-> final``) whenever a rule
-    ``(p, X, a, q, gamma)`` has a gamma-then-q path from ``t`` into a final
-    state; for bottom rules only paths from the initial state matter.
+    Esparza, Hansel, Rossmanith & Schwoon (CAV 2000): a rule
+    ``(p, X) -> (q, gamma)`` adds the edge ``(p, X, s)`` once ``q`` reads
+    ``gamma`` top first into ``s``.  A pop adds ``(p, X, q)`` outright; each
+    edge leaves the worklist once and fires the swaps reading it, and a push
+    ``(p, X) -> (q, Y Z)`` (top ``Z``) whose ``q -Z-> s`` is found becomes
+    the swap ``(p, X) -> (s, Y)``.  Every added edge leaves a control state
+    and ends in a control state or a state of ``target``, so no state is
+    added.  ``target`` must have no edge into a control state.
     """
-    if not target.finals:
-        return target
-    f0 = sorted(target.finals)[0]
-    edges = set(target.edges)
-    index: dict[tuple[str, str], set[str]] = {}
-    for s, sym, t in edges:
-        index.setdefault((s, sym), set()).add(t)
-    states = list(target.states)
-    u_node: dict[str, str] = {}
-
-    def u_for(p: str) -> str:
-        name = u_node.get(p)
-        if name is None:
-            name = f"u[{p}]"
-            while name in states:
-                name += "'"
-            u_node[p] = name
-            states.append(name)
-            edges.add((name, p, f0))
-            index.setdefault((name, p), set()).add(f0)
-        return name
-
-    def reach(start: str, word: tuple[str, ...]) -> set[str]:
-        frontier = {start}
-        for sym in word:
-            frontier = {t for s in frontier for t in index.get((s, sym), ())}
-            if not frontier:
-                break
-        return frontier
-
-    def pops_to_final(t: str, q: str) -> bool:
-        return bool(index.get((t, q), set()) & target.finals or (t, q, f0) in edges)
-
-    rules = [t for t in pda.transitions if allowed(t)]
-    changed = True
-    while changed:
-        changed = False
-        for rule in rules:
-            sources: Iterable[str]
-            if rule.top == BOTTOM:
-                sources = (target.initial,)
-            else:
-                sources = tuple(states)
-            for t in sources:
-                hit = any(pops_to_final(t2, rule.target) for t2 in reach(t, rule.push))
-                if not hit:
-                    continue
-                new_edge = (t, rule.top, u_for(rule.source))
-                if new_edge not in edges:
-                    edges.add(new_edge)
-                    index.setdefault((new_edge[0], new_edge[1]), set()).add(new_edge[2])
-                    changed = True
-    finals = frozenset(target.finals)
-    return PAutomaton(tuple(states), target.initial, finals, frozenset(edges))
+    swaps: dict[tuple[str, str], list[tuple[str, str]]] = {}  # (q, Y) -> [(p, X)]
+    pushes: dict[tuple[str, str], list[tuple[str, str, str]]] = {}  # (q, Z) -> [(p, X, Y)]
+    work = list(target.edges)
+    for t in pda.transitions:
+        if not allowed(t):
+            continue
+        if not t.push:
+            work.append((t.source, t.top, t.target))
+        elif len(t.push) == 1:
+            swaps.setdefault((t.target, t.push[0]), []).append((t.source, t.top))
+        else:
+            pushes.setdefault((t.target, t.push[1]), []).append((t.source, t.top, t.push[0]))
+    edges: set[tuple[str, str, str]] = set()
+    out: dict[tuple[str, str], list[str]] = {}
+    while work:
+        edge = work.pop()
+        if edge in edges:
+            continue
+        edges.add(edge)
+        s, sym, t = edge
+        out.setdefault((s, sym), []).append(t)
+        for p, x in swaps.get((s, sym), ()):
+            work.append((p, x, t))
+        for p, x, y in pushes.get((s, sym), ()):
+            swaps.setdefault((t, y), []).append((p, x))
+            work += [(p, x, t2) for t2 in out.get((t, y), ())]
+    return PAutomaton(target.finals, frozenset(edges))
 
 
 # ---------------------------------------------------------------------------
@@ -717,7 +720,9 @@ def accepts_tail_of(pda: OmegaPDA, tail_letter: str) -> PAutomaton:
     from one emptiness summary of the restricted automaton: the good heads
     of its color layers, then one backward search over its head relation.
     A head above the bottom never reaches a bottom head, so one summary
-    decides both.  Then pre* saturation over the same transitions.
+    decides both.  The seed accepts the configurations with an accepting
+    head: ``q -X-> .m`` for each, ``.m`` reads the rest of the stack, and
+    pre* saturation over the same transitions adds what reaches them.
     """
     if tail_letter not in pda.input_alphabet:
         raise ValueError(f"{tail_letter!r} not in the input alphabet")
@@ -730,14 +735,4 @@ def accepts_tail_of(pda: OmegaPDA, tail_letter: str) -> PAutomaton:
         tuple(t for t in pda.transitions if allowed(t)),
     )
     accepted_heads = _Summary(restricted).accepting_heads()
-
-    # C0: a finite union of languages (stack ending in X, state q).
-    states = ["i", "acc"] + [f"s[{y}]" for y in pda.gamma_bottom]
-    edges = {("i", BOTTOM, f"s[{BOTTOM}]")}
-    for y in pda.gamma_bottom:
-        for z in pda.stack_alphabet:
-            edges.add((f"s[{y}]", z, f"s[{z}]"))
-    for q, x in accepted_heads:
-        edges.add((f"s[{x}]", q, "acc"))
-    c0 = PAutomaton(tuple(states), "i", frozenset({"acc"}), frozenset(edges))
-    return saturate_pre_star(pda, allowed, c0)
+    return saturate_pre_star(pda, allowed, _pa_of_heads(pda, accepted_heads))

@@ -53,20 +53,6 @@ def read_text(path: str) -> str:
         return fh.read()
 
 
-def _pa_nonempty(pa: analysis.PAutomaton) -> bool:
-    index: dict = {}
-    for s, _sym, t in pa.edges:
-        index.setdefault(s, set()).add(t)
-    seen = {pa.initial}
-    stack = [pa.initial]
-    while stack:
-        for t in index.get(stack.pop(), ()):
-            if t not in seen:
-                seen.add(t)
-                stack.append(t)
-    return bool(seen & pa.finals)
-
-
 def cmd_validate(args) -> CommandResult:
     pda = load_pda(args.file)
     diags = validate(pda)
@@ -105,10 +91,10 @@ def cmd_empty(args) -> CommandResult:
 def cmd_tailset(args) -> CommandResult:
     pda = load_pda(args.file)
     pa = analysis.accepts_tail_of(pda, args.letter)
-    lines = [f"pa-initial {pa.initial}"]
-    lines += [f"pa-final {f}" for f in sorted(pa.finals)]
-    lines += [f"pa-edge {s} {sym} {t}" for s, sym, t in sorted(pa.edges)]
-    nonempty = _pa_nonempty(pa)
+    initial, final, edges = pa.bottom_first()
+    lines = [f"pa-initial {initial}", f"pa-final {final}"]
+    lines += [f"pa-edge {s} {sym} {t}" for s, sym, t in sorted(edges)]
+    nonempty = pa.nonempty()
     verdict = "nonempty" if nonempty else "empty"
     return CommandResult(
         EXIT_OK if nonempty else EXIT_NEGATIVE,

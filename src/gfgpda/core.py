@@ -215,7 +215,7 @@ def validate(pda: OmegaPDA) -> list[str]:
     stack = set(pda.stack_alphabet)
 
     def check_id(kind: str, name: str):
-        if not name or any(c.isspace() for c in name) or "." in name or name in _RESERVED_IDS:
+        if name.split() != [name] or "." in name or name in _RESERVED_IDS:
             diags.append(f"{kind} {name!r} is not a legal identifier")
 
     for s in pda.states:
@@ -234,29 +234,27 @@ def validate(pda: OmegaPDA) -> list[str]:
         diags.append(f"initial state {pda.initial!r} not declared")
 
     for i, t in enumerate(pda.transitions):
-        where = f"transition {i} {t}"
+        faults = []
         if t.source not in states:
-            diags.append(f"{where}: unknown source")
+            faults.append("unknown source")
         if t.target not in states:
-            diags.append(f"{where}: unknown target")
+            faults.append("unknown target")
         if t.label is not None and t.label not in letters:
-            diags.append(f"{where}: unknown letter")
+            faults.append("unknown letter")
         if t.top != BOTTOM and t.top not in stack:
-            diags.append(f"{where}: unknown top symbol")
+            faults.append("unknown top symbol")
         if t.color < 0:
-            diags.append(f"{where}: negative color")
+            faults.append("negative color")
         if len(t.push) > 2:
-            diags.append(f"{where}: push too long")
-            continue
-        if t.top == BOTTOM:
-            ok = t.push[:1] == (BOTTOM,) and all(x in stack for x in t.push[1:])
-            if not ok:
-                diags.append(f"{where}: bottom deleted or buried")
-        else:
-            if any(x == BOTTOM for x in t.push):
-                diags.append(f"{where}: bottom written")
-            elif not all(x in stack for x in t.push):
-                diags.append(f"{where}: unknown push symbol")
+            faults.append("push too long")
+        elif t.top == BOTTOM:
+            if t.push[:1] != (BOTTOM,) or not all(x in stack for x in t.push[1:]):
+                faults.append("bottom deleted or buried")
+        elif BOTTOM in t.push:
+            faults.append("bottom written")
+        elif not all(x in stack for x in t.push):
+            faults.append("unknown push symbol")
+        diags += [f"transition {i} {t}: {fault}" for fault in faults]
     return diags
 
 

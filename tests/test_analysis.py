@@ -102,6 +102,23 @@ def test_pre_star_is_a_fixpoint(fig2):
         assert sat.accepts(c) == sat2.accepts(c)
 
 
+def test_saturation_adds_no_states():
+    # Each added edge leaves a control state and ends in a control state or
+    # a state of the target, so pre* can be applied again without growing.
+    for fx in zoo.all_fixtures():
+        pda = fx.automaton
+        targets = [
+            pa_universal(pda),
+            pa_from_words([c.stack + (c.state,) for c in all_configs(pda, 1)][:6]),
+        ]
+        for target in targets:
+            known = set(pda.states) | target.finals | {e[i] for e in target.edges for i in (0, 2)}
+            for allowed in (lambda t: True, lambda t: t.label is None):
+                sat = saturate_pre_star(pda, allowed, target)
+                for s, sym, t in sat.edges - target.edges:
+                    assert s in pda.states and t in known, (fx.name, (s, sym, t))
+
+
 # -- tail sets ---------------------------------------------------------------
 
 

@@ -1,8 +1,10 @@
 import io
+import itertools
 import json
 
-from gfgpda import cli, games, zoo
-from gfgpda.core import parse_pda
+from gfgpda import analysis, cli, games, zoo
+from gfgpda.core import BOTTOM, Configuration, format_pda, parse_pda
+from gfgpda.resolvers import determinize_moore
 from helpers import copycat_spec
 
 
@@ -62,6 +64,51 @@ def test_tailset(capsys):
     # Heads with a pushed top symbol get witnesses that replay from that head.
     code, out = run(capsys, "tailset", "zoo:lss", "(0,+)")
     assert code == 0 and out.startswith("nonempty")
+
+
+def _printed_pa(text):
+    """Acceptance test of the printed ``pa-*`` lines over words ``stack + (state,)``."""
+    initial, finals, edges = None, set(), {}
+    for line in text.splitlines():
+        kind, *fields = line.split()
+        if kind == "pa-initial":
+            initial = fields[0]
+        elif kind == "pa-final":
+            finals.add(fields[0])
+        elif kind == "pa-edge":
+            edges.setdefault((fields[0], fields[1]), set()).add(fields[2])
+
+    def accepts(config):
+        frontier = {initial}
+        for sym in config.stack + (config.state,):
+            frontier = {t for s in frontier for t in edges.get((s, sym), ())}
+        return bool(frontier & finals)
+
+    return accepts
+
+
+def test_printed_tailset_matches_library(capsys, tmp_path):
+    automata = [(f"zoo:{fx.name}", fx.automaton) for fx in zoo.all_fixtures()]
+    for name in ("example23", "figure1"):
+        fx = zoo.get(name)
+        det = determinize_moore(fx.automaton, fx.resolver)
+        path = tmp_path / f"det-{name}.pda"
+        path.write_text(format_pda(det))
+        automata.append((str(path), det))
+    for path, pda in automata:
+        configs = [
+            Configuration(q, (BOTTOM,) + word)
+            for q in pda.states
+            for h in range(3)
+            for word in itertools.product(pda.stack_alphabet, repeat=h)
+        ]
+        for letter in pda.input_alphabet:
+            library = analysis.accepts_tail_of(pda, letter)
+            code, out = run(capsys, "tailset", path, letter)
+            printed = _printed_pa(out)
+            accepted = [c for c in configs if library.accepts(c)]
+            assert [c for c in configs if printed(c)] == accepted, (path, letter)
+            assert code == (0 if accepted else 1), (path, letter)
 
 
 def test_zoo_list_and_dump(capsys):

@@ -50,6 +50,42 @@ def test_validate_push_too_long():
     assert len(diags) == 1 and "push too long" in diags[0]
 
 
+def test_validate_diagnostic_texts():
+    T = Transition
+    pda = OmegaPDA(
+        ("q", "a b", "x.y", ""), ("a", "b\tc", "eps"), ("A", BOTTOM), "q",
+        (
+            T("p", "A", None, "r", (), 0),
+            T("q", "A", "z", "q", (), 0),
+            T("q", "Z", None, "q", (), -1),
+            T("q", "A", None, "q", ("A", "A", "A"), 0),
+            T("q", BOTTOM, None, "q", (), 0),
+            T("q", BOTTOM, None, "q", ("A", BOTTOM), 0),
+            T("q", "A", None, "q", (BOTTOM,), 0),
+            T("q", "A", None, "q", ("Z",), 0),
+            T("q", BOTTOM, "a", "q", (BOTTOM, "A"), 2),
+        ),
+    )
+    assert validate(pda) == [
+        "state 'a b' is not a legal identifier",
+        "state 'x.y' is not a legal identifier",
+        "state '' is not a legal identifier",
+        "letter 'b\\tc' is not a legal identifier",
+        "letter 'eps' is not a legal identifier",
+        "stack symbol '_' is not a legal identifier",
+        "transition 0 (p,A,eps,r,eps,0): unknown source",
+        "transition 0 (p,A,eps,r,eps,0): unknown target",
+        "transition 1 (q,A,z,q,eps,0): unknown letter",
+        "transition 2 (q,Z,eps,q,eps,-1): unknown top symbol",
+        "transition 2 (q,Z,eps,q,eps,-1): negative color",
+        "transition 3 (q,A,eps,q,A.A.A,0): push too long",
+        "transition 4 (q,_,eps,q,eps,0): bottom deleted or buried",
+        "transition 5 (q,_,eps,q,A._,0): bottom deleted or buried",
+        "transition 6 (q,A,eps,q,_,0): bottom written",
+        "transition 7 (q,A,eps,q,Z,0): unknown push symbol",
+    ]
+
+
 def test_enabled_fig2_initial(fig2):
     ts = enabled(fig2, fig2.initial_configuration())
     assert [t.label for t in ts] == ["a", "b"]
