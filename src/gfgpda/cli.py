@@ -9,6 +9,7 @@ budget exceeded, 4 malformed input, 5 engine error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -183,7 +184,9 @@ def cmd_zoo(args) -> CommandResult:
     return CommandResult(EXIT_OK, format_pda(fixture.automaton), {"verdict": "ok"})
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and shared by later calls."""
     p = argparse.ArgumentParser(prog="gfgpda")
     p.add_argument("--json", action="store_true", help="machine-readable report")
     p.add_argument("--budget", type=int, default=5_000_000,
@@ -229,7 +232,7 @@ def main(argv=None) -> int:
     except ResourceExceeded as exc:
         result = CommandResult(EXIT_RESOURCE, f"resource budget exceeded: {exc}",
                                {"verdict": "resource-exceeded"})
-    except (FormatError, FileNotFoundError, KeyError, ValueError) as exc:
+    except (FormatError, OSError, KeyError, ValueError) as exc:
         result = CommandResult(EXIT_INPUT, f"input error: {exc}", {"verdict": "input-error"})
     except PdaError as exc:
         result = CommandResult(EXIT_ENGINE, f"engine error: {exc}", {"verdict": "engine-error"})

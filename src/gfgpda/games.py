@@ -7,16 +7,20 @@ into Player 2's letter choices.  The resulting game reduces to a parity game
 on the configuration graph of a pushdown machine, solved by interval
 iteration on height-truncated arenas: out-of-bound edges are resolved
 pessimistically for either player in turn, and agreement of the two bounds
-is conclusive for the full game.  Eve's winning strategies come out
-positional on the truncated arena and are packaged as pushdown transducers;
-the mode-tracking and three-phase delay transforms turn a transducer for the
-block game into one for the original game.
+is conclusive for the full game.  Each truncated arena is built on dense int
+ids and solved by Zielonka's algorithm on ints (``solve_parity_ids``);
+``FiniteParityGame`` is only the public API for finite games.  Eve's
+winning strategies come out positional on the truncated arena and are
+packaged as pushdown transducers; the mode-tracking and three-phase delay
+transforms turn a transducer for the block game into one for the original
+game.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Any, Callable, Optional
 
 from .core import (
@@ -299,23 +303,38 @@ class FiniteSolveResult:
 
 
 def solve_finite_parity_game(g: FiniteParityGame) -> FiniteSolveResult:
-    """Zielonka on an edge-colored game.  Vertices get dense ids: ``i < n`` is
-    ``g.vertices[i]``, ``n + j`` is the midpoint of edge ``j``, and each dead
-    end gets a losing self-loop for its owner after those."""
-    n, m = len(g.vertices), len(g.edges)
+    """Zielonka on a finite game; vertices are indexed once and solved by
+    ``solve_parity_ids``."""
     index = {v: i for i, v in enumerate(g.vertices)}
-    colors = [c for _, c, _ in g.edges]
+    wins, strats = solve_parity_ids(
+        [g.owner[v] for v in g.vertices], [(index[u], c, index[v]) for u, c, v in g.edges]
+    )
+    return FiniteSolveResult(
+        {p: frozenset(g.vertices[v] for v in wins[p]) for p in (EVE, ADAM)},
+        {p: {g.vertices[v]: j for v, j in strats[p].items()} for p in (EVE, ADAM)},
+    )
+
+
+def solve_parity_ids(owner: list, edges: list) -> tuple[dict, dict]:
+    """Zielonka on an edge-colored game over vertices ``0..n-1`` owned by
+    ``owner[v]``, with edges ``(u, color, v)``.  Returns per player the
+    winning vertices and a map from each of its vertices there to the index
+    of the edge it takes.  Internally ``n + j`` is the midpoint of edge
+    ``j``, and each dead end gets a losing self-loop for its owner after
+    those."""
+    n, m = len(owner), len(edges)
+    colors = [c for _, c, _ in edges]
     cmax = max(colors, default=0)
     cmin = min(colors, default=0)
     lose = {EVE: cmax + 1 + (cmax % 2), ADAM: cmax + 2 - (cmax % 2)}
-    owner = [g.owner[v] for v in g.vertices] + [EVE] * m
+    owner = owner + [EVE] * m
     color = [cmin] * n + colors
-    succ: list[list[int]] = [[] for _ in range(n)] + [[index[v]] for _, _, v in g.edges]
+    succ: list[list[int]] = [[] for _ in range(n)] + [[v] for _, _, v in edges]
     pred: list[list[int]] = [[] for _ in range(n + m)]
-    for j, (u, _, v) in enumerate(g.edges):
-        succ[index[u]].append(n + j)
-        pred[n + j].append(index[u])
-        pred[index[v]].append(n + j)
+    for j, (u, _, v) in enumerate(edges):
+        succ[u].append(n + j)
+        pred[n + j].append(u)
+        pred[v].append(n + j)
     for v in range(n):
         if not succ[v]:
             succ[v].append(len(succ))
@@ -337,9 +356,9 @@ def solve_finite_parity_game(g: FiniteParityGame) -> FiniteSolveResult:
             stack.append(_zielonka(sub, succ, pred, owner, color))
             result = None
     wins, strats = result
-    return FiniteSolveResult(
-        {p: frozenset(g.vertices[v] for v in wins[p] if v < n) for p in (EVE, ADAM)},
-        {p: {g.vertices[v]: w - n for v, w in strats[p].items() if v < n and w < n + m}
+    return (
+        {p: {v for v in wins[p] if v < n} for p in (EVE, ADAM)},
+        {p: {v: w - n for v, w in strats[p].items() if v < n and w < n + m}
          for p in (EVE, ADAM)},
     )
 
@@ -414,6 +433,7 @@ class PushdownParityGame:
     owner: dict
     moves: tuple[GameMove, ...]
 
+    @cached_property
     def moves_at(self) -> dict:
         idx: dict = {}
         for m in self.moves:
@@ -441,81 +461,57 @@ def solve_pushdown_parity_game(
 ) -> PushdownSolveResult:
     """Interval iteration on height-truncated configuration graphs.
 
-    Overflow edges point at a paradise vertex for one player at a time;
+    The configurations of each truncation get dense ids in discovery order
+    and the arena goes to ``solve_parity_ids`` as int edges.  Overflow edges
+    point at one paradise id, whose loop is colored for one player at a time;
     a player winning their pessimistic truncation wins the full game.  The
     height grows until conclusive or the vertex budget is exhausted.
     """
-    moves_at = game.moves_at()
+    moves_at = game.moves_at
+    cmax = max((m.color for m in game.moves), default=0)
+    pessimistic = ((EVE, cmax + 1 + (cmax % 2)), (ADAM, cmax + 2 - (cmax % 2)))
+    start = (game.initial, (BOTTOM,))
     total = 0
     height = 1
     while True:
-        configs: dict = {}
-        boundary = False
-        start = (game.initial, (BOTTOM,))
+        ids = {start: 0}
         order = [start]
-        configs[start] = []
-        i = 0
-        while i < len(order):
-            state, stack = order[i]
-            i += 1
+        edges: list = []  # (u, color, v), v None on overflow
+        edge_moves: list[GameMove] = []
+        boundary = False
+        for u, (state, stack) in enumerate(order):
             for m in moves_at.get((state, stack[-1]), ()):
                 nstack = stack[:-1] + m.push
                 if len(nstack) - 1 > height:
                     boundary = True
-                    configs[(state, stack)].append((m, None))
-                    continue
-                nxt = (m.target, nstack)
-                configs[(state, stack)].append((m, nxt))
-                if nxt not in configs:
-                    configs[nxt] = []
-                    order.append(nxt)
-        total += len(configs)
+                    v = None
+                else:
+                    nxt = (m.target, nstack)
+                    v = ids.setdefault(nxt, len(order))
+                    if v == len(order):
+                        order.append(nxt)
+                edges.append((u, m.color, v))
+                edge_moves.append(m)
+        total += len(order)
         if total > budget:
             raise ResourceExceeded(
                 f"{total} truncated-arena vertices exceed the budget {budget}"
             )
 
-        cmax = max((m.color for m in game.moves), default=0)
-        even_big = cmax + 2 - (cmax % 2)
-        odd_big = cmax + 1 + (cmax % 2)
-        par = "#paradise"
-        base_edges = []
-        edge_move = []
-        owner = {c: game.owner[c[0]] for c in configs}
-        for c, outs in configs.items():
-            for m, nxt in outs:
-                base_edges.append((c, m.color, par if nxt is None else nxt))
-                edge_move.append(m)
-        if boundary:
-            owner[par] = EVE
-
-        def finite_game(paradise_color: int) -> FiniteParityGame:
-            vertices = list(configs) + ([par] if boundary else [])
-            edges = tuple(base_edges) + (
-                ((par, paradise_color, par),) if boundary else ()
-            )
-            return FiniteParityGame(tuple(vertices), dict(owner), edges)
-
-        def config_strategy(res: FiniteSolveResult) -> dict:
-            return {
-                c: edge_move[i]
-                for c, i in res.strategy[EVE].items()
-                if c in configs and i < len(edge_move)
-            }
-
         stats = {"vertices": total, "height": height}
-        if not boundary:
-            res = solve_finite_parity_game(finite_game(0))
-            winner = res.winner_of(start)
-            strat = config_strategy(res) if winner == EVE else None
-            return PushdownSolveResult(winner, strat, stats)
-
-        pess_eve = solve_finite_parity_game(finite_game(odd_big))
-        if pess_eve.winner_of(start) == EVE:
-            return PushdownSolveResult(EVE, config_strategy(pess_eve), stats)
-        pess_adam = solve_finite_parity_game(finite_game(even_big))
-        if pess_adam.winner_of(start) == ADAM:
-            return PushdownSolveResult(ADAM, None, stats)
+        owner = [game.owner[state] for state, _ in order]
+        paradise = len(order)
+        if boundary:
+            owner.append(EVE)
+            edges = [(u, c, paradise if v is None else v) for u, c, v in edges]
+        for player, color in pessimistic if boundary else ((EVE, None),):
+            loop = [] if color is None else [(paradise, color, paradise)]
+            wins, strats = solve_parity_ids(owner, edges + loop)
+            winner = EVE if 0 in wins[EVE] else ADAM
+            if winner == player or not boundary:
+                strat = {order[v]: edge_moves[j] for v, j in strats[EVE].items()
+                         if v < paradise} if winner == EVE else None
+                return PushdownSolveResult(winner, strat, stats)
         height = height + 1 if height < 4 else height + max(2, height // 2)
 
 
@@ -663,7 +659,7 @@ def extract_strategy_pdt(gs: GsResult) -> StrategyPDT:
     if gs.winner != EVE or gs.solve.eve_strategy is None:
         raise ValueError("no Eve strategy: Adam wins this specification")
     sigma = gs.solve.eve_strategy
-    moves_at = gs.game.moves_at()
+    moves_at = gs.game.moves_at
 
     def apply(cfg, m: GameMove):
         state, stack = cfg

@@ -10,6 +10,7 @@ function-of-history view.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Any, Hashable, Optional
 
 from .core import (
@@ -89,21 +90,15 @@ def new_guided_run(pda: OmegaPDA, r: Resolver) -> GuidedRun:
     return GuidedRun(replay(pda, ()), 0, r.start())
 
 
-def default_eps_cap(pda: OmegaPDA, height: int) -> int:
-    # Any longer epsilon chain repeats a head at a step and diverges.
-    return len(pda.states) * (height + 2) * (len(pda.stack_alphabet) + 1) + 1
-
-
-def _infix(pda: OmegaPDA, r: Resolver, transitions: list, configs: list, state, a: str,
-           eps_cap: Optional[int] = None):
+def _infix(pda: OmegaPDA, r: Resolver, transitions: list, configs: list, state, a: str):
     """Append the resolver-induced infix processing ``a`` to ``transitions``
     and ``configs``; return the new resolver state.  On an error the lists
     may end inside the infix."""
     if a not in pda.input_alphabet:
         raise ValueError(f"letter {a!r} not in the input alphabet")
     c = configs[-1]
-    if eps_cap is None:
-        eps_cap = default_eps_cap(pda, c.height)
+    # Any longer epsilon chain repeats a head at a step and diverges.
+    eps_cap = len(pda.states) * (c.height + 2) * (len(pda.stack_alphabet) + 1) + 1
     eps_steps = 0
     while True:
         t = r.pick(state, c, a)
@@ -123,23 +118,20 @@ def _infix(pda: OmegaPDA, r: Resolver, transitions: list, configs: list, state, 
             raise EpsilonDivergence(f"more than {eps_cap} epsilon steps before {a!r}")
 
 
-def ext(pda: OmegaPDA, r: Resolver, g: GuidedRun, a: str,
-        eps_cap: Optional[int] = None) -> GuidedRun:
+def ext(pda: OmegaPDA, r: Resolver, g: GuidedRun, a: str) -> GuidedRun:
     """Extend the guided run by the unique resolver-induced infix processing ``a``."""
     transitions, configs = list(g.run.transitions), list(g.run.configurations)
-    state = _infix(pda, r, transitions, configs, g.resolver_state, a, eps_cap)
+    state = _infix(pda, r, transitions, configs, g.resolver_state, a)
     run = RunPrefix(tuple(transitions), tuple(configs))
     return GuidedRun(run, g.letters_consumed + 1, state)
 
 
-def run_on_prefix(
-    pda: OmegaPDA, r: Resolver, word, eps_cap: Optional[int] = None
-) -> GuidedRun:
+def run_on_prefix(pda: OmegaPDA, r: Resolver, word) -> GuidedRun:
     transitions, configs = [], [pda.initial_configuration()]
     state = r.start()
     letters = 0
     for a in word:
-        state = _infix(pda, r, transitions, configs, state, a, eps_cap)
+        state = _infix(pda, r, transitions, configs, state, a)
         letters += 1
     return GuidedRun(RunPrefix(tuple(transitions), tuple(configs)), letters, state)
 
@@ -204,10 +196,10 @@ def moore_lasso_acceptance(
     color between the matched steps decides acceptance.  The resolver must
     provide finite summaries.  Raises GuardExceeded after ``guard`` steps.
     """
-    return periodic_split(pda, m, w, guard, require_summary=True).verdict
+    return periodic_split(pda, m, w, guard).verdict
 
 
-def periodic_split(pda, r, w, guard=5000, require_summary=True) -> PeriodicSplit:
+def periodic_split(pda, r, w, guard=5000) -> PeriodicSplit:
     transitions, configs = [], [pda.initial_configuration()]
     state = r.start()
     position = 0
@@ -217,7 +209,7 @@ def periodic_split(pda, r, w, guard=5000, require_summary=True) -> PeriodicSplit
     while True:
         c = configs[-1]
         summary = r.summary(state)
-        if summary is None and require_summary:
+        if summary is None:
             raise ResolverUndefined("resolver has no finite summary")
         key = (c.state, summary, c.top, position)
         hit = lasso.visit(key, c.height, (len(transitions), letters))
@@ -327,24 +319,22 @@ class DetPushdown:
     rules: tuple[PdtRule, ...]
 
     def rule_at(self, state, top, symbol) -> Optional[PdtRule]:
-        return self._index().get((state, top, symbol))
+        return self._index.get((state, top, symbol))
 
-    def _index(self):
-        idx = self.__dict__.get("_idx")
-        if idx is None:
-            idx = {}
-            for rule in self.rules:
-                key = (rule.source, rule.top, rule.symbol)
-                if key in idx:
-                    raise ValueError(f"nondeterministic rules at {key}")
-                idx[key] = rule
-            self.__dict__["_idx"] = idx
+    @cached_property
+    def _index(self) -> dict:
+        idx = {}
+        for rule in self.rules:
+            key = (rule.source, rule.top, rule.symbol)
+            if key in idx:
+                raise ValueError(f"nondeterministic rules at {key}")
+            idx[key] = rule
         return idx
 
     def initial_configuration(self) -> Configuration:
         return Configuration(self.initial, (BOTTOM,))
 
-    def close(self, c: Configuration, cap: int = 10000) -> Configuration:
+    def close(self, c: Configuration) -> Configuration:
         steps = 0
         while True:
             rule = self.rule_at(c.state, c.top, None)
@@ -352,20 +342,20 @@ class DetPushdown:
                 return c
             c = Configuration(rule.target, c.stack[:-1] + rule.push)
             steps += 1
-            if steps > cap:
+            if steps > 10_000:
                 raise TransducerStuck("epsilon divergence in transducer")
 
-    def consume(self, c: Configuration, symbol, cap: int = 10000) -> Configuration:
+    def consume(self, c: Configuration, symbol) -> Configuration:
         rule = self.rule_at(c.state, c.top, symbol)
         if rule is None:
             raise TransducerStuck(f"no rule for {symbol!r} at ({c.state}, {c.top})")
-        return self.close(Configuration(rule.target, c.stack[:-1] + rule.push), cap)
+        return self.close(Configuration(rule.target, c.stack[:-1] + rule.push))
 
     def violations(self) -> list[str]:
         """Determinism diagnostics (unique per key; epsilon excludes symbols)."""
         out = []
         try:
-            self._index()
+            self._index
         except ValueError as exc:
             out.append(str(exc))
             return out

@@ -1,3 +1,4 @@
+import argparse
 import io
 import itertools
 import json
@@ -56,6 +57,29 @@ def test_validate_and_input_error(capsys, tmp_path):
 def test_missing_file_is_input_error(capsys):
     code, out = run(capsys, "member", "/nonexistent.pda", ";a")
     assert code == 4
+
+
+def test_unreadable_paths_are_input_errors(capsys, tmp_path):
+    code, out = run(capsys, "validate", str(tmp_path))
+    assert code == 4 and "input error" in out
+    specfile = tmp_path / "copycat.gs"
+    specfile.write_text(games.format_gs_spec(copycat_spec()))
+    code, out = run(capsys, "synth", str(specfile), "-o", str(tmp_path))
+    assert code == 4 and "input error" in out
+
+
+def test_second_main_builds_no_parser(capsys, monkeypatch):
+    run(capsys, "zoo", "list")
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    code, _ = run(capsys, "member", "zoo:example23", "acd;#")
+    assert code == 0 and built == []
 
 
 def test_tailset(capsys):

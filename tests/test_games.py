@@ -296,6 +296,66 @@ def test_pushdown_solver_budget():
         solve_pushdown_parity_game(game, budget=200)
 
 
+def _random_pushdown_game(rng: random.Random) -> PushdownParityGame:
+    states, syms = ("p0", "p1", "p2", "p3"), ("A", "B")
+    moves = []
+    for _ in range(14):
+        top = rng.choice((BOTTOM,) + syms)
+        base = (BOTTOM,) if top == BOTTOM else rng.choice(((), (top,)))
+        push = base + rng.choice(((), (rng.choice(syms),)))
+        moves.append(GameMove(rng.choice(states), top, rng.choice(states), push,
+                              rng.randint(0, 4)))
+    owner = {s: rng.choice((EVE, ADAM)) for s in states}
+    return PushdownParityGame(states, syms, states[0], owner, tuple(moves))
+
+
+def _check_eve_strategy(game: PushdownParityGame, res) -> None:
+    """Follow Eve's strategy and every Adam move from the start: each reached
+    Eve configuration plays one of its own moves, no move leaves the solved
+    truncation, and Eve wins the graph of reached configurations."""
+    height = res.stats["height"]
+    start = (game.initial, (BOTTOM,))
+    owner, edges, sigma = {start: game.owner[game.initial]}, [], {}
+    queue = [start]
+    while queue:
+        cfg = queue.pop()
+        state, stack = cfg
+        moves = game.moves_at.get((state, stack[-1]), [])
+        if owner[cfg] == EVE:
+            move = res.eve_strategy.get(cfg)
+            assert any(move is m for m in moves), (cfg, move)
+            moves = [move]
+        for m in moves:
+            nxt = (m.target, stack[:-1] + m.push)
+            assert len(nxt[1]) - 1 <= height, (cfg, m, height)
+            edges.append((cfg, m.color, nxt))
+            if owner[cfg] == EVE:
+                sigma[cfg] = (m.color, nxt)
+            if nxt not in owner:
+                owner[nxt] = game.owner[m.target]
+                queue.append(nxt)
+    reached = FiniteParityGame(tuple(owner), owner, tuple(edges))
+    assert _strategy_wins(reached, sigma, start)
+
+
+def test_pushdown_eve_strategy_is_a_strategy_on_its_truncation():
+    rng = random.Random(5)
+    checked = 0
+    for _ in range(80):
+        game = _random_pushdown_game(rng)
+        try:
+            res = solve_pushdown_parity_game(game, budget=2_000)
+        except ResourceExceeded:
+            continue
+        if res.winner == EVE:
+            _check_eve_strategy(game, res)
+            checked += 1
+    assert checked >= 20
+    for spec in (copycat_spec(), pq_drain_spec()):
+        gs = solve_gale_stewart(spec)
+        _check_eve_strategy(gs.game, gs.solve)
+
+
 # -- Gale-Stewart solving -------------------------------------------------------------------
 
 

@@ -121,7 +121,7 @@ def test_ext_epsilon_divergence():
             return pda.transitions[0]
 
     with pytest.raises(EpsilonDivergence):
-        ext(pda, Spinner(), new_guided_run(pda, Spinner()), "a", eps_cap=25)
+        ext(pda, Spinner(), new_guided_run(pda, Spinner()), "a")
 
 
 def test_run_on_prefix_acd_bcd(ex23):
