@@ -2,9 +2,10 @@
 
 Regular configuration sets are P-automata (Bouajjani, Esparza & Maler,
 CONCUR'97): the control states are the initial states, and ``(q, stack)`` is
-accepted when ``q`` reads the stack top first into a final state.  pre* is
-the worklist saturation of Esparza, Hansel, Rossmanith & Schwoon (CAV 2000),
-which adds edges between existing states only.
+accepted when ``q`` reads the stack top first into a final state.  One
+worklist saturation (Esparza, Hansel, Rossmanith & Schwoon, CAV 2000) adds
+edges between existing states only: seeded with a P-automaton's edges it is
+pre*, and with an empty seed its edges are the pop summaries.
 
 Emptiness rests on one summary per automaton, which does not depend on the
 start configuration (Bouajjani, Esparza & Maler, CONCUR'97): pop summaries,
@@ -17,9 +18,10 @@ The letter edge makes epsilon-only loops non-accepting directly, so no color
 normalization pass is needed and witnesses replay on the input unchanged.
 
 ``parity_nonempty`` walks the heads reachable from its start and stops at
-the lowest even color with a reachable good head.  ``accepts_tail_of``
-needs every accepting head at once: one backward search over the head
-relation, seeded at the good heads of all colors.
+the lowest even color with a reachable good head.  ``accepts_tail_of`` and
+``lasso_membership`` need only verdicts: every accepting head at once, from
+one backward search over the head relation seeded at the good heads of all
+colors.
 """
 
 from __future__ import annotations
@@ -39,8 +41,6 @@ from .core import (
 )
 
 UNKNOWN = "unknown"
-
-Flags = tuple[bool, bool]  # (saw color d, saw letter transition)
 
 
 @dataclass(frozen=True)
@@ -135,144 +135,105 @@ def pa_empty() -> PAutomaton:
     return PAutomaton(frozenset(), frozenset())
 
 
-def saturate_pre_star(
-    pda: OmegaPDA,
-    allowed: Callable[[Transition], bool],
-    target: PAutomaton,
-) -> PAutomaton:
-    """pre* of ``target`` under the allowed rules, by worklist saturation.
+def _flags(t: Transition, d: Optional[int]) -> int:
+    """Path flags of one transition: 2 if it has color ``d``, plus 1 if it reads a letter."""
+    return 2 * (t.color == d) + (t.label is not None)
 
-    Esparza, Hansel, Rossmanith & Schwoon (CAV 2000): a rule
-    ``(p, X) -> (q, gamma)`` adds the edge ``(p, X, s)`` once ``q`` reads
-    ``gamma`` top first into ``s``.  A pop adds ``(p, X, q)`` outright; each
-    edge leaves the worklist once and fires the swaps reading it, and a push
-    ``(p, X) -> (q, Y Z)`` (top ``Z``) whose ``q -Z-> s`` is found becomes
-    the swap ``(p, X) -> (s, Y)``.  Every added edge leaves a control state
-    and ends in a control state or a state of ``target``, so no state is
-    added.  ``target`` must have no edge into a control state.
+
+def _saturate(transitions: Iterable[Transition], seeds: Iterable, d: Optional[int] = None) -> dict:
+    """Saturated facts ``p -X-> r``, each mapped to its derivation.
+
+    Esparza, Hansel, Rossmanith & Schwoon (CAV 2000): a pop
+    ``(p, X) -> (r, eps)`` is a fact outright; a swap ``(p, X) -> (q, Y)``
+    and a fact ``q -Y-> r`` give ``p -X-> r``; a push
+    ``(p, X) -> (q, Y Z)`` and a fact ``q -Z-> s`` give the derived swap
+    ``(p, X) -> (s, Y)``.  Each fact leaves the worklist once and fires the
+    swaps reading it; a new derived swap is joined at once with the facts
+    already out.  With no seed the facts are the pop summaries
+    ``(p, X) =>* (r, eps)``.
+
+    A fact is keyed ``(p, X, r)``.  With ``d`` set, transitions of color
+    above ``d`` are skipped and the key is ``(p, X, r, flags)``, the flags
+    of ``_flags`` or-ed along the run.  A derivation is the tuple of its
+    parts in run order: transitions, then the keys of earlier facts; a seed
+    has the empty derivation.
     """
-    swaps: dict[tuple[str, str], list[tuple[str, str]]] = {}  # (q, Y) -> [(p, X)]
-    pushes: dict[tuple[str, str], list[tuple[str, str, str]]] = {}  # (q, Z) -> [(p, X, Y)]
-    work = list(target.edges)
-    for t in pda.transitions:
-        if not allowed(t):
+    defs: dict = {}
+    swaps: dict[tuple[str, str], list] = {}  # (q, Y) -> [(p, X, flags, parts)]
+    pushes: dict[tuple[str, str], list] = {}  # (q, Z) -> [(push (p, X) -> (q, Y Z), flags)]
+    out: dict[tuple[str, str], list] = {}  # (q, Y) -> [(r, flags, key)] already fired
+    work: deque = deque()
+
+    def add(p: str, x: str, r: str, fl: int, parts: tuple) -> None:
+        key = (p, x, r) if d is None else (p, x, r, fl)
+        if key not in defs:
+            defs[key] = parts
+            work.append((p, x, r, fl, key))
+
+    for p, x, r in seeds:
+        add(p, x, r, 0, ())
+    for t in transitions:
+        if d is not None and t.color > d:
             continue
+        fl = _flags(t, d)
         if not t.push:
-            work.append((t.source, t.top, t.target))
+            add(t.source, t.top, t.target, fl, (t,))
         elif len(t.push) == 1:
-            swaps.setdefault((t.target, t.push[0]), []).append((t.source, t.top))
+            swaps.setdefault((t.target, t.push[0]), []).append((t.source, t.top, fl, (t,)))
         else:
-            pushes.setdefault((t.target, t.push[1]), []).append((t.source, t.top, t.push[0]))
-    edges: set[tuple[str, str, str]] = set()
-    out: dict[tuple[str, str], list[str]] = {}
+            pushes.setdefault((t.target, t.push[1]), []).append((t, fl))
+
     while work:
-        edge = work.pop()
-        if edge in edges:
-            continue
-        edges.add(edge)
-        s, sym, t = edge
-        out.setdefault((s, sym), []).append(t)
-        for p, x in swaps.get((s, sym), ()):
-            work.append((p, x, t))
-        for p, x, y in pushes.get((s, sym), ()):
-            swaps.setdefault((t, y), []).append((p, x))
-            work += [(p, x, t2) for t2 in out.get((t, y), ())]
-    return PAutomaton(target.finals, frozenset(edges))
+        q, y, r, fl, key = work.popleft()
+        out.setdefault((q, y), []).append((r, fl, key))
+        for p, x, fl0, parts in swaps.get((q, y), ()):
+            add(p, x, r, fl0 | fl, parts + (key,))
+        for t, fl0 in pushes.get((q, y), ()):
+            swaps.setdefault((r, t.push[0]), []).append((t.source, t.top, fl0 | fl, (t, key)))
+            for r2, fl2, key2 in out.get((r, t.push[0]), ()):
+                add(t.source, t.top, r2, fl0 | fl | fl2, (t, key, key2))
+    return defs
+
+
+def saturate_pre_star(
+    pda: OmegaPDA, allowed: Callable[[Transition], bool], target: PAutomaton
+) -> PAutomaton:
+    """pre* of ``target`` under the allowed rules: ``_saturate`` seeded with its edges.
+
+    Every added edge leaves a control state and ends in a control state or
+    a state of ``target``, so no state is added.  Precondition: an edge of
+    ``target`` into a control state ``r`` must be a pop fact, ``p -X-> r``
+    only if ``(p, X) =>* (r, eps)`` under the allowed rules (as in a
+    saturated automaton, so saturating again is a fixpoint).
+    """
+    facts = _saturate((t for t in pda.transitions if allowed(t)), target.edges)
+    return PAutomaton(target.finals, frozenset(facts))
 
 
 # ---------------------------------------------------------------------------
 # The emptiness summary: pop summaries, head relation, color layers.
 # ---------------------------------------------------------------------------
 
-# Witnesses are stored lazily as derivation nodes and expanded on demand:
-#   ("t", tau)            pop rule
-#   ("s", tau, key)       swap rule, then pop summarized by key
-#   ("p", tau, key, key)  push rule, then two pops
-
 
 class _Pops:
     def __init__(self, transitions: Iterable[Transition], even_color: Optional[int] = None):
-        """Pop summaries ``(p, X) -> {r: witness}``.
+        """Pop summaries ``(p, X) -> [(r, flags, key)]``: ``_saturate`` with no seed.
 
         With ``even_color`` set, transitions are restricted to colors
-        ``<= even_color`` and facts carry path flags
-        (saw-color-``d``, saw-letter), keyed ``(p, X, r, flags)``.
+        ``<= even_color`` and facts carry the path flags of ``_flags``.
         """
-        self.d = even_color
-        self.defs: dict = {}
-        by_px: dict[tuple[str, str], set] = {}
-        swaps_on: dict[tuple[str, str], list[Transition]] = {}
-        pushes_on_top: dict[tuple[str, str], list[Transition]] = {}
-        pushes_on_below: dict[str, list[Transition]] = {}
-        pops = []
-        for t in transitions:
-            if self.d is not None and t.color > self.d:
-                continue
-            if len(t.push) == 0:
-                pops.append(t)
-            elif len(t.push) == 1:
-                swaps_on.setdefault((t.target, t.push[0]), []).append(t)
-            else:
-                pushes_on_top.setdefault((t.target, t.push[1]), []).append(t)
-                pushes_on_below.setdefault(t.push[0], []).append(t)
-
-        work: deque = deque()
-
-        def flags_of(t: Transition) -> Flags:
-            return (t.color == self.d, t.label is not None)
-
-        def union(f1: Flags, f2: Flags) -> Flags:
-            return (f1[0] or f2[0], f1[1] or f2[1])
-
-        def key_of(q: str, y: str, r: str, fl: Flags):
-            return (q, y, r, fl) if self.d is not None else (q, y, r)
-
-        def add(p: str, x: str, r: str, fl: Flags, wit) -> None:
-            key = key_of(p, x, r, fl)
-            if key in self.defs:
-                return
-            self.defs[key] = wit
-            by_px.setdefault((p, x), set()).add((r, fl))
-            work.append((p, x, r, fl))
-
-        for t in pops:
-            add(t.source, t.top, t.target, flags_of(t), ("t", t))
-
-        while work:
-            q, y, r, fl = work.popleft()
-            fact_key = key_of(q, y, r, fl)
-            for t in swaps_on.get((q, y), ()):
-                add(t.source, t.top, r, union(flags_of(t), fl), ("s", t, fact_key))
-            for t in pushes_on_top.get((q, y), ()):
-                below = t.push[0]
-                for r2, fl2 in list(by_px.get((r, below), ())):
-                    add(
-                        t.source, t.top, r2,
-                        union(union(flags_of(t), fl), fl2),
-                        ("p", t, fact_key, key_of(r, below, r2, fl2)),
-                    )
-            for t in pushes_on_below.get(y, ()):
-                top_sym = t.push[1]
-                for s, fl1 in list(by_px.get((t.target, top_sym), ())):
-                    if s == q:
-                        add(
-                            t.source, t.top, r,
-                            union(union(flags_of(t), fl1), fl),
-                            ("p", t, key_of(t.target, top_sym, q, fl1), fact_key),
-                        )
-
-        # (r, flags, key) triples per (p, X), sorted once for stable witnesses.
-        self.by_px = {
-            (p, x): [(r, fl, key_of(p, x, r, fl)) for r, fl in sorted(facts, key=str)]
-            for (p, x), facts in by_px.items()
-        }
+        self.defs = _saturate(transitions, (), even_color)
+        self.by_px: dict[tuple[str, str], list] = {}
+        for key in sorted(self.defs, key=str):  # once, for stable witnesses
+            fl = 0 if even_color is None else key[3]
+            self.by_px.setdefault(key[:2], []).append((key[2], fl, key))
 
     def results(self, p: str, x: str) -> list:
         """(r, flags, key) triples for pops of ``x`` from state ``p``."""
         return self.by_px.get((p, x), [])
 
     def expand(self, *parts) -> tuple[Transition, ...]:
-        """Flatten transitions and lazy pop witnesses (keys) into one sequence."""
+        """Flatten transitions and fact keys into one transition sequence."""
         out: list[Transition] = []
         stack = list(reversed(parts))
         while stack:
@@ -280,10 +241,10 @@ class _Pops:
             if isinstance(part, Transition):
                 out.append(part)
             else:
-                stack.extend(reversed(self.defs[part][1:]))
+                stack.extend(reversed(self.defs[part]))
         return tuple(out)
 
-    def steps(self, t: Transition, fl: Flags = (False, False)):
+    def steps(self, t: Transition, fl: int = 0):
         """Head moves of ``t`` that stay at or above its level.
 
         Yields ``(target head, flags, parts)``: the head ``t`` pushes on top,
@@ -295,7 +256,7 @@ class _Pops:
         elif len(t.push) == 2:
             yield (t.target, t.push[1]), fl, (t,)
             for r, fl2, key in self.results(t.target, t.push[1]):
-                yield (r, t.push[0]), (fl[0] or fl2[0], fl[1] or fl2[1]), (t, key)
+                yield (r, t.push[0]), fl | fl2, (t, key)
 
 
 def _tarjan_sccs(nodes: list, succ: dict) -> dict:
@@ -338,9 +299,9 @@ class _ColorLayer:
     """Color-``<= d`` head graph of one even color ``d``, its SCCs and good heads.
 
     Edges ``(src, dst, flags, parts)`` are abstract run infixes that never
-    dip below the source head's level.  A head is good when its SCC has an
-    internal color-``d`` edge and an internal letter edge: it can pump with
-    maximal color ``d``.
+    dip below the source head's level, with flags as in ``_flags``.  A head
+    is good when its SCC has an internal color-``d`` edge and an internal
+    letter edge: it can pump with maximal color ``d``.
     """
 
     def __init__(self, transitions: tuple[Transition, ...], d: int):
@@ -351,7 +312,7 @@ class _ColorLayer:
             if t.color > d:
                 continue
             src = (t.source, t.top)
-            for dst, fl, parts in self.pops.steps(t, (t.color == d, t.label is not None)):
+            for dst, fl, parts in self.pops.steps(t, _flags(t, d)):
                 succ.setdefault(src, []).append(dst)
                 edges.append((src, dst, fl, parts))
         # Every edge target is reached from some source, so sources suffice as roots.
@@ -362,15 +323,15 @@ class _ColorLayer:
                 self.internal.setdefault(self.scc_of[e[0]], []).append(e)
         pumping = {
             scc for scc, es in self.internal.items()
-            if any(e[2][0] for e in es) and any(e[2][1] for e in es)
+            if any(e[2] & 2 for e in es) and any(e[2] & 1 for e in es)
         }
         self.good = {head for head, scc in self.scc_of.items() if scc in pumping}
 
     def loop(self, head) -> tuple[Transition, ...]:
         """Closed walk from a good ``head`` through a color-``d`` and a letter edge."""
         scc_edges = self.internal[self.scc_of[head]]
-        e_d = next(e for e in scc_edges if e[2][0])
-        e_l = next(e for e in scc_edges if e[2][1])
+        e_d = next(e for e in scc_edges if e[2] & 2)
+        e_l = next(e for e in scc_edges if e[2] & 1)
         succ_e: dict = {}
         for e in scc_edges:
             succ_e.setdefault(e[0], []).append(e)
@@ -547,11 +508,12 @@ def lasso_product(pda: OmegaPDA, w: LassoWord) -> OmegaPDA:
 
 
 def lasso_membership(pda: OmegaPDA, w: LassoWord) -> bool:
-    """Does the automaton accept ``u . v^omega``?"""
+    """Does the automaton accept ``u . v^omega``?  A verdict only, no witness."""
     for letter in w.prefix + w.loop:
         if letter not in pda.input_alphabet:
             raise ValueError(f"letter {letter!r} not in the input alphabet")
-    return parity_nonempty(lasso_product(pda, w)) is not None
+    product = lasso_product(pda, w)
+    return (product.initial, BOTTOM) in _Summary(product).accepting_heads()
 
 
 def brute_force_lasso_oracle(
@@ -727,12 +689,9 @@ def accepts_tail_of(pda: OmegaPDA, tail_letter: str) -> PAutomaton:
     if tail_letter not in pda.input_alphabet:
         raise ValueError(f"{tail_letter!r} not in the input alphabet")
 
-    def allowed(t: Transition) -> bool:
-        return t.label is None or t.label == tail_letter
-
     restricted = OmegaPDA(
         pda.states, pda.input_alphabet, pda.stack_alphabet, pda.initial,
-        tuple(t for t in pda.transitions if allowed(t)),
+        tuple(t for t in pda.transitions if t.label in (None, tail_letter)),
     )
     accepted_heads = _Summary(restricted).accepting_heads()
-    return saturate_pre_star(pda, allowed, _pa_of_heads(pda, accepted_heads))
+    return saturate_pre_star(restricted, lambda t: True, _pa_of_heads(pda, accepted_heads))

@@ -184,13 +184,11 @@ def product_with_info(
                 queue.append(nxt)
 
     lar0 = LARState(tuple(sorted(pair_colors)), 0)
-    lar_ids: dict[LARState, int] = {}
-
-    def lar_id(lar: LARState) -> int:
-        return lar_ids.setdefault(lar, len(lar_ids))
+    ids: dict[tuple[str, LARState], int] = {}
 
     def name(q: str, d: str, lar: LARState) -> str:
-        return f"{q}*{d}*L{lar_id(lar)}"
+        # Injective: the number after the last "*" stands for (d, lar).
+        return f"{q}*{ids.setdefault((d, lar), len(ids))}"
 
     start = (pda.initial, dpa.initial, lar0)
     states = [start]

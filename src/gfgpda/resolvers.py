@@ -243,29 +243,29 @@ def determinize_moore(pda: OmegaPDA, m: MooreResolver) -> OmegaPDA:
     States are (q, m) plus (q, m, a); reading a letter stores it, then the
     Moore output is simulated by epsilon transitions until the letter is
     processed.  Recognizes the same language when ``m`` implements a resolver.
+    A state is named ``q|k``, where ``k`` numbers ``(m,)`` or ``(m, a)``; ``q``
+    is what precedes the last ``|``, so distinct states get distinct names.
     """
     min_color = min((t.color for t in pda.transitions), default=0)
+    ids: dict[tuple[str, ...], int] = {}
 
-    def read_state(q: str, mm: str) -> str:
-        return f"({q}|{mm})"
-
-    def hold_state(q: str, mm: str, a: str) -> str:
-        return f"({q}|{mm}|{a})"
+    def name(q: str, *tag: str) -> str:
+        return f"{q}|{ids.setdefault(tag, len(ids))}"
 
     states = []
     transitions = []
     for q in pda.states:
         for mm in m.states:
-            states.append(read_state(q, mm))
+            states.append(name(q, mm))
             for a in pda.input_alphabet:
-                states.append(hold_state(q, mm, a))
+                states.append(name(q, mm, a))
     for q in pda.states:
         for mm in m.states:
             for x in pda.gamma_bottom:
                 push = (x,)
                 for a in pda.input_alphabet:
                     transitions.append(
-                        Transition(read_state(q, mm), x, a, hold_state(q, mm, a), push, min_color)
+                        Transition(name(q, mm), x, a, name(q, mm, a), push, min_color)
                     )
     for q in pda.states:
         for mm in m.states:
@@ -278,19 +278,19 @@ def determinize_moore(pda: OmegaPDA, m: MooreResolver) -> OmegaPDA:
                     if m2 is None:
                         continue
                     if t.label is None:
-                        target = hold_state(t.target, m2, a)
+                        target = name(t.target, m2, a)
                     elif t.label == a:
-                        target = read_state(t.target, m2)
+                        target = name(t.target, m2)
                     else:
                         continue
                     transitions.append(
-                        Transition(hold_state(q, mm, a), x, None, target, t.push, t.color)
+                        Transition(name(q, mm, a), x, None, target, t.push, t.color)
                     )
     return OmegaPDA(
         tuple(states),
         pda.input_alphabet,
         pda.stack_alphabet,
-        read_state(pda.initial, m.initial),
+        name(pda.initial, m.initial),
         tuple(transitions),
     )
 

@@ -16,6 +16,26 @@ from gfgpda.games import (
 from gfgpda.resolvers import Resolver
 
 
+def random_pda(rng: random.Random) -> OmegaPDA:
+    """Up to 3 states and 10 transitions; epsilon, swaps, pushes and pops mixed freely."""
+    states = tuple(f"q{i}" for i in range(rng.randint(1, 3)))
+    letters = tuple("ab"[: rng.randint(1, 2)])
+    stack = tuple("XY"[: rng.randint(1, 2)])
+    ts = []
+    for _ in range(rng.randint(3, 10)):
+        src = rng.choice(states)
+        top = rng.choice((BOTTOM,) + stack)
+        label = rng.choice((None,) + letters)
+        dst = rng.choice(states)
+        if top == BOTTOM:
+            push = rng.choice([(BOTTOM,), (BOTTOM, rng.choice(stack))])
+        else:
+            push = rng.choice([(), (rng.choice(stack),),
+                               (rng.choice(stack), rng.choice(stack))])
+        ts.append(Transition(src, top, label, dst, push, rng.randint(0, 3)))
+    return OmegaPDA(states, letters, stack, states[0], tuple(ts))
+
+
 def copycat_spec() -> GaleStewartSpec:
     """Eve wins by echoing: x after a, y after b."""
     sigma1, sigma2 = ("a", "b"), ("x", "y")

@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -17,8 +18,11 @@ from gfgpda.analysis import (
     saturate_pre_star,
     validate_witness,
 )
-from gfgpda.core import BOTTOM, Configuration, LassoWord, OmegaPDA, Transition, parse_lasso
+from gfgpda.core import (
+    BOTTOM, Configuration, LassoWord, OmegaPDA, Transition, parse_lasso, replay,
+)
 from gfgpda.resolvers import determinize_moore
+from helpers import random_pda
 
 
 @pytest.fixture(scope="module")
@@ -344,6 +348,77 @@ def test_tall_start_stack_queries_each_state_once_per_level(monkeypatch):
     w = parity_nonempty(pda, start)
     validate_witness(pda, w, start)
     assert len(queried) <= 2 * 12
+
+
+# -- pop summaries against replay and a bounded search ---------------------------
+
+
+def _pop_summary_automata():
+    for fx in zoo.all_fixtures():
+        yield fx.name, fx.automaton
+    fx = zoo.example23()
+    yield "det(example23)", determinize_moore(fx.automaton, fx.resolver)
+    rng = random.Random(17)
+    for i in range(100):
+        yield f"random {i}", random_pda(rng)
+
+
+def _layers(pda):
+    """The plain summary (None) and each even color."""
+    return [None] + sorted({t.color for t in pda.transitions if t.color % 2 == 0})
+
+
+def _fact(p, x, r, d, saw_d, saw_letter):
+    # Flag bits of a layer's fact key: 2 saw color d, 1 saw a letter.
+    return (p, x, r) if d is None else (p, x, r, 2 * saw_d + saw_letter)
+
+
+def _bounded_pops(pda, d, height):
+    """Pops ``(p, _X) =>* (r, _)`` of colors ``<= d``, by search over stacks of
+    at most ``height`` symbols above the bottom."""
+    found = set()
+    for p in pda.states:
+        for x in pda.stack_alphabet:
+            start = (p, (x,), False, False)
+            seen = {start}
+            work = [start]
+            while work:
+                q, stack, saw_d, saw_letter = work.pop()
+                for t in pda.by_source_top.get((q, stack[-1]), ()):
+                    if d is not None and t.color > d:
+                        continue
+                    nxt = (t.target, stack[:-1] + t.push,
+                           saw_d or t.color == d, saw_letter or t.label is not None)
+                    if not nxt[1]:
+                        found.add(_fact(p, x, t.target, d, *nxt[2:]))
+                    elif len(nxt[1]) <= height and nxt not in seen:
+                        seen.add(nxt)
+                        work.append(nxt)
+    return found
+
+
+def test_pop_facts_replay_as_pops():
+    for name, pda in _pop_summary_automata():
+        for d in _layers(pda):
+            pops = analysis._Pops(pda.transitions, d)
+            for key in pops.defs:
+                p, x, r = key[:3]
+                ts = pops.expand(key)
+                run = replay(pda, ts, Configuration(p, (BOTTOM, x)))
+                assert run.last == Configuration(r, (BOTTOM,)), (name, d, key)
+                assert all(c.height >= 1 for c in run.configurations[:-1]), (name, d, key)
+                if d is not None:
+                    assert max(t.color for t in ts) <= d, (name, d, key)
+                saw_d = any(t.color == d for t in ts)
+                saw_letter = any(t.label is not None for t in ts)
+                assert key == _fact(p, x, r, d, saw_d, saw_letter), (name, d, key)
+
+
+def test_pop_facts_include_every_bounded_pop():
+    for name, pda in _pop_summary_automata():
+        for d in _layers(pda):
+            missing = _bounded_pops(pda, d, 3) - set(analysis._Pops(pda.transitions, d).defs)
+            assert not missing, (name, d, sorted(missing)[:3])
 
 
 # -- membership ---------------------------------------------------------------

@@ -16,7 +16,7 @@ from gfgpda.closure import (
     product,
     product_with_info,
 )
-from gfgpda.core import LassoWord, parse_lasso
+from gfgpda.core import BOTTOM, LassoWord, OmegaPDA, Transition, parse_lasso, validate
 from gfgpda.resolvers import moore_lasso_acceptance
 
 
@@ -156,6 +156,28 @@ def test_product_preserves_nondeterminism_degree():
     for (src, top, lab), group in _fanout(prod).items():
         base_src = src.split("*")[0]
         assert group == base_fanout[(base_src, top, lab)]
+
+
+def test_product_state_names_are_injective():
+    # Joining component names with "*" would name the pairs ("a*b", "c") and
+    # ("a", "b*c") both "a*b*c*L0".
+    ts = (
+        Transition("a*b", BOTTOM, "x", "a", (BOTTOM,), 0),
+        Transition("a*b", BOTTOM, "y", "a*b", (BOTTOM,), 1),
+        Transition("a", BOTTOM, "x", "a*b", (BOTTOM,), 0),
+        Transition("a", BOTTOM, "y", "a", (BOTTOM,), 1),
+    )
+    pda = OmegaPDA(("a*b", "a"), ("x", "y"), (), "a*b", ts)
+    swap_on_x = {("c", "x"): "b*c", ("b*c", "x"): "c", ("c", "y"): "c", ("b*c", "y"): "b*c"}
+    dpa = DeterministicParityAutomaton(
+        ("c", "b*c"), ("x", "y"), "c", swap_on_x, {key: 0 for key in swap_on_x}
+    )
+    prod, _ = product_with_info(pda, dpa, "intersect")  # dpa accepts every word
+    assert len(set(prod.states)) == len(prod.states)
+    assert validate(prod) == []
+    for text in (";x", ";y", "y;xy", "xy;x", "yy;xx"):
+        w = parse_lasso(text)
+        assert analysis.lasso_membership(prod, w) == analysis.lasso_membership(pda, w), text
 
 
 def _fanout(pda):

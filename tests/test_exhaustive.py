@@ -11,7 +11,7 @@ import itertools
 import random
 
 from gfgpda import analysis, zoo
-from gfgpda.core import BOTTOM, LassoWord, OmegaPDA, Transition, validate
+from gfgpda.core import LassoWord, validate
 from gfgpda.zoo import (
     _in_example23,
     _in_lss,
@@ -21,6 +21,7 @@ from gfgpda.zoo import (
     _in_repbdd,
     _in_twopump,
 )
+from helpers import random_pda
 
 
 def all_lassos(alphabet, max_prefix, max_loop):
@@ -68,25 +69,6 @@ def test_paper_energy_level_identities():
     for j in range(1, 6):
         k = 2 * j - 1  # ... (x1)^(2^(2j-1)-1) has 2j-1 segments
         assert prefix_energy_level(w_ss_bar_prefix(k), 2) == -j, j
-
-
-def random_pda(rng: random.Random) -> OmegaPDA:
-    states = tuple(f"q{i}" for i in range(rng.randint(1, 3)))
-    letters = tuple("ab"[: rng.randint(1, 2)])
-    stack = tuple("XY"[: rng.randint(1, 2)])
-    ts = []
-    for _ in range(rng.randint(3, 10)):
-        src = rng.choice(states)
-        top = rng.choice((BOTTOM,) + stack)
-        label = rng.choice((None,) + letters)
-        dst = rng.choice(states)
-        if top == BOTTOM:
-            push = rng.choice([(BOTTOM,), (BOTTOM, rng.choice(stack))])
-        else:
-            push = rng.choice([(), (rng.choice(stack),),
-                               (rng.choice(stack), rng.choice(stack))])
-        ts.append(Transition(src, top, label, dst, push, rng.randint(0, 3)))
-    return OmegaPDA(states, letters, stack, states[0], tuple(ts))
 
 
 def test_engine_matches_oracle_on_random_automata():

@@ -4,11 +4,13 @@ import pytest
 
 from gfgpda import analysis, zoo
 from gfgpda.core import (
-    BOTTOM, Configuration, FormatError, GuardExceeded, LassoWord, parse_lasso, replay,
+    BOTTOM, Configuration, FormatError, GuardExceeded, LassoWord, OmegaPDA, Transition,
+    parse_lasso, replay, validate,
 )
 from gfgpda.resolvers import (
     DetPushdown,
     EpsilonDivergence,
+    MooreResolver,
     PdtRule,
     Resolver,
     ResolverStuck,
@@ -253,6 +255,28 @@ def test_determinize_moore_random_lassos_agree(ex23):
         assert analysis.lasso_membership(d, w) == analysis.lasso_membership(
             ex23.automaton, w
         ), w
+
+
+def test_determinize_moore_state_names_are_injective():
+    # Joining component names with "|" would name the read state of
+    # ("a|b", "c") and the hold state of ("a", "b", letter "c") both "(a|b|c)".
+    ts = (
+        Transition("a|b", BOTTOM, "c", "a", (BOTTOM,), 0),
+        Transition("a|b", BOTTOM, "d", "a|b", (BOTTOM,), 1),
+        Transition("a", BOTTOM, "c", "a|b", (BOTTOM,), 0),
+        Transition("a", BOTTOM, "d", "a", (BOTTOM,), 1),
+    )
+    pda = OmegaPDA(("a|b", "a"), ("c", "d"), (), "a|b", ts)
+    moore_of = {"a|b": "c", "a": "b"}
+    delta = {(mm, t): moore_of[t.target] for mm in ("c", "b") for t in ts}
+    output = {(moore_of[t.source], t.label, BOTTOM): t for t in ts}
+    d = determinize_moore(pda, MooreResolver(("c", "b"), "c", delta, output))
+    assert len(d.states) == 2 * 2 * (1 + 2)
+    assert len(set(d.states)) == len(d.states)
+    assert validate(d) == []
+    for text in (";c", ";d", "d;cd", "cd;c", "dd;cc"):
+        w = parse_lasso(text)
+        assert analysis.lasso_membership(d, w) == analysis.lasso_membership(pda, w), text
 
 
 # -- PDT resolvers -----------------------------------------------------------------
