@@ -12,7 +12,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
-from .core import FormatError, LassoWord, OmegaPDA, Transition, read_declarations, step
+from .core import Configuration, FormatError, LassoWord, OmegaPDA, Transition, read_declarations
 from .resolvers import Resolver, ResolverStuck
 
 MODES = ("intersect", "union", "minus")
@@ -127,6 +127,8 @@ class ProductInfo:
     base_of: dict[Transition, Transition]
     # (product state, base transition) -> product transition
     extend: dict[tuple[str, Transition], Transition]
+    # product state -> base state
+    base_state: dict[str, str]
 
 
 def _completed(pda: OmegaPDA) -> OmegaPDA:
@@ -183,22 +185,35 @@ def product_with_info(
                 seen.add(nxt)
                 queue.append(nxt)
 
+    # LAR records are interned: each distinct (record, color pair) move runs
+    # lar_update and lar_color once.
     lar0 = LARState(tuple(sorted(pair_colors)), 0)
-    ids: dict[tuple[str, LARState], int] = {}
+    lars = [lar0]
+    lar_ids = {lar0: 0}
+    moves: dict[tuple[int, tuple[int, int]], tuple[int, int]] = {}
+    # A product state is (q, d, LAR id); it is named, and queued, when found.
+    ids: dict[tuple[str, int], int] = {}
+    names: dict[tuple[str, str, int], str] = {}
+    base_state: dict[str, str] = {}
+    queue: deque[tuple[str, str, int]] = deque()
 
-    def name(q: str, d: str, lar: LARState) -> str:
-        # Injective: the number after the last "*" stands for (d, lar).
-        return f"{q}*{ids.setdefault((d, lar), len(ids))}"
+    def name(s: tuple[str, str, int]) -> str:
+        n = names.get(s)
+        if n is None:
+            # Injective: the number after the last "*" stands for (d, lar).
+            n = names[s] = f"{s[0]}*{ids.setdefault(s[1:], len(ids))}"
+            base_state[n] = s[0]
+            queue.append(s)
+        return n
 
-    start = (pda.initial, dpa.initial, lar0)
-    states = [start]
-    seen2 = {start}
-    queue = deque([start])
+    initial = name((pda.initial, dpa.initial, 0))
     transitions: list[Transition] = []
     base_of: dict[Transition, Transition] = {}
     extend: dict[tuple[str, Transition], Transition] = {}
     while queue:
-        q, d, lar = queue.popleft()
+        s = queue.popleft()
+        q, d, i = s
+        source = names[s]
         for t in by_source.get(q, ()):
             if t.label is None:
                 pair = (t.color, sentinel)
@@ -206,27 +221,27 @@ def product_with_info(
             else:
                 pair = (t.color, dpa.colors[(d, t.label)])
                 d2 = dpa.delta[(d, t.label)]
-            lar2 = lar_update(lar, pair)
-            nxt = (t.target, d2, lar2)
-            pt = Transition(
-                name(q, d, lar), t.top, t.label, name(*nxt), t.push, lar_color(mode, lar2)
-            )
+            move = moves.get((i, pair))
+            if move is None:
+                lar2 = lar_update(lars[i], pair)
+                j = lar_ids.setdefault(lar2, len(lars))
+                if j == len(lars):
+                    lars.append(lar2)
+                move = moves[(i, pair)] = (j, lar_color(mode, lar2))
+            j, color = move
+            pt = Transition(source, t.top, t.label, name((t.target, d2, j)), t.push, color)
             transitions.append(pt)
             base_of[pt] = t
-            extend[(pt.source, t)] = pt
-            if nxt not in seen2:
-                seen2.add(nxt)
-                states.append(nxt)
-                queue.append(nxt)
+            extend[(source, t)] = pt
 
     product_pda = OmegaPDA(
-        tuple(name(*s) for s in states),
+        tuple(names.values()),
         pda.input_alphabet,
         pda.stack_alphabet,
-        name(*start),
+        initial,
         tuple(transitions),
     )
-    return product_pda, ProductInfo(base_of, extend)
+    return product_pda, ProductInfo(base_of, extend, base_state)
 
 
 def product(pda: OmegaPDA, dpa: DeterministicParityAutomaton, mode: str) -> OmegaPDA:
@@ -234,7 +249,12 @@ def product(pda: OmegaPDA, dpa: DeterministicParityAutomaton, mode: str) -> Omeg
 
 
 class LiftedResolver(Resolver):
-    """Resolver for a product, delegating all choices to the base resolver."""
+    """Resolver for a product, delegating all choices to the base resolver.
+
+    Its state is the base resolver's state.  A product run and its base run
+    have the same stacks, since product transitions copy ``top`` and
+    ``push``, so the base configuration is read off the product one.
+    """
 
     def __init__(self, base: Resolver, base_pda: OmegaPDA, info: ProductInfo):
         self.base = base
@@ -242,16 +262,14 @@ class LiftedResolver(Resolver):
         self.info = info
 
     def start(self):
-        return (self.base.start(), self.base_pda.initial_configuration())
+        return self.base.start()
 
     def feed(self, state, t):
-        base_state, base_config = state
-        bt = self.info.base_of[t]
-        return (self.base.feed(base_state, bt), step(base_config, bt))
+        return self.base.feed(state, self.info.base_of[t])
 
     def pick(self, state, config, letter):
-        base_state, base_config = state
-        bt = self.base.pick(base_state, base_config, letter)
+        base_config = Configuration(self.info.base_state[config.state], config.stack)
+        bt = self.base.pick(state, base_config, letter)
         try:
             return self.info.extend[(config.state, bt)]
         except KeyError:
@@ -260,7 +278,7 @@ class LiftedResolver(Resolver):
     def summary(self, state):
         # The DPA and LAR components are functions of the history, so the
         # base summary (when finite) still pins down the future.
-        return self.base.summary(state[0])
+        return self.base.summary(state)
 
 
 def lift_resolver(base: Resolver, base_pda: OmegaPDA, info: ProductInfo) -> LiftedResolver:

@@ -90,13 +90,14 @@ def new_guided_run(pda: OmegaPDA, r: Resolver) -> GuidedRun:
     return GuidedRun(replay(pda, ()), 0, r.start())
 
 
-def _infix(pda: OmegaPDA, r: Resolver, transitions: list, configs: list, state, a: str):
-    """Append the resolver-induced infix processing ``a`` to ``transitions``
-    and ``configs``; return the new resolver state.  On an error the lists
-    may end inside the infix."""
+def _infix(pda: OmegaPDA, r: Resolver, state, c: Configuration, a: str,
+           transitions: list, configs: Optional[list] = None):
+    """Append the resolver-induced infix processing ``a`` from ``c`` to
+    ``transitions``, and its configurations to ``configs`` when given; return
+    the new resolver state and configuration.  On an error the lists may end
+    inside the infix."""
     if a not in pda.input_alphabet:
         raise ValueError(f"letter {a!r} not in the input alphabet")
-    c = configs[-1]
     # Any longer epsilon chain repeats a head at a step and diverges.
     eps_cap = len(pda.states) * (c.height + 2) * (len(pda.stack_alphabet) + 1) + 1
     eps_steps = 0
@@ -108,11 +109,12 @@ def _infix(pda: OmegaPDA, r: Resolver, transitions: list, configs: list, state, 
             c = step(c, t)
         except PdaError:
             raise ResolverStuck(f"resolver returned disabled {t} in {c}") from None
-        configs.append(c)
+        if configs is not None:
+            configs.append(c)
         transitions.append(t)
         state = r.feed(state, t)
         if t.label == a:
-            return state
+            return state, c
         eps_steps += 1
         if eps_steps > eps_cap:
             raise EpsilonDivergence(f"more than {eps_cap} epsilon steps before {a!r}")
@@ -121,17 +123,18 @@ def _infix(pda: OmegaPDA, r: Resolver, transitions: list, configs: list, state, 
 def ext(pda: OmegaPDA, r: Resolver, g: GuidedRun, a: str) -> GuidedRun:
     """Extend the guided run by the unique resolver-induced infix processing ``a``."""
     transitions, configs = list(g.run.transitions), list(g.run.configurations)
-    state = _infix(pda, r, transitions, configs, g.resolver_state, a)
+    state, _ = _infix(pda, r, g.resolver_state, g.run.last, a, transitions, configs)
     run = RunPrefix(tuple(transitions), tuple(configs))
     return GuidedRun(run, g.letters_consumed + 1, state)
 
 
 def run_on_prefix(pda: OmegaPDA, r: Resolver, word) -> GuidedRun:
-    transitions, configs = [], [pda.initial_configuration()]
+    c = pda.initial_configuration()
+    transitions, configs = [], [c]
     state = r.start()
     letters = 0
     for a in word:
-        state = _infix(pda, r, transitions, configs, state, a)
+        state, c = _infix(pda, r, state, c, a, transitions, configs)
         letters += 1
     return GuidedRun(RunPrefix(tuple(transitions), tuple(configs)), letters, state)
 
@@ -200,14 +203,14 @@ def moore_lasso_acceptance(
 
 
 def periodic_split(pda, r, w, guard=5000) -> PeriodicSplit:
-    transitions, configs = [], [pda.initial_configuration()]
+    c = pda.initial_configuration()
+    transitions, configs = [], [c]
     state = r.start()
     position = 0
     letters = 0
     # Candidate steps are taken between letters.
     lasso = LassoDetector()
     while True:
-        c = configs[-1]
         summary = r.summary(state)
         if summary is None:
             raise ResolverUndefined("resolver has no finite summary")
@@ -226,14 +229,14 @@ def periodic_split(pda, r, w, guard=5000) -> PeriodicSplit:
             raise GuardExceeded(f"no period within {guard} transitions")
         before = len(transitions)
         try:
-            state = _infix(pda, r, transitions, configs, state, w.letter_at(position))
+            state, c = _infix(pda, r, state, c, w.letter_at(position), transitions, configs)
         except (ResolverStuck, ResolverUndefined, EpsilonDivergence):
             run = RunPrefix(tuple(transitions[:before]), tuple(configs[:before + 1]))
             return PeriodicSplit("stuck", run, run.transitions, (), letters, 0)
         letters += 1
         # Intra-block dips also invalidate candidate steps.
-        for c in configs[before + 1:]:
-            lasso.dip(c.height)
+        for d in configs[before + 1:]:
+            lasso.dip(d.height)
         position = w.next_position(position)
 
 
@@ -441,11 +444,11 @@ def verify_resolver(
     explicit 'inconclusive' verdict when no period shows up within the guard.
     """
     entries = []
+    exact = r.summary(r.start()) is not None
     for w, expected in suite:
         if not expected:
             entries.append((w, expected, "skipped"))
             continue
-        exact = r.summary(r.start()) is not None
         if exact:
             try:
                 verdict = moore_lasso_acceptance(pda, r, w, guard)
@@ -458,13 +461,16 @@ def verify_resolver(
 
 
 def _bounded_verdict(pda: OmegaPDA, r: Resolver, w: LassoWord, guard: int) -> str:
-    transitions, configs = [], [pda.initial_configuration()]
+    # Only the current configuration is kept: a run's configurations take
+    # O(guard * height) memory, its transitions and positions O(guard).
+    c = pda.initial_configuration()
+    transitions = []
     positions = []  # lasso position of each transition
     state = r.start()
     position = 0
     try:
         while len(transitions) < guard:
-            state = _infix(pda, r, transitions, configs, state, w.letter_at(position))
+            state, c = _infix(pda, r, state, c, w.letter_at(position), transitions)
             positions += [position] * (len(transitions) - len(positions))
             position = w.next_position(position)
     except (ResolverStuck, ResolverUndefined, EpsilonDivergence):

@@ -271,6 +271,8 @@ class LssResolver(Resolver):
 
     def __init__(self, pda: OmegaPDA):
         self.pda = pda
+        # Each letter's energy deltas, one per component.
+        self._deltas = {a: tuple(_DELTA[c] for c in _components(a)) for a in pda.input_alphabet}
 
     def start(self):
         return (0, (0, 0, 0), (0, 0, 0))
@@ -278,8 +280,8 @@ class LssResolver(Resolver):
     def _advance(self, state, letter):
         n, *components = state
         out = [n + 1]
-        for (level, low, at), c in zip(components, _components(letter)):
-            level += _DELTA[c]
+        for (level, low, at), delta in zip(components, self._deltas[letter]):
+            level += delta
             out.append((level, low, at) if level >= low else (level, level, n + 1))
         return tuple(out)
 

@@ -17,7 +17,7 @@ from gfgpda.closure import (
     product_with_info,
 )
 from gfgpda.core import BOTTOM, LassoWord, OmegaPDA, Transition, parse_lasso, validate
-from gfgpda.resolvers import moore_lasso_acceptance
+from gfgpda.resolvers import moore_lasso_acceptance, run_on_prefix, verify_resolver
 
 
 def one_state_dpa(alphabet, color):
@@ -132,8 +132,6 @@ def test_lift_resolver_accepts_acd():
 
 
 def test_lift_resolver_projection_identity():
-    from gfgpda.resolvers import run_on_prefix
-
     fx = zoo.example23()
     dpa = inf_many_d_dpa(fx.automaton.input_alphabet)
     prod, info = product_with_info(fx.automaton, dpa, "union")
@@ -142,6 +140,41 @@ def test_lift_resolver_projection_identity():
     base_g = run_on_prefix(fx.automaton, fx.resolver, "acd")
     assert tuple(info.base_of[t] for t in g.run.transitions) == base_g.run.transitions
     assert g.run.last.stack == base_g.run.last.stack
+
+
+def lss_union_product():
+    """lss in union with a one-state DPA whose colors 0 and 1 alternate over
+    the alphabet: every word of L(lss) stays in the product."""
+    pda = zoo.lss().automaton
+    letters = pda.input_alphabet
+    lines = ["dstate d", "dinitial d"] + [f"dletter {a}" for a in letters]
+    lines += [f"dtrans d {a} d {i % 2}" for i, a in enumerate(letters)]
+    return pda, product_with_info(pda, parse_dpa("\n".join(lines) + "\n"), "union")
+
+
+def test_lift_resolver_verdicts_match_the_base_on_lss():
+    pda, (prod, info) = lss_union_product()
+    lifted = lift_resolver(zoo.LssResolver(pda), pda, info)
+    suite = zoo.lss().sample(seed=7, count=20)
+    base = verify_resolver(pda, zoo.LssResolver(pda), suite, guard=600)
+    assert verify_resolver(prod, lifted, suite, guard=600).entries == base.entries
+    assert sum(e[2] == "pass" for e in base.entries) >= 5
+
+
+def test_lift_resolver_projection_at_depth():
+    pda, (prod, info) = lss_union_product()
+    lifted = lift_resolver(zoo.LssResolver(pda), pda, info)
+    # 500 letters that switch the tracked component, then 500 that mostly
+    # push: the stack ends dozens of symbols high.
+    rng = random.Random(1)
+    letters = pda.input_alphabet + ("(+,+)", "(+,0)", "(0,+)")
+    word = zoo.w_ss_bar_prefix(8)[:500] + tuple(rng.choice(letters) for _ in range(500))
+    g = run_on_prefix(prod, lifted, word)
+    base_g = run_on_prefix(pda, zoo.LssResolver(pda), word)
+    assert tuple(info.base_of[t] for t in g.run.transitions) == base_g.run.transitions
+    assert g.run.last.stack == base_g.run.last.stack
+    assert len({c.state for c in base_g.run.configurations}) == 2
+    assert g.run.last.height > 50
 
 
 def test_product_preserves_nondeterminism_degree():

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 
@@ -338,6 +339,75 @@ def test_verify_resolver_flags_bad_resolver():
 
 def test_verify_resolver_empty_suite(ex23):
     assert verify_resolver(ex23.automaton, ex23.resolver, []).entries == ()
+
+
+def test_bounded_verification_memory_is_linear_in_the_guard(lss_fx):
+    # On (+,0)^omega the stack grows every step: keeping each configuration
+    # would make the peak quadratic in the guard (about 4x per doubling).
+    w = parse_lasso(";(+,0)")
+
+    def peak(guard):
+        tracemalloc.start()
+        try:
+            report = verify_resolver(
+                lss_fx.automaton, zoo.LssResolver(lss_fx.automaton), [(w, True)], guard)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert report.entries[0][2] == "pass"
+        return peak
+
+    # The least of three runs: an unrelated allocation can raise one peak.
+    assert min(peak(2000) for _ in range(3)) <= 2.5 * min(peak(1000) for _ in range(3))
+
+
+class CountingResolver(Resolver):
+    """Summary-less resolver of a one-state, one-letter automaton: at step n
+    it takes transition ``choice(n)``."""
+
+    def __init__(self, pda, choice):
+        self.pda = pda
+        self.choice = choice
+
+    def start(self):
+        return 0
+
+    def feed(self, state, t):
+        return state + 1
+
+    def pick(self, state, config, letter):
+        return self.pda.transitions[self.choice(state)]
+
+
+def _two_color_loop():
+    return OmegaPDA(("q",), ("a",), (), "q", (
+        Transition("q", BOTTOM, "a", "q", (BOTTOM,), 0),
+        Transition("q", BOTTOM, "a", "q", (BOTTOM,), 1),
+    ))
+
+
+@pytest.mark.parametrize("guard", [1, 3, 12, 100, 1000])
+def test_verify_resolver_inconclusive_without_a_cube(guard):
+    # The Thue-Morse sequence is cube-free, so no tail of the run repeats
+    # three times, at any guard.
+    pda = _two_color_loop()
+    r = CountingResolver(pda, lambda n: bin(n).count("1") % 2)
+    report = verify_resolver(pda, r, [(parse_lasso(";a"), True)], guard)
+    assert [e[2] for e in report.entries] == ["inconclusive"]
+    assert report.all_passed() is False and report.failures() == []
+
+
+@pytest.mark.parametrize("script, verdict", [
+    ((1, 0, 0), "inconclusive"),  # the tail 0 repeats only twice
+    ((1, 0, 0, 0), "pass"),
+    ((0, 1, 0, 1, 0, 0, 1, 0, 1), "inconclusive"),  # the tail 0 1 repeats only twice
+    ((0, 0, 1, 0, 1, 0, 1), "fail"),
+])
+def test_verify_resolver_needs_three_repeats(script, verdict):
+    pda = _two_color_loop()
+    r = CountingResolver(pda, script.__getitem__)
+    report = verify_resolver(pda, r, [(parse_lasso(";a"), True)], len(script))
+    assert [e[2] for e in report.entries] == [verdict]
 
 
 def test_lss_resolver_no_late_state_switch(lss_fx):
