@@ -5,12 +5,14 @@ CONCUR'97): the control states are the initial states, and ``(q, stack)`` is
 accepted when ``q`` reads the stack top first into a final state.  One
 worklist saturation (Esparza, Hansel, Rossmanith & Schwoon, CAV 2000) adds
 edges between existing states only: seeded with a P-automaton's edges it is
-pre*, and with an empty seed its edges are the pop summaries.
+pre*, and with an empty seed its edges are the pop summaries.  Each fact
+records the max color along its run and whether the run reads a letter.
 
 Emptiness rests on one summary per automaton, which does not depend on the
-start configuration (Bouajjani, Esparza & Maler, CONCUR'97): pop summaries,
-the head relation between heads ``(q, X)``, and for each even color ``d``
-the color-``<= d`` head graph with its SCCs.  A head is *good* for ``d`` when
+start configuration (Bouajjani, Esparza & Maler, CONCUR'97): pop summaries
+from one saturation, the head relation between heads ``(q, X)``, and for
+each even color ``d`` the color-``<= d`` head graph with its SCCs, a filter
+on the same facts (max color ``<= d``).  A head is *good* for ``d`` when
 its SCC has an internal color-``d`` edge and an internal letter edge, i.e.
 it can pump: an abstract run from stack ``[X]`` back to state ``q`` with top
 ``X`` again, never dipping below the start level, using only colors ``<= d``.
@@ -29,7 +31,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Iterable, Optional, Union
+from typing import Iterable, Optional, Union
 
 from .core import (
     BOTTOM,
@@ -135,12 +137,7 @@ def pa_empty() -> PAutomaton:
     return PAutomaton(frozenset(), frozenset())
 
 
-def _flags(t: Transition, d: Optional[int]) -> int:
-    """Path flags of one transition: 2 if it has color ``d``, plus 1 if it reads a letter."""
-    return 2 * (t.color == d) + (t.label is not None)
-
-
-def _saturate(transitions: Iterable[Transition], seeds: Iterable, d: Optional[int] = None) -> dict:
+def _saturate(transitions: Iterable[Transition], seeds: Iterable) -> dict:
     """Saturated facts ``p -X-> r``, each mapped to its derivation.
 
     Esparza, Hansel, Rossmanith & Schwoon (CAV 2000): a pop
@@ -152,62 +149,62 @@ def _saturate(transitions: Iterable[Transition], seeds: Iterable, d: Optional[in
     already out.  With no seed the facts are the pop summaries
     ``(p, X) =>* (r, eps)``.
 
-    A fact is keyed ``(p, X, r)``.  With ``d`` set, transitions of color
-    above ``d`` are skipped and the key is ``(p, X, r, flags)``, the flags
-    of ``_flags`` or-ed along the run.  A derivation is the tuple of its
-    parts in run order: transitions, then the keys of earlier facts; a seed
-    has the empty derivation.
+    A fact is keyed ``(p, X, r, c, l)``: ``c`` is the max color along its
+    run and ``l`` is 1 if the run reads a letter; a seed has ``c = -1`` and
+    ``l = 0``.  So one fact set serves every color bound: the facts with
+    ``c <= d`` are those of the transitions of color ``<= d``.  A
+    derivation is the tuple of its parts in run order: transitions, then
+    the keys of earlier facts; a seed has the empty derivation.
     """
     defs: dict = {}
-    swaps: dict[tuple[str, str], list] = {}  # (q, Y) -> [(p, X, flags, parts)]
-    pushes: dict[tuple[str, str], list] = {}  # (q, Z) -> [(push (p, X) -> (q, Y Z), flags)]
-    out: dict[tuple[str, str], list] = {}  # (q, Y) -> [(r, flags, key)] already fired
+    swaps: dict[tuple[str, str], list] = {}  # (q, Y) -> [(p, X, c, l, parts)]
+    pushes: dict[tuple[str, str], list] = {}  # (q, Z) -> [push (p, X) -> (q, Y Z)]
+    out: dict[tuple[str, str], list] = {}  # (q, Y) -> [(r, c, l, key)] already fired
     work: deque = deque()
 
-    def add(p: str, x: str, r: str, fl: int, parts: tuple) -> None:
-        key = (p, x, r) if d is None else (p, x, r, fl)
+    def add(p: str, x: str, r: str, c: int, l: int, parts: tuple) -> None:
+        key = (p, x, r, c, l)
         if key not in defs:
             defs[key] = parts
-            work.append((p, x, r, fl, key))
+            work.append(key)
 
     for p, x, r in seeds:
-        add(p, x, r, 0, ())
+        add(p, x, r, -1, 0, ())
     for t in transitions:
-        if d is not None and t.color > d:
-            continue
-        fl = _flags(t, d)
+        l = int(t.label is not None)
         if not t.push:
-            add(t.source, t.top, t.target, fl, (t,))
+            add(t.source, t.top, t.target, t.color, l, (t,))
         elif len(t.push) == 1:
-            swaps.setdefault((t.target, t.push[0]), []).append((t.source, t.top, fl, (t,)))
+            swaps.setdefault((t.target, t.push[0]), []).append((t.source, t.top, t.color, l, (t,)))
         else:
-            pushes.setdefault((t.target, t.push[1]), []).append((t, fl))
+            pushes.setdefault((t.target, t.push[1]), []).append(t)
 
     while work:
-        q, y, r, fl, key = work.popleft()
-        out.setdefault((q, y), []).append((r, fl, key))
-        for p, x, fl0, parts in swaps.get((q, y), ()):
-            add(p, x, r, fl0 | fl, parts + (key,))
-        for t, fl0 in pushes.get((q, y), ()):
-            swaps.setdefault((r, t.push[0]), []).append((t.source, t.top, fl0 | fl, (t, key)))
-            for r2, fl2, key2 in out.get((r, t.push[0]), ()):
-                add(t.source, t.top, r2, fl0 | fl | fl2, (t, key, key2))
+        key = work.popleft()
+        q, y, r, c, l = key
+        out.setdefault((q, y), []).append((r, c, l, key))
+        for p, x, c0, l0, parts in swaps.get((q, y), ()):
+            add(p, x, r, c0 if c0 > c else c, l0 | l, parts + (key,))
+        for t in pushes.get((q, y), ()):
+            c0, l0 = max(t.color, c), int(t.label is not None) | l
+            swaps.setdefault((r, t.push[0]), []).append((t.source, t.top, c0, l0, (t, key)))
+            for r2, c2, l2, key2 in out.get((r, t.push[0]), ()):
+                add(t.source, t.top, r2, c0 if c0 > c2 else c2, l0 | l2, (t, key, key2))
     return defs
 
 
-def saturate_pre_star(
-    pda: OmegaPDA, allowed: Callable[[Transition], bool], target: PAutomaton
-) -> PAutomaton:
-    """pre* of ``target`` under the allowed rules: ``_saturate`` seeded with its edges.
+def saturate_pre_star(pda: OmegaPDA, target: PAutomaton) -> PAutomaton:
+    """pre* of ``target``: ``_saturate`` seeded with its edges, keys cut to ``(p, X, r)``.
 
     Every added edge leaves a control state and ends in a control state or
     a state of ``target``, so no state is added.  Precondition: an edge of
     ``target`` into a control state ``r`` must be a pop fact, ``p -X-> r``
-    only if ``(p, X) =>* (r, eps)`` under the allowed rules (as in a
-    saturated automaton, so saturating again is a fixpoint).
+    only if ``(p, X) =>* (r, eps)`` (as in a saturated automaton, so
+    saturating again is a fixpoint).  To restrict the rules, saturate an
+    automaton with fewer transitions.
     """
-    facts = _saturate((t for t in pda.transitions if allowed(t)), target.edges)
-    return PAutomaton(target.finals, frozenset(facts))
+    facts = _saturate(pda.transitions, target.edges)
+    return PAutomaton(target.finals, frozenset(key[:3] for key in facts))
 
 
 # ---------------------------------------------------------------------------
@@ -216,20 +213,15 @@ def saturate_pre_star(
 
 
 class _Pops:
-    def __init__(self, transitions: Iterable[Transition], even_color: Optional[int] = None):
-        """Pop summaries ``(p, X) -> [(r, flags, key)]``: ``_saturate`` with no seed.
-
-        With ``even_color`` set, transitions are restricted to colors
-        ``<= even_color`` and facts carry the path flags of ``_flags``.
-        """
-        self.defs = _saturate(transitions, (), even_color)
+    def __init__(self, transitions: Iterable[Transition]):
+        """Pop summaries ``(p, X) -> [(r, c, l, key)]``: ``_saturate`` with no seed."""
+        self.defs = _saturate(transitions, ())
         self.by_px: dict[tuple[str, str], list] = {}
-        for key in sorted(self.defs, key=str):  # once, for stable witnesses
-            fl = 0 if even_color is None else key[3]
-            self.by_px.setdefault(key[:2], []).append((key[2], fl, key))
+        for key in sorted(self.defs):  # once, for stable witnesses
+            self.by_px.setdefault(key[:2], []).append((*key[2:], key))
 
     def results(self, p: str, x: str) -> list:
-        """(r, flags, key) triples for pops of ``x`` from state ``p``."""
+        """(r, c, l, key) for pops of ``x`` from state ``p``."""
         return self.by_px.get((p, x), [])
 
     def expand(self, *parts) -> tuple[Transition, ...]:
@@ -244,19 +236,21 @@ class _Pops:
                 stack.extend(reversed(self.defs[part]))
         return tuple(out)
 
-    def steps(self, t: Transition, fl: int = 0):
+    def steps(self, t: Transition):
         """Head moves of ``t`` that stay at or above its level.
 
-        Yields ``(target head, flags, parts)``: the head ``t`` pushes on top,
+        Yields ``(target head, c, l, parts)``: the head ``t`` pushes on top,
         and for a push of two symbols also each head exposed once the new
-        top is popped again; ``parts`` expand to the infix.
+        top is popped again; ``c`` is the infix's max color, ``l`` its
+        letter bit and ``parts`` expand to it.
         """
+        c, l = t.color, int(t.label is not None)
         if len(t.push) == 1:
-            yield (t.target, t.push[0]), fl, (t,)
+            yield (t.target, t.push[0]), c, l, (t,)
         elif len(t.push) == 2:
-            yield (t.target, t.push[1]), fl, (t,)
-            for r, fl2, key in self.results(t.target, t.push[1]):
-                yield (r, t.push[0]), fl | fl2, (t, key)
+            yield (t.target, t.push[1]), c, l, (t,)
+            for r, c2, l2, key in self.results(t.target, t.push[1]):
+                yield (r, t.push[0]), max(c, c2), l | l2, (t, key)
 
 
 def _tarjan_sccs(nodes: list, succ: dict) -> dict:
@@ -298,23 +292,24 @@ def _tarjan_sccs(nodes: list, succ: dict) -> dict:
 class _ColorLayer:
     """Color-``<= d`` head graph of one even color ``d``, its SCCs and good heads.
 
-    Edges ``(src, dst, flags, parts)`` are abstract run infixes that never
-    dip below the source head's level, with flags as in ``_flags``.  A head
-    is good when its SCC has an internal color-``d`` edge and an internal
-    letter edge: it can pump with maximal color ``d``.
+    A filter on the shared pop facts, not a saturation of its own: edges
+    ``(src, dst, c, l, parts)`` are the head moves of ``_Pops.steps`` with
+    max color ``c <= d``, abstract run infixes that never dip below the
+    source head's level.  A head is good when its SCC has an internal edge
+    with ``c == d`` and an internal letter edge: it can pump with maximal
+    color ``d``.
     """
 
-    def __init__(self, transitions: tuple[Transition, ...], d: int):
-        self.pops = _Pops(transitions, even_color=d)
+    def __init__(self, pops: _Pops, transitions: tuple[Transition, ...], d: int):
+        self.pops, self.d = pops, d
         succ: dict = {}
         edges: list = []
         for t in transitions:
-            if t.color > d:
-                continue
             src = (t.source, t.top)
-            for dst, fl, parts in self.pops.steps(t, _flags(t, d)):
-                succ.setdefault(src, []).append(dst)
-                edges.append((src, dst, fl, parts))
+            for dst, c, l, parts in pops.steps(t):
+                if c <= d:
+                    succ.setdefault(src, []).append(dst)
+                    edges.append((src, dst, c, l, parts))
         # Every edge target is reached from some source, so sources suffice as roots.
         self.scc_of = _tarjan_sccs(list(succ), succ)
         self.internal: dict = {}
@@ -323,15 +318,15 @@ class _ColorLayer:
                 self.internal.setdefault(self.scc_of[e[0]], []).append(e)
         pumping = {
             scc for scc, es in self.internal.items()
-            if any(e[2] & 2 for e in es) and any(e[2] & 1 for e in es)
+            if any(e[2] == d for e in es) and any(e[3] for e in es)
         }
         self.good = {head for head, scc in self.scc_of.items() if scc in pumping}
 
     def loop(self, head) -> tuple[Transition, ...]:
         """Closed walk from a good ``head`` through a color-``d`` and a letter edge."""
         scc_edges = self.internal[self.scc_of[head]]
-        e_d = next(e for e in scc_edges if e[2] & 2)
-        e_l = next(e for e in scc_edges if e[2] & 1)
+        e_d = next(e for e in scc_edges if e[2] == self.d)
+        e_l = next(e for e in scc_edges if e[3])
         succ_e: dict = {}
         for e in scc_edges:
             succ_e.setdefault(e[0], []).append(e)
@@ -356,7 +351,7 @@ class _ColorLayer:
             walk += path(cur, e[0]) + [e]
             cur = e[1]
         walk += path(cur, head)
-        return self.pops.expand(*(part for e in walk for part in e[3]))
+        return self.pops.expand(*(part for e in walk for part in e[4]))
 
 
 class _Summary:
@@ -364,9 +359,11 @@ class _Summary:
 
     Pop summaries and head SCCs depend only on the automaton (Bouajjani,
     Esparza & Maler, CONCUR'97), so one summary serves every start
-    configuration.  Head ``(p, X)`` moves by each transition of
-    ``by_source_top[(p, X)]`` to the heads of ``pops.steps``.  Each even
-    color's ``_ColorLayer`` is built only when a query reaches it.
+    configuration.  One saturation gives ``pops``, whose facts serve both
+    the plain head relation and every color layer.  Head ``(p, X)`` moves
+    by each transition of ``by_source_top[(p, X)]`` to the heads of
+    ``pops.steps``.  Each even color's ``_ColorLayer`` is built only when a
+    query reaches it.
     """
 
     def __init__(self, pda: OmegaPDA):
@@ -395,7 +392,7 @@ class _Summary:
         for i in range(len(start.stack) - 1, 0, -1):
             below: dict = {}
             for st, stem in carriers.items():
-                for r, _fl, key in self.pops.results(st, start.stack[i]):
+                for r, _c, _l, key in self.pops.results(st, start.stack[i]):
                     below.setdefault(r, (stem, key))
             carriers = below
             for st, stem in carriers.items():
@@ -404,7 +401,7 @@ class _Summary:
         while work:
             head = work.popleft()
             for t in self.pda.by_source_top.get(head, ()):
-                for dst, _fl, parts in self.pops.steps(t):
+                for dst, _c, _l, parts in self.pops.steps(t):
                     stem = facts[head]
                     for part in parts:
                         stem = (stem, part)
@@ -415,7 +412,7 @@ class _Summary:
         """First witness from ``start``: lowest even color, then first head found."""
         heads = self.heads_from(start)
         for d in self.evens:
-            layer = _ColorLayer(self.pda.transitions, d)
+            layer = _ColorLayer(self.pops, self.pda.transitions, d)
             for head, stem in heads.items():
                 if head in layer.good:
                     parts = []
@@ -435,9 +432,10 @@ class _Summary:
         """
         pred: dict = {}
         for t in self.pda.transitions:
-            for dst, _fl, _parts in self.pops.steps(t):
+            for dst, _c, _l, _parts in self.pops.steps(t):
                 pred.setdefault(dst, set()).add((t.source, t.top))
-        found = set().union(*(_ColorLayer(self.pda.transitions, d).good for d in self.evens))
+        layers = (_ColorLayer(self.pops, self.pda.transitions, d) for d in self.evens)
+        found = set().union(*(layer.good for layer in layers))
         work = list(found)
         while work:
             for src in pred.get(work.pop(), ()):
@@ -694,4 +692,4 @@ def accepts_tail_of(pda: OmegaPDA, tail_letter: str) -> PAutomaton:
         tuple(t for t in pda.transitions if t.label in (None, tail_letter)),
     )
     accepted_heads = _Summary(restricted).accepting_heads()
-    return saturate_pre_star(restricted, lambda t: True, _pa_of_heads(pda, accepted_heads))
+    return saturate_pre_star(restricted, _pa_of_heads(pda, accepted_heads))

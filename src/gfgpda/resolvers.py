@@ -25,7 +25,6 @@ from .core import (
     RunPrefix,
     Transition,
     read_declarations,
-    replay,
     step,
     top_to_text,
 )
@@ -84,10 +83,6 @@ class GuidedRun:
     run: RunPrefix
     letters_consumed: int
     resolver_state: Any
-
-
-def new_guided_run(pda: OmegaPDA, r: Resolver) -> GuidedRun:
-    return GuidedRun(replay(pda, ()), 0, r.start())
 
 
 def _infix(pda: OmegaPDA, r: Resolver, state, c: Configuration, a: str,
@@ -408,14 +403,6 @@ def moore_as_pdt(pda: OmegaPDA, m: MooreResolver) -> PDTResolver:
     machine = DetPushdown(tuple(m.states), m.initial, (), tuple(rules))
     output = {(mm, a, x): t for (mm, a, x), t in m.output.items()}
     return PDTResolver(machine, output)
-
-
-def pdt_resolver_step(
-    pda: OmegaPDA, t: PDTResolver, history, next_letter: str
-) -> Transition:
-    """Run the transducer over the history, then query its output function."""
-    run = history if isinstance(history, RunPrefix) else replay(pda, tuple(history))
-    return resolver_query(t, run, next_letter)
 
 
 # ---------------------------------------------------------------------------

@@ -291,7 +291,11 @@ class LssResolver(Resolver):
         return self._advance(state, t.label)
 
     def pick(self, state, config, letter):
-        _, (_, _, min1), (_, _, min2) = self._advance(state, letter)
+        # Each component's ``at`` after the letter; ``feed`` advances the state.
+        n, (level1, low1, at1), (level2, low2, at2) = state
+        delta1, delta2 = self._deltas[letter]
+        min1 = at1 if level1 + delta1 >= low1 else n + 1
+        min2 = at2 if level2 + delta2 >= low2 else n + 1
         target = "1" if min1 <= min2 else "2"
         for t in self.pda.by_source_top.get((config.state, config.top), ()):
             if t.label == letter and t.target == target:

@@ -37,6 +37,12 @@ def all_configs(pda, max_height):
                 yield Configuration(q, (BOTTOM,) + word)
 
 
+def restrict(pda, allowed):
+    """The automaton with only the allowed transitions."""
+    kept = tuple(t for t in pda.transitions if allowed(t))
+    return OmegaPDA(pda.states, pda.input_alphabet, pda.stack_alphabet, pda.initial, kept)
+
+
 def reachable_by_bfs(pda, allowed, target_pa, config, height_cap=6, node_cap=4000):
     """Independent forward search: can `config` reach the target set?"""
     seen = {config}
@@ -62,13 +68,13 @@ def reachable_by_bfs(pda, allowed, target_pa, config, height_cap=6, node_cap=400
 
 
 def test_pre_star_of_everything_is_everything(fig2):
-    sat = saturate_pre_star(fig2, lambda t: True, pa_universal(fig2))
+    sat = saturate_pre_star(fig2, pa_universal(fig2))
     for c in all_configs(fig2, 2):
         assert sat.accepts(c)
 
 
 def test_pre_star_of_empty_is_empty(fig2):
-    sat = saturate_pre_star(fig2, lambda t: True, pa_empty())
+    sat = saturate_pre_star(fig2, pa_empty())
     for c in all_configs(fig2, 2):
         assert not sat.accepts(c)
 
@@ -76,7 +82,7 @@ def test_pre_star_of_empty_is_empty(fig2):
 def test_pre_star_fig2_hash_transitions(fig2):
     allowed = lambda t: t.label in (None, "#")
     target = pa_from_words([(BOTTOM, "q4")])
-    sat = saturate_pre_star(fig2, allowed, target)
+    sat = saturate_pre_star(restrict(fig2, allowed), target)
     assert sat.accepts(Configuration("q4", (BOTTOM,)))
     assert sat.accepts(Configuration("q2", (BOTTOM, "A")))
     assert sat.accepts(Configuration("q5", (BOTTOM, "B")))
@@ -90,7 +96,7 @@ def test_pre_star_matches_bfs_on_fixtures():
         targets = [c.stack + (c.state,) for c in all_configs(pda, target_height)][:6]
         target = pa_from_words(targets)
         for allowed in (lambda t: True, lambda t: t.label is None):
-            sat = saturate_pre_star(pda, allowed, target)
+            sat = saturate_pre_star(restrict(pda, allowed), target)
             for c in all_configs(pda, 3):
                 expect = reachable_by_bfs(pda, allowed, target, c)
                 if expect is None:
@@ -100,8 +106,9 @@ def test_pre_star_matches_bfs_on_fixtures():
 
 def test_pre_star_is_a_fixpoint(fig2):
     allowed = lambda t: t.label in (None, "#")
-    sat = saturate_pre_star(fig2, allowed, pa_from_words([(BOTTOM, "q4")]))
-    sat2 = saturate_pre_star(fig2, allowed, sat)
+    hash_only = restrict(fig2, allowed)
+    sat = saturate_pre_star(hash_only, pa_from_words([(BOTTOM, "q4")]))
+    sat2 = saturate_pre_star(hash_only, sat)
     for c in all_configs(fig2, 3):
         assert sat.accepts(c) == sat2.accepts(c)
 
@@ -118,7 +125,7 @@ def test_saturation_adds_no_states():
         for target in targets:
             known = set(pda.states) | target.finals | {e[i] for e in target.edges for i in (0, 2)}
             for allowed in (lambda t: True, lambda t: t.label is None):
-                sat = saturate_pre_star(pda, allowed, target)
+                sat = saturate_pre_star(restrict(pda, allowed), target)
                 for s, sym, t in sat.edges - target.edges:
                     assert s in pda.states and t in known, (fx.name, (s, sym, t))
 
@@ -228,7 +235,7 @@ def test_tail_set_heads_match_per_start_emptiness(monkeypatch):
     saturate = analysis.saturate_pre_star
     monkeypatch.setattr(
         analysis, "saturate_pre_star",
-        lambda pda, allowed, target: seeds.append(target) or saturate(pda, allowed, target),
+        lambda pda, target: seeds.append(target) or saturate(pda, target),
     )
     for name, pda in _tail_set_automata():
         for letter in pda.input_alphabet:
@@ -248,17 +255,20 @@ def test_tail_set_heads_match_per_start_emptiness(monkeypatch):
 
 
 def test_tail_set_work_does_not_grow_with_heads(monkeypatch):
+    # One summary, one saturation: the color layers filter its pop facts.
     fx = zoo.example23()
     det = determinize_moore(fx.automaton, fx.resolver)
-    evens = {t.color for t in det.transitions if t.color % 2 == 0}
-    bound = 2 * (1 + len(evens))
-    assert len(det.states) * (1 + len(det.stack_alphabet)) > 100 * bound
-    calls = {"nonempty": 0, "pops": 0}
-    nonempty, pops = analysis.parity_nonempty, analysis._Pops
+    assert len(det.states) * (1 + len(det.stack_alphabet)) > 100
+    calls = {"nonempty": 0, "pops": 0, "saturate": 0}
+    nonempty, pops, saturate = analysis.parity_nonempty, analysis._Pops, analysis._saturate
 
     def counting_nonempty(*args, **kwargs):
         calls["nonempty"] += 1
         return nonempty(*args, **kwargs)
+
+    def counting_saturate(*args, **kwargs):
+        calls["saturate"] += 1
+        return saturate(*args, **kwargs)
 
     class CountingPops(pops):
         def __init__(self, *args, **kwargs):
@@ -267,11 +277,23 @@ def test_tail_set_work_does_not_grow_with_heads(monkeypatch):
 
     monkeypatch.setattr(analysis, "parity_nonempty", counting_nonempty)
     monkeypatch.setattr(analysis, "_Pops", CountingPops)
+    monkeypatch.setattr(analysis, "_saturate", counting_saturate)
     for letter in det.input_alphabet:
-        calls.update(nonempty=0, pops=0)
+        calls.update(nonempty=0, pops=0, saturate=0)
         accepts_tail_of(det, letter)
-        assert calls["nonempty"] == 0, letter
-        assert 1 <= calls["pops"] <= bound, (letter, calls)
+        # One saturation for the pop summaries, one for pre*.
+        assert calls == {"nonempty": 0, "pops": 1, "saturate": 2}, (letter, calls)
+    six = zoo.parity_language(6).automaton
+    assert sorted({t.color for t in six.transitions if t.color % 2 == 0}) == [2, 4, 6]
+    queries = [
+        lambda: parity_nonempty(six),
+        lambda: lasso_membership(six, LassoWord(("1",), ("5", "6"))),
+        lambda: lasso_membership(six, LassoWord((), ("1",))),
+    ]
+    for query in queries:
+        calls.update(pops=0, saturate=0)
+        query()
+        assert calls["pops"] == calls["saturate"] == 1, calls
 
 
 def test_accepts_tail_of_all_odd():
@@ -363,34 +385,23 @@ def _pop_summary_automata():
         yield f"random {i}", random_pda(rng)
 
 
-def _layers(pda):
-    """The plain summary (None) and each even color."""
-    return [None] + sorted({t.color for t in pda.transitions if t.color % 2 == 0})
-
-
-def _fact(p, x, r, d, saw_d, saw_letter):
-    # Flag bits of a layer's fact key: 2 saw color d, 1 saw a letter.
-    return (p, x, r) if d is None else (p, x, r, 2 * saw_d + saw_letter)
-
-
-def _bounded_pops(pda, d, height):
-    """Pops ``(p, _X) =>* (r, _)`` of colors ``<= d``, by search over stacks of
-    at most ``height`` symbols above the bottom."""
+def _bounded_pops(pda, height):
+    """Pop facts ``(p, X, r, c, l)`` of the runs ``(p, _X) =>* (r, _)`` over
+    stacks of at most ``height`` symbols above the bottom: ``c`` is the run's
+    max color, ``l`` is 1 if it reads a letter."""
     found = set()
     for p in pda.states:
         for x in pda.stack_alphabet:
-            start = (p, (x,), False, False)
+            start = (p, (x,), -1, 0)
             seen = {start}
             work = [start]
             while work:
-                q, stack, saw_d, saw_letter = work.pop()
+                q, stack, c, l = work.pop()
                 for t in pda.by_source_top.get((q, stack[-1]), ()):
-                    if d is not None and t.color > d:
-                        continue
                     nxt = (t.target, stack[:-1] + t.push,
-                           saw_d or t.color == d, saw_letter or t.label is not None)
+                           max(c, t.color), l | (t.label is not None))
                     if not nxt[1]:
-                        found.add(_fact(p, x, t.target, d, *nxt[2:]))
+                        found.add((p, x, t.target, nxt[2], nxt[3]))
                     elif len(nxt[1]) <= height and nxt not in seen:
                         seen.add(nxt)
                         work.append(nxt)
@@ -399,26 +410,32 @@ def _bounded_pops(pda, d, height):
 
 def test_pop_facts_replay_as_pops():
     for name, pda in _pop_summary_automata():
-        for d in _layers(pda):
-            pops = analysis._Pops(pda.transitions, d)
-            for key in pops.defs:
-                p, x, r = key[:3]
-                ts = pops.expand(key)
-                run = replay(pda, ts, Configuration(p, (BOTTOM, x)))
-                assert run.last == Configuration(r, (BOTTOM,)), (name, d, key)
-                assert all(c.height >= 1 for c in run.configurations[:-1]), (name, d, key)
-                if d is not None:
-                    assert max(t.color for t in ts) <= d, (name, d, key)
-                saw_d = any(t.color == d for t in ts)
-                saw_letter = any(t.label is not None for t in ts)
-                assert key == _fact(p, x, r, d, saw_d, saw_letter), (name, d, key)
+        pops = analysis._Pops(pda.transitions)
+        for key in pops.defs:
+            p, x, r, c, l = key
+            ts = pops.expand(key)
+            run = replay(pda, ts, Configuration(p, (BOTTOM, x)))
+            assert run.last == Configuration(r, (BOTTOM,)), (name, key)
+            assert all(cfg.height >= 1 for cfg in run.configurations[:-1]), (name, key)
+            assert max(t.color for t in ts) == c, (name, key)
+            assert any(t.label is not None for t in ts) == l, (name, key)
 
 
 def test_pop_facts_include_every_bounded_pop():
     for name, pda in _pop_summary_automata():
-        for d in _layers(pda):
-            missing = _bounded_pops(pda, d, 3) - set(analysis._Pops(pda.transitions, d).defs)
-            assert not missing, (name, d, sorted(missing)[:3])
+        missing = _bounded_pops(pda, 3) - set(analysis._Pops(pda.transitions).defs)
+        assert not missing, (name, sorted(missing)[:3])
+
+
+def test_color_layer_facts_are_the_color_restricted_facts():
+    # A layer filters the shared facts by max color; that must be exactly
+    # what saturating the automaton's transitions of color <= d gives.
+    for name, pda in _pop_summary_automata():
+        facts = set(analysis._Pops(pda.transitions).defs)
+        for d in sorted({t.color for t in pda.transitions if t.color % 2 == 0}):
+            low = restrict(pda, lambda t: t.color <= d)
+            kept = {key for key in facts if key[3] <= d}
+            assert kept == set(analysis._Pops(low.transitions).defs), (name, d)
 
 
 # -- membership ---------------------------------------------------------------

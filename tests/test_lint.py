@@ -24,10 +24,50 @@ def unused_imports(source: str) -> list[str]:
     return [f"line {line}: {name}" for name, line in imported.items() if name not in used]
 
 
+def unused_private_names(source: str) -> list[str]:
+    """Module-level private functions, classes and constants the module never reads.
+
+    Private means one leading underscore; dunder names such as ``__all__``
+    are left alone.
+    """
+    tree = ast.parse(source)
+    defined = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            defined[node.name] = node.lineno
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                for name in ast.walk(target):
+                    if isinstance(name, ast.Name):
+                        defined[name.id] = node.lineno
+    read = {
+        node.id for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+    }
+    return [
+        f"line {line}: {name}" for name, line in defined.items()
+        if name.startswith("_") and not name.startswith("__") and name not in read
+    ]
+
+
 def test_the_check_sees_an_unused_import():
     source = "from .core import Configuration, step\n\nConfiguration('q', ())\n"
     assert unused_imports(source) == ["line 1: step"]
     assert unused_imports("import os.path\n\nos.sep\n") == []
+
+
+def test_the_check_sees_an_unused_private_name():
+    source = (
+        "def _used():\n    return _LIMIT\n\n"
+        "def _flags(t):\n    return 1\n\n"
+        "_LIMIT = 3\n_DEAD: int = 4\n__all__ = []\n\n"
+        "class _Gone:\n    pass\n\n"
+        "def public():\n    _x = 1\n    return _used()\n"
+    )
+    assert unused_private_names(source) == [
+        "line 4: _flags", "line 8: _DEAD", "line 11: _Gone",
+    ]
 
 
 def test_the_package_has_modules():
@@ -37,3 +77,8 @@ def test_the_package_has_modules():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_unused_private_names(path):
+    assert unused_private_names(path.read_text()) == []

@@ -6,7 +6,7 @@ import pytest
 from gfgpda import analysis, zoo
 from gfgpda.core import (
     BOTTOM, Configuration, FormatError, GuardExceeded, LassoWord, OmegaPDA, Transition,
-    parse_lasso, replay, validate,
+    parse_lasso, replay, step, validate,
 )
 from gfgpda.resolvers import (
     DetPushdown,
@@ -21,9 +21,7 @@ from gfgpda.resolvers import (
     format_moore,
     moore_as_pdt,
     moore_lasso_acceptance,
-    new_guided_run,
     parse_moore,
-    pdt_resolver_step,
     periodic_split,
     resolver_query,
     run_on_prefix,
@@ -45,15 +43,15 @@ def lss_fx():
 
 
 def test_ext_first_letter_pushes_a(ex23):
-    g = ext(ex23.automaton, ex23.resolver, new_guided_run(ex23.automaton, ex23.resolver), "a")
+    g = ext(ex23.automaton, ex23.resolver, run_on_prefix(ex23.automaton, ex23.resolver, ()), "a")
     assert len(g.run) == 1
     t = g.run.transitions[0]
     assert (t.source, t.label, t.target, t.push) == ("q0", "a", "q1", (BOTTOM, "A"))
 
 
 def test_ext_lss_first_plus_tracks_component_one(lss_fx):
-    letter = "(+,0)"
-    g = ext(lss_fx.automaton, lss_fx.resolver, new_guided_run(lss_fx.automaton, lss_fx.resolver), letter)
+    pda, r, letter = lss_fx.automaton, lss_fx.resolver, "(+,0)"
+    g = ext(pda, r, run_on_prefix(pda, r, ()), letter)
     t = g.run.transitions[0]
     assert t.source == "1" and t.target == "1" and t.push == (BOTTOM, "N")
 
@@ -80,7 +78,7 @@ def test_ext_consumes_one_letter_one_nonepsilon(ex23):
                     return t
             raise ResolverUndefined("no move")
 
-    g = new_guided_run(pda, GuessLate())
+    g = run_on_prefix(pda, GuessLate(), ())
     for i, letter in enumerate("01#"):
         g = ext(pda, GuessLate(), g, letter)
         assert g.letters_consumed == i + 1
@@ -101,7 +99,7 @@ def test_ext_resolver_stuck(ex23):
             return pda.transitions[5]  # d-transition needing top N
 
     with pytest.raises(ResolverStuck):
-        ext(pda, Stubborn(), new_guided_run(pda, Stubborn()), "a")
+        ext(pda, Stubborn(), run_on_prefix(pda, Stubborn(), ()), "a")
 
 
 def test_ext_epsilon_divergence():
@@ -124,7 +122,7 @@ def test_ext_epsilon_divergence():
             return pda.transitions[0]
 
     with pytest.raises(EpsilonDivergence):
-        ext(pda, Spinner(), new_guided_run(pda, Spinner()), "a")
+        ext(pda, Spinner(), run_on_prefix(pda, Spinner(), ()), "a")
 
 
 def test_run_on_prefix_acd_bcd(ex23):
@@ -293,7 +291,7 @@ def test_pdt_wrapping_moore_behaves_identically(ex23):
 def test_pdt_resolver_step_base_case(ex23):
     pda, r = ex23.automaton, ex23.resolver
     pdt = moore_as_pdt(pda, r)
-    t = pdt_resolver_step(pda, pdt, replay(pda, ()), "a")
+    t = resolver_query(pdt, replay(pda, ()), "a")
     assert t == pda.transitions[0]
 
 
@@ -302,7 +300,7 @@ def test_pdt_resolver_undefined(ex23):
     pdt = moore_as_pdt(pda, r)
     run = run_on_prefix(pda, pdt, "acd").run
     with pytest.raises(ResolverUndefined):
-        pdt_resolver_step(pda, pdt, run, "c")  # no output at (ad, c, A)
+        resolver_query(pdt, run, "c")  # no output at (ad, c, A)
 
 
 def test_det_pushdown_rejects_nondeterminism():
@@ -420,7 +418,7 @@ def test_lss_resolver_no_late_state_switch(lss_fx):
         (LassoWord(("(-,-)", "(-,-)"), ("(+,+)",)), 2),
     ]
     for w, k in cases:
-        g = new_guided_run(pda, r)
+        g = run_on_prefix(pda, r, ())
         for i in range(12):
             g = ext(pda, r, g, w.letter_at(i))
         cut = max(k, 1) + 1
@@ -445,6 +443,32 @@ def test_lss_resolver_tracks_first_argmin_of_prefix_energy(lss_fx):
                 firsts.append(levels.index(min(levels)))
             assert t.target == ("1" if firsts[0] <= firsts[1] else "2"), (word, k)
 
+
+
+def test_lss_resolver_advances_once_per_letter(lss_fx):
+    pda = lss_fx.automaton
+    r = zoo.LssResolver(pda)
+    calls = []
+    advance = r._advance
+    r._advance = lambda state, letter: calls.append(letter) or advance(state, letter)
+    word = tuple(random.Random(3).choice(pda.input_alphabet) for _ in range(1000))
+    assert len(run_on_prefix(pda, r, word).run) == 1000
+    assert calls == list(word)
+
+
+def test_lss_resolver_picks_as_its_advanced_state_says(lss_fx):
+    # pick reads each component's next first-argmin position without
+    # advancing the state; advancing and reading it there must agree.
+    pda = lss_fx.automaton
+    r = zoo.LssResolver(pda)
+    for w, _ in lss_fx.sample(seed=7, count=20):
+        state, c = r.start(), pda.initial_configuration()
+        for i in range(len(w.prefix) + 3 * len(w.loop)):
+            a = w.letter_at(i)
+            _, (_, _, min1), (_, _, min2) = r._advance(state, a)
+            t = r.pick(state, c, a)
+            assert (t.label, t.target) == (a, "1" if min1 <= min2 else "2"), (w, i)
+            state, c = r.feed(state, t), step(c, t)
 
 # -- Moore text format -----------------------------------------------------------------
 
