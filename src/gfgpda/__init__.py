@@ -12,7 +12,6 @@ from .core import (
     enabled,
     format_pda,
     is_deterministic,
-    lim_sup_color,
     parse_lasso,
     parse_pda,
     replay,
@@ -26,7 +25,6 @@ from .analysis import (
     accepts_tail_of,
     brute_force_lasso_oracle,
     lasso_membership,
-    normalize_colors,
     parity_nonempty,
     saturate_pre_star,
 )

@@ -108,18 +108,6 @@ class EmptinessWitness:
     loop_start: Configuration
 
 
-def pa_from_words(words: Iterable[tuple[str, ...]]) -> PAutomaton:
-    """Trie-shaped P-automaton accepting exactly the words ``stack + (state,)``."""
-    trie: dict[tuple[str, str], str] = {}
-    finals: set[str] = set()
-    for word in words:
-        cur = word[-1]
-        for sym in reversed(word[:-1]):
-            cur = trie.setdefault((cur, sym), f".n{len(trie)}")
-        finals.add(cur)
-    return PAutomaton(frozenset(finals), frozenset((s, sym, t) for (s, sym), t in trie.items()))
-
-
 def _pa_of_heads(pda: OmegaPDA, heads: Iterable[tuple[str, str]]) -> PAutomaton:
     """Accepts the configurations whose head ``(state, top)`` is in ``heads``."""
     edges = {(q, x, ".f" if x == BOTTOM else ".m") for q, x in heads}
@@ -128,17 +116,8 @@ def _pa_of_heads(pda: OmegaPDA, heads: Iterable[tuple[str, str]]) -> PAutomaton:
     return PAutomaton(frozenset({".f"}), frozenset(edges))
 
 
-def pa_universal(pda: OmegaPDA) -> PAutomaton:
-    """Accepts every configuration."""
-    return _pa_of_heads(pda, [(q, x) for q in pda.states for x in pda.gamma_bottom])
-
-
-def pa_empty() -> PAutomaton:
-    return PAutomaton(frozenset(), frozenset())
-
-
-def _saturate(transitions: Iterable[Transition], seeds: Iterable) -> dict:
-    """Saturated facts ``p -X-> r``, each mapped to its derivation.
+def _saturate(transitions: Iterable[Transition], seeds: Iterable) -> tuple[dict, dict]:
+    """Saturated facts ``p -X-> r``: each mapped to its derivation, and indexed.
 
     Esparza, Hansel, Rossmanith & Schwoon (CAV 2000): a pop
     ``(p, X) -> (r, eps)`` is a fact outright; a swap ``(p, X) -> (q, Y)``
@@ -154,7 +133,8 @@ def _saturate(transitions: Iterable[Transition], seeds: Iterable) -> dict:
     ``l = 0``.  So one fact set serves every color bound: the facts with
     ``c <= d`` are those of the transitions of color ``<= d``.  A
     derivation is the tuple of its parts in run order: transitions, then
-    the keys of earlier facts; a seed has the empty derivation.
+    the keys of earlier facts; a seed has the empty derivation.  The index
+    maps ``(p, X)`` to ``[(r, c, l, key)]`` in worklist order.
     """
     defs: dict = {}
     swaps: dict[tuple[str, str], list] = {}  # (q, Y) -> [(p, X, c, l, parts)]
@@ -190,7 +170,7 @@ def _saturate(transitions: Iterable[Transition], seeds: Iterable) -> dict:
             swaps.setdefault((r, t.push[0]), []).append((t.source, t.top, c0, l0, (t, key)))
             for r2, c2, l2, key2 in out.get((r, t.push[0]), ()):
                 add(t.source, t.top, r2, c0 if c0 > c2 else c2, l0 | l2, (t, key, key2))
-    return defs
+    return defs, out
 
 
 def saturate_pre_star(pda: OmegaPDA, target: PAutomaton) -> PAutomaton:
@@ -203,7 +183,7 @@ def saturate_pre_star(pda: OmegaPDA, target: PAutomaton) -> PAutomaton:
     saturating again is a fixpoint).  To restrict the rules, saturate an
     automaton with fewer transitions.
     """
-    facts = _saturate(pda.transitions, target.edges)
+    facts, _ = _saturate(pda.transitions, target.edges)
     return PAutomaton(target.finals, frozenset(key[:3] for key in facts))
 
 
@@ -215,14 +195,11 @@ def saturate_pre_star(pda: OmegaPDA, target: PAutomaton) -> PAutomaton:
 class _Pops:
     def __init__(self, transitions: Iterable[Transition]):
         """Pop summaries ``(p, X) -> [(r, c, l, key)]``: ``_saturate`` with no seed."""
-        self.defs = _saturate(transitions, ())
-        self.by_px: dict[tuple[str, str], list] = {}
-        for key in sorted(self.defs):  # once, for stable witnesses
-            self.by_px.setdefault(key[:2], []).append((*key[2:], key))
+        self.defs, self.by_head = _saturate(transitions, ())
 
     def results(self, p: str, x: str) -> list:
-        """(r, c, l, key) for pops of ``x`` from state ``p``."""
-        return self.by_px.get((p, x), [])
+        """(r, c, l, key) for pops of ``x`` from state ``p``, in worklist order."""
+        return self.by_head.get((p, x), [])
 
     def expand(self, *parts) -> tuple[Transition, ...]:
         """Flatten transitions and fact keys into one transition sequence."""
@@ -454,25 +431,6 @@ def parity_nonempty(
     return _Summary(pda).witness(start)
 
 
-def validate_witness(pda: OmegaPDA, w: EmptinessWitness, start: Optional[Configuration] = None):
-    """Raise if the witness does not certify nonemptiness."""
-    run = replay(pda, w.stem + w.loop + w.loop, start)
-    k = len(w.stem)
-    n = len(w.loop)
-    c0, c1, c2 = run.configurations[k], run.configurations[k + n], run.configurations[k + 2 * n]
-    if c0 != w.loop_start:
-        raise AssertionError("loop start mismatch")
-    for c in (c1, c2):
-        if c.state != c0.state or c.top != c0.top or c.height < c0.height:
-            raise AssertionError("loop does not pump")
-    if min(c.height for c in run.configurations[k:]) < c0.height:
-        raise AssertionError("loop dips below its start level")
-    if not any(t.label is not None for t in w.loop):
-        raise AssertionError("loop has no letter transition")
-    if max(t.color for t in w.loop) % 2 != 0:
-        raise AssertionError("loop max color is odd")
-
-
 # ---------------------------------------------------------------------------
 # Ultimately periodic membership.
 # ---------------------------------------------------------------------------
@@ -620,56 +578,8 @@ def _kosaraju(nodes: list, succ: dict) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# Color normalization and the #-tail configuration set.
+# The tail configuration set.
 # ---------------------------------------------------------------------------
-
-
-def normalize_colors(pda: OmegaPDA) -> OmegaPDA:
-    """Language-equivalent automaton with color-0 epsilon transitions.
-
-    A pending component accumulates the maximal color seen along an epsilon
-    sequence; letter transitions flush it, shifted up by 2 to stay nonzero
-    and parity-faithful.
-    """
-
-    def name(q: str, p: Optional[int]) -> str:
-        return f"{q}~{'-' if p is None else p}"
-
-    by_source: dict[str, list[Transition]] = {}
-    for t in pda.transitions:
-        by_source.setdefault(t.source, []).append(t)
-
-    def bump(p: Optional[int], c: int) -> int:
-        return c if p is None else max(p, c)
-
-    start = (pda.initial, None)
-    seen = {start}
-    queue = deque([start])
-    states = [start]
-    transitions = []
-    while queue:
-        q, p = queue.popleft()
-        for t in by_source.get(q, ()):
-            if t.label is None:
-                nxt = (t.target, bump(p, t.color))
-                color = 0
-            else:
-                nxt = (t.target, None)
-                color = bump(p, t.color) + 2
-            transitions.append(
-                Transition(name(q, p), t.top, t.label, name(*nxt), t.push, color)
-            )
-            if nxt not in seen:
-                seen.add(nxt)
-                states.append(nxt)
-                queue.append(nxt)
-    return OmegaPDA(
-        tuple(name(*s) for s in states),
-        pda.input_alphabet,
-        pda.stack_alphabet,
-        name(*start),
-        tuple(transitions),
-    )
 
 
 def accepts_tail_of(pda: OmegaPDA, tail_letter: str) -> PAutomaton:

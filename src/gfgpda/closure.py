@@ -12,7 +12,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
-from .core import Configuration, FormatError, LassoWord, OmegaPDA, Transition, read_declarations
+from .core import Configuration, FormatError, OmegaPDA, Transition, read_declarations
 from .resolvers import Resolver, ResolverStuck
 
 MODES = ("intersect", "union", "minus")
@@ -51,24 +51,6 @@ class DeterministicParityAutomaton:
         return min(self.colors.values())
 
 
-def dpa_lasso_verdict(dpa: DeterministicParityAutomaton, w: LassoWord) -> bool:
-    """Direct deterministic simulation of the unique run on ``u . v^omega``."""
-    state = dpa.initial
-    for a in w.prefix:
-        state = dpa.delta[(state, a)]
-    seen: dict[tuple[str, int], int] = {}
-    trace: list[int] = []
-    pos = 0
-    while (state, pos) not in seen:
-        seen[(state, pos)] = len(trace)
-        a = w.loop[pos]
-        trace.append(dpa.colors[(state, a)])
-        state = dpa.delta[(state, a)]
-        pos = (pos + 1) % len(w.loop)
-    start = seen[(state, pos)]
-    return max(trace[start:]) % 2 == 0
-
-
 @dataclass(frozen=True)
 class LARState:
     """Permutation of occurring (pda color, dpa color) pairs plus hit position."""
@@ -99,27 +81,6 @@ def lar_color(mode: str, lar: LARState) -> int:
     """Parity color of an update: even iff the recurring record set satisfies the mode."""
     record = frozenset(lar.permutation[: lar.hit + 1])
     return 2 * lar.hit + 2 if muller_accepts(mode, record) else 2 * lar.hit + 1
-
-
-def lar_verdict(mode: str, pairs: list[tuple[int, int]], loop_from: int) -> bool:
-    """LAR-translated parity verdict of an ultimately periodic pair-color sequence."""
-    alphabet = tuple(sorted(set(pairs)))
-    lar = LARState(alphabet, 0)
-    seen: dict[tuple[LARState, int], int] = {}
-    colors: list[int] = []
-    i = loop_from
-    prefix = pairs[:loop_from]
-    loop = pairs[loop_from:]
-    for p in prefix:
-        lar = lar_update(lar, p)
-        colors.append(lar_color(mode, lar))
-    pos = 0
-    while (lar, pos) not in seen:
-        seen[(lar, pos)] = len(colors)
-        lar = lar_update(lar, loop[pos])
-        colors.append(lar_color(mode, lar))
-        pos = (pos + 1) % len(loop)
-    return max(colors[seen[(lar, pos)] :]) % 2 == 0
 
 
 @dataclass(frozen=True)

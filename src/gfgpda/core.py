@@ -337,15 +337,6 @@ def check_visibly(
     return (not diags, diags)
 
 
-def lim_sup_color(colors: Iterable[int]) -> tuple[int, bool]:
-    """Max color of a loop and whether repeating it forever is accepting."""
-    cs = list(colors)
-    if not cs:
-        raise ValueError("color multiset must be nonempty")
-    m = max(cs)
-    return m, m % 2 == 0
-
-
 # ---------------------------------------------------------------------------
 # Text formats.
 # ---------------------------------------------------------------------------
@@ -407,7 +398,7 @@ def push_from_text(text: str) -> tuple[str, ...]:
         rest = text[1:]
         if rest.startswith("."):
             rest = rest[1:]
-        return (BOTTOM,) + ((rest,) if rest else ())
+        return (BOTTOM,) + (tuple(rest.split(".")) if rest else ())
     return tuple(text.split("."))
 
 

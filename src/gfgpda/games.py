@@ -92,12 +92,6 @@ class GaleStewartSpec:
             out.append("condition alphabet and pairing domain differ")
         return out
 
-    def letter_of(self, a1: str, a2: str) -> str:
-        for letter, pair in self.pairing.items():
-            if pair == (a1, a2):
-                return letter
-        raise KeyError((a1, a2))
-
 
 def make_universality_spec(pda: OmegaPDA, gfg_claimed: bool = True) -> GaleStewartSpec:
     """Universality of L as the game over {(w, #^omega) : w in L}."""
@@ -144,46 +138,6 @@ class PdInfo:
 
     def letter_for(self, a1: str, a2: str) -> str:
         return self.pairing_rev[(a1, a2)]
-
-    def encode_blocks(self, pairs, transitions) -> list[str]:
-        """Block encoding of (pair word, condition run); fillers repeat a1."""
-        out = []
-        i = 0
-        for a1, a2 in pairs:
-            out.append(self.pd_letter(a1, a2))
-            block_letter = None
-            while block_letter is None:
-                if i >= len(transitions):
-                    raise ValueError("run ended before processing the pair word")
-                t = transitions[i]
-                i += 1
-                out.append(self.pd_letter(a1, self.transition_ids[t]))
-                block_letter = t.label
-            if block_letter != self.letter_for(a1, a2):
-                raise ValueError(f"run processes {block_letter!r}, word has ({a1},{a2})")
-        if i != len(transitions):
-            raise ValueError("trailing transitions after the pair word")
-        return out
-
-    def decode(self, letters) -> tuple[list[tuple[str, str]], list[Transition]]:
-        """Inverse of the block encoding; raises on malformed input."""
-        pairs: list[tuple[str, str]] = []
-        transitions: list[Transition] = []
-        expecting_pair = True
-        for letter in letters:
-            a1, kind, payload = self.decomp[letter]
-            if expecting_pair:
-                if kind != "a2":
-                    raise ValueError(f"expected a pair letter, got {letter!r}")
-                pairs.append((a1, payload))
-                expecting_pair = False
-            else:
-                if kind != "tr":
-                    raise ValueError(f"expected a transition letter, got {letter!r}")
-                transitions.append(payload)
-                if payload.label is not None:
-                    expecting_pair = True
-        return pairs, transitions
 
 
 def build_pd(spec: GaleStewartSpec) -> tuple[OmegaPDA, PdInfo]:
@@ -448,14 +402,6 @@ class PushdownSolveResult:
     stats: dict
 
 
-def embed_finite_game(g: FiniteParityGame, initial) -> PushdownParityGame:
-    """A finite parity game as a stackless pushdown game."""
-    moves = tuple(
-        GameMove(u, BOTTOM, v, (BOTTOM,), c) for (u, c, v) in g.edges
-    )
-    return PushdownParityGame(g.vertices, (), initial, dict(g.owner), moves)
-
-
 def solve_pushdown_parity_game(
     game: PushdownParityGame, budget: int = 5_000_000
 ) -> PushdownSolveResult:
@@ -465,7 +411,8 @@ def solve_pushdown_parity_game(
     and the arena goes to ``solve_parity_ids`` as int edges.  Overflow edges
     point at one paradise id, whose loop is colored for one player at a time;
     a player winning their pessimistic truncation wins the full game.  The
-    height grows until conclusive or the vertex budget is exhausted.
+    height grows until conclusive; the vertices of all truncations count
+    against the budget as they are numbered.
     """
     moves_at = game.moves_at
     cmax = max((m.color for m in game.moves), default=0)
@@ -473,7 +420,13 @@ def solve_pushdown_parity_game(
     start = (game.initial, (BOTTOM,))
     total = 0
     height = 1
+
+    def over(vertices: int) -> ResourceExceeded:
+        return ResourceExceeded(f"{vertices} truncated-arena vertices exceed the budget {budget}")
+
     while True:
+        if total >= budget:
+            raise over(total + 1)
         ids = {start: 0}
         order = [start]
         edges: list = []  # (u, color, v), v None on overflow
@@ -490,13 +443,11 @@ def solve_pushdown_parity_game(
                     v = ids.setdefault(nxt, len(order))
                     if v == len(order):
                         order.append(nxt)
+                        if total + len(order) > budget:
+                            raise over(total + len(order))
                 edges.append((u, m.color, v))
                 edge_moves.append(m)
         total += len(order)
-        if total > budget:
-            raise ResourceExceeded(
-                f"{total} truncated-arena vertices exceed the budget {budget}"
-            )
 
         stats = {"vertices": total, "height": height}
         owner = [game.owner[state] for state, _ in order]
@@ -638,19 +589,13 @@ class StrategyPDT:
 
     def round(self, cfg: Configuration, letter: str) -> tuple[Configuration, str]:
         nxt = self.machine.consume(cfg, letter)
-        try:
-            return nxt, self.output[nxt.state]
-        except KeyError:
-            raise PdaError(f"strategy output undefined at {nxt.state}") from None
+        return nxt, self.output_at(nxt)
 
-    def respond(self, word) -> str:
-        cfg = self.start()
-        out = None
-        for a in word:
-            cfg, out = self.round(cfg, a)
-        if out is None:
-            raise ValueError("strategies are defined on nonempty words")
-        return out
+    def output_at(self, cfg: Configuration) -> str:
+        try:
+            return self.output[cfg.state]
+        except KeyError:
+            raise PdaError(f"strategy output undefined at {cfg.state}") from None
 
 
 def extract_strategy_pdt(gs: GsResult) -> StrategyPDT:
@@ -822,7 +767,9 @@ def synthesize_strategy_pdt(spec: GaleStewartSpec, budget: int = 5_000_000) -> S
 
 def simulate_play(strategy: StrategyPDT, adam: LassoWord, guard: int = 2000) -> LassoWord:
     """Deterministic co-simulation; the outcome lasso is detected at a
-    repeated (transducer state, top symbol, adam position) step."""
+    repeated (transducer state, top symbol, adam position) step.  Every
+    configuration of a round counts, epsilon closure included: a round that
+    dips below a candidate step and rebuilds the stack cancels it."""
     cfg = strategy.start()
     outcome: list[str] = []
     pos = 0
@@ -832,8 +779,9 @@ def simulate_play(strategy: StrategyPDT, adam: LassoWord, guard: int = 2000) -> 
         if cut is not None:
             return LassoWord(tuple(outcome[:cut]), tuple(outcome[cut:]))
         x1 = adam.letter_at(pos)
-        cfg, a2 = strategy.round(cfg, x1)
-        outcome.append(pair_id(x1, a2))
+        for cfg in strategy.machine.trail(cfg, x1):
+            lasso.dip(cfg.height)
+        outcome.append(pair_id(x1, strategy.output_at(cfg)))
         pos = adam.next_position(pos)
         if len(outcome) > guard:
             raise GuardExceeded(f"no outcome lasso within {guard} rounds")
@@ -841,13 +789,13 @@ def simulate_play(strategy: StrategyPDT, adam: LassoWord, guard: int = 2000) -> 
 
 def compose_sigma_d(
     spec: GaleStewartSpec, sigma: Callable[[tuple[str, ...]], str], resolver: Resolver,
-    info: Optional[PdInfo] = None,
+    info: PdInfo,
 ) -> Callable[[tuple[str, ...]], str]:
-    """Strategy for the block game from a strategy for the original game plus
-    a resolver: alternate between simulating sigma's letter choice and letting
-    the resolver build the run infix that processes it."""
-    if info is None:
-        info = build_pd(spec)[1]
+    """The paper's sigma_D from the game reduction, kept as a construction
+    although no other routine calls it: a strategy for the block game of
+    ``build_pd(spec)`` (with ``info``) from a strategy for the original game
+    plus a resolver.  It alternates between simulating sigma's letter choice
+    and letting the resolver build the run infix that processes it."""
     cache: dict[tuple[str, ...], str] = {}
 
     def sd(v: tuple[str, ...]) -> str:
@@ -865,7 +813,7 @@ def compose_sigma_d(
             else:
                 history = [info.transition_of(y) for y in outputs if y not in spec.sigma2]
                 j_prime = max(j for j in range(len(outputs)) if outputs[j] in spec.sigma2)
-                pending = spec.letter_of(v[j_prime], outputs[j_prime])
+                pending = info.letter_for(v[j_prime], outputs[j_prime])
                 run = replay(spec.condition, tuple(history))
                 tr = resolver_query(resolver, run, pending)
                 out = info.transition_ids[tr]

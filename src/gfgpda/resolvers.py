@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Any, Hashable, Optional
+from typing import Any, Hashable, Iterator, Optional
 
 from .core import (
     BOTTOM,
@@ -333,21 +333,33 @@ class DetPushdown:
         return Configuration(self.initial, (BOTTOM,))
 
     def close(self, c: Configuration) -> Configuration:
-        steps = 0
-        while True:
+        for c in self._epsilon_steps(c):
+            pass
+        return c
+
+    def _epsilon_steps(self, c: Configuration) -> Iterator[Configuration]:
+        for _ in range(10_001):
             rule = self.rule_at(c.state, c.top, None)
             if rule is None:
-                return c
+                return
             c = Configuration(rule.target, c.stack[:-1] + rule.push)
-            steps += 1
-            if steps > 10_000:
-                raise TransducerStuck("epsilon divergence in transducer")
+            yield c
+        raise TransducerStuck("epsilon divergence in transducer")
 
-    def consume(self, c: Configuration, symbol) -> Configuration:
+    def trail(self, c: Configuration, symbol) -> Iterator[Configuration]:
+        """Each configuration of reading ``symbol`` at ``c``: after its rule,
+        then after each rule of the epsilon closure."""
         rule = self.rule_at(c.state, c.top, symbol)
         if rule is None:
             raise TransducerStuck(f"no rule for {symbol!r} at ({c.state}, {c.top})")
-        return self.close(Configuration(rule.target, c.stack[:-1] + rule.push))
+        c = Configuration(rule.target, c.stack[:-1] + rule.push)
+        yield c
+        yield from self._epsilon_steps(c)
+
+    def consume(self, c: Configuration, symbol) -> Configuration:
+        for c in self.trail(c, symbol):
+            pass
+        return c
 
     def violations(self) -> list[str]:
         """Determinism diagnostics (unique per key; epsilon excludes symbols)."""
@@ -395,7 +407,8 @@ class PDTResolver(Resolver):
 
 
 def moore_as_pdt(pda: OmegaPDA, m: MooreResolver) -> PDTResolver:
-    """Wrap a Moore resolver as a stack-less pushdown transducer."""
+    """A Moore resolver as a stack-less pushdown transducer, as in the paper;
+    kept as a construction although no other routine calls it."""
     rules = [
         PdtRule(mm, BOTTOM, t, m2, (BOTTOM,))
         for (mm, t), m2 in sorted(m.delta.items(), key=str)

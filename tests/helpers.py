@@ -1,19 +1,226 @@
-"""Shared game fixtures and independent oracles for the test suite."""
+"""Shared fixtures, builders and independent oracles for the test suite."""
 
 from __future__ import annotations
 
 import random
 from collections import deque
+from typing import Iterable, Optional
 
-from gfgpda.core import BOTTOM, LassoWord, OmegaPDA, Transition, step
+from gfgpda.analysis import EmptinessWitness, PAutomaton, _pa_of_heads
+from gfgpda.closure import DeterministicParityAutomaton, LARState, lar_color, lar_update
+from gfgpda.core import BOTTOM, Configuration, LassoWord, OmegaPDA, Transition, replay, step
 from gfgpda.games import (
     ADAM,
     EVE,
     FiniteParityGame,
     GaleStewartSpec,
+    GameMove,
+    PdInfo,
+    PushdownParityGame,
+    StrategyPDT,
     pair_id,
 )
 from gfgpda.resolvers import Resolver
+
+
+# ---------------------------------------------------------------------------
+# P-automata, witnesses and color normalization.
+# ---------------------------------------------------------------------------
+
+
+def pa_from_words(words: Iterable[tuple[str, ...]]) -> PAutomaton:
+    """Trie-shaped P-automaton accepting exactly the words ``stack + (state,)``."""
+    trie: dict[tuple[str, str], str] = {}
+    finals: set[str] = set()
+    for word in words:
+        cur = word[-1]
+        for sym in reversed(word[:-1]):
+            cur = trie.setdefault((cur, sym), f".n{len(trie)}")
+        finals.add(cur)
+    return PAutomaton(frozenset(finals), frozenset((s, sym, t) for (s, sym), t in trie.items()))
+
+
+def pa_universal(pda: OmegaPDA) -> PAutomaton:
+    """Accepts every configuration."""
+    return _pa_of_heads(pda, [(q, x) for q in pda.states for x in pda.gamma_bottom])
+
+
+def pa_empty() -> PAutomaton:
+    return PAutomaton(frozenset(), frozenset())
+
+
+def validate_witness(pda: OmegaPDA, w: EmptinessWitness, start: Optional[Configuration] = None):
+    """Raise if the witness does not certify nonemptiness."""
+    run = replay(pda, w.stem + w.loop + w.loop, start)
+    k = len(w.stem)
+    n = len(w.loop)
+    c0, c1, c2 = run.configurations[k], run.configurations[k + n], run.configurations[k + 2 * n]
+    if c0 != w.loop_start:
+        raise AssertionError("loop start mismatch")
+    for c in (c1, c2):
+        if c.state != c0.state or c.top != c0.top or c.height < c0.height:
+            raise AssertionError("loop does not pump")
+    if min(c.height for c in run.configurations[k:]) < c0.height:
+        raise AssertionError("loop dips below its start level")
+    if not any(t.label is not None for t in w.loop):
+        raise AssertionError("loop has no letter transition")
+    if max(t.color for t in w.loop) % 2 != 0:
+        raise AssertionError("loop max color is odd")
+
+
+def normalize_colors(pda: OmegaPDA) -> OmegaPDA:
+    """Language-equivalent automaton with color-0 epsilon transitions.
+
+    A pending component accumulates the maximal color seen along an epsilon
+    sequence; letter transitions flush it, shifted up by 2 to stay nonzero
+    and parity-faithful.
+    """
+
+    def name(q: str, p: Optional[int]) -> str:
+        return f"{q}~{'-' if p is None else p}"
+
+    by_source: dict[str, list[Transition]] = {}
+    for t in pda.transitions:
+        by_source.setdefault(t.source, []).append(t)
+
+    def bump(p: Optional[int], c: int) -> int:
+        return c if p is None else max(p, c)
+
+    start = (pda.initial, None)
+    seen = {start}
+    queue = deque([start])
+    states = [start]
+    transitions = []
+    while queue:
+        q, p = queue.popleft()
+        for t in by_source.get(q, ()):
+            if t.label is None:
+                nxt = (t.target, bump(p, t.color))
+                color = 0
+            else:
+                nxt = (t.target, None)
+                color = bump(p, t.color) + 2
+            transitions.append(
+                Transition(name(q, p), t.top, t.label, name(*nxt), t.push, color)
+            )
+            if nxt not in seen:
+                seen.add(nxt)
+                states.append(nxt)
+                queue.append(nxt)
+    return OmegaPDA(
+        tuple(name(*s) for s in states),
+        pda.input_alphabet,
+        pda.stack_alphabet,
+        name(*start),
+        tuple(transitions),
+    )
+
+
+# ---------------------------------------------------------------------------
+# Closure oracles: direct DPA simulation and LAR verdicts.
+# ---------------------------------------------------------------------------
+
+
+def dpa_lasso_verdict(dpa: DeterministicParityAutomaton, w: LassoWord) -> bool:
+    """Direct deterministic simulation of the unique run on ``u . v^omega``."""
+    state = dpa.initial
+    for a in w.prefix:
+        state = dpa.delta[(state, a)]
+    seen: dict[tuple[str, int], int] = {}
+    trace: list[int] = []
+    pos = 0
+    while (state, pos) not in seen:
+        seen[(state, pos)] = len(trace)
+        a = w.loop[pos]
+        trace.append(dpa.colors[(state, a)])
+        state = dpa.delta[(state, a)]
+        pos = (pos + 1) % len(w.loop)
+    start = seen[(state, pos)]
+    return max(trace[start:]) % 2 == 0
+
+
+def lar_verdict(mode: str, pairs: list[tuple[int, int]], loop_from: int) -> bool:
+    """LAR-translated parity verdict of an ultimately periodic pair-color sequence."""
+    alphabet = tuple(sorted(set(pairs)))
+    lar = LARState(alphabet, 0)
+    seen: dict[tuple[LARState, int], int] = {}
+    colors: list[int] = []
+    prefix = pairs[:loop_from]
+    loop = pairs[loop_from:]
+    for p in prefix:
+        lar = lar_update(lar, p)
+        colors.append(lar_color(mode, lar))
+    pos = 0
+    while (lar, pos) not in seen:
+        seen[(lar, pos)] = len(colors)
+        lar = lar_update(lar, loop[pos])
+        colors.append(lar_color(mode, lar))
+        pos = (pos + 1) % len(loop)
+    return max(colors[seen[(lar, pos)] :]) % 2 == 0
+
+
+# ---------------------------------------------------------------------------
+# Games: block encodings, embedded finite games, strategy responses.
+# ---------------------------------------------------------------------------
+
+
+def encode_blocks(info: PdInfo, pairs, transitions) -> list[str]:
+    """Block encoding of (pair word, condition run); fillers repeat a1."""
+    out = []
+    i = 0
+    for a1, a2 in pairs:
+        out.append(info.pd_letter(a1, a2))
+        block_letter = None
+        while block_letter is None:
+            if i >= len(transitions):
+                raise ValueError("run ended before processing the pair word")
+            t = transitions[i]
+            i += 1
+            out.append(info.pd_letter(a1, info.transition_ids[t]))
+            block_letter = t.label
+        if block_letter != info.letter_for(a1, a2):
+            raise ValueError(f"run processes {block_letter!r}, word has ({a1},{a2})")
+    if i != len(transitions):
+        raise ValueError("trailing transitions after the pair word")
+    return out
+
+
+def decode_blocks(info: PdInfo, letters) -> tuple[list[tuple[str, str]], list[Transition]]:
+    """Inverse of ``encode_blocks``; raises on malformed input."""
+    pairs: list[tuple[str, str]] = []
+    transitions: list[Transition] = []
+    expecting_pair = True
+    for letter in letters:
+        a1, kind, payload = info.decomp[letter]
+        if expecting_pair:
+            if kind != "a2":
+                raise ValueError(f"expected a pair letter, got {letter!r}")
+            pairs.append((a1, payload))
+            expecting_pair = False
+        else:
+            if kind != "tr":
+                raise ValueError(f"expected a transition letter, got {letter!r}")
+            transitions.append(payload)
+            if payload.label is not None:
+                expecting_pair = True
+    return pairs, transitions
+
+
+def embed_finite_game(g: FiniteParityGame, initial) -> PushdownParityGame:
+    """A finite parity game as a stackless pushdown game."""
+    moves = tuple(GameMove(u, BOTTOM, v, (BOTTOM,), c) for (u, c, v) in g.edges)
+    return PushdownParityGame(g.vertices, (), initial, dict(g.owner), moves)
+
+
+def respond(strategy: StrategyPDT, word) -> str:
+    """The strategy's answer to the last letter of a nonempty word."""
+    cfg = strategy.start()
+    out = None
+    for a in word:
+        cfg, out = strategy.round(cfg, a)
+    if out is None:
+        raise ValueError("strategies are defined on nonempty words")
+    return out
 
 
 def random_pda(rng: random.Random) -> OmegaPDA:

@@ -10,8 +10,6 @@ import time
 from gfgpda import analysis, zoo
 from gfgpda.closure import (
     DeterministicParityAutomaton,
-    dpa_lasso_verdict,
-    lar_verdict,
     muller_accepts,
     product,
 )
@@ -20,7 +18,6 @@ from gfgpda.games import (
     ADAM,
     EVE,
     build_pd,
-    embed_finite_game,
     make_universality_spec,
     pair_id,
     simulate_play,
@@ -33,8 +30,13 @@ from gfgpda.zoo import all_fixtures
 
 from helpers import (
     copycat_spec,
+    decode_blocks,
+    dpa_lasso_verdict,
+    embed_finite_game,
+    encode_blocks,
     eps_block_spec,
     finite_game_oracle,
+    lar_verdict,
     mapped_resolver,
     pq_drain_spec,
     random_adam_lassos,
@@ -191,8 +193,8 @@ def test_criterion_8_pd_round_trip():
             pairs = [(w.letter_at(i), "#") for i in range(split.stem_letters + split.loop_letters)]
             stem_pairs = pairs[: split.stem_letters]
             loop_pairs = pairs[split.stem_letters:]
-            enc_stem = info.encode_blocks(stem_pairs, split.stem_transitions)
-            enc_loop = info.encode_blocks(loop_pairs, split.loop_transitions)
+            enc_stem = encode_blocks(info, stem_pairs, split.stem_transitions)
+            enc_loop = encode_blocks(info, loop_pairs, split.loop_transitions)
             encoding = LassoWord(tuple(enc_stem), tuple(enc_loop))
             encodings.append((pd, info, spec, encoding))
 
@@ -218,12 +220,12 @@ def test_criterion_8_pd_round_trip():
             except ValueError:
                 continue
             sampled += 1
-            pairs, run = info.decode(v.prefix + v.loop)
-            _, loop_run = info.decode(v.prefix + v.loop)
+            pairs, run = decode_blocks(info, v.prefix + v.loop)
+            _, loop_run = decode_blocks(info, v.prefix + v.loop)
             from gfgpda.core import replay
 
             replay(spec.condition, tuple(run))
-            _, stem_run = info.decode(v.prefix) if v.prefix else ([], [])
+            _, stem_run = decode_blocks(info, v.prefix) if v.prefix else ([], [])
             loop_trs = run[len(stem_run):]
             if loop_trs and max(t.color for t in loop_trs) % 2 == 0:
                 decoded_ok += 1

@@ -10,19 +10,16 @@ from gfgpda.analysis import (
     accepts_tail_of,
     brute_force_lasso_oracle,
     lasso_membership,
-    normalize_colors,
-    pa_empty,
-    pa_from_words,
-    pa_universal,
     parity_nonempty,
     saturate_pre_star,
-    validate_witness,
 )
 from gfgpda.core import (
     BOTTOM, Configuration, LassoWord, OmegaPDA, Transition, parse_lasso, replay,
 )
 from gfgpda.resolvers import determinize_moore
-from helpers import random_pda
+from helpers import (
+    normalize_colors, pa_empty, pa_from_words, pa_universal, random_pda, validate_witness,
+)
 
 
 @pytest.fixture(scope="module")
@@ -419,6 +416,19 @@ def test_pop_facts_replay_as_pops():
             assert all(cfg.height >= 1 for cfg in run.configurations[:-1]), (name, key)
             assert max(t.color for t in ts) == c, (name, key)
             assert any(t.label is not None for t in ts) == l, (name, key)
+
+
+def test_pop_index_lists_each_fact_once_under_its_head():
+    # The index is the saturation's own, in worklist order: each fact once,
+    # under (p, X), with its derivation in the fact table.
+    for name, pda in _pop_summary_automata():
+        pops = analysis._Pops(pda.transitions)
+        listed = [(p, x, *entry[:3]) for (p, x), entries in pops.by_head.items()
+                  for entry in entries]
+        assert sorted(listed) == sorted(pops.defs), name
+        for (p, x), entries in pops.by_head.items():
+            assert pops.results(p, x) == entries
+            assert all(entry[3] == (p, x, *entry[:3]) for entry in entries), name
 
 
 def test_pop_facts_include_every_bounded_pop():

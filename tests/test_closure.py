@@ -7,9 +7,7 @@ from gfgpda import analysis, zoo
 from gfgpda.closure import (
     AlphabetMismatch,
     DeterministicParityAutomaton,
-    dpa_lasso_verdict,
     format_dpa,
-    lar_verdict,
     lift_resolver,
     muller_accepts,
     parse_dpa,
@@ -18,6 +16,7 @@ from gfgpda.closure import (
 )
 from gfgpda.core import BOTTOM, LassoWord, OmegaPDA, Transition, parse_lasso, validate
 from gfgpda.resolvers import moore_lasso_acceptance, run_on_prefix, verify_resolver
+from helpers import dpa_lasso_verdict, lar_verdict
 
 
 def one_state_dpa(alphabet, color):

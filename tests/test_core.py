@@ -14,7 +14,6 @@ from gfgpda.core import (
     format_pda,
     is_deterministic,
     check_visibly,
-    lim_sup_color,
     parse_lasso,
     parse_pda,
     replay,
@@ -179,12 +178,6 @@ def test_check_visibly_rejects_epsilon():
 def test_check_visibly_bad_partition(fig2):
     with pytest.raises(BadPartition):
         check_visibly(fig2, (["a"], ["a"], ["b"]))
-
-
-def test_lim_sup_color():
-    assert lim_sup_color([1, 2, 1]) == (2, True)
-    assert lim_sup_color([1]) == (1, False)
-    assert lim_sup_color([0]) == (0, True)
 
 
 def test_parse_lasso_forms():

@@ -21,7 +21,7 @@ from gfgpda.zoo import (
     _in_repbdd,
     _in_twopump,
 )
-from helpers import random_pda
+from helpers import normalize_colors, random_pda, validate_witness
 
 
 def all_lassos(alphabet, max_prefix, max_loop):
@@ -93,7 +93,7 @@ def test_normalize_colors_agrees_on_random_automata():
     rng = random.Random(654)
     for _ in range(60):
         pda = random_pda(rng)
-        norm = analysis.normalize_colors(pda)
+        norm = normalize_colors(pda)
         for _ in range(3):
             u = tuple(rng.choice(pda.input_alphabet) for _ in range(rng.randint(0, 2)))
             v = tuple(rng.choice(pda.input_alphabet) for _ in range(rng.randint(1, 2)))
@@ -109,5 +109,5 @@ def test_emptiness_witnesses_on_random_automata():
         witness = analysis.parity_nonempty(pda)
         if witness is not None:
             nonempty += 1
-            analysis.validate_witness(pda, witness)
+            validate_witness(pda, witness)
     assert nonempty > 30

@@ -17,9 +17,9 @@ from gfgpda.games import (
     Player1Wins,
     PushdownParityGame,
     ResourceExceeded,
+    StrategyPDT,
     build_pd,
     compose_sigma_d,
-    embed_finite_game,
     extract_strategy_pdt,
     format_gs_spec,
     format_strategy_pdt,
@@ -36,17 +36,21 @@ from gfgpda.games import (
     synthesize_strategy_pdt,
     universality,
 )
-from gfgpda.resolvers import periodic_split
+from gfgpda.resolvers import DetPushdown, PdtRule, periodic_split
 
 from helpers import (
     _strategy_wins,
     copycat_spec,
+    decode_blocks,
+    embed_finite_game,
+    encode_blocks,
     eps_block_spec,
     finite_game_oracle,
     mapped_resolver,
     pq_drain_spec,
     random_adam_lassos,
     random_finite_game,
+    respond,
 )
 
 
@@ -84,17 +88,17 @@ def test_build_pd_accepts_encoded_accepting_run():
     prefix_run = [relabeled[0]]
     loop_pairs = [("b", "#")]
     loop_run = [relabeled[5]]
-    enc_prefix = info.encode_blocks(prefix_pairs, prefix_run)
-    enc_loop = info.encode_blocks(loop_pairs, loop_run)
+    enc_prefix = encode_blocks(info, prefix_pairs, prefix_run)
+    enc_loop = encode_blocks(info, loop_pairs, loop_run)
     w = LassoWord(tuple(enc_prefix), tuple(enc_loop))
     assert analysis.lasso_membership(pd, w)
     # the rejecting branch: staying on the black state forever
     loop_pairs_bad = [("a", "#")]
     loop_run_bad = [relabeled[6]]
-    stem = info.encode_blocks([("a", "#")], [relabeled[0]]) + info.encode_blocks(
+    stem = encode_blocks(info, [("a", "#")], [relabeled[0]]) + encode_blocks(info, 
         [("a", "#")], [relabeled[4]]
     )
-    enc_bad = info.encode_blocks(loop_pairs_bad, loop_run_bad)
+    enc_bad = encode_blocks(info, loop_pairs_bad, loop_run_bad)
     assert not analysis.lasso_membership(pd, LassoWord(tuple(stem), tuple(enc_bad)))
 
 
@@ -108,8 +112,8 @@ def test_build_pd_rejects_run_construction_starvation():
     assert not analysis.lasso_membership(pd, LassoWord((pair,), (letter,)))
     # while the well-formed encoding is accepted (epsilon fires once, at the start)
     t0, t1 = spec.condition.transitions
-    good_prefix = info.encode_blocks([("a", "z")], [t0, t1])
-    good_loop = info.encode_blocks([("a", "z")], [t1])
+    good_prefix = encode_blocks(info, [("a", "z")], [t0, t1])
+    good_loop = encode_blocks(info, [("a", "z")], [t1])
     assert analysis.lasso_membership(pd, LassoWord(tuple(good_prefix), tuple(good_loop)))
 
 
@@ -125,8 +129,8 @@ def test_pd_decode_inverts_encode():
     split = periodic_split(spec.condition, r, relabeled_w)
     assert split.verdict == "accepted"
     pairs = [(w.letter_at(i), "#") for i in range(split.stem_letters + split.loop_letters)]
-    letters = info.encode_blocks(pairs, split.stem_transitions + split.loop_transitions)
-    back_pairs, back_run = info.decode(letters)
+    letters = encode_blocks(info, pairs, split.stem_transitions + split.loop_transitions)
+    back_pairs, back_run = decode_blocks(info, letters)
     assert back_pairs == pairs
     assert tuple(back_run) == split.stem_transitions + split.loop_transitions
 
@@ -294,6 +298,28 @@ def test_pushdown_solver_budget():
     game = PushdownParityGame(("v",), ("N",), "v", {"v": EVE}, moves)
     with pytest.raises(ResourceExceeded):
         solve_pushdown_parity_game(game, budget=200)
+
+
+def test_pushdown_solver_budget_bounds_the_work():
+    # A branching pusher: the truncation at height h has 2^(h+1) - 1 vertices,
+    # so the one that crosses the budget (height 9, 1,023) is larger than it.
+    moves = tuple(GameMove("v", top, "v", (top, x), 1)
+                  for top in (BOTTOM, "A", "B") for x in ("A", "B"))
+    game = PushdownParityGame(("v",), ("A", "B"), "v", {"v": EVE}, moves)
+    expanded = []
+
+    class CountingMoves(dict):
+        def get(self, key, default=None):
+            expanded.append(key)
+            return super().get(key, default)
+
+    game.__dict__["moves_at"] = CountingMoves(game.moves_at)
+    out_degree = max(len(ms) for ms in game.moves_at.values())
+    with pytest.raises(ResourceExceeded) as exc:
+        solve_pushdown_parity_game(game, budget=1000)
+    built = int(str(exc.value).split()[0])
+    assert 1000 < built <= 1000 + out_degree
+    assert len(expanded) <= 1000
 
 
 def _random_pushdown_game(rng: random.Random) -> PushdownParityGame:
@@ -471,6 +497,28 @@ def test_simulate_play_two_constants():
     assert len(outcome.loop) == 1 and outcome.loop[0] == pair_id("a", "x")
 
 
+def test_simulate_play_sees_dips_inside_a_round():
+    # Round 2 pops to the bottom and rebuilds _ZX by epsilon rules; round 3
+    # dips again and answers y from then on.  A detector that saw only the
+    # round ends would close the lasso at round 2 with x forever.
+    rules = (
+        PdtRule("s", BOTTOM, "a", "s", (BOTTOM, "Y", "X")),
+        PdtRule("s", "X", "a", "p", ()),
+        PdtRule("p", "Y", None, "r", ()),
+        PdtRule("r", BOTTOM, None, "s", (BOTTOM, "Z", "X")),
+        PdtRule("p", "Z", None, "t", ("Z",)),
+        PdtRule("t", "Z", None, "u", ("Z", "X")),
+        PdtRule("u", "X", "a", "u", ("X",)),
+    )
+    machine = DetPushdown(("s", "p", "r", "t", "u"), "s", ("X", "Y", "Z"), rules)
+    strategy = StrategyPDT(machine, {"s": "x", "u": "y"}, ("a",), ("x", "y"))
+    again = parse_strategy_pdt(format_strategy_pdt(strategy))
+    assert [r.push for r in again.machine.rules] == [r.push for r in rules]
+    ax, ay = pair_id("a", "x"), pair_id("a", "y")
+    for s in (strategy, again):
+        assert simulate_play(s, LassoWord((), ("a",))) == LassoWord((ax, ax, ay), (ay,))
+
+
 def test_simulate_play_guard():
     from gfgpda.core import GuardExceeded
 
@@ -506,9 +554,9 @@ def test_compose_sigma_d_first_move_and_blocks():
         # the block word consistent with sd decodes to word + run prefix
         letters = [info.pd_letter(v[k], outputs[k]) for k in range(len(v))]
         try:
-            pairs, run = info.decode(letters)
+            pairs, run = decode_blocks(info, letters)
         except ValueError:
-            pairs, run = info.decode(letters[: -1])  # trailing open block
+            pairs, run = decode_blocks(info, letters[: -1])  # trailing open block
         from gfgpda.core import replay
 
         replay(spec.condition, tuple(run))
@@ -531,7 +579,7 @@ def test_strategy_pdt_round_trip():
     assert len(again.machine.states) == len(strategy.machine.states)
     # behaves the same on a few words
     for word in (("a",), ("a", "b"), ("b", "b", "a")):
-        assert again.respond(word) == strategy.respond(word)
+        assert respond(again, word) == respond(strategy, word)
 
 
 def test_stackless_arena_size_bound():
@@ -566,8 +614,8 @@ def test_delay_transform_pieces_compose():
     tmd = delay_transform(tprime, reading_modes(t), classify, spec.sigma1[0],
                           spec.sigma1, spec.sigma2)
     assert tmd.machine.violations() == []
-    assert tmd.respond(("a",)) == "z"
-    assert tmd.respond(("a", "a", "a")) == "z"
+    assert respond(tmd, ("a",)) == "z"
+    assert respond(tmd, ("a", "a", "a")) == "z"
 
 
 def test_random_specs_synthesis_consistency():

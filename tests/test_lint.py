@@ -5,8 +5,13 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "gfgpda"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "gfgpda"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+# The paper's constructions and the DPA writer stay in the package without a
+# caller there; zoo.py is the fixture corpus, whose entries tests pick by name.
+KEPT = {"compose_sigma_d", "moore_as_pdt", "format_dpa"}
+LIBRARY = [p for p in MODULES if p.name != "zoo.py"]
 
 
 def unused_imports(source: str) -> list[str]:
@@ -51,6 +56,35 @@ def unused_private_names(source: str) -> list[str]:
     ]
 
 
+def names_in(tree: ast.AST) -> set[str]:
+    """Identifiers a tree names: names, attributes, imported names, and
+    strings that are identifiers (the benchmark names what it wraps in strings)."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif isinstance(node, ast.alias):
+            out.add(node.name.rsplit(".", 1)[-1])
+        elif isinstance(node, ast.Constant) and str(node.value).isidentifier():
+            out.add(node.value)
+    return out
+
+
+def uncalled_public_names(source: str, elsewhere: set[str]) -> list[str]:
+    """Public module-level functions and classes that neither the rest of
+    the module (outside their own definition) nor ``elsewhere`` names."""
+    tree = ast.parse(source)
+    out = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+            rest = ast.Module([n for n in tree.body if n is not node], [])
+            if node.name not in elsewhere and node.name not in names_in(rest):
+                out.append(f"line {node.lineno}: {node.name}")
+    return out
+
+
 def test_the_check_sees_an_unused_import():
     source = "from .core import Configuration, step\n\nConfiguration('q', ())\n"
     assert unused_imports(source) == ["line 1: step"]
@@ -70,6 +104,20 @@ def test_the_check_sees_an_unused_private_name():
     ]
 
 
+def test_the_check_sees_an_uncalled_public_name():
+    source = (
+        "def used():\n    return helper()\n\n"
+        "def helper():\n    return 1\n\n"
+        "def recursive(n):\n    return recursive(n - 1)\n\n"
+        "class Exported:\n    pass\n\n"
+        "def orphan():\n    return used()\n"
+    )
+    assert uncalled_public_names(source, {"Exported"}) == [
+        "line 7: recursive", "line 13: orphan",
+    ]
+    assert names_in(ast.parse("wrap('games', 'simulate_play', 'a b')")) >= {"simulate_play"}
+
+
 def test_the_package_has_modules():
     assert len(MODULES) >= 5
 
@@ -82,3 +130,13 @@ def test_no_unused_imports(path):
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_private_names(path):
     assert unused_private_names(path.read_text()) == []
+
+
+@pytest.mark.parametrize("path", LIBRARY, ids=lambda p: p.name)
+def test_public_names_have_a_caller(path):
+    """Code that only tests call belongs in tests/helpers.py.  A caller is
+    another package module, the benchmark or an export of ``gfgpda``."""
+    callers = [p for p in SRC.glob("*.py") if p != path]
+    callers += sorted((ROOT / "benchmark").glob("*.py"))
+    elsewhere = KEPT.union(*(names_in(ast.parse(p.read_text())) for p in callers))
+    assert uncalled_public_names(path.read_text(), elsewhere) == []
