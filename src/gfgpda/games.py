@@ -4,16 +4,20 @@ Pipeline: a condition automaton over paired letters is compiled into a
 deterministic block-reading automaton (``build_pd``) that consumes both an
 input word and a claimed run of the condition, moving all nondeterminism
 into Player 2's letter choices.  The resulting game reduces to a parity game
-on the configuration graph of a pushdown machine, solved by interval
-iteration on height-truncated arenas: out-of-bound edges are resolved
-pessimistically for either player in turn, and agreement of the two bounds
-is conclusive for the full game.  Each truncated arena is built on dense int
-ids and solved by Zielonka's algorithm on ints (``solve_parity_ids``);
-``FiniteParityGame`` is only the public API for finite games.  Eve's
-winning strategies come out positional on the truncated arena and are
-packaged as pushdown transducers; the mode-tracking and three-phase delay
-transforms turn a transducer for the block game into one for the original
-game.
+on the configuration graph of a pushdown machine, solved exactly in two
+phases.  Interval iteration on the height-truncated arenas of heights 1 to 3
+comes first: out-of-bound edges are resolved pessimistically for either
+player in turn, and agreement of the two bounds is conclusive for the full
+game.  If these are inconclusive, Walukiewicz's claim game decides: a push
+makes Eve claim where and with which max color the pushed frame returns,
+and Adam either checks the claim above or takes one of its returns.  Both
+arenas are built on dense int ids and solved by Zielonka's algorithm on ints
+(``solve_parity_ids``); ``FiniteParityGame`` is only the public API for
+finite games.  Eve's winning strategies are packaged as pushdown
+transducers: positional ones from a truncation keep the transducer's stack
+unused, claim-game ones push a context per stack frame.  The mode-tracking
+and three-phase delay transforms turn a transducer for the block game into
+one for the original game.
 """
 
 from __future__ import annotations
@@ -42,6 +46,7 @@ from .core import (
     replay,
     top_to_text,
 )
+from .analysis import _saturate
 from .resolvers import DetPushdown, PdtRule, Resolver, resolver_query
 
 EVE = "eve"
@@ -236,7 +241,7 @@ def build_pd(spec: GaleStewartSpec) -> tuple[OmegaPDA, PdInfo]:
 
 
 # ---------------------------------------------------------------------------
-# Parity games: finite (Zielonka) and pushdown (truncated interval iteration).
+# Parity games: finite (Zielonka) and pushdown (truncations, then claims).
 # ---------------------------------------------------------------------------
 
 
@@ -397,73 +402,250 @@ class PushdownParityGame:
 
 @dataclass
 class PushdownSolveResult:
+    """The winner from the initial configuration.  ``stats`` holds the
+    vertices numbered in both phases, the height of the highest truncation
+    solved (0 if none), ``decided_by`` (``"truncation"`` or ``"claims"``)
+    and the claim game's vertices (0 if it was not built)."""
+
     winner: str
-    eve_strategy: Optional[dict]  # (state, stack) -> GameMove
+    eve_strategy: Optional[dict]  # (state, stack) -> GameMove, on the deciding truncation
     stats: dict
+    claims: Optional[ClaimStrategy] = None  # Eve's win, when the claim game decided it
+
+
+@dataclass
+class ClaimStrategy:
+    """Eve's winning strategy on a claim game: a main vertex maps to the
+    GameMove she plays, a claim vertex to the claim she makes."""
+
+    game: ClaimGame
+    choice: dict
+
+
+TRUNCATION_HEIGHTS = (1, 2, 3)
 
 
 def solve_pushdown_parity_game(
     game: PushdownParityGame, budget: int = 5_000_000
 ) -> PushdownSolveResult:
-    """Interval iteration on height-truncated configuration graphs.
+    """Exact solving in two phases, with one vertex budget.
 
-    The configurations of each truncation get dense ids in discovery order
-    and the arena goes to ``solve_parity_ids`` as int edges.  Overflow edges
-    point at one paradise id, whose loop is colored for one player at a time;
-    a player winning their pessimistic truncation wins the full game.  The
-    height grows until conclusive; the vertices of all truncations count
-    against the budget as they are numbered.
+    First, interval iteration on the truncations at heights 1, 2 and 3: the
+    configurations of each get dense ids in discovery order and go to
+    ``solve_parity_ids`` as int edges.  Overflow edges point at one paradise
+    id, whose loop is colored for one player at a time; a player winning
+    their pessimistic truncation wins the full game.  These low truncations
+    are the fast path: they decide most games in a few small arenas, where
+    the claim game of the same game can be far larger.  If they are
+    inconclusive, the winner is the winner of ``ClaimGame`` (Walukiewicz),
+    built lazily from the initial vertex by ``solve_claim_game``.  The
+    vertices of both phases count against the budget as they are numbered,
+    so ``ResourceExceeded`` comes after at most budget + 1 of them.
+    ``stats["decided_by"]`` says which phase decided.
     """
-    moves_at = game.moves_at
     cmax = max((m.color for m in game.moves), default=0)
     pessimistic = ((EVE, cmax + 1 + (cmax % 2)), (ADAM, cmax + 2 - (cmax % 2)))
-    start = (game.initial, (BOTTOM,))
     total = 0
-    height = 1
+    for height in TRUNCATION_HEIGHTS:
+        result, total = _solve_truncation(game, height, pessimistic, total, budget)
+        if result is not None:
+            return result
+    result = solve_claim_game(game, budget, total)
+    result.stats["height"] = TRUNCATION_HEIGHTS[-1]
+    return result
 
-    def over(vertices: int) -> ResourceExceeded:
-        return ResourceExceeded(f"{vertices} truncated-arena vertices exceed the budget {budget}")
 
-    while True:
-        if total >= budget:
-            raise over(total + 1)
-        ids = {start: 0}
-        order = [start]
-        edges: list = []  # (u, color, v), v None on overflow
-        edge_moves: list[GameMove] = []
-        boundary = False
-        for u, (state, stack) in enumerate(order):
-            for m in moves_at.get((state, stack[-1]), ()):
-                nstack = stack[:-1] + m.push
-                if len(nstack) - 1 > height:
-                    boundary = True
-                    v = None
-                else:
-                    nxt = (m.target, nstack)
-                    v = ids.setdefault(nxt, len(order))
-                    if v == len(order):
-                        order.append(nxt)
-                        if total + len(order) > budget:
-                            raise over(total + len(order))
-                edges.append((u, m.color, v))
-                edge_moves.append(m)
-        total += len(order)
+def _over_budget(vertices: int, budget: int) -> ResourceExceeded:
+    return ResourceExceeded(f"{vertices} numbered vertices exceed the budget {budget}")
 
-        stats = {"vertices": total, "height": height}
-        owner = [game.owner[state] for state, _ in order]
-        paradise = len(order)
-        if boundary:
-            owner.append(EVE)
-            edges = [(u, c, paradise if v is None else v) for u, c, v in edges]
-        for player, color in pessimistic if boundary else ((EVE, None),):
-            loop = [] if color is None else [(paradise, color, paradise)]
-            wins, strats = solve_parity_ids(owner, edges + loop)
-            winner = EVE if 0 in wins[EVE] else ADAM
-            if winner == player or not boundary:
-                strat = {order[v]: edge_moves[j] for v, j in strats[EVE].items()
-                         if v < paradise} if winner == EVE else None
-                return PushdownSolveResult(winner, strat, stats)
-        height = height + 1 if height < 4 else height + max(2, height // 2)
+
+def _solve_truncation(
+    game: PushdownParityGame, height: int, pessimistic: tuple, total: int, budget: int
+) -> tuple[Optional[PushdownSolveResult], int]:
+    """The truncation at ``height``, solved once per ``(player, paradise
+    color)`` in ``pessimistic``: its result if conclusive, and the vertex
+    count with its vertices added."""
+    if total >= budget:
+        raise _over_budget(total + 1, budget)
+    moves_at = game.moves_at
+    start = (game.initial, (BOTTOM,))
+    ids = {start: 0}
+    order = [start]
+    edges: list = []  # (u, color, v), v None on overflow
+    edge_moves: list[GameMove] = []
+    boundary = False
+    for u, (state, stack) in enumerate(order):
+        for m in moves_at.get((state, stack[-1]), ()):
+            nstack = stack[:-1] + m.push
+            if len(nstack) - 1 > height:
+                boundary = True
+                v = None
+            else:
+                nxt = (m.target, nstack)
+                v = ids.setdefault(nxt, len(order))
+                if v == len(order):
+                    order.append(nxt)
+                    if total + len(order) > budget:
+                        raise _over_budget(total + len(order), budget)
+            edges.append((u, m.color, v))
+            edge_moves.append(m)
+    total += len(order)
+
+    stats = {"vertices": total, "height": height, "decided_by": "truncation",
+             "claim_vertices": 0}
+    owner = [game.owner[state] for state, _ in order]
+    paradise = len(order)
+    if boundary:
+        owner.append(EVE)
+        edges = [(u, c, paradise if v is None else v) for u, c, v in edges]
+    for player, color in pessimistic if boundary else ((EVE, None),):
+        loop = [] if color is None else [(paradise, color, paradise)]
+        wins, strats = solve_parity_ids(owner, edges + loop)
+        winner = EVE if 0 in wins[EVE] else ADAM
+        if winner == player or not boundary:
+            strat = {order[v]: edge_moves[j] for v, j in strats[EVE].items()
+                     if v < paradise} if winner == EVE else None
+            return PushdownSolveResult(winner, strat, stats), total
+    return None, total
+
+
+class ClaimGame:
+    """Walukiewicz's claim game of a pushdown parity game (CAV'96), with the
+    claims drawn from pop summaries.
+
+    A main vertex ``("v", p, X, R, m)`` is owned by the owner of ``p``: ``R``
+    is the claim of the current stack frame, a tuple of pairs ``(r, c)``
+    "the frame pops to ``r`` with max color ``c``", and ``m`` is the max
+    color since the frame began (-1 at its start and whenever ``R`` is
+    empty, where it cannot matter).  A swap updates ``X`` and ``m``.  A pop
+    of color ``c`` to ``r`` ends the play: Eve wins iff
+    ``(r, max(m, c))`` is in ``R``.  A push ``(q, Y Z)`` leads to a claim
+    vertex ``("e", q, Y, Z, R, m)``, where Eve claims a subset ``S`` of the
+    universe of ``(q, Z)``; then at ``("a", q, Y, Z, R, m, S)`` Adam either
+    plays on above, at ``("v", q, Z, S, -1)``, or picks ``(r, c)`` in ``S``
+    and resumes the frame at ``("v", r, Y, R, max(m, c))`` through an edge
+    of color ``c``.  The choice edges carry the minimal color.
+
+    The universe of ``(q, Z)`` is the set of max-color pop facts
+    ``(q, Z) =>* (r, eps)`` of ``analysis._saturate``: claiming a return
+    that no run produces only gives Adam an option.  Pairs are ordered once
+    for the whole game, so a claim, a sorted subset, has one representation.
+    """
+
+    WIN = ("win",)
+    LOSE = ("lose",)
+
+    def __init__(self, game: PushdownParityGame):
+        self.game = game
+        self.moves_at = game.moves_at
+        colors = [m.color for m in game.moves]
+        self.cmin = min(colors, default=0)
+        facts, _ = _saturate(
+            [Transition(m.source, m.top, None, m.target, m.push, m.color) for m in game.moves], ()
+        )
+        rank: dict = {}  # (r, c) -> first-seen index
+        universe: dict = {}
+        for q, z, r, c, _ in facts:
+            rank.setdefault((r, c), len(rank))
+            universe.setdefault((q, z), {})[(r, c)] = None
+        self._universe = {head: tuple(sorted(pairs, key=rank.__getitem__))
+                          for head, pairs in universe.items()}
+        self._claims: dict = {}
+
+    def initial(self) -> tuple:
+        return ("v", self.game.initial, BOTTOM, (), -1)
+
+    def claims(self, q, z) -> list[tuple]:
+        """Every subset of the universe of ``(q, z)``, in bitmask order."""
+        out = self._claims.get((q, z))
+        if out is None:
+            u = self._universe.get((q, z), ())
+            out = [tuple(u[i] for i in range(len(u)) if mask >> i & 1)
+                   for mask in range(1 << len(u))]
+            self._claims[(q, z)] = out
+        return out
+
+    @staticmethod
+    def resume(y, claim: tuple, m: int, r, c: int) -> tuple:
+        """The frame with top ``y``, claim and max color ``m`` after a frame
+        above it popped to ``r`` with max color ``c``."""
+        return ("v", r, y, claim, max(m, c) if claim else -1)
+
+    @staticmethod
+    def above(vertex: tuple, claim: tuple) -> tuple:
+        """The frame that the push of a claim or check vertex begins."""
+        return ("v", vertex[1], vertex[3], claim, -1)
+
+    def after(self, vertex: tuple, move: GameMove) -> tuple:
+        """The successor of a main vertex through one of its moves."""
+        _, _, _, claim, m = vertex
+        mc = max(m, move.color) if claim else -1
+        push = move.push
+        if not push:
+            return self.WIN if (move.target, mc) in claim else self.LOSE
+        if len(push) == 1:
+            return ("v", move.target, push[0], claim, mc)
+        if len(push) == 2:
+            return ("e", move.target, push[0], push[1], claim, mc)
+        raise ValueError(f"claim game needs pushes of at most two symbols: {move}")
+
+    def successors(self, vertex: tuple) -> tuple[str, list]:
+        """The owner of ``vertex`` and its edges ``(color, successor, label)``;
+        the label is the GameMove of a main vertex's edge and the claim of a
+        claim vertex's edge."""
+        kind = vertex[0]
+        if kind == "v":
+            _, p, x, _, _ = vertex
+            return self.game.owner[p], [(mv.color, self.after(vertex, mv), mv)
+                                        for mv in self.moves_at.get((p, x), ())]
+        cmin = self.cmin
+        if kind == "e":
+            _, q, _, z, _, _ = vertex
+            return EVE, [(cmin, ("a",) + vertex[1:] + (s,), s)
+                         for s in self.claims(q, z)]
+        if kind == "a":
+            _, q, y, z, claim, m, s = vertex
+            out = [(cmin, self.above(vertex, s), None)]
+            out += [(c, self.resume(y, claim, m, r, c), None) for r, c in s]
+            return ADAM, out
+        even = cmin + cmin % 2
+        return EVE, [(even if vertex == self.WIN else even + 1, vertex, None)]
+
+
+def solve_claim_game(
+    game: PushdownParityGame, budget: int = 5_000_000, total: int = 0
+) -> PushdownSolveResult:
+    """The exact winner by ``ClaimGame``, built from its initial vertex;
+    ``total`` vertices already count against ``budget``."""
+    if total >= budget:
+        raise _over_budget(total + 1, budget)
+    cg = ClaimGame(game)
+    start = cg.initial()
+    ids = {start: 0}
+    order = [start]
+    owner: list[str] = []
+    edges: list = []
+    labels: list = []
+    for u, vertex in enumerate(order):
+        who, succ = cg.successors(vertex)
+        owner.append(who)
+        for color, nxt, label in succ:
+            v = ids.setdefault(nxt, len(order))
+            if v == len(order):
+                order.append(nxt)
+                if total + len(order) > budget:
+                    raise _over_budget(total + len(order), budget)
+            edges.append((u, color, v))
+            labels.append(label)
+    total += len(order)
+    wins, strats = solve_parity_ids(owner, edges)
+    winner = EVE if 0 in wins[EVE] else ADAM
+    stats = {"vertices": total, "height": 0, "decided_by": "claims", "claim_vertices": len(order)}
+    claims = None
+    if winner == EVE:
+        claims = ClaimStrategy(cg, {order[v]: labels[j] for v, j in strats[EVE].items()
+                                    if labels[j] is not None})
+    return PushdownSolveResult(winner, None, stats, claims)
 
 
 # ---------------------------------------------------------------------------
@@ -599,10 +781,15 @@ class StrategyPDT:
 
 
 def extract_strategy_pdt(gs: GsResult) -> StrategyPDT:
-    """Eve's positional arena strategy as a stack-less transducer whose states
-    are truncated-arena configurations."""
-    if gs.winner != EVE or gs.solve.eve_strategy is None:
+    """Eve's winning strategy in the block game as a transducer over sigma1.
+
+    A strategy from a truncation is positional: the transducer's states are
+    truncated-arena configurations and its stack stays unused.  A strategy
+    from the claim game is built by ``_claim_stack_pdt``."""
+    if gs.winner != EVE:
         raise ValueError("no Eve strategy: Adam wins this specification")
+    if gs.solve.claims is not None:
+        return _claim_stack_pdt(gs.solve.claims, gs.info)
     sigma = gs.solve.eve_strategy
     moves_at = gs.game.moves_at
 
@@ -656,6 +843,107 @@ def extract_strategy_pdt(gs: GsResult) -> StrategyPDT:
     return StrategyPDT(machine, output, gs.info.sigma1, gs.info.y_values)
 
 
+def _claim_stack_pdt(claims: ClaimStrategy, info: PdInfo) -> StrategyPDT:
+    """Eve's claim-game strategy on a Gale-Stewart arena as a transducer with
+    one stack symbol per stack frame below the current one.
+
+    A state is a main vertex where Eve picks her letter.  Each Adam letter
+    is one round: Eve's letter, the block's forced move, Adam's next letter.
+    A forced push makes the claim Eve's strategy picks, pushes the interned
+    context ``(Y, R, m)`` of the claim vertex and moves to the claimed frame;
+    a forced pop, which her strategy only plays onto a claimed return, reads
+    the context and resumes the frame below.  Rules exist for each mode
+    (state, top symbol) a run reaches: a pushed symbol records the symbols
+    it was pushed onto, so each state a pop reaches gets them as tops.
+    """
+    cg, choice = claims.game, claims.choice
+    sigma1 = info.sigma1
+
+    def play(vertex):
+        move = choice.get(vertex)
+        if move is None:
+            raise PdaError(f"Eve strategy undefined at {vertex}")
+        return move
+
+    def adam_read(vertex, x1: str):
+        for move in cg.moves_at.get((vertex[1], vertex[2]), ()):
+            if move.target[2] == x1:
+                return cg.after(vertex, move)
+        raise PdaError(f"no Adam move for {x1!r} at {vertex}")
+
+    def eve_round(vertex):
+        """Eve's letter and the forced move after it: ``(vertex, None)`` for
+        a swap, ``(vertex above, context)`` for a push, ``(None, (r, c))``
+        for a pop to ``r`` with max color ``c`` since the frame began."""
+        sim = cg.after(vertex, play(vertex))
+        move = play(sim)
+        nxt = cg.after(sim, move)
+        if nxt == cg.LOSE or move.target[0] != "A":
+            raise PdaError(f"no winning Adam vertex after the forced move at {sim}")
+        if nxt == cg.WIN:
+            return None, (move.target, max(sim[4], move.color))
+        if nxt[0] == "e":
+            return cg.above(nxt, play(nxt)), (nxt[2], nxt[4], nxt[5])
+        return nxt, None
+
+    symbols: dict = {}  # context -> stack symbol
+    contexts: dict = {}  # stack symbol -> context
+    below: dict = {}  # stack symbol -> {symbol it was pushed onto: None}
+    returns: dict = {}  # stack symbol -> {state its pop reaches: None}
+    start = cg.initial()
+    init = ("start", start)
+    states: list = [init]
+    output: dict = {}
+    rules: list[PdtRule] = []
+    seen: set = set()
+    queue: deque = deque()
+
+    def state(vertex) -> tuple:
+        node = ("play", vertex)
+        if node not in output:
+            states.append(node)
+            output[node] = play(vertex).target[3]
+        return node
+
+    def mode(node, top) -> None:
+        if (node, top) not in seen:
+            seen.add((node, top))
+            queue.append((node, top))
+
+    for x1 in sigma1:
+        node = state(adam_read(start, x1))
+        rules.append(PdtRule(init, BOTTOM, x1, node, (BOTTOM,)))
+        mode(node, BOTTOM)
+    while queue:
+        node, top = queue.popleft()
+        nxt, context = eve_round(node[1])
+        if nxt is None:
+            if top == BOTTOM:
+                raise PdaError(f"strategy pops the bottom frame at {node[1]}")
+            nxt = cg.resume(*contexts[top], *context)
+            push, tops = (), below[top]
+        elif context is None:
+            push, tops = (top,), (top,)
+        else:
+            symbol = symbols.setdefault(context, f"k{len(symbols)}")
+            contexts[symbol] = context
+            push, tops = (top, symbol), (symbol,)
+            onto = below.setdefault(symbol, {})
+            if top not in onto:
+                onto[top] = None
+                for target in returns.get(symbol, ()):
+                    mode(target, top)
+        for x1 in sigma1:
+            target = state(adam_read(nxt, x1))
+            rules.append(PdtRule(node, top, x1, target, push))
+            if not push:
+                returns.setdefault(top, {})[target] = None
+            for x in tops:
+                mode(target, x)
+    machine = DetPushdown(tuple(states), init, tuple(contexts), tuple(rules))
+    return StrategyPDT(machine, output, sigma1, info.y_values)
+
+
 def reading_modes(t: StrategyPDT) -> set[tuple[Any, str]]:
     modes = set()
     for rule in t.machine.rules:
@@ -666,8 +954,12 @@ def reading_modes(t: StrategyPDT) -> set[tuple[Any, str]]:
 
 def mode_tracking_pdt(t: StrategyPDT) -> StrategyPDT:
     """Track the mode (state, top symbol) in the state; pops go through a raw
-    state that re-reads the uncovered symbol."""
-    gb = (BOTTOM,) + t.machine.stack_alphabet
+    state that re-reads the uncovered symbol.
+
+    Only the modes that rules read or reach are built, and raw states only
+    for the targets of pops."""
+    machine = t.machine
+    gb = (BOTTOM,) + machine.stack_alphabet
 
     def mode(q, x):
         return ("mode", q, x)
@@ -675,25 +967,31 @@ def mode_tracking_pdt(t: StrategyPDT) -> StrategyPDT:
     def raw(q):
         return ("raw", q)
 
-    states = [mode(q, x) for q in t.machine.states for x in gb]
-    states += [raw(q) for q in t.machine.states]
+    modes = {(machine.initial, BOTTOM)}
+    pop_targets: set = set()
     rules: list[PdtRule] = []
-    for r in t.machine.rules:
-        if len(r.push) == 2:
+    for r in machine.rules:
+        modes.add((r.source, r.top))
+        if r.push:
+            modes.add((r.target, r.push[-1]))
             rules.append(PdtRule(mode(r.source, r.top), r.top, r.symbol,
-                                 mode(r.target, r.push[1]), r.push))
-        elif len(r.push) == 1:
-            rules.append(PdtRule(mode(r.source, r.top), r.top, r.symbol,
-                                 mode(r.target, r.push[0]), r.push))
+                                 mode(r.target, r.push[-1]), r.push))
         else:
+            pop_targets.add(r.target)
             rules.append(PdtRule(mode(r.source, r.top), r.top, r.symbol, raw(r.target), ()))
-    for q in t.machine.states:
+    popped = [q for q in machine.states if q in pop_targets]
+    for q in popped:
         for x in gb:
+            modes.add((q, x))
             rules.append(PdtRule(raw(q), x, None, mode(q, x), (x,)))
-    output = {mode(q, x): t.output[q] for q in t.machine.states for x in gb if q in t.output}
-    machine = DetPushdown(tuple(states), mode(t.machine.initial, BOTTOM),
-                          t.machine.stack_alphabet, tuple(rules))
-    return StrategyPDT(machine, output, t.input_alphabet, t.output_alphabet)
+    rank = {q: i for i, q in enumerate(machine.states)}
+    xrank = {x: i for i, x in enumerate(gb)}
+    ordered = sorted(modes, key=lambda qx: (rank[qx[0]], xrank[qx[1]]))
+    states = [mode(q, x) for q, x in ordered] + [raw(q) for q in popped]
+    output = {mode(q, x): t.output[q] for q, x in ordered if q in t.output}
+    tracked = DetPushdown(tuple(states), mode(machine.initial, BOTTOM),
+                          machine.stack_alphabet, tuple(rules))
+    return StrategyPDT(tracked, output, t.input_alphabet, t.output_alphabet)
 
 
 def delay_transform(

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 from collections import deque
 from typing import Iterable, Optional
@@ -19,6 +20,7 @@ from gfgpda.games import (
     PushdownParityGame,
     StrategyPDT,
     pair_id,
+    solve_finite_parity_game,
 )
 from gfgpda.resolvers import Resolver
 
@@ -210,6 +212,79 @@ def embed_finite_game(g: FiniteParityGame, initial) -> PushdownParityGame:
     """A finite parity game as a stackless pushdown game."""
     moves = tuple(GameMove(u, BOTTOM, v, (BOTTOM,), c) for (u, c, v) in g.edges)
     return PushdownParityGame(g.vertices, (), initial, dict(g.owner), moves)
+
+
+def dual_game(game: PushdownParityGame) -> PushdownParityGame:
+    """The same arena with the owners swapped and every color one higher."""
+    owner = {s: ADAM if o == EVE else EVE for s, o in game.owner.items()}
+    moves = tuple(GameMove(m.source, m.top, m.target, m.push, m.color + 1) for m in game.moves)
+    return PushdownParityGame(game.states, game.stack_alphabet, game.initial, owner, moves)
+
+
+def interval_iteration(game: PushdownParityGame, budget: int) -> Optional[str]:
+    """The winner by interval iteration at heights 1, 2, ... on
+    ``FiniteParityGame`` truncations, or None once their vertices exceed
+    ``budget``.  Overflow edges go to a paradise vertex whose loop is won by
+    one player at a time; a player who wins the truncation where the
+    paradise is their opponent's wins the game."""
+    cmax = max((m.color for m in game.moves), default=0)
+    even = cmax + 2 - cmax % 2
+    start = (game.initial, (BOTTOM,))
+    total = 0
+    for height in itertools.count(1):
+        seen, edges, queue = {start}, [], deque([start])
+        while queue:
+            cfg = queue.popleft()
+            for m in game.moves_at.get((cfg[0], cfg[1][-1]), ()):
+                nxt = (m.target, cfg[1][:-1] + m.push)
+                if len(nxt[1]) - 1 > height:
+                    nxt = "paradise"
+                elif nxt not in seen:
+                    seen.add(nxt)
+                    queue.append(nxt)
+                edges.append((cfg, m.color, nxt))
+        total += len(seen)
+        if total > budget:
+            return None
+        owner = {cfg: game.owner[cfg[0]] for cfg in seen}
+        owner["paradise"] = EVE
+        for player, color in ((EVE, even + 1), (ADAM, even)):
+            g = FiniteParityGame(tuple(owner), owner,
+                                 tuple(edges) + (("paradise", color, "paradise"),))
+            if solve_finite_parity_game(g).winner_of(start) == player:
+                return player
+
+
+def random_spec(rng: random.Random, max_states: int = 4) -> GaleStewartSpec:
+    """sigma1 = {a, b}, sigma2 = {x, y}, 1 to ``max_states`` states, optional
+    stack symbol N, colors 0..3; about a third of the (state, letter) pairs
+    have no move.  With 4 states these are the draws of the benchmark's
+    spec corpus, so seed 940 gives that corpus."""
+    sigma1, sigma2 = ("a", "b"), ("x", "y")
+    letters = [pair_id(a, b) for a in sigma1 for b in sigma2]
+    states = tuple(f"q{i}" for i in range(rng.randint(1, max_states)))
+    stack = ("N",) if rng.random() < 0.6 else ()
+    ts = []
+    for q in states:
+        for letter in letters:
+            if rng.random() < 0.35:
+                continue
+            for top in (BOTTOM,) + stack:
+                if rng.random() < 0.2:
+                    continue
+                kind = rng.randrange(3)
+                if not stack:
+                    push = (top,)
+                elif kind == 0:
+                    push = (top,) if top == BOTTOM else ()
+                elif kind == 1:
+                    push = (top, "N")
+                else:
+                    push = (top,)
+                ts.append(Transition(q, top, letter, rng.choice(states), push, rng.randint(0, 3)))
+    cond = OmegaPDA(states, tuple(letters), stack, states[0], tuple(ts))
+    pairing = {pair_id(a, b): (a, b) for a in sigma1 for b in sigma2}
+    return GaleStewartSpec(sigma1, sigma2, cond, pairing, True)
 
 
 def respond(strategy: StrategyPDT, word) -> str:

@@ -2,11 +2,13 @@ import argparse
 import io
 import itertools
 import json
+import random
 
 from gfgpda import analysis, cli, games, zoo
 from gfgpda.core import BOTTOM, Configuration, format_pda, parse_pda
 from gfgpda.resolvers import determinize_moore
-from helpers import copycat_spec
+
+from helpers import copycat_spec, random_spec
 
 
 def run(capsys, *argv):
@@ -149,6 +151,23 @@ def test_json_report_schema(capsys):
     assert doc["command"] == "member"
     assert doc["verdict"] == "accepted"
     assert "time_ms" in doc["stats"] and "vertices" in doc["stats"]
+
+
+def test_json_stats_say_which_bound_decided(capsys, tmp_path):
+    # Spec 7 of the seed-940 spec corpus needs the claim game; figure1's
+    # universality game is decided by the height-1 truncation.
+    base = random.Random(940)
+    spec = [random_spec(base) for _ in range(8)][7]
+    path = tmp_path / "spec7.gs"
+    path.write_text(games.format_gs_spec(spec))
+    code, out = run(capsys, "--json", "solve", str(path))
+    stats = json.loads(out)["stats"]
+    assert code == 0 and stats["decided_by"] == "claims" and stats["height"] == 3
+    assert 0 < stats["claim_vertices"] < stats["vertices"]
+    code, out = run(capsys, "--json", "universal", "zoo:figure1")
+    stats = json.loads(out)["stats"]
+    assert code == 0 and stats["decided_by"] == "truncation" and stats["height"] == 1
+    assert stats["claim_vertices"] == 0 and stats["vertices"] > 0
 
 
 def test_json_stable(capsys):

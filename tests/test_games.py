@@ -30,6 +30,7 @@ from gfgpda.games import (
     parse_gs_spec,
     parse_strategy_pdt,
     simulate_play,
+    solve_claim_game,
     solve_finite_parity_game,
     solve_gale_stewart,
     solve_pushdown_parity_game,
@@ -42,14 +43,17 @@ from helpers import (
     _strategy_wins,
     copycat_spec,
     decode_blocks,
+    dual_game,
     embed_finite_game,
     encode_blocks,
     eps_block_spec,
     finite_game_oracle,
+    interval_iteration,
     mapped_resolver,
     pq_drain_spec,
     random_adam_lassos,
     random_finite_game,
+    random_spec,
     respond,
 )
 
@@ -292,34 +296,58 @@ def test_pushdown_solver_dead_initial():
 
 
 def test_pushdown_solver_budget():
-    # an Eve-pumping game that is never conclusive: budget must trip loudly
+    # Eve can only pump: no truncation is conclusive, and the claim game
+    # decides that the one play, of color 1 forever, is Adam's.
     moves = (GameMove("v", BOTTOM, "v", (BOTTOM, "N"), 1),
              GameMove("v", "N", "v", ("N", "N"), 1))
     game = PushdownParityGame(("v",), ("N",), "v", {"v": EVE}, moves)
-    with pytest.raises(ResourceExceeded):
-        solve_pushdown_parity_game(game, budget=200)
+    res = solve_pushdown_parity_game(game, budget=200)
+    assert res.winner == ADAM and res.stats["decided_by"] == "claims"
+
+
+def _branching_pusher() -> PushdownParityGame:
+    # The truncation at height h has 2^(h+1) - 1 vertices: 3, 7 and 15.
+    moves = tuple(GameMove("v", top, "v", (top, x), 1)
+                  for top in (BOTTOM, "A", "B") for x in ("A", "B"))
+    return PushdownParityGame(("v",), ("A", "B"), "v", {"v": EVE}, moves)
+
+
+def _claiming_popper() -> PushdownParityGame:
+    # Eve pumps N or pops it to r0 or r1 with an odd color, so no truncation
+    # is conclusive; the universe of (v, N) has 3 pairs, 8 claims per push.
+    moves = [GameMove("v", BOTTOM, "v", (BOTTOM, "N"), 1), GameMove("v", "N", "v", ("N", "N"), 1)]
+    for i, r in enumerate(("r0", "r1")):
+        moves.append(GameMove("v", "N", r, (), 2 * i + 3))
+        moves += [GameMove(r, x, "v", (x,), 1) for x in (BOTTOM, "N")]
+    states = ("v", "r0", "r1")
+    return PushdownParityGame(states, ("N",), "v", {s: EVE for s in states}, tuple(moves))
 
 
 def test_pushdown_solver_budget_bounds_the_work():
-    # A branching pusher: the truncation at height h has 2^(h+1) - 1 vertices,
-    # so the one that crosses the budget (height 9, 1,023) is larger than it.
-    moves = tuple(GameMove("v", top, "v", (top, x), 1)
-                  for top in (BOTTOM, "A", "B") for x in ("A", "B"))
-    game = PushdownParityGame(("v",), ("A", "B"), "v", {"v": EVE}, moves)
-    expanded = []
+    # The branching pusher crosses the budget in its height-3 truncation
+    # (3 + 7 + 15 vertices); the claiming popper in its claim game, after
+    # truncations that fit the budget.
+    for build, budget, phase in ((_branching_pusher, 20, "truncation"),
+                                 (_claiming_popper, 100, "claims")):
+        game = build()
+        stats = solve_pushdown_parity_game(game).stats
+        in_truncations = stats["vertices"] - stats["claim_vertices"]
+        assert stats["decided_by"] == "claims"
+        assert (in_truncations > budget) == (phase == "truncation"), phase
+        expanded = []
 
-    class CountingMoves(dict):
-        def get(self, key, default=None):
-            expanded.append(key)
-            return super().get(key, default)
+        class CountingMoves(dict):
+            def get(self, key, default=None):
+                expanded.append(key)
+                return super().get(key, default)
 
-    game.__dict__["moves_at"] = CountingMoves(game.moves_at)
-    out_degree = max(len(ms) for ms in game.moves_at.values())
-    with pytest.raises(ResourceExceeded) as exc:
-        solve_pushdown_parity_game(game, budget=1000)
-    built = int(str(exc.value).split()[0])
-    assert 1000 < built <= 1000 + out_degree
-    assert len(expanded) <= 1000
+        game.__dict__["moves_at"] = CountingMoves(game.moves_at)
+        out_degree = max(len(ms) for ms in game.moves_at.values())
+        with pytest.raises(ResourceExceeded) as exc:
+            solve_pushdown_parity_game(game, budget=budget)
+        built = int(str(exc.value).split()[0])
+        assert budget < built <= budget + out_degree, phase
+        assert len(expanded) <= budget, phase
 
 
 def _random_pushdown_game(rng: random.Random) -> PushdownParityGame:
@@ -364,22 +392,138 @@ def _check_eve_strategy(game: PushdownParityGame, res) -> None:
     assert _strategy_wins(reached, sigma, start)
 
 
+def _check_claim_strategy(claims) -> None:
+    """Follow Eve's claim-game choices and every Adam edge from the initial
+    vertex: each reached Eve vertex has a choice among its own edges (a
+    sink its loop), and Eve wins the graph of reached vertices."""
+    cg = claims.game
+    start = cg.initial()
+    owner, edges, sigma = {}, [], {}
+    queue = [start]
+    while queue:
+        vertex = queue.pop()
+        who, succ = cg.successors(vertex)
+        owner[vertex] = who
+        if who == EVE:
+            picked = [e for e in succ if vertex in (cg.WIN, cg.LOSE)
+                      or e[2] is not None and e[2] == claims.choice.get(vertex)]
+            assert len(picked) == 1, (vertex, claims.choice.get(vertex))
+            succ = picked
+            sigma[vertex] = picked[0][:2]
+        for color, nxt, _ in succ:
+            edges.append((vertex, color, nxt))
+            if nxt not in owner and nxt not in queue:
+                queue.append(nxt)
+    reached = FiniteParityGame(tuple(owner), owner, tuple(edges))
+    assert _strategy_wins(reached, sigma, start)
+
+
 def test_pushdown_eve_strategy_is_a_strategy_on_its_truncation():
+    # A truncation's strategy is checked on the configuration graph, a claim
+    # game's on the claim game.
     rng = random.Random(5)
-    checked = 0
+    checked = claimed = 0
     for _ in range(80):
         game = _random_pushdown_game(rng)
         try:
             res = solve_pushdown_parity_game(game, budget=2_000)
         except ResourceExceeded:
             continue
-        if res.winner == EVE:
+        if res.winner == EVE and res.claims is None:
             _check_eve_strategy(game, res)
             checked += 1
-    assert checked >= 20
+        elif res.winner == EVE:
+            _check_claim_strategy(res.claims)
+            claimed += 1
+    assert checked >= 20 and claimed >= 1
     for spec in (copycat_spec(), pq_drain_spec()):
         gs = solve_gale_stewart(spec)
         _check_eve_strategy(gs.game, gs.solve)
+
+
+# -- claim game ------------------------------------------------------------------------------
+
+
+def _nested_return() -> PushdownParityGame:
+    # Push A, push B, pop B with color 4, pop A with color 0, forever: Eve
+    # wins only if the frame of A counts the color 4 of the frame above it.
+    moves = (GameMove("p0", BOTTOM, "p1", (BOTTOM, "A"), 0),
+             GameMove("p1", "A", "p2", ("A", "B"), 0),
+             GameMove("p2", "B", "p3", (), 4),
+             GameMove("p3", "A", "p4", (), 0),
+             GameMove("p4", BOTTOM, "p0", (BOTTOM,), 1))
+    states = ("p0", "p1", "p2", "p3", "p4")
+    return PushdownParityGame(states, ("A", "B"), "p0", {s: EVE for s in states}, moves)
+
+
+def test_claim_game_agrees_with_interval_iteration():
+    assert interval_iteration(_nested_return(), 100) == EVE
+    assert solve_claim_game(_nested_return()).winner == EVE
+    rng = random.Random(3)
+    decided = 0
+    for _ in range(60):
+        game = _random_pushdown_game(rng)
+        want = interval_iteration(game, 60_000)
+        if want is not None:
+            assert solve_claim_game(game).winner == want, game
+            decided += 1
+    assert decided >= 50
+
+
+def test_claim_game_is_determined():
+    # The dual game (owners swapped, colors + 1) has the other winner.
+    rng = random.Random(4)
+    games = [_random_pushdown_game(rng) for _ in range(60)]
+    for game in games + [_branching_pusher(), _claiming_popper()]:
+        assert solve_claim_game(dual_game(game)).winner != solve_claim_game(game).winner, game
+
+
+def test_claim_game_on_stackless_embeddings_matches_finite_oracle():
+    rng = random.Random(12)
+    for _ in range(30):
+        g = random_finite_game(rng)
+        for v in g.vertices[:3]:
+            assert solve_claim_game(embed_finite_game(g, v)).winner == finite_game_oracle(g, v)
+
+
+def _claim_decided_specs():
+    # Specs 7, 77 and 83 of the benchmark's seed-940 corpus: no truncation up
+    # to height 3 decides them.
+    base = random.Random(940)
+    specs = [random_spec(base) for _ in range(84)]
+    return [specs[i] for i in (7, 77, 83)]
+
+
+def test_claim_stack_strategies_win():
+    rng = random.Random(13)
+    for spec in _claim_decided_specs():
+        gs = solve_gale_stewart(spec, budget=5_000)
+        assert gs.winner == EVE and gs.solve.stats["decided_by"] == "claims"
+        strategy = synthesize_strategy_pdt(spec, budget=5_000)
+        assert strategy.machine.stack_alphabet and strategy.machine.violations() == []
+        again = parse_strategy_pdt(format_strategy_pdt(strategy))
+        for adam in random_adam_lassos(rng, spec.sigma1, 20):
+            outcome = simulate_play(strategy, adam)
+            assert analysis.lasso_membership(spec.condition, outcome), (spec, adam, outcome)
+            assert simulate_play(again, adam) == outcome
+
+
+def test_mode_tracking_builds_reached_modes_only():
+    # Every mode is the initial one or a rule's source or target, and raw
+    # states exist for pop targets only.  Specs 7 and 83 have strategies
+    # that pop, spec 77 one that only pushes.
+    popping = 0
+    for spec in _claim_decided_specs():
+        t = extract_strategy_pdt(solve_gale_stewart(spec, budget=5_000))
+        machine = mode_tracking_pdt(t).machine
+        ends = {machine.initial} | {q for r in machine.rules for q in (r.source, r.target)}
+        assert set(machine.states) <= ends
+        raws = {q for q in machine.states if q[0] == "raw"}
+        assert raws == {("raw", r.target) for r in t.machine.rules if not r.push}
+        gb = len(t.machine.stack_alphabet) + 1
+        assert len(machine.states) < len(t.machine.states) * (gb + 1)
+        popping += bool(raws)
+    assert popping == 2
 
 
 # -- Gale-Stewart solving -------------------------------------------------------------------
@@ -478,9 +622,11 @@ def test_mode_tracking_state_count():
     gs = solve_gale_stewart(spec)
     t = extract_strategy_pdt(gs)
     tprime = mode_tracking_pdt(t)
+    # The strategy is stackless and every state reads at the bottom, so there
+    # is one mode per state and, with no pop, no raw state.
     q = len(t.machine.states)
-    gb = len(t.machine.stack_alphabet) + 1
-    assert len(tprime.machine.states) == q * gb + q
+    assert not t.machine.stack_alphabet
+    assert len(tprime.machine.states) == q
 
 
 def test_t_minus_d_deterministic():
@@ -621,40 +767,11 @@ def test_delay_transform_pieces_compose():
 def test_random_specs_synthesis_consistency():
     # random partial conditions; whenever Eve wins, the synthesized strategy
     # must beat random periodic adversaries (outcome checked by the engine)
-    from gfgpda.core import BOTTOM, OmegaPDA, Transition, validate
-    from gfgpda.games import GaleStewartSpec
-
-    def random_spec(rng):
-        sigma1, sigma2 = ("a", "b"), ("x", "y")
-        letters = [pair_id(a, b) for a in sigma1 for b in sigma2]
-        states = tuple(f"q{i}" for i in range(rng.randint(1, 3)))
-        stack = ("N",) if rng.random() < 0.6 else ()
-        ts = []
-        for q in states:
-            for letter in letters:
-                if rng.random() < 0.35:
-                    continue
-                for top in (BOTTOM,) + stack:
-                    if rng.random() < 0.2:
-                        continue
-                    kind = rng.randrange(3)
-                    if not stack:
-                        push = (top,)
-                    elif kind == 0:
-                        push = (top,) if top == BOTTOM else ()
-                    elif kind == 1:
-                        push = (top, "N") if top != BOTTOM else (BOTTOM, "N")
-                    else:
-                        push = (top,)
-                    ts.append(Transition(q, top, letter, rng.choice(states), push,
-                                         rng.randint(0, 3)))
-        cond = OmegaPDA(states, tuple(letters), stack, states[0], tuple(ts))
-        pairing = {pair_id(a, b): (a, b) for a in sigma1 for b in sigma2}
-        return GaleStewartSpec(sigma1, sigma2, cond, pairing, True)
+    from gfgpda.core import validate
 
     rng = random.Random(940)
     for _ in range(15):
-        spec = random_spec(rng)
+        spec = random_spec(rng, max_states=3)
         assert validate(spec.condition) == []
         try:
             res = solve_gale_stewart(spec, budget=60_000)
