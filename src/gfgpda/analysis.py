@@ -269,24 +269,19 @@ def _tarjan_sccs(nodes: list, succ: dict) -> dict:
 class _ColorLayer:
     """Color-``<= d`` head graph of one even color ``d``, its SCCs and good heads.
 
-    A filter on the shared pop facts, not a saturation of its own: edges
-    ``(src, dst, c, l, parts)`` are the head moves of ``_Pops.steps`` with
-    max color ``c <= d``, abstract run infixes that never dip below the
-    source head's level.  A head is good when its SCC has an internal edge
-    with ``c == d`` and an internal letter edge: it can pump with maximal
-    color ``d``.
+    A filter on the summary's head moves, computed once per summary: edges
+    ``(src, dst, c, l, parts)`` with max color ``c <= d``, abstract run
+    infixes that never dip below the source head's level.  A head is good
+    when its SCC has an internal edge with ``c == d`` and an internal letter
+    edge: it can pump with maximal color ``d``.
     """
 
-    def __init__(self, pops: _Pops, transitions: tuple[Transition, ...], d: int):
+    def __init__(self, pops: _Pops, moves: list, d: int):
         self.pops, self.d = pops, d
         succ: dict = {}
-        edges: list = []
-        for t in transitions:
-            src = (t.source, t.top)
-            for dst, c, l, parts in pops.steps(t):
-                if c <= d:
-                    succ.setdefault(src, []).append(dst)
-                    edges.append((src, dst, c, l, parts))
+        edges = [e for e in moves if e[2] <= d]
+        for e in edges:
+            succ.setdefault(e[0], []).append(e[1])
         # Every edge target is reached from some source, so sources suffice as roots.
         self.scc_of = _tarjan_sccs(list(succ), succ)
         self.internal: dict = {}
@@ -336,17 +331,21 @@ class _Summary:
 
     Pop summaries and head SCCs depend only on the automaton (Bouajjani,
     Esparza & Maler, CONCUR'97), so one summary serves every start
-    configuration.  One saturation gives ``pops``, whose facts serve both
-    the plain head relation and every color layer.  Head ``(p, X)`` moves
-    by each transition of ``by_source_top[(p, X)]`` to the heads of
-    ``pops.steps``.  Each even color's ``_ColorLayer`` is built only when a
-    query reaches it.
+    configuration.  One saturation gives ``pops``; the head moves
+    ``(src, dst, c, l, parts)`` of ``pops.steps`` are computed once per
+    summary, in transition order (``moves_from`` indexes them by source), and
+    serve the head relation and every color layer.  Each even color's
+    ``_ColorLayer`` is built only when a query reaches it.
     """
 
     def __init__(self, pda: OmegaPDA):
         self.pda = pda
         self.pops = _Pops(pda.transitions)
         self.evens = sorted({t.color for t in pda.transitions if t.color % 2 == 0})
+        self.moves = [((t.source, t.top), *m) for t in pda.transitions for m in self.pops.steps(t)]
+        self.moves_from: dict = {}
+        for move in self.moves:
+            self.moves_from.setdefault(move[0], []).append(move)
 
     def heads_from(self, start: Configuration) -> dict:
         """Heads reachable from ``start`` in breadth-first order.
@@ -377,19 +376,18 @@ class _Summary:
 
         while work:
             head = work.popleft()
-            for t in self.pda.by_source_top.get(head, ()):
-                for dst, _c, _l, parts in self.pops.steps(t):
-                    stem = facts[head]
-                    for part in parts:
-                        stem = (stem, part)
-                    add(dst, stem)
+            for _src, dst, _c, _l, parts in self.moves_from.get(head, ()):
+                stem = facts[head]
+                for part in parts:
+                    stem = (stem, part)
+                add(dst, stem)
         return facts
 
     def witness(self, start: Configuration) -> Optional[EmptinessWitness]:
         """First witness from ``start``: lowest even color, then first head found."""
         heads = self.heads_from(start)
         for d in self.evens:
-            layer = _ColorLayer(self.pops, self.pda.transitions, d)
+            layer = _ColorLayer(self.pops, self.moves, d)
             for head, stem in heads.items():
                 if head in layer.good:
                     parts = []
@@ -408,10 +406,9 @@ class _Summary:
         heads of every color layer.
         """
         pred: dict = {}
-        for t in self.pda.transitions:
-            for dst, _c, _l, _parts in self.pops.steps(t):
-                pred.setdefault(dst, set()).add((t.source, t.top))
-        layers = (_ColorLayer(self.pops, self.pda.transitions, d) for d in self.evens)
+        for src, dst, _c, _l, _parts in self.moves:
+            pred.setdefault(dst, set()).add(src)
+        layers = (_ColorLayer(self.pops, self.moves, d) for d in self.evens)
         found = set().union(*(layer.good for layer in layers))
         work = list(found)
         while work:
@@ -437,29 +434,32 @@ def parity_nonempty(
 
 
 def lasso_product(pda: OmegaPDA, w: LassoWord) -> OmegaPDA:
-    """Product with the deterministic |u|+|v| position tracker."""
-    n = w.positions()
+    """Reachable part of the product with the deterministic |u|+|v| position tracker.
 
-    def name(q: str, i: int) -> str:
-        return f"{q}@{i}"
-
-    transitions = []
+    A breadth-first search from ``initial@0`` over the control graph emits
+    the states ``q@i`` it reaches and the transitions leaving them.  A run
+    from ``initial@0`` stays among them, so membership runs on this product.
+    """
+    by_source: dict[str, list[Transition]] = {}
     for t in pda.transitions:
-        for i in range(n):
-            if t.label is None:
-                transitions.append(
-                    Transition(name(t.source, i), t.top, None, name(t.target, i), t.push, t.color)
-                )
-            elif w.letter_at(i) == t.label:
-                transitions.append(
-                    Transition(
-                        name(t.source, i), t.top, t.label,
-                        name(t.target, w.next_position(i)), t.push, t.color,
-                    )
-                )
-    states = tuple(name(q, i) for q in pda.states for i in range(n))
+        by_source.setdefault(t.source, []).append(t)
+    seen = {(pda.initial, 0): f"{pda.initial}@0"}
+    work = deque(seen)
+    transitions = []
+    while work:
+        q, i = work.popleft()
+        letter, nxt = w.letter_at(i), w.next_position(i)
+        for t in by_source.get(q, ()):
+            if t.label is not None and t.label != letter:
+                continue
+            dst = (t.target, i if t.label is None else nxt)
+            if dst not in seen:
+                seen[dst] = f"{t.target}@{dst[1]}"
+                work.append(dst)
+            transitions.append(Transition(seen[q, i], t.top, t.label, seen[dst], t.push, t.color))
     return OmegaPDA(
-        states, pda.input_alphabet, pda.stack_alphabet, name(pda.initial, 0), tuple(transitions)
+        tuple(seen.values()), pda.input_alphabet, pda.stack_alphabet, seen[pda.initial, 0],
+        tuple(transitions),
     )
 
 

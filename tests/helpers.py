@@ -26,7 +26,7 @@ from gfgpda.resolvers import Resolver
 
 
 # ---------------------------------------------------------------------------
-# P-automata, witnesses and color normalization.
+# P-automata, witnesses, color normalization and the full lasso product.
 # ---------------------------------------------------------------------------
 
 
@@ -115,6 +115,37 @@ def normalize_colors(pda: OmegaPDA) -> OmegaPDA:
         pda.stack_alphabet,
         name(*start),
         tuple(transitions),
+    )
+
+
+def full_lasso_product(pda: OmegaPDA, w: LassoWord) -> OmegaPDA:
+    """Product with the |u|+|v| position tracker over every (transition, position) pair.
+
+    The unrestricted product, reachable or not: the oracle for the
+    reachable product that ``analysis.lasso_product`` builds.
+    """
+    n = w.positions()
+
+    def name(q: str, i: int) -> str:
+        return f"{q}@{i}"
+
+    transitions = []
+    for t in pda.transitions:
+        for i in range(n):
+            if t.label is None:
+                transitions.append(
+                    Transition(name(t.source, i), t.top, None, name(t.target, i), t.push, t.color)
+                )
+            elif w.letter_at(i) == t.label:
+                transitions.append(
+                    Transition(
+                        name(t.source, i), t.top, t.label,
+                        name(t.target, w.next_position(i)), t.push, t.color,
+                    )
+                )
+    states = tuple(name(q, i) for q in pda.states for i in range(n))
+    return OmegaPDA(
+        states, pda.input_alphabet, pda.stack_alphabet, name(pda.initial, 0), tuple(transitions)
     )
 
 

@@ -1,5 +1,6 @@
 import itertools
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,6 +11,7 @@ from gfgpda.analysis import (
     accepts_tail_of,
     brute_force_lasso_oracle,
     lasso_membership,
+    lasso_product,
     parity_nonempty,
     saturate_pre_star,
 )
@@ -18,7 +20,8 @@ from gfgpda.core import (
 )
 from gfgpda.resolvers import determinize_moore
 from helpers import (
-    normalize_colors, pa_empty, pa_from_words, pa_universal, random_pda, validate_witness,
+    full_lasso_product, normalize_colors, pa_empty, pa_from_words, pa_universal, random_pda,
+    validate_witness,
 )
 
 
@@ -502,6 +505,90 @@ def test_membership_agrees_with_oracle(name, seed):
     verdict = brute_force_lasso_oracle(fx.automaton, w, 7, 30_000)
     if verdict != UNKNOWN:
         assert verdict == lasso_membership(fx.automaton, w)
+
+
+def _membership_queries():
+    """Every fixture with its zoo sample, then 200 seeded random automata x 3 seeded words."""
+    for fx in zoo.all_fixtures():
+        for w, _flag in fx.sample():
+            yield fx.name, fx.automaton, w
+    rng = random.Random(29)
+    for i in range(200):
+        pda = random_pda(rng)
+        for _ in range(3):
+            u = tuple(rng.choice(pda.input_alphabet) for _ in range(rng.randint(0, 3)))
+            v = tuple(rng.choice(pda.input_alphabet) for _ in range(rng.randint(1, 3)))
+            yield f"random {i}", pda, LassoWord(u, v)
+
+
+def _control_reachable(pda):
+    """States reachable from the initial state in the control graph (stacks ignored)."""
+    succ = {}
+    for t in pda.transitions:
+        succ.setdefault(t.source, set()).add(t.target)
+    seen = {pda.initial}
+    work = [pda.initial]
+    while work:
+        for q in succ.get(work.pop(), ()):
+            if q not in seen:
+                seen.add(q)
+                work.append(q)
+    return seen
+
+
+def test_reachable_product_membership_matches_full_product():
+    for name, pda, w in _membership_queries():
+        full = full_lasso_product(pda, w)
+        expected = (full.initial, BOTTOM) in analysis._Summary(full).accepting_heads()
+        assert lasso_membership(pda, w) == expected, (name, str(w))
+        verdict = brute_force_lasso_oracle(pda, w, 5, 3_000)
+        if verdict != UNKNOWN:
+            assert verdict == expected, (name, str(w))
+
+
+def test_reachable_product_keeps_only_reachable_states():
+    # The product is the full product cut to the states reachable from its
+    # initial state: those states, and every transition leaving them.
+    for name, pda, w in _membership_queries():
+        product, full = lasso_product(pda, w), full_lasso_product(pda, w)
+        reachable = _control_reachable(product)
+        assert product.initial == full.initial
+        assert set(product.states) == reachable, (name, str(w))
+        assert len(product.states) == len(reachable)
+        kept = [t for t in full.transitions if t.source in reachable]
+        assert Counter(product.transitions) == Counter(kept), (name, str(w))
+    fx = zoo.get("twopump")
+    for w, _flag in fx.sample():
+        product = lasso_product(fx.automaton, w)
+        assert len(product.states) < len(fx.automaton.states) * w.positions(), str(w)
+
+
+def test_head_moves_are_computed_once_per_summary(monkeypatch):
+    # One head-move list per summary: the head search, the backward search
+    # and every color layer read it, so ``steps`` runs once per transition.
+    calls = []
+    steps = analysis._Pops.steps
+    monkeypatch.setattr(
+        analysis._Pops, "steps", lambda self, t: calls.append(t) or steps(self, t)
+    )
+    six = zoo.parity_language(6).automaton
+    assert sorted({t.color for t in six.transitions if t.color % 2 == 0}) == [2, 4, 6]
+    for w in (LassoWord(("1",), ("5", "6")), LassoWord((), ("1",)), LassoWord(("2", "3"), ("6",))):
+        product = lasso_product(six, w)
+        calls.clear()
+        lasso_membership(six, w)
+        assert sorted(map(str, calls)) == sorted(map(str, product.transitions)), str(w)
+    fx = zoo.example23()
+    det = determinize_moore(fx.automaton, fx.resolver)
+    for pda in (six, det):
+        calls.clear()
+        parity_nonempty(pda)
+        assert sorted(map(str, calls)) == sorted(map(str, pda.transitions))
+    for letter in det.input_alphabet:
+        calls.clear()
+        accepts_tail_of(det, letter)
+        kept = [t for t in det.transitions if t.label in (None, letter)]
+        assert sorted(map(str, calls)) == sorted(map(str, kept)), letter
 
 
 # -- color normalization -------------------------------------------------------
