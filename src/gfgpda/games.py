@@ -6,18 +6,19 @@ input word and a claimed run of the condition, moving all nondeterminism
 into Player 2's letter choices.  The resulting game reduces to a parity game
 on the configuration graph of a pushdown machine, solved exactly in two
 phases.  Interval iteration on the height-truncated arenas of heights 1 to 3
-comes first: out-of-bound edges are resolved pessimistically for either
-player in turn, and agreement of the two bounds is conclusive for the full
-game.  If these are inconclusive, Walukiewicz's claim game decides: a push
-makes Eve claim where and with which max color the pushed frame returns,
-and Adam either checks the claim above or takes one of its returns.  Both
-arenas are built on dense int ids and solved by Zielonka's algorithm on ints
-(``solve_parity_ids``); ``FiniteParityGame`` is only the public API for
-finite games.  Eve's winning strategies are packaged as pushdown
-transducers: positional ones from a truncation keep the transducer's stack
-unused, claim-game ones push a context per stack frame.  The mode-tracking
-and three-phase delay transforms turn a transducer for the block game into
-one for the original game.
+comes first: out-of-bound edges lead to a dead end owned by either player
+in turn, and agreement of the two bounds is conclusive for the full game.
+If these are inconclusive, Walukiewicz's claim game decides: a push makes
+Eve claim where and with which max color the pushed frame returns, and Adam
+either checks the claim above or takes one of its returns.  Both arenas are
+numbered on dense int ids by one loop under one vertex budget (``_number``)
+and solved by Zielonka's algorithm on ints (``solve_parity_ids``);
+``FiniteParityGame`` is only the public API for finite games.  Eve's
+winning strategies are packaged as pushdown transducers by one builder
+(``_strategy_pdt``): positional ones from a truncation keep the
+transducer's stack unused, claim-game ones push a context per stack frame.
+The mode-tracking and three-phase delay transforms turn a transducer for
+the block game into one for the original game.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Any, Callable, Optional
+from typing import Any, Callable, Iterable, Iterator, Optional
 
 from .core import (
     BOTTOM,
@@ -430,24 +431,21 @@ def solve_pushdown_parity_game(
 ) -> PushdownSolveResult:
     """Exact solving in two phases, with one vertex budget.
 
-    First, interval iteration on the truncations at heights 1, 2 and 3: the
-    configurations of each get dense ids in discovery order and go to
-    ``solve_parity_ids`` as int edges.  Overflow edges point at one paradise
-    id, whose loop is colored for one player at a time; a player winning
-    their pessimistic truncation wins the full game.  These low truncations
-    are the fast path: they decide most games in a few small arenas, where
-    the claim game of the same game can be far larger.  If they are
-    inconclusive, the winner is the winner of ``ClaimGame`` (Walukiewicz),
-    built lazily from the initial vertex by ``solve_claim_game``.  The
-    vertices of both phases count against the budget as they are numbered,
+    First, interval iteration on the truncations at heights 1, 2 and 3 (see
+    ``_solve_truncation``).  These low truncations are the fast path: they
+    decide most games in a few small arenas, where the claim game of the
+    same game can be far larger.  If they are inconclusive, the winner is
+    the winner of ``ClaimGame`` (Walukiewicz), built lazily from the initial
+    vertex by ``solve_claim_game``.  Both phases number their vertices with
+    ``_number``, which counts them against the budget as they are numbered,
     so ``ResourceExceeded`` comes after at most budget + 1 of them.
-    ``stats["decided_by"]`` says which phase decided.
+    ``stats["decided_by"]`` says which phase decided.  A malformed move
+    raises ``ValueError``.
     """
-    cmax = max((m.color for m in game.moves), default=0)
-    pessimistic = ((EVE, cmax + 1 + (cmax % 2)), (ADAM, cmax + 2 - (cmax % 2)))
+    _check_moves(game)
     total = 0
     for height in TRUNCATION_HEIGHTS:
-        result, total = _solve_truncation(game, height, pessimistic, total, budget)
+        result, total = _solve_truncation(game, height, total, budget)
         if result is not None:
             return result
     result = solve_claim_game(game, budget, total)
@@ -455,56 +453,78 @@ def solve_pushdown_parity_game(
     return result
 
 
+def _check_moves(game: PushdownParityGame) -> None:
+    """Raise ``ValueError`` naming the first move whose push is longer than
+    two symbols, does not keep the bottom at the bottom, or holds it
+    anywhere else."""
+    for m in game.moves:
+        push, at_bottom = m.push, m.top == BOTTOM
+        if len(push) > 2 or push.count(BOTTOM) != at_bottom or at_bottom and push[0] != BOTTOM:
+            raise ValueError(f"malformed move {m}: a push has at most two symbols, "
+                             "and the bottom stays at the bottom")
+
+
 def _over_budget(vertices: int, budget: int) -> ResourceExceeded:
     return ResourceExceeded(f"{vertices} numbered vertices exceed the budget {budget}")
 
 
-def _solve_truncation(
-    game: PushdownParityGame, height: int, pessimistic: tuple, total: int, budget: int
-) -> tuple[Optional[PushdownSolveResult], int]:
-    """The truncation at ``height``, solved once per ``(player, paradise
-    color)`` in ``pessimistic``: its result if conclusive, and the vertex
-    count with its vertices added."""
+def _number(start, successors: Callable, total: int, budget: int) -> tuple[list, list, list]:
+    """The vertices reached from ``start`` in discovery order, the edges
+    ``(u, color, v)`` between their numbers and the edges' labels, from
+    ``successors(vertex)``, an iterable of ``(color, successor, label)``
+    called once per vertex in that order; a successor ``None`` keeps the
+    number ``None``.  ``total`` vertices already count against ``budget``,
+    which is checked at each new number."""
     if total >= budget:
         raise _over_budget(total + 1, budget)
-    moves_at = game.moves_at
-    start = (game.initial, (BOTTOM,))
     ids = {start: 0}
     order = [start]
-    edges: list = []  # (u, color, v), v None on overflow
-    edge_moves: list[GameMove] = []
-    boundary = False
-    for u, (state, stack) in enumerate(order):
+    edges: list = []
+    labels: list = []
+    for u, vertex in enumerate(order):
+        for color, nxt, label in successors(vertex):
+            v = None if nxt is None else ids.setdefault(nxt, len(order))
+            if v == len(order):
+                order.append(nxt)
+                if total + len(order) > budget:
+                    raise _over_budget(total + len(order), budget)
+            edges.append((u, color, v))
+            labels.append(label)
+    return order, edges, labels
+
+
+def _solve_truncation(
+    game: PushdownParityGame, height: int, total: int, budget: int
+) -> tuple[Optional[PushdownSolveResult], int]:
+    """The truncation at ``height``: its result if conclusive, and ``total``
+    plus its vertices.  Its configurations are numbered once by ``_number``,
+    where a successor above ``height`` is ``None``; those edges then point
+    at one paradise id.  The paradise is a dead end owned by one player at
+    a time, so it loses for them, and a player winning the truncation that
+    is pessimistic for them wins the full game."""
+    moves_at = game.moves_at
+
+    def successors(cfg):
+        state, stack = cfg
         for m in moves_at.get((state, stack[-1]), ()):
             nstack = stack[:-1] + m.push
-            if len(nstack) - 1 > height:
-                boundary = True
-                v = None
-            else:
-                nxt = (m.target, nstack)
-                v = ids.setdefault(nxt, len(order))
-                if v == len(order):
-                    order.append(nxt)
-                    if total + len(order) > budget:
-                        raise _over_budget(total + len(order), budget)
-            edges.append((u, m.color, v))
-            edge_moves.append(m)
-    total += len(order)
+            yield m.color, (m.target, nstack) if len(nstack) <= height + 1 else None, m
 
+    order, edges, edge_moves = _number((game.initial, (BOTTOM,)), successors, total, budget)
+    total += len(order)
     stats = {"vertices": total, "height": height, "decided_by": "truncation",
              "claim_vertices": 0}
     owner = [game.owner[state] for state, _ in order]
     paradise = len(order)
+    boundary = any(v is None for _, _, v in edges)
     if boundary:
-        owner.append(EVE)
         edges = [(u, c, paradise if v is None else v) for u, c, v in edges]
-    for player, color in pessimistic if boundary else ((EVE, None),):
-        loop = [] if color is None else [(paradise, color, paradise)]
-        wins, strats = solve_parity_ids(owner, edges + loop)
+    for player in (EVE, ADAM) if boundary else (None,):
+        wins, strats = solve_parity_ids(owner + [player] if boundary else owner, edges)
         winner = EVE if 0 in wins[EVE] else ADAM
         if winner == player or not boundary:
-            strat = {order[v]: edge_moves[j] for v, j in strats[EVE].items()
-                     if v < paradise} if winner == EVE else None
+            strat = ({order[v]: edge_moves[j] for v, j in strats[EVE].items()}
+                     if winner == EVE else None)
             return PushdownSolveResult(winner, strat, stats), total
     return None, total
 
@@ -530,6 +550,8 @@ class ClaimGame:
     ``(q, Z) =>* (r, eps)`` of ``analysis._saturate``: claiming a return
     that no run produces only gives Adam an option.  Pairs are ordered once
     for the whole game, so a claim, a sorted subset, has one representation.
+    Claims are enumerated lazily, so a budget bounds the work on a large
+    universe.
     """
 
     WIN = ("win",)
@@ -550,20 +572,15 @@ class ClaimGame:
             universe.setdefault((q, z), {})[(r, c)] = None
         self._universe = {head: tuple(sorted(pairs, key=rank.__getitem__))
                           for head, pairs in universe.items()}
-        self._claims: dict = {}
 
     def initial(self) -> tuple:
         return ("v", self.game.initial, BOTTOM, (), -1)
 
-    def claims(self, q, z) -> list[tuple]:
+    def claims(self, q, z) -> Iterator[tuple]:
         """Every subset of the universe of ``(q, z)``, in bitmask order."""
-        out = self._claims.get((q, z))
-        if out is None:
-            u = self._universe.get((q, z), ())
-            out = [tuple(u[i] for i in range(len(u)) if mask >> i & 1)
-                   for mask in range(1 << len(u))]
-            self._claims[(q, z)] = out
-        return out
+        u = self._universe.get((q, z), ())
+        for mask in range(1 << len(u)):
+            yield tuple(u[i] for i in range(len(u)) if mask >> i & 1)
 
     @staticmethod
     def resume(y, claim: tuple, m: int, r, c: int) -> tuple:
@@ -585,14 +602,12 @@ class ClaimGame:
             return self.WIN if (move.target, mc) in claim else self.LOSE
         if len(push) == 1:
             return ("v", move.target, push[0], claim, mc)
-        if len(push) == 2:
-            return ("e", move.target, push[0], push[1], claim, mc)
-        raise ValueError(f"claim game needs pushes of at most two symbols: {move}")
+        return ("e", move.target, push[0], push[1], claim, mc)
 
-    def successors(self, vertex: tuple) -> tuple[str, list]:
+    def successors(self, vertex: tuple) -> tuple[str, Iterable]:
         """The owner of ``vertex`` and its edges ``(color, successor, label)``;
         the label is the GameMove of a main vertex's edge and the claim of a
-        claim vertex's edge."""
+        claim vertex's edge.  A claim vertex's edges are a generator."""
         kind = vertex[0]
         if kind == "v":
             _, p, x, _, _ = vertex
@@ -601,8 +616,7 @@ class ClaimGame:
         cmin = self.cmin
         if kind == "e":
             _, q, _, z, _, _ = vertex
-            return EVE, [(cmin, ("a",) + vertex[1:] + (s,), s)
-                         for s in self.claims(q, z)]
+            return EVE, ((cmin, ("a",) + vertex[1:] + (s,), s) for s in self.claims(q, z))
         if kind == "a":
             _, q, y, z, claim, m, s = vertex
             out = [(cmin, self.above(vertex, s), None)]
@@ -616,27 +630,18 @@ def solve_claim_game(
     game: PushdownParityGame, budget: int = 5_000_000, total: int = 0
 ) -> PushdownSolveResult:
     """The exact winner by ``ClaimGame``, built from its initial vertex;
-    ``total`` vertices already count against ``budget``."""
-    if total >= budget:
-        raise _over_budget(total + 1, budget)
+    ``total`` vertices already count against ``budget``.  A malformed move
+    raises ``ValueError``."""
+    _check_moves(game)
     cg = ClaimGame(game)
-    start = cg.initial()
-    ids = {start: 0}
-    order = [start]
     owner: list[str] = []
-    edges: list = []
-    labels: list = []
-    for u, vertex in enumerate(order):
+
+    def successors(vertex):
         who, succ = cg.successors(vertex)
         owner.append(who)
-        for color, nxt, label in succ:
-            v = ids.setdefault(nxt, len(order))
-            if v == len(order):
-                order.append(nxt)
-                if total + len(order) > budget:
-                    raise _over_budget(total + len(order), budget)
-            edges.append((u, color, v))
-            labels.append(label)
+        return succ
+
+    order, edges, labels = _number(cg.initial(), successors, total, budget)
     total += len(order)
     wins, strats = solve_parity_ids(owner, edges)
     winner = EVE if 0 in wins[EVE] else ADAM
@@ -781,116 +786,82 @@ class StrategyPDT:
 
 
 def extract_strategy_pdt(gs: GsResult) -> StrategyPDT:
-    """Eve's winning strategy in the block game as a transducer over sigma1.
+    """Eve's winning strategy in the block game as a transducer over sigma1,
+    built by ``_strategy_pdt`` from the phase that decided the game.
 
-    A strategy from a truncation is positional: the transducer's states are
-    truncated-arena configurations and its stack stays unused.  A strategy
-    from the claim game is built by ``_claim_stack_pdt``."""
+    A strategy from a truncation is positional: its vertices are
+    configurations, every round is a swap and the transducer's stack stays
+    unused.  A strategy from the claim game has main vertices, and a round's
+    forced push or pop pushes or pops the context of the frame below."""
     if gs.winner != EVE:
         raise ValueError("no Eve strategy: Adam wins this specification")
-    if gs.solve.claims is not None:
-        return _claim_stack_pdt(gs.solve.claims, gs.info)
-    sigma = gs.solve.eve_strategy
-    moves_at = gs.game.moves_at
+    if gs.solve.claims is None:
+        choice, moves_at = gs.solve.eve_strategy, gs.game.moves_at
 
-    def apply(cfg, m: GameMove):
-        state, stack = cfg
-        return (m.target, stack[:-1] + m.push)
+        def step(cfg, move: GameMove):
+            return move.target, cfg[1][:-1] + move.push
 
-    def follow_forced(cfg):
-        while cfg[0][0] == "S":
-            ms = moves_at.get((cfg[0], cfg[1][-1]), ())
-            if not ms:
-                raise PdaError(f"strategy reached a dead simulation vertex {cfg}")
-            cfg = apply(cfg, ms[0])
-        return cfg
+        def swap(cfg):
+            sim = step(cfg, _chosen(choice, cfg))
+            return step(sim, _chosen(choice, sim)), None
 
-    def adam_read(cfg, x1: str):
-        for m in moves_at.get((cfg[0], cfg[1][-1]), ()):
-            if m.target[2] == x1:
-                return apply(cfg, m)
-        raise PdaError(f"no Adam move for {x1!r} at {cfg}")
-
-    start = (gs.game.initial, (BOTTOM,))
-    init = ("start", start)
-    rules: list[PdtRule] = []
-    output: dict = {}
-    states: list = [init]
-    seen = {init}
-    queue: deque = deque()
-
-    def e_state(cfg):
-        node = ("play", cfg)
-        if node not in seen:
-            seen.add(node)
-            states.append(node)
-            queue.append(node)
-            move = sigma.get(cfg)
-            if move is None:
-                raise PdaError(f"Eve strategy undefined at {cfg}")
-            output[node] = move.target[3]
-        return node
-
-    for x1 in gs.info.sigma1:
-        rules.append(PdtRule(init, BOTTOM, x1, e_state(adam_read(start, x1)), (BOTTOM,)))
-    while queue:
-        node = queue.popleft()
-        cfg = node[1]
-        nxt_a = follow_forced(apply(cfg, sigma[cfg]))
-        for x1 in gs.info.sigma1:
-            rules.append(PdtRule(node, BOTTOM, x1, e_state(adam_read(nxt_a, x1)), (BOTTOM,)))
-    machine = DetPushdown(tuple(states), init, (), tuple(rules))
-    return StrategyPDT(machine, output, gs.info.sigma1, gs.info.y_values)
-
-
-def _claim_stack_pdt(claims: ClaimStrategy, info: PdInfo) -> StrategyPDT:
-    """Eve's claim-game strategy on a Gale-Stewart arena as a transducer with
-    one stack symbol per stack frame below the current one.
-
-    A state is a main vertex where Eve picks her letter.  Each Adam letter
-    is one round: Eve's letter, the block's forced move, Adam's next letter.
-    A forced push makes the claim Eve's strategy picks, pushes the interned
-    context ``(Y, R, m)`` of the claim vertex and moves to the claimed frame;
-    a forced pop, which her strategy only plays onto a claimed return, reads
-    the context and resumes the frame below.  Rules exist for each mode
-    (state, top symbol) a run reaches: a pushed symbol records the symbols
-    it was pushed onto, so each state a pop reaches gets them as tops.
-    """
-    cg, choice = claims.game, claims.choice
-    sigma1 = info.sigma1
-
-    def play(vertex):
-        move = choice.get(vertex)
-        if move is None:
-            raise PdaError(f"Eve strategy undefined at {vertex}")
-        return move
-
-    def adam_read(vertex, x1: str):
-        for move in cg.moves_at.get((vertex[1], vertex[2]), ()):
-            if move.target[2] == x1:
-                return cg.after(vertex, move)
-        raise PdaError(f"no Adam move for {x1!r} at {vertex}")
+        return _strategy_pdt((gs.game.initial, (BOTTOM,)), choice,
+                             lambda cfg: moves_at.get((cfg[0], cfg[1][-1]), ()), step, swap,
+                             gs.info)
+    cg, choice = gs.solve.claims.game, gs.solve.claims.choice
 
     def eve_round(vertex):
-        """Eve's letter and the forced move after it: ``(vertex, None)`` for
-        a swap, ``(vertex above, context)`` for a push, ``(None, (r, c))``
-        for a pop to ``r`` with max color ``c`` since the frame began."""
-        sim = cg.after(vertex, play(vertex))
-        move = play(sim)
+        sim = cg.after(vertex, _chosen(choice, vertex))
+        move = _chosen(choice, sim)
         nxt = cg.after(sim, move)
         if nxt == cg.LOSE or move.target[0] != "A":
             raise PdaError(f"no winning Adam vertex after the forced move at {sim}")
         if nxt == cg.WIN:
             return None, (move.target, max(sim[4], move.color))
         if nxt[0] == "e":
-            return cg.above(nxt, play(nxt)), (nxt[2], nxt[4], nxt[5])
+            return cg.above(nxt, _chosen(choice, nxt)), (nxt[2], nxt[4], nxt[5])
         return nxt, None
+
+    return _strategy_pdt(cg.initial(), choice, lambda v: cg.moves_at.get((v[1], v[2]), ()),
+                         cg.after, eve_round, gs.info)
+
+
+def _chosen(choice: dict, vertex):
+    """Eve's choice at ``vertex``."""
+    move = choice.get(vertex)
+    if move is None:
+        raise PdaError(f"Eve strategy undefined at {vertex}")
+    return move
+
+
+def _strategy_pdt(start, choice: dict, moves: Callable, after: Callable,
+                  eve_round: Callable, info: PdInfo) -> StrategyPDT:
+    """Eve's strategy ``choice`` on a Gale-Stewart arena as a transducer with
+    one stack symbol per stack frame below the current one.
+
+    A state is a vertex where Eve picks her letter; ``moves(vertex)`` are
+    the vertex's GameMoves and ``after(vertex, move)`` its successor.  Each
+    Adam letter is one round: ``eve_round(vertex)`` plays Eve's letter and
+    the block's forced move, and gives ``(vertex, None)`` for a swap,
+    ``(vertex above, context)`` for a push and ``(None, (r, c))`` for a pop
+    to ``r`` with max color ``c`` since the frame began; Adam's next letter
+    follows.  A push pushes the interned context, a pop reads it and resumes
+    the frame below by ``ClaimGame.resume``.  Rules exist for each mode
+    (state, top symbol) a run reaches: a pushed symbol records the symbols
+    it was pushed onto, so each state a pop reaches gets them as tops.
+    """
+    sigma1 = info.sigma1
+
+    def adam_read(vertex, x1: str):
+        for move in moves(vertex):
+            if move.target[2] == x1:
+                return after(vertex, move)
+        raise PdaError(f"no Adam move for {x1!r} at {vertex}")
 
     symbols: dict = {}  # context -> stack symbol
     contexts: dict = {}  # stack symbol -> context
     below: dict = {}  # stack symbol -> {symbol it was pushed onto: None}
     returns: dict = {}  # stack symbol -> {state its pop reaches: None}
-    start = cg.initial()
     init = ("start", start)
     states: list = [init]
     output: dict = {}
@@ -902,7 +873,7 @@ def _claim_stack_pdt(claims: ClaimStrategy, info: PdInfo) -> StrategyPDT:
         node = ("play", vertex)
         if node not in output:
             states.append(node)
-            output[node] = play(vertex).target[3]
+            output[node] = _chosen(choice, vertex).target[3]
         return node
 
     def mode(node, top) -> None:
@@ -920,7 +891,7 @@ def _claim_stack_pdt(claims: ClaimStrategy, info: PdInfo) -> StrategyPDT:
         if nxt is None:
             if top == BOTTOM:
                 raise PdaError(f"strategy pops the bottom frame at {node[1]}")
-            nxt = cg.resume(*contexts[top], *context)
+            nxt = ClaimGame.resume(*contexts[top], *context)
             push, tops = (), below[top]
         elif context is None:
             push, tops = (top,), (top,)
@@ -1126,24 +1097,34 @@ def compose_sigma_d(
 # ---------------------------------------------------------------------------
 
 
+_GFG_CLAIMS = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False}
+
+
 def parse_gs_spec(text: str) -> GaleStewartSpec:
     """The condition automaton's declarations plus `sigma1 ...`, `sigma2 ...`,
-    `pair <condition-letter> <a1> <a2>` and `gfg <claim>`, read in one pass."""
+    `pair <condition-letter> <a1> <a2>` and `gfg <claim>`, read in one pass.
+    A claim is true/1/yes or false/0/no in any case; without one it is false."""
     sigma1: list[str] = []
     sigma2: list[str] = []
     pairing: dict[str, tuple[str, str]] = {}
-    claim: list[str] = []
+    claim: list[bool] = []
 
     def pair(letter, a1, a2):
         pairing[letter] = (a1, a2)
 
+    def gfg(value):
+        flag = _GFG_CLAIMS.get(value.lower())
+        if flag is None:
+            raise ValueError(f"gfg takes true/1/yes or false/0/no, not {value!r}")
+        claim.append(flag)
+
     handlers, build = pda_declarations()
     handlers.update({"sigma1": (None, lambda *xs: sigma1.extend(xs)),
                      "sigma2": (None, lambda *xs: sigma2.extend(xs)),
-                     "pair": (3, pair), "gfg": (1, claim.append)})
+                     "pair": (3, pair), "gfg": (1, gfg)})
     read_declarations(text, handlers)
-    gfg = bool(claim) and claim[-1].lower() in ("true", "1", "yes")
-    spec = GaleStewartSpec(tuple(sigma1), tuple(sigma2), build(), pairing, gfg)
+    spec = GaleStewartSpec(tuple(sigma1), tuple(sigma2), build(), pairing,
+                           claim[-1] if claim else False)
     bad = spec.validate()
     if bad:
         raise FormatError("; ".join(bad))

@@ -254,6 +254,21 @@ def test_solve_adam_spec(capsys, tmp_path):
     assert code == 1 and json.loads(out)["verdict"] == "player1"
 
 
+def test_gfg_claim_typo_is_input_error(capsys, tmp_path):
+    # A misspelt claim must not read as false, which would turn a sound
+    # Player 1 win into an inconclusive one.
+    text = games.format_gs_spec(games.make_universality_spec(zoo.example23().automaton))
+    specfile = tmp_path / "fig2u.gs"
+    for claim, code, verdict in (("YES", 1, "player 1 wins"), ("1", 1, "player 1 wins"),
+                                 ("No", 1, "player 1 wins (inconclusive"),
+                                 ("0", 1, "player 1 wins (inconclusive"),
+                                 ("ture", 4, "input error: line")):
+        specfile.write_text(text.replace("gfg true", f"gfg {claim}"))
+        got, out = run(capsys, "solve", str(specfile))
+        assert got == code and out.startswith(verdict), (claim, out)
+    assert "gfg takes true/1/yes or false/0/no, not 'ture'" in out
+
+
 def test_synth_input_error_is_not_player1(capsys, tmp_path, monkeypatch):
     # Only a Player 1 win is a negative synthesis verdict; a ValueError
     # raised while synthesizing reports bad input.

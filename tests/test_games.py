@@ -1,8 +1,10 @@
 import os
 import random
+import re
 import subprocess
 import sys
 import threading
+import tracemalloc
 
 import pytest
 
@@ -247,17 +249,21 @@ def test_zielonka_leaves_no_process_global_state():
 
 
 def test_synthesized_strategy_text_is_independent_of_hash_seed(tmp_path):
-    spec = tmp_path / "figure1u.gs"
-    spec.write_text(format_gs_spec(make_universality_spec(zoo.figure1().automaton)))
+    # figure1's universality game is decided by a truncation, spec 7 of the
+    # seed-940 corpus by the claim game, whose strategy interns k<i> symbols.
     src = os.path.dirname(os.path.dirname(gfgpda.__file__))
-    texts = []
-    for seed in ("0", "1"):
-        out = tmp_path / f"seed{seed}.pdt"
-        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
-        subprocess.run([sys.executable, "-m", "gfgpda.cli", "synth", str(spec), "-o", str(out)],
-                       env=env, check=True, capture_output=True)
-        texts.append(out.read_bytes())
-    assert texts[0] == texts[1]
+    for name, game in (("figure1u", make_universality_spec(zoo.figure1().automaton)),
+                       ("spec7", _claim_decided_specs()[0])):
+        spec = tmp_path / f"{name}.gs"
+        spec.write_text(format_gs_spec(game))
+        texts = []
+        for seed in ("0", "1"):
+            out = tmp_path / f"{name}-seed{seed}.pdt"
+            env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+            subprocess.run([sys.executable, "-m", "gfgpda.cli", "synth", str(spec), "-o", str(out)],
+                           env=env, check=True, capture_output=True)
+            texts.append(out.read_bytes())
+        assert texts[0] == texts[1], name
 
 
 # -- pushdown solver ----------------------------------------------------------------------
@@ -312,14 +318,15 @@ def _branching_pusher() -> PushdownParityGame:
     return PushdownParityGame(("v",), ("A", "B"), "v", {"v": EVE}, moves)
 
 
-def _claiming_popper() -> PushdownParityGame:
-    # Eve pumps N or pops it to r0 or r1 with an odd color, so no truncation
-    # is conclusive; the universe of (v, N) has 3 pairs, 8 claims per push.
+def _claiming_popper(pops: int = 2) -> PushdownParityGame:
+    # Eve pumps N or pops it to r0, r1, ... with an odd color, so no
+    # truncation is conclusive; the universe of (v, N) has pops * (pops + 1)
+    # / 2 pairs: 3 pairs, 8 claims per push, for two pops.
     moves = [GameMove("v", BOTTOM, "v", (BOTTOM, "N"), 1), GameMove("v", "N", "v", ("N", "N"), 1)]
-    for i, r in enumerate(("r0", "r1")):
+    states = ("v",) + tuple(f"r{i}" for i in range(pops))
+    for i, r in enumerate(states[1:]):
         moves.append(GameMove("v", "N", r, (), 2 * i + 3))
         moves += [GameMove(r, x, "v", (x,), 1) for x in (BOTTOM, "N")]
-    states = ("v", "r0", "r1")
     return PushdownParityGame(states, ("N",), "v", {s: EVE for s in states}, tuple(moves))
 
 
@@ -348,6 +355,36 @@ def test_pushdown_solver_budget_bounds_the_work():
         built = int(str(exc.value).split()[0])
         assert budget < built <= budget + out_degree, phase
         assert len(expanded) <= budget, phase
+
+
+def test_budget_bounds_claim_enumeration():
+    # Five pops give a 15-pair universe, 32,768 claims per push: they are
+    # enumerated one numbered vertex at a time, not all before the first.
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceExceeded, match="^1001 numbered vertices"):
+            solve_pushdown_parity_game(_claiming_popper(5), budget=1_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2_000_000
+
+
+@pytest.mark.parametrize("moves", [
+    # A pop of the bottom: the truncations would index an empty stack.
+    (GameMove("v", BOTTOM, "v", (), 0),),
+    # A three-symbol push that the height-1 truncation alone would decide.
+    (GameMove("v", BOTTOM, "v", (BOTTOM,), 0), GameMove("v", BOTTOM, "v", (BOTTOM, "N", "N"), 1)),
+    # A three-symbol push that only the claim game, after its saturation, sees.
+    (GameMove("v", BOTTOM, "v", (BOTTOM, "N"), 1), GameMove("v", "N", "v", ("N", "N", "N"), 1)),
+    # The bottom above another symbol.
+    (GameMove("v", BOTTOM, "v", (BOTTOM, "N"), 0), GameMove("v", "N", "v", ("N", BOTTOM), 0)),
+])
+def test_malformed_pushdown_games_are_rejected(moves):
+    game = PushdownParityGame(("v",), ("N",), "v", {"v": EVE}, moves)
+    for solve in (solve_pushdown_parity_game, solve_claim_game):
+        with pytest.raises(ValueError, match=re.escape(f"malformed move {moves[-1]}")):
+            solve(game)
 
 
 def _random_pushdown_game(rng: random.Random) -> PushdownParityGame:
