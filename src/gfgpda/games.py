@@ -12,13 +12,14 @@ If these are inconclusive, Walukiewicz's claim game decides: a push makes
 Eve claim where and with which max color the pushed frame returns, and Adam
 either checks the claim above or takes one of its returns.  Both arenas are
 numbered on dense int ids by one loop under one vertex budget (``_number``)
-and solved by Zielonka's algorithm on ints (``solve_parity_ids``);
-``FiniteParityGame`` is only the public API for finite games.  Eve's
-winning strategies are packaged as pushdown transducers by one builder
-(``_strategy_pdt``): positional ones from a truncation keep the
-transducer's stack unused, claim-game ones push a context per stack frame.
-The mode-tracking and three-phase delay transforms turn a transducer for
-the block game into one for the original game.
+and solved by Zielonka's algorithm with attractors to edges, no vertex added
+(``solve_parity_ids``); ``FiniteParityGame`` is only the public API for
+finite games.  Eve's winning strategies are packaged as pushdown
+transducers by one builder (``_strategy_pdt``): positional ones from a
+truncation keep the transducer's stack unused, claim-game ones push a
+context per stack frame.  The mode-tracking and three-phase delay
+transforms turn a transducer for the block game into one for the original
+game.
 """
 
 from __future__ import annotations
@@ -279,95 +280,93 @@ def solve_parity_ids(owner: list, edges: list) -> tuple[dict, dict]:
     """Zielonka on an edge-colored game over vertices ``0..n-1`` owned by
     ``owner[v]``, with edges ``(u, color, v)``.  Returns per player the
     winning vertices and a map from each of its vertices there to the index
-    of the edge it takes.  Internally ``n + j`` is the midpoint of edge
-    ``j``, and each dead end gets a losing self-loop for its owner after
-    those."""
-    n, m = len(owner), len(edges)
-    colors = [c for _, c, _ in edges]
-    cmax = max(colors, default=0)
-    cmin = min(colors, default=0)
-    lose = {EVE: cmax + 1 + (cmax % 2), ADAM: cmax + 2 - (cmax % 2)}
-    owner = owner + [EVE] * m
-    color = [cmin] * n + colors
-    succ: list[list[int]] = [[] for _ in range(n)] + [[v] for _, _, v in edges]
-    pred: list[list[int]] = [[] for _ in range(n + m)]
-    for j, (u, _, v) in enumerate(edges):
-        succ[u].append(n + j)
-        pred[n + j].append(u)
-        pred[v].append(n + j)
-    for v in range(n):
-        if not succ[v]:
-            succ[v].append(len(succ))
-            pred[v].append(len(succ))
-            owner.append(EVE)
-            color.append(lose[owner[v]])
-            succ.append([v])
-            pred.append([v])
-
-    stack = [_zielonka(set(range(len(succ))), succ, pred, owner, color)]
+    of the edge it takes.  A subgame is a vertex set and a color bound, with
+    the edges between its vertices up to the bound.  A dead end gets a
+    self-loop edge after ``edges`` whose color loses for its owner, so no
+    strategy takes it."""
+    top = max((c for _, c, _ in edges), default=0)
+    sources = {u for u, _, _ in edges}
+    loops = [(v, top | 1 if who == EVE else top + top % 2, v)
+             for v, who in enumerate(owner) if v not in sources]
+    out: list[list] = [[] for _ in owner]
+    inc: list[list] = [[] for _ in owner]
+    for j, (u, c, v) in enumerate(edges + loops):
+        out[u].append((c, v, j))
+        inc[v].append((c, u, j))
+    for succ in out:
+        succ.sort(reverse=True)
+    stack = [_zielonka(set(range(len(owner))), top + 1, out, inc, owner)]
     result = None
     while stack:
         try:
-            sub = stack[-1].send(result)
+            sub, bound = stack[-1].send(result)
         except StopIteration as done:
             stack.pop()
             result = done.value
         else:
-            stack.append(_zielonka(sub, succ, pred, owner, color))
+            stack.append(_zielonka(sub, bound, out, inc, owner))
             result = None
-    wins, strats = result
-    return (
-        {p: {v for v in wins[p] if v < n} for p in (EVE, ADAM)},
-        {p: {v: w - n for v, w in strats[p].items() if v < n and w < n + m}
-         for p in (EVE, ADAM)},
-    )
+    return result
 
 
-def _attractor(player, targets, sub, succ, pred, owner):
+def _attractor(player, sub, bound, out, inc, owner, targets, strat):
+    """The vertices of the subgame ``(sub, bound)`` from which ``player``
+    forces a visit to ``targets``, and ``strat`` with the edge that each of
+    ``player``'s vertices there takes.  An opponent vertex joins once all
+    its subgame edges lead into the attractor."""
     attracted = set(targets)
-    strat: dict = {}
     counts: dict = {}
-    queue = deque(sorted(targets))
+    queue = deque(attracted)
     while queue:
-        u = queue.popleft()
-        for v in pred[u]:
-            if v not in sub or v in attracted:
+        for c, v, j in inc[queue.popleft()]:
+            if c > bound or v in attracted or v not in sub:
                 continue
             if owner[v] == player:
-                strat[v] = u
-            else:
-                if v not in counts:
-                    counts[v] = sum(1 for w in succ[v] if w in sub)
-                counts[v] -= 1
-                if counts[v]:
+                strat[v] = j
+            elif len(out[v]) > 1:  # else its one edge leads into the attractor
+                k = counts[v] if v in counts else len(
+                    [w for e, w, _ in out[v] if e <= bound and w in sub])
+                counts[v] = k - 1
+                if k > 1:
                     continue
             attracted.add(v)
             queue.append(v)
     return attracted, strat
 
 
-def _zielonka(sub, succ, pred, owner, color):
-    """Winning regions and strategies on ``sub``.  The subgame left after
-    peeling the opponent's attractor is solved by the loop; the subgame
-    without the top color's attractor is yielded, and the caller sends its
-    result back, so nesting lives on the caller's list, not the Python stack."""
+def _zielonka(sub, bound, out, inc, owner):
+    """Winning regions and strategies on the subgame ``(sub, bound)``, which
+    has no dead end.  The player ``p`` of its top color ``d`` attracts to
+    the edges of color ``d``.  The rest, with bound ``d - 1``, is a trap for
+    ``p`` without a dead end; it is yielded and the caller sends its result
+    back, so nesting lives on the caller's list, not the Python stack.  What
+    is left after peeling the opponent's attractor to their wins there is
+    solved by the loop."""
     wins_all: dict = {EVE: set(), ADAM: set()}
     strats_all: dict = {EVE: {}, ADAM: {}}
     while sub:
-        d = max(color[v] for v in sub)
+        d, top = float("-inf"), []
+        for v in sub:
+            for c, w, j in out[v]:  # colors descending
+                if c < d:
+                    break
+                if c <= bound and w in sub:
+                    if c > d:
+                        d, top = c, []
+                    top.append((v, j))
+                    break
         p = EVE if d % 2 == 0 else ADAM
         opp = ADAM if p == EVE else EVE
-        targets = {v for v in sub if color[v] == d}
-        region, rstrat = _attractor(p, targets, sub, succ, pred, owner)
-        wins, strats = yield sub - region
+        strat = {v: j for v, j in top if owner[v] == p}
+        targets = [v for v, _ in top
+                   if v in strat or not any(e < d and w in sub for e, w, _ in out[v])]
+        region, rstrat = _attractor(p, sub, d - 1, out, inc, owner, targets, strat)
+        wins, strats = yield sub - region, d - 1
         if not wins[opp]:
             wins_all[p] |= sub
             strats_all[p] |= strats[p] | rstrat
-            for v in targets:
-                if owner[v] == p:
-                    strats_all[p][v] = next(w for w in succ[v] if w in sub)
             break
-        region2, bstrat = _attractor(opp, wins[opp], sub, succ, pred, owner)
+        region2, bstrat = _attractor(opp, sub, d, out, inc, owner, wins[opp], {})
         wins_all[opp] |= region2
         strats_all[opp] |= strats[opp] | bstrat
         sub = sub - region2
@@ -468,28 +467,27 @@ def _over_budget(vertices: int, budget: int) -> ResourceExceeded:
     return ResourceExceeded(f"{vertices} numbered vertices exceed the budget {budget}")
 
 
-def _number(start, successors: Callable, total: int, budget: int) -> tuple[list, list, list]:
+def _number(start, expand: Callable, total: int, budget: int) -> tuple[list, list, list]:
     """The vertices reached from ``start`` in discovery order, the edges
-    ``(u, color, v)`` between their numbers and the edges' labels, from
-    ``successors(vertex)``, an iterable of ``(color, successor, label)``
-    called once per vertex in that order; a successor ``None`` keeps the
-    number ``None``.  ``total`` vertices already count against ``budget``,
-    which is checked at each new number."""
+    ``(u, color, v)`` between their numbers and the edges' labels.
+    ``expand(order)`` yields ``(u, color, successor, label)`` for each
+    number ``u`` of ``order`` in turn, while ``order`` grows; a successor
+    ``None`` keeps the number ``None``.  ``total`` vertices already count
+    against ``budget``, which is checked at each new number."""
     if total >= budget:
         raise _over_budget(total + 1, budget)
     ids = {start: 0}
     order = [start]
     edges: list = []
     labels: list = []
-    for u, vertex in enumerate(order):
-        for color, nxt, label in successors(vertex):
-            v = None if nxt is None else ids.setdefault(nxt, len(order))
-            if v == len(order):
-                order.append(nxt)
-                if total + len(order) > budget:
-                    raise _over_budget(total + len(order), budget)
-            edges.append((u, color, v))
-            labels.append(label)
+    for u, color, nxt, label in expand(order):
+        v = None if nxt is None else ids.setdefault(nxt, len(order))
+        if v == len(order):
+            order.append(nxt)
+            if total + len(order) > budget:
+                raise _over_budget(total + len(order), budget)
+        edges.append((u, color, v))
+        labels.append(label)
     return order, edges, labels
 
 
@@ -504,13 +502,13 @@ def _solve_truncation(
     is pessimistic for them wins the full game."""
     moves_at = game.moves_at
 
-    def successors(cfg):
-        state, stack = cfg
-        for m in moves_at.get((state, stack[-1]), ()):
-            nstack = stack[:-1] + m.push
-            yield m.color, (m.target, nstack) if len(nstack) <= height + 1 else None, m
+    def expand(order):
+        for u, (state, stack) in enumerate(order):
+            for m in moves_at.get((state, stack[-1]), ()):
+                nstack = stack[:-1] + m.push
+                yield u, m.color, (m.target, nstack) if len(nstack) <= height + 1 else None, m
 
-    order, edges, edge_moves = _number((game.initial, (BOTTOM,)), successors, total, budget)
+    order, edges, edge_moves = _number((game.initial, (BOTTOM,)), expand, total, budget)
     total += len(order)
     stats = {"vertices": total, "height": height, "decided_by": "truncation",
              "claim_vertices": 0}
@@ -636,12 +634,14 @@ def solve_claim_game(
     cg = ClaimGame(game)
     owner: list[str] = []
 
-    def successors(vertex):
-        who, succ = cg.successors(vertex)
-        owner.append(who)
-        return succ
+    def expand(order):
+        for u, vertex in enumerate(order):
+            who, succ = cg.successors(vertex)
+            owner.append(who)
+            for color, nxt, label in succ:
+                yield u, color, nxt, label
 
-    order, edges, labels = _number(cg.initial(), successors, total, budget)
+    order, edges, labels = _number(cg.initial(), expand, total, budget)
     total += len(order)
     wins, strats = solve_parity_ids(owner, edges)
     winner = EVE if 0 in wins[EVE] else ADAM

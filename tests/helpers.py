@@ -406,6 +406,21 @@ def random_finite_game(rng: random.Random) -> FiniteParityGame:
     return FiniteParityGame(vertices, owner, tuple(edges))
 
 
+def random_hard_finite_game(rng: random.Random) -> FiniteParityGame:
+    """Like ``random_finite_game``, but with colors 0..6, vertices of either
+    owner without an out-edge, and parallel edges of different colors."""
+    n = rng.randint(2, 7)
+    vertices = tuple(f"v{i}" for i in range(n))
+    owner = {v: rng.choice((EVE, ADAM)) for v in vertices}
+    edges = []
+    for v in vertices:
+        for _ in range(rng.choice((0, 1, 1, 2, 2, 3))):
+            edges.append((v, rng.randint(0, 6), rng.choice(vertices)))
+            if rng.random() < 0.25:
+                edges.append((v, (edges[-1][1] + rng.randint(1, 6)) % 7, edges[-1][2]))
+    return FiniteParityGame(vertices, owner, tuple(edges))
+
+
 def _strategy_wins(g: FiniteParityGame, sigma: dict, v0) -> bool:
     """Does the positional Eve strategy win from v0 against every Adam play?"""
     succ: dict = {u: [] for u in g.vertices}

@@ -55,6 +55,7 @@ from helpers import (
     pq_drain_spec,
     random_adam_lassos,
     random_finite_game,
+    random_hard_finite_game,
     random_spec,
     respond,
 )
@@ -200,22 +201,62 @@ def test_zielonka_matches_enumeration_oracle():
             assert res.winner_of(v) == finite_game_oracle(g, v), (g, v)
 
 
+def _check_finite_strategies(g: FiniteParityGame, res) -> None:
+    # Each player's strategy takes an edge of g at their own vertices and
+    # wins from every vertex of their region: Eve's on the game itself,
+    # Adam's as Eve's on the dual game (owners swapped, colors shifted by one).
+    dual = FiniteParityGame(
+        g.vertices, {v: ADAM if o == EVE else EVE for v, o in g.owner.items()},
+        tuple((u, c + 1, w) for u, c, w in g.edges),
+    )
+    for player, game in ((EVE, g), (ADAM, dual)):
+        for v, i in res.strategy[player].items():
+            assert i < len(g.edges) and g.edges[i][0] == v and g.owner[v] == player, (g, v)
+        sigma = {v: game.edges[i][1:] for v, i in res.strategy[player].items()}
+        for v0 in res.winning[player]:
+            assert _strategy_wins(game, sigma, v0), (g, player, v0)
+
+
 def test_zielonka_strategies_pass_play_check():
-    # Each player's strategy wins from every vertex of their region: Eve's on
-    # the game itself, Adam's as Eve's on the dual game (owners swapped,
-    # colors shifted by one).
     rng = random.Random(7)
     for _ in range(25):
         g = random_finite_game(rng)
-        dual = FiniteParityGame(
-            g.vertices, {v: ADAM if o == EVE else EVE for v, o in g.owner.items()},
-            tuple((u, c + 1, w) for u, c, w in g.edges),
-        )
+        _check_finite_strategies(g, solve_finite_parity_game(g))
+
+
+def test_zielonka_on_dead_ends_parallel_edges_and_seven_colors():
+    rng = random.Random(16)
+    seen: set = set()
+    for _ in range(150):
+        g = random_hard_finite_game(rng)
         res = solve_finite_parity_game(g)
-        for player, game in ((EVE, g), (ADAM, dual)):
-            sigma = {v: game.edges[i][1:] for v, i in res.strategy[player].items()}
-            for v0 in res.winning[player]:
-                assert _strategy_wins(game, sigma, v0), (g, player, v0)
+        for v in g.vertices:
+            assert res.winner_of(v) == finite_game_oracle(g, v), (g, v)
+        _check_finite_strategies(g, res)
+        sources = {u for u, _, _ in g.edges}
+        seen |= {g.owner[v] for v in g.vertices if v not in sources}
+        seen |= {c for _, c, _ in g.edges}
+        colors: dict = {}
+        for u, c, w in g.edges:
+            colors.setdefault((u, w), set()).add(c)
+        seen |= {"parallel" for cs in colors.values() if len(cs) > 1}
+    # Dead ends of both owners, parallel edges and every color 0..6 occur.
+    assert seen == {EVE, ADAM, "parallel", *range(7)}
+
+
+def test_zielonka_deep_nesting_cycle():
+    # Edge i of the cycle has color i, so the solver nests a level per color;
+    # Eve wins everywhere because she can stay on her color-0 loop.
+    n = 400
+    g = FiniteParityGame(
+        tuple(range(n)), {v: EVE if v % 2 == 0 else ADAM for v in range(n)},
+        tuple((i, i, (i + 1) % n) for i in range(n)) + tuple((i, 0, i) for i in range(n)),
+    )
+    res = solve_finite_parity_game(g)
+    assert res.winning[EVE] == frozenset(range(n))
+    sigma = {v: g.edges[i][1:] for v, i in res.strategy[EVE].items()}
+    for v0 in (0, 1, n // 2, n - 1):
+        assert _strategy_wins(g, sigma, v0), v0
 
 
 def test_strategy_check_sees_every_odd_color():
