@@ -140,14 +140,14 @@ def cmd_synth(args) -> CommandResult:
 def cmd_determinize(args) -> CommandResult:
     pda = load_pda(args.file)
     moore = parse_moore(pda, read_text(args.moorefile))
-    out = determinize_moore(pda, moore)
+    out = determinize_moore(pda, moore, args.budget)
     return CommandResult(EXIT_OK, format_pda(out), {"verdict": "ok", "states": len(out.states)})
 
 
 def cmd_product(args) -> CommandResult:
     pda = load_pda(args.file)
     dpa = closure.parse_dpa(read_text(args.dpafile))
-    out = closure.product(pda, dpa, args.mode)
+    out = closure.product(pda, dpa, args.mode, args.budget)
     return CommandResult(EXIT_OK, format_pda(out), {"verdict": "ok", "states": len(out.states)})
 
 
@@ -185,7 +185,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="gfgpda")
     p.add_argument("--json", action="store_true", help="machine-readable report")
     p.add_argument("--budget", type=int, default=5_000_000,
-                   help="solver vertex budget")
+                   help="vertex budget of solvers, state budget of constructions")
     sub = p.add_subparsers(dest="command", required=True)
 
     s = sub.add_parser("validate");  s.add_argument("file"); s.set_defaults(fn=cmd_validate)

@@ -1,6 +1,7 @@
 """Products with deterministic parity automata: intersection, union and set
-difference with omega-regular languages, via a latest-appearance-record over
-the pairs of colors produced by the two sides.
+difference with omega-regular languages.  The Muller condition on the color
+pairs of the two sides becomes parity through the memory of its Zielonka tree,
+one state per leaf, which is minimal (Casares, Colcombet and Fijalkow, 2021).
 
 Epsilon transitions of the pushdown side freeze the DPA coordinate and feed
 the DPA's minimal color as a sentinel, which cannot change the DPA-side
@@ -9,10 +10,12 @@ limit verdict.
 
 from __future__ import annotations
 
+import functools
 from collections import deque
 from dataclasses import dataclass
+from typing import Callable, Iterable, Optional
 
-from .core import Configuration, FormatError, OmegaPDA, Transition, read_declarations
+from .core import Configuration, FormatError, OmegaPDA, ResourceExceeded, Transition, read_declarations
 from .resolvers import Resolver, ResolverStuck
 
 MODES = ("intersect", "union", "minus")
@@ -47,23 +50,6 @@ class DeterministicParityAutomaton:
                     out.append(f"dtrans {q} {a} {q2}: {kind} {x!r} not declared")
         return out
 
-    def min_color(self) -> int:
-        return min(self.colors.values())
-
-
-@dataclass(frozen=True)
-class LARState:
-    """Permutation of occurring (pda color, dpa color) pairs plus hit position."""
-
-    permutation: tuple[tuple[int, int], ...]
-    hit: int
-
-
-def lar_update(lar: LARState, pair: tuple[int, int]) -> LARState:
-    hit = lar.permutation.index(pair)
-    perm = (pair,) + tuple(p for p in lar.permutation if p != pair)
-    return LARState(perm, hit)
-
 
 def muller_accepts(mode: str, limit_pairs: frozenset[tuple[int, int]]) -> bool:
     pda_ok = max(p for p, _ in limit_pairs) % 2 == 0
@@ -77,10 +63,46 @@ def muller_accepts(mode: str, limit_pairs: frozenset[tuple[int, int]]) -> bool:
     raise ValueError(f"unknown mode {mode!r}")
 
 
-def lar_color(mode: str, lar: LARState) -> int:
-    """Parity color of an update: even iff the recurring record set satisfies the mode."""
-    record = frozenset(lar.permutation[: lar.hit + 1])
-    return 2 * lar.hit + 2 if muller_accepts(mode, record) else 2 * lar.hit + 1
+def zielonka_tree(mode: str, pairs: Iterable[tuple[int, int]]) -> tuple[int, Callable]:
+    """The Zielonka tree of ``muller_accepts(mode, .)`` over ``pairs`` as a parity
+    memory: its leaf count and ``move(leaf, pair) -> (leaf, color)``; leaves are
+    numbered left to right, 0 is the initial one.  A verdict depends only on the
+    max PDA and DPA colors, so the children of ``S`` are the maximal sets
+    ``{(a, b) in S : a <= x, b <= y}`` with the other verdict.  A pair read at a
+    leaf climbs to the deepest node ``n`` holding it and goes to the leftmost leaf
+    of the sibling cyclically after the child it came from; the color is even iff
+    ``n`` accepts and falls with the depth of ``n``."""
+    nodes: list[tuple] = []  # (set, accepts, depth, parent, children, leftmost leaf)
+    leaves: list[int] = []
+
+    def grow(s: frozenset, depth: int, parent: int) -> None:
+        n, ok, kids = len(nodes), bool(s) and muller_accepts(mode, s), []
+        nodes.append((s, ok, depth, parent, kids, len(leaves)))
+        cuts = {frozenset(p for p in s if p[0] <= x and p[1] <= y): None
+                for x in sorted({a for a, _ in s}) for y in sorted({b for _, b in s})}
+        other = [c for c in cuts if c and muller_accepts(mode, c) != ok]
+        for c in other:
+            if not any(c < o for o in other):
+                kids.append(len(nodes))
+                grow(c, depth + 1, n)
+        if not kids:
+            leaves.append(n)
+
+    grow(frozenset(pairs), 0, -1)
+    height = max(node[2] for node in nodes)
+
+    @functools.cache
+    def move(leaf: int, pair: tuple[int, int]) -> tuple[int, int]:
+        n, below = leaves[leaf], -1
+        while pair not in nodes[n][0]:
+            n, below = nodes[n][3], n
+        _, ok, depth, _, kids, _ = nodes[n]
+        color = 2 * (height - depth) + (0 if ok else 1)
+        if below < 0:
+            return leaf, color
+        return nodes[kids[(kids.index(below) + 1) % len(kids)]][5], color
+
+    return len(leaves), move
 
 
 @dataclass(frozen=True)
@@ -93,38 +115,36 @@ class ProductInfo:
 
 
 def _completed(pda: OmegaPDA) -> OmegaPDA:
-    """Add an odd-colored rejecting sink so that every word has a run.
-
-    Leaves the language unchanged; needed for union products, where a word
-    without any run of the pushdown side must still get the DPA's verdict.
-    """
+    """Add an odd-colored rejecting sink, so that a word without a run of the
+    pushdown side still gets the DPA's verdict in a union product."""
     sink = "sink!"
     while sink in pda.states:
         sink += "!"
-    extra = []
-    for q in pda.states + (sink,):
-        for x in pda.gamma_bottom:
-            for a in pda.input_alphabet:
-                extra.append(Transition(q, x, a, sink, (x,), 1))
-    return OmegaPDA(
-        pda.states + (sink,), pda.input_alphabet, pda.stack_alphabet, pda.initial,
-        pda.transitions + tuple(extra),
-    )
+    extra = tuple(Transition(q, x, a, sink, (x,), 1) for q in pda.states + (sink,)
+                  for x in pda.gamma_bottom for a in pda.input_alphabet)
+    return OmegaPDA(pda.states + (sink,), pda.input_alphabet, pda.stack_alphabet, pda.initial,
+                    pda.transitions + extra)
 
 
 def product_with_info(
-    pda: OmegaPDA, dpa: DeterministicParityAutomaton, mode: str
+    pda: OmegaPDA, dpa: DeterministicParityAutomaton, mode: str,
+    budget: Optional[int] = None,
 ) -> tuple[OmegaPDA, ProductInfo]:
+    """The product and its map to ``pda``; over ``budget`` states raise ``ResourceExceeded``."""
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}")
     if set(dpa.alphabet) != set(pda.input_alphabet):
         raise AlphabetMismatch(f"{dpa.alphabet} vs {pda.input_alphabet}")
-    bad = dpa.validate()
-    if bad:
+    if bad := dpa.validate():
         raise ValueError("; ".join(bad))
     if mode == "union":
         pda = _completed(pda)
-    sentinel = dpa.min_color()
+    sentinel = min(dpa.colors.values())
+
+    def read(d: str, t: Transition) -> tuple[tuple[int, int], str]:  # pair, next DPA state
+        if t.label is None:
+            return (t.color, sentinel), d
+        return (t.color, dpa.colors[(d, t.label)]), dpa.delta[(d, t.label)]
 
     # First pass: the (state, dpa state) pairs and color pairs that can occur.
     by_source: dict[str, list[Transition]] = {}
@@ -136,23 +156,16 @@ def product_with_info(
     while queue:
         q, d = queue.popleft()
         for t in by_source.get(q, ()):
-            if t.label is None:
-                pair_colors.add((t.color, sentinel))
-                nxt = (t.target, d)
-            else:
-                pair_colors.add((t.color, dpa.colors[(d, t.label)]))
-                nxt = (t.target, dpa.delta[(d, t.label)])
-            if nxt not in seen:
-                seen.add(nxt)
-                queue.append(nxt)
+            pair, d2 = read(d, t)
+            pair_colors.add(pair)
+            if (t.target, d2) not in seen:
+                seen.add((t.target, d2))
+                queue.append((t.target, d2))
 
-    # LAR records are interned: each distinct (record, color pair) move runs
-    # lar_update and lar_color once.
-    lar0 = LARState(tuple(sorted(pair_colors)), 0)
-    lars = [lar0]
-    lar_ids = {lar0: 0}
-    moves: dict[tuple[int, tuple[int, int]], tuple[int, int]] = {}
-    # A product state is (q, d, LAR id); it is named, and queued, when found.
+    # The memory is a leaf of the Zielonka tree over the occurring pairs;
+    # each distinct (leaf, color pair) move is computed once.
+    move = zielonka_tree(mode, pair_colors)[1]
+    # A product state is (q, d, leaf); it is named, and queued, when found.
     ids: dict[tuple[str, int], int] = {}
     names: dict[tuple[str, str, int], str] = {}
     base_state: dict[str, str] = {}
@@ -161,7 +174,9 @@ def product_with_info(
     def name(s: tuple[str, str, int]) -> str:
         n = names.get(s)
         if n is None:
-            # Injective: the number after the last "*" stands for (d, lar).
+            if budget is not None and len(names) >= budget:
+                raise ResourceExceeded(f"more than {budget} product states")
+            # Injective: the number after the last "*" stands for (d, leaf).
             n = names[s] = f"{s[0]}*{ids.setdefault(s[1:], len(ids))}"
             base_state[n] = s[0]
             queue.append(s)
@@ -176,37 +191,22 @@ def product_with_info(
         q, d, i = s
         source = names[s]
         for t in by_source.get(q, ()):
-            if t.label is None:
-                pair = (t.color, sentinel)
-                d2 = d
-            else:
-                pair = (t.color, dpa.colors[(d, t.label)])
-                d2 = dpa.delta[(d, t.label)]
-            move = moves.get((i, pair))
-            if move is None:
-                lar2 = lar_update(lars[i], pair)
-                j = lar_ids.setdefault(lar2, len(lars))
-                if j == len(lars):
-                    lars.append(lar2)
-                move = moves[(i, pair)] = (j, lar_color(mode, lar2))
-            j, color = move
+            pair, d2 = read(d, t)
+            j, color = move(i, pair)
             pt = Transition(source, t.top, t.label, name((t.target, d2, j)), t.push, color)
             transitions.append(pt)
             base_of[pt] = t
             extend[(source, t)] = pt
 
-    product_pda = OmegaPDA(
-        tuple(names.values()),
-        pda.input_alphabet,
-        pda.stack_alphabet,
-        initial,
-        tuple(transitions),
-    )
+    product_pda = OmegaPDA(tuple(names.values()), pda.input_alphabet, pda.stack_alphabet,
+                           initial, tuple(transitions))
     return product_pda, ProductInfo(base_of, extend, base_state)
 
 
-def product(pda: OmegaPDA, dpa: DeterministicParityAutomaton, mode: str) -> OmegaPDA:
-    return product_with_info(pda, dpa, mode)[0]
+def product(
+    pda: OmegaPDA, dpa: DeterministicParityAutomaton, mode: str, budget: Optional[int] = None
+) -> OmegaPDA:
+    return product_with_info(pda, dpa, mode, budget)[0]
 
 
 class LiftedResolver(Resolver):
@@ -237,7 +237,7 @@ class LiftedResolver(Resolver):
             raise ResolverStuck(f"no product transition extends {bt} at {config}") from None
 
     def summary(self, state):
-        # The DPA and LAR components are functions of the history, so the
+        # The DPA and tree components are functions of the history, so the
         # base summary (when finite) still pins down the future.
         return self.base.summary(state)
 
@@ -277,7 +277,6 @@ def parse_dpa(text: str) -> DeterministicParityAutomaton:
     if not initial:
         raise FormatError("missing 'dinitial' declaration")
     dpa = DeterministicParityAutomaton(tuple(states), tuple(alphabet), initial[-1], delta, colors)
-    bad = dpa.validate()
-    if bad:
+    if bad := dpa.validate():
         raise FormatError("; ".join(bad))
     return dpa

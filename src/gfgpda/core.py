@@ -52,25 +52,48 @@ class FormatError(PdaError):
     """Malformed text-format input."""
 
 
-@dataclass(frozen=True)
+class ResourceExceeded(PdaError):
+    """A construction or solver hit its budget before it finished."""
+
+
+# Transitions and configurations are values: slotted classes whose fields are
+# never assigned after construction, equal only to their own kind.  Only a
+# transition stores its hash: a stack can be thousands of symbols high.
 class Transition:
-    source: str
-    top: str
-    label: Optional[str]  # None means epsilon
-    target: str
-    push: tuple[str, ...]
-    color: int
+    __slots__ = ("source", "top", "label", "target", "push", "color", "_hash")
+
+    def __init__(self, source: str, top: str, label: Optional[str], target: str,
+                 push: tuple[str, ...], color: int):
+        self.source, self.top, self.label = source, top, label  # label None: epsilon
+        self.target, self.push, self.color = target, push, color
+        self._hash = hash((source, top, label, target, push, color))
+
+    def __eq__(self, other):
+        return type(other) is Transition and self._hash == other._hash and all(
+            getattr(self, f) == getattr(other, f) for f in Transition.__slots__)
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def __str__(self) -> str:
         lab = self.label if self.label is not None else "eps"
         push = push_to_text(self.push)
         return f"({self.source},{top_to_text(self.top)},{lab},{self.target},{push},{self.color})"
+    __repr__ = __str__
 
 
-@dataclass(frozen=True)
 class Configuration:
-    state: str
-    stack: tuple[str, ...]
+    __slots__ = ("state", "stack")
+
+    def __init__(self, state: str, stack: tuple[str, ...]):
+        self.state, self.stack = state, stack
+
+    def __eq__(self, other):
+        return type(other) is Configuration and self.state == other.state and (
+            self.stack == other.stack)
+
+    def __hash__(self) -> int:
+        return hash((self.state, self.stack))
 
     @property
     def height(self) -> int:
@@ -82,6 +105,7 @@ class Configuration:
 
     def __str__(self) -> str:
         return f"({self.state}, {''.join(self.stack)})"
+    __repr__ = __str__
 
 
 @dataclass(frozen=True)

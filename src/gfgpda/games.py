@@ -38,6 +38,7 @@ from .core import (
     LassoWord,
     OmegaPDA,
     PdaError,
+    ResourceExceeded,
     Transition,
     format_pda,
     is_deterministic,
@@ -53,10 +54,6 @@ from .resolvers import DetPushdown, PdtRule, Resolver, resolver_query
 
 EVE = "eve"
 ADAM = "adam"
-
-
-class ResourceExceeded(PdaError):
-    """The solver hit its vertex budget before reaching a conclusive bound."""
 
 
 class Player1Wins(PdaError):
@@ -675,9 +672,15 @@ def gs_to_pushdown_game(
     if not det:
         raise ValueError(f"arena needs a deterministic automaton: {pairs[:1]}")
     cmin = min((t.color for t in dpda.transitions), default=0)
-    by_source_label: dict[tuple[str, Optional[str]], bool] = {}
+    sources: dict[str, set[str]] = {}  # letter -> states with a transition on it
     for t in dpda.transitions:
-        by_source_label[(t.source, t.label)] = True
+        if t.label is not None:
+            sources.setdefault(t.label, set()).add(t.source)
+    choices: dict[tuple[str, str], list[str]] = {}  # (q, x1) -> Eve's y, sigma2p order
+    for y in sigma2p:
+        for x1 in sigma1:
+            for q in sources.get(letter_of.get((x1, y)), ()):
+                choices.setdefault((q, x1), []).append(y)
     gb = dpda.gamma_bottom
 
     states: list = []
@@ -705,10 +708,7 @@ def gs_to_pushdown_game(
                     moves.append(GameMove(v, x, tgt, (x,), cmin))
         elif v[0] == "E":
             _, q, x1 = v
-            for y in sigma2p:
-                letter = letter_of.get((x1, y))
-                if letter is None or not by_source_label.get((q, letter)):
-                    continue
+            for y in choices.get((q, x1), ()):
                 tgt = visit(("S", q, x1, y))
                 for x in gb:
                     moves.append(GameMove(v, x, tgt, (x,), cmin))

@@ -22,6 +22,7 @@ from .core import (
     LassoWord,
     OmegaPDA,
     PdaError,
+    ResourceExceeded,
     RunPrefix,
     Transition,
     read_declarations,
@@ -235,7 +236,7 @@ def periodic_split(pda, r, w, guard=5000) -> PeriodicSplit:
         position = w.next_position(position)
 
 
-def determinize_moore(pda: OmegaPDA, m: MooreResolver) -> OmegaPDA:
+def determinize_moore(pda: OmegaPDA, m: MooreResolver, budget: Optional[int] = None) -> OmegaPDA:
     """Deterministic automaton simulating the Moore-guided run.
 
     States are (q, m) plus (q, m, a); reading a letter stores it, then the
@@ -243,7 +244,11 @@ def determinize_moore(pda: OmegaPDA, m: MooreResolver) -> OmegaPDA:
     processed.  Recognizes the same language when ``m`` implements a resolver.
     A state is named ``q|k``, where ``k`` numbers ``(m,)`` or ``(m, a)``; ``q``
     is what precedes the last ``|``, so distinct states get distinct names.
+    More than ``budget`` states raise ``ResourceExceeded`` before any is built.
     """
+    size = len(pda.states) * len(m.states) * (1 + len(pda.input_alphabet))
+    if budget is not None and size > budget:
+        raise ResourceExceeded(f"{size} states exceed the budget {budget}")
     min_color = min((t.color for t in pda.transitions), default=0)
     ids: dict[tuple[str, ...], int] = {}
 

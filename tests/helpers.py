@@ -8,7 +8,7 @@ from collections import deque
 from typing import Iterable, Optional
 
 from gfgpda.analysis import EmptinessWitness, PAutomaton, _pa_of_heads
-from gfgpda.closure import DeterministicParityAutomaton, LARState, lar_color, lar_update
+from gfgpda.closure import DeterministicParityAutomaton, zielonka_tree
 from gfgpda.core import BOTTOM, Configuration, LassoWord, OmegaPDA, Transition, replay, step
 from gfgpda.games import (
     ADAM,
@@ -150,7 +150,7 @@ def full_lasso_product(pda: OmegaPDA, w: LassoWord) -> OmegaPDA:
 
 
 # ---------------------------------------------------------------------------
-# Closure oracles: direct DPA simulation and LAR verdicts.
+# Closure oracles: direct DPA simulation and Zielonka-tree memory verdicts.
 # ---------------------------------------------------------------------------
 
 
@@ -172,24 +172,36 @@ def dpa_lasso_verdict(dpa: DeterministicParityAutomaton, w: LassoWord) -> bool:
     return max(trace[start:]) % 2 == 0
 
 
-def lar_verdict(mode: str, pairs: list[tuple[int, int]], loop_from: int) -> bool:
-    """LAR-translated parity verdict of an ultimately periodic pair-color sequence."""
-    alphabet = tuple(sorted(set(pairs)))
-    lar = LARState(alphabet, 0)
-    seen: dict[tuple[LARState, int], int] = {}
-    colors: list[int] = []
-    prefix = pairs[:loop_from]
+def cycle_dpa(alphabet, n=6):
+    """Two states swapped by every letter; the colors of the (state, letter)
+    pairs cycle through 0..n-1."""
+    keys = [(q, a) for q in ("d0", "d1") for a in alphabet]
+    return DeterministicParityAutomaton(
+        ("d0", "d1"), tuple(alphabet), "d0",
+        {(q, a): "d1" if q == "d0" else "d0" for q, a in keys},
+        {key: i % n for i, key in enumerate(keys)},
+    )
+
+
+def zielonka_verdict(mode: str, pairs: list[tuple[int, int]], loop_from: int) -> bool:
+    """Parity verdict of the Zielonka-tree memory over ``set(pairs)`` on the
+    sequence ``pairs[:loop_from] . pairs[loop_from:]^omega``: its moves are
+    driven until a (leaf, loop position) pair repeats, and the max color on
+    that cycle decides."""
+    move = zielonka_tree(mode, set(pairs))[1]
+    leaf = 0
+    for p in pairs[:loop_from]:
+        leaf = move(leaf, p)[0]
     loop = pairs[loop_from:]
-    for p in prefix:
-        lar = lar_update(lar, p)
-        colors.append(lar_color(mode, lar))
+    seen: dict[tuple[int, int], int] = {}
+    colors: list[int] = []
     pos = 0
-    while (lar, pos) not in seen:
-        seen[(lar, pos)] = len(colors)
-        lar = lar_update(lar, loop[pos])
-        colors.append(lar_color(mode, lar))
+    while (leaf, pos) not in seen:
+        seen[(leaf, pos)] = len(colors)
+        leaf, color = move(leaf, loop[pos])
+        colors.append(color)
         pos = (pos + 1) % len(loop)
-    return max(colors[seen[(lar, pos)] :]) % 2 == 0
+    return max(colors[seen[(leaf, pos)]:]) % 2 == 0
 
 
 # ---------------------------------------------------------------------------

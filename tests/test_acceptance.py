@@ -36,11 +36,11 @@ from helpers import (
     encode_blocks,
     eps_block_spec,
     finite_game_oracle,
-    lar_verdict,
     mapped_resolver,
     pq_drain_spec,
     random_adam_lassos,
     random_finite_game,
+    zielonka_verdict,
 )
 
 
@@ -237,7 +237,7 @@ def test_criterion_8_pd_round_trip():
     )
 
 
-def test_criterion_9_closure_products_and_lar():
+def test_criterion_9_closure_products_and_zielonka_memory():
     pda = zoo.example23().automaton
     dpa = DeterministicParityAutomaton(
         ("d0",), pda.input_alphabet, "d0",
@@ -263,21 +263,21 @@ def test_criterion_9_closure_products_and_lar():
             if analysis.lasso_membership(prod, w) != want:
                 mismatches += 1
 
-    lar_checks = lar_bad = 0
+    tree_checks = tree_bad = 0
     pool = [(p, a) for p in range(3) for a in range(2)]
     for _ in range(200):
         prefix = [rng.choice(pool) for _ in range(rng.randint(0, 4))]
         loop = [rng.choice(pool) for _ in range(rng.randint(1, 4))]
         mode = rng.choice(("intersect", "union", "minus"))
-        lar_checks += 1
-        if lar_verdict(mode, prefix + loop, len(prefix)) != muller_accepts(
+        tree_checks += 1
+        if zielonka_verdict(mode, prefix + loop, len(prefix)) != muller_accepts(
             mode, frozenset(loop)
         ):
-            lar_bad += 1
+            tree_bad += 1
     report(
-        "criterion-9 closure products and LAR",
-        mismatches == 0 and lar_checks == 200 and lar_bad == 0,
-        f"150 product checks, {mismatches} mismatches; 200 LAR checks, {lar_bad} bad",
+        "criterion-9 closure products and Zielonka-tree memory",
+        mismatches == 0 and tree_checks == 200 and tree_bad == 0,
+        f"150 product checks, {mismatches} mismatches; 200 tree checks, {tree_bad} bad",
     )
 
 

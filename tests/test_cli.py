@@ -8,7 +8,7 @@ from gfgpda import analysis, cli, games, zoo
 from gfgpda.core import BOTTOM, Configuration, format_pda, parse_pda
 from gfgpda.resolvers import determinize_moore
 
-from helpers import copycat_spec, random_spec
+from helpers import copycat_spec, cycle_dpa, random_spec
 
 
 def run(capsys, *argv):
@@ -203,6 +203,28 @@ def test_product(capsys, tmp_path):
     dfile.write_text(format_dpa(dpa))
     code, out = run(capsys, "product", "zoo:example23", str(dfile), "--mode", "intersect")
     assert code == 0 and parse_pda(out).initial
+
+
+def test_product_and_determinize_count_states_against_the_budget(capsys, tmp_path):
+    from gfgpda.closure import format_dpa
+    from gfgpda.resolvers import format_moore
+
+    fx = zoo.example23()
+    dfile = tmp_path / "cycle.dpa"
+    dfile.write_text(format_dpa(cycle_dpa(fx.automaton.input_alphabet)))
+    code, out = run(capsys, "--budget", "3", "product", "zoo:example23", str(dfile),
+                    "--mode", "union")
+    assert code == 3 and "more than 3 product states" in out
+    code, out = run(capsys, "--budget", "100", "product", "zoo:example23", str(dfile),
+                    "--mode", "union")
+    assert code == 0 and len(parse_pda(out).states) <= 100
+    mfile = tmp_path / "fig6.moore"
+    mfile.write_text(format_moore(fx.automaton, fx.resolver))
+    code, out = run(capsys, "--budget", str(6 * 8 * 6 - 1), "determinize", "zoo:example23",
+                    str(mfile))
+    assert code == 3 and "288 states exceed the budget 287" in out
+    code, out = run(capsys, "--budget", str(6 * 8 * 6), "determinize", "zoo:example23", str(mfile))
+    assert code == 0 and len(parse_pda(out).states) == 6 * 8 * 6
 
 
 def test_product_alphabet_mismatch_is_input_error(capsys, tmp_path):

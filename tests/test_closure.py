@@ -13,10 +13,13 @@ from gfgpda.closure import (
     parse_dpa,
     product,
     product_with_info,
+    zielonka_tree,
 )
-from gfgpda.core import BOTTOM, LassoWord, OmegaPDA, Transition, parse_lasso, validate
+from gfgpda.core import (
+    BOTTOM, LassoWord, OmegaPDA, ResourceExceeded, Transition, parse_lasso, validate,
+)
 from gfgpda.resolvers import moore_lasso_acceptance, run_on_prefix, verify_resolver
-from helpers import dpa_lasso_verdict, lar_verdict
+from helpers import cycle_dpa, dpa_lasso_verdict, zielonka_verdict
 
 
 def one_state_dpa(alphabet, color):
@@ -160,6 +163,22 @@ def test_lift_resolver_verdicts_match_the_base_on_lss():
     assert sum(e[2] == "pass" for e in base.entries) >= 5
 
 
+def test_lifted_resolver_passes_on_the_guided_corpus_words():
+    # The accepted lss words of the guided benchmark corpus (base seed 2024),
+    # verified at its guard of 1,000 steps.
+    pda, (prod, info) = lss_union_product()
+    leaves = zielonka_tree("union", {(a, b) for a in (0, 1) for b in (0, 1)})[0]
+    assert len(prod.states) <= (len(pda.states) + 1) * 1 * leaves  # |Q| (and the sink) |D|
+    seeds = random.Random(2024)
+    words = []
+    while len(words) < 10:
+        words += [w for w, flag in zoo.lss().sample(seed=seeds.randrange(2**31), count=20)
+                  if flag][:10 - len(words)]
+    lifted = lift_resolver(zoo.LssResolver(pda), pda, info)
+    for w in words:
+        assert verify_resolver(prod, lifted, [(w, True)], 1000).entries[0][2] == "pass", w
+
+
 def test_lift_resolver_projection_at_depth():
     pda, (prod, info) = lss_union_product()
     lifted = lift_resolver(zoo.LssResolver(pda), pda, info)
@@ -220,21 +239,81 @@ def _fanout(pda):
     return fan
 
 
-# -- LAR correctness --------------------------------------------------------------
+# -- Zielonka-tree memory -----------------------------------------------------------
 
 
 @given(st.data())
 @settings(max_examples=120, deadline=None)
-def test_lar_matches_muller_on_periodic_sequences(data):
+def test_zielonka_memory_matches_muller_on_periodic_sequences(data):
     pool = [(p, a) for p in range(3) for a in range(2)]
     alphabet = data.draw(st.lists(st.sampled_from(pool), min_size=1, max_size=4, unique=True))
     prefix = data.draw(st.lists(st.sampled_from(alphabet), max_size=5))
     loop = data.draw(st.lists(st.sampled_from(alphabet), min_size=1, max_size=5))
     mode = data.draw(st.sampled_from(("intersect", "union", "minus")))
     pairs = list(prefix) + list(loop)
-    got = lar_verdict(mode, pairs, len(prefix))
+    got = zielonka_verdict(mode, pairs, len(prefix))
     want = muller_accepts(mode, frozenset(loop))
     assert got == want, (mode, prefix, loop)
+
+
+@pytest.mark.parametrize("mode,leaves", [
+    ("intersect", (1, 2, 2, 6, 6, 20)),
+    ("union", (2, 2, 6, 6, 20, 20)),
+    ("minus", (1, 2, 3, 6, 10, 20)),
+])
+def test_zielonka_tree_leaves_on_full_color_grids(mode, leaves):
+    grids = ({(a, b) for a in range(d) for b in range(d)} for d in range(2, 8))
+    assert tuple(zielonka_tree(mode, grid)[0] for grid in grids) == leaves
+
+
+def random_dpa(rng, alphabet):
+    states = tuple(f"d{i}" for i in range(rng.randint(1, 3)))
+    keys = [(q, a) for q in states for a in alphabet]
+    return DeterministicParityAutomaton(
+        states, tuple(alphabet), "d0", {key: rng.choice(states) for key in keys},
+        {key: rng.randint(0, 5) for key in keys},
+    )
+
+
+def test_products_match_both_sides_on_fixture_samples():
+    ops = {"intersect": lambda p, a: p and a, "union": lambda p, a: p or a,
+           "minus": lambda p, a: p and not a}
+    rng = random.Random(17)
+    checks = 0
+    for fx in zoo.all_fixtures():
+        pda = fx.automaton
+        words = [w for w, _ in fx.sample(seed=17, count=4)]
+        base = {w: analysis.lasso_membership(pda, w) for w in words}
+        dpas = [cycle_dpa(pda.input_alphabet)]
+        dpas += [random_dpa(rng, pda.input_alphabet) for _ in range(19)]
+        for dpa in dpas:
+            for mode, op in ops.items():
+                prod = product(pda, dpa, mode)
+                for w in words:
+                    want = op(base[w], dpa_lasso_verdict(dpa, w))
+                    assert analysis.lasso_membership(prod, w) == want, (fx.name, mode, w)
+                    checks += 1
+    assert checks >= 11 * 20 * 3 * 3
+
+
+def test_cycle_union_product_stays_within_states_times_leaves():
+    # A latest-appearance record over these pairs gives the union tens of
+    # thousands of states; the Zielonka tree over them is a chain.
+    pda = zoo.example23().automaton
+    dpa = cycle_dpa(pda.input_alphabet)
+    leaves = zielonka_tree("union", {(a, b) for a in (1, 2) for b in range(6)})[0]
+    prod = product(pda, dpa, "union")
+    assert leaves == 1
+    assert len(prod.states) <= (len(pda.states) + 1) * len(dpa.states) * leaves  # + the sink
+
+
+def test_product_budget_counts_states():
+    pda = zoo.example23().automaton
+    dpa = cycle_dpa(pda.input_alphabet)
+    size = len(product(pda, dpa, "union").states)
+    assert len(product(pda, dpa, "union", budget=size).states) == size
+    with pytest.raises(ResourceExceeded, match=f"^more than {size - 1} product states$"):
+        product_with_info(pda, dpa, "union", budget=size - 1)
 
 
 # -- DPA text format -----------------------------------------------------------------

@@ -27,6 +27,20 @@ def fig2():
     return zoo.example23().automaton
 
 
+def test_transitions_and_configurations_are_values():
+    fields = ("q", "N", None, "p", (BOTTOM, "N"), 3)
+    t, u = Transition(*fields), Transition(*fields)
+    assert t == u and hash(t) == hash(u) and t is not u
+    assert t != fields and fields != t and t != Transition("q", "N", "a", "p", (BOTTOM, "N"), 3)
+    assert (t.source, t.top, t.label, t.target, t.push, t.color) == fields
+    assert str(t) == repr(t) == "(q,N,eps,p,_N,3)"
+    assert {t: 1}[u] == 1
+    c, d = Configuration("q", (BOTTOM, "N")), Configuration("q", (BOTTOM, "N"))
+    assert c == d and hash(c) == hash(d) and {c: 1}[d] == 1
+    assert c != ("q", (BOTTOM, "N")) and c != Configuration("p", (BOTTOM, "N"))
+    assert (c.state, c.stack, c.height, c.top, str(c)) == ("q", (BOTTOM, "N"), 1, "N", "(q, _N)")
+
+
 def test_validate_fig2_clean(fig2):
     assert validate(fig2) == []
 
