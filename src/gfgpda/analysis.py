@@ -40,6 +40,7 @@ from .core import (
     OmegaPDA,
     Transition,
     replay,
+    step,
 )
 
 UNKNOWN = "unknown"
@@ -66,9 +67,10 @@ class PAutomaton:
         return {k: tuple(v) for k, v in index.items()}
 
     def accepts(self, config: Configuration) -> bool:
-        frontier = {config.state}
-        for sym in reversed(config.stack):
-            frontier = {t for s in frontier for t in self.by_source_symbol.get((s, sym), ())}
+        frontier, f = {config.state}, config.frame
+        while f is not None:
+            frontier = {t for s in frontier for t in self.by_source_symbol.get((s, f.symbol), ())}
+            f = f.below
         return bool(frontier & self.finals)
 
     def nonempty(self) -> bool:
@@ -364,15 +366,15 @@ class _Summary:
         add((start.state, start.top), None)
         # Popping into the start stack exposes the symbols below the top;
         # one carrier per state, the first found, as add keeps the first stem.
-        carriers = {start.state: None}
-        for i in range(len(start.stack) - 1, 0, -1):
+        carriers, f = {start.state: None}, start.frame
+        while f.below is not None:
             below: dict = {}
             for st, stem in carriers.items():
-                for r, _c, _l, key in self.pops.results(st, start.stack[i]):
+                for r, _c, _l, key in self.pops.results(st, f.symbol):
                     below.setdefault(r, (stem, key))
-            carriers = below
+            carriers, f = below, f.below
             for st, stem in carriers.items():
-                add((st, start.stack[i - 1]), stem)
+                add((st, f.symbol), stem)
 
         while work:
             head = work.popleft()
@@ -495,7 +497,7 @@ def brute_force_lasso_oracle(
         for t in pda.by_source_top.get((config.state, config.top), ()):
             if t.label is not None and t.label != w.letter_at(i):
                 continue
-            nxt_cfg = Configuration(t.target, config.stack[:-1] + t.push)
+            nxt_cfg = step(config, t)
             nxt = (nxt_cfg, i if t.label is None else w.next_position(i))
             if nxt_cfg.height > height_bound:
                 boundary = True

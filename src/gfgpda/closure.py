@@ -229,7 +229,7 @@ class LiftedResolver(Resolver):
         return self.base.feed(state, self.info.base_of[t])
 
     def pick(self, state, config, letter):
-        base_config = Configuration(self.info.base_state[config.state], config.stack)
+        base_config = Configuration(self.info.base_state[config.state], config.frame)
         bt = self.base.pick(state, base_config, letter)
         try:
             return self.info.extend[(config.state, bt)]

@@ -2,7 +2,7 @@
 
 Conventions used throughout the package:
 
-* The stack is stored bottom-first, top at the end; ``stack[0]`` is always
+* A stack is written bottom-first, top at the end; ``stack[0]`` is always
   the reserved bottom symbol ``BOTTOM``, which users cannot declare.
 * A transition replaces the current top symbol by its ``push`` word, so
   the stack height changes by ``len(push) - 1``.
@@ -57,8 +57,9 @@ class ResourceExceeded(PdaError):
 
 
 # Transitions and configurations are values: slotted classes whose fields are
-# never assigned after construction, equal only to their own kind.  Only a
-# transition stores its hash: a stack can be thousands of symbols high.
+# never assigned after construction, equal only to their own kind, hashed in
+# O(1).  A configuration's stack, given as a bottom-first tuple or a frame, is
+# a persistent chain of frames that steps share; each stores its height and hash.
 class Transition:
     __slots__ = ("source", "top", "label", "target", "push", "color", "_hash")
 
@@ -82,26 +83,56 @@ class Transition:
     __repr__ = __str__
 
 
-class Configuration:
-    __slots__ = ("state", "stack")
+class _Frame:
+    __slots__ = ("below", "symbol", "height", "hash")
 
-    def __init__(self, state: str, stack: tuple[str, ...]):
-        self.state, self.stack = state, stack
+    def __init__(self, below: Optional[_Frame], symbol: str):
+        self.below, self.symbol = below, symbol
+        self.height = 0 if below is None else below.height + 1
+        self.hash = hash((None if below is None else below.hash, symbol))
+
+
+class Configuration:
+    __slots__ = ("state", "frame")
+
+    def __init__(self, state: str, stack):
+        if type(stack) is not _Frame:
+            frame = None
+            for symbol in stack or ():  # None: a step popped the last frame
+                frame = _Frame(frame, symbol)
+            if frame is None:
+                raise ValueError("a stack holds at least one symbol")
+            stack = frame
+        self.state, self.frame = state, stack
 
     def __eq__(self, other):
-        return type(other) is Configuration and self.state == other.state and (
-            self.stack == other.stack)
+        if type(other) is not Configuration or self.state != other.state:
+            return False
+        a, b = self.frame, other.frame
+        while a is not b:  # down to the first frame both stacks share
+            if a.hash != b.hash or a.height != b.height or a.symbol != b.symbol:
+                return False
+            a, b = a.below, b.below
+        return True
 
     def __hash__(self) -> int:
-        return hash((self.state, self.stack))
+        return hash((self.state, self.frame.hash))
 
     @property
     def height(self) -> int:
-        return len(self.stack) - 1
+        return self.frame.height
 
     @property
     def top(self) -> str:
-        return self.stack[-1]
+        return self.frame.symbol
+
+    @property
+    def stack(self) -> tuple[str, ...]:
+        symbols, f = [], self.frame
+        while f is not None:
+            symbols.append(f.symbol)
+            f = f.below
+        return tuple(reversed(symbols))
 
     def __str__(self) -> str:
         return f"({self.state}, {''.join(self.stack)})"
@@ -288,9 +319,17 @@ def enabled(pda: OmegaPDA, c: Configuration) -> list[Transition]:
 
 
 def step(c: Configuration, t: Transition) -> Configuration:
-    if t.source != c.state or t.top != c.top:
+    """The configuration after ``t`` (a transition or a ``PdtRule``): the only stack rewrite."""
+    f, push = c.frame, t.push
+    if t.source != c.state or t.top != f.symbol:
         raise NotEnabled(f"{t} not enabled in {c}")
-    return Configuration(t.target, c.stack[:-1] + t.push)
+    if not push:
+        return Configuration(t.target, f.below)
+    if push[0] != f.symbol:
+        f = _Frame(f.below, push[0])
+    for symbol in push[1:]:
+        f = _Frame(f, symbol)
+    return Configuration(t.target, f)
 
 
 def replay(

@@ -347,7 +347,7 @@ class DetPushdown:
             rule = self.rule_at(c.state, c.top, None)
             if rule is None:
                 return
-            c = Configuration(rule.target, c.stack[:-1] + rule.push)
+            c = step(c, rule)
             yield c
         raise TransducerStuck("epsilon divergence in transducer")
 
@@ -357,7 +357,7 @@ class DetPushdown:
         rule = self.rule_at(c.state, c.top, symbol)
         if rule is None:
             raise TransducerStuck(f"no rule for {symbol!r} at ({c.state}, {c.top})")
-        c = Configuration(rule.target, c.stack[:-1] + rule.push)
+        c = step(c, rule)
         yield c
         yield from self._epsilon_steps(c)
 
@@ -466,8 +466,7 @@ def verify_resolver(
 
 
 def _bounded_verdict(pda: OmegaPDA, r: Resolver, w: LassoWord, guard: int) -> str:
-    # Only the current configuration is kept: a run's configurations take
-    # O(guard * height) memory, its transitions and positions O(guard).
+    # Only the current configuration is kept, not one per transition.
     c = pda.initial_configuration()
     transitions = []
     positions = []  # lasso position of each transition

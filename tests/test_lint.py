@@ -85,6 +85,16 @@ def uncalled_public_names(source: str, elsewhere: set[str]) -> list[str]:
     return out
 
 
+def stack_reads(source: str) -> list[str]:
+    """Reads of a ``.stack`` attribute: a configuration's stack tuple is an
+    O(height) view that only ``core`` builds."""
+    return [
+        f"line {node.lineno}: .stack" for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Attribute) and node.attr == "stack"
+        and isinstance(node.ctx, ast.Load)
+    ]
+
+
 def test_the_check_sees_an_unused_import():
     source = "from .core import Configuration, step\n\nConfiguration('q', ())\n"
     assert unused_imports(source) == ["line 1: step"]
@@ -118,6 +128,15 @@ def test_the_check_sees_an_uncalled_public_name():
     assert names_in(ast.parse("wrap('games', 'simulate_play', 'a b')")) >= {"simulate_play"}
 
 
+def test_the_check_sees_a_stack_read():
+    source = (
+        "def top(config):\n    return config.stack[-1]\n\n"
+        "def height(config):\n    return config.frame.height\n\n"
+        "class Holder:\n    def __init__(self):\n        self.stack = []\n"
+    )
+    assert stack_reads(source) == ["line 2: .stack"]
+
+
 def test_the_package_has_modules():
     assert len(MODULES) >= 5
 
@@ -140,3 +159,9 @@ def test_public_names_have_a_caller(path):
     callers += sorted((ROOT / "benchmark").glob("*.py"))
     elsewhere = KEPT.union(*(names_in(ast.parse(p.read_text())) for p in callers))
     assert uncalled_public_names(path.read_text(), elsewhere) == []
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "core.py"],
+                         ids=lambda p: p.name)
+def test_only_core_reads_a_stack_tuple(path):
+    assert stack_reads(path.read_text()) == []
