@@ -15,7 +15,8 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional
 
-from .core import Configuration, FormatError, OmegaPDA, ResourceExceeded, Transition, read_declarations
+from .core import (Configuration, FormatError, OmegaPDA, ResourceExceeded, TokenValues, Transition,
+                   read_declarations)
 from .resolvers import Resolver, ResolverStuck
 
 MODES = ("intersect", "union", "minus")
@@ -268,9 +269,10 @@ def parse_dpa(text: str) -> DeterministicParityAutomaton:
     initial: list[str] = []
     delta: dict[tuple[str, str], str] = {}
     colors: dict[tuple[str, str], int] = {}
+    values = TokenValues("color", int, str)
 
     def dtrans(q, a, q2, color):
-        delta[(q, a)], colors[(q, a)] = q2, int(color)
+        delta[(q, a)], colors[(q, a)] = q2, values[color]
 
     read_declarations(text, {"dstate": (1, states.append), "dinitial": (1, initial.append),
                              "dletter": (1, alphabet.append), "dtrans": (4, dtrans)})

@@ -269,26 +269,27 @@ def validate(pda: OmegaPDA) -> list[str]:
     letters = set(pda.input_alphabet)
     stack = set(pda.stack_alphabet)
 
-    def check_id(kind: str, name: str):
-        if name.split() != [name] or "." in name or name in _RESERVED_IDS:
-            diags.append(f"{kind} {name!r} is not a legal identifier")
-
-    for s in pda.states:
-        check_id("state", s)
-    for a in pda.input_alphabet:
-        check_id("letter", a)
-    for x in pda.stack_alphabet:
-        check_id("stack symbol", x)
-    if len(states) != len(pda.states):
-        diags.append("duplicate state declarations")
-    if len(letters) != len(pda.input_alphabet):
-        diags.append("duplicate letter declarations")
-    if len(stack) != len(pda.stack_alphabet):
-        diags.append("duplicate stack symbol declarations")
+    kinds = (("state", pda.states, states), ("letter", pda.input_alphabet, letters),
+             ("stack symbol", pda.stack_alphabet, stack))
+    for kind, names, _ in kinds:
+        for name in names:
+            if name.split() != [name] or "." in name or name in _RESERVED_IDS:
+                diags.append(f"{kind} {name!r} is not a legal identifier")
+    for kind, names, declared in kinds:
+        if len(declared) != len(names):
+            diags.append(f"duplicate {kind} declarations")
     if pda.initial not in states:
         diags.append(f"initial state {pda.initial!r} not declared")
 
-    for i, t in enumerate(pda.transitions):
+    # Check each distinct value once; walk the transitions only to name faults.
+    ts = pda.transitions
+    if (states.issuperset({t.source for t in ts}) and states.issuperset({t.target for t in ts})
+            and letters.issuperset({t.label for t in ts} - {None})
+            and min({t.color for t in ts} | {0}) >= 0
+            and not any((top != BOTTOM and top not in stack) or _push_fault(top, push, stack)
+                        for top, push in {(t.top, t.push) for t in ts})):
+        return diags
+    for i, t in enumerate(ts):
         faults = []
         if t.source not in states:
             faults.append("unknown source")
@@ -300,17 +301,21 @@ def validate(pda: OmegaPDA) -> list[str]:
             faults.append("unknown top symbol")
         if t.color < 0:
             faults.append("negative color")
-        if len(t.push) > 2:
-            faults.append("push too long")
-        elif t.top == BOTTOM:
-            if t.push[:1] != (BOTTOM,) or not all(x in stack for x in t.push[1:]):
-                faults.append("bottom deleted or buried")
-        elif BOTTOM in t.push:
-            faults.append("bottom written")
-        elif not all(x in stack for x in t.push):
-            faults.append("unknown push symbol")
+        if fault := _push_fault(t.top, t.push, stack):
+            faults.append(fault)
         diags += [f"transition {i} {t}: {fault}" for fault in faults]
     return diags
+
+
+def _push_fault(top: str, push: tuple[str, ...], stack: set[str]) -> Optional[str]:
+    if len(push) > 2:
+        return "push too long"
+    if top == BOTTOM:
+        legal = push[:1] == (BOTTOM,) and stack.issuperset(push[1:])
+        return None if legal else "bottom deleted or buried"
+    if BOTTOM in push:
+        return "bottom written"
+    return None if stack.issuperset(push) else "unknown push symbol"
 
 
 def enabled(pda: OmegaPDA, c: Configuration) -> list[Transition]:
@@ -428,18 +433,31 @@ def read_declarations(
         fields = raw.split()
         if not fields or fields[0][0] == "#":
             continue
-        kind = fields.pop(0)
-        entry = handlers.get(kind)
+        kind = fields.pop(0)  # cheaper than passing a slice: no second list
+        arity, handle = handlers.get(kind, (-1, None))
         try:
-            if entry is None:
-                raise ValueError(f"unknown declaration {kind!r}")
-            arity, handle = entry
-            if arity is not None and len(fields) != arity:
-                raise ValueError(f"{kind!r} takes {arity} field(s), got {len(fields)}")
+            if len(fields) != arity and arity is not None:  # -1: an unknown keyword
+                raise ValueError(f"unknown declaration {kind!r}" if handle is None else
+                                 f"{kind!r} takes {arity} field(s), got {len(fields)}")
             handle(*fields)
         except (ValueError, IndexError, KeyError) as exc:
             reason = f"unknown {exc}" if isinstance(exc, KeyError) else exc
             raise FormatError(f"line {ln}: {raw.strip()!r}: {reason}") from None
+
+
+class TokenValues(dict):
+    """The value of each distinct token of one parse, read once.  A token is
+    valid only as ``write`` prints its value, so accepted texts round-trip."""
+
+    def __init__(self, kind: str, read: Callable[[str], Any], write: Callable[[Any], str]):
+        self.kind, self.read, self.write = kind, read, write  # dict.__new__ made the dict
+
+    def __missing__(self, token: str) -> Any:
+        value = self.read(token)
+        if self.write(value) != token:
+            raise ValueError(f"{self.kind} {token!r} must be written {self.write(value)!r}")
+        self[token] = value
+        return value
 
 
 def top_to_text(top: str) -> str:
@@ -487,11 +505,13 @@ def pda_declarations() -> tuple[dict, Callable[[], OmegaPDA]]:
     stack: list[str] = []
     initial: list[str] = []
     transitions: list[Transition] = []
+    pushes = TokenValues("push word", push_from_text, push_to_text)
+    colors = TokenValues("color", int, str)
 
     def trans(src, top, lab, dst, push, color):
         transitions.append(Transition(
             src, BOTTOM if top == "_" else top, None if lab == "eps" else lab, dst,
-            push_from_text(push), int(color),
+            pushes[push], colors[color],
         ))
 
     def build() -> OmegaPDA:

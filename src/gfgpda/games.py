@@ -39,6 +39,7 @@ from .core import (
     OmegaPDA,
     PdaError,
     ResourceExceeded,
+    TokenValues,
     Transition,
     format_pda,
     is_deterministic,
@@ -1167,10 +1168,11 @@ def parse_strategy_pdt(text: str) -> StrategyPDT:
     output: dict = {}
     input_alphabet: list[str] = []
     output_alphabet: list[str] = []
+    pushes = TokenValues("push word", push_from_text, push_to_text)
 
     def ttrans(src, top, sym, dst, push):
         rules.append(PdtRule(src, BOTTOM if top == "_" else top,
-                             None if sym == "eps" else sym, dst, push_from_text(push)))
+                             None if sym == "eps" else sym, dst, pushes[push]))
 
     def tout(q, out):
         output[q] = out

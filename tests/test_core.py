@@ -1,11 +1,14 @@
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gfgpda import zoo
+from gfgpda import core, zoo
 from gfgpda.core import (
     BOTTOM,
     BadPartition,
     Configuration,
+    FormatError,
     NotARun,
     NotEnabled,
     OmegaPDA,
@@ -20,6 +23,8 @@ from gfgpda.core import (
     step,
     validate,
 )
+from gfgpda.resolvers import determinize_moore
+from helpers import random_pda
 
 
 @pytest.fixture(scope="module")
@@ -202,12 +207,118 @@ def test_parse_lasso_forms():
     assert parse_lasso(";a").prefix == ()
 
 
+def _det(fx):
+    return determinize_moore(fx.automaton, fx.resolver)
+
+
 def test_text_format_round_trip_all_fixtures():
-    for fx in zoo.all_fixtures():
-        text = format_pda(fx.automaton)
+    # Every fixture, two determinized ones and 200 seeded random automata:
+    # the same transitions in the same order, and the same text again.
+    rng = random.Random(2024)
+    automata = [fx.automaton for fx in zoo.all_fixtures()]
+    automata += [_det(zoo.example23()), _det(zoo.figure1())]
+    automata += [random_pda(rng) for _ in range(200)]
+    for pda in automata:
+        text = format_pda(pda)
         again = parse_pda(text)
-        assert again == fx.automaton
+        assert again == pda and again.transitions == pda.transitions
         assert format_pda(again) == text
+
+
+# -- golden diagnostics of the automaton text format -----------------------
+
+_HEAD = ["state q", "state p", "initial q", "letter a", "stacksym A"]
+_T0 = "transition 0 (r,Z,b,s,Z,-1)"
+# (case, lines after _HEAD, the exact FormatError text).
+GOLDEN = [
+    ("unknown source", ["trans r _ a q _ 0"],
+     "transition 0 (r,_,a,q,_,0): unknown source"),
+    ("unknown target", ["trans q _ a r _ 0"],
+     "transition 0 (q,_,a,r,_,0): unknown target"),
+    ("unknown letter", ["trans q _ b q _ 0"],
+     "transition 0 (q,_,b,q,_,0): unknown letter"),
+    ("unknown top", ["trans q Z a q eps 0"],
+     "transition 0 (q,Z,a,q,eps,0): unknown top symbol"),
+    ("negative color", ["trans q _ a q _ -1"],
+     "transition 0 (q,_,a,q,_,-1): negative color"),
+    ("push too long", ["trans q A a q A.A.A 0"],
+     "transition 0 (q,A,a,q,A.A.A,0): push too long"),
+    ("bottom deleted", ["trans q _ a q eps 0"],
+     "transition 0 (q,_,a,q,eps,0): bottom deleted or buried"),
+    ("bottom buried", ["trans q _ a q A._ 0"],
+     "transition 0 (q,_,a,q,A._,0): bottom deleted or buried"),
+    ("bottom written", ["trans q A a q _ 0"],
+     "transition 0 (q,A,a,q,_,0): bottom written"),
+    ("unknown push symbol", ["trans q A a q B 0"],
+     "transition 0 (q,A,a,q,B,0): unknown push symbol"),
+    ("illegal identifiers", ["state x.y", "letter eps", "stacksym _", "trans q _ a q _ 0"],
+     "state 'x.y' is not a legal identifier; letter 'eps' is not a legal identifier; "
+     "stack symbol '_' is not a legal identifier"),
+    ("duplicates", ["state q", "letter a", "stacksym A", "trans q _ a q _ 0"],
+     "duplicate state declarations; duplicate letter declarations; "
+     "duplicate stack symbol declarations"),
+    ("undeclared initial", ["initial r", "trans q _ a q _ 0"],
+     "initial state 'r' not declared"),
+    ("six faults on one transition", ["trans r Z b s Z -1"],
+     f"{_T0}: unknown source; {_T0}: unknown target; {_T0}: unknown letter; "
+     f"{_T0}: unknown top symbol; {_T0}: negative color; {_T0}: unknown push symbol"),
+    ("faults across transitions",
+     ["trans q _ a q _ 0", "trans q A eps p A.B 2", "trans p _ eps q eps 1"],
+     "transition 1 (q,A,eps,p,A.B,2): unknown push symbol; "
+     "transition 2 (p,_,eps,q,eps,1): bottom deleted or buried"),
+    ("declarations before transitions", ["state x.y", "state q", "trans q A b q A 0"],
+     "state 'x.y' is not a legal identifier; duplicate state declarations; "
+     "transition 0 (q,A,b,q,A,0): unknown letter"),
+    ("non-integer color", ["trans q _ a q _ red"],
+     "line 6: 'trans q _ a q _ red': invalid literal for int() with base 10: 'red'"),
+]
+
+
+@pytest.mark.parametrize("case,lines,message", GOLDEN, ids=[g[0] for g in GOLDEN])
+def test_format_errors_are_golden(case, lines, message):
+    with pytest.raises(FormatError) as exc:
+        parse_pda("\n".join(_HEAD + lines) + "\n")
+    assert str(exc.value) == message
+
+
+def test_missing_initial_is_golden():
+    with pytest.raises(FormatError) as exc:
+        parse_pda("state q\nletter a\ntrans q _ a q _ 0\n")
+    assert str(exc.value) == "missing 'initial' declaration"
+
+
+def test_parse_work_is_per_distinct_value(monkeypatch):
+    # Each distinct push word is converted once, and validate checks the
+    # distinct (top, push) shapes, not every transition, unless one is bad.
+    det = _det(zoo.example23())
+    text = format_pda(det)
+    calls = {"push": 0, "shape": 0}
+    push_from_text, push_fault = core.push_from_text, core._push_fault
+
+    def counting_push(text):
+        calls["push"] += 1
+        return push_from_text(text)
+
+    def counting_fault(*args):
+        calls["shape"] += 1
+        return push_fault(*args)
+
+    monkeypatch.setattr(core, "push_from_text", counting_push)
+    monkeypatch.setattr(core, "_push_fault", counting_fault)
+    assert parse_pda(text) == det
+    shapes = {(t.top, t.push) for t in det.transitions}
+    assert len(det.transitions) > 900 and len(shapes) < 100
+    assert calls["push"] == len({t.push for t in det.transitions}) <= 10
+    assert calls["shape"] == len(shapes)
+    lines = text.splitlines()
+    k = next(i for i, line in enumerate(lines) if line.startswith("trans"))
+    fields = lines[k + 500].split()
+    fields[3] = "zz"  # an undeclared letter
+    lines[k + 500] = " ".join(fields)
+    calls.update(shape=0)
+    with pytest.raises(FormatError, match=r"^transition 500 \(\S+,zz,\S+\): unknown letter$"):
+        parse_pda("\n".join(lines) + "\n")
+    assert calls["shape"] == len(det.transitions)  # the walk ran to name the fault
 
 
 def test_comment_and_blank_lines():

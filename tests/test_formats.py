@@ -134,3 +134,40 @@ def test_strategy_transducer_uses_declared_states(line, kind, state):
     parse_strategy_pdt(text)
     with pytest.raises(FormatError, match=f"^{kind} names undeclared state '{state}'$"):
         parse_strategy_pdt(text + line + "\n")
+
+
+# Tokens the writers never print: each is an input error naming its line,
+# so that every text the readers accept prints back as it was read.
+@pytest.mark.parametrize("push,color,reason", [
+    ("_.", "1_0", "push word '_.' must be written '_'"),
+    ("_", "1_0", "color '1_0' must be written '10'"),
+    ("_", "+2", "color '+2' must be written '2'"),
+    ("_", "٣", "color '٣' must be written '3'"),
+    ("_.X", "1", "push word '_.X' must be written '_X'"),
+])
+def test_non_canonical_tokens_are_input_errors(push, color, reason):
+    head = "state p\ninitial p\nletter a\nstacksym X\n"
+    line = f"trans p _ a p {push} {color}"
+    with pytest.raises(FormatError) as exc:
+        parse_pda(head + line + "\n")
+    assert str(exc.value) == f"line 5: {line!r}: {reason}"
+
+
+def test_non_canonical_tokens_in_transducers_and_dpas():
+    text = "tstate s0\ntinitial s0\ntstacksym X\ntinput a\ntoutput x\n"
+    assert parse_strategy_pdt(text + "ttrans s0 _ a s0 _X\n").machine.rules[0].push == ("_", "X")
+    with pytest.raises(FormatError, match=r"^line 6: .*push word '_\.X' must be written '_X'$"):
+        parse_strategy_pdt(text + "ttrans s0 _ a s0 _.X\n")
+    dpa = format_dpa(_dpa())
+    for color in ("+2", "1_0", "٣"):
+        bad = dpa.replace("dtrans d0 a d0 1", f"dtrans d0 a d0 {color}")
+        with pytest.raises(FormatError) as exc:
+            parse_dpa(bad)
+        assert str(exc.value).startswith(f"line 6: 'dtrans d0 a d0 {color}': color '{color}'")
+
+
+def test_non_canonical_token_is_cli_input_error(capsys, tmp_path):
+    path = tmp_path / "bad.pda"
+    path.write_text("state p\ninitial p\nletter a\ntrans p _ a p _ +2\n")
+    assert cli.main(["validate", str(path)]) == 4
+    assert "input error: line 4: " in capsys.readouterr().out
