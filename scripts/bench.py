@@ -1,4 +1,4 @@
-"""Layer benchmark of gfgpda, first layer: parsing and validation.
+"""Layer benchmark of gfgpda: parsing and validation, and one synthesis.
 
     python3 scripts/bench.py [OUTPUT.json]
 
@@ -27,6 +27,8 @@ from gfgpda import analysis, closure, core, games, resolvers, zoo  # noqa: E402
 REPEATS = 5
 MIN_REPEAT_S = 0.02
 SERIES_LINES = (250, 500, 1000, 2000, 4000)
+SERIES_DPA_STATES = (250, 500, 1000, 2000)
+SERIES_GS_PAIRS = (100, 200, 400, 800, 1600)
 SERIES_SEED = 7
 
 
@@ -70,6 +72,36 @@ def generated_pda_text(lines: int, rng: random.Random) -> str:
     return "\n".join(out) + "\n"
 
 
+def generated_dpa_text(states: int, rng: random.Random) -> str:
+    """A complete DPA with ``states`` states over two letters, colors 0-3."""
+    names = [f"d{i}" for i in range(states)]
+    delta = {(q, a): rng.choice(names) for q in names for a in "ab"}
+    colors = {key: rng.randrange(4) for key in delta}
+    return closure.format_dpa(
+        closure.DeterministicParityAutomaton(tuple(names), ("a", "b"), names[0], delta, colors))
+
+
+def generated_gs_text(pairs: int) -> str:
+    """A specification with ``pairs`` pairing letters, ``pairs // 2`` letters
+    for Player 1 and two for Player 2, and a one-state condition that loops
+    on every paired letter."""
+    sigma1, sigma2 = tuple(f"l{i}" for i in range(pairs // 2)), ("x", "y")
+    pairing = {games.pair_id(a1, a2): (a1, a2) for a1 in sigma1 for a2 in sigma2}
+    cond = core.OmegaPDA(("s",), tuple(pairing), (), "s", tuple(
+        core.Transition("s", core.BOTTOM, letter, "s", (core.BOTTOM,), 0) for letter in pairing))
+    return games.format_gs_spec(games.GaleStewartSpec(sigma1, sigma2, cond, pairing))
+
+
+def doubling_series(key: str, read, texts: dict) -> list:
+    """Best times of ``read`` on each text, keyed by size, with the growth
+    from the size before."""
+    sizes = list(texts)
+    times = best_ms({n: lambda t=texts[n]: read(t) for n in sizes})
+    return [{key: n, "parse_ms": times[n],
+             "growth": None if i == 0 else times[n] / times[sizes[i - 1]]}
+            for i, n in enumerate(sizes)]
+
+
 def parse_layer() -> dict:
     # The gate of ROADMAP item 5: one parse against one tail-set query.
     ex23 = zoo.example23()
@@ -88,10 +120,11 @@ def parse_layer() -> dict:
     texts = {lines: generated_pda_text(lines, rng) for lines in SERIES_LINES}
     for text in texts.values():
         core.parse_pda(text)  # raises if the generator wrote an invalid automaton
-    times = best_ms({lines: lambda t=text: core.parse_pda(t) for lines, text in texts.items()})
-    series = [{"lines": lines, "parse_ms": times[lines],
-               "growth": None if i == 0 else times[lines] / times[SERIES_LINES[i - 1]]}
-              for i, lines in enumerate(SERIES_LINES)]
+    series = doubling_series("lines", core.parse_pda, texts)
+    dpa_series = doubling_series("states", closure.parse_dpa, {
+        n: generated_dpa_text(n, rng) for n in SERIES_DPA_STATES})
+    gs_series = doubling_series("pairs", games.parse_gs_spec, {
+        n: generated_gs_text(n) for n in SERIES_GS_PAIRS})
 
     # Each of the five readers on a text its writer printed.
     lss, fig1 = zoo.lss().automaton, zoo.figure1()
@@ -114,13 +147,24 @@ def parse_layer() -> dict:
                for name, (_, text) in texts.items()}
     zoo_ms = best_ms({fx.name: lambda t=core.format_pda(fx.automaton): core.parse_pda(t)
                       for fx in zoo.all_fixtures()})
-    return {"det_example23": gate, "series": series, "readers": readers, "zoo_parse_ms": zoo_ms}
+    return {"det_example23": gate, "series": series, "dpa_series": dpa_series,
+            "gs_series": gs_series, "readers": readers, "zoo_parse_ms": zoo_ms}
+
+
+def synthesis_layer() -> dict:
+    """Synthesis on figure1's universality game: time and strategy size."""
+    spec = games.make_universality_spec(zoo.figure1().automaton)
+    strategy = games.synthesize_strategy_pdt(spec)
+    ms = best_ms({"synth": lambda: games.synthesize_strategy_pdt(spec)})["synth"]
+    return {"universality-figure1": {"synth_ms": ms, "states": len(strategy.machine.states),
+                                     "rules": len(strategy.machine.rules)}}
 
 
 def main(argv: list[str]) -> int:
     out = argv[1] if len(argv) > 1 else "BENCH.json"
     report = {"python": platform.python_version(), "machine": platform.machine(),
-              "repeats": REPEATS, "series_seed": SERIES_SEED, "parse": parse_layer()}
+              "repeats": REPEATS, "series_seed": SERIES_SEED, "parse": parse_layer(),
+              "synthesis": synthesis_layer()}
     with open(out, "w", encoding="utf-8") as fh:
         json.dump(report, fh, indent=1, sort_keys=True)
         fh.write("\n")
@@ -128,11 +172,15 @@ def main(argv: list[str]) -> int:
     print(f"parse det(example23): {gate['parse_ms']:.3f} ms, "
           f"{gate['parse_over_slowest_tail']:.2f}-{gate['parse_over_fastest_tail']:.2f}x "
           f"one accepts_tail_of")
-    for row in report["parse"]["series"]:
-        growth = "" if row["growth"] is None else f"  x{row['growth']:.2f}"
-        print(f"parse {row['lines']:5d} trans lines: {row['parse_ms']:.3f} ms{growth}")
+    for series, what in (("series", "lines"), ("dpa_series", "states"), ("gs_series", "pairs")):
+        for row in report["parse"][series]:
+            growth = "" if row["growth"] is None else f"  x{row['growth']:.2f}"
+            print(f"{series} {row[what]:5d} {what}: {row['parse_ms']:.3f} ms{growth}")
     for name, row in report["parse"]["readers"].items():
         print(f"{name}: {row['parse_ms']:.3f} ms ({row['lines']} lines)")
+    for name, row in report["synthesis"].items():
+        print(f"synth {name}: {row['synth_ms']:.3f} ms, {row['states']} states, "
+              f"{row['rules']} rules")
     print(f"wrote {out}")
     return 0
 

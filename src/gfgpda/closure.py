@@ -44,9 +44,10 @@ class DeterministicParityAutomaton:
                     out.append(f"color({q}, {a}) missing")
         if self.initial not in self.states:
             out.append(f"initial {self.initial!r} not declared")
+        states, letters = set(self.states), set(self.alphabet)
         for (q, a), q2 in self.delta.items():
-            for kind, x, known in (("state", q, self.states), ("letter", a, self.alphabet),
-                                   ("state", q2, self.states)):
+            for kind, x, known in (("state", q, states), ("letter", a, letters),
+                                   ("state", q2, states)):
                 if x not in known:
                     out.append(f"dtrans {q} {a} {q2}: {kind} {x!r} not declared")
         return out

@@ -17,9 +17,9 @@ and solved by Zielonka's algorithm with attractors to edges, no vertex added
 finite games.  Eve's winning strategies are packaged as pushdown
 transducers by one builder (``_strategy_pdt``): positional ones from a
 truncation keep the transducer's stack unused, claim-game ones push a
-context per stack frame.  The mode-tracking and three-phase delay
-transforms turn a transducer for the block game into one for the original
-game.
+context per stack frame.  Synthesis takes two steps: ``extract_strategy_pdt``
+builds that transducer for the block game, and the three-phase
+``delay_transform`` turns it into one for the original game.
 """
 
 from __future__ import annotations
@@ -41,6 +41,7 @@ from .core import (
     ResourceExceeded,
     TokenValues,
     Transition,
+    _push_fault,
     format_pda,
     is_deterministic,
     pda_declarations,
@@ -83,17 +84,16 @@ class GaleStewartSpec:
 
     def validate(self) -> list[str]:
         out = []
-        pairs = {}
+        letters, pairs = set(self.condition.input_alphabet), set()
         for letter, pair in self.pairing.items():
-            if letter not in self.condition.input_alphabet:
+            if letter not in letters:
                 out.append(f"pairing letter {letter!r} not in the condition alphabet")
-            if pair in pairs.values():
+            if pair in pairs:
                 out.append(f"pair {pair} mapped twice")
-            pairs[letter] = pair
-        want = {(a1, a2) for a1 in self.sigma1 for a2 in self.sigma2}
-        if set(pairs.values()) != want:
+            pairs.add(pair)
+        if pairs != {(a1, a2) for a1 in self.sigma1 for a2 in self.sigma2}:
             out.append("pairing does not cover sigma1 x sigma2 exactly")
-        if set(self.condition.input_alphabet) != set(self.pairing):
+        if letters != set(self.pairing):
             out.append("condition alphabet and pairing domain differ")
         return out
 
@@ -451,14 +451,12 @@ def solve_pushdown_parity_game(
 
 
 def _check_moves(game: PushdownParityGame) -> None:
-    """Raise ``ValueError`` naming the first move whose push is longer than
-    two symbols, does not keep the bottom at the bottom, or holds it
-    anywhere else."""
+    """Raise ``ValueError`` naming the first move whose push breaks the rule
+    of ``core._push_fault``, and the fault."""
+    stack = set(game.stack_alphabet)
     for m in game.moves:
-        push, at_bottom = m.push, m.top == BOTTOM
-        if len(push) > 2 or push.count(BOTTOM) != at_bottom or at_bottom and push[0] != BOTTOM:
-            raise ValueError(f"malformed move {m}: a push has at most two symbols, "
-                             "and the bottom stays at the bottom")
+        if fault := _push_fault(m.top, m.push, stack):
+            raise ValueError(f"malformed move {m}: {fault}")
 
 
 def _over_budget(vertices: int, budget: int) -> ResourceExceeded:
@@ -916,105 +914,42 @@ def _strategy_pdt(start, choice: dict, moves: Callable, after: Callable,
     return StrategyPDT(machine, output, sigma1, info.y_values)
 
 
-def reading_modes(t: StrategyPDT) -> set[tuple[Any, str]]:
-    modes = set()
-    for rule in t.machine.rules:
-        if rule.symbol is not None:
-            modes.add((rule.source, rule.top))
-    return modes
+def delay_transform(t: StrategyPDT, info: PdInfo) -> StrategyPDT:
+    """Three-phase transform of the block-game transducer ``t`` of
+    ``extract_strategy_pdt`` into a strategy for the original game:
+    initialization until the first real letter, waiting until an output
+    letter is due (stored), then a delay phase that feeds dummy letters while
+    the run infix is constructed and finally emits the stored letter when
+    the block completes.  A state's output says which phase comes next: a
+    letter of sigma2, an epsilon or a letter-reading condition transition.
 
-
-def mode_tracking_pdt(t: StrategyPDT) -> StrategyPDT:
-    """Track the mode (state, top symbol) in the state; pops go through a raw
-    state that re-reads the uncovered symbol.
-
-    Only the modes that rules read or reach are built, and raw states only
-    for the targets of pops."""
-    machine = t.machine
-    gb = (BOTTOM,) + machine.stack_alphabet
-
-    def mode(q, x):
-        return ("mode", q, x)
-
-    def raw(q):
-        return ("raw", q)
-
-    modes = {(machine.initial, BOTTOM)}
-    pop_targets: set = set()
-    rules: list[PdtRule] = []
-    for r in machine.rules:
-        modes.add((r.source, r.top))
-        if r.push:
-            modes.add((r.target, r.push[-1]))
-            rules.append(PdtRule(mode(r.source, r.top), r.top, r.symbol,
-                                 mode(r.target, r.push[-1]), r.push))
-        else:
-            pop_targets.add(r.target)
-            rules.append(PdtRule(mode(r.source, r.top), r.top, r.symbol, raw(r.target), ()))
-    popped = [q for q in machine.states if q in pop_targets]
-    for q in popped:
-        for x in gb:
-            modes.add((q, x))
-            rules.append(PdtRule(raw(q), x, None, mode(q, x), (x,)))
-    rank = {q: i for i, q in enumerate(machine.states)}
-    xrank = {x: i for i, x in enumerate(gb)}
-    ordered = sorted(modes, key=lambda qx: (rank[qx[0]], xrank[qx[1]]))
-    states = [mode(q, x) for q, x in ordered] + [raw(q) for q in popped]
-    output = {mode(q, x): t.output[q] for q, x in ordered if q in t.output}
-    tracked = DetPushdown(tuple(states), mode(machine.initial, BOTTOM),
-                          machine.stack_alphabet, tuple(rules))
-    return StrategyPDT(tracked, output, t.input_alphabet, t.output_alphabet)
-
-
-def delay_transform(
-    tprime: StrategyPDT,
-    reading: set,
-    classify: Callable[[str], str],  # 'sigma2' | 'eps_trans' | 'letter_trans'
-    dummy: str,
-    sigma1: tuple[str, ...],
-    sigma2: tuple[str, ...],
-) -> StrategyPDT:
-    """Three-phase transform of a block-game transducer into a strategy for
-    the original game: initialization until the first real letter, waiting
-    until an output letter is due (stored), then a delay phase that feeds
-    dummy letters while the run infix is constructed and finally emits the
-    stored letter when the block completes."""
-
-    def is_reading(q) -> bool:
-        return q[0] == "mode" and (q[1], q[2]) in reading
-
-    lam = tprime.output
+    No mode (state, top symbol) needs tracking in the state: ``t`` has a rule
+    for every Adam letter at every top a run can reach in a state, so every
+    reached mode reads, and its output depends on the state alone.  ``t`` has
+    no epsilon rules."""
+    sigma1, sigma2, dummy = info.sigma1, info.sigma2, info.sigma1[0]
+    kinds = {q: "sigma2" if y in sigma2 else
+             "eps_trans" if info.transition_of(y).label is None else "letter_trans"
+             for q, y in t.output.items()}
     tags = ["i", "w"] + list(sigma2)
-    states = [(q, tag) for q in tprime.machine.states for tag in tags]
+    states = [(q, tag) for q in t.machine.states for tag in tags]
     rules: list[PdtRule] = []
-    for r in tprime.machine.rules:
-        if r.symbol is None:
-            for tag in tags:
-                rules.append(PdtRule((r.source, tag), r.top, None, (r.target, tag), r.push))
-            continue
-        if r.symbol in sigma1:
-            rules.append(PdtRule((r.source, "i"), r.top, r.symbol, (r.target, "w"), r.push))
-        if r.symbol == dummy:
-            out = lam.get(r.source)
-            if out is not None and classify(out) == "sigma2":
-                rules.append(PdtRule((r.source, "w"), r.top, None, (r.target, out), r.push))
-            if is_reading(r.source) and out is not None and classify(out) == "eps_trans":
-                for a2 in sigma2:
-                    rules.append(PdtRule((r.source, a2), r.top, None, (r.target, a2), r.push))
-        if r.symbol in sigma1 and is_reading(r.source):
-            out = lam.get(r.source)
-            if out is not None and classify(out) == "letter_trans":
-                for a2 in sigma2:
-                    rules.append(PdtRule((r.source, a2), r.top, r.symbol, (r.target, "w"), r.push))
-    output = {}
-    for q in tprime.machine.states:
-        out = lam.get(q)
-        if is_reading(q) and out is not None and classify(out) == "letter_trans":
-            for a2 in sigma2:
-                output[(q, a2)] = a2
-    machine = DetPushdown(tuple(states), (tprime.machine.initial, "i"),
-                          tprime.machine.stack_alphabet, tuple(rules))
-    return StrategyPDT(machine, output, sigma1, tuple(sigma2))
+    for r in t.machine.rules:
+        kind = kinds.get(r.source)
+        rules.append(PdtRule((r.source, "i"), r.top, r.symbol, (r.target, "w"), r.push))
+        if r.symbol == dummy and kind == "sigma2":
+            rules.append(PdtRule((r.source, "w"), r.top, None, (r.target, t.output[r.source]),
+                                 r.push))
+        for a2 in sigma2:
+            if r.symbol == dummy and kind == "eps_trans":
+                rules.append(PdtRule((r.source, a2), r.top, None, (r.target, a2), r.push))
+            elif kind == "letter_trans":
+                rules.append(PdtRule((r.source, a2), r.top, r.symbol, (r.target, "w"), r.push))
+    output = {(q, a2): a2 for q, kind in kinds.items() if kind == "letter_trans"
+              for a2 in sigma2}
+    machine = DetPushdown(tuple(states), (t.machine.initial, "i"), t.machine.stack_alphabet,
+                          tuple(rules))
+    return StrategyPDT(machine, output, sigma1, sigma2)
 
 
 def synthesize_strategy_pdt(spec: GaleStewartSpec, budget: int = 5_000_000) -> StrategyPDT:
@@ -1022,17 +957,7 @@ def synthesize_strategy_pdt(spec: GaleStewartSpec, budget: int = 5_000_000) -> S
     gs = solve_gale_stewart(spec, budget)
     if gs.winner != EVE:
         raise Player1Wins("Player 2 does not win this specification")
-    t = extract_strategy_pdt(gs)
-    tprime = mode_tracking_pdt(t)
-
-    def classify(y: str) -> str:
-        if y in spec.sigma2:
-            return "sigma2"
-        return "eps_trans" if gs.info.transition_of(y).label is None else "letter_trans"
-
-    return delay_transform(
-        tprime, reading_modes(t), classify, spec.sigma1[0], spec.sigma1, spec.sigma2
-    )
+    return delay_transform(extract_strategy_pdt(gs), gs.info)
 
 
 def simulate_play(strategy: StrategyPDT, adam: LassoWord, guard: int = 2000) -> LassoWord:

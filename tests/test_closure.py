@@ -325,3 +325,19 @@ def test_dpa_text_round_trip():
     again = parse_dpa(text)
     assert again == dpa
     assert format_dpa(again) == text
+
+
+def test_dpa_validate_golden_diagnostics():
+    dpa = DeterministicParityAutomaton(
+        ("p", "q"), ("a", "b"), "r",
+        {("p", "a"): "q", ("p", "b"): "p", ("q", "a"): "s", ("t", "c"): "p"},
+        {("p", "a"): 0, ("q", "a"): 1},
+    )
+    assert dpa.validate() == [
+        "color(p, b) missing",
+        "delta(q, b) missing",
+        "initial 'r' not declared",
+        "dtrans q a s: state 's' not declared",
+        "dtrans t c p: state 't' not declared",
+        "dtrans t c p: letter 'c' not declared",
+    ]

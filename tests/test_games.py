@@ -15,6 +15,7 @@ from gfgpda.games import (
     ADAM,
     EVE,
     FiniteParityGame,
+    GaleStewartSpec,
     GameMove,
     Player1Wins,
     PushdownParityGame,
@@ -27,7 +28,6 @@ from gfgpda.games import (
     format_strategy_pdt,
     gs_to_pushdown_game,
     make_universality_spec,
-    mode_tracking_pdt,
     pair_id,
     parse_gs_spec,
     parse_strategy_pdt,
@@ -420,12 +420,21 @@ def test_budget_bounds_claim_enumeration():
     (GameMove("v", BOTTOM, "v", (BOTTOM, "N"), 1), GameMove("v", "N", "v", ("N", "N", "N"), 1)),
     # The bottom above another symbol.
     (GameMove("v", BOTTOM, "v", (BOTTOM, "N"), 0), GameMove("v", "N", "v", ("N", BOTTOM), 0)),
+    # A push of an undeclared symbol.
+    (GameMove("v", BOTTOM, "v", (BOTTOM, "M"), 0),),
 ])
 def test_malformed_pushdown_games_are_rejected(moves):
     game = PushdownParityGame(("v",), ("N",), "v", {"v": EVE}, moves)
     for solve in (solve_pushdown_parity_game, solve_claim_game):
         with pytest.raises(ValueError, match=re.escape(f"malformed move {moves[-1]}")):
             solve(game)
+
+
+def test_malformed_move_names_its_fault():
+    move = GameMove("v", "N", "v", ("N", "M"), 0)
+    game = PushdownParityGame(("v",), ("N",), "v", {"v": EVE}, (move,))
+    with pytest.raises(ValueError, match=re.escape(f"malformed move {move}: unknown push symbol")):
+        solve_pushdown_parity_game(game)
 
 
 def _random_pushdown_game(rng: random.Random) -> PushdownParityGame:
@@ -586,24 +595,6 @@ def test_claim_stack_strategies_win():
             assert simulate_play(again, adam) == outcome
 
 
-def test_mode_tracking_builds_reached_modes_only():
-    # Every mode is the initial one or a rule's source or target, and raw
-    # states exist for pop targets only.  Specs 7 and 83 have strategies
-    # that pop, spec 77 one that only pushes.
-    popping = 0
-    for spec in _claim_decided_specs():
-        t = extract_strategy_pdt(solve_gale_stewart(spec, budget=5_000))
-        machine = mode_tracking_pdt(t).machine
-        ends = {machine.initial} | {q for r in machine.rules for q in (r.source, r.target)}
-        assert set(machine.states) <= ends
-        raws = {q for q in machine.states if q[0] == "raw"}
-        assert raws == {("raw", r.target) for r in t.machine.rules if not r.push}
-        gb = len(t.machine.stack_alphabet) + 1
-        assert len(machine.states) < len(t.machine.states) * (gb + 1)
-        popping += bool(raws)
-    assert popping == 2
-
-
 # -- Gale-Stewart solving -------------------------------------------------------------------
 
 
@@ -695,16 +686,112 @@ def test_synthesize_refuses_adam_wins():
         synthesize_strategy_pdt(make_universality_spec(zoo.example23().automaton))
 
 
-def test_mode_tracking_state_count():
-    spec = make_universality_spec(zoo.figure1().automaton)
-    gs = solve_gale_stewart(spec)
-    t = extract_strategy_pdt(gs)
-    tprime = mode_tracking_pdt(t)
-    # The strategy is stackless and every state reads at the bottom, so there
-    # is one mode per state and, with no pop, no raw state.
-    q = len(t.machine.states)
-    assert not t.machine.stack_alphabet
-    assert len(tprime.machine.states) == q
+# Outcomes of synthesized strategies against Adam lassos drawn by
+# random_adam_lassos from one Random(20), ten per spec in this order.
+GOLDEN_PLAYS = {
+    "copycat": [
+        "(b,y) (a,x);(b,y) (a,x) (a,x)",
+        "(b,y);(a,x) (b,y)",
+        "(b,y);(b,y)",
+        "(b,y) (b,y) (a,x) (b,y);(b,y)",
+        "(b,y) (b,y);(b,y)",
+        "(a,x) (a,x) (a,x);(a,x)",
+        "(a,x);(a,x)",
+        "(b,y) (b,y) (b,y);(a,x) (a,x) (b,y)",
+        "(a,x);(a,x) (a,x)",
+        "(a,x) (b,y);(b,y)",
+    ],
+    "pq_drain": [
+        "(a,p) (a,q) (a,p) (a,p);(a,p) (a,p) (a,p)",
+        "(a,p) (a,q) (a,p) (a,p);(a,p) (a,p) (a,p)",
+        "(a,p) (a,q) (a,p) (a,p);(a,p) (a,p) (a,p)",
+        "(a,p) (a,q) (a,p) (a,p);(a,p)",
+        "(a,p) (a,q) (a,p) (a,p);(a,p) (a,p) (a,p)",
+        "(a,p) (a,q) (a,p) (a,p);(a,p) (a,p)",
+        "(a,p) (a,q) (a,p) (a,p);(a,p) (a,p) (a,p)",
+        "(a,p) (a,q) (a,p) (a,p);(a,p) (a,p) (a,p)",
+        "(a,p) (a,q) (a,p) (a,p);(a,p)",
+        "(a,p) (a,q) (a,p) (a,p);(a,p)",
+    ],
+    "eps_block": [
+        "(a,z) (a,z);(a,z)",
+        "(a,z) (a,z);(a,z)",
+        "(a,z) (a,z);(a,z)",
+        "(a,z) (a,z) (a,z);(a,z)",
+        "(a,z) (a,z) (a,z);(a,z) (a,z)",
+        "(a,z) (a,z);(a,z)",
+        "(a,z) (a,z);(a,z) (a,z)",
+        "(a,z) (a,z) (a,z);(a,z) (a,z) (a,z)",
+        "(a,z) (a,z);(a,z) (a,z) (a,z)",
+        "(a,z) (a,z);(a,z)",
+    ],
+    "figure1u": [
+        "(a,#) (b,#);(a,#) (b,#) (b,#)",
+        "(b,#) (a,#) (a,#) (b,#);(b,#) (a,#) (b,#)",
+        "(b,#) (a,#) (b,#) (b,#);(b,#)",
+        "(a,#) (a,#) (b,#) (b,#);(b,#) (b,#)",
+        "(a,#) (a,#) (b,#) (a,#) (a,#);(a,#)",
+        "(a,#) (a,#) (a,#);(a,#) (a,#)",
+        "(a,#) (a,#);(b,#) (b,#) (a,#)",
+        "(b,#) (b,#);(b,#)",
+        "(a,#) (b,#) (b,#) (b,#) (b,#);(a,#) (b,#) (b,#)",
+        "(b,#) (b,#) (a,#) (a,#) (b,#);(a,#) (b,#)",
+    ],
+    "spec7": [
+        "(b,x) (a,y) (a,y);(a,y) (a,y)",
+        "(a,x) (a,x) (b,x) (a,y) (b,y) (a,y);(b,y) (a,y)",
+        "(b,x) (a,y) (a,y);(a,y)",
+        "(a,x) (a,x) (b,x);(b,y) (b,y) (b,x)",
+        "(a,x) (b,x) (a,y) (a,y);(a,y)",
+        "(b,x) (a,y) (b,y) (b,y) (b,y) (b,y) (b,x);(b,y) (b,y) (b,x)",
+        "(a,x);(a,x) (a,x)",
+        "(b,x) (b,y) (a,y) (a,y);(b,y) (b,y) (a,y)",
+        "(b,x) (b,y) (a,y);(b,y) (a,y)",
+        "(a,x) (b,x);(b,y) (b,y) (b,x)",
+    ],
+    "spec77": [
+        "(b,y);(b,y)",
+        "(b,y) (a,x) (b,y) (a,x);(a,x) (a,x) (a,x)",
+        "(a,x) (b,y) (b,y);(a,x) (b,y)",
+        "(a,x) (a,x) (b,y);(b,y) (a,x) (b,y)",
+        "(b,y) (a,x) (b,y) (a,x);(b,y) (a,x)",
+        "(a,x) (a,x) (a,x);(a,x)",
+        "(b,y) (a,x) (b,y) (a,x);(b,y) (a,x)",
+        "(b,y) (b,y) (a,x) (b,y) (a,x);(b,y) (a,x)",
+        "(a,x) (b,y) (b,y);(b,y)",
+        "(a,x) (a,x) (a,x);(a,x) (a,x)",
+    ],
+    "spec83": [
+        "(b,x) (b,y) (b,x) (b,x);(b,x) (b,x) (b,x)",
+        "(a,y) (a,x) (b,x) (a,y);(a,y) (b,x) (a,y)",
+        "(a,y) (b,y) (a,x) (b,y) (a,y) (b,x) (a,y);(b,x) (a,y)",
+        "(b,x) (b,y) (b,x) (a,y);(b,x) (b,x) (a,y)",
+        "(a,y) (a,x) (a,y);(a,y)",
+        "(a,y) (a,x) (b,x) (b,x);(a,y) (b,x) (b,x)",
+        "(a,y) (a,x) (a,y);(a,y)",
+        "(b,x) (a,x) (b,y) (b,x) (b,x);(b,x) (b,x)",
+        "(a,y) (a,x) (a,y);(a,y) (a,y)",
+        "(a,y) (b,y) (a,x) (a,x) (b,y) (a,y) (a,y) (b,x) (a,y);(a,y) (b,x) (a,y)",
+    ],
+}
+
+
+def test_golden_strategy_plays():
+    specs = [("copycat", copycat_spec()), ("pq_drain", pq_drain_spec()),
+             ("eps_block", eps_block_spec()),
+             ("figure1u", make_universality_spec(zoo.figure1().automaton))]
+    specs += zip(("spec7", "spec77", "spec83"), _claim_decided_specs())
+    rng = random.Random(20)
+    for name, spec in specs:
+        strategy = synthesize_strategy_pdt(spec, budget=5_000)
+        assert strategy.machine.violations() == [], name
+        again = parse_strategy_pdt(format_strategy_pdt(strategy))
+        plays = []
+        for adam in random_adam_lassos(rng, spec.sigma1, 10):
+            outcome = simulate_play(strategy, adam)
+            assert simulate_play(again, adam) == outcome, (name, adam)
+            plays.append(f"{' '.join(outcome.prefix)};{' '.join(outcome.loop)}")
+        assert plays == GOLDEN_PLAYS[name], name
 
 
 def test_t_minus_d_deterministic():
@@ -796,6 +883,24 @@ def test_gs_spec_round_trip():
     assert again == spec
 
 
+def test_gs_spec_validate_golden_diagnostics():
+    # Duplicate pairs, letters outside the condition alphabet, the uncovered
+    # pair (a, y) and the domain mismatch, in this order.
+    cond = OmegaPDA(("s",), ("(a,x)", "(a,y)", "(b,x)"), (), "s", ())
+    pairing = {"(a,x)": ("a", "x"), "zz": ("a", "x"), "(b,x)": ("b", "x"),
+               "ww": ("a", "x"), "vv": ("b", "y")}
+    spec = GaleStewartSpec(("a", "b"), ("x", "y"), cond, pairing)
+    assert spec.validate() == [
+        "pairing letter 'zz' not in the condition alphabet",
+        "pair ('a', 'x') mapped twice",
+        "pairing letter 'ww' not in the condition alphabet",
+        "pair ('a', 'x') mapped twice",
+        "pairing letter 'vv' not in the condition alphabet",
+        "pairing does not cover sigma1 x sigma2 exactly",
+        "condition alphabet and pairing domain differ",
+    ]
+
+
 def test_strategy_pdt_round_trip():
     strategy = synthesize_strategy_pdt(copycat_spec())
     text = format_strategy_pdt(strategy)
@@ -822,21 +927,10 @@ def test_stackless_arena_size_bound():
 
 
 def test_delay_transform_pieces_compose():
-    from gfgpda.games import delay_transform, reading_modes
+    from gfgpda.games import delay_transform
 
-    spec = eps_block_spec()
-    gs = solve_gale_stewart(spec)
-    t = extract_strategy_pdt(gs)
-    tprime = mode_tracking_pdt(t)
-
-    def classify(y):
-        if y in spec.sigma2:
-            return "sigma2"
-        tr = next(tt for tt, tid in gs.info.transition_ids.items() if tid == y)
-        return "eps_trans" if tr.label is None else "letter_trans"
-
-    tmd = delay_transform(tprime, reading_modes(t), classify, spec.sigma1[0],
-                          spec.sigma1, spec.sigma2)
+    gs = solve_gale_stewart(eps_block_spec())
+    tmd = delay_transform(extract_strategy_pdt(gs), gs.info)
     assert tmd.machine.violations() == []
     assert respond(tmd, ("a",)) == "z"
     assert respond(tmd, ("a", "a", "a")) == "z"
