@@ -1,4 +1,4 @@
-"""Layer benchmark of gfgpda: parsing and validation, and one synthesis.
+"""Layer benchmark of gfgpda: parsing and validation, guided runs, one synthesis.
 
     python3 scripts/bench.py [OUTPUT.json]
 
@@ -12,6 +12,7 @@ standard output.  Run it on two commits on the same machine to compare them.
 
 from __future__ import annotations
 
+import collections
 import json
 import os
 import platform
@@ -30,6 +31,11 @@ SERIES_LINES = (250, 500, 1000, 2000, 4000)
 SERIES_DPA_STATES = (250, 500, 1000, 2000)
 SERIES_GS_PAIRS = (100, 200, 400, 800, 1600)
 SERIES_SEED = 7
+GUARDS = (500, 1000, 2000, 4000)
+PREFIX_LETTERS = (250, 500, 1000, 2000, 4000)
+VERIFY_WORDS = 10
+VERIFY_SEED = 2024
+LIFTED_GUARD = 1000
 
 
 def best_ms(fns: dict) -> dict:
@@ -92,12 +98,19 @@ def generated_gs_text(pairs: int) -> str:
     return games.format_gs_spec(games.GaleStewartSpec(sigma1, sigma2, cond, pairing))
 
 
-def doubling_series(key: str, read, texts: dict) -> list:
-    """Best times of ``read`` on each text, keyed by size, with the growth
+def one_state_dpa(letters) -> closure.DeterministicParityAutomaton:
+    """One state looping on every letter, colors 0 and 1 alternating."""
+    return closure.DeterministicParityAutomaton(
+        ("d",), letters, "d", {("d", a): "d" for a in letters},
+        {("d", a): i % 2 for i, a in enumerate(letters)})
+
+
+def doubling_series(key: str, read, inputs: dict, unit: str = "parse_ms") -> list:
+    """Best times of ``read`` on each input, keyed by size, with the growth
     from the size before."""
-    sizes = list(texts)
-    times = best_ms({n: lambda t=texts[n]: read(t) for n in sizes})
-    return [{key: n, "parse_ms": times[n],
+    sizes = list(inputs)
+    times = best_ms({n: lambda t=inputs[n]: read(t) for n in sizes})
+    return [{key: n, unit: times[n],
              "growth": None if i == 0 else times[n] / times[sizes[i - 1]]}
             for i, n in enumerate(sizes)]
 
@@ -128,10 +141,7 @@ def parse_layer() -> dict:
 
     # Each of the five readers on a text its writer printed.
     lss, fig1 = zoo.lss().automaton, zoo.figure1()
-    letters = lss.input_alphabet
-    dpa = closure.DeterministicParityAutomaton(
-        ("d",), letters, "d", {("d", a): "d" for a in letters},
-        {("d", a): i % 2 for i, a in enumerate(letters)})
+    dpa = one_state_dpa(lss.input_alphabet)
     spec = games.make_universality_spec(fig1.automaton)
     texts = {
         "pda:lss": (core.parse_pda, core.format_pda(lss)),
@@ -151,6 +161,42 @@ def parse_layer() -> dict:
             "gs_series": gs_series, "readers": readers, "zoo_parse_ms": zoo_ms}
 
 
+def guided_layer() -> dict:
+    """Resolver-guided runs of the lss resolver: ``verify_resolver`` on ten
+    seeded accepted lassos (the guided workload's words) at doubling guards,
+    ``run_on_prefix`` on prefixes of w_ss-bar of doubling length, and the
+    lifted resolver verified on the union of lss with a one-state DPA."""
+    lss = zoo.lss()
+    pda, r = lss.automaton, zoo.LssResolver(lss.automaton)
+    words, rng = [], random.Random(VERIFY_SEED)
+    while len(words) < VERIFY_WORDS:
+        words += [w for w, flag in lss.sample(seed=rng.randrange(2**31), count=20) if flag]
+    suite = [(w, True) for w in words[:VERIFY_WORDS]]
+
+    def verdicts(pda, r, guard):
+        report = resolvers.verify_resolver(pda, r, suite, guard)
+        counts = collections.Counter(verdict for _, _, verdict in report.entries)
+        return dict(sorted(counts.items()))
+
+    verify = doubling_series("guard", lambda g: resolvers.verify_resolver(pda, r, suite, g),
+                             {g: g for g in GUARDS}, unit="verify_ms")
+    for row in verify:
+        row["verdicts"] = verdicts(pda, r, row["guard"])
+    k = 1
+    while len(zoo.w_ss_bar_prefix(k)) < PREFIX_LETTERS[-1]:
+        k += 1
+    wss = zoo.w_ss_bar_prefix(k)
+    run = doubling_series("letters", lambda word: resolvers.run_on_prefix(pda, r, word),
+                          {n: wss[:n] for n in PREFIX_LETTERS}, unit="run_ms")
+    prod, info = closure.product_with_info(pda, one_state_dpa(pda.input_alphabet), "union")
+    lifted = closure.lift_resolver(r, pda, info)
+    ms = best_ms({"lifted": lambda: resolvers.verify_resolver(prod, lifted, suite, LIFTED_GUARD)})
+    return {"words": [str(w) for w, _ in suite], "verify_series": verify, "run_series": run,
+            "lifted_verify": {"guard": LIFTED_GUARD, "states": len(prod.states),
+                              "transitions": len(prod.transitions), "verify_ms": ms["lifted"],
+                              "verdicts": verdicts(prod, lifted, LIFTED_GUARD)}}
+
+
 def synthesis_layer() -> dict:
     """Synthesis on figure1's universality game: time and strategy size."""
     spec = games.make_universality_spec(zoo.figure1().automaton)
@@ -164,7 +210,7 @@ def main(argv: list[str]) -> int:
     out = argv[1] if len(argv) > 1 else "BENCH.json"
     report = {"python": platform.python_version(), "machine": platform.machine(),
               "repeats": REPEATS, "series_seed": SERIES_SEED, "parse": parse_layer(),
-              "synthesis": synthesis_layer()}
+              "guided": guided_layer(), "synthesis": synthesis_layer()}
     with open(out, "w", encoding="utf-8") as fh:
         json.dump(report, fh, indent=1, sort_keys=True)
         fh.write("\n")
@@ -178,6 +224,15 @@ def main(argv: list[str]) -> int:
             print(f"{series} {row[what]:5d} {what}: {row['parse_ms']:.3f} ms{growth}")
     for name, row in report["parse"]["readers"].items():
         print(f"{name}: {row['parse_ms']:.3f} ms ({row['lines']} lines)")
+    guided = report["guided"]
+    for series, what, unit in (("verify_series", "guard", "verify_ms"),
+                               ("run_series", "letters", "run_ms")):
+        for row in guided[series]:
+            growth = "" if row["growth"] is None else f"  x{row['growth']:.2f}"
+            print(f"guided {series} {row[what]:5d} {what}: {row[unit]:.3f} ms{growth}")
+    row = guided["lifted_verify"]
+    print(f"guided lifted_verify guard {row['guard']}: {row['verify_ms']:.3f} ms "
+          f"({row['states']} states, {row['transitions']} transitions)")
     for name, row in report["synthesis"].items():
         print(f"synth {name}: {row['synth_ms']:.3f} ms, {row['states']} states, "
               f"{row['rules']} rules")

@@ -155,6 +155,10 @@ class OmegaPDA:
         return {k: tuple(v) for k, v in index.items()}
 
     @cached_property
+    def letters(self) -> frozenset[str]:
+        return frozenset(self.input_alphabet)
+
+    @cached_property
     def colors(self) -> tuple[int, ...]:
         return tuple(sorted({t.color for t in self.transitions}))
 
@@ -311,11 +315,14 @@ def _push_fault(top: str, push: tuple[str, ...], stack: set[str]) -> Optional[st
     if len(push) > 2:
         return "push too long"
     if top == BOTTOM:
-        legal = push[:1] == (BOTTOM,) and stack.issuperset(push[1:])
-        return None if legal else "bottom deleted or buried"
-    if BOTTOM in push:
-        return "bottom written"
-    return None if stack.issuperset(push) else "unknown push symbol"
+        if push[:1] == (BOTTOM,) and stack.issuperset(push[1:]):
+            return None
+    elif BOTTOM not in push and stack.issuperset(push):
+        return None
+    # The pushed symbols are checked before the bottom shape.
+    if set(push) - stack - {BOTTOM}:
+        return "unknown push symbol"
+    return "bottom deleted or buried" if top == BOTTOM else "bottom written"
 
 
 def enabled(pda: OmegaPDA, c: Configuration) -> list[Transition]:

@@ -92,14 +92,13 @@ def _infix(pda: OmegaPDA, r: Resolver, state, c: Configuration, a: str,
     ``transitions``, and its configurations to ``configs`` when given; return
     the new resolver state and configuration.  On an error the lists may end
     inside the infix."""
-    if a not in pda.input_alphabet:
+    if a not in pda.letters:
         raise ValueError(f"letter {a!r} not in the input alphabet")
-    # Any longer epsilon chain repeats a head at a step and diverges.
-    eps_cap = len(pda.states) * (c.height + 2) * (len(pda.stack_alphabet) + 1) + 1
-    eps_steps = 0
+    entry, eps_steps = c, 0
     while True:
         t = r.pick(state, c, a)
-        if t.label is not None and t.label != a:
+        label = t.label
+        if label is not None and label != a:
             raise ResolverStuck(f"resolver returned {t} while processing {a!r}")
         try:
             c = step(c, t)
@@ -109,9 +108,11 @@ def _infix(pda: OmegaPDA, r: Resolver, state, c: Configuration, a: str,
             configs.append(c)
         transitions.append(t)
         state = r.feed(state, t)
-        if t.label == a:
+        if label is not None:
             return state, c
         eps_steps += 1
+        # Any longer epsilon chain repeats a head at a step and diverges.
+        eps_cap = len(pda.states) * (entry.height + 2) * (len(pda.stack_alphabet) + 1) + 1
         if eps_steps > eps_cap:
             raise EpsilonDivergence(f"more than {eps_cap} epsilon steps before {a!r}")
 
@@ -202,6 +203,7 @@ def periodic_split(pda, r, w, guard=5000) -> PeriodicSplit:
     c = pda.initial_configuration()
     transitions, configs = [], [c]
     state = r.start()
+    word, restart = w.prefix + w.loop, len(w.prefix)
     position = 0
     letters = 0
     # Candidate steps are taken between letters.
@@ -225,7 +227,7 @@ def periodic_split(pda, r, w, guard=5000) -> PeriodicSplit:
             raise GuardExceeded(f"no period within {guard} transitions")
         before = len(transitions)
         try:
-            state, c = _infix(pda, r, state, c, w.letter_at(position), transitions, configs)
+            state, c = _infix(pda, r, state, c, word[position], transitions, configs)
         except (ResolverStuck, ResolverUndefined, EpsilonDivergence):
             run = RunPrefix(tuple(transitions[:before]), tuple(configs[:before + 1]))
             return PeriodicSplit("stuck", run, run.transitions, (), letters, 0)
@@ -233,7 +235,7 @@ def periodic_split(pda, r, w, guard=5000) -> PeriodicSplit:
         # Intra-block dips also invalidate candidate steps.
         for d in configs[before + 1:]:
             lasso.dip(d.height)
-        position = w.next_position(position)
+        position = position + 1 if position + 1 < len(word) else restart
 
 
 def determinize_moore(pda: OmegaPDA, m: MooreResolver, budget: Optional[int] = None) -> OmegaPDA:
@@ -471,12 +473,13 @@ def _bounded_verdict(pda: OmegaPDA, r: Resolver, w: LassoWord, guard: int) -> st
     transitions = []
     positions = []  # lasso position of each transition
     state = r.start()
+    word, restart = w.prefix + w.loop, len(w.prefix)
     position = 0
     try:
         while len(transitions) < guard:
-            state, c = _infix(pda, r, state, c, w.letter_at(position), transitions)
+            state, c = _infix(pda, r, state, c, word[position], transitions)
             positions += [position] * (len(transitions) - len(positions))
-            position = w.next_position(position)
+            position = position + 1 if position + 1 < len(word) else restart
     except (ResolverStuck, ResolverUndefined, EpsilonDivergence):
         return "fail"
     annotated = list(zip(transitions, positions))

@@ -273,17 +273,19 @@ class LssResolver(Resolver):
         self.pda = pda
         # Each letter's energy deltas, one per component.
         self._deltas = {a: tuple(_DELTA[c] for c in _components(a)) for a in pda.input_alphabet}
+        # The first transition per (source, top, letter, target): reversed, the first wins.
+        self._index = {(t.source, t.top, t.label, t.target): t for t in reversed(pda.transitions)}
 
     def start(self):
         return (0, (0, 0, 0), (0, 0, 0))
 
     def _advance(self, state, letter):
-        n, *components = state
-        out = [n + 1]
-        for (level, low, at), delta in zip(components, self._deltas[letter]):
-            level += delta
-            out.append((level, low, at) if level >= low else (level, level, n + 1))
-        return tuple(out)
+        n, (level1, low1, at1), (level2, low2, at2) = state
+        delta1, delta2 = self._deltas[letter]
+        level1 += delta1
+        level2 += delta2
+        return (n + 1, (level1, low1, at1) if level1 >= low1 else (level1, level1, n + 1),
+                (level2, low2, at2) if level2 >= low2 else (level2, level2, n + 1))
 
     def feed(self, state, t):
         if t.label is None:
@@ -296,11 +298,10 @@ class LssResolver(Resolver):
         delta1, delta2 = self._deltas[letter]
         min1 = at1 if level1 + delta1 >= low1 else n + 1
         min2 = at2 if level2 + delta2 >= low2 else n + 1
-        target = "1" if min1 <= min2 else "2"
-        for t in self.pda.by_source_top.get((config.state, config.top), ()):
-            if t.label == letter and t.target == target:
-                return t
-        raise AssertionError("lss automaton is total per letter")  # pragma: no cover
+        try:
+            return self._index[(config.state, config.top, letter, "1" if min1 <= min2 else "2")]
+        except KeyError:  # pragma: no cover
+            raise AssertionError("lss automaton is total per letter") from None
 
     def summary(self, state):
         return None

@@ -251,6 +251,9 @@ GOLDEN = [
      "transition 0 (q,A,a,q,_,0): bottom written"),
     ("unknown push symbol", ["trans q A a q B 0"],
      "transition 0 (q,A,a,q,B,0): unknown push symbol"),
+    # The symbols are checked before the bottom shape.
+    ("unknown push symbol on the bottom", ["trans q _ a q _B 0"],
+     "transition 0 (q,_,a,q,_B,0): unknown push symbol"),
     ("illegal identifiers", ["state x.y", "letter eps", "stacksym _", "trans q _ a q _ 0"],
      "state 'x.y' is not a legal identifier; letter 'eps' is not a legal identifier; "
      "stack symbol '_' is not a legal identifier"),

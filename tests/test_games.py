@@ -431,10 +431,14 @@ def test_malformed_pushdown_games_are_rejected(moves):
 
 
 def test_malformed_move_names_its_fault():
-    move = GameMove("v", "N", "v", ("N", "M"), 0)
-    game = PushdownParityGame(("v",), ("N",), "v", {"v": EVE}, (move,))
-    with pytest.raises(ValueError, match=re.escape(f"malformed move {move}: unknown push symbol")):
-        solve_pushdown_parity_game(game)
+    # The pushed symbols are checked before the bottom shape.
+    for move in (GameMove("v", "N", "v", ("N", "M"), 0),
+                 GameMove("v", BOTTOM, "v", (BOTTOM, "M"), 0)):
+        game = PushdownParityGame(("v",), ("N",), "v", {"v": EVE}, (move,))
+        for solve in (solve_pushdown_parity_game, solve_claim_game):
+            with pytest.raises(ValueError,
+                               match=re.escape(f"malformed move {move}: unknown push symbol")):
+                solve(game)
 
 
 def _random_pushdown_game(rng: random.Random) -> PushdownParityGame:

@@ -3,10 +3,10 @@ import tracemalloc
 
 import pytest
 
-from gfgpda import analysis, zoo
+from gfgpda import analysis, closure, zoo
 from gfgpda.core import (
-    BOTTOM, Configuration, FormatError, GuardExceeded, LassoWord, OmegaPDA, Transition,
-    parse_lasso, replay, step, validate,
+    BOTTOM, Configuration, FormatError, GuardExceeded, LassoWord, OmegaPDA, RunPrefix,
+    Transition, parse_lasso, replay, step, validate,
 )
 from gfgpda.resolvers import (
     DetPushdown,
@@ -123,6 +123,66 @@ def test_ext_epsilon_divergence():
 
     with pytest.raises(EpsilonDivergence):
         ext(pda, Spinner(), run_on_prefix(pda, Spinner(), ()), "a")
+
+
+@pytest.mark.parametrize("height", [0, 3])
+def test_epsilon_cap_reads_the_entry_height(height):
+    # The cap of an infix is |Q|*(h+2)*(|Gamma|+1)+1 epsilon steps, where h
+    # is the height the infix was entered at; one more step raises.  The
+    # epsilon steps pop down to the bottom first, so the height changes.
+    # Here |Q| = 2 and |Gamma| = 2.
+    pda = OmegaPDA(
+        ("u", "v"), ("a", "b"), ("M", "N"), "u",
+        (Transition("u", BOTTOM, "b", "u", (BOTTOM, "N"), 0),
+         Transition("u", "N", "b", "u", ("N", "N"), 0),
+         Transition("u", BOTTOM, None, "u", (BOTTOM,), 0),
+         Transition("u", "N", None, "u", (), 0)),
+    )
+    spins = []
+
+    class Spinner(Resolver):
+        """Reads each b, spins on epsilon before an a."""
+
+        def start(self):
+            return None
+
+        def feed(self, state, t):
+            spins.append(t.label is None)
+            return None
+
+        def pick(self, state, config, letter):
+            label = None if letter == "a" else letter
+            return next(t for t in pda.by_source_top[(config.state, config.top)]
+                        if t.label == label)
+
+    g = run_on_prefix(pda, Spinner(), "b" * height)
+    assert g.run.last.height == height
+    cap = 2 * (height + 2) * 3 + 1
+    spins.clear()
+    with pytest.raises(EpsilonDivergence, match=f"^more than {cap} epsilon steps before 'a'$"):
+        ext(pda, Spinner(), g, "a")
+    assert spins == [True] * (cap + 1)
+
+
+class Unsummarized(Resolver):
+    """A resolver with its summary hidden, so verification is bounded."""
+
+    def __init__(self, base):
+        self.start, self.feed, self.pick = base.start, base.feed, base.pick
+
+
+def test_undeclared_letter_is_checked_when_reached(ex23):
+    pda, r = ex23.automaton, ex23.resolver
+    with pytest.raises(ValueError, match="not in the input alphabet"):
+        run_on_prefix(pda, r, "acz")
+    # The run is stuck at the second d, before it reaches z.
+    assert periodic_split(pda, r, parse_lasso("acddz;#")).verdict == "stuck"
+    report = verify_resolver(pda, Unsummarized(r), [(parse_lasso("acddz;#"), True)])
+    assert report.entries[0][2] == "fail"
+    with pytest.raises(ValueError, match="not in the input alphabet"):
+        periodic_split(pda, r, parse_lasso("acz;#"))
+    with pytest.raises(ValueError, match="not in the input alphabet"):
+        verify_resolver(pda, Unsummarized(r), [(parse_lasso("acz;#"), True)])
 
 
 def test_run_on_prefix_acd_bcd(ex23):
@@ -469,6 +529,66 @@ def test_lss_resolver_picks_as_its_advanced_state_says(lss_fx):
             t = r.pick(state, c, a)
             assert (t.label, t.target) == (a, "1" if min1 <= min2 else "2"), (w, i)
             state, c = r.feed(state, t), step(c, t)
+
+
+# -- guided steps against the one-shot resolver ---------------------------------
+
+
+def _assert_steps_are_queries(pda, r, run, letters):
+    """Each transition of ``run`` is what ``resolver_query`` picks from the
+    history before it and the letter it processes."""
+    ts, cs = run.transitions, run.configurations
+    read = 0
+    for j, t in enumerate(ts):
+        assert resolver_query(r, RunPrefix(ts[:j], cs[:j + 1]), letters[read]) == t, (letters, j)
+        read += t.label is not None
+    assert read == len(letters)
+
+
+def _lss_words(lss_fx):
+    words = [w.prefix + w.loop * 5 for w, _ in lss_fx.sample(seed=21, count=12)]
+    return words + [zoo.w_ss_bar_prefix(5)]
+
+
+def test_guided_runs_take_what_resolver_query_picks(lss_fx, ex23):
+    pda, r = lss_fx.automaton, zoo.LssResolver(lss_fx.automaton)
+    for word in _lss_words(lss_fx):
+        _assert_steps_are_queries(pda, r, run_on_prefix(pda, r, word).run, word)
+    for w, _ in ex23.sample(seed=4, count=20):
+        split = periodic_split(ex23.automaton, ex23.resolver, w)
+        letters = [w.letter_at(i) for i in range(split.stem_letters + split.loop_letters)]
+        _assert_steps_are_queries(ex23.automaton, ex23.resolver, split.run, letters)
+
+
+def test_lifted_guided_runs_take_what_resolver_query_picks(lss_fx):
+    pda = lss_fx.automaton
+    letters = pda.input_alphabet
+    dpa = closure.DeterministicParityAutomaton(
+        ("d",), letters, "d", {("d", a): "d" for a in letters},
+        {("d", a): i % 2 for i, a in enumerate(letters)})
+    prod, info = closure.product_with_info(pda, dpa, "union")
+    lifted = closure.lift_resolver(zoo.LssResolver(pda), pda, info)
+    for word in _lss_words(lss_fx):
+        _assert_steps_are_queries(prod, lifted, run_on_prefix(prod, lifted, word).run, word)
+
+
+def test_lss_pick_is_the_first_matching_transition(lss_fx):
+    # Resolver states that force either target: both components stay far
+    # above their minimum, so the earlier ``at`` wins.
+    pda, r = lss_fx.automaton, zoo.LssResolver(lss_fx.automaton)
+    forced = {"1": (5, (10, 0, 2), (10, 0, 4)), "2": (5, (10, 0, 4), (10, 0, 2))}
+    reached = {}
+    for word in _lss_words(lss_fx):
+        for c in run_on_prefix(pda, r, word).run.configurations:
+            reached.setdefault((c.state, c.top), c)
+    assert len(reached) == 4
+    for (q, x), c in reached.items():
+        for a in pda.input_alphabet:
+            for target, state in forced.items():
+                first = next(t for t in pda.by_source_top[(q, x)]
+                             if t.label == a and t.target == target)
+                assert r.pick(state, c, a) is first
+
 
 # -- Moore text format -----------------------------------------------------------------
 
