@@ -1,4 +1,5 @@
-"""Layer benchmark of gfgpda: parsing and validation, guided runs, one synthesis.
+"""Layer benchmark of gfgpda: parsing and validation, guided runs, one synthesis,
+the constructions built by ``core.explore``.
 
     python3 scripts/bench.py [OUTPUT.json]
 
@@ -19,10 +20,13 @@ import platform
 import random
 import sys
 import time
+from types import SimpleNamespace
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "src"))
+sys.path.insert(0, os.path.join(ROOT, "benchmark"))
 
+import corpus  # noqa: E402  (the benchmark's seeded specification corpus)
 from gfgpda import analysis, closure, core, games, resolvers, zoo  # noqa: E402
 
 REPEATS = 5
@@ -36,6 +40,8 @@ PREFIX_LETTERS = (250, 500, 1000, 2000, 4000)
 VERIFY_WORDS = 10
 VERIFY_SEED = 2024
 LIFTED_GUARD = 1000
+PRODUCT_PREFIXES = (16, 32, 64, 128, 256)
+SPECS = 150
 
 
 def best_ms(fns: dict) -> dict:
@@ -206,11 +212,58 @@ def synthesis_layer() -> dict:
                                      "rules": len(strategy.machine.rules)}}
 
 
+def constructions_layer() -> dict:
+    """The constructions that ``core.explore`` builds from an initial state:
+    det(example23) by its Moore resolver; ``build_pd`` plus the arena on the
+    benchmark's 150 seed-940 specifications; ``lasso_product`` of lss with
+    seeded lassos of prefix length |u| and loop length |u| / 4."""
+    ex23 = zoo.example23()
+    det = resolvers.determinize_moore(ex23.automaton, ex23.resolver)
+    ms = best_ms({"det": lambda: resolvers.determinize_moore(ex23.automaton, ex23.resolver)})
+
+    api = SimpleNamespace(core=core, games=games)
+    base = random.Random(corpus.SPEC_BASE_SEED)
+    specs = [corpus.random_spec(api, base) for _ in range(SPECS)]
+
+    def arenas():
+        out = []
+        for spec in specs:
+            pd, info = games.build_pd(spec)
+            letter_of = {(x1, y): info.pd_letter(x1, y)
+                         for x1 in spec.sigma1 for y in info.y_values}
+            out.append((pd, games.gs_to_pushdown_game(pd, spec.sigma1, info.y_values, letter_of)))
+        return out
+
+    built = arenas()
+    ms.update(best_ms({"arenas": arenas}))
+
+    lss, rng = zoo.lss().automaton, random.Random(SERIES_SEED)
+    letters = lss.input_alphabet
+    words = {n: core.LassoWord(tuple(rng.choice(letters) for _ in range(n)),
+                               tuple(rng.choice(letters) for _ in range(n // 4)))
+             for n in PRODUCT_PREFIXES}
+    series = doubling_series("u", lambda w: analysis.lasso_product(lss, w), words,
+                             unit="product_ms")
+    for row in series:
+        prod = analysis.lasso_product(lss, words[row["u"]])
+        row.update(states=len(prod.states), transitions=len(prod.transitions))
+    return {"determinize_moore:example23": {"ms": ms["det"], "states": len(det.states),
+                                            "transitions": len(det.transitions)},
+            "build_pd+arena:specs": {
+                "specs": SPECS, "ms": ms["arenas"],
+                "pd_states": sum(len(pd.states) for pd, _ in built),
+                "pd_transitions": sum(len(pd.transitions) for pd, _ in built),
+                "arena_states": sum(len(g.states) for _, g in built),
+                "arena_moves": sum(len(g.moves) for _, g in built)},
+            "lasso_product:lss": series}
+
+
 def main(argv: list[str]) -> int:
     out = argv[1] if len(argv) > 1 else "BENCH.json"
     report = {"python": platform.python_version(), "machine": platform.machine(),
               "repeats": REPEATS, "series_seed": SERIES_SEED, "parse": parse_layer(),
-              "guided": guided_layer(), "synthesis": synthesis_layer()}
+              "guided": guided_layer(), "synthesis": synthesis_layer(),
+              "constructions": constructions_layer()}
     with open(out, "w", encoding="utf-8") as fh:
         json.dump(report, fh, indent=1, sort_keys=True)
         fh.write("\n")
@@ -236,6 +289,18 @@ def main(argv: list[str]) -> int:
     for name, row in report["synthesis"].items():
         print(f"synth {name}: {row['synth_ms']:.3f} ms, {row['states']} states, "
               f"{row['rules']} rules")
+    built = report["constructions"]
+    row = built["determinize_moore:example23"]
+    print(f"construct determinize_moore(example23): {row['ms']:.3f} ms, {row['states']} states, "
+          f"{row['transitions']} transitions")
+    row = built["build_pd+arena:specs"]
+    print(f"construct build_pd+arena ({row['specs']} specs): {row['ms']:.3f} ms, "
+          f"{row['pd_states']} pd states, {row['arena_states']} arena states, "
+          f"{row['arena_moves']} moves")
+    for row in built["lasso_product:lss"]:
+        growth = "" if row["growth"] is None else f"  x{row['growth']:.2f}"
+        print(f"construct lasso_product(lss) |u|={row['u']:3d}: {row['product_ms']:.3f} ms, "
+              f"{row['states']} states, {row['transitions']} transitions{growth}")
     print(f"wrote {out}")
     return 0
 

@@ -39,6 +39,7 @@ from .core import (
     LassoWord,
     OmegaPDA,
     Transition,
+    explore,
     replay,
     step,
 )
@@ -438,31 +439,26 @@ def parity_nonempty(
 def lasso_product(pda: OmegaPDA, w: LassoWord) -> OmegaPDA:
     """Reachable part of the product with the deterministic |u|+|v| position tracker.
 
-    A breadth-first search from ``initial@0`` over the control graph emits
-    the states ``q@i`` it reaches and the transitions leaving them.  A run
-    from ``initial@0`` stays among them, so membership runs on this product.
+    ``core.explore`` from ``initial@0`` over the control graph emits the
+    states ``q@i`` it reaches and the transitions leaving them.  A run from
+    ``initial@0`` stays among them, so membership runs on this product.
     """
     by_source: dict[str, list[Transition]] = {}
     for t in pda.transitions:
         by_source.setdefault(t.source, []).append(t)
-    seen = {(pda.initial, 0): f"{pda.initial}@0"}
-    work = deque(seen)
-    transitions = []
-    while work:
-        q, i = work.popleft()
-        letter, nxt = w.letter_at(i), w.next_position(i)
-        for t in by_source.get(q, ()):
-            if t.label is not None and t.label != letter:
-                continue
-            dst = (t.target, i if t.label is None else nxt)
-            if dst not in seen:
-                seen[dst] = f"{t.target}@{dst[1]}"
-                work.append(dst)
-            transitions.append(Transition(seen[q, i], t.top, t.label, seen[dst], t.push, t.color))
-    return OmegaPDA(
-        tuple(seen.values()), pda.input_alphabet, pda.stack_alphabet, seen[pda.initial, 0],
-        tuple(transitions),
-    )
+
+    def expand(order):
+        for u, (q, i) in enumerate(order):
+            letter, nxt = w.letter_at(i), w.next_position(i)
+            for t in by_source.get(q, ()):
+                if t.label is None or t.label == letter:
+                    yield u, t.color, (t.target, i if t.label is None else nxt), t
+
+    order, edges, base = explore((pda.initial, 0), expand)
+    names = [f"{q}@{i}" for q, i in order]
+    return OmegaPDA(tuple(names), pda.input_alphabet, pda.stack_alphabet, names[0], tuple([
+        Transition(names[u], t.top, t.label, names[v], t.push, c)
+        for (u, c, v), t in zip(edges, base)]))
 
 
 def lasso_membership(pda: OmegaPDA, w: LassoWord) -> bool:

@@ -11,11 +11,10 @@ limit verdict.
 from __future__ import annotations
 
 import functools
-from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional
 
-from .core import (Configuration, FormatError, OmegaPDA, ResourceExceeded, TokenValues, Transition,
+from .core import (Configuration, FormatError, OmegaPDA, TokenValues, Transition, explore,
                    read_declarations)
 from .resolvers import Resolver, ResolverStuck
 
@@ -132,7 +131,8 @@ def product_with_info(
     pda: OmegaPDA, dpa: DeterministicParityAutomaton, mode: str,
     budget: Optional[int] = None,
 ) -> tuple[OmegaPDA, ProductInfo]:
-    """The product and its map to ``pda``; over ``budget`` states raise ``ResourceExceeded``."""
+    """The product and its map to ``pda``, built by ``core.explore``; over
+    ``budget`` states raise ``ResourceExceeded``."""
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}")
     if set(dpa.alphabet) != set(pda.input_alphabet):
@@ -148,61 +148,39 @@ def product_with_info(
             return (t.color, sentinel), d
         return (t.color, dpa.colors[(d, t.label)]), dpa.delta[(d, t.label)]
 
-    # First pass: the (state, dpa state) pairs and color pairs that can occur.
     by_source: dict[str, list[Transition]] = {}
     for t in pda.transitions:
         by_source.setdefault(t.source, []).append(t)
-    seen = {(pda.initial, dpa.initial)}
-    queue = deque(seen)
-    pair_colors: set[tuple[int, int]] = set()
-    while queue:
-        q, d = queue.popleft()
-        for t in by_source.get(q, ()):
-            pair, d2 = read(d, t)
-            pair_colors.add(pair)
-            if (t.target, d2) not in seen:
-                seen.add((t.target, d2))
-                queue.append((t.target, d2))
+
+    def pairs(order):  # first pass: the color pairs of the (state, DPA state) graph
+        for u, (q, d) in enumerate(order):
+            for t in by_source.get(q, ()):
+                pair, d2 = read(d, t)
+                yield u, 0, (t.target, d2), pair
 
     # The memory is a leaf of the Zielonka tree over the occurring pairs;
     # each distinct (leaf, color pair) move is computed once.
-    move = zielonka_tree(mode, pair_colors)[1]
-    # A product state is (q, d, leaf); it is named, and queued, when found.
+    move = zielonka_tree(mode, set(explore((pda.initial, dpa.initial), pairs)[2]))[1]
+
+    def expand(order):
+        for u, (q, d, i) in enumerate(order):
+            for t in by_source.get(q, ()):
+                pair, d2 = read(d, t)
+                j, color = move(i, pair)
+                yield u, color, (t.target, d2, j), t
+
+    # A product state (q, d, leaf) is named "q*k", where k numbers (d, leaf) in
+    # discovery order: the number after the last "*" makes the names injective.
+    order, edges, base = explore((pda.initial, dpa.initial, 0), expand, budget)
     ids: dict[tuple[str, int], int] = {}
-    names: dict[tuple[str, str, int], str] = {}
-    base_state: dict[str, str] = {}
-    queue: deque[tuple[str, str, int]] = deque()
-
-    def name(s: tuple[str, str, int]) -> str:
-        n = names.get(s)
-        if n is None:
-            if budget is not None and len(names) >= budget:
-                raise ResourceExceeded(f"more than {budget} product states")
-            # Injective: the number after the last "*" stands for (d, leaf).
-            n = names[s] = f"{s[0]}*{ids.setdefault(s[1:], len(ids))}"
-            base_state[n] = s[0]
-            queue.append(s)
-        return n
-
-    initial = name((pda.initial, dpa.initial, 0))
-    transitions: list[Transition] = []
-    base_of: dict[Transition, Transition] = {}
-    extend: dict[tuple[str, Transition], Transition] = {}
-    while queue:
-        s = queue.popleft()
-        q, d, i = s
-        source = names[s]
-        for t in by_source.get(q, ()):
-            pair, d2 = read(d, t)
-            j, color = move(i, pair)
-            pt = Transition(source, t.top, t.label, name((t.target, d2, j)), t.push, color)
-            transitions.append(pt)
-            base_of[pt] = t
-            extend[(source, t)] = pt
-
-    product_pda = OmegaPDA(tuple(names.values()), pda.input_alphabet, pda.stack_alphabet,
-                           initial, tuple(transitions))
-    return product_pda, ProductInfo(base_of, extend, base_state)
+    names = [f"{q}*{ids.setdefault((d, i), len(ids))}" for q, d, i in order]
+    transitions = [Transition(names[u], t.top, t.label, names[v], t.push, c)
+                   for (u, c, v), t in zip(edges, base)]
+    product_pda = OmegaPDA(tuple(names), pda.input_alphabet, pda.stack_alphabet, names[0],
+                           tuple(transitions))
+    extend = {(pt.source, t): pt for pt, t in zip(transitions, base)}
+    base_state = {n: q for n, (q, _, _) in zip(names, order)}
+    return product_pda, ProductInfo(dict(zip(transitions, base)), extend, base_state)
 
 
 def product(

@@ -412,6 +412,38 @@ def check_visibly(
     return (not diags, diags)
 
 
+def explore(start: Hashable, expand: Callable, budget: Optional[int] = None,
+            total: int = 0) -> tuple[list, list, list]:
+    """The one worklist of the package's constructions: the nodes reached
+    from ``start`` in discovery order, the edges ``(u, color, v)`` between
+    their numbers and the edges' labels.  ``expand(order)`` yields
+    ``(u, color, successor, label)`` for each number ``u`` of ``order`` in
+    turn, while ``order`` grows; a successor ``None`` keeps the number
+    ``None``.  ``total`` nodes already count against ``budget``, which is
+    checked at each new number, so ``ResourceExceeded`` comes after at most
+    ``budget + 1`` of them."""
+    limit = float("inf") if budget is None else budget - total
+    if limit < 1:
+        raise _over_budget(total + 1, budget)
+    ids = {start: 0}
+    order = [start]
+    edges: list = []
+    labels: list = []
+    for u, color, nxt, label in expand(order):
+        v = None if nxt is None else ids.setdefault(nxt, len(order))
+        if v == len(order):
+            order.append(nxt)
+            if len(order) > limit:
+                raise _over_budget(total + len(order), budget)
+        edges.append((u, color, v))
+        labels.append(label)
+    return order, edges, labels
+
+
+def _over_budget(states: int, budget: Optional[int]) -> ResourceExceeded:
+    return ResourceExceeded(f"{states} states exceed the budget {budget}")
+
+
 # ---------------------------------------------------------------------------
 # Text formats.
 # ---------------------------------------------------------------------------

@@ -11,8 +11,8 @@ in turn, and agreement of the two bounds is conclusive for the full game.
 If these are inconclusive, Walukiewicz's claim game decides: a push makes
 Eve claim where and with which max color the pushed frame returns, and Adam
 either checks the claim above or takes one of its returns.  Both arenas are
-numbered on dense int ids by one loop under one vertex budget (``_number``)
-and solved by Zielonka's algorithm with attractors to edges, no vertex added
+numbered on dense int ids by ``core.explore`` under one vertex budget and
+solved by Zielonka's algorithm with attractors to edges, no vertex added
 (``solve_parity_ids``); ``FiniteParityGame`` is only the public API for
 finite games.  Eve's winning strategies are packaged as pushdown
 transducers by one builder (``_strategy_pdt``): positional ones from a
@@ -27,7 +27,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Any, Callable, Iterable, Iterator, Optional
+from typing import Any, Callable, Iterable, Iterator, NamedTuple, Optional
 
 from .core import (
     BOTTOM,
@@ -42,6 +42,7 @@ from .core import (
     TokenValues,
     Transition,
     _push_fault,
+    explore,
     format_pda,
     is_deterministic,
     pda_declarations,
@@ -56,6 +57,9 @@ from .resolvers import DetPushdown, PdtRule, Resolver, resolver_query
 
 EVE = "eve"
 ADAM = "adam"
+# A solve over its budget raises ``ResourceExceeded`` in ``core.explore``;
+# callers of the solvers catch it from this module.
+ResourceExceeded = ResourceExceeded
 
 
 class Player1Wins(PdaError):
@@ -172,10 +176,10 @@ def build_pd(spec: GaleStewartSpec) -> tuple[OmegaPDA, PdInfo]:
         for t in tids:
             decomp[info.pd_letter(x1, tids[t])] = (x1, "tr", t)
 
-    def await_state(q: str) -> str:
-        return f"W({q})"
-
-    def pending_state(q: str, letter: str, acc: Optional[int]) -> str:
+    def name(node) -> str:
+        if node[0] == "await":
+            return f"W({node[1]})"
+        _, q, letter, acc = node
         return f"P({q};{letter};{'-' if acc is None else acc})"
 
     def bump(acc: Optional[int], c: int) -> int:
@@ -185,57 +189,32 @@ def build_pd(spec: GaleStewartSpec) -> tuple[OmegaPDA, PdInfo]:
     for t in tids:
         by_source.setdefault(t.source, []).append(t)
 
-    states: list[str] = []
-    transitions: list[Transition] = []
-    seen: set = set()
-    queue: deque = deque()
-
-    def visit(node) -> str:
-        if node not in seen:
-            seen.add(node)
-            queue.append(node)
-            states.append(node)
-        kind = node[0]
-        if kind == "await":
-            return await_state(node[1])
-        return pending_state(node[1], node[2], node[3])
-
-    start = ("await", cond.initial)
-    visit(start)
-    while queue:
-        node = queue.popleft()
-        if node[0] == "await":
-            q = node[1]
-            src = await_state(q)
-            for x1 in spec.sigma1:
-                for a2 in spec.sigma2:
-                    cond_letter = pairing_rev[(x1, a2)]
-                    dst = visit(("pending", q, cond_letter, None))
-                    for x in cond.gamma_bottom:
-                        transitions.append(
-                            Transition(src, x, info.pd_letter(x1, a2), dst, (x,), 0)
-                        )
-        else:
+    def expand(order):
+        for u, node in enumerate(order):
+            src = name(node)
+            if node[0] == "await":
+                for x1 in spec.sigma1:
+                    for a2 in spec.sigma2:
+                        nxt = ("pending", node[1], pairing_rev[(x1, a2)], None)
+                        dst, letter = name(nxt), info.pd_letter(x1, a2)
+                        for x in cond.gamma_bottom:
+                            yield u, 0, nxt, Transition(src, x, letter, dst, (x,), 0)
+                continue
             _, q, cond_letter, acc = node
-            src = pending_state(q, cond_letter, acc)
             for t in by_source.get(q, ()):
                 if t.label is None:
-                    dst = visit(("pending", t.target, cond_letter, bump(acc, t.color)))
-                    color = 1
+                    nxt, color = ("pending", t.target, cond_letter, bump(acc, t.color)), 1
                 elif t.label == cond_letter:
-                    dst = visit(("await", t.target))
-                    color = bump(acc, t.color) + 2
+                    nxt, color = ("await", t.target), bump(acc, t.color) + 2
                 else:
                     continue
+                dst = name(nxt)
                 for x1 in spec.sigma1:
-                    transitions.append(
-                        Transition(src, t.top, info.pd_letter(x1, tids[t]), dst, t.push, color)
-                    )
+                    yield u, color, nxt, Transition(src, t.top, info.pd_letter(x1, tids[t]), dst,
+                                                    t.push, color)
 
-    names = [await_state(s[1]) if s[0] == "await" else pending_state(s[1], s[2], s[3])
-             for s in states]
-    alphabet = tuple(decomp)
-    pd = OmegaPDA(tuple(names), alphabet, cond.stack_alphabet, await_state(cond.initial),
+    order, _, transitions = explore(("await", cond.initial), expand)
+    pd = OmegaPDA(tuple(map(name, order)), tuple(decomp), cond.stack_alphabet, name(order[0]),
                   tuple(transitions))
     return pd, info
 
@@ -371,8 +350,7 @@ def _zielonka(sub, bound, out, inc, owner):
     return wins_all, strats_all
 
 
-@dataclass(frozen=True)
-class GameMove:
+class GameMove(NamedTuple):  # a tuple, so that arenas build their moves fast
     source: Any
     top: str
     target: Any
@@ -434,8 +412,8 @@ def solve_pushdown_parity_game(
     same game can be far larger.  If they are inconclusive, the winner is
     the winner of ``ClaimGame`` (Walukiewicz), built lazily from the initial
     vertex by ``solve_claim_game``.  Both phases number their vertices with
-    ``_number``, which counts them against the budget as they are numbered,
-    so ``ResourceExceeded`` comes after at most budget + 1 of them.
+    ``core.explore``, which counts them against the budget as they are
+    numbered, so ``ResourceExceeded`` comes after at most budget + 1 of them.
     ``stats["decided_by"]`` says which phase decided.  A malformed move
     raises ``ValueError``.
     """
@@ -459,39 +437,11 @@ def _check_moves(game: PushdownParityGame) -> None:
             raise ValueError(f"malformed move {m}: {fault}")
 
 
-def _over_budget(vertices: int, budget: int) -> ResourceExceeded:
-    return ResourceExceeded(f"{vertices} numbered vertices exceed the budget {budget}")
-
-
-def _number(start, expand: Callable, total: int, budget: int) -> tuple[list, list, list]:
-    """The vertices reached from ``start`` in discovery order, the edges
-    ``(u, color, v)`` between their numbers and the edges' labels.
-    ``expand(order)`` yields ``(u, color, successor, label)`` for each
-    number ``u`` of ``order`` in turn, while ``order`` grows; a successor
-    ``None`` keeps the number ``None``.  ``total`` vertices already count
-    against ``budget``, which is checked at each new number."""
-    if total >= budget:
-        raise _over_budget(total + 1, budget)
-    ids = {start: 0}
-    order = [start]
-    edges: list = []
-    labels: list = []
-    for u, color, nxt, label in expand(order):
-        v = None if nxt is None else ids.setdefault(nxt, len(order))
-        if v == len(order):
-            order.append(nxt)
-            if total + len(order) > budget:
-                raise _over_budget(total + len(order), budget)
-        edges.append((u, color, v))
-        labels.append(label)
-    return order, edges, labels
-
-
 def _solve_truncation(
     game: PushdownParityGame, height: int, total: int, budget: int
 ) -> tuple[Optional[PushdownSolveResult], int]:
     """The truncation at ``height``: its result if conclusive, and ``total``
-    plus its vertices.  Its configurations are numbered once by ``_number``,
+    plus its vertices.  Its configurations are numbered once by ``explore``,
     where a successor above ``height`` is ``None``; those edges then point
     at one paradise id.  The paradise is a dead end owned by one player at
     a time, so it loses for them, and a player winning the truncation that
@@ -504,7 +454,7 @@ def _solve_truncation(
                 nstack = stack[:-1] + m.push
                 yield u, m.color, (m.target, nstack) if len(nstack) <= height + 1 else None, m
 
-    order, edges, edge_moves = _number((game.initial, (BOTTOM,)), expand, total, budget)
+    order, edges, edge_moves = explore((game.initial, (BOTTOM,)), expand, budget, total)
     total += len(order)
     stats = {"vertices": total, "height": height, "decided_by": "truncation",
              "claim_vertices": 0}
@@ -637,7 +587,7 @@ def solve_claim_game(
             for color, nxt, label in succ:
                 yield u, color, nxt, label
 
-    order, edges, labels = _number(cg.initial(), expand, total, budget)
+    order, edges, labels = explore(cg.initial(), expand, budget, total)
     total += len(order)
     wins, strats = solve_parity_ids(owner, edges)
     winner = EVE if 0 in wins[EVE] else ADAM
@@ -682,50 +632,32 @@ def gs_to_pushdown_game(
                 choices.setdefault((q, x1), []).append(y)
     gb = dpda.gamma_bottom
 
-    states: list = []
-    moves: list[GameMove] = []
-    owner: dict = {}
-    seen: set = set()
-    queue: deque = deque()
+    def expand(order):
+        for u, v in enumerate(order):
+            if v[0] == "A":
+                for x1 in sigma1:
+                    tgt = ("E", v[1], x1)
+                    for x in gb:
+                        yield u, cmin, tgt, GameMove(v, x, tgt, (x,), cmin)
+            elif v[0] == "E":
+                _, q, x1 = v
+                for y in choices.get((q, x1), ()):
+                    tgt = ("S", q, x1, y)
+                    for x in gb:
+                        yield u, cmin, tgt, GameMove(v, x, tgt, (x,), cmin)
+            else:
+                _, q, x1, y = v
+                letter = letter_of[(x1, y)]
+                for x in gb:  # deterministic: an epsilon excludes a letter
+                    t = next((t for t in dpda.by_source_top.get((q, x), ())
+                              if t.label is None or t.label == letter), None)
+                    if t is not None:
+                        tgt = ("S", t.target, x1, y) if t.label is None else ("A", t.target)
+                        yield u, t.color, tgt, GameMove(v, x, tgt, t.push, t.color)
 
-    def visit(v):
-        if v not in seen:
-            seen.add(v)
-            states.append(v)
-            owner[v] = ADAM if v[0] == "A" else EVE
-            queue.append(v)
-        return v
-
-    start = visit(("A", dpda.initial))
-    while queue:
-        v = queue.popleft()
-        if v[0] == "A":
-            q = v[1]
-            for x1 in sigma1:
-                tgt = visit(("E", q, x1))
-                for x in gb:
-                    moves.append(GameMove(v, x, tgt, (x,), cmin))
-        elif v[0] == "E":
-            _, q, x1 = v
-            for y in choices.get((q, x1), ()):
-                tgt = visit(("S", q, x1, y))
-                for x in gb:
-                    moves.append(GameMove(v, x, tgt, (x,), cmin))
-        else:
-            _, q, x1, y = v
-            letter = letter_of[(x1, y)]
-            for x in gb:
-                eps = dpda.by_source_top.get((q, x), ())
-                et = next((t for t in eps if t.label is None), None)
-                if et is not None:
-                    tgt = visit(("S", et.target, x1, y))
-                    moves.append(GameMove(v, x, tgt, et.push, et.color))
-                    continue
-                lt = next((t for t in eps if t.label == letter), None)
-                if lt is not None:
-                    tgt = visit(("A", lt.target))
-                    moves.append(GameMove(v, x, tgt, lt.push, lt.color))
-    return PushdownParityGame(tuple(states), dpda.stack_alphabet, start, owner, tuple(moves))
+    states, _, moves = explore(("A", dpda.initial), expand)
+    owner = {v: ADAM if v[0] == "A" else EVE for v in states}
+    return PushdownParityGame(tuple(states), dpda.stack_alphabet, states[0], owner, tuple(moves))
 
 
 @dataclass
@@ -926,29 +858,39 @@ def delay_transform(t: StrategyPDT, info: PdInfo) -> StrategyPDT:
     No mode (state, top symbol) needs tracking in the state: ``t`` has a rule
     for every Adam letter at every top a run can reach in a state, so every
     reached mode reads, and its output depends on the state alone.  ``t`` has
-    no epsilon rules."""
+    no epsilon rules.  A state is ``(q, tag)``, tag ``"i"`` (only the initial
+    state), ``"w"`` or a stored sigma2 letter; only the states reachable from
+    the initial one are built, by ``core.explore``."""
     sigma1, sigma2, dummy = info.sigma1, info.sigma2, info.sigma1[0]
     kinds = {q: "sigma2" if y in sigma2 else
              "eps_trans" if info.transition_of(y).label is None else "letter_trans"
              for q, y in t.output.items()}
-    tags = ["i", "w"] + list(sigma2)
-    states = [(q, tag) for q in t.machine.states for tag in tags]
-    rules: list[PdtRule] = []
+    by_source: dict = {}
     for r in t.machine.rules:
-        kind = kinds.get(r.source)
-        rules.append(PdtRule((r.source, "i"), r.top, r.symbol, (r.target, "w"), r.push))
-        if r.symbol == dummy and kind == "sigma2":
-            rules.append(PdtRule((r.source, "w"), r.top, None, (r.target, t.output[r.source]),
-                                 r.push))
-        for a2 in sigma2:
-            if r.symbol == dummy and kind == "eps_trans":
-                rules.append(PdtRule((r.source, a2), r.top, None, (r.target, a2), r.push))
-            elif kind == "letter_trans":
-                rules.append(PdtRule((r.source, a2), r.top, r.symbol, (r.target, "w"), r.push))
-    output = {(q, a2): a2 for q, kind in kinds.items() if kind == "letter_trans"
-              for a2 in sigma2}
-    machine = DetPushdown(tuple(states), (t.machine.initial, "i"), t.machine.stack_alphabet,
-                          tuple(rules))
+        by_source.setdefault(r.source, []).append(r)
+
+    def expand(order):  # by the kind of q, so that a stored letter may be "i" or "w"
+        for u, (q, tag) in enumerate(order):
+            kind = kinds.get(q)
+            for r in by_source.get(q, ()):
+                if q == t.machine.initial:  # read the first real letter
+                    rule = PdtRule((q, tag), r.top, r.symbol, (r.target, "w"), r.push)
+                elif kind == "sigma2":  # wait: store the letter due
+                    if r.symbol != dummy:
+                        continue
+                    rule = PdtRule((q, tag), r.top, None, (r.target, t.output[q]), r.push)
+                elif kind == "letter_trans":  # emit the stored letter, read the next
+                    rule = PdtRule((q, tag), r.top, r.symbol, (r.target, "w"), r.push)
+                elif r.symbol == dummy:  # an epsilon step of the run infix
+                    rule = PdtRule((q, tag), r.top, None, (r.target, tag), r.push)
+                else:
+                    continue
+                yield u, 0, rule.target, rule
+
+    states, _, rules = explore((t.machine.initial, "i"), expand)
+    output = {(q, tag): tag for q, tag in states
+              if tag in sigma2 and kinds.get(q) == "letter_trans"}
+    machine = DetPushdown(tuple(states), states[0], t.machine.stack_alphabet, tuple(rules))
     return StrategyPDT(machine, output, sigma1, sigma2)
 
 

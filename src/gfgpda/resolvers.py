@@ -22,9 +22,9 @@ from .core import (
     LassoWord,
     OmegaPDA,
     PdaError,
-    ResourceExceeded,
     RunPrefix,
     Transition,
+    explore,
     read_declarations,
     step,
     top_to_text,
@@ -246,58 +246,37 @@ def determinize_moore(pda: OmegaPDA, m: MooreResolver, budget: Optional[int] = N
     processed.  Recognizes the same language when ``m`` implements a resolver.
     A state is named ``q|k``, where ``k`` numbers ``(m,)`` or ``(m, a)``; ``q``
     is what precedes the last ``|``, so distinct states get distinct names.
-    More than ``budget`` states raise ``ResourceExceeded`` before any is built.
+    Only the states reachable from ``(initial, m.initial)`` are built, by
+    ``core.explore``; more than ``budget`` of them raise ``ResourceExceeded``.
     """
-    size = len(pda.states) * len(m.states) * (1 + len(pda.input_alphabet))
-    if budget is not None and size > budget:
-        raise ResourceExceeded(f"{size} states exceed the budget {budget}")
     min_color = min((t.color for t in pda.transitions), default=0)
-    ids: dict[tuple[str, ...], int] = {}
 
-    def name(q: str, *tag: str) -> str:
-        return f"{q}|{ids.setdefault(tag, len(ids))}"
-
-    states = []
-    transitions = []
-    for q in pda.states:
-        for mm in m.states:
-            states.append(name(q, mm))
-            for a in pda.input_alphabet:
-                states.append(name(q, mm, a))
-    for q in pda.states:
-        for mm in m.states:
-            for x in pda.gamma_bottom:
-                push = (x,)
-                for a in pda.input_alphabet:
-                    transitions.append(
-                        Transition(name(q, mm), x, a, name(q, mm, a), push, min_color)
-                    )
-    for q in pda.states:
-        for mm in m.states:
-            for a in pda.input_alphabet:
+    def expand(order):  # an edge's label is its transition's (top, letter, push)
+        for u, node in enumerate(order):
+            if len(node) == 2:  # read a letter and store it
                 for x in pda.gamma_bottom:
-                    t = m.output.get((mm, a, x))
-                    if t is None or t.source != q or t.top != x:
-                        continue
-                    m2 = m.delta.get((mm, t))
-                    if m2 is None:
-                        continue
-                    if t.label is None:
-                        target = name(t.target, m2, a)
-                    elif t.label == a:
-                        target = name(t.target, m2)
-                    else:
-                        continue
-                    transitions.append(
-                        Transition(name(q, mm, a), x, None, target, t.push, t.color)
-                    )
-    return OmegaPDA(
-        tuple(states),
-        pda.input_alphabet,
-        pda.stack_alphabet,
-        name(pda.initial, m.initial),
-        tuple(transitions),
-    )
+                    for a in pda.input_alphabet:
+                        yield u, min_color, node + (a,), (x, a, (x,))
+                continue
+            q, mm, a = node
+            for x in pda.gamma_bottom:
+                t = m.output.get((mm, a, x))
+                if t is None or t.source != q or t.top != x:
+                    continue
+                m2 = m.delta.get((mm, t))
+                if m2 is None:
+                    continue
+                if t.label is None:
+                    yield u, t.color, (t.target, m2, a), (x, None, t.push)
+                elif t.label == a:
+                    yield u, t.color, (t.target, m2), (x, None, t.push)
+
+    order, edges, labels = explore((pda.initial, m.initial), expand, budget)
+    ids: dict[tuple[str, ...], int] = {}
+    names = [f"{node[0]}|{ids.setdefault(node[1:], len(ids))}" for node in order]
+    return OmegaPDA(tuple(names), pda.input_alphabet, pda.stack_alphabet, names[0], tuple([
+        Transition(names[u], x, a, names[v], push, c)
+        for (u, c, v), (x, a, push) in zip(edges, labels)]))
 
 
 # ---------------------------------------------------------------------------

@@ -187,7 +187,7 @@ def test_determinize(capsys, tmp_path):
     code, out = run(capsys, "determinize", "zoo:example23", str(mfile))
     assert code == 0
     d = parse_pda(out)
-    assert len(d.states) == 6 * 8 * 6
+    assert len(d.states) == 42  # the states reachable from the initial one
 
 
 def test_product(capsys, tmp_path):
@@ -214,17 +214,16 @@ def test_product_and_determinize_count_states_against_the_budget(capsys, tmp_pat
     dfile.write_text(format_dpa(cycle_dpa(fx.automaton.input_alphabet)))
     code, out = run(capsys, "--budget", "3", "product", "zoo:example23", str(dfile),
                     "--mode", "union")
-    assert code == 3 and "more than 3 product states" in out
+    assert code == 3 and "4 states exceed the budget 3" in out
     code, out = run(capsys, "--budget", "100", "product", "zoo:example23", str(dfile),
                     "--mode", "union")
     assert code == 0 and len(parse_pda(out).states) <= 100
     mfile = tmp_path / "fig6.moore"
     mfile.write_text(format_moore(fx.automaton, fx.resolver))
-    code, out = run(capsys, "--budget", str(6 * 8 * 6 - 1), "determinize", "zoo:example23",
-                    str(mfile))
-    assert code == 3 and "288 states exceed the budget 287" in out
-    code, out = run(capsys, "--budget", str(6 * 8 * 6), "determinize", "zoo:example23", str(mfile))
-    assert code == 0 and len(parse_pda(out).states) == 6 * 8 * 6
+    code, out = run(capsys, "--budget", "41", "determinize", "zoo:example23", str(mfile))
+    assert code == 3 and "42 states exceed the budget 41" in out
+    code, out = run(capsys, "--budget", "42", "determinize", "zoo:example23", str(mfile))
+    assert code == 0 and len(parse_pda(out).states) == 42
 
 
 def test_product_alphabet_mismatch_is_input_error(capsys, tmp_path):

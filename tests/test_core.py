@@ -293,7 +293,14 @@ def test_missing_initial_is_golden():
 def test_parse_work_is_per_distinct_value(monkeypatch):
     # Each distinct push word is converted once, and validate checks the
     # distinct (top, push) shapes, not every transition, unless one is bad.
-    det = _det(zoo.example23())
+    # Six copies of det(example23), states renamed apart, share its shapes.
+    one = _det(zoo.example23())
+    copies = range(6)
+    det = OmegaPDA(
+        tuple(f"c{k}{q}" for k in copies for q in one.states), one.input_alphabet,
+        one.stack_alphabet, f"c0{one.initial}",
+        tuple(Transition(f"c{k}{t.source}", t.top, t.label, f"c{k}{t.target}", t.push, t.color)
+              for k in copies for t in one.transitions))
     text = format_pda(det)
     calls = {"push": 0, "shape": 0}
     push_from_text, push_fault = core.push_from_text, core._push_fault

@@ -403,7 +403,7 @@ def test_budget_bounds_claim_enumeration():
     # enumerated one numbered vertex at a time, not all before the first.
     tracemalloc.start()
     try:
-        with pytest.raises(ResourceExceeded, match="^1001 numbered vertices"):
+        with pytest.raises(ResourceExceeded, match="^1001 states exceed the budget 1000$"):
             solve_pushdown_parity_game(_claiming_popper(5), budget=1_000)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
@@ -803,6 +803,21 @@ def test_t_minus_d_deterministic():
                  pq_drain_spec(), eps_block_spec()):
         strategy = synthesize_strategy_pdt(spec)
         assert strategy.machine.violations() == []
+
+
+@pytest.mark.parametrize("name", ["i", "w"])
+def test_sigma2_letter_may_share_a_phase_tag(name):
+    # The delay transform tags its states "i", "w" or a stored sigma2 letter;
+    # a letter of that name plays like any other, renamed in the outcome.
+    for make in (copycat_spec, pq_drain_spec, eps_block_spec):
+        base = make()
+        old = re.compile(rf"\b{re.escape(base.sigma2[0])}\b")
+        spec = parse_gs_spec(old.sub(name, format_gs_spec(base)))
+        strategy, reference = synthesize_strategy_pdt(spec), synthesize_strategy_pdt(base)
+        assert strategy.machine.violations() == []
+        for adam in random_adam_lassos(random.Random(1), spec.sigma1, 10):
+            expected = old.sub(name, str(simulate_play(reference, adam)))
+            assert str(simulate_play(strategy, adam)) == expected, (make.__name__, adam)
 
 
 def test_simulate_play_two_constants():
