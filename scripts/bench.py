@@ -1,5 +1,5 @@
-"""Layer benchmark of gfgpda: parsing and validation, guided runs, one synthesis,
-the constructions built by ``core.explore``.
+"""Layer benchmark of gfgpda: parsing and validation, lasso membership, guided
+runs, one synthesis, the constructions built by ``core.explore``.
 
     python3 scripts/bench.py [OUTPUT.json]
 
@@ -41,6 +41,8 @@ VERIFY_WORDS = 10
 VERIFY_SEED = 2024
 LIFTED_GUARD = 1000
 PRODUCT_PREFIXES = (16, 32, 64, 128, 256)
+MEMBERSHIP_PREFIXES = (16, 32, 64, 128)
+MEMBERSHIP_SAMPLE = 20  # words per zoo fixture
 SPECS = 150
 
 
@@ -167,6 +169,50 @@ def parse_layer() -> dict:
             "gs_series": gs_series, "readers": readers, "zoo_parse_ms": zoo_ms}
 
 
+def lss_lassos(sizes) -> dict:
+    """Seeded lassos over lss's letters, of prefix length |u| and loop length
+    |u| / 4, drawn in size order from SERIES_SEED."""
+    rng, letters = random.Random(SERIES_SEED), zoo.lss().automaton.input_alphabet
+    return {n: core.LassoWord(tuple(rng.choice(letters) for _ in range(n)),
+                              tuple(rng.choice(letters) for _ in range(n // 4)))
+            for n in sizes}
+
+
+def membership_layer() -> dict:
+    """Lasso membership: parse plus ``lasso_membership`` of the first
+    MEMBERSHIP_SAMPLE sampled words of each zoo fixture, one pass over each
+    fixture's texts, the fixtures timed in one ``best_ms`` call and summed;
+    and ``lasso_membership`` of lss on ``lss_lassos``, all sizes timed in one
+    ``best_ms`` call.  One call per group makes a drift of the machine's
+    speed fall on all of its members."""
+    queries = {}
+    for fx in zoo.all_fixtures():
+        text = core.format_pda(fx.automaton)
+        queries[fx.name] = [(text, str(w), flag)
+                            for w, flag in fx.sample(seed=SERIES_SEED, count=MEMBERSHIP_SAMPLE)]
+
+    def sample_pass(name):
+        return [analysis.lasso_membership(core.parse_pda(text), core.parse_lasso(word))
+                for text, word, _ in queries[name]]
+
+    for name, qs in queries.items():
+        if sample_pass(name) != [flag for _, _, flag in qs]:
+            raise AssertionError(f"a membership verdict on {name} disagrees with its sampler")
+    lss, words = zoo.lss().automaton, lss_lassos(MEMBERSHIP_PREFIXES)
+    series = doubling_series("u", lambda w: analysis.lasso_membership(lss, w), words,
+                             unit="membership_ms")
+    for row in series:
+        w = words[row["u"]]
+        row["accepted"] = analysis.lasso_membership(lss, w)
+        if row["accepted"] != (max(zoo.loop_energy_deltas(w)) >= 0):
+            raise AssertionError(f"lss membership of {w} disagrees with the closed form")
+    fixture_ms = best_ms({name: lambda name=name: sample_pass(name) for name in queries})
+    count, ms = sum(map(len, queries.values())), sum(fixture_ms.values())
+    return {"zoo_sample": {"queries": count, "ms": ms, "us_per_query": ms * 1e3 / count,
+                           "fixture_ms": fixture_ms},
+            "lss_series": series}
+
+
 def guided_layer() -> dict:
     """Resolver-guided runs of the lss resolver: ``verify_resolver`` on ten
     seeded accepted lassos (the guided workload's words) at doubling guards,
@@ -237,11 +283,7 @@ def constructions_layer() -> dict:
     built = arenas()
     ms.update(best_ms({"arenas": arenas}))
 
-    lss, rng = zoo.lss().automaton, random.Random(SERIES_SEED)
-    letters = lss.input_alphabet
-    words = {n: core.LassoWord(tuple(rng.choice(letters) for _ in range(n)),
-                               tuple(rng.choice(letters) for _ in range(n // 4)))
-             for n in PRODUCT_PREFIXES}
+    lss, words = zoo.lss().automaton, lss_lassos(PRODUCT_PREFIXES)
     series = doubling_series("u", lambda w: analysis.lasso_product(lss, w), words,
                              unit="product_ms")
     for row in series:
@@ -262,8 +304,8 @@ def main(argv: list[str]) -> int:
     out = argv[1] if len(argv) > 1 else "BENCH.json"
     report = {"python": platform.python_version(), "machine": platform.machine(),
               "repeats": REPEATS, "series_seed": SERIES_SEED, "parse": parse_layer(),
-              "guided": guided_layer(), "synthesis": synthesis_layer(),
-              "constructions": constructions_layer()}
+              "membership": membership_layer(), "guided": guided_layer(),
+              "synthesis": synthesis_layer(), "constructions": constructions_layer()}
     with open(out, "w", encoding="utf-8") as fh:
         json.dump(report, fh, indent=1, sort_keys=True)
         fh.write("\n")
@@ -277,6 +319,13 @@ def main(argv: list[str]) -> int:
             print(f"{series} {row[what]:5d} {what}: {row['parse_ms']:.3f} ms{growth}")
     for name, row in report["parse"]["readers"].items():
         print(f"{name}: {row['parse_ms']:.3f} ms ({row['lines']} lines)")
+    row = report["membership"]["zoo_sample"]
+    print(f"membership zoo sample (parse + lasso_membership): {row['ms']:.3f} ms for "
+          f"{row['queries']} queries, {row['us_per_query']:.1f} us each")
+    for row in report["membership"]["lss_series"]:
+        growth = "" if row["growth"] is None else f"  x{row['growth']:.2f}"
+        print(f"membership lss |u|={row['u']:3d}: {row['membership_ms']:.3f} ms, "
+              f"accepted {row['accepted']}{growth}")
     guided = report["guided"]
     for series, what, unit in (("verify_series", "guard", "verify_ms"),
                                ("run_series", "letters", "run_ms")):

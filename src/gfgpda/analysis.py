@@ -7,6 +7,10 @@ worklist saturation (Esparza, Hansel, Rossmanith & Schwoon, CAV 2000) adds
 edges between existing states only: seeded with a P-automaton's edges it is
 pre*, and with an empty seed its edges are the pop summaries.  Each fact
 records the max color along its run and whether the run reads a letter.
+Saturation and the summary read rule tuples ``(source, top, letter_bit,
+target, push, color, tag)``: an automaton's transitions, each its own tag
+(witnesses expand to transitions), or membership's lasso product on
+``core.explore``'s state numbers, with no product automaton built.
 
 Emptiness rests on one summary per automaton, which does not depend on the
 start configuration (Bouajjani, Esparza & Maler, CONCUR'97): pop summaries
@@ -119,7 +123,13 @@ def _pa_of_heads(pda: OmegaPDA, heads: Iterable[tuple[str, str]]) -> PAutomaton:
     return PAutomaton(frozenset({".f"}), frozenset(edges))
 
 
-def _saturate(transitions: Iterable[Transition], seeds: Iterable) -> tuple[dict, dict]:
+def _rules(transitions: Iterable[Transition]) -> list[tuple]:
+    """The rule tuples of ``transitions``, each tagged with its transition."""
+    return [(t.source, t.top, int(t.label is not None), t.target, t.push, t.color, t)
+            for t in transitions]
+
+
+def _saturate(rules: Iterable[tuple], seeds: Iterable) -> tuple[dict, dict]:
     """Saturated facts ``p -X-> r``: each mapped to its derivation, and indexed.
 
     Esparza, Hansel, Rossmanith & Schwoon (CAV 2000): a pop
@@ -129,50 +139,47 @@ def _saturate(transitions: Iterable[Transition], seeds: Iterable) -> tuple[dict,
     ``(p, X) -> (s, Y)``.  Each fact leaves the worklist once and fires the
     swaps reading it; a new derived swap is joined at once with the facts
     already out.  With no seed the facts are the pop summaries
-    ``(p, X) =>* (r, eps)``.
+    ``(p, X) =>* (r, eps)``.  A rule ``(p, X, l, q, push, c, tag)`` reads a
+    letter iff ``l`` is 1.
 
     A fact is keyed ``(p, X, r, c, l)``: ``c`` is the max color along its
     run and ``l`` is 1 if the run reads a letter; a seed has ``c = -1`` and
     ``l = 0``.  So one fact set serves every color bound: the facts with
-    ``c <= d`` are those of the transitions of color ``<= d``.  A
-    derivation is the tuple of its parts in run order: transitions, then
-    the keys of earlier facts; a seed has the empty derivation.  The index
-    maps ``(p, X)`` to ``[(r, c, l, key)]`` in worklist order.
+    ``c <= d`` are those of the rules of color ``<= d``.  A derivation is
+    the tuple of its parts in run order: rule tags, then the keys of earlier
+    facts; a seed has the empty derivation.  The index maps ``(p, X)`` to
+    ``[(r, c, l, key)]`` in worklist order.
     """
-    defs: dict = {}
-    swaps: dict[tuple[str, str], list] = {}  # (q, Y) -> [(p, X, c, l, parts)]
-    pushes: dict[tuple[str, str], list] = {}  # (q, Z) -> [push (p, X) -> (q, Y Z)]
-    out: dict[tuple[str, str], list] = {}  # (q, Y) -> [(r, c, l, key)] already fired
-    work: deque = deque()
-
-    def add(p: str, x: str, r: str, c: int, l: int, parts: tuple) -> None:
-        key = (p, x, r, c, l)
-        if key not in defs:
-            defs[key] = parts
-            work.append(key)
-
-    for p, x, r in seeds:
-        add(p, x, r, -1, 0, ())
-    for t in transitions:
-        l = int(t.label is not None)
-        if not t.push:
-            add(t.source, t.top, t.target, t.color, l, (t,))
-        elif len(t.push) == 1:
-            swaps.setdefault((t.target, t.push[0]), []).append((t.source, t.top, t.color, l, (t,)))
+    defs: dict = {(p, x, r, -1, 0): () for p, x, r in seeds}
+    swaps: dict[tuple, list] = {}  # (q, Y) -> [(p, X, c, l, parts)]
+    pushes: dict[tuple, list] = {}  # (q, Z) -> [push rule (p, X) -> (q, Y Z)]
+    out: dict[tuple, list] = {}  # (q, Y) -> [(r, c, l, key)] already fired
+    for rule in rules:
+        p, x, l, q, push, c, tag = rule
+        if not push:
+            defs.setdefault((p, x, q, c, l), (tag,))
+        elif len(push) == 1:
+            swaps.setdefault((q, push[0]), []).append((p, x, c, l, (tag,)))
         else:
-            pushes.setdefault((t.target, t.push[1]), []).append(t)
-
+            pushes.setdefault((q, push[1]), []).append(rule)
+    work = deque(defs)
     while work:
         key = work.popleft()
         q, y, r, c, l = key
         out.setdefault((q, y), []).append((r, c, l, key))
         for p, x, c0, l0, parts in swaps.get((q, y), ()):
-            add(p, x, r, c0 if c0 > c else c, l0 | l, parts + (key,))
-        for t in pushes.get((q, y), ()):
-            c0, l0 = max(t.color, c), int(t.label is not None) | l
-            swaps.setdefault((r, t.push[0]), []).append((t.source, t.top, c0, l0, (t, key)))
-            for r2, c2, l2, key2 in out.get((r, t.push[0]), ()):
-                add(t.source, t.top, r2, c0 if c0 > c2 else c2, l0 | l2, (t, key, key2))
+            new = (p, x, r, c0 if c0 > c else c, l0 | l)
+            if new not in defs:
+                defs[new] = parts + (key,)
+                work.append(new)
+        for p, x, l0, _, push, c0, tag in pushes.get((q, y), ()):
+            c0, l0 = c0 if c0 > c else c, l0 | l
+            swaps.setdefault((r, push[0]), []).append((p, x, c0, l0, (tag, key)))
+            for r2, c2, l2, key2 in out.get((r, push[0]), ()):
+                new = (p, x, r2, c0 if c0 > c2 else c2, l0 | l2)
+                if new not in defs:
+                    defs[new] = (tag, key, key2)
+                    work.append(new)
     return defs, out
 
 
@@ -183,10 +190,9 @@ def saturate_pre_star(pda: OmegaPDA, target: PAutomaton) -> PAutomaton:
     a state of ``target``, so no state is added.  Precondition: an edge of
     ``target`` into a control state ``r`` must be a pop fact, ``p -X-> r``
     only if ``(p, X) =>* (r, eps)`` (as in a saturated automaton, so
-    saturating again is a fixpoint).  To restrict the rules, saturate an
-    automaton with fewer transitions.
+    saturating again is a fixpoint).
     """
-    facts, _ = _saturate(pda.transitions, target.edges)
+    facts, _ = _saturate(_rules(pda.transitions), target.edges)
     return PAutomaton(target.finals, frozenset(key[:3] for key in facts))
 
 
@@ -196,45 +202,46 @@ def saturate_pre_star(pda: OmegaPDA, target: PAutomaton) -> PAutomaton:
 
 
 class _Pops:
-    def __init__(self, transitions: Iterable[Transition]):
+    def __init__(self, rules: Iterable[tuple]):
         """Pop summaries ``(p, X) -> [(r, c, l, key)]``: ``_saturate`` with no seed."""
-        self.defs, self.by_head = _saturate(transitions, ())
+        self.defs, self.by_head = _saturate(rules, ())
 
-    def results(self, p: str, x: str) -> list:
+    def results(self, p, x: str) -> list:
         """(r, c, l, key) for pops of ``x`` from state ``p``, in worklist order."""
         return self.by_head.get((p, x), [])
 
-    def expand(self, *parts) -> tuple[Transition, ...]:
-        """Flatten transitions and fact keys into one transition sequence."""
-        out: list[Transition] = []
+    def expand(self, *parts) -> tuple:
+        """Flatten rule tags and fact keys, the plain tuples among the
+        parts, into one sequence of tags."""
+        out: list = []
         stack = list(reversed(parts))
         while stack:
             part = stack.pop()
-            if isinstance(part, Transition):
-                out.append(part)
-            else:
+            if type(part) is tuple:
                 stack.extend(reversed(self.defs[part]))
+            else:
+                out.append(part)
         return tuple(out)
 
-    def steps(self, t: Transition):
-        """Head moves of ``t`` that stay at or above its level.
+    def steps(self, rule: tuple):
+        """Head moves of ``rule`` that stay at or above its level.
 
-        Yields ``(target head, c, l, parts)``: the head ``t`` pushes on top,
-        and for a push of two symbols also each head exposed once the new
-        top is popped again; ``c`` is the infix's max color, ``l`` its
-        letter bit and ``parts`` expand to it.
+        Yields ``(source head, target head, c, l, parts)``: the head the
+        rule pushes on top, and for a push of two symbols also each head
+        exposed once the new top is popped again; ``c`` is the infix's max
+        color, ``l`` its letter bit and ``parts`` expand to it.
         """
-        c, l = t.color, int(t.label is not None)
-        if len(t.push) == 1:
-            yield (t.target, t.push[0]), c, l, (t,)
-        elif len(t.push) == 2:
-            yield (t.target, t.push[1]), c, l, (t,)
-            for r, c2, l2, key in self.results(t.target, t.push[1]):
-                yield (r, t.push[0]), max(c, c2), l | l2, (t, key)
+        p, x, l, q, push, c, tag = rule
+        if len(push) == 1:
+            yield (p, x), (q, push[0]), c, l, (tag,)
+        elif len(push) == 2:
+            yield (p, x), (q, push[1]), c, l, (tag,)
+            for r, c2, l2, key in self.by_head.get((q, push[1]), ()):
+                yield (p, x), (r, push[0]), c if c > c2 else c2, l | l2, (tag, key)
 
 
 def _tarjan_sccs(nodes: list, succ: dict) -> dict:
-    """Iterative Tarjan; returns node -> the root node of its SCC."""
+    """Iterative Tarjan; returns node -> the root node of its SCC, one object per SCC."""
     index: dict = {}
     low: dict = {}
     scc_of: dict = {}
@@ -253,13 +260,12 @@ def _tarjan_sccs(nodes: list, succ: dict) -> dict:
                     stack.append(w)
                     call.append((w, iter(succ.get(w, ()))))
                     break
-                if w not in scc_of:  # visited and unfinished: on the stack
-                    low[v] = min(low[v], index[w])
+                if w not in scc_of and index[w] < low[v]:  # visited, unfinished: on the stack
+                    low[v] = index[w]
             else:
                 call.pop()
-                if call:
-                    u = call[-1][0]
-                    low[u] = min(low[u], low[v])
+                if call and low[v] < low[call[-1][0]]:
+                    low[call[-1][0]] = low[v]
                 if low[v] == index[v]:
                     while True:
                         w = stack.pop()
@@ -286,20 +292,15 @@ class _ColorLayer:
         for e in edges:
             succ.setdefault(e[0], []).append(e[1])
         # Every edge target is reached from some source, so sources suffice as roots.
-        self.scc_of = _tarjan_sccs(list(succ), succ)
-        self.internal: dict = {}
-        for e in edges:
-            if self.scc_of[e[0]] == self.scc_of[e[1]]:
-                self.internal.setdefault(self.scc_of[e[0]], []).append(e)
-        pumping = {
-            scc for scc, es in self.internal.items()
-            if any(e[2] == d for e in es) and any(e[3] for e in es)
-        }
-        self.good = {head for head, scc in self.scc_of.items() if scc in pumping}
+        self.scc_of = scc_of = _tarjan_sccs(list(succ), succ)
+        self.internal = [e for e in edges if scc_of[e[0]] is scc_of[e[1]]]
+        pumping = ({scc_of[e[0]] for e in self.internal if e[2] == d}
+                   & {scc_of[e[0]] for e in self.internal if e[3]})
+        self.good = {head for head, scc in scc_of.items() if scc in pumping}
 
-    def loop(self, head) -> tuple[Transition, ...]:
+    def loop(self, head) -> tuple:
         """Closed walk from a good ``head`` through a color-``d`` and a letter edge."""
-        scc_edges = self.internal[self.scc_of[head]]
+        scc_edges = [e for e in self.internal if self.scc_of[e[0]] is self.scc_of[head]]
         e_d = next(e for e in scc_edges if e[2] == self.d)
         e_l = next(e for e in scc_edges if e[3])
         succ_e: dict = {}
@@ -330,31 +331,27 @@ class _ColorLayer:
 
 
 class _Summary:
-    """Start-independent emptiness summary of one automaton.
+    """Start-independent emptiness summary of a list of rule tuples.
 
-    Pop summaries and head SCCs depend only on the automaton (Bouajjani,
+    Pop summaries and head SCCs depend only on the rules (Bouajjani,
     Esparza & Maler, CONCUR'97), so one summary serves every start
     configuration.  One saturation gives ``pops``; the head moves
     ``(src, dst, c, l, parts)`` of ``pops.steps`` are computed once per
-    summary, in transition order (``moves_from`` indexes them by source), and
-    serve the head relation and every color layer.  Each even color's
-    ``_ColorLayer`` is built only when a query reaches it.
+    summary, in rule order, and serve the head relation and every color
+    layer.  Each even color's ``_ColorLayer`` is built only when a query
+    reaches it.
     """
 
-    def __init__(self, pda: OmegaPDA):
-        self.pda = pda
-        self.pops = _Pops(pda.transitions)
-        self.evens = sorted({t.color for t in pda.transitions if t.color % 2 == 0})
-        self.moves = [((t.source, t.top), *m) for t in pda.transitions for m in self.pops.steps(t)]
-        self.moves_from: dict = {}
-        for move in self.moves:
-            self.moves_from.setdefault(move[0], []).append(move)
+    def __init__(self, rules: list):
+        self.pops = _Pops(rules)
+        self.evens = sorted({rule[5] for rule in rules if rule[5] % 2 == 0})
+        self.moves = [move for rule in rules for move in self.pops.steps(rule)]
 
     def heads_from(self, start: Configuration) -> dict:
         """Heads reachable from ``start`` in breadth-first order.
 
         Each head maps to its stem as a parent pointer: ``None`` for the
-        empty stem, else ``(parent stem, transition or pop key)``.
+        empty stem, else ``(parent stem, rule tag or pop key)``.
         """
         facts: dict = {}
         work: deque = deque()
@@ -377,17 +374,20 @@ class _Summary:
             for st, stem in carriers.items():
                 add((st, f.symbol), stem)
 
+        moves_from: dict = {}
+        for move in self.moves:
+            moves_from.setdefault(move[0], []).append(move)
         while work:
             head = work.popleft()
-            for _src, dst, _c, _l, parts in self.moves_from.get(head, ()):
+            for _src, dst, _c, _l, parts in moves_from.get(head, ()):
                 stem = facts[head]
                 for part in parts:
                     stem = (stem, part)
                 add(dst, stem)
         return facts
 
-    def witness(self, start: Configuration) -> Optional[EmptinessWitness]:
-        """First witness from ``start``: lowest even color, then first head found."""
+    def witness(self, pda: OmegaPDA, start: Configuration) -> Optional[EmptinessWitness]:
+        """First witness from ``start`` on ``pda``: lowest even color, then first head found."""
         heads = self.heads_from(start)
         for d in self.evens:
             layer = _ColorLayer(self.pops, self.moves, d)
@@ -398,7 +398,7 @@ class _Summary:
                         stem, part = stem
                         parts.append(part)
                     stem_ts = self.pops.expand(*reversed(parts))
-                    loop_start = replay(self.pda, stem_ts, start).last
+                    loop_start = replay(pda, stem_ts, start).last
                     return EmptinessWitness(stem_ts, layer.loop(head), loop_start)
         return None
 
@@ -410,7 +410,7 @@ class _Summary:
         """
         pred: dict = {}
         for src, dst, _c, _l, _parts in self.moves:
-            pred.setdefault(dst, set()).add(src)
+            pred.setdefault(dst, []).append(src)
         layers = (_ColorLayer(self.pops, self.moves, d) for d in self.evens)
         found = set().union(*(layer.good for layer in layers))
         work = list(found)
@@ -428,7 +428,7 @@ def parity_nonempty(
     """First emptiness witness found (even colors ascending), or None."""
     if start is None:
         start = pda.initial_configuration()
-    return _Summary(pda).witness(start)
+    return _Summary(_rules(pda.transitions)).witness(pda, start)
 
 
 # ---------------------------------------------------------------------------
@@ -436,25 +436,34 @@ def parity_nonempty(
 # ---------------------------------------------------------------------------
 
 
+def _explore_lasso(pda: OmegaPDA, w: LassoWord) -> tuple[list, list, list]:
+    """``core.explore`` of the product from ``(initial, 0)``; each ``(q, i)`` reads only
+    its enabled transitions, indexed once by ``(state, letter)`` in declaration order."""
+    word = w.prefix + w.loop
+    letters = set(word)
+    enabled: dict = {}
+    for t in pda.transitions:
+        for a in letters if t.label is None else (t.label,):
+            enabled.setdefault((t.source, a), []).append(t)
+    nexts = [*range(1, len(word)), len(w.prefix)]
+
+    def expand(order):
+        for u, (q, i) in enumerate(order):
+            nxt = nexts[i]
+            for t in enabled.get((q, word[i]), ()):
+                yield u, t.color, (t.target, i if t.label is None else nxt), t
+
+    return explore((pda.initial, 0), expand)
+
+
 def lasso_product(pda: OmegaPDA, w: LassoWord) -> OmegaPDA:
     """Reachable part of the product with the deterministic |u|+|v| position tracker.
 
     ``core.explore`` from ``initial@0`` over the control graph emits the
     states ``q@i`` it reaches and the transitions leaving them.  A run from
-    ``initial@0`` stays among them, so membership runs on this product.
+    ``initial@0`` stays among them; membership reads this product as rules.
     """
-    by_source: dict[str, list[Transition]] = {}
-    for t in pda.transitions:
-        by_source.setdefault(t.source, []).append(t)
-
-    def expand(order):
-        for u, (q, i) in enumerate(order):
-            letter, nxt = w.letter_at(i), w.next_position(i)
-            for t in by_source.get(q, ()):
-                if t.label is None or t.label == letter:
-                    yield u, t.color, (t.target, i if t.label is None else nxt), t
-
-    order, edges, base = explore((pda.initial, 0), expand)
+    order, edges, base = _explore_lasso(pda, w)
     names = [f"{q}@{i}" for q, i in order]
     return OmegaPDA(tuple(names), pda.input_alphabet, pda.stack_alphabet, names[0], tuple([
         Transition(names[u], t.top, t.label, names[v], t.push, c)
@@ -466,8 +475,10 @@ def lasso_membership(pda: OmegaPDA, w: LassoWord) -> bool:
     for letter in w.prefix + w.loop:
         if letter not in pda.input_alphabet:
             raise ValueError(f"letter {letter!r} not in the input alphabet")
-    product = lasso_product(pda, w)
-    return (product.initial, BOTTOM) in _Summary(product).accepting_heads()
+    _, edges, base = _explore_lasso(pda, w)
+    rules = [(u, t.top, int(t.label is not None), v, t.push, c, t)
+             for (u, c, v), t in zip(edges, base)]
+    return (0, BOTTOM) in _Summary(rules).accepting_heads()
 
 
 def brute_force_lasso_oracle(
@@ -595,9 +606,7 @@ def accepts_tail_of(pda: OmegaPDA, tail_letter: str) -> PAutomaton:
     if tail_letter not in pda.input_alphabet:
         raise ValueError(f"{tail_letter!r} not in the input alphabet")
 
-    restricted = OmegaPDA(
-        pda.states, pda.input_alphabet, pda.stack_alphabet, pda.initial,
-        tuple(t for t in pda.transitions if t.label in (None, tail_letter)),
-    )
-    accepted_heads = _Summary(restricted).accepting_heads()
-    return saturate_pre_star(restricted, _pa_of_heads(pda, accepted_heads))
+    rules = _rules(t for t in pda.transitions if t.label in (None, tail_letter))
+    seed = _pa_of_heads(pda, _Summary(rules).accepting_heads())
+    facts, _ = _saturate(rules, seed.edges)
+    return PAutomaton(seed.finals, frozenset(key[:3] for key in facts))

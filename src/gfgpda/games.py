@@ -429,12 +429,13 @@ def solve_pushdown_parity_game(
 
 
 def _check_moves(game: PushdownParityGame) -> None:
-    """Raise ``ValueError`` naming the first move whose push breaks the rule
-    of ``core._push_fault``, and the fault."""
+    """Raise ``ValueError`` naming the first move whose push breaks the rule of
+    ``core._push_fault``, and the fault; each distinct ``(top, push)`` is checked once."""
     stack = set(game.stack_alphabet)
-    for m in game.moves:
-        if fault := _push_fault(m.top, m.push, stack):
-            raise ValueError(f"malformed move {m}: {fault}")
+    if any(_push_fault(top, push, stack) for top, push in {(m.top, m.push) for m in game.moves}):
+        for m in game.moves:
+            if fault := _push_fault(m.top, m.push, stack):
+                raise ValueError(f"malformed move {m}: {fault}")
 
 
 def _solve_truncation(
@@ -507,7 +508,7 @@ class ClaimGame:
         colors = [m.color for m in game.moves]
         self.cmin = min(colors, default=0)
         facts, _ = _saturate(
-            [Transition(m.source, m.top, None, m.target, m.push, m.color) for m in game.moves], ()
+            [(m.source, m.top, 0, m.target, m.push, m.color, m) for m in game.moves], ()
         )
         rank: dict = {}  # (r, c) -> first-seen index
         universe: dict = {}

@@ -232,10 +232,10 @@ def test_tail_set_heads_match_per_start_emptiness(monkeypatch):
     # accepting run: from (q, _X) on the automaton without bottom moves,
     # from (q, _) on the automaton with them.
     seeds = []
-    saturate = analysis.saturate_pre_star
+    pa_of_heads = analysis._pa_of_heads
     monkeypatch.setattr(
-        analysis, "saturate_pre_star",
-        lambda pda, target: seeds.append(target) or saturate(pda, target),
+        analysis, "_pa_of_heads",
+        lambda pda, heads: seeds.append(pa_of_heads(pda, heads)) or seeds[-1],
     )
     for name, pda in _tail_set_automata():
         for letter in pda.input_alphabet:
@@ -355,6 +355,49 @@ def test_witnesses_from_every_head_validate():
                     validate_witness(pda, w, start)
 
 
+# The first witness parity_nonempty finds from the initial configuration,
+# as indices of its stem and loop transitions.
+FIXTURE_WITNESSES = {
+    "figure1": ((0,), (5,)),
+    "example23": ((0, 2, 5, 8), (12,)),
+    "lss": ((), (0,)),
+    "twopump": ((0, 1, 3, 6, 8), (15,)),
+    "parity2": ((), (1, 0)),
+    "parity3": ((), (1, 0)),
+    "repbdd": ((0, 8), (18, 21)),
+    "palindrome": ((0, 8, 15, 17), (18,)),
+    "ncw1": ((0, 2, 5), (8,)),
+    "ncw2": ((1, 3, 5), (6,)),
+    "allodd": None,
+    "det(example23)": ((0, 20, 29, 62, 40, 64, 77, 109), (115, 151, 115, 151)),
+}
+# Of the 50 automata random_pda draws from seed 23; the others are empty.
+RANDOM_WITNESSES = {
+    0: ((5, 6), (1, 6)), 3: ((1,), (0,)), 4: ((5,), (1, 1, 2)), 13: ((), (7,)),
+    17: ((), (1, 0, 7)), 21: ((), (2, 0)), 23: ((7, 0), (2,)), 26: ((0, 3), (5,)),
+    29: ((), (1, 0)), 32: ((), (6, 2, 0, 0, 6, 0)), 35: ((1,), (3, 6, 0, 6)),
+    36: ((4,), (5, 7)), 38: ((), (4,)), 40: ((), (5,)), 42: ((1,), (4,)), 49: ((2,), (5,)),
+}
+
+
+def test_witnesses_are_pinned_as_transition_indices():
+    def indices(pda):
+        w = parity_nonempty(pda)
+        if w is None:
+            return None
+        validate_witness(pda, w)
+        index = {t: i for i, t in enumerate(pda.transitions)}
+        return tuple(index[t] for t in w.stem), tuple(index[t] for t in w.loop)
+
+    found = {fx.name: indices(fx.automaton) for fx in zoo.all_fixtures()}
+    fx = zoo.example23()
+    found["det(example23)"] = indices(determinize_moore(fx.automaton, fx.resolver))
+    assert found == FIXTURE_WITNESSES
+    rng = random.Random(23)
+    found = {i: indices(random_pda(rng)) for i in range(50)}
+    assert {i: w for i, w in found.items() if w is not None} == RANDOM_WITNESSES
+
+
 def test_tall_start_stack_queries_each_state_once_per_level(monkeypatch):
     # Both states pop X into both states: following every popping run
     # separately would query the pop summaries 2^h times for height h.
@@ -410,7 +453,7 @@ def _bounded_pops(pda, height):
 
 def test_pop_facts_replay_as_pops():
     for name, pda in _pop_summary_automata():
-        pops = analysis._Pops(pda.transitions)
+        pops = analysis._Pops(analysis._rules(pda.transitions))
         for key in pops.defs:
             p, x, r, c, l = key
             ts = pops.expand(key)
@@ -425,7 +468,7 @@ def test_pop_index_lists_each_fact_once_under_its_head():
     # The index is the saturation's own, in worklist order: each fact once,
     # under (p, X), with its derivation in the fact table.
     for name, pda in _pop_summary_automata():
-        pops = analysis._Pops(pda.transitions)
+        pops = analysis._Pops(analysis._rules(pda.transitions))
         listed = [(p, x, *entry[:3]) for (p, x), entries in pops.by_head.items()
                   for entry in entries]
         assert sorted(listed) == sorted(pops.defs), name
@@ -436,7 +479,7 @@ def test_pop_index_lists_each_fact_once_under_its_head():
 
 def test_pop_facts_include_every_bounded_pop():
     for name, pda in _pop_summary_automata():
-        missing = _bounded_pops(pda, 3) - set(analysis._Pops(pda.transitions).defs)
+        missing = _bounded_pops(pda, 3) - set(analysis._Pops(analysis._rules(pda.transitions)).defs)
         assert not missing, (name, sorted(missing)[:3])
 
 
@@ -444,11 +487,11 @@ def test_color_layer_facts_are_the_color_restricted_facts():
     # A layer filters the shared facts by max color; that must be exactly
     # what saturating the automaton's transitions of color <= d gives.
     for name, pda in _pop_summary_automata():
-        facts = set(analysis._Pops(pda.transitions).defs)
+        facts = set(analysis._Pops(analysis._rules(pda.transitions)).defs)
         for d in sorted({t.color for t in pda.transitions if t.color % 2 == 0}):
             low = restrict(pda, lambda t: t.color <= d)
             kept = {key for key in facts if key[3] <= d}
-            assert kept == set(analysis._Pops(low.transitions).defs), (name, d)
+            assert kept == set(analysis._Pops(analysis._rules(low.transitions)).defs), (name, d)
 
 
 # -- membership ---------------------------------------------------------------
@@ -539,7 +582,8 @@ def _control_reachable(pda):
 def test_reachable_product_membership_matches_full_product():
     for name, pda, w in _membership_queries():
         full = full_lasso_product(pda, w)
-        expected = (full.initial, BOTTOM) in analysis._Summary(full).accepting_heads()
+        summary = analysis._Summary(analysis._rules(full.transitions))
+        expected = (full.initial, BOTTOM) in summary.accepting_heads()
         assert lasso_membership(pda, w) == expected, (name, str(w))
         verdict = brute_force_lasso_oracle(pda, w, 5, 3_000)
         if verdict != UNKNOWN:
@@ -563,32 +607,60 @@ def test_reachable_product_keeps_only_reachable_states():
         assert len(product.states) < len(fx.automaton.states) * w.positions(), str(w)
 
 
+def test_lss_lassos_match_the_closed_form():
+    # A word is in L(lss) iff one component's loop energy is nonnegative,
+    # whatever the prefix: an oracle that shares nothing with the summary.
+    lss, rng = zoo.lss().automaton, random.Random(64)
+    letters = lss.input_alphabet
+    verdicts = set()
+    for n in (8, 16, 32, 64):
+        for _ in range(3):
+            w = LassoWord(tuple(rng.choice(letters) for _ in range(n)),
+                          tuple(rng.choice(letters) for _ in range(n // 4)))
+            expected = max(zoo.loop_energy_deltas(w)) >= 0
+            assert lasso_membership(lss, w) == expected, str(w)
+            verdicts.add(expected)
+    assert verdicts == {True, False}
+
+
 def test_head_moves_are_computed_once_per_summary(monkeypatch):
     # One head-move list per summary: the head search, the backward search
-    # and every color layer read it, so ``steps`` runs once per transition.
+    # and every color layer read it, so ``steps`` runs once per rule.
     calls = []
     steps = analysis._Pops.steps
     monkeypatch.setattr(
-        analysis._Pops, "steps", lambda self, t: calls.append(t) or steps(self, t)
+        analysis._Pops, "steps", lambda self, rule: calls.append(rule) or steps(self, rule)
     )
+
+    def stepped(names=None):
+        """The transitions of the stepped rules, states renamed by ``names``."""
+        out = []
+        for p, x, l, q, push, c, t in calls:
+            assert l == (t.label is not None) and (x, push) == (t.top, t.push)
+            if names is not None:
+                p, q = names[p], names[q]
+            out.append(str(Transition(p, x, t.label, q, push, c)))
+        return sorted(out)
+
     six = zoo.parity_language(6).automaton
     assert sorted({t.color for t in six.transitions if t.color % 2 == 0}) == [2, 4, 6]
     for w in (LassoWord(("1",), ("5", "6")), LassoWord((), ("1",)), LassoWord(("2", "3"), ("6",))):
         product = lasso_product(six, w)
         calls.clear()
         lasso_membership(six, w)
-        assert sorted(map(str, calls)) == sorted(map(str, product.transitions)), str(w)
+        # The membership rules are numbered in the product's state order.
+        assert stepped(product.states) == sorted(map(str, product.transitions)), str(w)
     fx = zoo.example23()
     det = determinize_moore(fx.automaton, fx.resolver)
     for pda in (six, det):
         calls.clear()
         parity_nonempty(pda)
-        assert sorted(map(str, calls)) == sorted(map(str, pda.transitions))
+        assert stepped() == sorted(map(str, pda.transitions))
     for letter in det.input_alphabet:
         calls.clear()
         accepts_tail_of(det, letter)
         kept = [t for t in det.transitions if t.label in (None, letter)]
-        assert sorted(map(str, calls)) == sorted(map(str, kept)), letter
+        assert stepped() == sorted(map(str, kept)), letter
 
 
 # -- color normalization -------------------------------------------------------

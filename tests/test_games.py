@@ -441,6 +441,28 @@ def test_malformed_move_names_its_fault():
                 solve(game)
 
 
+def test_moves_are_checked_once_per_distinct_shape(monkeypatch):
+    # Each distinct (top, push) is checked once; the moves are walked only
+    # to name the first faulty one.
+    states = tuple(f"p{i}" for i in range(40))
+    shapes = ((BOTTOM, (BOTTOM,)), (BOTTOM, (BOTTOM, "N")), ("N", ()), ("N", ("N",)),
+              ("N", ("N", "N")))
+    moves = tuple(GameMove(p, top, q, push, 0)
+                  for p in states for q in states[:5] for top, push in shapes)
+    calls = []
+    push_fault = gfgpda.games._push_fault
+    monkeypatch.setattr(gfgpda.games, "_push_fault",
+                        lambda *args: calls.append(args) or push_fault(*args))
+    owner = dict.fromkeys(states, EVE)
+    gfgpda.games._check_moves(PushdownParityGame(states, ("N",), "p0", owner, moves))
+    assert len(moves) == 1000 and len(calls) == len(shapes)
+    bad = (GameMove("p3", "N", "p0", ("N", "M"), 0), GameMove("p1", "N", "p0", ("N", BOTTOM), 0))
+    game = PushdownParityGame(states, ("N",), "p0", owner, moves[:700] + bad + moves[700:])
+    fault = f"malformed move {bad[0]}: unknown push symbol"
+    with pytest.raises(ValueError, match=re.escape(fault)):
+        gfgpda.games._check_moves(game)
+
+
 def _random_pushdown_game(rng: random.Random) -> PushdownParityGame:
     states, syms = ("p0", "p1", "p2", "p3"), ("A", "B")
     moves = []
