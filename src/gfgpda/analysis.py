@@ -4,9 +4,9 @@ Regular configuration sets are P-automata (Bouajjani, Esparza & Maler,
 CONCUR'97): the control states are the initial states, and ``(q, stack)`` is
 accepted when ``q`` reads the stack top first into a final state.  One
 worklist saturation (Esparza, Hansel, Rossmanith & Schwoon, CAV 2000) adds
-edges between existing states only: seeded with a P-automaton's edges it is
-pre*, and with an empty seed its edges are the pop summaries.  Each fact
-records the max color along its run and whether the run reads a letter.
+edges between existing states only: the pop summaries of its rules, where
+pre* reads the target's edges as pop rules.  Each fact records the max
+color along its run and whether the run reads a letter.
 Saturation and the summary read rule tuples ``(source, top, letter_bit,
 target, push, color, tag)``: an automaton's transitions, each its own tag
 (witnesses expand to transitions), or membership's lasso product on
@@ -129,7 +129,7 @@ def _rules(transitions: Iterable[Transition]) -> list[tuple]:
             for t in transitions]
 
 
-def _saturate(rules: Iterable[tuple], seeds: Iterable) -> tuple[dict, dict]:
+def _saturate(rules: Iterable[tuple]) -> tuple[dict, dict]:
     """Saturated facts ``p -X-> r``: each mapped to its derivation, and indexed.
 
     Esparza, Hansel, Rossmanith & Schwoon (CAV 2000): a pop
@@ -138,19 +138,17 @@ def _saturate(rules: Iterable[tuple], seeds: Iterable) -> tuple[dict, dict]:
     ``(p, X) -> (q, Y Z)`` and a fact ``q -Z-> s`` give the derived swap
     ``(p, X) -> (s, Y)``.  Each fact leaves the worklist once and fires the
     swaps reading it; a new derived swap is joined at once with the facts
-    already out.  With no seed the facts are the pop summaries
-    ``(p, X) =>* (r, eps)``.  A rule ``(p, X, l, q, push, c, tag)`` reads a
-    letter iff ``l`` is 1.
+    already out.  The facts are the pop summaries ``(p, X) =>* (r, eps)``.
+    A rule ``(p, X, l, q, push, c, tag)`` reads a letter iff ``l`` is 1.
 
     A fact is keyed ``(p, X, r, c, l)``: ``c`` is the max color along its
-    run and ``l`` is 1 if the run reads a letter; a seed has ``c = -1`` and
-    ``l = 0``.  So one fact set serves every color bound: the facts with
-    ``c <= d`` are those of the rules of color ``<= d``.  A derivation is
-    the tuple of its parts in run order: rule tags, then the keys of earlier
-    facts; a seed has the empty derivation.  The index maps ``(p, X)`` to
+    run and ``l`` is 1 if the run reads a letter.  So one fact set serves
+    every color bound: the facts with ``c <= d`` are those of the rules of
+    color ``<= d``.  A derivation is the tuple of its parts in run order:
+    rule tags, then the keys of earlier facts.  The index maps ``(p, X)`` to
     ``[(r, c, l, key)]`` in worklist order.
     """
-    defs: dict = {(p, x, r, -1, 0): () for p, x, r in seeds}
+    defs: dict = {}
     swaps: dict[tuple, list] = {}  # (q, Y) -> [(p, X, c, l, parts)]
     pushes: dict[tuple, list] = {}  # (q, Z) -> [push rule (p, X) -> (q, Y Z)]
     out: dict[tuple, list] = {}  # (q, Y) -> [(r, c, l, key)] already fired
@@ -184,7 +182,8 @@ def _saturate(rules: Iterable[tuple], seeds: Iterable) -> tuple[dict, dict]:
 
 
 def saturate_pre_star(pda: OmegaPDA, target: PAutomaton) -> PAutomaton:
-    """pre* of ``target``: ``_saturate`` seeded with its edges, keys cut to ``(p, X, r)``.
+    """pre* of ``target``: ``_saturate`` of the transitions and of each target
+    edge ``p -X-> r`` as a pop of color -1, keys cut to ``(p, X, r)``.
 
     Every added edge leaves a control state and ends in a control state or
     a state of ``target``, so no state is added.  Precondition: an edge of
@@ -192,7 +191,8 @@ def saturate_pre_star(pda: OmegaPDA, target: PAutomaton) -> PAutomaton:
     only if ``(p, X) =>* (r, eps)`` (as in a saturated automaton, so
     saturating again is a fixpoint).
     """
-    facts, _ = _saturate(_rules(pda.transitions), target.edges)
+    pops = [(p, x, 0, r, (), -1, None) for p, x, r in target.edges]
+    facts, _ = _saturate(_rules(pda.transitions) + pops)
     return PAutomaton(target.finals, frozenset(key[:3] for key in facts))
 
 
@@ -203,8 +203,8 @@ def saturate_pre_star(pda: OmegaPDA, target: PAutomaton) -> PAutomaton:
 
 class _Pops:
     def __init__(self, rules: Iterable[tuple]):
-        """Pop summaries ``(p, X) -> [(r, c, l, key)]``: ``_saturate`` with no seed."""
-        self.defs, self.by_head = _saturate(rules, ())
+        """Pop summaries ``(p, X) -> [(r, c, l, key)]``: ``_saturate`` of the rules."""
+        self.defs, self.by_head = _saturate(rules)
 
     def results(self, p, x: str) -> list:
         """(r, c, l, key) for pops of ``x`` from state ``p``, in worklist order."""
@@ -600,13 +600,16 @@ def accepts_tail_of(pda: OmegaPDA, tail_letter: str) -> PAutomaton:
     of its color layers, then one backward search over its head relation.
     A head above the bottom never reaches a bottom head, so one summary
     decides both.  The seed accepts the configurations with an accepting
-    head: ``q -X-> .m`` for each, ``.m`` reads the rest of the stack, and
-    pre* saturation over the same transitions adds what reaches them.
+    head: ``q -X-> .m`` for each, ``.m`` reads the rest of the stack.  Its
+    pre* over the same transitions adds only the summary's pop facts: the
+    accepting heads, the backward closure of the good heads, are closed
+    backward under head moves, so pre* derives no new edge into ``.m`` or
+    ``.f``, and every edge it derives into a control state is a pop fact.
     """
     if tail_letter not in pda.input_alphabet:
         raise ValueError(f"{tail_letter!r} not in the input alphabet")
 
     rules = _rules(t for t in pda.transitions if t.label in (None, tail_letter))
-    seed = _pa_of_heads(pda, _Summary(rules).accepting_heads())
-    facts, _ = _saturate(rules, seed.edges)
-    return PAutomaton(seed.finals, frozenset(key[:3] for key in facts))
+    summary = _Summary(rules)
+    seed = _pa_of_heads(pda, summary.accepting_heads())
+    return PAutomaton(seed.finals, seed.edges | {key[:3] for key in summary.pops.defs})

@@ -158,10 +158,6 @@ class OmegaPDA:
     def letters(self) -> frozenset[str]:
         return frozenset(self.input_alphabet)
 
-    @cached_property
-    def colors(self) -> tuple[int, ...]:
-        return tuple(sorted({t.color for t in self.transitions}))
-
     @property
     def gamma_bottom(self) -> tuple[str, ...]:
         return (BOTTOM,) + self.stack_alphabet

@@ -508,8 +508,7 @@ class ClaimGame:
         colors = [m.color for m in game.moves]
         self.cmin = min(colors, default=0)
         facts, _ = _saturate(
-            [(m.source, m.top, 0, m.target, m.push, m.color, m) for m in game.moves], ()
-        )
+            [(m.source, m.top, 0, m.target, m.push, m.color, m) for m in game.moves])
         rank: dict = {}  # (r, c) -> first-seen index
         universe: dict = {}
         for q, z, r, c, _ in facts:

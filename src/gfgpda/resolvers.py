@@ -425,24 +425,24 @@ def verify_resolver(
 ) -> ResolverReport:
     """Check that the resolver induces accepting runs on in-language words.
 
-    Resolvers with finite summaries get exact periodicity detection; others
-    get bounded simulation with literal tail-periodicity detection and an
-    explicit 'inconclusive' verdict when no period shows up within the guard.
+    Resolvers with finite summaries get exact periodicity detection, others
+    bounded simulation with literal tail-periodicity detection; either gives
+    'inconclusive' when no period shows up within the guard.
     """
     entries = []
     exact = r.summary(r.start()) is not None
     for w, expected in suite:
         if not expected:
-            entries.append((w, expected, "skipped"))
-            continue
-        if exact:
+            verdict = "skipped"
+        elif not exact:
+            verdict = _bounded_verdict(pda, r, w, guard)
+        else:
             try:
-                verdict = moore_lasso_acceptance(pda, r, w, guard)
+                accepted = moore_lasso_acceptance(pda, r, w, guard) == "accepted"
+                verdict = "pass" if accepted else "fail"
             except GuardExceeded:
                 verdict = "inconclusive"
-            entries.append((w, expected, "pass" if verdict == "accepted" else "fail"))
-            continue
-        entries.append((w, expected, _bounded_verdict(pda, r, w, guard)))
+        entries.append((w, expected, verdict))
     return ResolverReport(tuple(entries))
 
 

@@ -281,8 +281,8 @@ def test_tail_set_work_does_not_grow_with_heads(monkeypatch):
     for letter in det.input_alphabet:
         calls.update(nonempty=0, pops=0, saturate=0)
         accepts_tail_of(det, letter)
-        # One saturation for the pop summaries, one for pre*.
-        assert calls == {"nonempty": 0, "pops": 1, "saturate": 2}, (letter, calls)
+        # One saturation: the tail set reads pre* off the summary's pop facts.
+        assert calls == {"nonempty": 0, "pops": 1, "saturate": 1}, (letter, calls)
     six = zoo.parity_language(6).automaton
     assert sorted({t.color for t in six.transitions if t.color % 2 == 0}) == [2, 4, 6]
     queries = [
@@ -294,6 +294,21 @@ def test_tail_set_work_does_not_grow_with_heads(monkeypatch):
         calls.update(pops=0, saturate=0)
         query()
         assert calls["pops"] == calls["saturate"] == 1, calls
+
+
+def test_tail_set_is_pre_star_of_the_accepting_heads():
+    # The tail set reads pre* off the summary's pop facts; saturate_pre_star
+    # of the accepting heads over the letter-restricted automaton stays the
+    # reference.
+    rng = random.Random(2024)
+    automata = list(_tail_set_automata()) + [("parity6", zoo.parity_language(6).automaton)]
+    automata += [(f"random{i}", random_pda(rng)) for i in range(300)]
+    for name, pda in automata:
+        for letter in pda.input_alphabet:
+            kept = restrict(pda, lambda t: t.label in (None, letter))
+            heads = analysis._Summary(analysis._rules(kept.transitions)).accepting_heads()
+            expected = saturate_pre_star(kept, analysis._pa_of_heads(pda, heads))
+            assert accepts_tail_of(pda, letter) == expected, (name, letter)
 
 
 def test_accepts_tail_of_all_odd():

@@ -90,6 +90,8 @@ def test_tailset(capsys):
     # Heads with a pushed top symbol get witnesses that replay from that head.
     code, out = run(capsys, "tailset", "zoo:lss", "(0,+)")
     assert code == 0 and out.startswith("nonempty")
+    code, out = run(capsys, "tailset", "zoo:example23", "z")
+    assert code == 4 and out == "input error: 'z' not in the input alphabet\n"
 
 
 def _printed_pa(text):

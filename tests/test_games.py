@@ -289,6 +289,23 @@ def test_zielonka_leaves_no_process_global_state():
     assert threading.active_count() == threads
 
 
+def test_strategy_rules_cover_tops_found_after_a_pop():
+    # In this claim-decided spec's strategy a pushed symbol is pushed onto a
+    # new top after its pop was already recorded: each state that pop
+    # reaches needs a rule for the new top too, or plays hit an undefined
+    # output.
+    spec = random_spec(random.Random(1137), 3)
+    gs = solve_gale_stewart(spec, budget=5_000)
+    assert gs.winner == EVE and gs.solve.stats["decided_by"] == "claims"
+    strategy = synthesize_strategy_pdt(spec, budget=5_000)
+    machine = strategy.machine
+    assert machine.violations() == []
+    assert (len(machine.states), len(machine.rules), len(machine.stack_alphabet)) == (13, 44, 3)
+    for adam in random_adam_lassos(random.Random(3), spec.sigma1, 60):
+        outcome = simulate_play(strategy, adam)
+        assert analysis.lasso_membership(spec.condition, outcome), (adam, outcome)
+
+
 def test_synthesized_strategy_text_is_independent_of_hash_seed(tmp_path):
     # figure1's universality game is decided by a truncation, spec 7 of the
     # seed-940 corpus by the claim game, whose strategy interns k<i> symbols.

@@ -6,7 +6,7 @@ import pytest
 from gfgpda import analysis, closure, zoo
 from gfgpda.core import (
     BOTTOM, Configuration, FormatError, GuardExceeded, LassoWord, OmegaPDA, RunPrefix,
-    Transition, parse_lasso, replay, step, validate,
+    Transition, is_deterministic, parse_lasso, replay, step, validate,
 )
 from gfgpda.resolvers import (
     DetPushdown,
@@ -287,8 +287,6 @@ def test_determinize_moore_state_count(ex23):
 
 
 def test_determinize_moore_is_deterministic(ex23):
-    from gfgpda.core import is_deterministic
-
     d = determinize_moore(ex23.automaton, ex23.resolver)
     ok, pairs = is_deterministic(d)
     assert ok, pairs
@@ -325,6 +323,39 @@ def test_determinize_moore_random_lassos_agree(name):
         assert oracle in (verdict, analysis.UNKNOWN), w
         decided += oracle != analysis.UNKNOWN
     assert decided >= 40
+
+
+def test_determinize_moore_follows_an_epsilon_output():
+    # Infinitely many a: the resolver reads each a as an epsilon push into r
+    # and an a-pop back to p (color 2), never as the color-1 loop on p.  The
+    # stored letter stays pending while the epsilon transition fires.
+    ts = (
+        Transition("p", BOTTOM, "a", "p", (BOTTOM,), 1),
+        Transition("p", BOTTOM, None, "r", (BOTTOM, "A"), 1),
+        Transition("r", "A", "a", "p", (), 2),
+        Transition("p", BOTTOM, "b", "p", (BOTTOM,), 1),
+    )
+    pda = OmegaPDA(("p", "r"), ("a", "b"), ("A",), "p", ts)
+    moore_of = {"p": "P", "r": "R"}
+    delta = {(mm, t): moore_of[t.target] for mm in ("P", "R") for t in ts}
+    output = {("P", "a", BOTTOM): ts[1], ("R", "a", "A"): ts[2], ("P", "b", BOTTOM): ts[3]}
+    m = MooreResolver(("P", "R"), "P", delta, output)
+    d = determinize_moore(pda, m)
+    ok, pairs = is_deterministic(d)
+    assert ok, pairs
+    # (p, P), its two letter-holding states, and (r, R, a), which only the
+    # epsilon output reaches.
+    assert len(d.states) == 4 and sum(name.startswith("r|") for name in d.states) == 1
+    rng = random.Random(7)
+    verdicts = []
+    for _ in range(40):
+        u = tuple(rng.choice("ab") for _ in range(rng.randint(0, 4)))
+        v = tuple(rng.choice("ab") for _ in range(rng.randint(1, 3)))
+        w = LassoWord(u, v)
+        expected = moore_lasso_acceptance(pda, m, w) == "accepted"
+        assert analysis.lasso_membership(d, w) == expected, w
+        verdicts.append(expected)
+    assert set(verdicts) == {True, False}
 
 
 def test_determinize_moore_state_names_are_injective():
@@ -405,6 +436,18 @@ def test_verify_resolver_flags_bad_resolver():
     bad = zoo.figure1_always_q1_resolver(fx.automaton)
     report = verify_resolver(fx.automaton, bad, [(LassoWord((), ("a",)), True)])
     assert [e[2] for e in report.entries] == ["fail"]
+
+
+def test_verify_resolver_exact_path_reports_an_exceeded_guard_as_inconclusive(ex23):
+    # A resolver with a finite summary takes the exact path; a guard too small
+    # for the period is no evidence against the resolver.
+    suite = [(parse_lasso("b c c d d d d #;#"), True)]
+    assert ex23.resolver.summary(ex23.resolver.start()) is not None
+    small = verify_resolver(ex23.automaton, ex23.resolver, suite, guard=2)
+    assert [e[2] for e in small.entries] == ["inconclusive"]
+    assert small.failures() == [] and not small.all_passed()
+    large = verify_resolver(ex23.automaton, ex23.resolver, suite, guard=5000)
+    assert [e[2] for e in large.entries] == ["pass"]
 
 
 def test_verify_resolver_empty_suite(ex23):
