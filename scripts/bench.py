@@ -1,5 +1,6 @@
 """Layer benchmark of gfgpda: parsing and validation, lasso membership, guided
-runs, one synthesis, the constructions built by ``core.explore``.
+runs, one synthesis, transducer epsilon closure, the constructions built by
+``core.explore``.
 
     python3 scripts/bench.py [OUTPUT.json]
 
@@ -25,9 +26,11 @@ from types import SimpleNamespace
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "src"))
 sys.path.insert(0, os.path.join(ROOT, "benchmark"))
+sys.path.insert(0, os.path.join(ROOT, "tests"))
 
 import corpus  # noqa: E402  (the benchmark's seeded specification corpus)
 from gfgpda import analysis, closure, core, games, resolvers, zoo  # noqa: E402
+from helpers import epsilon_recursion  # noqa: E402  (the tests' recursion machine)
 
 REPEATS = 5
 MIN_REPEAT_S = 0.02
@@ -44,6 +47,7 @@ PRODUCT_PREFIXES = (16, 32, 64, 128, 256)
 MEMBERSHIP_PREFIXES = (16, 32, 64, 128)
 MEMBERSHIP_SAMPLE = 20  # words per zoo fixture
 SPECS = 150
+CLOSURE_DEPTHS = (8, 9, 10, 11)
 
 
 def best_ms(fns: dict) -> dict:
@@ -255,7 +259,23 @@ def synthesis_layer() -> dict:
     strategy = games.synthesize_strategy_pdt(spec)
     ms = best_ms({"synth": lambda: games.synthesize_strategy_pdt(spec)})["synth"]
     return {"universality-figure1": {"synth_ms": ms, "states": len(strategy.machine.states),
-                                     "rules": len(strategy.machine.rules)}}
+                                     "rules": len(strategy.machine.transitions)}}
+
+
+def closure_layer() -> list:
+    """``DetPushdown.close`` on the tests' epsilon recursion of each depth in
+    CLOSURE_DEPTHS; a level more doubles the chain of 5 * 2**depth - 3 steps."""
+    machines = {}
+    for depth in CLOSURE_DEPTHS:
+        pda = epsilon_recursion(depth)
+        machines[depth] = resolvers.DetPushdown(pda.states, pda.initial, pda.stack_alphabet,
+                                                pda.transitions)
+    series = doubling_series("depth", lambda m: m.close(m.initial_configuration()), machines,
+                             unit="close_ms")
+    for row in series:
+        m = machines[row["depth"]]
+        row["steps"] = sum(1 for _ in m._epsilon_steps(m.initial_configuration()))
+    return series
 
 
 def constructions_layer() -> dict:
@@ -275,9 +295,7 @@ def constructions_layer() -> dict:
         out = []
         for spec in specs:
             pd, info = games.build_pd(spec)
-            letter_of = {(x1, y): info.pd_letter(x1, y)
-                         for x1 in spec.sigma1 for y in info.y_values}
-            out.append((pd, games.gs_to_pushdown_game(pd, spec.sigma1, info.y_values, letter_of)))
+            out.append((pd, games.gs_to_pushdown_game(pd, info)))
         return out
 
     built = arenas()
@@ -305,7 +323,8 @@ def main(argv: list[str]) -> int:
     report = {"python": platform.python_version(), "machine": platform.machine(),
               "repeats": REPEATS, "series_seed": SERIES_SEED, "parse": parse_layer(),
               "membership": membership_layer(), "guided": guided_layer(),
-              "synthesis": synthesis_layer(), "constructions": constructions_layer()}
+              "synthesis": synthesis_layer(), "closure": closure_layer(),
+              "constructions": constructions_layer()}
     with open(out, "w", encoding="utf-8") as fh:
         json.dump(report, fh, indent=1, sort_keys=True)
         fh.write("\n")
@@ -338,6 +357,10 @@ def main(argv: list[str]) -> int:
     for name, row in report["synthesis"].items():
         print(f"synth {name}: {row['synth_ms']:.3f} ms, {row['states']} states, "
               f"{row['rules']} rules")
+    for row in report["closure"]:
+        growth = "" if row["growth"] is None else f"  x{row['growth']:.2f}"
+        print(f"closure recursion depth {row['depth']:2d}: {row['close_ms']:.3f} ms, "
+              f"{row['steps']} steps{growth}")
     built = report["constructions"]
     row = built["determinize_moore:example23"]
     print(f"construct determinize_moore(example23): {row['ms']:.3f} ms, {row['states']} states, "

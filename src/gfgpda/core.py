@@ -327,7 +327,7 @@ def enabled(pda: OmegaPDA, c: Configuration) -> list[Transition]:
 
 
 def step(c: Configuration, t: Transition) -> Configuration:
-    """The configuration after ``t`` (a transition or a ``PdtRule``): the only stack rewrite."""
+    """The configuration after ``t``: the only stack rewrite."""
     f, push = c.frame, t.push
     if t.source != c.state or t.top != f.symbol:
         raise NotEnabled(f"{t} not enabled in {c}")
@@ -354,8 +354,10 @@ def replay(
     return RunPrefix(tuple(ts), tuple(configs))
 
 
-def is_deterministic(pda: OmegaPDA) -> tuple[bool, list[tuple[Transition, Transition]]]:
-    """Check the two determinism conditions; returns violating transition pairs."""
+def is_deterministic(pda) -> tuple[bool, list[tuple[Transition, Transition]]]:
+    """Check the two determinism conditions on the ``transitions`` of an
+    automaton or of a transducer's machine (``resolvers.DetPushdown``);
+    returns violating transition pairs."""
     violations: list[tuple[Transition, Transition]] = []
     by_key: dict[tuple[str, str, Optional[str]], Transition] = {}
     for t in pda.transitions:

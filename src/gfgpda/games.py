@@ -53,7 +53,7 @@ from .core import (
     top_to_text,
 )
 from .analysis import _saturate
-from .resolvers import DetPushdown, PdtRule, Resolver, resolver_query
+from .resolvers import DetPushdown, Resolver, resolver_query
 
 EVE = "eve"
 ADAM = "adam"
@@ -604,14 +604,10 @@ def solve_claim_game(
 # ---------------------------------------------------------------------------
 
 
-def gs_to_pushdown_game(
-    dpda: OmegaPDA,
-    sigma1: tuple[str, ...],
-    sigma2p: tuple[str, ...],
-    letter_of: dict[tuple[str, str], str],
-) -> PushdownParityGame:
-    """Turn-based arena: Adam picks a sigma1 letter, Eve a sigma2p letter,
-    then the unique dpda transitions fire with their own colors.
+def gs_to_pushdown_game(dpda: OmegaPDA, info: PdInfo) -> PushdownParityGame:
+    """Turn-based arena: Adam picks a letter of ``info.sigma1``, Eve one of
+    ``info.y_values``, then the unique dpda transitions on their pair letter
+    fire with their own colors.
 
     Letter-choice moves carry the minimal color.  Winner correspondence with
     the Gale-Stewart game requires that the dpda cannot starve on epsilon
@@ -625,10 +621,11 @@ def gs_to_pushdown_game(
     for t in dpda.transitions:
         if t.label is not None:
             sources.setdefault(t.label, set()).add(t.source)
-    choices: dict[tuple[str, str], list[str]] = {}  # (q, x1) -> Eve's y, sigma2p order
-    for y in sigma2p:
+    sigma1, letter_of = info.sigma1, info.pd_letter
+    choices: dict[tuple[str, str], list[str]] = {}  # (q, x1) -> Eve's y, y_values order
+    for y in info.y_values:
         for x1 in sigma1:
-            for q in sources.get(letter_of.get((x1, y)), ()):
+            for q in sources.get(letter_of(x1, y), ()):
                 choices.setdefault((q, x1), []).append(y)
     gb = dpda.gamma_bottom
 
@@ -647,7 +644,7 @@ def gs_to_pushdown_game(
                         yield u, cmin, tgt, GameMove(v, x, tgt, (x,), cmin)
             else:
                 _, q, x1, y = v
-                letter = letter_of[(x1, y)]
+                letter = letter_of(x1, y)
                 for x in gb:  # deterministic: an epsilon excludes a letter
                     t = next((t for t in dpda.by_source_top.get((q, x), ())
                               if t.label is None or t.label == letter), None)
@@ -672,10 +669,7 @@ class GsResult:
 
 def solve_gale_stewart(spec: GaleStewartSpec, budget: int = 5_000_000) -> GsResult:
     pd, info = build_pd(spec)
-    letter_of = {
-        (x1, y): info.pd_letter(x1, y) for x1 in spec.sigma1 for y in info.y_values
-    }
-    game = gs_to_pushdown_game(pd, spec.sigma1, info.y_values, letter_of)
+    game = gs_to_pushdown_game(pd, info)
     res = solve_pushdown_parity_game(game, budget)
     sound = res.winner == EVE or spec.gfg_claimed
     return GsResult(res.winner, sound, pd, info, game, res)
@@ -796,7 +790,7 @@ def _strategy_pdt(start, choice: dict, moves: Callable, after: Callable,
     init = ("start", start)
     states: list = [init]
     output: dict = {}
-    rules: list[PdtRule] = []
+    rules: list[Transition] = []
     seen: set = set()
     queue: deque = deque()
 
@@ -814,7 +808,7 @@ def _strategy_pdt(start, choice: dict, moves: Callable, after: Callable,
 
     for x1 in sigma1:
         node = state(adam_read(start, x1))
-        rules.append(PdtRule(init, BOTTOM, x1, node, (BOTTOM,)))
+        rules.append(Transition(init, BOTTOM, x1, node, (BOTTOM,), 0))
         mode(node, BOTTOM)
     while queue:
         node, top = queue.popleft()
@@ -837,7 +831,7 @@ def _strategy_pdt(start, choice: dict, moves: Callable, after: Callable,
                     mode(target, top)
         for x1 in sigma1:
             target = state(adam_read(nxt, x1))
-            rules.append(PdtRule(node, top, x1, target, push))
+            rules.append(Transition(node, top, x1, target, push, 0))
             if not push:
                 returns.setdefault(top, {})[target] = None
             for x in tops:
@@ -866,26 +860,25 @@ def delay_transform(t: StrategyPDT, info: PdInfo) -> StrategyPDT:
              "eps_trans" if info.transition_of(y).label is None else "letter_trans"
              for q, y in t.output.items()}
     by_source: dict = {}
-    for r in t.machine.rules:
+    for r in t.machine.transitions:
         by_source.setdefault(r.source, []).append(r)
 
     def expand(order):  # by the kind of q, so that a stored letter may be "i" or "w"
         for u, (q, tag) in enumerate(order):
             kind = kinds.get(q)
             for r in by_source.get(q, ()):
-                if q == t.machine.initial:  # read the first real letter
-                    rule = PdtRule((q, tag), r.top, r.symbol, (r.target, "w"), r.push)
+                if q == t.machine.initial or kind == "letter_trans":
+                    # read the first real letter, or emit the stored one and read the next
+                    label, target = r.label, (r.target, "w")
                 elif kind == "sigma2":  # wait: store the letter due
-                    if r.symbol != dummy:
+                    if r.label != dummy:
                         continue
-                    rule = PdtRule((q, tag), r.top, None, (r.target, t.output[q]), r.push)
-                elif kind == "letter_trans":  # emit the stored letter, read the next
-                    rule = PdtRule((q, tag), r.top, r.symbol, (r.target, "w"), r.push)
-                elif r.symbol == dummy:  # an epsilon step of the run infix
-                    rule = PdtRule((q, tag), r.top, None, (r.target, tag), r.push)
+                    label, target = None, (r.target, t.output[q])
+                elif r.label == dummy:  # an epsilon step of the run infix
+                    label, target = None, (r.target, tag)
                 else:
                     continue
-                yield u, 0, rule.target, rule
+                yield u, 0, target, Transition((q, tag), r.top, label, target, r.push, 0)
 
     states, _, rules = explore((t.machine.initial, "i"), expand)
     output = {(q, tag): tag for q, tag in states
@@ -1014,8 +1007,8 @@ def format_strategy_pdt(t: StrategyPDT) -> str:
     lines = [f"tstate {ids[q]}" for q in t.machine.states]
     lines.append(f"tinitial {ids[t.machine.initial]}")
     lines += [f"tstacksym {x}" for x in t.machine.stack_alphabet]
-    for r in t.machine.rules:
-        sym = "eps" if r.symbol is None else r.symbol
+    for r in t.machine.transitions:
+        sym = "eps" if r.label is None else r.label
         lines.append(
             f"ttrans {ids[r.source]} {top_to_text(r.top)} {sym} "
             f"{ids[r.target]} {push_to_text(r.push)}"
@@ -1031,15 +1024,15 @@ def parse_strategy_pdt(text: str) -> StrategyPDT:
     states: list[str] = []
     initial: list[str] = []
     stack: list[str] = []
-    rules: list[PdtRule] = []
+    rules: list[Transition] = []
     output: dict = {}
     input_alphabet: list[str] = []
     output_alphabet: list[str] = []
     pushes = TokenValues("push word", push_from_text, push_to_text)
 
     def ttrans(src, top, sym, dst, push):
-        rules.append(PdtRule(src, BOTTOM if top == "_" else top,
-                             None if sym == "eps" else sym, dst, pushes[push]))
+        rules.append(Transition(src, BOTTOM if top == "_" else top,
+                                None if sym == "eps" else sym, dst, pushes[push], 0))
 
     def tout(q, out):
         output[q] = out

@@ -25,6 +25,7 @@ from .core import (
     RunPrefix,
     Transition,
     explore,
+    is_deterministic,
     read_declarations,
     step,
     top_to_text,
@@ -111,7 +112,8 @@ def _infix(pda: OmegaPDA, r: Resolver, state, c: Configuration, a: str,
         if label is not None:
             return state, c
         eps_steps += 1
-        # Any longer epsilon chain repeats a head at a step and diverges.
+        # A bound, not a proof of divergence: a terminating epsilon chain that
+        # climbs and comes back down can be longer.
         eps_cap = len(pda.states) * (entry.height + 2) * (len(pda.stack_alphabet) + 1) + 1
         if eps_steps > eps_cap:
             raise EpsilonDivergence(f"more than {eps_cap} epsilon steps before {a!r}")
@@ -285,35 +287,27 @@ def determinize_moore(pda: OmegaPDA, m: MooreResolver, budget: Optional[int] = N
 
 
 @dataclass(frozen=True)
-class PdtRule:
-    source: Any
-    top: str
-    symbol: Any  # None = epsilon
-    target: Any
-    push: tuple[str, ...]
-
-
-@dataclass(frozen=True)
 class DetPushdown:
-    """Uncolored deterministic PDA; runs are maximal (end epsilon-closed)."""
+    """Uncolored deterministic PDA: its transitions have color 0 and read the
+    symbol in ``label`` (None: epsilon); runs are maximal (end epsilon-closed).
+    A rule set that breaks ``core.is_deterministic`` raises ValueError."""
 
     states: tuple
     initial: Any
     stack_alphabet: tuple[str, ...]
-    rules: tuple[PdtRule, ...]
+    transitions: tuple[Transition, ...]
 
-    def rule_at(self, state, top, symbol) -> Optional[PdtRule]:
+    def __post_init__(self):
+        det, pairs = is_deterministic(self)
+        if not det:
+            raise ValueError(f"nondeterministic transducer rules: {pairs[0]}")
+
+    def rule_at(self, state, top, symbol) -> Optional[Transition]:
         return self._index.get((state, top, symbol))
 
     @cached_property
     def _index(self) -> dict:
-        idx = {}
-        for rule in self.rules:
-            key = (rule.source, rule.top, rule.symbol)
-            if key in idx:
-                raise ValueError(f"nondeterministic rules at {key}")
-            idx[key] = rule
-        return idx
+        return {(t.source, t.top, t.label): t for t in self.transitions}
 
     def initial_configuration(self) -> Configuration:
         return Configuration(self.initial, (BOTTOM,))
@@ -324,13 +318,22 @@ class DetPushdown:
         return c
 
     def _epsilon_steps(self, c: Configuration) -> Iterator[Configuration]:
-        for _ in range(10_001):
-            rule = self.rule_at(c.state, c.top, None)
-            if rule is None:
-                return
+        """The configurations of the epsilon closure of ``c``.  As the machine
+        is deterministic, the closure diverges exactly when a head repeats at
+        two steps, which raises TransducerStuck.  The detector is made when a
+        second rule applies: one rule repeats no head."""
+        lasso, first = None, c
+        rule = self.rule_at(c.state, c.top, None)
+        while rule is not None:
             c = step(c, rule)
             yield c
-        raise TransducerStuck("epsilon divergence in transducer")
+            rule = self.rule_at(c.state, c.top, None)
+            if rule is not None:
+                if lasso is None:
+                    lasso = LassoDetector()
+                    lasso.visit((first.state, first.top), first.height, True)
+                if lasso.visit((c.state, c.top), c.height, True) is not None:
+                    raise TransducerStuck(f"epsilon divergence in transducer at {c}")
 
     def trail(self, c: Configuration, symbol) -> Iterator[Configuration]:
         """Each configuration of reading ``symbol`` at ``c``: after its rule,
@@ -346,24 +349,6 @@ class DetPushdown:
         for c in self.trail(c, symbol):
             pass
         return c
-
-    def violations(self) -> list[str]:
-        """Determinism diagnostics (unique per key; epsilon excludes symbols)."""
-        out = []
-        try:
-            self._index
-        except ValueError as exc:
-            out.append(str(exc))
-            return out
-        modes: dict = {}
-        for rule in self.rules:
-            modes.setdefault((rule.source, rule.top), []).append(rule)
-        for (state, top), rules in modes.items():
-            eps = [r for r in rules if r.symbol is None]
-            other = [r for r in rules if r.symbol is not None]
-            if eps and other:
-                out.append(f"epsilon and symbol rules coexist at ({state}, {top})")
-        return out
 
 
 @dataclass(frozen=True)
@@ -395,11 +380,9 @@ class PDTResolver(Resolver):
 def moore_as_pdt(pda: OmegaPDA, m: MooreResolver) -> PDTResolver:
     """A Moore resolver as a stack-less pushdown transducer, as in the paper;
     kept as a construction although no other routine calls it."""
-    rules = [
-        PdtRule(mm, BOTTOM, t, m2, (BOTTOM,))
-        for (mm, t), m2 in sorted(m.delta.items(), key=str)
-    ]
-    machine = DetPushdown(tuple(m.states), m.initial, (), tuple(rules))
+    rules = tuple(Transition(mm, BOTTOM, t, m2, (BOTTOM,), 0)
+                  for (mm, t), m2 in sorted(m.delta.items(), key=str))
+    machine = DetPushdown(tuple(m.states), m.initial, (), rules)
     output = {(mm, a, x): t for (mm, a, x), t in m.output.items()}
     return PDTResolver(machine, output)
 

@@ -341,6 +341,28 @@ def respond(strategy: StrategyPDT, word) -> str:
     return out
 
 
+def epsilon_recursion(depth: int) -> OmegaPDA:
+    """A deterministic automaton whose first ``a`` follows an epsilon recursion
+    of ``depth`` levels.  Call ``c<k>`` pushes its return point ``A<k>``, runs
+    ``c<k-1>``, swaps ``A<k>`` for ``B<k>`` in ``ret``, runs ``c<k-1>`` again
+    and pops ``B<k>``; ``c0`` returns through ``leaf``.  The chain takes
+    5 * 2**depth - 3 steps, peaks at height ``depth`` and ends in ``ret`` on
+    the bottom, which loops on ``a`` with color 0."""
+    symbols = tuple(f"{x}{k}" for k in range(1, depth + 1) for x in "AB")
+    ts = [Transition("ret", BOTTOM, "a", "ret", (BOTTOM,), 0)]
+    for k in range(depth + 1):
+        tops = (BOTTOM,) if k == depth else (f"A{k + 1}", f"B{k + 1}")
+        if k == 0:
+            ts += [Transition("c0", x, None, "leaf", (x,), 0) for x in tops]
+            ts += [Transition("leaf", x, None, "ret", (x,), 0) for x in tops]
+        else:
+            ts += [Transition(f"c{k}", x, None, f"c{k - 1}", (x, f"A{k}"), 0) for x in tops]
+            ts += [Transition("ret", f"A{k}", None, f"c{k - 1}", (f"B{k}",), 0),
+                   Transition("ret", f"B{k}", None, "ret", (), 0)]
+    states = tuple(f"c{k}" for k in range(depth, -1, -1)) + ("leaf", "ret")
+    return OmegaPDA(states, ("a",), symbols, f"c{depth}", tuple(ts))
+
+
 def random_pda(rng: random.Random) -> OmegaPDA:
     """Up to 3 states and 10 transitions; epsilon, swaps, pushes and pops mixed freely."""
     states = tuple(f"q{i}" for i in range(rng.randint(1, 3)))

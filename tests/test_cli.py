@@ -324,6 +324,19 @@ def test_play_undeclared_transducer_state_is_input_error(capsys, tmp_path):
     assert code == 4 and "input error: tinitial names undeclared state 's9'" in out
 
 
+def test_play_nondeterministic_transducer_is_input_error(capsys, tmp_path, monkeypatch):
+    # An epsilon rule beside a letter rule at the same head: the machine is
+    # refused when the file is read, before any round is played.
+    specfile = tmp_path / "copycat.gs"
+    specfile.write_text(games.format_gs_spec(copycat_spec()))
+    strategyfile = tmp_path / "nondet.pdt"
+    strategyfile.write_text("tstate s0\ntinitial s0\nttrans s0 _ a s0 _\nttrans s0 _ eps s0 _\n"
+                            "tout s0 x\ntinput a b\ntoutput x y\n")
+    monkeypatch.setattr("sys.stdin", io.StringIO("a\n"))
+    code, out = run(capsys, "play", str(specfile), str(strategyfile))
+    assert code == 4 and "input error: nondeterministic transducer rules" in out
+
+
 def test_budget_flag_resource_exit(capsys, tmp_path):
     spec = games.make_universality_spec(zoo.example23().automaton)
     specfile = tmp_path / "fig2u.gs"

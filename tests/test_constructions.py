@@ -69,8 +69,7 @@ def _block_automata():
 def _arenas():
     for spec in _specs():
         pd, info = build_pd(spec)
-        letter_of = {(x1, y): info.pd_letter(x1, y) for x1 in spec.sigma1 for y in info.y_values}
-        game = gs_to_pushdown_game(pd, spec.sigma1, info.y_values, letter_of)
+        game = gs_to_pushdown_game(pd, info)
         yield _unreached(game.states, game.initial, [(m.source, m.target) for m in game.moves])
 
 
@@ -80,7 +79,7 @@ def _strategies():
             m = synthesize_strategy_pdt(spec, budget=5_000).machine
         except Player1Wins:
             continue
-        yield _unreached(m.states, m.initial, [(r.source, r.target) for r in m.rules])
+        yield _unreached(m.states, m.initial, [(r.source, r.target) for r in m.transitions])
 
 
 BUILDERS = {

@@ -155,7 +155,8 @@ def test_non_canonical_tokens_are_input_errors(push, color, reason):
 
 def test_non_canonical_tokens_in_transducers_and_dpas():
     text = "tstate s0\ntinitial s0\ntstacksym X\ntinput a\ntoutput x\n"
-    assert parse_strategy_pdt(text + "ttrans s0 _ a s0 _X\n").machine.rules[0].push == ("_", "X")
+    machine = parse_strategy_pdt(text + "ttrans s0 _ a s0 _X\n").machine
+    assert machine.transitions[0].push == ("_", "X")
     with pytest.raises(FormatError, match=r"^line 6: .*push word '_\.X' must be written '_X'$"):
         parse_strategy_pdt(text + "ttrans s0 _ a s0 _.X\n")
     dpa = format_dpa(_dpa())

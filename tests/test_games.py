@@ -10,7 +10,7 @@ import pytest
 
 import gfgpda
 from gfgpda import analysis, zoo
-from gfgpda.core import BOTTOM, LassoWord, OmegaPDA, is_deterministic, parse_lasso
+from gfgpda.core import BOTTOM, LassoWord, OmegaPDA, Transition, is_deterministic, parse_lasso
 from gfgpda.games import (
     ADAM,
     EVE,
@@ -39,7 +39,7 @@ from gfgpda.games import (
     synthesize_strategy_pdt,
     universality,
 )
-from gfgpda.resolvers import DetPushdown, PdtRule, periodic_split
+from gfgpda.resolvers import DetPushdown, periodic_split
 
 from helpers import (
     _strategy_wins,
@@ -148,8 +148,7 @@ def test_pd_decode_inverts_encode():
 def test_gs_arena_alternates_owners():
     spec = make_universality_spec(zoo.figure1().automaton)
     pd, info = build_pd(spec)
-    letter_of = {(x1, y): info.pd_letter(x1, y) for x1 in spec.sigma1 for y in info.y_values}
-    game = gs_to_pushdown_game(pd, spec.sigma1, info.y_values, letter_of)
+    game = gs_to_pushdown_game(pd, info)
     for m in game.moves:
         kind_src = m.source[0]
         kind_dst = m.target[0]
@@ -160,17 +159,16 @@ def test_gs_arena_alternates_owners():
 def test_gs_arena_forced_colors_match_dpda():
     spec = make_universality_spec(zoo.figure1().automaton)
     pd, info = build_pd(spec)
-    letter_of = {(x1, y): info.pd_letter(x1, y) for x1 in spec.sigma1 for y in info.y_values}
-    game = gs_to_pushdown_game(pd, spec.sigma1, info.y_values, letter_of)
+    game = gs_to_pushdown_game(pd, info)
     forced = sorted(m.color for m in game.moves if m.source[0] == "S")
     # every forced move color is a dpda transition color
     assert set(forced) <= {t.color for t in pd.transitions}
 
 
 def test_gs_arena_requires_determinism():
-    fx = zoo.example23()
-    with pytest.raises(ValueError):
-        gs_to_pushdown_game(fx.automaton, ("a",), ("#",), {})
+    _, info = build_pd(make_universality_spec(zoo.figure1().automaton))
+    with pytest.raises(ValueError, match="deterministic"):
+        gs_to_pushdown_game(zoo.example23().automaton, info)
 
 
 # -- finite parity games ----------------------------------------------------------------
@@ -299,8 +297,9 @@ def test_strategy_rules_cover_tops_found_after_a_pop():
     assert gs.winner == EVE and gs.solve.stats["decided_by"] == "claims"
     strategy = synthesize_strategy_pdt(spec, budget=5_000)
     machine = strategy.machine
-    assert machine.violations() == []
-    assert (len(machine.states), len(machine.rules), len(machine.stack_alphabet)) == (13, 44, 3)
+    assert is_deterministic(machine)[0]
+    sizes = len(machine.states), len(machine.transitions), len(machine.stack_alphabet)
+    assert sizes == (13, 44, 3)
     for adam in random_adam_lassos(random.Random(3), spec.sigma1, 60):
         outcome = simulate_play(strategy, adam)
         assert analysis.lasso_membership(spec.condition, outcome), (adam, outcome)
@@ -630,7 +629,7 @@ def test_claim_stack_strategies_win():
         gs = solve_gale_stewart(spec, budget=5_000)
         assert gs.winner == EVE and gs.solve.stats["decided_by"] == "claims"
         strategy = synthesize_strategy_pdt(spec, budget=5_000)
-        assert strategy.machine.stack_alphabet and strategy.machine.violations() == []
+        assert strategy.machine.stack_alphabet and is_deterministic(strategy.machine)[0]
         again = parse_strategy_pdt(format_strategy_pdt(strategy))
         for adam in random_adam_lassos(rng, spec.sigma1, 20):
             outcome = simulate_play(strategy, adam)
@@ -827,7 +826,7 @@ def test_golden_strategy_plays():
     rng = random.Random(20)
     for name, spec in specs:
         strategy = synthesize_strategy_pdt(spec, budget=5_000)
-        assert strategy.machine.violations() == [], name
+        assert is_deterministic(strategy.machine)[0], name
         again = parse_strategy_pdt(format_strategy_pdt(strategy))
         plays = []
         for adam in random_adam_lassos(rng, spec.sigma1, 10):
@@ -841,7 +840,7 @@ def test_t_minus_d_deterministic():
     for spec in (make_universality_spec(zoo.figure1().automaton), copycat_spec(),
                  pq_drain_spec(), eps_block_spec()):
         strategy = synthesize_strategy_pdt(spec)
-        assert strategy.machine.violations() == []
+        assert is_deterministic(strategy.machine)[0]
 
 
 @pytest.mark.parametrize("name", ["i", "w"])
@@ -853,7 +852,7 @@ def test_sigma2_letter_may_share_a_phase_tag(name):
         old = re.compile(rf"\b{re.escape(base.sigma2[0])}\b")
         spec = parse_gs_spec(old.sub(name, format_gs_spec(base)))
         strategy, reference = synthesize_strategy_pdt(spec), synthesize_strategy_pdt(base)
-        assert strategy.machine.violations() == []
+        assert is_deterministic(strategy.machine)[0]
         for adam in random_adam_lassos(random.Random(1), spec.sigma1, 10):
             expected = old.sub(name, str(simulate_play(reference, adam)))
             assert str(simulate_play(strategy, adam)) == expected, (make.__name__, adam)
@@ -871,18 +870,18 @@ def test_simulate_play_sees_dips_inside_a_round():
     # dips again and answers y from then on.  A detector that saw only the
     # round ends would close the lasso at round 2 with x forever.
     rules = (
-        PdtRule("s", BOTTOM, "a", "s", (BOTTOM, "Y", "X")),
-        PdtRule("s", "X", "a", "p", ()),
-        PdtRule("p", "Y", None, "r", ()),
-        PdtRule("r", BOTTOM, None, "s", (BOTTOM, "Z", "X")),
-        PdtRule("p", "Z", None, "t", ("Z",)),
-        PdtRule("t", "Z", None, "u", ("Z", "X")),
-        PdtRule("u", "X", "a", "u", ("X",)),
+        Transition("s", BOTTOM, "a", "s", (BOTTOM, "Y", "X"), 0),
+        Transition("s", "X", "a", "p", (), 0),
+        Transition("p", "Y", None, "r", (), 0),
+        Transition("r", BOTTOM, None, "s", (BOTTOM, "Z", "X"), 0),
+        Transition("p", "Z", None, "t", ("Z",), 0),
+        Transition("t", "Z", None, "u", ("Z", "X"), 0),
+        Transition("u", "X", "a", "u", ("X",), 0),
     )
     machine = DetPushdown(("s", "p", "r", "t", "u"), "s", ("X", "Y", "Z"), rules)
     strategy = StrategyPDT(machine, {"s": "x", "u": "y"}, ("a",), ("x", "y"))
     again = parse_strategy_pdt(format_strategy_pdt(strategy))
-    assert [r.push for r in again.machine.rules] == [r.push for r in rules]
+    assert [r.push for r in again.machine.transitions] == [r.push for r in rules]
     ax, ay = pair_id("a", "x"), pair_id("a", "y")
     for s in (strategy, again):
         assert simulate_play(s, LassoWord((), ("a",))) == LassoWord((ax, ax, ay), (ay,))
@@ -972,8 +971,7 @@ def test_strategy_pdt_round_trip():
 def test_stackless_arena_size_bound():
     spec = make_universality_spec(zoo.figure1().automaton)
     pd, info = build_pd(spec)
-    letter_of = {(x1, y): info.pd_letter(x1, y) for x1 in spec.sigma1 for y in info.y_values}
-    game = gs_to_pushdown_game(pd, spec.sigma1, info.y_values, letter_of)
+    game = gs_to_pushdown_game(pd, info)
     q = len(pd.states)
     s1, s2p = len(spec.sigma1), len(info.y_values)
     kinds = {"A": 0, "E": 0, "S": 0}
@@ -989,7 +987,7 @@ def test_delay_transform_pieces_compose():
 
     gs = solve_gale_stewart(eps_block_spec())
     tmd = delay_transform(extract_strategy_pdt(gs), gs.info)
-    assert tmd.machine.violations() == []
+    assert is_deterministic(tmd.machine)[0]
     assert respond(tmd, ("a",)) == "z"
     assert respond(tmd, ("a", "a", "a")) == "z"
 

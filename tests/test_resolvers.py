@@ -12,10 +12,10 @@ from gfgpda.resolvers import (
     DetPushdown,
     EpsilonDivergence,
     MooreResolver,
-    PdtRule,
     Resolver,
     ResolverStuck,
     ResolverUndefined,
+    TransducerStuck,
     determinize_moore,
     ext,
     format_moore,
@@ -27,6 +27,8 @@ from gfgpda.resolvers import (
     run_on_prefix,
     verify_resolver,
 )
+
+from helpers import epsilon_recursion
 
 
 @pytest.fixture(scope="module")
@@ -407,12 +409,45 @@ def test_pdt_resolver_undefined(ex23):
 
 
 def test_det_pushdown_rejects_nondeterminism():
-    rules = (
-        PdtRule("u", BOTTOM, "a", "u", (BOTTOM,)),
-        PdtRule("u", BOTTOM, "a", "v", (BOTTOM,)),
-    )
-    with pytest.raises(ValueError):
-        DetPushdown(("u", "v"), "u", (), rules).rule_at("u", BOTTOM, "a")
+    # Both rules of core.is_deterministic, checked when the machine is built:
+    # two rules at one head and symbol, and an epsilon rule beside a symbol rule.
+    first = Transition("u", BOTTOM, "a", "u", (BOTTOM,), 0)
+    for second in (Transition("u", BOTTOM, "a", "v", (BOTTOM,), 0),
+                   Transition("u", BOTTOM, None, "v", (BOTTOM,), 0)):
+        with pytest.raises(ValueError, match="nondeterministic"):
+            DetPushdown(("u", "v"), "u", (), (first, second))
+
+
+def _machine(pda):
+    return DetPushdown(pda.states, pda.initial, pda.stack_alphabet, pda.transitions)
+
+
+def test_det_pushdown_closes_a_long_terminating_recursion():
+    # 10,237 epsilon steps that return to the bottom: no head repeats at two
+    # steps, so the closure ends however long it is.
+    machine = _machine(epsilon_recursion(11))
+    start = machine.initial_configuration()
+    assert sum(1 for _ in machine._epsilon_steps(start)) == 10_237
+    assert machine.close(start) == Configuration("ret", (BOTTOM,))
+
+
+EPSILON_LOOPS = {
+    "swap": (Transition("s", BOTTOM, None, "t", (BOTTOM,), 0),
+             Transition("t", BOTTOM, None, "s", (BOTTOM,), 0)),
+    "push": (Transition("s", BOTTOM, None, "s", (BOTTOM, "X"), 0),
+             Transition("s", "X", None, "s", ("X", "X"), 0)),
+}
+
+
+@pytest.mark.parametrize("rules", EPSILON_LOOPS.values(), ids=EPSILON_LOOPS.keys())
+def test_det_pushdown_reports_an_epsilon_loop_within_a_few_steps(rules):
+    machine = DetPushdown(("s", "t"), "s", ("X",), rules)
+    start, steps = machine.initial_configuration(), []
+    with pytest.raises(TransducerStuck, match="epsilon divergence"):
+        steps.extend(machine._epsilon_steps(start))
+    assert len(steps) == 2
+    with pytest.raises(TransducerStuck, match="epsilon divergence"):
+        machine.close(start)
 
 
 # -- verify_resolver ------------------------------------------------------------------

@@ -16,7 +16,6 @@ from gfgpda.core import (
 )
 from gfgpda.resolvers import (
     DetPushdown,
-    PdtRule,
     determinize_moore,
     moore_as_pdt,
     run_on_prefix,
@@ -86,17 +85,19 @@ def deterministic_machines():
     and pushes again by epsilon rules, a counter, determinized Moore
     resolvers, and deterministic zoo automata and resolvers as transducers."""
     yield "dips", DetPushdown(("s", "p", "r", "t", "u"), "s", ("X", "Y", "Z"), (
-        PdtRule("s", BOTTOM, "a", "s", (BOTTOM, "Y", "X")),
-        PdtRule("s", "X", "a", "p", ()),
-        PdtRule("p", "Y", None, "r", ()),
-        PdtRule("r", BOTTOM, None, "s", (BOTTOM, "Z", "X")),
-        PdtRule("p", "Z", None, "t", ("Z",)),
-        PdtRule("t", "Z", None, "u", ("Z", "X")),
-        PdtRule("u", "X", "a", "u", ("X",)),
+        Transition("s", BOTTOM, "a", "s", (BOTTOM, "Y", "X"), 0),
+        Transition("s", "X", "a", "p", (), 0),
+        Transition("p", "Y", None, "r", (), 0),
+        Transition("r", BOTTOM, None, "s", (BOTTOM, "Z", "X"), 0),
+        Transition("p", "Z", None, "t", ("Z",), 0),
+        Transition("t", "Z", None, "u", ("Z", "X"), 0),
+        Transition("u", "X", "a", "u", ("X",), 0),
     ))
     yield "counter", DetPushdown(("s",), "s", ("X",), (
-        PdtRule("s", BOTTOM, "a", "s", (BOTTOM, "X")), PdtRule("s", "X", "a", "s", ("X", "X")),
-        PdtRule("s", BOTTOM, "b", "s", (BOTTOM,)), PdtRule("s", "X", "b", "s", ()),
+        Transition("s", BOTTOM, "a", "s", (BOTTOM, "X"), 0),
+        Transition("s", "X", "a", "s", ("X", "X"), 0),
+        Transition("s", BOTTOM, "b", "s", (BOTTOM,), 0),
+        Transition("s", "X", "b", "s", (), 0),
     ))
     for fx in zoo.all_fixtures():
         name, pda = fx.name, fx.automaton
@@ -104,9 +105,7 @@ def deterministic_machines():
             yield f"{name}-moore", moore_as_pdt(pda, fx.resolver).machine
             name, pda = f"det-{name}", determinize_moore(pda, fx.resolver)
         if is_deterministic(pda)[0]:
-            rules = tuple(PdtRule(t.source, t.top, t.label, t.target, t.push)
-                          for t in pda.transitions)
-            yield name, DetPushdown(pda.states, pda.initial, pda.stack_alphabet, rules)
+            yield name, DetPushdown(pda.states, pda.initial, pda.stack_alphabet, pda.transitions)
 
 
 MACHINES = dict(deterministic_machines())
@@ -114,7 +113,7 @@ MACHINES = dict(deterministic_machines())
 
 @pytest.mark.parametrize("machine", MACHINES.values(), ids=MACHINES.keys())
 def test_consume_paths_agree_with_the_tuple_model(machine):
-    symbols = sorted({r.symbol for r in machine.rules if r.symbol is not None}, key=str)
+    symbols = sorted({r.label for r in machine.transitions if r.label is not None}, key=str)
     entries = []
     for seed in range(3):
         rng = random.Random(seed)
@@ -214,7 +213,7 @@ def test_a_guided_run_makes_at_most_two_frames_per_letter(n):
 
 def test_a_stack_without_symbols_is_refused():
     # A transducer rule that pops the bottom, as a strategy file may hold one.
-    machine = DetPushdown(("s",), "s", (), (PdtRule("s", BOTTOM, "a", "s", ()),))
+    machine = DetPushdown(("s",), "s", (), (Transition("s", BOTTOM, "a", "s", (), 0),))
     with pytest.raises(ValueError, match="at least one symbol"):
         machine.consume(machine.initial_configuration(), "a")
     with pytest.raises(ValueError, match="at least one symbol"):
