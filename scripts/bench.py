@@ -183,24 +183,28 @@ def lss_lassos(sizes) -> dict:
 
 
 def membership_layer() -> dict:
-    """Lasso membership: parse plus ``lasso_membership`` of the first
-    MEMBERSHIP_SAMPLE sampled words of each zoo fixture, one pass over each
-    fixture's texts, the fixtures timed in one ``best_ms`` call and summed;
-    and ``lasso_membership`` of lss on ``lss_lassos``, all sizes timed in one
-    ``best_ms`` call.  One call per group makes a drift of the machine's
-    speed fall on all of its members."""
+    """Lasso membership on the first MEMBERSHIP_SAMPLE sampled words of each
+    zoo fixture: per fixture, one pass that parses its texts and one pass of
+    ``lasso_membership`` on the parsed inputs, all timed in one ``best_ms``
+    call and summed per phase; and ``lasso_membership`` of lss on
+    ``lss_lassos``, all sizes timed in one ``best_ms`` call.  One call per
+    group makes a drift of the machine's speed fall on all of its members."""
     queries = {}
     for fx in zoo.all_fixtures():
         text = core.format_pda(fx.automaton)
         queries[fx.name] = [(text, str(w), flag)
                             for w, flag in fx.sample(seed=SERIES_SEED, count=MEMBERSHIP_SAMPLE)]
 
-    def sample_pass(name):
-        return [analysis.lasso_membership(core.parse_pda(text), core.parse_lasso(word))
-                for text, word, _ in queries[name]]
+    def parse_pass(name):
+        return [(core.parse_pda(text), core.parse_lasso(word)) for text, word, _ in queries[name]]
+
+    parsed = {name: parse_pass(name) for name in queries}
+
+    def member_pass(name):
+        return [analysis.lasso_membership(pda, w) for pda, w in parsed[name]]
 
     for name, qs in queries.items():
-        if sample_pass(name) != [flag for _, _, flag in qs]:
+        if member_pass(name) != [flag for _, _, flag in qs]:
             raise AssertionError(f"a membership verdict on {name} disagrees with its sampler")
     lss, words = zoo.lss().automaton, lss_lassos(MEMBERSHIP_PREFIXES)
     series = doubling_series("u", lambda w: analysis.lasso_membership(lss, w), words,
@@ -210,10 +214,16 @@ def membership_layer() -> dict:
         row["accepted"] = analysis.lasso_membership(lss, w)
         if row["accepted"] != (max(zoo.loop_energy_deltas(w)) >= 0):
             raise AssertionError(f"lss membership of {w} disagrees with the closed form")
-    fixture_ms = best_ms({name: lambda name=name: sample_pass(name) for name in queries})
-    count, ms = sum(map(len, queries.values())), sum(fixture_ms.values())
+    phases = {"parse": parse_pass, "membership": member_pass}
+    timed = best_ms({(name, phase): lambda name=name, fn=fn: fn(name)
+                     for name in queries for phase, fn in phases.items()})
+    fixture_ms = {name: {phase: timed[name, phase] for phase in phases} for name in queries}
+    count = sum(map(len, queries.values()))
+    parse_ms, member_ms = (sum(row[phase] for row in fixture_ms.values()) for phase in phases)
+    ms = parse_ms + member_ms
     return {"zoo_sample": {"queries": count, "ms": ms, "us_per_query": ms * 1e3 / count,
-                           "fixture_ms": fixture_ms},
+                           "parse_ms": parse_ms, "membership_ms": member_ms,
+                           "parse_share": parse_ms / ms, "fixture_ms": fixture_ms},
             "lss_series": series}
 
 
@@ -339,8 +349,9 @@ def main(argv: list[str]) -> int:
     for name, row in report["parse"]["readers"].items():
         print(f"{name}: {row['parse_ms']:.3f} ms ({row['lines']} lines)")
     row = report["membership"]["zoo_sample"]
-    print(f"membership zoo sample (parse + lasso_membership): {row['ms']:.3f} ms for "
-          f"{row['queries']} queries, {row['us_per_query']:.1f} us each")
+    print(f"membership zoo sample: {row['ms']:.3f} ms for {row['queries']} queries, "
+          f"{row['us_per_query']:.1f} us each: parse {row['parse_ms']:.3f} ms "
+          f"({row['parse_share']:.0%}), lasso_membership {row['membership_ms']:.3f} ms")
     for row in report["membership"]["lss_series"]:
         growth = "" if row["growth"] is None else f"  x{row['growth']:.2f}"
         print(f"membership lss |u|={row['u']:3d}: {row['membership_ms']:.3f} ms, "

@@ -14,20 +14,21 @@ target, push, color, tag)``: an automaton's transitions, each its own tag
 
 Emptiness rests on one summary per automaton, which does not depend on the
 start configuration (Bouajjani, Esparza & Maler, CONCUR'97): pop summaries
-from one saturation, the head relation between heads ``(q, X)``, and for
-each even color ``d`` the color-``<= d`` head graph with its SCCs, a filter
-on the same facts (max color ``<= d``).  A head is *good* for ``d`` when
-its SCC has an internal color-``d`` edge and an internal letter edge, i.e.
-it can pump: an abstract run from stack ``[X]`` back to state ``q`` with top
-``X`` again, never dipping below the start level, using only colors ``<= d``.
-The letter edge makes epsilon-only loops non-accepting directly, so no color
-normalization pass is needed and witnesses replay on the input unchanged.
+from one saturation and one head adjacency between heads ``(q, X)``, built
+from the rules and the pop facts.  For each even color ``d`` the
+color-``<= d`` head graph is that adjacency cut to max color ``<= d``.  A
+head is *good* for ``d`` when its SCC has an internal color-``d`` edge and
+an internal letter edge, i.e. it can pump: an abstract run from stack
+``[X]`` back to state ``q`` with top ``X`` again, never dipping below the
+start level, using only colors ``<= d``.  The letter edge makes
+epsilon-only loops non-accepting directly, so no color normalization pass
+is needed and witnesses replay on the input unchanged.
 
-``parity_nonempty`` walks the heads reachable from its start and stops at
-the lowest even color with a reachable good head.  ``accepts_tail_of`` and
-``lasso_membership`` need only verdicts: every accepting head at once, from
-one backward search over the head relation seeded at the good heads of all
-colors.
+``lasso_membership`` and ``parity_nonempty`` search forward from the start:
+the heads it reaches (with stems only for a witness), Tarjan on them for
+each even color in ascending order, and a stop at the lowest color with a
+good head.  ``accepts_tail_of`` needs every accepting head at once: one
+backward search over all heads, seeded at the good heads of every color.
 """
 
 from __future__ import annotations
@@ -197,7 +198,7 @@ def saturate_pre_star(pda: OmegaPDA, target: PAutomaton) -> PAutomaton:
 
 
 # ---------------------------------------------------------------------------
-# The emptiness summary: pop summaries, head relation, color layers.
+# The emptiness summary: pop summaries, head adjacency, forward search.
 # ---------------------------------------------------------------------------
 
 
@@ -223,25 +224,9 @@ class _Pops:
                 out.append(part)
         return tuple(out)
 
-    def steps(self, rule: tuple):
-        """Head moves of ``rule`` that stay at or above its level.
 
-        Yields ``(source head, target head, c, l, parts)``: the head the
-        rule pushes on top, and for a push of two symbols also each head
-        exposed once the new top is popped again; ``c`` is the infix's max
-        color, ``l`` its letter bit and ``parts`` expand to it.
-        """
-        p, x, l, q, push, c, tag = rule
-        if len(push) == 1:
-            yield (p, x), (q, push[0]), c, l, (tag,)
-        elif len(push) == 2:
-            yield (p, x), (q, push[1]), c, l, (tag,)
-            for r, c2, l2, key in self.by_head.get((q, push[1]), ()):
-                yield (p, x), (r, push[0]), c if c > c2 else c2, l | l2, (tag, key)
-
-
-def _tarjan_sccs(nodes: list, succ: dict) -> dict:
-    """Iterative Tarjan; returns node -> the root node of its SCC, one object per SCC."""
+def _tarjan_sccs(nodes: Iterable, adj: dict, d: int) -> dict:
+    """Iterative Tarjan on moves of color ``<= d``; node -> its SCC's root node."""
     index: dict = {}
     low: dict = {}
     scc_of: dict = {}
@@ -251,14 +236,16 @@ def _tarjan_sccs(nodes: list, succ: dict) -> dict:
             continue
         index[root] = low[root] = len(index)
         stack.append(root)
-        call = [(root, iter(succ.get(root, ())))]
+        call = [(root, iter(adj.get(root, ())))]
         while call:
             v, it = call[-1]
-            for w in it:
+            for w, c, _l, _parts in it:
+                if c > d:
+                    continue
                 if w not in index:
                     index[w] = low[w] = len(index)
                     stack.append(w)
-                    call.append((w, iter(succ.get(w, ()))))
+                    call.append((w, iter(adj.get(w, ()))))
                     break
                 if w not in scc_of and index[w] < low[v]:  # visited, unfinished: on the stack
                     low[v] = index[w]
@@ -275,77 +262,42 @@ def _tarjan_sccs(nodes: list, succ: dict) -> dict:
     return scc_of
 
 
-class _ColorLayer:
-    """Color-``<= d`` head graph of one even color ``d``, its SCCs and good heads.
-
-    A filter on the summary's head moves, computed once per summary: edges
-    ``(src, dst, c, l, parts)`` with max color ``c <= d``, abstract run
-    infixes that never dip below the source head's level.  A head is good
-    when its SCC has an internal edge with ``c == d`` and an internal letter
-    edge: it can pump with maximal color ``d``.
-    """
-
-    def __init__(self, pops: _Pops, moves: list, d: int):
-        self.pops, self.d = pops, d
-        succ: dict = {}
-        edges = [e for e in moves if e[2] <= d]
-        for e in edges:
-            succ.setdefault(e[0], []).append(e[1])
-        # Every edge target is reached from some source, so sources suffice as roots.
-        self.scc_of = scc_of = _tarjan_sccs(list(succ), succ)
-        self.internal = [e for e in edges if scc_of[e[0]] is scc_of[e[1]]]
-        pumping = ({scc_of[e[0]] for e in self.internal if e[2] == d}
-                   & {scc_of[e[0]] for e in self.internal if e[3]})
-        self.good = {head for head, scc in scc_of.items() if scc in pumping}
-
-    def loop(self, head) -> tuple:
-        """Closed walk from a good ``head`` through a color-``d`` and a letter edge."""
-        scc_edges = [e for e in self.internal if self.scc_of[e[0]] is self.scc_of[head]]
-        e_d = next(e for e in scc_edges if e[2] == self.d)
-        e_l = next(e for e in scc_edges if e[3])
-        succ_e: dict = {}
-        for e in scc_edges:
-            succ_e.setdefault(e[0], []).append(e)
-
-        def path(src, dst) -> list:
-            prev: dict = {src: None}
-            queue = deque([src])
-            while dst not in prev:
-                for e in succ_e.get(queue.popleft(), ()):
-                    if e[1] not in prev:
-                        prev[e[1]] = e
-                        queue.append(e[1])
-            out = []
-            while prev[dst] is not None:
-                out.append(prev[dst])
-                dst = prev[dst][0]
-            return out[::-1]
-
-        walk: list = []
-        cur = head
-        for e in [e_d] if e_d is e_l else [e_d, e_l]:
-            walk += path(cur, e[0]) + [e]
-            cur = e[1]
-        walk += path(cur, head)
-        return self.pops.expand(*(part for e in walk for part in e[4]))
-
-
 class _Summary:
     """Start-independent emptiness summary of a list of rule tuples.
 
-    Pop summaries and head SCCs depend only on the rules (Bouajjani,
-    Esparza & Maler, CONCUR'97), so one summary serves every start
-    configuration.  One saturation gives ``pops``; the head moves
-    ``(src, dst, c, l, parts)`` of ``pops.steps`` are computed once per
-    summary, in rule order, and serve the head relation and every color
-    layer.  Each even color's ``_ColorLayer`` is built only when a query
-    reaches it.
+    One saturation gives ``pops``; one head adjacency, built with it in rule
+    order, maps a head to its moves ``(dst, c, l, parts)``: abstract run
+    infixes that never dip below the head's level, to the head a rule
+    pushes on top and, for a push of two symbols, to each head exposed once
+    that top is popped; ``c`` is the max color, ``l`` the letter bit, and
+    ``parts`` expand to the infix.  Each even color's head graph is the
+    adjacency cut to ``c <= d``.
     """
 
     def __init__(self, rules: list):
+        self.rules = rules
         self.pops = _Pops(rules)
+        by_head = self.pops.by_head
+        self.adj = adj = {}
+        for p, x, l, q, push, c, tag in rules:
+            if not push:
+                continue
+            moves = adj.setdefault((p, x), [])
+            moves.append(((q, push[-1]), c, l, (tag,)))
+            if len(push) == 2:
+                for r, c2, l2, key in by_head.get((q, push[1]), ()):
+                    moves.append(((r, push[0]), c if c > c2 else c2, l | l2, (tag, key)))
         self.evens = sorted({rule[5] for rule in rules if rule[5] % 2 == 0})
-        self.moves = [move for rule in rules for move in self.pops.steps(rule)]
+
+    def reach(self, head) -> list:
+        """The heads reachable from ``head``, without stems."""
+        seen, order = {head}, [head]
+        for v in order:
+            for w, _c, _l, _parts in self.adj.get(v, ()):
+                if w not in seen:
+                    seen.add(w)
+                    order.append(w)
+        return order
 
     def heads_from(self, start: Configuration) -> dict:
         """Heads reachable from ``start`` in breadth-first order.
@@ -374,45 +326,98 @@ class _Summary:
             for st, stem in carriers.items():
                 add((st, f.symbol), stem)
 
-        moves_from: dict = {}
-        for move in self.moves:
-            moves_from.setdefault(move[0], []).append(move)
         while work:
             head = work.popleft()
-            for _src, dst, _c, _l, parts in moves_from.get(head, ()):
+            for dst, _c, _l, parts in self.adj.get(head, ()):
                 stem = facts[head]
                 for part in parts:
                     stem = (stem, part)
                 add(dst, stem)
         return facts
 
+    def layers(self, heads: Iterable):
+        """``(d, scc_of, pumping)`` per even color ``d``, ascending: SCCs of the
+        heads reached from ``heads`` (all sources among them), and the roots of
+        those whose heads are *good*: with internal color-``d`` and letter edges."""
+        adj = self.adj
+        for d in self.evens:
+            scc_of = _tarjan_sccs(heads, adj, d)
+            with_d, with_letter = set(), set()
+            for v in heads:
+                scc = scc_of[v]
+                for w, c, l, _parts in adj.get(v, ()):
+                    if c <= d and scc_of[w] is scc:
+                        if c == d:
+                            with_d.add(scc)
+                        if l:
+                            with_letter.add(scc)
+            yield d, scc_of, with_d & with_letter
+
+    def search(self, heads: Iterable) -> Optional[tuple[int, dict, set]]:
+        """The first layer of ``heads``, a set closed under moves, with a good head."""
+        return next((layer for layer in self.layers(heads) if layer[2]), None)
+
+    def loop(self, head, d: int, scc_of: dict) -> tuple:
+        """Closed walk from a good ``head`` through a color-``d`` and a letter
+        edge, the first of each in rule order (ranked by the rule tags); the
+        edges ``(src, dst, c, l, parts)`` are those inside its SCC."""
+        scc = scc_of[head]
+        succ_e = {v: [(v, *e) for e in self.adj.get(v, ()) if e[1] <= d and scc_of[e[0]] is scc]
+                  for v, root in scc_of.items() if root is scc}
+        rank = {rule[6]: i for i, rule in reversed(list(enumerate(self.rules)))}
+        internal = sorted((e for es in succ_e.values() for e in es), key=lambda e: rank[e[4][0]])
+        e_d = next(e for e in internal if e[2] == d)
+        e_l = next(e for e in internal if e[3])
+
+        def path(src, dst) -> list:
+            prev: dict = {src: None}
+            queue = deque([src])
+            while dst not in prev:
+                for e in succ_e.get(queue.popleft(), ()):
+                    if e[1] not in prev:
+                        prev[e[1]] = e
+                        queue.append(e[1])
+            out = []
+            while prev[dst] is not None:
+                out.append(prev[dst])
+                dst = prev[dst][0]
+            return out[::-1]
+
+        walk: list = []
+        cur = head
+        for e in [e_d] if e_d is e_l else [e_d, e_l]:
+            walk += path(cur, e[0]) + [e]
+            cur = e[1]
+        walk += path(cur, head)
+        return self.pops.expand(*(part for e in walk for part in e[4]))
+
     def witness(self, pda: OmegaPDA, start: Configuration) -> Optional[EmptinessWitness]:
         """First witness from ``start`` on ``pda``: lowest even color, then first head found."""
         heads = self.heads_from(start)
-        for d in self.evens:
-            layer = _ColorLayer(self.pops, self.moves, d)
-            for head, stem in heads.items():
-                if head in layer.good:
-                    parts = []
-                    while stem is not None:
-                        stem, part = stem
-                        parts.append(part)
-                    stem_ts = self.pops.expand(*reversed(parts))
-                    loop_start = replay(pda, stem_ts, start).last
-                    return EmptinessWitness(stem_ts, layer.loop(head), loop_start)
-        return None
+        found = self.search(heads)
+        if found is None:
+            return None
+        d, scc_of, pumping = found
+        head = next(head for head in heads if scc_of[head] in pumping)
+        parts = []
+        stem = heads[head]
+        while stem is not None:
+            stem, part = stem
+            parts.append(part)
+        stem_ts = self.pops.expand(*reversed(parts))
+        loop_start = replay(pda, stem_ts, start).last
+        return EmptinessWitness(stem_ts, self.loop(head, d, scc_of), loop_start)
 
     def accepting_heads(self) -> set:
-        """Heads ``(q, X)`` from which some run pumps without going below ``X``.
-
-        One backward search over the plain head relation, seeded at the good
-        heads of every color layer.
-        """
+        """Heads ``(q, X)`` from which some run pumps without going below ``X``:
+        one backward search over all heads from the good heads of every color."""
         pred: dict = {}
-        for src, dst, _c, _l, _parts in self.moves:
-            pred.setdefault(dst, []).append(src)
-        layers = (_ColorLayer(self.pops, self.moves, d) for d in self.evens)
-        found = set().union(*(layer.good for layer in layers))
+        for src, moves in self.adj.items():
+            for dst, _c, _l, _parts in moves:
+                pred.setdefault(dst, []).append(src)
+        found = set()
+        for _d, scc_of, pumping in self.layers(list(self.adj)):
+            found.update(head for head, scc in scc_of.items() if scc in pumping)
         work = list(found)
         while work:
             for src in pred.get(work.pop(), ()):
@@ -472,13 +477,14 @@ def lasso_product(pda: OmegaPDA, w: LassoWord) -> OmegaPDA:
 
 def lasso_membership(pda: OmegaPDA, w: LassoWord) -> bool:
     """Does the automaton accept ``u . v^omega``?  A verdict only, no witness."""
+    letters = pda.letters
     for letter in w.prefix + w.loop:
-        if letter not in pda.input_alphabet:
+        if letter not in letters:
             raise ValueError(f"letter {letter!r} not in the input alphabet")
     _, edges, base = _explore_lasso(pda, w)
-    rules = [(u, t.top, int(t.label is not None), v, t.push, c, t)
-             for (u, c, v), t in zip(edges, base)]
-    return (0, BOTTOM) in _Summary(rules).accepting_heads()
+    summary = _Summary([(u, t.top, int(t.label is not None), v, t.push, c, t)
+                        for (u, c, v), t in zip(edges, base)])
+    return summary.search(summary.reach((0, BOTTOM))) is not None
 
 
 def brute_force_lasso_oracle(
@@ -597,7 +603,7 @@ def accepts_tail_of(pda: OmegaPDA, tail_letter: str) -> PAutomaton:
     First the accepting heads ``(q, X)``: those with a run on tail-letter and
     epsilon transitions that never goes below the height of ``X``.  They come
     from one emptiness summary of the restricted automaton: the good heads
-    of its color layers, then one backward search over its head relation.
+    of every even color, then one backward search over its head adjacency.
     A head above the bottom never reaches a bottom head, so one summary
     decides both.  The seed accepts the configurations with an accepting
     head: ``q -X-> .m`` for each, ``.m`` reads the rest of the stack.  Its

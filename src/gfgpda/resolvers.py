@@ -37,7 +37,7 @@ class ResolverStuck(PdaError):
 
 
 class EpsilonDivergence(PdaError):
-    """More epsilon steps than the cap allows while processing one letter."""
+    """An epsilon chain repeats a head at two steps, or outruns a summary-less cap."""
 
 
 class ResolverUndefined(PdaError):
@@ -67,6 +67,8 @@ class Resolver:
         raise NotImplementedError
 
     def summary(self, state: Any) -> Optional[Hashable]:
+        """None, or a finite value that fixes ``pick`` from itself, the state,
+        top and letter, and fixes itself after ``feed(t)`` from itself and t."""
         return None
 
 
@@ -92,14 +94,25 @@ def _infix(pda: OmegaPDA, r: Resolver, state, c: Configuration, a: str,
     """Append the resolver-induced infix processing ``a`` from ``c`` to
     ``transitions``, and its configurations to ``configs`` when given; return
     the new resolver state and configuration.  On an error the lists may end
-    inside the infix."""
+    inside the infix.  With a summary, an epsilon chain is a deterministic
+    run over heads (state, summary, top): it diverges iff a head repeats at
+    two steps.  Without one, a cap bounds it, but a chain can be longer."""
     if a not in pda.letters:
         raise ValueError(f"letter {a!r} not in the input alphabet")
     entry, eps_steps = c, 0
     while True:
         t = r.pick(state, c, a)
         label = t.label
-        if label is not None and label != a:
+        if label is None:
+            if not eps_steps:
+                entry_state, lasso = state, None
+            elif (summary := r.summary(state)) is not None:  # a second epsilon step
+                if lasso is None:
+                    lasso = LassoDetector()
+                    lasso.visit((entry.state, r.summary(entry_state), entry.top), entry.height, True)
+                if lasso.visit((c.state, summary, c.top), c.height, True) is not None:
+                    raise EpsilonDivergence(f"epsilon loop at {c} before {a!r}")
+        elif label != a:
             raise ResolverStuck(f"resolver returned {t} while processing {a!r}")
         try:
             c = step(c, t)
@@ -112,11 +125,10 @@ def _infix(pda: OmegaPDA, r: Resolver, state, c: Configuration, a: str,
         if label is not None:
             return state, c
         eps_steps += 1
-        # A bound, not a proof of divergence: a terminating epsilon chain that
-        # climbs and comes back down can be longer.
-        eps_cap = len(pda.states) * (entry.height + 2) * (len(pda.stack_alphabet) + 1) + 1
-        if eps_steps > eps_cap:
-            raise EpsilonDivergence(f"more than {eps_cap} epsilon steps before {a!r}")
+        if lasso is None:
+            eps_cap = len(pda.states) * (entry.height + 2) * (len(pda.stack_alphabet) + 1) + 1
+            if eps_steps > eps_cap:
+                raise EpsilonDivergence(f"more than {eps_cap} epsilon steps before {a!r}")
 
 
 def ext(pda: OmegaPDA, r: Resolver, g: GuidedRun, a: str) -> GuidedRun:
@@ -442,8 +454,10 @@ def _bounded_verdict(pda: OmegaPDA, r: Resolver, w: LassoWord, guard: int) -> st
             state, c = _infix(pda, r, state, c, word[position], transitions)
             positions += [position] * (len(transitions) - len(positions))
             position = position + 1 if position + 1 < len(word) else restart
-    except (ResolverStuck, ResolverUndefined, EpsilonDivergence):
+    except (ResolverStuck, ResolverUndefined):
         return "fail"
+    except EpsilonDivergence:  # the cap is a bound, not a proof of divergence
+        return "inconclusive"
     annotated = list(zip(transitions, positions))
     n = len(annotated)
     for period in range(1, n // 3 + 1):

@@ -255,12 +255,13 @@ def test_tail_set_heads_match_per_start_emptiness(monkeypatch):
 
 
 def test_tail_set_work_does_not_grow_with_heads(monkeypatch):
-    # One summary, one saturation: the color layers filter its pop facts.
+    # One summary, one saturation, one head adjacency: every even color
+    # filters that adjacency, and no query builds a second one.
     fx = zoo.example23()
     det = determinize_moore(fx.automaton, fx.resolver)
     assert len(det.states) * (1 + len(det.stack_alphabet)) > 100
-    calls = {"nonempty": 0, "pops": 0, "saturate": 0}
-    nonempty, pops, saturate = analysis.parity_nonempty, analysis._Pops, analysis._saturate
+    calls = {"nonempty": 0, "summary": 0, "saturate": 0}
+    nonempty, summary, saturate = analysis.parity_nonempty, analysis._Summary, analysis._saturate
 
     def counting_nonempty(*args, **kwargs):
         calls["nonempty"] += 1
@@ -270,19 +271,19 @@ def test_tail_set_work_does_not_grow_with_heads(monkeypatch):
         calls["saturate"] += 1
         return saturate(*args, **kwargs)
 
-    class CountingPops(pops):
+    class CountingSummary(summary):
         def __init__(self, *args, **kwargs):
-            calls["pops"] += 1
+            calls["summary"] += 1
             super().__init__(*args, **kwargs)
 
     monkeypatch.setattr(analysis, "parity_nonempty", counting_nonempty)
-    monkeypatch.setattr(analysis, "_Pops", CountingPops)
+    monkeypatch.setattr(analysis, "_Summary", CountingSummary)
     monkeypatch.setattr(analysis, "_saturate", counting_saturate)
     for letter in det.input_alphabet:
-        calls.update(nonempty=0, pops=0, saturate=0)
+        calls.update(nonempty=0, summary=0, saturate=0)
         accepts_tail_of(det, letter)
         # One saturation: the tail set reads pre* off the summary's pop facts.
-        assert calls == {"nonempty": 0, "pops": 1, "saturate": 1}, (letter, calls)
+        assert calls == {"nonempty": 0, "summary": 1, "saturate": 1}, (letter, calls)
     six = zoo.parity_language(6).automaton
     assert sorted({t.color for t in six.transitions if t.color % 2 == 0}) == [2, 4, 6]
     queries = [
@@ -291,9 +292,9 @@ def test_tail_set_work_does_not_grow_with_heads(monkeypatch):
         lambda: lasso_membership(six, LassoWord((), ("1",))),
     ]
     for query in queries:
-        calls.update(pops=0, saturate=0)
+        calls.update(summary=0, saturate=0)
         query()
-        assert calls["pops"] == calls["saturate"] == 1, calls
+        assert calls["summary"] == calls["saturate"] == 1, calls
 
 
 def test_tail_set_is_pre_star_of_the_accepting_heads():
@@ -566,12 +567,12 @@ def test_membership_agrees_with_oracle(name, seed):
 
 
 def _membership_queries():
-    """Every fixture with its zoo sample, then 200 seeded random automata x 3 seeded words."""
+    """Every fixture with its zoo sample, then 300 seeded random automata x 3 seeded words."""
     for fx in zoo.all_fixtures():
         for w, _flag in fx.sample():
             yield fx.name, fx.automaton, w
     rng = random.Random(29)
-    for i in range(200):
+    for i in range(300):
         pda = random_pda(rng)
         for _ in range(3):
             u = tuple(rng.choice(pda.input_alphabet) for _ in range(rng.randint(0, 3)))
@@ -595,6 +596,10 @@ def _control_reachable(pda):
 
 
 def test_reachable_product_membership_matches_full_product():
+    # Membership searches forward from the start head on the reachable
+    # product; the backward search over every head of the unrestricted
+    # product is the reference, and the brute-force oracle where it decides.
+    verdicts, decided = set(), 0
     for name, pda, w in _membership_queries():
         full = full_lasso_product(pda, w)
         summary = analysis._Summary(analysis._rules(full.transitions))
@@ -602,7 +607,10 @@ def test_reachable_product_membership_matches_full_product():
         assert lasso_membership(pda, w) == expected, (name, str(w))
         verdict = brute_force_lasso_oracle(pda, w, 5, 3_000)
         if verdict != UNKNOWN:
+            decided += 1
             assert verdict == expected, (name, str(w))
+        verdicts.add(expected)
+    assert verdicts == {True, False} and decided >= 1000
 
 
 def test_reachable_product_keeps_only_reachable_states():
@@ -638,44 +646,99 @@ def test_lss_lassos_match_the_closed_form():
     assert verdicts == {True, False}
 
 
-def test_head_moves_are_computed_once_per_summary(monkeypatch):
-    # One head-move list per summary: the head search, the backward search
-    # and every color layer read it, so ``steps`` runs once per rule.
-    calls = []
-    steps = analysis._Pops.steps
-    monkeypatch.setattr(
-        analysis._Pops, "steps", lambda self, rule: calls.append(rule) or steps(self, rule)
-    )
+def _recording_summaries(monkeypatch) -> list:
+    """Each ``_Summary`` built from now on, with a copy of its adjacency as built."""
+    built = []
 
-    def stepped(names=None):
-        """The transitions of the stepped rules, states renamed by ``names``."""
+    class RecordingSummary(analysis._Summary):
+        def __init__(self, rules):
+            super().__init__(rules)
+            built.append((self, {head: list(moves) for head, moves in self.adj.items()}))
+
+    monkeypatch.setattr(analysis, "_Summary", RecordingSummary)
+    return built
+
+
+def test_head_moves_are_computed_once_per_summary(monkeypatch):
+    # One head adjacency per summary, built with it: one direct move per
+    # push rule, and one move per pop fact of the top a rule pushes over.
+    # The reach, the head search, the backward search and every even color
+    # read it and leave it as built.
+    built = _recording_summaries(monkeypatch)
+
+    def moved(names=None):
+        """The transitions of the direct moves, states renamed by ``names``."""
+        (summary, adj), = built
+        built.clear()
+        assert summary.adj == adj
         out = []
-        for p, x, l, q, push, c, t in calls:
-            assert l == (t.label is not None) and (x, push) == (t.top, t.push)
-            if names is not None:
-                p, q = names[p], names[q]
-            out.append(str(Transition(p, x, t.label, q, push, c)))
+        for (p, x), moves in adj.items():
+            for (q, y), c, l, parts in moves:
+                t = parts[0]
+                if len(parts) == 2:
+                    key = parts[1]
+                    assert key in summary.pops.defs and key[1] == t.push[1]
+                    assert (q, y) == (key[2], t.push[0]) and c == max(t.color, key[3])
+                    continue
+                assert (x, y, l, c) == (t.top, t.push[-1], t.label is not None, t.color)
+                if names is not None:
+                    p, q = names[p], names[q]
+                out.append(str(Transition(p, x, t.label, q, t.push, c)))
+        pops = sum(len(summary.pops.results(rule[3], rule[4][1]))
+                   for rule in summary.rules if len(rule[4]) == 2)
+        assert sum(map(len, adj.values())) == len(out) + pops
         return sorted(out)
 
     six = zoo.parity_language(6).automaton
     assert sorted({t.color for t in six.transitions if t.color % 2 == 0}) == [2, 4, 6]
     for w in (LassoWord(("1",), ("5", "6")), LassoWord((), ("1",)), LassoWord(("2", "3"), ("6",))):
         product = lasso_product(six, w)
-        calls.clear()
         lasso_membership(six, w)
         # The membership rules are numbered in the product's state order.
-        assert stepped(product.states) == sorted(map(str, product.transitions)), str(w)
+        pushing = [str(t) for t in product.transitions if t.push]
+        assert moved(product.states) == sorted(pushing), str(w)
     fx = zoo.example23()
     det = determinize_moore(fx.automaton, fx.resolver)
     for pda in (six, det):
-        calls.clear()
         parity_nonempty(pda)
-        assert stepped() == sorted(map(str, pda.transitions))
+        assert moved() == sorted(str(t) for t in pda.transitions if t.push)
     for letter in det.input_alphabet:
-        calls.clear()
         accepts_tail_of(det, letter)
-        kept = [t for t in det.transitions if t.label in (None, letter)]
-        assert stepped() == sorted(map(str, kept)), letter
+        kept = [t for t in det.transitions if t.label in (None, letter) and t.push]
+        assert moved() == sorted(map(str, kept)), letter
+
+
+def test_membership_search_visits_only_heads_reachable_from_the_start(monkeypatch):
+    # Membership runs Tarjan on the heads reachable from (0, _) alone; the
+    # full summary has heads that it never visits.
+    built = _recording_summaries(monkeypatch)
+    visited = []
+    tarjan = analysis._tarjan_sccs
+
+    def counting_tarjan(nodes, adj, d):
+        scc_of = tarjan(nodes, adj, d)
+        visited.append(set(scc_of))
+        return scc_of
+
+    monkeypatch.setattr(analysis, "_tarjan_sccs", counting_tarjan)
+    runs = skipped = 0
+    for name, pda, w in _membership_queries():
+        visited.clear()
+        lasso_membership(pda, w)
+        (summary, adj), = built
+        built.clear()
+        reached, work = {(0, BOTTOM)}, [(0, BOTTOM)]
+        while work:
+            for head, _c, _l, _parts in adj.get(work.pop(), ()):
+                if head not in reached:
+                    reached.add(head)
+                    work.append(head)
+        heads = set(adj) | {move[0] for moves in adj.values() for move in moves}
+        for seen in visited:
+            assert seen <= reached, (name, str(w))
+        runs += len(visited)
+        skipped += len(visited) * len(heads - reached)
+    assert runs > 0 and skipped > 0
 
 
 # -- color normalization -------------------------------------------------------

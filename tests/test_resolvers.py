@@ -3,7 +3,7 @@ import tracemalloc
 
 import pytest
 
-from gfgpda import analysis, closure, zoo
+from gfgpda import analysis, closure, resolvers, zoo
 from gfgpda.core import (
     BOTTOM, Configuration, FormatError, GuardExceeded, LassoWord, OmegaPDA, RunPrefix,
     Transition, is_deterministic, parse_lasso, replay, step, validate,
@@ -171,6 +171,44 @@ class Unsummarized(Resolver):
 
     def __init__(self, base):
         self.start, self.feed, self.pick = base.start, base.feed, base.pick
+
+
+def _state_following(pda):
+    """The Moore resolver of a deterministic automaton that follows its state:
+    the output is the transition enabled at (state, letter, top), and delta
+    moves to that transition's target."""
+    delta = {(q, t): t.target for q in pda.states for t in pda.transitions}
+    output = {(t.source, a, t.top): t for t in pda.transitions
+              for a in (pda.input_alphabet if t.label is None else (t.label,))}
+    return MooreResolver(pda.states, pda.initial, delta, output)
+
+
+@pytest.mark.parametrize("depth", [8, 9, 10, 11])
+def test_summarized_resolver_runs_a_long_terminating_epsilon_chain(depth):
+    # The chain of 5 * 2**depth - 3 epsilon steps outruns the cap
+    # |Q|*(h+2)*(|Gamma|+1)+1, but no head (state, summary, top) repeats at
+    # two steps, so the guided run reaches its first a.
+    pda = epsilon_recursion(depth)
+    r = _state_following(pda)
+    cap = len(pda.states) * 2 * (len(pda.stack_alphabet) + 1) + 1
+    g = run_on_prefix(pda, r, "a")
+    assert len(g.run) == 5 * 2**depth - 2 > cap
+    assert g.run.last == Configuration("ret", (BOTTOM,))
+    # The guard counts the chain's transitions too.
+    report = verify_resolver(pda, r, [(parse_lasso(";a"), True)], guard=len(g.run) + 10)
+    assert [e[2] for e in report.entries] == ["pass"]
+    assert analysis.lasso_membership(pda, parse_lasso(";a"))
+
+
+def test_summary_less_resolver_past_the_cap_is_inconclusive():
+    # Past the cap a resolver without a summary may still be on a
+    # terminating chain, so verification cannot fail it.
+    pda = epsilon_recursion(8)
+    r = Unsummarized(_state_following(pda))
+    with pytest.raises(EpsilonDivergence, match="^more than 375 epsilon steps before 'a'$"):
+        run_on_prefix(pda, r, "a")
+    report = verify_resolver(pda, r, [(parse_lasso(";a"), True)])
+    assert [e[2] for e in report.entries] == ["inconclusive"]
 
 
 def test_undeclared_letter_is_checked_when_reached(ex23):
@@ -448,6 +486,17 @@ def test_det_pushdown_reports_an_epsilon_loop_within_a_few_steps(rules):
     assert len(steps) == 2
     with pytest.raises(TransducerStuck, match="epsilon divergence"):
         machine.close(start)
+
+
+@pytest.mark.parametrize("rules", EPSILON_LOOPS.values(), ids=EPSILON_LOOPS.keys())
+def test_summarized_resolver_reports_an_epsilon_loop_within_a_few_steps(rules):
+    pda = OmegaPDA(("s", "t"), ("a",), ("X",), "s", rules)
+    r = _state_following(pda)
+    transitions = []
+    with pytest.raises(EpsilonDivergence, match="^epsilon loop at "):
+        resolvers._infix(pda, r, r.start(), pda.initial_configuration(), "a", transitions)
+    assert len(transitions) == 2
+    assert periodic_split(pda, r, parse_lasso(";a")).verdict == "stuck"
 
 
 # -- verify_resolver ------------------------------------------------------------------
