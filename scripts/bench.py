@@ -182,13 +182,26 @@ def lss_lassos(sizes) -> dict:
             for n in sizes}
 
 
+def head_counts(pda, w) -> collections.Counter:
+    """Heads and pop facts of membership's pass, which reaches the heads from
+    the start, and of the emptiness summary of the whole ``lasso_product``."""
+    adj, pops, _evens, _states = analysis._lasso_heads(pda, w)
+    product = analysis.lasso_product(pda, w)
+    full = analysis._Summary(analysis._rules(product.transitions))
+    heads = {(product.initial, core.BOTTOM)} | set(full.adj) | {key[:2] for key in full.pops.defs}
+    heads.update(move[0] for moves in full.adj.values() for move in moves)
+    return collections.Counter(pass_heads=len(adj), pass_facts=sum(map(len, pops.values())),
+                               summary_heads=len(heads), summary_facts=len(full.pops.defs))
+
+
 def membership_layer() -> dict:
     """Lasso membership on the first MEMBERSHIP_SAMPLE sampled words of each
     zoo fixture: per fixture, one pass that parses its texts and one pass of
     ``lasso_membership`` on the parsed inputs, all timed in one ``best_ms``
     call and summed per phase; and ``lasso_membership`` of lss on
     ``lss_lassos``, all sizes timed in one ``best_ms`` call.  One call per
-    group makes a drift of the machine's speed fall on all of its members."""
+    group makes a drift of the machine's speed fall on all of its members.
+    Each row also has the ``head_counts`` of its queries, summed."""
     queries = {}
     for fx in zoo.all_fixtures():
         text = core.format_pda(fx.automaton)
@@ -212,6 +225,7 @@ def membership_layer() -> dict:
     for row in series:
         w = words[row["u"]]
         row["accepted"] = analysis.lasso_membership(lss, w)
+        row.update(head_counts(lss, w))
         if row["accepted"] != (max(zoo.loop_energy_deltas(w)) >= 0):
             raise AssertionError(f"lss membership of {w} disagrees with the closed form")
     phases = {"parse": parse_pass, "membership": member_pass}
@@ -221,9 +235,11 @@ def membership_layer() -> dict:
     count = sum(map(len, queries.values()))
     parse_ms, member_ms = (sum(row[phase] for row in fixture_ms.values()) for phase in phases)
     ms = parse_ms + member_ms
+    counts = sum((head_counts(pda, w) for name in parsed for pda, w in parsed[name]),
+                 collections.Counter())
     return {"zoo_sample": {"queries": count, "ms": ms, "us_per_query": ms * 1e3 / count,
                            "parse_ms": parse_ms, "membership_ms": member_ms,
-                           "parse_share": parse_ms / ms, "fixture_ms": fixture_ms},
+                           "parse_share": parse_ms / ms, "fixture_ms": fixture_ms, **counts},
             "lss_series": series}
 
 
@@ -352,10 +368,13 @@ def main(argv: list[str]) -> int:
     print(f"membership zoo sample: {row['ms']:.3f} ms for {row['queries']} queries, "
           f"{row['us_per_query']:.1f} us each: parse {row['parse_ms']:.3f} ms "
           f"({row['parse_share']:.0%}), lasso_membership {row['membership_ms']:.3f} ms")
+    print(f"membership zoo sample: heads {row['pass_heads']} of {row['summary_heads']}, "
+          f"pop facts {row['pass_facts']} of {row['summary_facts']} (pass of whole product)")
     for row in report["membership"]["lss_series"]:
         growth = "" if row["growth"] is None else f"  x{row['growth']:.2f}"
         print(f"membership lss |u|={row['u']:3d}: {row['membership_ms']:.3f} ms, "
-              f"accepted {row['accepted']}{growth}")
+              f"accepted {row['accepted']}, heads {row['pass_heads']} of {row['summary_heads']}, "
+              f"pop facts {row['pass_facts']} of {row['summary_facts']}{growth}")
     guided = report["guided"]
     for series, what, unit in (("verify_series", "guard", "verify_ms"),
                                ("run_series", "letters", "run_ms")):

@@ -8,9 +8,8 @@ edges between existing states only: the pop summaries of its rules, where
 pre* reads the target's edges as pop rules.  Each fact records the max
 color along its run and whether the run reads a letter.
 Saturation and the summary read rule tuples ``(source, top, letter_bit,
-target, push, color, tag)``: an automaton's transitions, each its own tag
-(witnesses expand to transitions), or membership's lasso product on
-``core.explore``'s state numbers, with no product automaton built.
+target, push, color, tag)``: an automaton's transitions, each its own tag,
+so witnesses expand to transitions.
 
 Emptiness rests on one summary per automaton, which does not depend on the
 start configuration (Bouajjani, Esparza & Maler, CONCUR'97): pop summaries
@@ -24,11 +23,14 @@ start level, using only colors ``<= d``.  The letter edge makes
 epsilon-only loops non-accepting directly, so no color normalization pass
 is needed and witnesses replay on the input unchanged.
 
-``lasso_membership`` and ``parity_nonempty`` search forward from the start:
-the heads it reaches (with stems only for a witness), Tarjan on them for
-each even color in ascending order, and a stop at the lowest color with a
-good head.  ``accepts_tail_of`` needs every accepting head at once: one
-backward search over all heads, seeded at the good heads of every color.
+``parity_nonempty`` searches forward from the start: the heads it reaches
+with their stems, Tarjan on them for each even color in ascending order,
+and a stop at the lowest color with a good head.  ``lasso_membership`` runs
+the same layers on the heads of the lasso product reached from the start,
+found by one head-driven pass that saturates only them and keeps no
+derivations, since a verdict needs no witness.  ``accepts_tail_of`` needs
+every accepting head at once: one backward search over all heads, seeded
+at the good heads of every color.
 """
 
 from __future__ import annotations
@@ -262,6 +264,29 @@ def _tarjan_sccs(nodes: Iterable, adj: dict, d: int) -> dict:
     return scc_of
 
 
+def _layers(heads: Iterable, adj: dict, evens: Iterable[int]):
+    """``(d, scc_of, pumping)`` per even color ``d`` of ``evens``, ascending:
+    SCCs of ``heads``, a set closed under the moves of ``adj``, and the roots
+    of those whose heads are *good*: with internal color-``d`` and letter edges."""
+    for d in evens:
+        scc_of = _tarjan_sccs(heads, adj, d)
+        with_d, with_letter = set(), set()
+        for v in heads:
+            scc = scc_of[v]
+            for w, c, l, _parts in adj.get(v, ()):
+                if c <= d and scc_of[w] is scc:
+                    if c == d:
+                        with_d.add(scc)
+                    if l:
+                        with_letter.add(scc)
+        yield d, scc_of, with_d & with_letter
+
+
+def _search(heads: Iterable, adj: dict, evens: Iterable[int]) -> Optional[tuple[int, dict, set]]:
+    """The first layer of ``heads``, a set closed under moves, with a good head."""
+    return next((layer for layer in _layers(heads, adj, evens) if layer[2]), None)
+
+
 class _Summary:
     """Start-independent emptiness summary of a list of rule tuples.
 
@@ -288,16 +313,6 @@ class _Summary:
                 for r, c2, l2, key in by_head.get((q, push[1]), ()):
                     moves.append(((r, push[0]), c if c > c2 else c2, l | l2, (tag, key)))
         self.evens = sorted({rule[5] for rule in rules if rule[5] % 2 == 0})
-
-    def reach(self, head) -> list:
-        """The heads reachable from ``head``, without stems."""
-        seen, order = {head}, [head]
-        for v in order:
-            for w, _c, _l, _parts in self.adj.get(v, ()):
-                if w not in seen:
-                    seen.add(w)
-                    order.append(w)
-        return order
 
     def heads_from(self, start: Configuration) -> dict:
         """Heads reachable from ``start`` in breadth-first order.
@@ -334,28 +349,6 @@ class _Summary:
                     stem = (stem, part)
                 add(dst, stem)
         return facts
-
-    def layers(self, heads: Iterable):
-        """``(d, scc_of, pumping)`` per even color ``d``, ascending: SCCs of the
-        heads reached from ``heads`` (all sources among them), and the roots of
-        those whose heads are *good*: with internal color-``d`` and letter edges."""
-        adj = self.adj
-        for d in self.evens:
-            scc_of = _tarjan_sccs(heads, adj, d)
-            with_d, with_letter = set(), set()
-            for v in heads:
-                scc = scc_of[v]
-                for w, c, l, _parts in adj.get(v, ()):
-                    if c <= d and scc_of[w] is scc:
-                        if c == d:
-                            with_d.add(scc)
-                        if l:
-                            with_letter.add(scc)
-            yield d, scc_of, with_d & with_letter
-
-    def search(self, heads: Iterable) -> Optional[tuple[int, dict, set]]:
-        """The first layer of ``heads``, a set closed under moves, with a good head."""
-        return next((layer for layer in self.layers(heads) if layer[2]), None)
 
     def loop(self, head, d: int, scc_of: dict) -> tuple:
         """Closed walk from a good ``head`` through a color-``d`` and a letter
@@ -394,7 +387,7 @@ class _Summary:
     def witness(self, pda: OmegaPDA, start: Configuration) -> Optional[EmptinessWitness]:
         """First witness from ``start`` on ``pda``: lowest even color, then first head found."""
         heads = self.heads_from(start)
-        found = self.search(heads)
+        found = _search(heads, self.adj, self.evens)
         if found is None:
             return None
         d, scc_of, pumping = found
@@ -416,7 +409,7 @@ class _Summary:
             for dst, _c, _l, _parts in moves:
                 pred.setdefault(dst, []).append(src)
         found = set()
-        for _d, scc_of, pumping in self.layers(list(self.adj)):
+        for _d, scc_of, pumping in _layers(list(self.adj), self.adj, self.evens):
             found.update(head for head, scc in scc_of.items() if scc in pumping)
         work = list(found)
         while work:
@@ -441,9 +434,14 @@ def parity_nonempty(
 # ---------------------------------------------------------------------------
 
 
-def _explore_lasso(pda: OmegaPDA, w: LassoWord) -> tuple[list, list, list]:
-    """``core.explore`` of the product from ``(initial, 0)``; each ``(q, i)`` reads only
-    its enabled transitions, indexed once by ``(state, letter)`` in declaration order."""
+def lasso_product(pda: OmegaPDA, w: LassoWord) -> OmegaPDA:
+    """Reachable part of the product with the deterministic |u|+|v| position tracker.
+
+    ``core.explore`` from ``initial@0`` over the control graph emits the
+    states ``q@i`` it reaches and the transitions leaving them, each state
+    reading only its enabled transitions, indexed once by ``(state, letter)``
+    in declaration order.  A run from ``initial@0`` stays among them.
+    """
     word = w.prefix + w.loop
     letters = set(word)
     enabled: dict = {}
@@ -458,33 +456,93 @@ def _explore_lasso(pda: OmegaPDA, w: LassoWord) -> tuple[list, list, list]:
             for t in enabled.get((q, word[i]), ()):
                 yield u, t.color, (t.target, i if t.label is None else nxt), t
 
-    return explore((pda.initial, 0), expand)
-
-
-def lasso_product(pda: OmegaPDA, w: LassoWord) -> OmegaPDA:
-    """Reachable part of the product with the deterministic |u|+|v| position tracker.
-
-    ``core.explore`` from ``initial@0`` over the control graph emits the
-    states ``q@i`` it reaches and the transitions leaving them.  A run from
-    ``initial@0`` stays among them; membership reads this product as rules.
-    """
-    order, edges, base = _explore_lasso(pda, w)
+    order, edges, base = explore((pda.initial, 0), expand)
     names = [f"{q}@{i}" for q, i in order]
     return OmegaPDA(tuple(names), pda.input_alphabet, pda.stack_alphabet, names[0], tuple([
         Transition(names[u], t.top, t.label, names[v], t.push, c)
         for (u, c, v), t in zip(edges, base)]))
 
 
+def _lasso_heads(pda: OmegaPDA, w: LassoWord) -> tuple[dict, dict, list, list]:
+    """The heads ``(p, X)`` of the lasso product reached from ``(0, BOTTOM)``:
+    their moves, their pop facts, the even colors of the rules they read, and
+    the product states ``(q, i)`` that the numbers ``p`` stand for.
+
+    Tabulation (Reps, Horwitz & Sagiv, POPL'95): ``_saturate``'s rules, driven
+    by the heads reached.  A new head reads its rules from one ``(state,
+    top, letter)`` index: a pop is a fact; a swap, and a push to its new top,
+    is a head move, added at once and joined with the facts its target
+    already has.  A new fact fires the moves waiting on its head: a swap
+    gives a fact, a two-symbol push over ``Y`` the swap to ``(r, Y)``.  So
+    the moves ``(dst, c, l, None)`` and facts ``(r, c, l)`` of a head are
+    ``_Summary``'s, without the derivations that only a witness needs.
+    """
+    word = w.prefix + w.loop
+    nexts = [*range(1, len(word)), len(w.prefix)]
+    index: dict = {}
+    for t in pda.transitions:
+        index.setdefault((t.source, t.top, t.label), []).append(
+            (t.target, int(t.label is not None), t.color, t.push))
+    states, ids = [(pda.initial, 0)], {(pda.initial, 0): 0}
+    heads, adj, evens = [(0, BOTTOM)], {(0, BOTTOM): []}, set()
+    pops: dict = {}  # (p, X) -> [(r, c, l)], the facts fired so far
+    waiting: dict = {}  # (q, Y) -> [(p, X, c, l, below)]: a swap, below None, or a push over below
+    facts: set = set()
+    work: deque = deque()  # facts (p, X, r, c, l) not fired yet
+
+    def move(p, x, dst, c, l, below) -> None:
+        adj[p, x].append((dst, c, l, None))
+        if dst not in adj:
+            adj[dst] = []
+            heads.append(dst)
+        waiting.setdefault(dst, []).append((p, x, c, l, below))
+        for r, c2, l2 in pops.get(dst, ()):
+            c2, l2 = c if c > c2 else c2, l | l2
+            if below is not None:
+                move(p, x, (r, below), c2, l2, None)
+            elif (p, x, r, c2, l2) not in facts:
+                facts.add((p, x, r, c2, l2))
+                work.append((p, x, r, c2, l2))
+
+    for p, x in heads:  # grows as heads are reached
+        q, i = states[p]
+        for label in (None, word[i]):
+            for target, l, c, push in index.get((q, x, label), ()):
+                if c % 2 == 0:
+                    evens.add(c)
+                dst = (target, nexts[i] if l else i)
+                r = ids.get(dst)
+                if r is None:
+                    r = ids[dst] = len(states)
+                    states.append(dst)
+                if push:
+                    move(p, x, (r, push[-1]), c, l, push[0] if len(push) == 2 else None)
+                elif (p, x, r, c, l) not in facts:
+                    facts.add((p, x, r, c, l))
+                    work.append((p, x, r, c, l))
+        while work:
+            q, y, r, c, l = work.popleft()
+            pops.setdefault((q, y), []).append((r, c, l))
+            for p0, x0, c0, l0, below in waiting.get((q, y), ()):
+                c0, l0 = c0 if c0 > c else c, l0 | l
+                if below is not None:
+                    move(p0, x0, (r, below), c0, l0, None)
+                elif (p0, x0, r, c0, l0) not in facts:
+                    facts.add((p0, x0, r, c0, l0))
+                    work.append((p0, x0, r, c0, l0))
+    return adj, pops, sorted(evens), states
+
+
 def lasso_membership(pda: OmegaPDA, w: LassoWord) -> bool:
-    """Does the automaton accept ``u . v^omega``?  A verdict only, no witness."""
+    """Does the automaton accept ``u . v^omega``?  A verdict only, no witness:
+    ``_lasso_heads`` reaches the heads from the start and their moves, keeping
+    no derivations, and the even-color layers look for a good head among them."""
     letters = pda.letters
     for letter in w.prefix + w.loop:
         if letter not in letters:
             raise ValueError(f"letter {letter!r} not in the input alphabet")
-    _, edges, base = _explore_lasso(pda, w)
-    summary = _Summary([(u, t.top, int(t.label is not None), v, t.push, c, t)
-                        for (u, c, v), t in zip(edges, base)])
-    return summary.search(summary.reach((0, BOTTOM))) is not None
+    adj, _pops, evens, _states = _lasso_heads(pda, w)
+    return _search(list(adj), adj, evens) is not None
 
 
 def brute_force_lasso_oracle(

@@ -256,7 +256,8 @@ def test_tail_set_heads_match_per_start_emptiness(monkeypatch):
 
 def test_tail_set_work_does_not_grow_with_heads(monkeypatch):
     # One summary, one saturation, one head adjacency: every even color
-    # filters that adjacency, and no query builds a second one.
+    # filters that adjacency, and no query builds a second one.  Membership
+    # builds no summary and runs no saturation: its head-driven pass has both.
     fx = zoo.example23()
     det = determinize_moore(fx.automaton, fx.resolver)
     assert len(det.states) * (1 + len(det.stack_alphabet)) > 100
@@ -287,14 +288,14 @@ def test_tail_set_work_does_not_grow_with_heads(monkeypatch):
     six = zoo.parity_language(6).automaton
     assert sorted({t.color for t in six.transitions if t.color % 2 == 0}) == [2, 4, 6]
     queries = [
-        lambda: parity_nonempty(six),
-        lambda: lasso_membership(six, LassoWord(("1",), ("5", "6"))),
-        lambda: lasso_membership(six, LassoWord((), ("1",))),
+        (lambda: parity_nonempty(six), 1),
+        (lambda: lasso_membership(six, LassoWord(("1",), ("5", "6"))), 0),
+        (lambda: lasso_membership(six, LassoWord((), ("1",))), 0),
     ]
-    for query in queries:
+    for query, summaries in queries:
         calls.update(summary=0, saturate=0)
         query()
-        assert calls["summary"] == calls["saturate"] == 1, calls
+        assert calls["summary"] == calls["saturate"] == summaries, calls
 
 
 def test_tail_set_is_pre_star_of_the_accepting_heads():
@@ -659,11 +660,70 @@ def _recording_summaries(monkeypatch) -> list:
     return built
 
 
+def _late_join_automaton(color: int, label) -> OmegaPDA:
+    """Its one loop passes both late joins of the membership pass.
+
+    The pass expands ``(s, _)``, which pushes onto ``(a, A)``; ``(a, A)``
+    pops, a fact that arrives after that push was registered and gives
+    ``(s, _)`` the swap to ``(b, _)``.  ``(b, _)`` pushes onto ``(c, A)``,
+    and ``(c, A)`` swaps to ``(a, A)``, a head that already has its pop
+    fact: that join gives ``(c, A)`` its fact, which fires the push from
+    ``(b, _)`` and closes the loop ``(b, _) -> (b, _)`` through the pop of
+    color ``color`` reading ``label``.
+    """
+    ts = (
+        Transition("s", BOTTOM, None, "a", (BOTTOM, "A"), 0),
+        Transition("a", "A", label, "b", (), color),
+        Transition("b", BOTTOM, None, "c", (BOTTOM, "A"), 1),
+        Transition("c", "A", None, "a", ("A",), 0),
+    )
+    return OmegaPDA(("s", "a", "b", "c"), ("x", "y"), ("A",), "s", ts)
+
+
+def test_membership_joins_facts_and_moves_in_either_order():
+    # A move to a head that already has pop facts joins them, and a pop
+    # fact at a head joins the pushes onto it registered before; without
+    # either join the accepting loop below is never found.
+    verdicts = set()
+    for color, label, accepted in [(2, "x", True), (1, "x", False), (2, None, False),
+                                   (0, "y", False), (4, "y", True)]:
+        pda = _late_join_automaton(color, label)
+        for w in map(parse_lasso, (";x", "xx;x", ";y", "y;y", ";xy")):
+            expected = accepted and set(w.prefix + w.loop) == {label}
+            oracle = brute_force_lasso_oracle(pda, w, 4, 1_000)
+            assert oracle == expected, (color, label, str(w))
+            assert lasso_membership(pda, w) == expected, (color, label, str(w))
+            verdicts.add(expected)
+    assert verdicts == {True, False}
+
+
+def _pass_and_full_summary(pda, w):
+    """The membership pass on ``pda`` and ``w``: its state names ``q@i`` by
+    number, and its moves and facts renamed by them; then the summary of the
+    whole ``lasso_product`` and the heads reachable from its start head."""
+    adj, pops, _evens, states = analysis._lasso_heads(pda, w)
+    names = [f"{q}@{i}" for q, i in states]
+    moves = {(names[p], x): [((names[q], y), c, l, parts) for (q, y), c, l, parts in ms]
+             for (p, x), ms in adj.items()}
+    facts = {(names[p], x, names[r], c, l) for (p, x), fs in pops.items() for r, c, l in fs}
+    assert len(facts) == sum(map(len, pops.values()))
+    full = analysis._Summary(analysis._rules(lasso_product(pda, w).transitions))
+    start = (f"{pda.initial}@0", BOTTOM)
+    reached, work = {start}, [start]
+    while work:
+        for head, _c, _l, _parts in full.adj.get(work.pop(), ()):
+            if head not in reached:
+                reached.add(head)
+                work.append(head)
+    return names, moves, facts, full, reached
+
+
 def test_head_moves_are_computed_once_per_summary(monkeypatch):
     # One head adjacency per summary, built with it: one direct move per
     # push rule, and one move per pop fact of the top a rule pushes over.
-    # The reach, the head search, the backward search and every even color
-    # read it and leave it as built.
+    # The head search, the backward search and every even color read it
+    # and leave it as built.  Membership builds no summary: its pass has
+    # the summary's moves, without parts, at the heads reachable from the start.
     built = _recording_summaries(monkeypatch)
 
     def moved(names=None):
@@ -691,13 +751,24 @@ def test_head_moves_are_computed_once_per_summary(monkeypatch):
 
     six = zoo.parity_language(6).automaton
     assert sorted({t.color for t in six.transitions if t.color % 2 == 0}) == [2, 4, 6]
-    for w in (LassoWord(("1",), ("5", "6")), LassoWord((), ("1",)), LassoWord(("2", "3"), ("6",))):
-        product = lasso_product(six, w)
-        lasso_membership(six, w)
-        # The membership rules are numbered in the product's state order.
-        pushing = [str(t) for t in product.transitions if t.push]
-        assert moved(product.states) == sorted(pushing), str(w)
+    passes = []
+    heads = analysis._lasso_heads
+    monkeypatch.setattr(analysis, "_lasso_heads", lambda *a: passes.append(a) or heads(*a))
     fx = zoo.example23()
+    lassos = [(six, w) for w in (LassoWord(("1",), ("5", "6")), LassoWord((), ("1",)),
+                                 LassoWord(("2", "3"), ("6",)))]
+    lassos += [(fx.automaton, w) for w, _flag in fx.sample(seed=5, count=6)]
+    for pda, w in lassos:
+        lasso_membership(pda, w)
+        assert not built and len(passes) == 1, str(w)
+        _names, moves, _facts, full, reached = _pass_and_full_summary(pda, w)
+        built.clear()
+        passes.clear()
+        assert set(moves) == reached, str(w)
+        for head, ms in moves.items():
+            assert all(parts is None for _dst, _c, _l, parts in ms), (str(w), head)
+            expected = Counter(move[:3] for move in full.adj.get(head, ()))
+            assert Counter(move[:3] for move in ms) == expected, (str(w), head)
     det = determinize_moore(fx.automaton, fx.resolver)
     for pda in (six, det):
         parity_nonempty(pda)
@@ -709,9 +780,10 @@ def test_head_moves_are_computed_once_per_summary(monkeypatch):
 
 
 def test_membership_search_visits_only_heads_reachable_from_the_start(monkeypatch):
-    # Membership runs Tarjan on the heads reachable from (0, _) alone; the
-    # full summary has heads that it never visits.
-    built = _recording_summaries(monkeypatch)
+    # Membership's pass reaches exactly the heads reachable from (initial@0, _)
+    # in the summary of the whole product, with that summary's pop facts at
+    # them, and runs Tarjan on those heads alone; the whole product's
+    # saturation has facts at heads that the pass never reaches.
     visited = []
     tarjan = analysis._tarjan_sccs
 
@@ -721,24 +793,19 @@ def test_membership_search_visits_only_heads_reachable_from_the_start(monkeypatc
         return scc_of
 
     monkeypatch.setattr(analysis, "_tarjan_sccs", counting_tarjan)
-    runs = skipped = 0
+    runs = pass_facts = full_facts = 0
     for name, pda, w in _membership_queries():
         visited.clear()
         lasso_membership(pda, w)
-        (summary, adj), = built
-        built.clear()
-        reached, work = {(0, BOTTOM)}, [(0, BOTTOM)]
-        while work:
-            for head, _c, _l, _parts in adj.get(work.pop(), ()):
-                if head not in reached:
-                    reached.add(head)
-                    work.append(head)
-        heads = set(adj) | {move[0] for moves in adj.values() for move in moves}
+        names, moves, facts, full, reached = _pass_and_full_summary(pda, w)
+        assert set(moves) == reached, (name, str(w))
+        assert facts == {key for key in full.pops.defs if key[:2] in reached}, (name, str(w))
         for seen in visited:
-            assert seen <= reached, (name, str(w))
+            assert {(names[p], x) for p, x in seen} == reached, (name, str(w))
         runs += len(visited)
-        skipped += len(visited) * len(heads - reached)
-    assert runs > 0 and skipped > 0
+        pass_facts += len(facts)
+        full_facts += len(full.pops.defs)
+    assert runs > 0 and pass_facts < full_facts
 
 
 # -- color normalization -------------------------------------------------------
