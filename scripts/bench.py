@@ -9,7 +9,8 @@ checkout.  Every time is the best of five raw repeats (no calibration), in
 milliseconds per call, measured in this one process.  Inputs come from the
 zoo and from seeded generators below, so two runs read the same texts.  The
 report goes to OUTPUT.json (default ``BENCH.json``) and, in short, to
-standard output.  Run it on two commits on the same machine to compare them.
+standard output; its ``elapsed_s`` is the whole run's wall time.  Run it on
+two commits on the same machine to compare them.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ sys.path.insert(0, os.path.join(ROOT, "tests"))
 
 import corpus  # noqa: E402  (the benchmark's seeded specification corpus)
 from gfgpda import analysis, closure, core, games, resolvers, zoo  # noqa: E402
-from helpers import epsilon_recursion  # noqa: E402  (the tests' recursion machine)
+from helpers import epsilon_recursion, full_lasso_product  # noqa: E402  (test helpers)
 
 REPEATS = 5
 MIN_REPEAT_S = 0.02
@@ -43,7 +44,6 @@ PREFIX_LETTERS = (250, 500, 1000, 2000, 4000)
 VERIFY_WORDS = 10
 VERIFY_SEED = 2024
 LIFTED_GUARD = 1000
-PRODUCT_PREFIXES = (16, 32, 64, 128, 256)
 MEMBERSHIP_PREFIXES = (16, 32, 64, 128)
 MEMBERSHIP_SAMPLE = 20  # words per zoo fixture
 SPECS = 150
@@ -184,14 +184,15 @@ def lss_lassos(sizes) -> dict:
 
 def head_counts(pda, w) -> collections.Counter:
     """Heads and pop facts of membership's pass, which reaches the heads from
-    the start, and of the emptiness summary of the whole ``lasso_product``."""
+    the start, and of the emptiness summary of the unrestricted product
+    (``full_lasso_product``, every state ``q@i``)."""
     adj, pops, _evens, _states = analysis._lasso_heads(pda, w)
-    product = analysis.lasso_product(pda, w)
+    product = full_lasso_product(pda, w)
     full = analysis._Summary(analysis._rules(product.transitions))
-    heads = {(product.initial, core.BOTTOM)} | set(full.adj) | {key[:2] for key in full.pops.defs}
+    heads = {(product.initial, core.BOTTOM)} | set(full.adj) | {key[:2] for key in full.defs}
     heads.update(move[0] for moves in full.adj.values() for move in moves)
     return collections.Counter(pass_heads=len(adj), pass_facts=sum(map(len, pops.values())),
-                               summary_heads=len(heads), summary_facts=len(full.pops.defs))
+                               full_heads=len(heads), full_facts=len(full.defs))
 
 
 def membership_layer() -> dict:
@@ -306,9 +307,8 @@ def closure_layer() -> list:
 
 def constructions_layer() -> dict:
     """The constructions that ``core.explore`` builds from an initial state:
-    det(example23) by its Moore resolver; ``build_pd`` plus the arena on the
-    benchmark's 150 seed-940 specifications; ``lasso_product`` of lss with
-    seeded lassos of prefix length |u| and loop length |u| / 4."""
+    det(example23) by its Moore resolver, and ``build_pd`` plus the arena on
+    the benchmark's 150 seed-940 specifications."""
     ex23 = zoo.example23()
     det = resolvers.determinize_moore(ex23.automaton, ex23.resolver)
     ms = best_ms({"det": lambda: resolvers.determinize_moore(ex23.automaton, ex23.resolver)})
@@ -326,13 +326,6 @@ def constructions_layer() -> dict:
 
     built = arenas()
     ms.update(best_ms({"arenas": arenas}))
-
-    lss, words = zoo.lss().automaton, lss_lassos(PRODUCT_PREFIXES)
-    series = doubling_series("u", lambda w: analysis.lasso_product(lss, w), words,
-                             unit="product_ms")
-    for row in series:
-        prod = analysis.lasso_product(lss, words[row["u"]])
-        row.update(states=len(prod.states), transitions=len(prod.transitions))
     return {"determinize_moore:example23": {"ms": ms["det"], "states": len(det.states),
                                             "transitions": len(det.transitions)},
             "build_pd+arena:specs": {
@@ -340,17 +333,18 @@ def constructions_layer() -> dict:
                 "pd_states": sum(len(pd.states) for pd, _ in built),
                 "pd_transitions": sum(len(pd.transitions) for pd, _ in built),
                 "arena_states": sum(len(g.states) for _, g in built),
-                "arena_moves": sum(len(g.moves) for _, g in built)},
-            "lasso_product:lss": series}
+                "arena_moves": sum(len(g.moves) for _, g in built)}}
 
 
 def main(argv: list[str]) -> int:
     out = argv[1] if len(argv) > 1 else "BENCH.json"
+    started = time.perf_counter()
     report = {"python": platform.python_version(), "machine": platform.machine(),
               "repeats": REPEATS, "series_seed": SERIES_SEED, "parse": parse_layer(),
               "membership": membership_layer(), "guided": guided_layer(),
               "synthesis": synthesis_layer(), "closure": closure_layer(),
               "constructions": constructions_layer()}
+    report["elapsed_s"] = time.perf_counter() - started
     with open(out, "w", encoding="utf-8") as fh:
         json.dump(report, fh, indent=1, sort_keys=True)
         fh.write("\n")
@@ -368,13 +362,13 @@ def main(argv: list[str]) -> int:
     print(f"membership zoo sample: {row['ms']:.3f} ms for {row['queries']} queries, "
           f"{row['us_per_query']:.1f} us each: parse {row['parse_ms']:.3f} ms "
           f"({row['parse_share']:.0%}), lasso_membership {row['membership_ms']:.3f} ms")
-    print(f"membership zoo sample: heads {row['pass_heads']} of {row['summary_heads']}, "
-          f"pop facts {row['pass_facts']} of {row['summary_facts']} (pass of whole product)")
+    print(f"membership zoo sample: heads {row['pass_heads']} of {row['full_heads']}, "
+          f"pop facts {row['pass_facts']} of {row['full_facts']} (pass of unrestricted product)")
     for row in report["membership"]["lss_series"]:
         growth = "" if row["growth"] is None else f"  x{row['growth']:.2f}"
         print(f"membership lss |u|={row['u']:3d}: {row['membership_ms']:.3f} ms, "
-              f"accepted {row['accepted']}, heads {row['pass_heads']} of {row['summary_heads']}, "
-              f"pop facts {row['pass_facts']} of {row['summary_facts']}{growth}")
+              f"accepted {row['accepted']}, heads {row['pass_heads']} of {row['full_heads']}, "
+              f"pop facts {row['pass_facts']} of {row['full_facts']}{growth}")
     guided = report["guided"]
     for series, what, unit in (("verify_series", "guard", "verify_ms"),
                                ("run_series", "letters", "run_ms")):
@@ -399,11 +393,7 @@ def main(argv: list[str]) -> int:
     print(f"construct build_pd+arena ({row['specs']} specs): {row['ms']:.3f} ms, "
           f"{row['pd_states']} pd states, {row['arena_states']} arena states, "
           f"{row['arena_moves']} moves")
-    for row in built["lasso_product:lss"]:
-        growth = "" if row["growth"] is None else f"  x{row['growth']:.2f}"
-        print(f"construct lasso_product(lss) |u|={row['u']:3d}: {row['product_ms']:.3f} ms, "
-              f"{row['states']} states, {row['transitions']} transitions{growth}")
-    print(f"wrote {out}")
+    print(f"bench took {report['elapsed_s']:.1f} s; wrote {out}")
     return 0
 
 

@@ -27,10 +27,11 @@ is needed and witnesses replay on the input unchanged.
 with their stems, Tarjan on them for each even color in ascending order,
 and a stop at the lowest color with a good head.  ``lasso_membership`` runs
 the same layers on the heads of the lasso product reached from the start,
-found by one head-driven pass that saturates only them and keeps no
-derivations, since a verdict needs no witness.  ``accepts_tail_of`` needs
-every accepting head at once: one backward search over all heads, seeded
-at the good heads of every color.
+found by one head-driven pass, ``_lasso_heads``, that saturates only them
+and keeps no derivations, since a verdict needs no witness; the rule-driven
+``_saturate`` serves the rest (each measured slower at the other's job).
+``accepts_tail_of`` needs every accepting head at once: one backward search
+over all heads, seeded at the good heads of every color.
 """
 
 from __future__ import annotations
@@ -46,7 +47,6 @@ from .core import (
     LassoWord,
     OmegaPDA,
     Transition,
-    explore,
     replay,
     step,
 )
@@ -204,29 +204,6 @@ def saturate_pre_star(pda: OmegaPDA, target: PAutomaton) -> PAutomaton:
 # ---------------------------------------------------------------------------
 
 
-class _Pops:
-    def __init__(self, rules: Iterable[tuple]):
-        """Pop summaries ``(p, X) -> [(r, c, l, key)]``: ``_saturate`` of the rules."""
-        self.defs, self.by_head = _saturate(rules)
-
-    def results(self, p, x: str) -> list:
-        """(r, c, l, key) for pops of ``x`` from state ``p``, in worklist order."""
-        return self.by_head.get((p, x), [])
-
-    def expand(self, *parts) -> tuple:
-        """Flatten rule tags and fact keys, the plain tuples among the
-        parts, into one sequence of tags."""
-        out: list = []
-        stack = list(reversed(parts))
-        while stack:
-            part = stack.pop()
-            if type(part) is tuple:
-                stack.extend(reversed(self.defs[part]))
-            else:
-                out.append(part)
-        return tuple(out)
-
-
 def _tarjan_sccs(nodes: Iterable, adj: dict, d: int) -> dict:
     """Iterative Tarjan on moves of color ``<= d``; node -> its SCC's root node."""
     index: dict = {}
@@ -290,19 +267,19 @@ def _search(heads: Iterable, adj: dict, evens: Iterable[int]) -> Optional[tuple[
 class _Summary:
     """Start-independent emptiness summary of a list of rule tuples.
 
-    One saturation gives ``pops``; one head adjacency, built with it in rule
-    order, maps a head to its moves ``(dst, c, l, parts)``: abstract run
-    infixes that never dip below the head's level, to the head a rule
-    pushes on top and, for a push of two symbols, to each head exposed once
-    that top is popped; ``c`` is the max color, ``l`` the letter bit, and
-    ``parts`` expand to the infix.  Each even color's head graph is the
-    adjacency cut to ``c <= d``.
+    One ``_saturate`` gives the pop facts ``defs`` with their derivations
+    and ``by_head``, ``(p, X) -> [(r, c, l, key)]`` in worklist order; one
+    head adjacency, built with them in rule order, maps a head to its moves
+    ``(dst, c, l, parts)``: abstract run infixes that never dip below the
+    head's level, to the head a rule pushes on top and, for a push of two
+    symbols, to each head exposed once that top is popped; ``c`` is the max
+    color, ``l`` the letter bit, and ``parts`` expand to the infix.  Each
+    even color's head graph is the adjacency cut to ``c <= d``.
     """
 
     def __init__(self, rules: list):
         self.rules = rules
-        self.pops = _Pops(rules)
-        by_head = self.pops.by_head
+        self.defs, self.by_head = _saturate(rules)
         self.adj = adj = {}
         for p, x, l, q, push, c, tag in rules:
             if not push:
@@ -310,9 +287,21 @@ class _Summary:
             moves = adj.setdefault((p, x), [])
             moves.append(((q, push[-1]), c, l, (tag,)))
             if len(push) == 2:
-                for r, c2, l2, key in by_head.get((q, push[1]), ()):
+                for r, c2, l2, key in self.by_head.get((q, push[1]), ()):
                     moves.append(((r, push[0]), c if c > c2 else c2, l | l2, (tag, key)))
         self.evens = sorted({rule[5] for rule in rules if rule[5] % 2 == 0})
+
+    def expand(self, *parts) -> tuple:
+        """Rule tags and fact keys (the tuples among ``parts``), as one tag sequence."""
+        out: list = []
+        stack = list(reversed(parts))
+        while stack:
+            part = stack.pop()
+            if type(part) is tuple:
+                stack.extend(reversed(self.defs[part]))
+            else:
+                out.append(part)
+        return tuple(out)
 
     def heads_from(self, start: Configuration) -> dict:
         """Heads reachable from ``start`` in breadth-first order.
@@ -335,7 +324,7 @@ class _Summary:
         while f.below is not None:
             below: dict = {}
             for st, stem in carriers.items():
-                for r, _c, _l, key in self.pops.results(st, f.symbol):
+                for r, _c, _l, key in self.by_head.get((st, f.symbol), ()):
                     below.setdefault(r, (stem, key))
             carriers, f = below, f.below
             for st, stem in carriers.items():
@@ -382,7 +371,7 @@ class _Summary:
             walk += path(cur, e[0]) + [e]
             cur = e[1]
         walk += path(cur, head)
-        return self.pops.expand(*(part for e in walk for part in e[4]))
+        return self.expand(*(part for e in walk for part in e[4]))
 
     def witness(self, pda: OmegaPDA, start: Configuration) -> Optional[EmptinessWitness]:
         """First witness from ``start`` on ``pda``: lowest even color, then first head found."""
@@ -397,7 +386,7 @@ class _Summary:
         while stem is not None:
             stem, part = stem
             parts.append(part)
-        stem_ts = self.pops.expand(*reversed(parts))
+        stem_ts = self.expand(*reversed(parts))
         loop_start = replay(pda, stem_ts, start).last
         return EmptinessWitness(stem_ts, self.loop(head, d, scc_of), loop_start)
 
@@ -432,35 +421,6 @@ def parity_nonempty(
 # ---------------------------------------------------------------------------
 # Ultimately periodic membership.
 # ---------------------------------------------------------------------------
-
-
-def lasso_product(pda: OmegaPDA, w: LassoWord) -> OmegaPDA:
-    """Reachable part of the product with the deterministic |u|+|v| position tracker.
-
-    ``core.explore`` from ``initial@0`` over the control graph emits the
-    states ``q@i`` it reaches and the transitions leaving them, each state
-    reading only its enabled transitions, indexed once by ``(state, letter)``
-    in declaration order.  A run from ``initial@0`` stays among them.
-    """
-    word = w.prefix + w.loop
-    letters = set(word)
-    enabled: dict = {}
-    for t in pda.transitions:
-        for a in letters if t.label is None else (t.label,):
-            enabled.setdefault((t.source, a), []).append(t)
-    nexts = [*range(1, len(word)), len(w.prefix)]
-
-    def expand(order):
-        for u, (q, i) in enumerate(order):
-            nxt = nexts[i]
-            for t in enabled.get((q, word[i]), ()):
-                yield u, t.color, (t.target, i if t.label is None else nxt), t
-
-    order, edges, base = explore((pda.initial, 0), expand)
-    names = [f"{q}@{i}" for q, i in order]
-    return OmegaPDA(tuple(names), pda.input_alphabet, pda.stack_alphabet, names[0], tuple([
-        Transition(names[u], t.top, t.label, names[v], t.push, c)
-        for (u, c, v), t in zip(edges, base)]))
 
 
 def _lasso_heads(pda: OmegaPDA, w: LassoWord) -> tuple[dict, dict, list, list]:
@@ -676,4 +636,4 @@ def accepts_tail_of(pda: OmegaPDA, tail_letter: str) -> PAutomaton:
     rules = _rules(t for t in pda.transitions if t.label in (None, tail_letter))
     summary = _Summary(rules)
     seed = _pa_of_heads(pda, summary.accepting_heads())
-    return PAutomaton(seed.finals, seed.edges | {key[:3] for key in summary.pops.defs})
+    return PAutomaton(seed.finals, seed.edges | {key[:3] for key in summary.defs})

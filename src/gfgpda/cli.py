@@ -99,26 +99,25 @@ def cmd_tailset(args) -> CommandResult:
     )
 
 
-def cmd_universal(args) -> CommandResult:
-    pda = load_pda(args.file)
-    result = games.solve_gale_stewart(
-        games.make_universality_spec(pda, gfg_claimed=not args.not_gfg), args.budget
-    )
+def _game_verdict(spec, budget: int, eve_wins: tuple, player1_wins: str) -> CommandResult:
+    """Solve ``spec``'s game: ``eve_wins`` is the (text, JSON verdict) if Player 2
+    wins; else ``player1_wins``, inconclusive unless the condition is claimed GFG."""
+    result = games.solve_gale_stewart(spec, budget)
     stats = result.solve.stats
     if result.winner == games.EVE:
-        return CommandResult(EXIT_OK, "universal", {"verdict": "universal", "stats": stats})
-    verdict = "non-universal" if result.sound else "non-universal (inconclusive: not claimed good-for-games)"
+        return CommandResult(EXIT_OK, eve_wins[0], {"verdict": eve_wins[1], "stats": stats})
+    verdict = player1_wins if result.sound else f"{player1_wins} (inconclusive: not claimed good-for-games)"
     return CommandResult(EXIT_NEGATIVE, verdict, {"verdict": verdict, "stats": stats})
+
+
+def cmd_universal(args) -> CommandResult:
+    spec = games.make_universality_spec(load_pda(args.file), gfg_claimed=not args.not_gfg)
+    return _game_verdict(spec, args.budget, ("universal", "universal"), "non-universal")
 
 
 def cmd_solve(args) -> CommandResult:
     spec = games.parse_gs_spec(read_text(args.specfile))
-    result = games.solve_gale_stewart(spec, args.budget)
-    stats = result.solve.stats
-    if result.winner == games.EVE:
-        return CommandResult(EXIT_OK, "player 2 wins", {"verdict": "player2", "stats": stats})
-    verdict = "player 1 wins" if result.sound else "player 1 wins (inconclusive: not claimed good-for-games)"
-    return CommandResult(EXIT_NEGATIVE, verdict, {"verdict": verdict, "stats": stats})
+    return _game_verdict(spec, args.budget, ("player 2 wins", "player2"), "player 1 wins")
 
 
 def cmd_synth(args) -> CommandResult:
@@ -185,7 +184,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="gfgpda")
     p.add_argument("--json", action="store_true", help="machine-readable report")
     p.add_argument("--budget", type=int, default=5_000_000,
-                   help="vertex budget of solvers, state budget of constructions")
+                   help="vertex budget of universal, solve and synth, state budget of "
+                        "determinize and product; the other commands ignore it")
     sub = p.add_subparsers(dest="command", required=True)
 
     s = sub.add_parser("validate");  s.add_argument("file"); s.set_defaults(fn=cmd_validate)

@@ -661,7 +661,6 @@ def gs_to_pushdown_game(dpda: OmegaPDA, info: PdInfo) -> PushdownParityGame:
 class GsResult:
     winner: str
     sound: bool  # Adam verdicts are inconclusive unless the condition is GFG
-    pd: OmegaPDA
     info: PdInfo
     game: PushdownParityGame
     solve: PushdownSolveResult
@@ -672,7 +671,7 @@ def solve_gale_stewart(spec: GaleStewartSpec, budget: int = 5_000_000) -> GsResu
     game = gs_to_pushdown_game(pd, info)
     res = solve_pushdown_parity_game(game, budget)
     sound = res.winner == EVE or spec.gfg_claimed
-    return GsResult(res.winner, sound, pd, info, game, res)
+    return GsResult(res.winner, sound, info, game, res)
 
 
 def universality(pda: OmegaPDA, budget: int = 5_000_000, gfg_claimed: bool = True) -> bool:

@@ -121,8 +121,8 @@ def normalize_colors(pda: OmegaPDA) -> OmegaPDA:
 def full_lasso_product(pda: OmegaPDA, w: LassoWord) -> OmegaPDA:
     """Product with the |u|+|v| position tracker over every (transition, position) pair.
 
-    The unrestricted product, reachable or not: the oracle for the
-    reachable product that ``analysis.lasso_product`` builds.
+    The unrestricted product, reachable or not: the reference for the part
+    that membership's head-driven pass (``analysis._lasso_heads``) reaches.
     """
     n = w.positions()
 

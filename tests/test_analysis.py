@@ -11,7 +11,6 @@ from gfgpda.analysis import (
     accepts_tail_of,
     brute_force_lasso_oracle,
     lasso_membership,
-    lasso_product,
     parity_nonempty,
     saturate_pre_star,
 )
@@ -422,10 +421,18 @@ def test_tall_start_stack_queries_each_state_once_per_level(monkeypatch):
     ts.append(Transition("a", BOTTOM, "x", "a", (BOTTOM,), 2))
     pda = OmegaPDA(("a", "b"), ("x",), ("X",), "a", tuple(ts))
     queried = []
-    results = analysis._Pops.results
-    monkeypatch.setattr(
-        analysis._Pops, "results", lambda self, p, x: queried.append(p) or results(self, p, x)
-    )
+
+    class CountingPops(dict):
+        def get(self, head, default=None):
+            queried.append(head)
+            return super().get(head, default)
+
+    class CountingSummary(analysis._Summary):
+        def __init__(self, rules):
+            super().__init__(rules)
+            self.by_head = CountingPops(self.by_head)
+
+    monkeypatch.setattr(analysis, "_Summary", CountingSummary)
     start = Configuration("a", (BOTTOM,) + ("X",) * 12)
     w = parity_nonempty(pda, start)
     validate_witness(pda, w, start)
@@ -470,10 +477,10 @@ def _bounded_pops(pda, height):
 
 def test_pop_facts_replay_as_pops():
     for name, pda in _pop_summary_automata():
-        pops = analysis._Pops(analysis._rules(pda.transitions))
-        for key in pops.defs:
+        summary = analysis._Summary(analysis._rules(pda.transitions))
+        for key in summary.defs:
             p, x, r, c, l = key
-            ts = pops.expand(key)
+            ts = summary.expand(key)
             run = replay(pda, ts, Configuration(p, (BOTTOM, x)))
             assert run.last == Configuration(r, (BOTTOM,)), (name, key)
             assert all(cfg.height >= 1 for cfg in run.configurations[:-1]), (name, key)
@@ -485,18 +492,17 @@ def test_pop_index_lists_each_fact_once_under_its_head():
     # The index is the saturation's own, in worklist order: each fact once,
     # under (p, X), with its derivation in the fact table.
     for name, pda in _pop_summary_automata():
-        pops = analysis._Pops(analysis._rules(pda.transitions))
-        listed = [(p, x, *entry[:3]) for (p, x), entries in pops.by_head.items()
+        defs, by_head = analysis._saturate(analysis._rules(pda.transitions))
+        listed = [(p, x, *entry[:3]) for (p, x), entries in by_head.items()
                   for entry in entries]
-        assert sorted(listed) == sorted(pops.defs), name
-        for (p, x), entries in pops.by_head.items():
-            assert pops.results(p, x) == entries
+        assert sorted(listed) == sorted(defs), name
+        for (p, x), entries in by_head.items():
             assert all(entry[3] == (p, x, *entry[:3]) for entry in entries), name
 
 
 def test_pop_facts_include_every_bounded_pop():
     for name, pda in _pop_summary_automata():
-        missing = _bounded_pops(pda, 3) - set(analysis._Pops(analysis._rules(pda.transitions)).defs)
+        missing = _bounded_pops(pda, 3) - set(analysis._saturate(analysis._rules(pda.transitions))[0])
         assert not missing, (name, sorted(missing)[:3])
 
 
@@ -504,11 +510,11 @@ def test_color_layer_facts_are_the_color_restricted_facts():
     # A layer filters the shared facts by max color; that must be exactly
     # what saturating the automaton's transitions of color <= d gives.
     for name, pda in _pop_summary_automata():
-        facts = set(analysis._Pops(analysis._rules(pda.transitions)).defs)
+        facts = set(analysis._saturate(analysis._rules(pda.transitions))[0])
         for d in sorted({t.color for t in pda.transitions if t.color % 2 == 0}):
             low = restrict(pda, lambda t: t.color <= d)
             kept = {key for key in facts if key[3] <= d}
-            assert kept == set(analysis._Pops(analysis._rules(low.transitions)).defs), (name, d)
+            assert kept == set(analysis._saturate(analysis._rules(low.transitions))[0]), (name, d)
 
 
 # -- membership ---------------------------------------------------------------
@@ -615,20 +621,18 @@ def test_reachable_product_membership_matches_full_product():
 
 
 def test_reachable_product_keeps_only_reachable_states():
-    # The product is the full product cut to the states reachable from its
-    # initial state: those states, and every transition leaving them.
+    # Membership's pass numbers the product states (q, i) it reaches from
+    # (initial, 0), each once: every one is control-reachable from
+    # initial@0 in the full product, and on twopump they are fewer than all.
     for name, pda, w in _membership_queries():
-        product, full = lasso_product(pda, w), full_lasso_product(pda, w)
-        reachable = _control_reachable(product)
-        assert product.initial == full.initial
-        assert set(product.states) == reachable, (name, str(w))
-        assert len(product.states) == len(reachable)
-        kept = [t for t in full.transitions if t.source in reachable]
-        assert Counter(product.transitions) == Counter(kept), (name, str(w))
+        names = [f"{q}@{i}" for q, i in analysis._lasso_heads(pda, w)[3]]
+        full = full_lasso_product(pda, w)
+        assert names[0] == full.initial and len(set(names)) == len(names), (name, str(w))
+        assert set(names) <= _control_reachable(full), (name, str(w))
     fx = zoo.get("twopump")
     for w, _flag in fx.sample():
-        product = lasso_product(fx.automaton, w)
-        assert len(product.states) < len(fx.automaton.states) * w.positions(), str(w)
+        states = analysis._lasso_heads(fx.automaton, w)[3]
+        assert len(states) < len(fx.automaton.states) * w.positions(), str(w)
 
 
 def test_lss_lassos_match_the_closed_form():
@@ -700,14 +704,14 @@ def test_membership_joins_facts_and_moves_in_either_order():
 def _pass_and_full_summary(pda, w):
     """The membership pass on ``pda`` and ``w``: its state names ``q@i`` by
     number, and its moves and facts renamed by them; then the summary of the
-    whole ``lasso_product`` and the heads reachable from its start head."""
+    unrestricted product and the heads reachable from its start head."""
     adj, pops, _evens, states = analysis._lasso_heads(pda, w)
     names = [f"{q}@{i}" for q, i in states]
     moves = {(names[p], x): [((names[q], y), c, l, parts) for (q, y), c, l, parts in ms]
              for (p, x), ms in adj.items()}
     facts = {(names[p], x, names[r], c, l) for (p, x), fs in pops.items() for r, c, l in fs}
     assert len(facts) == sum(map(len, pops.values()))
-    full = analysis._Summary(analysis._rules(lasso_product(pda, w).transitions))
+    full = analysis._Summary(analysis._rules(full_lasso_product(pda, w).transitions))
     start = (f"{pda.initial}@0", BOTTOM)
     reached, work = {start}, [start]
     while work:
@@ -737,14 +741,14 @@ def test_head_moves_are_computed_once_per_summary(monkeypatch):
                 t = parts[0]
                 if len(parts) == 2:
                     key = parts[1]
-                    assert key in summary.pops.defs and key[1] == t.push[1]
+                    assert key in summary.defs and key[1] == t.push[1]
                     assert (q, y) == (key[2], t.push[0]) and c == max(t.color, key[3])
                     continue
                 assert (x, y, l, c) == (t.top, t.push[-1], t.label is not None, t.color)
                 if names is not None:
                     p, q = names[p], names[q]
                 out.append(str(Transition(p, x, t.label, q, t.push, c)))
-        pops = sum(len(summary.pops.results(rule[3], rule[4][1]))
+        pops = sum(len(summary.by_head.get((rule[3], rule[4][1]), ()))
                    for rule in summary.rules if len(rule[4]) == 2)
         assert sum(map(len, adj.values())) == len(out) + pops
         return sorted(out)
@@ -799,12 +803,12 @@ def test_membership_search_visits_only_heads_reachable_from_the_start(monkeypatc
         lasso_membership(pda, w)
         names, moves, facts, full, reached = _pass_and_full_summary(pda, w)
         assert set(moves) == reached, (name, str(w))
-        assert facts == {key for key in full.pops.defs if key[:2] in reached}, (name, str(w))
+        assert facts == {key for key in full.defs if key[:2] in reached}, (name, str(w))
         for seen in visited:
             assert {(names[p], x) for p, x in seen} == reached, (name, str(w))
         runs += len(visited)
         pass_facts += len(facts)
-        full_facts += len(full.pops.defs)
+        full_facts += len(full.defs)
     assert runs > 0 and pass_facts < full_facts
 
 

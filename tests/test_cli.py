@@ -4,9 +4,11 @@ import itertools
 import json
 import random
 
+import pytest
+
 from gfgpda import analysis, cli, games, zoo
 from gfgpda.core import BOTTOM, Configuration, format_pda, parse_pda
-from gfgpda.resolvers import determinize_moore
+from gfgpda.resolvers import determinize_moore, format_moore
 
 from helpers import copycat_spec, cycle_dpa, random_spec
 
@@ -145,6 +147,41 @@ def test_zoo_list_and_dump(capsys):
     code, out = run(capsys, "zoo", "dump", "figure1")
     assert code == 0
     assert parse_pda(out) == zoo.figure1().automaton
+
+
+def test_zoo_dump_without_a_name_is_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["zoo", "dump"])
+    lines = capsys.readouterr().err.splitlines()
+    assert exc.value.code == 2 and lines[0].startswith("usage: gfgpda")
+    assert lines[-1] == "gfgpda: error: zoo dump needs a fixture name"
+
+
+def test_inputs_missing_a_part_are_input_errors(capsys, tmp_path, monkeypatch):
+    # A lasso without ';' or with an empty loop, and a DPA, Moore machine or
+    # strategy without its initial state: exit 4, and the first line says why.
+    fx = zoo.example23()
+    dfile = tmp_path / "no-initial.dpa"
+    dfile.write_text("dstate d0\n" + "".join(
+        f"dletter {a}\ndtrans d0 {a} d0 2\n" for a in fx.automaton.input_alphabet))
+    mfile = tmp_path / "no-initial.moore"
+    mfile.write_text("".join(line + "\n" for line in format_moore(
+        fx.automaton, fx.resolver).splitlines() if not line.startswith("minitial ")))
+    specfile = tmp_path / "copycat.gs"
+    specfile.write_text(games.format_gs_spec(copycat_spec()))
+    tfile = tmp_path / "no-initial.pdt"
+    tfile.write_text("tstate s0\ntout s0 x\ntinput a b\ntoutput x y\n")
+    monkeypatch.setattr("sys.stdin", io.StringIO("a\n"))
+    for argv, first in [
+        (["member", "zoo:example23", "acd#"], "lasso word needs a ';' separator: 'acd#'"),
+        (["member", "zoo:example23", "acd;"], "lasso loop must be nonempty: 'acd;'"),
+        (["product", "zoo:example23", str(dfile), "--mode", "union"],
+         "missing 'dinitial' declaration"),
+        (["determinize", "zoo:example23", str(mfile)], "missing 'minitial' declaration"),
+        (["play", str(specfile), str(tfile)], "missing 'tinitial' declaration"),
+    ]:
+        code, out = run(capsys, *argv)
+        assert (code, out.splitlines()[0]) == (4, f"input error: {first}"), argv
 
 
 def test_json_report_schema(capsys):

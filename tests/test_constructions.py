@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from gfgpda import analysis, zoo
+from gfgpda import zoo
 from gfgpda.closure import MODES, product
 from gfgpda.games import (
     Player1Wins,
@@ -43,12 +43,6 @@ def _specs():
         random_spec(base) for _ in range(30)]
 
 
-def _lasso_products():
-    for fx in zoo.all_fixtures():
-        for w, _ in fx.sample(seed=5, count=4):
-            yield analysis.lasso_product(fx.automaton, w)
-
-
 def _products():
     for fx in zoo.all_fixtures():
         for mode in MODES:
@@ -83,7 +77,6 @@ def _strategies():
 
 
 BUILDERS = {
-    "lasso_product": lambda: map(_automaton, _lasso_products()),
     "product": lambda: map(_automaton, _products()),
     "determinize_moore": lambda: map(_automaton, _determinized()),
     "build_pd": lambda: map(_automaton, _block_automata()),

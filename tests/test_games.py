@@ -50,6 +50,7 @@ from helpers import (
     encode_blocks,
     eps_block_spec,
     finite_game_oracle,
+    full_lasso_product,
     interval_iteration,
     mapped_resolver,
     pq_drain_spec,
@@ -340,7 +341,7 @@ def test_pushdown_solver_on_stackless_embeddings_matches_finite():
 def test_pushdown_solver_one_player_matches_emptiness():
     for name, lasso in [("example23", "acd;#"), ("example23", "acdd;#"), ("lss", ";(-,-)")]:
         fx = zoo.get(name)
-        product = analysis.lasso_product(fx.automaton, parse_lasso(lasso))
+        product = full_lasso_product(fx.automaton, parse_lasso(lasso))
         moves = tuple(
             GameMove(t.source, t.top, t.target, t.push, t.color) for t in product.transitions
         )
