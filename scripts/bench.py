@@ -1,6 +1,6 @@
 """Layer benchmark of gfgpda: parsing and validation, lasso membership, guided
-runs, one synthesis, transducer epsilon closure, the constructions built by
-``core.explore``.
+runs, one synthesis, Gale-Stewart solving on both block automata, transducer
+epsilon closure, the constructions built by ``core.explore``.
 
     python3 scripts/bench.py [OUTPUT.json]
 
@@ -31,7 +31,12 @@ sys.path.insert(0, os.path.join(ROOT, "tests"))
 
 import corpus  # noqa: E402  (the benchmark's seeded specification corpus)
 from gfgpda import analysis, closure, core, games, resolvers, zoo  # noqa: E402
-from helpers import epsilon_recursion, full_lasso_product  # noqa: E402  (test helpers)
+from helpers import (  # noqa: E402  (test helpers)
+    block_solve,
+    block_strategy,
+    epsilon_recursion,
+    full_lasso_product,
+)
 
 REPEATS = 5
 MIN_REPEAT_S = 0.02
@@ -47,6 +52,7 @@ LIFTED_GUARD = 1000
 MEMBERSHIP_PREFIXES = (16, 32, 64, 128)
 MEMBERSHIP_SAMPLE = 20  # words per zoo fixture
 SPECS = 150
+GS_BUDGET = 5_000  # the games workload's solver budget
 CLOSURE_DEPTHS = (8, 9, 10, 11)
 
 
@@ -289,6 +295,42 @@ def synthesis_layer() -> dict:
                                      "rules": len(strategy.machine.transitions)}}
 
 
+def gale_stewart_layer() -> dict:
+    """``solve_gale_stewart``, and ``synthesize_strategy_pdt`` for Eve wins, on
+    the benchmark's 150 seed-940 specifications (deterministic epsilon-free
+    conditions, so their own block automata), timed in one call beside the
+    tests' ``block_solve`` and ``block_strategy`` on ``build_pd``'s block
+    automata.  Solver vertices are summed by the phase that decided."""
+    api = SimpleNamespace(core=core, games=games)
+    base = random.Random(corpus.SPEC_BASE_SEED)
+    specs = [corpus.random_spec(api, base) for _ in range(SPECS)]
+    paths = {"direct": (games.solve_gale_stewart, games.synthesize_strategy_pdt),
+             "block": (block_solve, block_strategy)}
+
+    results: dict = {}  # path -> [(GsResult, strategy or None)] of its last timed call
+
+    def run(name):
+        solve, synth = paths[name]
+        results[name] = []
+        for spec in specs:
+            gs = solve(spec, GS_BUDGET)
+            results[name].append((gs, synth(spec, GS_BUDGET) if gs.winner == games.EVE else None))
+
+    ms = best_ms({name: lambda name=name: run(name) for name in paths})
+    report = {}
+    for name in paths:
+        vertices: collections.Counter = collections.Counter()
+        strategies = []
+        for gs, strategy in results[name]:
+            vertices[gs.solve.stats["decided_by"]] += gs.solve.stats["vertices"]
+            if strategy is not None:
+                strategies.append(len(strategy.machine.states))
+        report[name] = {"specs": SPECS, "ms": ms[name], "eve_wins": len(strategies),
+                        "vertices": dict(sorted(vertices.items())),
+                        "strategy_states": sum(strategies)}
+    return report
+
+
 def closure_layer() -> list:
     """``DetPushdown.close`` on the tests' epsilon recursion of each depth in
     CLOSURE_DEPTHS; a level more doubles the chain of 5 * 2**depth - 3 steps."""
@@ -342,7 +384,8 @@ def main(argv: list[str]) -> int:
     report = {"python": platform.python_version(), "machine": platform.machine(),
               "repeats": REPEATS, "series_seed": SERIES_SEED, "parse": parse_layer(),
               "membership": membership_layer(), "guided": guided_layer(),
-              "synthesis": synthesis_layer(), "closure": closure_layer(),
+              "synthesis": synthesis_layer(), "gale_stewart": gale_stewart_layer(),
+              "closure": closure_layer(),
               "constructions": constructions_layer()}
     report["elapsed_s"] = time.perf_counter() - started
     with open(out, "w", encoding="utf-8") as fh:
@@ -381,6 +424,11 @@ def main(argv: list[str]) -> int:
     for name, row in report["synthesis"].items():
         print(f"synth {name}: {row['synth_ms']:.3f} ms, {row['states']} states, "
               f"{row['rules']} rules")
+    for name, row in report["gale_stewart"].items():
+        vertices = ", ".join(f"{n} by {phase}" for phase, n in row["vertices"].items())
+        print(f"gale_stewart {name} ({row['specs']} specs): {row['ms']:.3f} ms, "
+              f"{row['eve_wins']} Eve wins with {row['strategy_states']} strategy states; "
+              f"solver vertices {vertices}")
     for row in report["closure"]:
         growth = "" if row["growth"] is None else f"  x{row['growth']:.2f}"
         print(f"closure recursion depth {row['depth']:2d}: {row['close_ms']:.3f} ms, "

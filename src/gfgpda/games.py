@@ -3,11 +3,13 @@
 Pipeline: a condition automaton over paired letters is compiled into a
 deterministic block-reading automaton (``build_pd``) that consumes both an
 input word and a claimed run of the condition, moving all nondeterminism
-into Player 2's letter choices.  The resulting game reduces to a parity game
-on the configuration graph of a pushdown machine, solved exactly in two
-phases.  Interval iteration on the height-truncated arenas of heights 1 to 3
-comes first: out-of-bound edges lead to a dead end owned by either player
-in turn, and agreement of the two bounds is conclusive for the full game.
+into Player 2's letter choices; a deterministic epsilon-free condition has
+no run to claim and is its own block automaton (``_own_pd``).  The game
+reduces to a parity game on the configuration graph of a pushdown machine,
+solved exactly in two phases.  Interval iteration on the height-truncated
+arenas of heights 1 to 3 comes first: out-of-bound edges lead to a dead end
+owned by either player in turn, and agreement of the two bounds is
+conclusive for the full game.
 If these are inconclusive, Walukiewicz's claim game decides: a push makes
 Eve claim where and with which max color the pushed frame returns, and Adam
 either checks the claim above or takes one of its returns.  Both arenas are
@@ -19,7 +21,8 @@ transducers by one builder (``_strategy_pdt``): positional ones from a
 truncation keep the transducer's stack unused, claim-game ones push a
 context per stack frame.  Synthesis takes two steps: ``extract_strategy_pdt``
 builds that transducer for the block game, and the three-phase
-``delay_transform`` turns it into one for the original game.
+``delay_transform`` turns it into one for the original game; a condition's
+own block game needs no second step.
 """
 
 from __future__ import annotations
@@ -160,21 +163,11 @@ def build_pd(spec: GaleStewartSpec) -> tuple[OmegaPDA, PdInfo]:
     the parity of the simulated run.  Missing transitions dead-end the run,
     which rejects; no explicit sink is added.
     """
-    bad = spec.validate()
-    if bad:
-        raise ValueError("; ".join(bad))
     cond = spec.condition
     tids: dict[Transition, str] = {}
     for i, t in enumerate(cond.transitions):
         tids.setdefault(t, f"t{i}")  # a repeated transition keeps its first id
-    pairing_rev = {pair: letter for letter, pair in spec.pairing.items()}
-    decomp: dict[str, tuple[str, str, Any]] = {}
-    info = PdInfo(spec.sigma1, spec.sigma2, cond, tids, decomp, pairing_rev)
-    for x1 in spec.sigma1:
-        for a2 in spec.sigma2:
-            decomp[info.pd_letter(x1, a2)] = (x1, "a2", a2)
-        for t in tids:
-            decomp[info.pd_letter(x1, tids[t])] = (x1, "tr", t)
+    info = _pd_info(spec, tids)
 
     def name(node) -> str:
         if node[0] == "await":
@@ -195,7 +188,7 @@ def build_pd(spec: GaleStewartSpec) -> tuple[OmegaPDA, PdInfo]:
             if node[0] == "await":
                 for x1 in spec.sigma1:
                     for a2 in spec.sigma2:
-                        nxt = ("pending", node[1], pairing_rev[(x1, a2)], None)
+                        nxt = ("pending", node[1], info.pairing_rev[(x1, a2)], None)
                         dst, letter = name(nxt), info.pd_letter(x1, a2)
                         for x in cond.gamma_bottom:
                             yield u, 0, nxt, Transition(src, x, letter, dst, (x,), 0)
@@ -214,8 +207,34 @@ def build_pd(spec: GaleStewartSpec) -> tuple[OmegaPDA, PdInfo]:
                                                     t.push, color)
 
     order, _, transitions = explore(("await", cond.initial), expand)
-    pd = OmegaPDA(tuple(map(name, order)), tuple(decomp), cond.stack_alphabet, name(order[0]),
-                  tuple(transitions))
+    pd = OmegaPDA(tuple(map(name, order)), tuple(info.decomp), cond.stack_alphabet,
+                  name(order[0]), tuple(transitions))
+    return pd, info
+
+
+def _pd_info(spec: GaleStewartSpec, tids: dict[Transition, str]) -> PdInfo:
+    """The ``PdInfo`` of a block automaton; an invalid ``spec`` raises."""
+    bad = spec.validate()
+    if bad:
+        raise ValueError("; ".join(bad))
+    pairing_rev = {pair: letter for letter, pair in spec.pairing.items()}
+    info = PdInfo(spec.sigma1, spec.sigma2, spec.condition, tids, {}, pairing_rev)
+    for x1 in spec.sigma1:
+        for a2 in spec.sigma2:
+            info.decomp[info.pd_letter(x1, a2)] = (x1, "a2", a2)
+        for t in tids:
+            info.decomp[info.pd_letter(x1, tids[t])] = (x1, "tr", t)
+    return info
+
+
+def _own_pd(spec: GaleStewartSpec) -> tuple[OmegaPDA, PdInfo]:
+    """A deterministic epsilon-free condition as its own block automaton over
+    pair letters: no transition ids, so no run is constructed."""
+    info, cond = _pd_info(spec, {}), spec.condition
+    letter = {c: info.pd_letter(*pair) for c, pair in spec.pairing.items()}
+    pd = OmegaPDA(cond.states, tuple(info.decomp), cond.stack_alphabet, cond.initial,
+                  tuple(Transition(t.source, t.top, letter[t.label], t.target, t.push, t.color)
+                        for t in cond.transitions))
     return pd, info
 
 
@@ -659,19 +678,30 @@ def gs_to_pushdown_game(dpda: OmegaPDA, info: PdInfo) -> PushdownParityGame:
 
 @dataclass
 class GsResult:
+    """The winner on the arena ``game`` of the block automaton of ``info``.
+    An Adam win is ``sound`` if the condition is claimed good-for-games or
+    deterministic."""
+
     winner: str
-    sound: bool  # Adam verdicts are inconclusive unless the condition is GFG
+    sound: bool
     info: PdInfo
     game: PushdownParityGame
     solve: PushdownSolveResult
 
 
 def solve_gale_stewart(spec: GaleStewartSpec, budget: int = 5_000_000) -> GsResult:
-    pd, info = build_pd(spec)
+    """The winner on the arena of a block automaton: the condition itself if
+    it is deterministic and epsilon-free (``_own_pd``), else ``build_pd``'s.
+    That direct game is exact: a round fires the one transition on its
+    pair, with its color, or dead-ends at Eve, as the word has no run."""
+    det = is_deterministic(spec.condition)[0]
+    if det and all(t.label is not None for t in spec.condition.transitions):
+        pd, info = _own_pd(spec)
+    else:
+        pd, info = build_pd(spec)
     game = gs_to_pushdown_game(pd, info)
     res = solve_pushdown_parity_game(game, budget)
-    sound = res.winner == EVE or spec.gfg_claimed
-    return GsResult(res.winner, sound, info, game, res)
+    return GsResult(res.winner, res.winner == EVE or spec.gfg_claimed or det, info, game, res)
 
 
 def universality(pda: OmegaPDA, budget: int = 5_000_000, gfg_claimed: bool = True) -> bool:
@@ -887,11 +917,14 @@ def delay_transform(t: StrategyPDT, info: PdInfo) -> StrategyPDT:
 
 
 def synthesize_strategy_pdt(spec: GaleStewartSpec, budget: int = 5_000_000) -> StrategyPDT:
-    """Winning strategy for Player 2 as a pushdown transducer over sigma1."""
+    """Winning strategy for Player 2 as a pushdown transducer over sigma1:
+    ``extract_strategy_pdt``, then ``delay_transform`` if the game constructs
+    a run (a condition's own block game outputs sigma2 letters already)."""
     gs = solve_gale_stewart(spec, budget)
     if gs.winner != EVE:
         raise Player1Wins("Player 2 does not win this specification")
-    return delay_transform(extract_strategy_pdt(gs), gs.info)
+    strategy = extract_strategy_pdt(gs)
+    return delay_transform(strategy, gs.info) if gs.info.transition_ids else strategy
 
 
 def simulate_play(strategy: StrategyPDT, adam: LassoWord, guard: int = 2000) -> LassoWord:

@@ -9,18 +9,33 @@ from typing import Iterable, Optional
 
 from gfgpda.analysis import EmptinessWitness, PAutomaton, _pa_of_heads
 from gfgpda.closure import DeterministicParityAutomaton, zielonka_tree
-from gfgpda.core import BOTTOM, Configuration, LassoWord, OmegaPDA, Transition, replay, step
+from gfgpda.core import (
+    BOTTOM,
+    Configuration,
+    LassoWord,
+    OmegaPDA,
+    Transition,
+    is_deterministic,
+    replay,
+    step,
+)
 from gfgpda.games import (
     ADAM,
     EVE,
     FiniteParityGame,
     GaleStewartSpec,
     GameMove,
+    GsResult,
     PdInfo,
     PushdownParityGame,
     StrategyPDT,
+    build_pd,
+    delay_transform,
+    extract_strategy_pdt,
+    gs_to_pushdown_game,
     pair_id,
     solve_finite_parity_game,
+    solve_pushdown_parity_game,
 )
 from gfgpda.resolvers import Resolver
 
@@ -249,6 +264,24 @@ def decode_blocks(info: PdInfo, letters) -> tuple[list[tuple[str, str]], list[Tr
             if payload.label is not None:
                 expecting_pair = True
     return pairs, transitions
+
+
+def block_solve(spec: GaleStewartSpec, budget: int = 5_000_000) -> GsResult:
+    """``solve_gale_stewart`` on ``build_pd``'s block automaton, whatever the
+    condition: the paper's reduction, the reference for the direct game that
+    ``solve_gale_stewart`` plays on a deterministic epsilon-free condition."""
+    pd, info = build_pd(spec)
+    game = gs_to_pushdown_game(pd, info)
+    res = solve_pushdown_parity_game(game, budget)
+    sound = res.winner == EVE or spec.gfg_claimed or is_deterministic(spec.condition)[0]
+    return GsResult(res.winner, sound, info, game, res)
+
+
+def block_strategy(spec: GaleStewartSpec, budget: int = 5_000_000) -> StrategyPDT:
+    """Eve's strategy of ``block_solve`` through ``extract_strategy_pdt`` and
+    ``delay_transform``."""
+    gs = block_solve(spec, budget)
+    return delay_transform(extract_strategy_pdt(gs), gs.info)
 
 
 def embed_finite_game(g: FiniteParityGame, initial) -> PushdownParityGame:

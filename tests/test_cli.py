@@ -10,7 +10,7 @@ from gfgpda import analysis, cli, games, zoo
 from gfgpda.core import BOTTOM, Configuration, format_pda, parse_pda
 from gfgpda.resolvers import determinize_moore, format_moore
 
-from helpers import copycat_spec, cycle_dpa, random_spec
+from helpers import copycat_spec, cycle_dpa, eps_block_spec, random_spec
 
 
 def run(capsys, *argv):
@@ -327,6 +327,18 @@ def test_gfg_claim_typo_is_input_error(capsys, tmp_path):
         got, out = run(capsys, "solve", str(specfile))
         assert got == code and out.startswith(verdict), (claim, out)
     assert "gfg takes true/1/yes or false/0/no, not 'ture'" in out
+
+
+def test_deterministic_player1_wins_are_sound(capsys, tmp_path):
+    # A deterministic condition is good-for-games whatever the spec claims:
+    # parity2 takes the direct game, an epsilon step keeps the block game.
+    odd = games.format_gs_spec(eps_block_spec()).replace("(a,z) v _ 2", "(a,z) v _ 1")
+    specfile = tmp_path / "det.gs"
+    for text in (games.format_gs_spec(games.make_universality_spec(zoo.get("parity2").automaton)),
+                 odd):
+        specfile.write_text(text.replace("gfg true", "gfg false"))
+        code, out = run(capsys, "solve", str(specfile))
+        assert code == 1 and out == "player 1 wins\n", out
 
 
 def test_synth_input_error_is_not_player1(capsys, tmp_path, monkeypatch):

@@ -23,6 +23,7 @@ from gfgpda.games import (
     StrategyPDT,
     build_pd,
     compose_sigma_d,
+    delay_transform,
     extract_strategy_pdt,
     format_gs_spec,
     format_strategy_pdt,
@@ -43,6 +44,8 @@ from gfgpda.resolvers import DetPushdown, periodic_split
 
 from helpers import (
     _strategy_wins,
+    block_solve,
+    block_strategy,
     copycat_spec,
     decode_blocks,
     dual_game,
@@ -289,14 +292,14 @@ def test_zielonka_leaves_no_process_global_state():
 
 
 def test_strategy_rules_cover_tops_found_after_a_pop():
-    # In this claim-decided spec's strategy a pushed symbol is pushed onto a
-    # new top after its pop was already recorded: each state that pop
-    # reaches needs a rule for the new top too, or plays hit an undefined
-    # output.
+    # In this claim-decided spec's block-path strategy a pushed symbol is
+    # pushed onto a new top after its pop was already recorded: each state
+    # that pop reaches needs a rule for the new top too, or plays hit an
+    # undefined output.
     spec = random_spec(random.Random(1137), 3)
-    gs = solve_gale_stewart(spec, budget=5_000)
+    gs = block_solve(spec, budget=5_000)
     assert gs.winner == EVE and gs.solve.stats["decided_by"] == "claims"
-    strategy = synthesize_strategy_pdt(spec, budget=5_000)
+    strategy = delay_transform(extract_strategy_pdt(gs), gs.info)
     machine = strategy.machine
     assert is_deterministic(machine)[0]
     sizes = len(machine.states), len(machine.transitions), len(machine.stack_alphabet)
@@ -692,6 +695,46 @@ def test_copycat_and_pq_drain_are_eve_wins():
     assert solve_gale_stewart(eps_block_spec()).winner == EVE
 
 
+# -- the direct game of a deterministic condition ---------------------------------------------
+
+
+def test_direct_game_agrees_with_the_block_game():
+    # A deterministic epsilon-free condition is its own block automaton: the
+    # winner is the block path's, and each of Eve's strategies wins its plays.
+    rng = random.Random(2029)
+    specs = [random_spec(rng) for _ in range(200)] + [copycat_spec(), pq_drain_spec()]
+    for fx in zoo.all_fixtures():
+        pda = fx.automaton
+        if is_deterministic(pda)[0] and all(t.label is not None for t in pda.transitions):
+            specs.append(make_universality_spec(pda))
+    eve = 0
+    for spec in specs:
+        gs = solve_gale_stewart(spec, budget=60_000)
+        assert gs.info.transition_ids == {} and gs.info.y_values == spec.sigma2
+        assert gs.winner == block_solve(spec, budget=60_000).winner, spec
+        assert gs.sound
+        if gs.winner != EVE:
+            continue
+        eve += 1
+        strategy = synthesize_strategy_pdt(spec, budget=60_000)
+        assert strategy.output_alphabet == spec.sigma2
+        for adam in random_adam_lassos(rng, spec.sigma1, 8):
+            outcome = simulate_play(strategy, adam)
+            assert analysis.lasso_membership(spec.condition, outcome), (spec, adam, outcome)
+            oracle = analysis.brute_force_lasso_oracle(spec.condition, outcome, 12, 60_000)
+            assert oracle in (True, analysis.UNKNOWN), (spec, adam, outcome)
+    assert eve == 19
+
+
+def test_copycat_is_its_own_block_automaton():
+    gs = solve_gale_stewart(copycat_spec())
+    assert gs.info.transition_ids == {}
+    assert (len(gs.game.states), len(gs.game.moves), gs.solve.stats["vertices"]) == (5, 6, 5)
+    machine = synthesize_strategy_pdt(copycat_spec()).machine
+    sizes = len(machine.states), len(machine.transitions), len(machine.stack_alphabet)
+    assert sizes == (3, 6, 0)
+
+
 # -- synthesis ---------------------------------------------------------------------------------
 
 
@@ -848,11 +891,12 @@ def test_t_minus_d_deterministic():
 def test_sigma2_letter_may_share_a_phase_tag(name):
     # The delay transform tags its states "i", "w" or a stored sigma2 letter;
     # a letter of that name plays like any other, renamed in the outcome.
+    # Strategies come from the block path, which runs the delay transform.
     for make in (copycat_spec, pq_drain_spec, eps_block_spec):
         base = make()
         old = re.compile(rf"\b{re.escape(base.sigma2[0])}\b")
         spec = parse_gs_spec(old.sub(name, format_gs_spec(base)))
-        strategy, reference = synthesize_strategy_pdt(spec), synthesize_strategy_pdt(base)
+        strategy, reference = block_strategy(spec), block_strategy(base)
         assert is_deterministic(strategy.machine)[0]
         for adam in random_adam_lassos(random.Random(1), spec.sigma1, 10):
             expected = old.sub(name, str(simulate_play(reference, adam)))
@@ -984,8 +1028,6 @@ def test_stackless_arena_size_bound():
 
 
 def test_delay_transform_pieces_compose():
-    from gfgpda.games import delay_transform
-
     gs = solve_gale_stewart(eps_block_spec())
     tmd = delay_transform(extract_strategy_pdt(gs), gs.info)
     assert is_deterministic(tmd.machine)[0]
