@@ -5,11 +5,13 @@ deterministic block-reading automaton (``build_pd``) that consumes both an
 input word and a claimed run of the condition, moving all nondeterminism
 into Player 2's letter choices; a deterministic epsilon-free condition has
 no run to claim and is its own block automaton (``_own_pd``).  The game
-reduces to a parity game on the configuration graph of a pushdown machine,
-solved exactly in two phases.  Interval iteration on the height-truncated
-arenas of heights 1 to 3 comes first: out-of-bound edges lead to a dead end
-owned by either player in turn, and agreement of the two bounds is
-conclusive for the full game.
+reduces to a parity game on the configuration graph of a pushdown machine
+with two vertex kinds per round (``gs_to_pushdown_game``): Adam picks a
+letter, then Eve takes the block automaton's transition on the pair her
+letter makes.  It is solved exactly in two phases.  Interval iteration on
+the height-truncated arenas of heights 1 to 3 comes first: out-of-bound
+edges lead to a dead end owned by either player in turn, and agreement of
+the two bounds is conclusive for the full game.
 If these are inconclusive, Walukiewicz's claim game decides: a push makes
 Eve claim where and with which max color the pushed frame returns, and Adam
 either checks the claim above or takes one of its returns.  Both arenas are
@@ -375,6 +377,7 @@ class GameMove(NamedTuple):  # a tuple, so that arenas build their moves fast
     target: Any
     push: tuple[str, ...]
     color: int
+    letter: Optional[str] = None  # Eve's letter, on a Gale-Stewart arena's Eve move
 
 
 @dataclass(frozen=True)
@@ -624,29 +627,22 @@ def solve_claim_game(
 
 
 def gs_to_pushdown_game(dpda: OmegaPDA, info: PdInfo) -> PushdownParityGame:
-    """Turn-based arena: Adam picks a letter of ``info.sigma1``, Eve one of
-    ``info.y_values``, then the unique dpda transitions on their pair letter
-    fire with their own colors.
-
-    Letter-choice moves carry the minimal color.  Winner correspondence with
-    the Gale-Stewart game requires that the dpda cannot starve on epsilon
-    transitions (the block automata built here are epsilon-free).
-    """
+    """Turn-based arena with two vertex kinds.  At ``("A", q)`` Adam picks a
+    letter ``x1`` of ``info.sigma1`` by a move of the minimal color; at
+    ``("E", q, x1)`` Eve picks ``y`` of ``info.y_values`` by taking the dpda's
+    one transition on their pair letter, with its push and color, back to
+    Adam; the move carries ``y`` as its ``letter``.  A dpda that is not
+    deterministic, or has a transition off the pair letters (an epsilon one
+    could starve the word), raises ``ValueError``."""
     det, pairs = is_deterministic(dpda)
     if not det:
         raise ValueError(f"arena needs a deterministic automaton: {pairs[:1]}")
+    sigma1, gb = info.sigma1, dpda.gamma_bottom
+    split = {info.pd_letter(x1, y): (x1, y) for y in info.y_values for x1 in sigma1}
+    bad = next((t for t in dpda.transitions if t.label not in split), None)
+    if bad is not None:
+        raise ValueError(f"arena needs an epsilon-free automaton over pair letters: {bad}")
     cmin = min((t.color for t in dpda.transitions), default=0)
-    sources: dict[str, set[str]] = {}  # letter -> states with a transition on it
-    for t in dpda.transitions:
-        if t.label is not None:
-            sources.setdefault(t.label, set()).add(t.source)
-    sigma1, letter_of = info.sigma1, info.pd_letter
-    choices: dict[tuple[str, str], list[str]] = {}  # (q, x1) -> Eve's y, y_values order
-    for y in info.y_values:
-        for x1 in sigma1:
-            for q in sources.get(letter_of(x1, y), ()):
-                choices.setdefault((q, x1), []).append(y)
-    gb = dpda.gamma_bottom
 
     def expand(order):
         for u, v in enumerate(order):
@@ -655,21 +651,14 @@ def gs_to_pushdown_game(dpda: OmegaPDA, info: PdInfo) -> PushdownParityGame:
                     tgt = ("E", v[1], x1)
                     for x in gb:
                         yield u, cmin, tgt, GameMove(v, x, tgt, (x,), cmin)
-            elif v[0] == "E":
-                _, q, x1 = v
-                for y in choices.get((q, x1), ()):
-                    tgt = ("S", q, x1, y)
-                    for x in gb:
-                        yield u, cmin, tgt, GameMove(v, x, tgt, (x,), cmin)
-            else:
-                _, q, x1, y = v
-                letter = letter_of(x1, y)
-                for x in gb:  # deterministic: an epsilon excludes a letter
-                    t = next((t for t in dpda.by_source_top.get((q, x), ())
-                              if t.label is None or t.label == letter), None)
-                    if t is not None:
-                        tgt = ("S", t.target, x1, y) if t.label is None else ("A", t.target)
-                        yield u, t.color, tgt, GameMove(v, x, tgt, t.push, t.color)
+                continue
+            _, q, x1 = v
+            for x in gb:
+                for t in dpda.by_source_top.get((q, x), ()):
+                    a1, y = split[t.label]
+                    if a1 == x1:
+                        tgt = ("A", t.target)
+                        yield u, t.color, tgt, GameMove(v, x, tgt, t.push, t.color, y)
 
     states, _, moves = explore(("A", dpda.initial), expand)
     owner = {v: ADAM if v[0] == "A" else EVE for v in states}
@@ -745,8 +734,8 @@ def extract_strategy_pdt(gs: GsResult) -> StrategyPDT:
 
     A strategy from a truncation is positional: its vertices are
     configurations, every round is a swap and the transducer's stack stays
-    unused.  A strategy from the claim game has main vertices, and a round's
-    forced push or pop pushes or pops the context of the frame below."""
+    unused.  A strategy from the claim game has main vertices, and the push
+    or pop of Eve's move pushes or pops the context of the frame below."""
     if gs.winner != EVE:
         raise ValueError("no Eve strategy: Adam wins this specification")
     if gs.solve.claims is None:
@@ -756,8 +745,7 @@ def extract_strategy_pdt(gs: GsResult) -> StrategyPDT:
             return move.target, cfg[1][:-1] + move.push
 
         def swap(cfg):
-            sim = step(cfg, _chosen(choice, cfg))
-            return step(sim, _chosen(choice, sim)), None
+            return step(cfg, _chosen(choice, cfg)), None
 
         return _strategy_pdt((gs.game.initial, (BOTTOM,)), choice,
                              lambda cfg: moves_at.get((cfg[0], cfg[1][-1]), ()), step, swap,
@@ -765,13 +753,12 @@ def extract_strategy_pdt(gs: GsResult) -> StrategyPDT:
     cg, choice = gs.solve.claims.game, gs.solve.claims.choice
 
     def eve_round(vertex):
-        sim = cg.after(vertex, _chosen(choice, vertex))
-        move = _chosen(choice, sim)
-        nxt = cg.after(sim, move)
-        if nxt == cg.LOSE or move.target[0] != "A":
-            raise PdaError(f"no winning Adam vertex after the forced move at {sim}")
+        move = _chosen(choice, vertex)
+        nxt = cg.after(vertex, move)
+        if nxt == cg.LOSE:
+            raise PdaError(f"no winning Adam vertex after Eve's move at {vertex}")
         if nxt == cg.WIN:
-            return None, (move.target, max(sim[4], move.color))
+            return None, (move.target, max(vertex[4], move.color))
         if nxt[0] == "e":
             return cg.above(nxt, _chosen(choice, nxt)), (nxt[2], nxt[4], nxt[5])
         return nxt, None
@@ -793,16 +780,18 @@ def _strategy_pdt(start, choice: dict, moves: Callable, after: Callable,
     """Eve's strategy ``choice`` on a Gale-Stewart arena as a transducer with
     one stack symbol per stack frame below the current one.
 
-    A state is a vertex where Eve picks her letter; ``moves(vertex)`` are
-    the vertex's GameMoves and ``after(vertex, move)`` its successor.  Each
-    Adam letter is one round: ``eve_round(vertex)`` plays Eve's letter and
-    the block's forced move, and gives ``(vertex, None)`` for a swap,
-    ``(vertex above, context)`` for a push and ``(None, (r, c))`` for a pop
-    to ``r`` with max color ``c`` since the frame began; Adam's next letter
-    follows.  A push pushes the interned context, a pop reads it and resumes
-    the frame below by ``ClaimGame.resume``.  Rules exist for each mode
-    (state, top symbol) a run reaches: a pushed symbol records the symbols
-    it was pushed onto, so each state a pop reaches gets them as tops.
+    A state is a vertex where Eve picks her letter, and outputs the
+    ``letter`` of her move there; ``moves(vertex)`` are the vertex's
+    GameMoves and ``after(vertex, move)`` its successor.  Each Adam letter
+    is one round: ``eve_round(vertex)`` plays Eve's move, the block
+    automaton's transition on her letter, and gives ``(vertex, None)`` for
+    a swap, ``(vertex above, context)`` for a push and ``(None, (r, c))``
+    for a pop to ``r`` with max color ``c`` since the frame began; Adam's
+    next letter follows.  A push pushes the interned context, a pop reads it
+    and resumes the frame below by ``ClaimGame.resume``.  Rules exist for
+    each mode (state, top symbol) a run reaches: a pushed symbol records the
+    symbols it was pushed onto, so each state a pop reaches gets them as
+    tops.
     """
     sigma1 = info.sigma1
 
@@ -827,7 +816,7 @@ def _strategy_pdt(start, choice: dict, moves: Callable, after: Callable,
         node = ("play", vertex)
         if node not in output:
             states.append(node)
-            output[node] = _chosen(choice, vertex).target[3]
+            output[node] = _chosen(choice, vertex).letter
         return node
 
     def mode(node, top) -> None:

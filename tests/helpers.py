@@ -15,6 +15,7 @@ from gfgpda.core import (
     LassoWord,
     OmegaPDA,
     Transition,
+    explore,
     is_deterministic,
     replay,
     step,
@@ -282,6 +283,63 @@ def block_strategy(spec: GaleStewartSpec, budget: int = 5_000_000) -> StrategyPD
     ``delay_transform``."""
     gs = block_solve(spec, budget)
     return delay_transform(extract_strategy_pdt(gs), gs.info)
+
+
+def three_kind_arena(dpda: OmegaPDA, info: PdInfo) -> PushdownParityGame:
+    """The Gale-Stewart arena with a third vertex kind, kept as the reference
+    for ``gs_to_pushdown_game``: Eve's move goes to ``("S", q, x1, y)``,
+    which fires the dpda's transition on the pair letter by a forced move.
+
+    Turn-based arena: Adam picks a letter of ``info.sigma1``, Eve one of
+    ``info.y_values``, then the unique dpda transitions on their pair letter
+    fire with their own colors.
+
+    Letter-choice moves carry the minimal color.  Winner correspondence with
+    the Gale-Stewart game requires that the dpda cannot starve on epsilon
+    transitions (the block automata built here are epsilon-free).
+    """
+    det, pairs = is_deterministic(dpda)
+    if not det:
+        raise ValueError(f"arena needs a deterministic automaton: {pairs[:1]}")
+    cmin = min((t.color for t in dpda.transitions), default=0)
+    sources: dict[str, set[str]] = {}  # letter -> states with a transition on it
+    for t in dpda.transitions:
+        if t.label is not None:
+            sources.setdefault(t.label, set()).add(t.source)
+    sigma1, letter_of = info.sigma1, info.pd_letter
+    choices: dict[tuple[str, str], list[str]] = {}  # (q, x1) -> Eve's y, y_values order
+    for y in info.y_values:
+        for x1 in sigma1:
+            for q in sources.get(letter_of(x1, y), ()):
+                choices.setdefault((q, x1), []).append(y)
+    gb = dpda.gamma_bottom
+
+    def expand(order):
+        for u, v in enumerate(order):
+            if v[0] == "A":
+                for x1 in sigma1:
+                    tgt = ("E", v[1], x1)
+                    for x in gb:
+                        yield u, cmin, tgt, GameMove(v, x, tgt, (x,), cmin)
+            elif v[0] == "E":
+                _, q, x1 = v
+                for y in choices.get((q, x1), ()):
+                    tgt = ("S", q, x1, y)
+                    for x in gb:
+                        yield u, cmin, tgt, GameMove(v, x, tgt, (x,), cmin)
+            else:
+                _, q, x1, y = v
+                letter = letter_of(x1, y)
+                for x in gb:  # deterministic: an epsilon excludes a letter
+                    t = next((t for t in dpda.by_source_top.get((q, x), ())
+                              if t.label is None or t.label == letter), None)
+                    if t is not None:
+                        tgt = ("S", t.target, x1, y) if t.label is None else ("A", t.target)
+                        yield u, t.color, tgt, GameMove(v, x, tgt, t.push, t.color)
+
+    states, _, moves = explore(("A", dpda.initial), expand)
+    owner = {v: ADAM if v[0] == "A" else EVE for v in states}
+    return PushdownParityGame(tuple(states), dpda.stack_alphabet, states[0], owner, tuple(moves))
 
 
 def embed_finite_game(g: FiniteParityGame, initial) -> PushdownParityGame:

@@ -1,3 +1,4 @@
+import collections
 import os
 import random
 import re
@@ -21,6 +22,7 @@ from gfgpda.games import (
     PushdownParityGame,
     ResourceExceeded,
     StrategyPDT,
+    _own_pd,
     build_pd,
     compose_sigma_d,
     delay_transform,
@@ -62,6 +64,7 @@ from helpers import (
     random_hard_finite_game,
     random_spec,
     respond,
+    three_kind_arena,
 )
 
 
@@ -156,23 +159,72 @@ def test_gs_arena_alternates_owners():
     for m in game.moves:
         kind_src = m.source[0]
         kind_dst = m.target[0]
-        assert (kind_src, kind_dst) in {("A", "E"), ("E", "S"), ("S", "A"), ("S", "S")}
+        assert (kind_src, kind_dst) in {("A", "E"), ("E", "A")}
         assert game.owner[m.source] == (ADAM if kind_src == "A" else EVE)
 
 
 def test_gs_arena_forced_colors_match_dpda():
-    spec = make_universality_spec(zoo.figure1().automaton)
-    pd, info = build_pd(spec)
-    game = gs_to_pushdown_game(pd, info)
-    forced = sorted(m.color for m in game.moves if m.source[0] == "S")
-    # every forced move color is a dpda transition color
-    assert set(forced) <= {t.color for t in pd.transitions}
+    # Eve's moves at ("E", q, x1) on top x are exactly the block automaton's
+    # transitions at (q, x) on the letters pd_letter(x1, y), each carrying y.
+    for pd, info in (build_pd(make_universality_spec(zoo.figure1().automaton)),
+                     _own_pd(copycat_spec()), build_pd(pq_drain_spec())):
+        game = gs_to_pushdown_game(pd, info)
+        eve = [v for v in game.states if v[0] == "E"]
+        assert eve
+        for v in eve:
+            _, q, x1 = v
+            for x in pd.gamma_bottom:
+                want = sorted((y, ("A", t.target), t.push, t.color) for y in info.y_values
+                              for t in pd.by_source_top.get((q, x), ())
+                              if t.label == info.pd_letter(x1, y))
+                got = sorted((m.letter, m.target, m.push, m.color)
+                             for m in game.moves_at.get((v, x), ()))
+                assert got == want, (v, x)
 
 
 def test_gs_arena_requires_determinism():
     _, info = build_pd(make_universality_spec(zoo.figure1().automaton))
     with pytest.raises(ValueError, match="deterministic"):
         gs_to_pushdown_game(zoo.example23().automaton, info)
+
+
+def test_gs_arena_refuses_epsilon_transitions():
+    pd, info = _own_pd(copycat_spec())
+    eps = Transition("e", BOTTOM, None, pd.initial, (BOTTOM,), 0)
+    dpda = OmegaPDA(("e",) + pd.states, pd.input_alphabet, pd.stack_alphabet, "e",
+                    (eps,) + pd.transitions)
+    assert is_deterministic(dpda)[0]
+    with pytest.raises(ValueError, match="epsilon"):
+        gs_to_pushdown_game(dpda, info)
+
+
+def _arena_outcome(arena, pd, info):
+    try:
+        return solve_pushdown_parity_game(arena(pd, info), budget=5_000).winner
+    except ResourceExceeded:
+        return ResourceExceeded
+
+
+def test_two_kind_arena_matches_the_three_kind_reference():
+    # The benchmark's seed-940 spec corpus, the fixtures' universality specs,
+    # 200 more random specs and the named specs, each on build_pd's block
+    # automaton and, for a deterministic epsilon-free condition, its own.
+    seed940, draws = random.Random(940), random.Random(30)
+    specs = [random_spec(seed940) for _ in range(150)]
+    specs += [make_universality_spec(fx.automaton) for fx in zoo.all_fixtures()]
+    specs += [random_spec(draws) for _ in range(200)]
+    specs += [copycat_spec(), pq_drain_spec(), eps_block_spec()]
+    arenas = 0
+    for i, spec in enumerate(specs):
+        blocks = [build_pd(spec)]
+        cond = spec.condition
+        if is_deterministic(cond)[0] and all(t.label is not None for t in cond.transitions):
+            blocks.append(_own_pd(spec))
+        for pd, info in blocks:
+            arenas += 1
+            assert (_arena_outcome(gs_to_pushdown_game, pd, info)
+                    == _arena_outcome(three_kind_arena, pd, info)), i
+    assert arenas > len(specs)
 
 
 # -- finite parity games ----------------------------------------------------------------
@@ -729,7 +781,7 @@ def test_direct_game_agrees_with_the_block_game():
 def test_copycat_is_its_own_block_automaton():
     gs = solve_gale_stewart(copycat_spec())
     assert gs.info.transition_ids == {}
-    assert (len(gs.game.states), len(gs.game.moves), gs.solve.stats["vertices"]) == (5, 6, 5)
+    assert (len(gs.game.states), len(gs.game.moves), gs.solve.stats["vertices"]) == (3, 4, 3)
     machine = synthesize_strategy_pdt(copycat_spec()).machine
     sizes = len(machine.states), len(machine.transitions), len(machine.stack_alphabet)
     assert sizes == (3, 6, 0)
@@ -825,15 +877,15 @@ GOLDEN_PLAYS = {
     ],
     "spec7": [
         "(b,x) (a,y) (a,y);(a,y) (a,y)",
-        "(a,x) (a,x) (b,x) (a,y) (b,y) (a,y);(b,y) (a,y)",
+        "(a,y) (a,y) (b,y) (a,y);(b,y) (a,y)",
         "(b,x) (a,y) (a,y);(a,y)",
-        "(a,x) (a,x) (b,x);(b,y) (b,y) (b,x)",
-        "(a,x) (b,x) (a,y) (a,y);(a,y)",
+        "(a,y) (a,y) (b,y) (b,y) (b,y) (b,y) (b,x);(b,y) (b,y) (b,x)",
+        "(a,y) (b,y) (a,y) (a,y) (a,y);(a,y)",
         "(b,x) (a,y) (b,y) (b,y) (b,y) (b,y) (b,x);(b,y) (b,y) (b,x)",
-        "(a,x);(a,x) (a,x)",
+        "(a,y) (a,y) (a,y);(a,y) (a,y)",
         "(b,x) (b,y) (a,y) (a,y);(b,y) (b,y) (a,y)",
         "(b,x) (b,y) (a,y);(b,y) (a,y)",
-        "(a,x) (b,x);(b,y) (b,y) (b,x)",
+        "(a,y) (b,y) (b,y) (b,x);(b,y) (b,y) (b,x)",
     ],
     "spec77": [
         "(b,y);(b,y)",
@@ -876,6 +928,7 @@ def test_golden_strategy_plays():
         for adam in random_adam_lassos(rng, spec.sigma1, 10):
             outcome = simulate_play(strategy, adam)
             assert simulate_play(again, adam) == outcome, (name, adam)
+            assert analysis.lasso_membership(spec.condition, outcome), (name, adam)
             plays.append(f"{' '.join(outcome.prefix)};{' '.join(outcome.loop)}")
         assert plays == GOLDEN_PLAYS[name], name
 
@@ -1017,14 +1070,11 @@ def test_stackless_arena_size_bound():
     spec = make_universality_spec(zoo.figure1().automaton)
     pd, info = build_pd(spec)
     game = gs_to_pushdown_game(pd, info)
-    q = len(pd.states)
-    s1, s2p = len(spec.sigma1), len(info.y_values)
-    kinds = {"A": 0, "E": 0, "S": 0}
-    for v in game.states:
-        kinds[v[0]] += 1
+    q, s1 = len(pd.states), len(spec.sigma1)
+    kinds = collections.Counter(v[0] for v in game.states)
+    assert set(kinds) == {"A", "E"}
     assert kinds["A"] <= q
     assert kinds["E"] <= q * s1
-    assert kinds["S"] <= q * s1 * s2p
 
 
 def test_delay_transform_pieces_compose():
