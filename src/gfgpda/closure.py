@@ -221,6 +221,9 @@ class LiftedResolver(Resolver):
         # base summary (when finite) still pins down the future.
         return self.base.summary(state)
 
+    def key(self, state, w):
+        return self.base.key(state, w)
+
 
 def lift_resolver(base: Resolver, base_pda: OmegaPDA, info: ProductInfo) -> LiftedResolver:
     return LiftedResolver(base, base_pda, info)

@@ -735,9 +735,10 @@ def extract_strategy_pdt(gs: GsResult) -> StrategyPDT:
     A strategy from a truncation is positional: its vertices are
     configurations, every round is a swap and the transducer's stack stays
     unused.  A strategy from the claim game has main vertices, and the push
-    or pop of Eve's move pushes or pops the context of the frame below."""
+    or pop of Eve's move pushes or pops the context of the frame below.  An
+    Adam win raises ``Player1Wins``."""
     if gs.winner != EVE:
-        raise ValueError("no Eve strategy: Adam wins this specification")
+        raise Player1Wins("Player 2 does not win this specification")
     if gs.solve.claims is None:
         choice, moves_at = gs.solve.eve_strategy, gs.game.moves_at
 
@@ -910,8 +911,6 @@ def synthesize_strategy_pdt(spec: GaleStewartSpec, budget: int = 5_000_000) -> S
     ``extract_strategy_pdt``, then ``delay_transform`` if the game constructs
     a run (a condition's own block game outputs sigma2 letters already)."""
     gs = solve_gale_stewart(spec, budget)
-    if gs.winner != EVE:
-        raise Player1Wins("Player 2 does not win this specification")
     strategy = extract_strategy_pdt(gs)
     return delay_transform(strategy, gs.info) if gs.info.transition_ids else strategy
 

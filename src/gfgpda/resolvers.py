@@ -37,7 +37,7 @@ class ResolverStuck(PdaError):
 
 
 class EpsilonDivergence(PdaError):
-    """An epsilon chain repeats a head at two steps, or outruns a summary-less cap."""
+    """An epsilon chain repeats a head at two steps, or outruns a summary-less cap (a bound)."""
 
 
 class ResolverUndefined(PdaError):
@@ -53,8 +53,8 @@ class Resolver:
 
     ``pick`` sees the state fed with the transitions so far and the current
     configuration (in particular its top stack symbol); ``summary`` returns a
-    finite fingerprint of the resolver state when one exists (used for exact
-    periodicity detection), else None.
+    finite fingerprint of the resolver state when one exists (used to detect
+    diverging epsilon chains), else None; ``key`` serves ``periodic_split``.
     """
 
     def start(self) -> Any:
@@ -70,6 +70,11 @@ class Resolver:
         """None, or a finite value that fixes ``pick`` from itself, the state,
         top and letter, and fixes itself after ``feed(t)`` from itself and t."""
         return None
+
+    def key(self, state: Any, w: LassoWord) -> Optional[Hashable]:
+        """None, or a value that, with the head and the position in ``w``,
+        fixes every later pick on ``w``.  By default the summary."""
+        return self.summary(state)
 
 
 def resolver_query(r: Resolver, history: RunPrefix, letter: str) -> Transition:
@@ -90,10 +95,10 @@ class GuidedRun:
 
 
 def _infix(pda: OmegaPDA, r: Resolver, state, c: Configuration, a: str,
-           transitions: list, configs: Optional[list] = None):
+           transitions: list, configs: list):
     """Append the resolver-induced infix processing ``a`` from ``c`` to
-    ``transitions``, and its configurations to ``configs`` when given; return
-    the new resolver state and configuration.  On an error the lists may end
+    ``transitions``, and its configurations to ``configs``; return the new
+    resolver state and configuration.  On an error the lists may end
     inside the infix.  With a summary, an epsilon chain is a deterministic
     run over heads (state, summary, top): it diverges iff a head repeats at
     two steps.  Without one, a cap bounds it, but a chain can be longer."""
@@ -118,8 +123,7 @@ def _infix(pda: OmegaPDA, r: Resolver, state, c: Configuration, a: str,
             c = step(c, t)
         except PdaError:
             raise ResolverStuck(f"resolver returned disabled {t} in {c}") from None
-        if configs is not None:
-            configs.append(c)
+        configs.append(c)
         transitions.append(t)
         state = r.feed(state, t)
         if label is not None:
@@ -206,9 +210,10 @@ def moore_lasso_acceptance(
     """'accepted' / 'rejected' / 'stuck' for the guided run on ``u . v^omega``.
 
     Periodicity is detected at step positions where the tuple (automaton
-    state, resolver summary, top symbol, lasso position) repeats; the max
-    color between the matched steps decides acceptance.  The resolver must
-    provide finite summaries.  Raises GuardExceeded after ``guard`` steps.
+    state, resolver key, top symbol, lasso position) repeats; the max color
+    between the matched steps decides acceptance.  Raises GuardExceeded
+    after ``guard`` steps (always, unless stuck, for a key of None) or past
+    ``_infix``'s summary-less epsilon cap, which is a bound, not a proof.
     """
     return periodic_split(pda, m, w, guard).verdict
 
@@ -223,11 +228,9 @@ def periodic_split(pda, r, w, guard=5000) -> PeriodicSplit:
     # Candidate steps are taken between letters.
     lasso = LassoDetector()
     while True:
-        summary = r.summary(state)
-        if summary is None:
-            raise ResolverUndefined("resolver has no finite summary")
-        key = (c.state, summary, c.top, position)
-        hit = lasso.visit(key, c.height, (len(transitions), letters))
+        key = r.key(state, w)
+        hit = None if key is None else lasso.visit(
+            (c.state, key, c.top, position), c.height, (len(transitions), letters))
         if hit is not None:
             cut, stem_letters = hit
             run = RunPrefix(tuple(transitions), tuple(configs))
@@ -242,7 +245,9 @@ def periodic_split(pda, r, w, guard=5000) -> PeriodicSplit:
         before = len(transitions)
         try:
             state, c = _infix(pda, r, state, c, word[position], transitions, configs)
-        except (ResolverStuck, ResolverUndefined, EpsilonDivergence):
+        except (ResolverStuck, ResolverUndefined, EpsilonDivergence) as exc:
+            if isinstance(exc, EpsilonDivergence) and r.summary(state) is None:
+                raise GuardExceeded(str(exc)) from None
             run = RunPrefix(tuple(transitions[:before]), tuple(configs[:before + 1]))
             return PeriodicSplit("stuck", run, run.transitions, (), letters, 0)
         letters += 1
@@ -420,52 +425,21 @@ def verify_resolver(
 ) -> ResolverReport:
     """Check that the resolver induces accepting runs on in-language words.
 
-    Resolvers with finite summaries get exact periodicity detection, others
-    bounded simulation with literal tail-periodicity detection; either gives
-    'inconclusive' when no period shows up within the guard.
+    Each word is decided by ``periodic_split``: 'fail' on a stuck pick, and
+    'inconclusive' when no key repeats within the guard.
     """
     entries = []
-    exact = r.summary(r.start()) is not None
     for w, expected in suite:
         if not expected:
             verdict = "skipped"
-        elif not exact:
-            verdict = _bounded_verdict(pda, r, w, guard)
         else:
             try:
-                accepted = moore_lasso_acceptance(pda, r, w, guard) == "accepted"
+                accepted = periodic_split(pda, r, w, guard).verdict == "accepted"
                 verdict = "pass" if accepted else "fail"
             except GuardExceeded:
                 verdict = "inconclusive"
         entries.append((w, expected, verdict))
     return ResolverReport(tuple(entries))
-
-
-def _bounded_verdict(pda: OmegaPDA, r: Resolver, w: LassoWord, guard: int) -> str:
-    # Only the current configuration is kept, not one per transition.
-    c = pda.initial_configuration()
-    transitions = []
-    positions = []  # lasso position of each transition
-    state = r.start()
-    word, restart = w.prefix + w.loop, len(w.prefix)
-    position = 0
-    try:
-        while len(transitions) < guard:
-            state, c = _infix(pda, r, state, c, word[position], transitions)
-            positions += [position] * (len(transitions) - len(positions))
-            position = position + 1 if position + 1 < len(word) else restart
-    except (ResolverStuck, ResolverUndefined):
-        return "fail"
-    except EpsilonDivergence:  # the cap is a bound, not a proof of divergence
-        return "inconclusive"
-    annotated = list(zip(transitions, positions))
-    n = len(annotated)
-    for period in range(1, n // 3 + 1):
-        tail = annotated[n - 3 * period:]
-        if tail[:period] == tail[period:2 * period] == tail[2 * period:]:
-            colors = [t.color for t, _ in tail[:period]]
-            return "pass" if max(colors) % 2 == 0 else "fail"
-    return "inconclusive"
 
 
 # ---------------------------------------------------------------------------

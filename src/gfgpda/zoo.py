@@ -303,8 +303,20 @@ class LssResolver(Resolver):
         except KeyError:  # pragma: no cover
             raise AssertionError("lss automaton is total per letter") from None
 
-    def summary(self, state):
-        return None
+    def key(self, state, w):
+        """Per component level - low, and the sign of at1 - at2, which with
+        the letters fix every pick.  Where the loop's energy delta d is > 0,
+        level - low is capped at |loop| + 1: above |loop| at a loop position,
+        the next |loop| letters set no new low and add d, so no new low is
+        ever set, whatever the value.  Where d <= 0 it stays exact and takes
+        finitely many values per position; a cap there is unsound, as the
+        capped value can repeat while the level falls to a new low."""
+        _, (level1, low1, at1), (level2, low2, at2) = state
+        d1, d2 = loop_energy_deltas(w)
+        cap = len(w.loop) + 1
+        e1, e2 = level1 - low1, level2 - low2
+        return (min(e1, cap) if d1 > 0 else e1, min(e2, cap) if d2 > 0 else e2,
+                (at1 > at2) - (at1 < at2))
 
 
 def loop_energy_deltas(w: LassoWord) -> tuple[int, int]:

@@ -165,6 +165,39 @@ def full_lasso_product(pda: OmegaPDA, w: LassoWord) -> OmegaPDA:
     )
 
 
+def det_run_accepts(pda: OmegaPDA, w: LassoWord) -> bool:
+    """Exact membership of ``w`` for a deterministic automaton, by replaying
+    its unique run, with no code of ``analysis``: the run repeats forever
+    from the second of two configurations with the same lasso position,
+    state and top, if the stack did not dip below the first's height in
+    between.  The max color between them decides; if no letter was read
+    there, the run diverges on epsilon and ``w`` is rejected, as it is when
+    the run gets stuck."""
+    assert is_deterministic(pda)[0]
+    rule = {(t.source, t.top, t.label): t for t in pda.transitions}
+    c, position, letters = pda.initial_configuration(), 0, 0
+    colors: list[int] = []
+    marks: dict[tuple, tuple[int, int]] = {}  # key -> (colors so far, letters read)
+    open_keys: list[tuple[tuple, int]] = []  # (key, height), heights nondecreasing
+    while True:
+        while open_keys and open_keys[-1][1] > c.height:  # a dip drops the keys above
+            del marks[open_keys.pop()[0]]
+        key = (position, c.state, c.top)
+        if key in marks:
+            first, read = marks[key]
+            return letters > read and max(colors[first:]) % 2 == 0
+        marks[key] = (len(colors), letters)
+        open_keys.append((key, c.height))
+        t = rule.get((c.state, c.top, None)) or rule.get((c.state, c.top, w.letter_at(letters)))
+        if t is None:
+            return False
+        c = step(c, t)
+        colors.append(t.color)
+        if t.label is not None:
+            letters += 1
+            position = w.next_position(position)
+
+
 # ---------------------------------------------------------------------------
 # Closure oracles: direct DPA simulation and Zielonka-tree memory verdicts.
 # ---------------------------------------------------------------------------

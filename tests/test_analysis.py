@@ -15,12 +15,12 @@ from gfgpda.analysis import (
     saturate_pre_star,
 )
 from gfgpda.core import (
-    BOTTOM, Configuration, LassoWord, OmegaPDA, Transition, parse_lasso, replay,
+    BOTTOM, Configuration, LassoWord, OmegaPDA, Transition, is_deterministic, parse_lasso, replay,
 )
 from gfgpda.resolvers import determinize_moore
 from helpers import (
-    full_lasso_product, normalize_colors, pa_empty, pa_from_words, pa_universal, random_pda,
-    validate_witness,
+    det_run_accepts, full_lasso_product, normalize_colors, pa_empty, pa_from_words, pa_universal,
+    random_pda, random_spec, validate_witness,
 )
 
 
@@ -585,6 +585,63 @@ def _membership_queries():
             u = tuple(rng.choice(pda.input_alphabet) for _ in range(rng.randint(0, 3)))
             v = tuple(rng.choice(pda.input_alphabet) for _ in range(rng.randint(1, 3)))
             yield f"random {i}", pda, LassoWord(u, v)
+
+
+def _drain(epsilon):
+    """a pushes X; b pops the Xs with color 1, and once the stack is empty
+    stays at the bottom with color 2.  With ``epsilon``, b moves to a state
+    that pops every X on epsilon instead.  Each pop repeats the position,
+    state and top of the step before it, one level lower."""
+    B = BOTTOM
+    ts = [Transition("p", B, "a", "p", (B, "X"), 0), Transition("p", "X", "a", "p", ("X", "X"), 0),
+          Transition("p", B, "b", "p", (B,), 2)]
+    if epsilon:
+        ts += [Transition("p", "X", "b", "e", ("X",), 0), Transition("e", "X", None, "e", (), 1),
+               Transition("e", B, None, "p", (B,), 0)]
+    else:
+        ts.append(Transition("p", "X", "b", "p", (), 1))
+    return OmegaPDA(("p", "e") if epsilon else ("p",), ("a", "b"), ("X",), "p", tuple(ts))
+
+
+def _deterministic_queries():
+    """The deterministic fixtures with their samples, det(example23) and
+    det(figure1) with their fixtures' samples, both drains on a;b, aaa;b and
+    a;abb, and the conditions of the seed-940 spec corpus that are their own
+    block automata; each automaton also with 30 seeded random lassos."""
+    rng = random.Random(10)
+    automata = [(fx.name, fx.automaton, [w for w, _ in fx.sample()]) for fx in zoo.all_fixtures()
+                if is_deterministic(fx.automaton)[0]]
+    automata += [(f"det({fx.name})", determinize_moore(fx.automaton, fx.resolver),
+                  [w for w, _ in fx.sample()]) for fx in (zoo.example23(), zoo.figure1())]
+    drained = [parse_lasso(text) for text in ("a;b", "aaa;b", "a;abb")]
+    automata += [(f"drain{i}", _drain(epsilon), list(drained))
+                 for i, epsilon in enumerate((False, True))]
+    seed940 = random.Random(940)
+    for i in range(150):
+        condition = random_spec(seed940).condition
+        if is_deterministic(condition)[0] and all(t.label for t in condition.transitions):
+            automata.append((f"spec{i}", condition, []))
+    for name, pda, words in automata:
+        for _ in range(30):
+            u = tuple(rng.choice(pda.input_alphabet) for _ in range(rng.randint(0, 4)))
+            v = tuple(rng.choice(pda.input_alphabet) for _ in range(rng.randint(1, 4)))
+            words.append(LassoWord(u, v))
+        for w in words:
+            yield name, pda, w
+
+
+def test_deterministic_runs_decide_as_membership():
+    # The replay of the unique run to a pumping segment shares no code with
+    # membership's head pass; both verdicts occur on every kind of automaton.
+    verdicts = Counter()
+    for name, pda, w in _deterministic_queries():
+        expected = det_run_accepts(pda, w)
+        assert lasso_membership(pda, w) == expected, (name, str(w))
+        verdicts[name.rstrip("0123456789"), expected] += 1
+    assert {kind for kind, _ in verdicts} == {
+        "parity", "ncw", "allodd", "det(example23)", "det(figure1)", "spec", "drain"}
+    # Only allodd accepts nothing and det(figure1) everything.
+    assert len(verdicts) == 12, verdicts
 
 
 def _control_reachable(pda):

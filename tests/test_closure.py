@@ -1,3 +1,4 @@
+import collections
 import random
 
 import pytest
@@ -177,6 +178,20 @@ def test_lifted_resolver_passes_on_the_guided_corpus_words():
     lifted = lift_resolver(zoo.LssResolver(pda), pda, info)
     for w in words:
         assert verify_resolver(prod, lifted, [(w, True)], 1000).entries[0][2] == "pass", w
+
+
+def test_lifted_resolver_verdicts_are_membership():
+    # The lifted lss resolver is decided on every sampled word, and passes
+    # iff the union product accepts the word.
+    pda, (prod, info) = lss_union_product()
+    lifted = lift_resolver(zoo.LssResolver(pda), pda, info)
+    verdicts = collections.Counter()
+    for seed in range(0, 40, 4):
+        for w, _ in zoo.lss().sample(seed=seed, count=20):
+            verdict = verify_resolver(prod, lifted, [(w, True)], 1000).entries[0][2]
+            assert verdict == ("pass" if analysis.lasso_membership(prod, w) else "fail"), w
+            verdicts[verdict] += 1
+    assert verdicts == {"pass": 196, "fail": 4}
 
 
 def test_lift_resolver_projection_at_depth():

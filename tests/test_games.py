@@ -50,6 +50,7 @@ from helpers import (
     block_strategy,
     copycat_spec,
     decode_blocks,
+    det_run_accepts,
     dual_game,
     embed_finite_game,
     encode_blocks,
@@ -820,8 +821,15 @@ def test_synthesize_eps_blocks():
 
 
 def test_synthesize_refuses_adam_wins():
+    spec = make_universality_spec(zoo.example23().automaton)
     with pytest.raises(Player1Wins):
-        synthesize_strategy_pdt(make_universality_spec(zoo.example23().automaton))
+        synthesize_strategy_pdt(spec)
+    # An Adam win is a negative verdict, not an input error (a ValueError).
+    gs = solve_gale_stewart(spec)
+    assert gs.winner == ADAM
+    with pytest.raises(Player1Wins) as raised:
+        extract_strategy_pdt(gs)
+    assert not isinstance(raised.value, ValueError)
 
 
 # Outcomes of synthesized strategies against Adam lassos drawn by
@@ -929,6 +937,8 @@ def test_golden_strategy_plays():
             outcome = simulate_play(strategy, adam)
             assert simulate_play(again, adam) == outcome, (name, adam)
             assert analysis.lasso_membership(spec.condition, outcome), (name, adam)
+            if is_deterministic(spec.condition)[0]:
+                assert det_run_accepts(spec.condition, outcome), (name, adam)
             plays.append(f"{' '.join(outcome.prefix)};{' '.join(outcome.loop)}")
         assert plays == GOLDEN_PLAYS[name], name
 

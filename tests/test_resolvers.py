@@ -1,3 +1,4 @@
+import collections
 import random
 import tracemalloc
 
@@ -167,7 +168,8 @@ def test_epsilon_cap_reads_the_entry_height(height):
 
 
 class Unsummarized(Resolver):
-    """A resolver with its summary hidden, so verification is bounded."""
+    """A resolver with its summary hidden, and so its key: verification runs
+    to the guard, and a guided epsilon chain to the cap."""
 
     def __init__(self, base):
         self.start, self.feed, self.pick = base.start, base.feed, base.pick
@@ -494,7 +496,7 @@ def test_summarized_resolver_reports_an_epsilon_loop_within_a_few_steps(rules):
     r = _state_following(pda)
     transitions = []
     with pytest.raises(EpsilonDivergence, match="^epsilon loop at "):
-        resolvers._infix(pda, r, r.start(), pda.initial_configuration(), "a", transitions)
+        resolvers._infix(pda, r, r.start(), pda.initial_configuration(), "a", transitions, [])
     assert len(transitions) == 2
     assert periodic_split(pda, r, parse_lasso(";a")).verdict == "stuck"
 
@@ -523,10 +525,10 @@ def test_verify_resolver_flags_bad_resolver():
 
 
 def test_verify_resolver_exact_path_reports_an_exceeded_guard_as_inconclusive(ex23):
-    # A resolver with a finite summary takes the exact path; a guard too small
-    # for the period is no evidence against the resolver.
+    # A resolver with a key; a guard too small for the period is no evidence
+    # against it.
     suite = [(parse_lasso("b c c d d d d #;#"), True)]
-    assert ex23.resolver.summary(ex23.resolver.start()) is not None
+    assert ex23.resolver.key(ex23.resolver.start(), suite[0][0]) is not None
     small = verify_resolver(ex23.automaton, ex23.resolver, suite, guard=2)
     assert [e[2] for e in small.entries] == ["inconclusive"]
     assert small.failures() == [] and not small.all_passed()
@@ -540,22 +542,39 @@ def test_verify_resolver_empty_suite(ex23):
 
 def test_bounded_verification_memory_is_linear_in_the_guard(lss_fx):
     # On (+,0)^omega the stack grows every step: keeping each configuration
-    # would make the peak quadratic in the guard (about 4x per doubling).
+    # unshared would make the peak quadratic in the guard (about 4x per
+    # doubling).  Without its key the resolver runs to the guard.
     w = parse_lasso(";(+,0)")
 
     def peak(guard):
         tracemalloc.start()
         try:
             report = verify_resolver(
-                lss_fx.automaton, zoo.LssResolver(lss_fx.automaton), [(w, True)], guard)
+                lss_fx.automaton, Unsummarized(zoo.LssResolver(lss_fx.automaton)), [(w, True)],
+                guard)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert report.entries[0][2] == "pass"
+        assert report.entries[0][2] == "inconclusive"
         return peak
 
     # The least of three runs: an unrelated allocation can raise one peak.
     assert min(peak(2000) for _ in range(3)) <= 2.5 * min(peak(1000) for _ in range(3))
+
+
+def test_verify_resolver_lss_verdicts_are_membership():
+    # With its key the lss resolver is decided on every sampled word at
+    # guard 1,000, in-language or not: the guided run accepts iff the word
+    # is in the language, as the resolver resolves the nondeterminism.
+    fx = zoo.lss()
+    pda, r = fx.automaton, zoo.LssResolver(fx.automaton)
+    verdicts = collections.Counter()
+    for seed in range(40):
+        for w, member in fx.sample(seed=seed, count=20):
+            verdict = verify_resolver(pda, r, [(w, True)], 1000).entries[0][2]
+            assert verdict == ("pass" if member else "fail"), w
+            verdicts[verdict] += 1
+    assert verdicts == {"pass": 678, "fail": 122}
 
 
 class CountingResolver(Resolver):
@@ -585,8 +604,8 @@ def _two_color_loop():
 
 @pytest.mark.parametrize("guard", [1, 3, 12, 100, 1000])
 def test_verify_resolver_inconclusive_without_a_cube(guard):
-    # The Thue-Morse sequence is cube-free, so no tail of the run repeats
-    # three times, at any guard.
+    # A resolver without a key is never decided: not even a tail of its
+    # Thue-Morse picks, which are cube-free, repeats three times.
     pda = _two_color_loop()
     r = CountingResolver(pda, lambda n: bin(n).count("1") % 2)
     report = verify_resolver(pda, r, [(parse_lasso(";a"), True)], guard)
@@ -594,17 +613,37 @@ def test_verify_resolver_inconclusive_without_a_cube(guard):
     assert report.all_passed() is False and report.failures() == []
 
 
-@pytest.mark.parametrize("script, verdict", [
-    ((1, 0, 0), "inconclusive"),  # the tail 0 repeats only twice
-    ((1, 0, 0, 0), "pass"),
-    ((0, 1, 0, 1, 0, 0, 1, 0, 1), "inconclusive"),  # the tail 0 1 repeats only twice
-    ((0, 0, 1, 0, 1, 0, 1), "fail"),
-])
-def test_verify_resolver_needs_three_repeats(script, verdict):
-    pda = _two_color_loop()
-    r = CountingResolver(pda, script.__getitem__)
-    report = verify_resolver(pda, r, [(parse_lasso(";a"), True)], len(script))
-    assert [e[2] for e in report.entries] == [verdict]
+class LateSwitch(CountingResolver):
+    """Picks transition ``first`` for 1,500 letters, then ``then``."""
+
+    def __init__(self, pda, first, then):
+        super().__init__(pda, lambda n: first if n < 1500 else then)
+
+
+class KeyedLateSwitch(LateSwitch):
+    def key(self, state, w):
+        return min(state, 1500)  # every pick from step 1,500 on is the same
+
+
+@pytest.mark.parametrize("first, then", [(0, 1), (1, 0)])
+def test_verify_resolver_decides_a_late_switch_only_past_it(first, then):
+    # Self-loops of colors 1 and 2: the guided run accepts iff the color
+    # picked after the switch is 2.  Without a key no step can be matched,
+    # and with one the run is decided only once the key stops changing.
+    pda = OmegaPDA(("q",), ("a",), (), "q", (
+        Transition("q", BOTTOM, "a", "q", (BOTTOM,), 1),
+        Transition("q", BOTTOM, "a", "q", (BOTTOM,), 2),
+    ))
+    suite = [(parse_lasso(";a"), True)]
+
+    def verdict(r, guard):
+        return [e[2] for e in verify_resolver(pda, r, suite, guard).entries]
+
+    for guard in (1000, 5000):
+        assert verdict(LateSwitch(pda, first, then), guard) == ["inconclusive"]
+    keyed = KeyedLateSwitch(pda, first, then)
+    assert verdict(keyed, 1000) == ["inconclusive"]
+    assert verdict(keyed, 5000) == ["pass" if then == 1 else "fail"]
 
 
 def test_lss_resolver_no_late_state_switch(lss_fx):
