@@ -33,7 +33,6 @@ import corpus  # noqa: E402  (the benchmark's seeded specification corpus)
 from gfgpda import analysis, closure, core, games, resolvers, zoo  # noqa: E402
 from helpers import (  # noqa: E402  (test helpers)
     block_solve,
-    block_strategy,
     epsilon_recursion,
     full_lasso_product,
 )
@@ -296,25 +295,23 @@ def synthesis_layer() -> dict:
 
 
 def gale_stewart_layer() -> dict:
-    """``solve_gale_stewart``, and ``synthesize_strategy_pdt`` for Eve wins, on
-    the benchmark's 150 seed-940 specifications (deterministic epsilon-free
-    conditions, so their own block automata), timed in one call beside the
-    tests' ``block_solve`` and ``block_strategy`` on ``build_pd``'s block
-    automata.  Solver vertices are summed by the phase that decided."""
+    """``solve_gale_stewart``, and ``strategy_of`` its result for Eve wins
+    (one solve per spec), on the benchmark's 150 seed-940 specifications
+    (deterministic epsilon-free conditions, so their own block automata),
+    timed in one call beside the tests' ``block_solve`` on ``build_pd``'s
+    block automata.  Solver vertices are summed by the phase that decided."""
     api = SimpleNamespace(core=core, games=games)
     base = random.Random(corpus.SPEC_BASE_SEED)
     specs = [corpus.random_spec(api, base) for _ in range(SPECS)]
-    paths = {"direct": (games.solve_gale_stewart, games.synthesize_strategy_pdt),
-             "block": (block_solve, block_strategy)}
+    paths = {"direct": games.solve_gale_stewart, "block": block_solve}
 
     results: dict = {}  # path -> [(GsResult, strategy or None)] of its last timed call
 
     def run(name):
-        solve, synth = paths[name]
         results[name] = []
         for spec in specs:
-            gs = solve(spec, GS_BUDGET)
-            results[name].append((gs, synth(spec, GS_BUDGET) if gs.winner == games.EVE else None))
+            gs = paths[name](spec, GS_BUDGET)
+            results[name].append((gs, games.strategy_of(gs) if gs.winner == games.EVE else None))
 
     ms = best_ms({name: lambda name=name: run(name) for name in paths})
     report = {}

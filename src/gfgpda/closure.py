@@ -192,14 +192,15 @@ def product(
 class LiftedResolver(Resolver):
     """Resolver for a product, delegating all choices to the base resolver.
 
-    Its state is the base resolver's state.  A product run and its base run
-    have the same stacks, since product transitions copy ``top`` and
-    ``push``, so the base configuration is read off the product one.
+    Its state and key are the base resolver's: the DPA and tree components
+    are functions of the history.  A product run and its base run have the
+    same stacks, since product transitions copy ``top`` and ``push``, so
+    the base configuration is read off the product one, and
+    ``lift_resolver`` reads no base automaton.
     """
 
-    def __init__(self, base: Resolver, base_pda: OmegaPDA, info: ProductInfo):
+    def __init__(self, base: Resolver, info: ProductInfo):
         self.base = base
-        self.base_pda = base_pda
         self.info = info
 
     def start(self):
@@ -216,17 +217,12 @@ class LiftedResolver(Resolver):
         except KeyError:
             raise ResolverStuck(f"no product transition extends {bt} at {config}") from None
 
-    def summary(self, state):
-        # The DPA and tree components are functions of the history, so the
-        # base summary (when finite) still pins down the future.
-        return self.base.summary(state)
-
     def key(self, state, w):
         return self.base.key(state, w)
 
 
 def lift_resolver(base: Resolver, base_pda: OmegaPDA, info: ProductInfo) -> LiftedResolver:
-    return LiftedResolver(base, base_pda, info)
+    return LiftedResolver(base, info)
 
 
 # ---------------------------------------------------------------------------

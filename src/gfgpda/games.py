@@ -21,10 +21,10 @@ solved by Zielonka's algorithm with attractors to edges, no vertex added
 finite games.  Eve's winning strategies are packaged as pushdown
 transducers by one builder (``_strategy_pdt``): positional ones from a
 truncation keep the transducer's stack unused, claim-game ones push a
-context per stack frame.  Synthesis takes two steps: ``extract_strategy_pdt``
-builds that transducer for the block game, and the three-phase
-``delay_transform`` turns it into one for the original game; a condition's
-own block game needs no second step.
+context per stack frame.  Synthesis (``strategy_of`` a solved game) takes
+two steps: ``extract_strategy_pdt`` builds that transducer for the block
+game, and the three-phase ``delay_transform`` turns it into one for the
+original game; a condition's own block game needs no second step.
 """
 
 from __future__ import annotations
@@ -906,13 +906,17 @@ def delay_transform(t: StrategyPDT, info: PdInfo) -> StrategyPDT:
     return StrategyPDT(machine, output, sigma1, sigma2)
 
 
-def synthesize_strategy_pdt(spec: GaleStewartSpec, budget: int = 5_000_000) -> StrategyPDT:
-    """Winning strategy for Player 2 as a pushdown transducer over sigma1:
-    ``extract_strategy_pdt``, then ``delay_transform`` if the game constructs
-    a run (a condition's own block game outputs sigma2 letters already)."""
-    gs = solve_gale_stewart(spec, budget)
+def strategy_of(gs: GsResult) -> StrategyPDT:
+    """Eve's strategy for the original game: ``extract_strategy_pdt`` (which
+    raises ``Player1Wins`` on an Adam win), then ``delay_transform`` if the
+    game constructs a run (a condition's own block game outputs sigma2)."""
     strategy = extract_strategy_pdt(gs)
     return delay_transform(strategy, gs.info) if gs.info.transition_ids else strategy
+
+
+def synthesize_strategy_pdt(spec: GaleStewartSpec, budget: int = 5_000_000) -> StrategyPDT:
+    """Winning strategy for Player 2: ``strategy_of`` the solved ``spec``."""
+    return strategy_of(solve_gale_stewart(spec, budget))
 
 
 def simulate_play(strategy: StrategyPDT, adam: LassoWord, guard: int = 2000) -> LassoWord:

@@ -37,7 +37,7 @@ class ResolverStuck(PdaError):
 
 
 class EpsilonDivergence(PdaError):
-    """An epsilon chain repeats a head at two steps, or outruns a summary-less cap (a bound)."""
+    """An epsilon chain repeats a head (state, key, top) at two steps: a proven loop."""
 
 
 class ResolverUndefined(PdaError):
@@ -49,13 +49,9 @@ class TransducerStuck(PdaError):
 
 
 class Resolver:
-    """Incremental resolver interface.
-
-    ``pick`` sees the state fed with the transitions so far and the current
-    configuration (in particular its top stack symbol); ``summary`` returns a
-    finite fingerprint of the resolver state when one exists (used to detect
-    diverging epsilon chains), else None; ``key`` serves ``periodic_split``.
-    """
+    """Incremental resolver interface: ``pick`` sees the state fed with the
+    transitions so far and the current configuration (in particular its top
+    symbol); ``key`` fingerprints the state for ``periodic_split`` and ``_infix``."""
 
     def start(self) -> Any:
         raise NotImplementedError
@@ -66,15 +62,11 @@ class Resolver:
     def pick(self, state: Any, config: Configuration, letter: str) -> Transition:
         raise NotImplementedError
 
-    def summary(self, state: Any) -> Optional[Hashable]:
-        """None, or a finite value that fixes ``pick`` from itself, the state,
-        top and letter, and fixes itself after ``feed(t)`` from itself and t."""
-        return None
-
     def key(self, state: Any, w: LassoWord) -> Optional[Hashable]:
-        """None, or a value that, with the head and the position in ``w``,
-        fixes every later pick on ``w``.  By default the summary."""
-        return self.summary(state)
+        """None, or a value with finitely many values along a guided run on
+        ``w`` that, with the head and the position in ``w``, fixes every
+        later pick on ``w``: a repeat is certain, so no cap is needed."""
+        return None
 
 
 def resolver_query(r: Resolver, history: RunPrefix, letter: str) -> Transition:
@@ -99,9 +91,9 @@ def _infix(pda: OmegaPDA, r: Resolver, state, c: Configuration, a: str,
     """Append the resolver-induced infix processing ``a`` from ``c`` to
     ``transitions``, and its configurations to ``configs``; return the new
     resolver state and configuration.  On an error the lists may end
-    inside the infix.  With a summary, an epsilon chain is a deterministic
-    run over heads (state, summary, top): it diverges iff a head repeats at
-    two steps.  Without one, a cap bounds it, but a chain can be longer."""
+    inside the infix.  The epsilon chain starts the guided run on a^omega
+    from ``c``: with a key on that word, it loops iff a head (state, key,
+    top) repeats at two steps.  Without one, a cap raises GuardExceeded."""
     if a not in pda.letters:
         raise ValueError(f"letter {a!r} not in the input alphabet")
     entry, eps_steps = c, 0
@@ -110,12 +102,12 @@ def _infix(pda: OmegaPDA, r: Resolver, state, c: Configuration, a: str,
         label = t.label
         if label is None:
             if not eps_steps:
-                entry_state, lasso = state, None
-            elif (summary := r.summary(state)) is not None:  # a second epsilon step
+                entry_state, lasso, w = state, None, LassoWord((), (a,))
+            elif (key := r.key(state, w)) is not None:  # a second epsilon step
                 if lasso is None:
                     lasso = LassoDetector()
-                    lasso.visit((entry.state, r.summary(entry_state), entry.top), entry.height, True)
-                if lasso.visit((c.state, summary, c.top), c.height, True) is not None:
+                    lasso.visit((entry.state, r.key(entry_state, w), entry.top), entry.height, True)
+                if lasso.visit((c.state, key, c.top), c.height, True) is not None:
                     raise EpsilonDivergence(f"epsilon loop at {c} before {a!r}")
         elif label != a:
             raise ResolverStuck(f"resolver returned {t} while processing {a!r}")
@@ -132,7 +124,7 @@ def _infix(pda: OmegaPDA, r: Resolver, state, c: Configuration, a: str,
         if lasso is None:
             eps_cap = len(pda.states) * (entry.height + 2) * (len(pda.stack_alphabet) + 1) + 1
             if eps_steps > eps_cap:
-                raise EpsilonDivergence(f"more than {eps_cap} epsilon steps before {a!r}")
+                raise GuardExceeded(f"more than {eps_cap} epsilon steps before {a!r}")
 
 
 def ext(pda: OmegaPDA, r: Resolver, g: GuidedRun, a: str) -> GuidedRun:
@@ -188,7 +180,7 @@ class MooreResolver(Resolver):
         except KeyError:
             raise ResolverUndefined(f"Moore output undefined at {key}") from None
 
-    def summary(self, state):
+    def key(self, state, w):
         return state
 
 
@@ -213,7 +205,7 @@ def moore_lasso_acceptance(
     state, resolver key, top symbol, lasso position) repeats; the max color
     between the matched steps decides acceptance.  Raises GuardExceeded
     after ``guard`` steps (always, unless stuck, for a key of None) or past
-    ``_infix``'s summary-less epsilon cap, which is a bound, not a proof.
+    ``_infix``'s keyless epsilon cap: bounds, not proofs.
     """
     return periodic_split(pda, m, w, guard).verdict
 
@@ -245,9 +237,7 @@ def periodic_split(pda, r, w, guard=5000) -> PeriodicSplit:
         before = len(transitions)
         try:
             state, c = _infix(pda, r, state, c, word[position], transitions, configs)
-        except (ResolverStuck, ResolverUndefined, EpsilonDivergence) as exc:
-            if isinstance(exc, EpsilonDivergence) and r.summary(state) is None:
-                raise GuardExceeded(str(exc)) from None
+        except (ResolverStuck, ResolverUndefined, EpsilonDivergence):
             run = RunPrefix(tuple(transitions[:before]), tuple(configs[:before + 1]))
             return PeriodicSplit("stuck", run, run.transitions, (), letters, 0)
         letters += 1

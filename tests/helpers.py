@@ -31,8 +31,6 @@ from gfgpda.games import (
     PushdownParityGame,
     StrategyPDT,
     build_pd,
-    delay_transform,
-    extract_strategy_pdt,
     gs_to_pushdown_game,
     pair_id,
     solve_finite_parity_game,
@@ -309,13 +307,6 @@ def block_solve(spec: GaleStewartSpec, budget: int = 5_000_000) -> GsResult:
     res = solve_pushdown_parity_game(game, budget)
     sound = res.winner == EVE or spec.gfg_claimed or is_deterministic(spec.condition)[0]
     return GsResult(res.winner, sound, info, game, res)
-
-
-def block_strategy(spec: GaleStewartSpec, budget: int = 5_000_000) -> StrategyPDT:
-    """Eve's strategy of ``block_solve`` through ``extract_strategy_pdt`` and
-    ``delay_transform``."""
-    gs = block_solve(spec, budget)
-    return delay_transform(extract_strategy_pdt(gs), gs.info)
 
 
 def three_kind_arena(dpda: OmegaPDA, info: PdInfo) -> PushdownParityGame:
@@ -673,8 +664,10 @@ class MappedResolver(Resolver):
         base_state, base_config = state
         return self.fwd[self.base.pick(base_state, base_config, self.letter_bwd[letter])]
 
-    def summary(self, state):
-        return self.base.summary(state[0])
+    def key(self, state, w):
+        back = self.letter_bwd
+        return self.base.key(state[0], LassoWord(tuple(back[a] for a in w.prefix),
+                                                 tuple(back[a] for a in w.loop)))
 
 
 def mapped_resolver(base, base_pda, image_pda) -> MappedResolver:

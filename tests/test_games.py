@@ -39,6 +39,7 @@ from gfgpda.games import (
     solve_finite_parity_game,
     solve_gale_stewart,
     solve_pushdown_parity_game,
+    strategy_of,
     synthesize_strategy_pdt,
     universality,
 )
@@ -47,7 +48,6 @@ from gfgpda.resolvers import DetPushdown, periodic_split
 from helpers import (
     _strategy_wins,
     block_solve,
-    block_strategy,
     copycat_spec,
     decode_blocks,
     det_run_accepts,
@@ -832,6 +832,26 @@ def test_synthesize_refuses_adam_wins():
     assert not isinstance(raised.value, ValueError)
 
 
+def test_strategy_of_a_solved_game_is_the_synthesized_one():
+    # Synthesis needs no second solve: the strategy of a GsResult in hand is,
+    # byte for byte, the one synthesized from its spec, on the benchmark's
+    # seed-940 corpus (at its budget) and figure1's universality spec.
+    seed940 = random.Random(940)
+    specs = [random_spec(seed940) for _ in range(150)]
+    specs.append(make_universality_spec(zoo.figure1().automaton))
+    eve = 0
+    for spec in specs:
+        gs = solve_gale_stewart(spec, budget=5_000)
+        if gs.winner != EVE:
+            with pytest.raises(Player1Wins):
+                strategy_of(gs)
+            continue
+        eve += 1
+        text = format_strategy_pdt(synthesize_strategy_pdt(spec, budget=5_000))
+        assert format_strategy_pdt(strategy_of(gs)) == text, spec
+    assert eve == 13 + 1
+
+
 # Outcomes of synthesized strategies against Adam lassos drawn by
 # random_adam_lassos from one Random(20), ten per spec in this order.
 GOLDEN_PLAYS = {
@@ -959,7 +979,7 @@ def test_sigma2_letter_may_share_a_phase_tag(name):
         base = make()
         old = re.compile(rf"\b{re.escape(base.sigma2[0])}\b")
         spec = parse_gs_spec(old.sub(name, format_gs_spec(base)))
-        strategy, reference = block_strategy(spec), block_strategy(base)
+        strategy, reference = strategy_of(block_solve(spec)), strategy_of(block_solve(base))
         assert is_deterministic(strategy.machine)[0]
         for adam in random_adam_lassos(random.Random(1), spec.sigma1, 10):
             expected = old.sub(name, str(simulate_play(reference, adam)))

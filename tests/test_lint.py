@@ -95,6 +95,27 @@ def stack_reads(source: str) -> list[str]:
     ]
 
 
+def declared_hooks(source: str) -> set[str]:
+    """The methods the class ``Resolver`` defines."""
+    cls = next(node for node in ast.parse(source).body
+               if isinstance(node, ast.ClassDef) and node.name == "Resolver")
+    return {node.name for node in cls.body if isinstance(node, ast.FunctionDef)}
+
+
+def undeclared_hooks(source: str, hooks: set[str]) -> list[str]:
+    """Public methods of ``Resolver`` subclasses (in this source, at any
+    depth) outside ``hooks``: an override of a hook that ``Resolver`` no
+    longer declares is dead code that still looks live."""
+    subclasses, out = {"Resolver"}, []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ClassDef) and subclasses & names_in(ast.Module(node.bases, [])):
+            subclasses.add(node.name)
+            out += [f"line {item.lineno}: {node.name}.{item.name}" for item in node.body
+                    if isinstance(item, ast.FunctionDef)
+                    and not item.name.startswith("_") and item.name not in hooks]
+    return out
+
+
 def test_the_check_sees_an_unused_import():
     source = "from .core import Configuration, step\n\nConfiguration('q', ())\n"
     assert unused_imports(source) == ["line 1: step"]
@@ -137,6 +158,23 @@ def test_the_check_sees_a_stack_read():
     assert stack_reads(source) == ["line 2: .stack"]
 
 
+def test_the_check_sees_an_undeclared_resolver_hook():
+    source = (
+        "class Resolver:\n    def start(self):\n        pass\n\n"
+        "    def key(self, state, w):\n        return None\n\n"
+        "class Moore(resolvers.Resolver):\n    def key(self, state, w):\n        return state\n\n"
+        "    def summary(self, state):\n        return state\n\n"
+        "    def _index(self):\n        return {}\n\n"
+        "class Lifted(Moore):\n    def __init__(self, base):\n        self.base = base\n\n"
+        "    def fingerprint(self, state):\n        return state\n\n"
+        "class Other:\n    def summary(self):\n        return 0\n"
+    )
+    assert declared_hooks(source) == {"start", "key"}
+    assert undeclared_hooks(source, declared_hooks(source)) == [
+        "line 12: Moore.summary", "line 22: Lifted.fingerprint",
+    ]
+
+
 def test_the_package_has_modules():
     assert len(MODULES) >= 5
 
@@ -159,6 +197,13 @@ def test_public_names_have_a_caller(path):
     callers += sorted((ROOT / "benchmark").glob("*.py"))
     elsewhere = KEPT.union(*(names_in(ast.parse(p.read_text())) for p in callers))
     assert uncalled_public_names(path.read_text(), elsewhere) == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_resolvers_define_only_declared_hooks(path):
+    hooks = declared_hooks((SRC / "resolvers.py").read_text())
+    assert hooks == {"start", "feed", "pick", "key"}
+    assert undeclared_hooks(path.read_text(), hooks) == []
 
 
 @pytest.mark.parametrize("path", [p for p in MODULES if p.name != "core.py"],

@@ -124,7 +124,10 @@ def test_ext_epsilon_divergence():
         def pick(self, state, config, letter):
             return pda.transitions[0]
 
-    with pytest.raises(EpsilonDivergence):
+        def key(self, state, w):
+            return 0
+
+    with pytest.raises(EpsilonDivergence, match="^epsilon loop"):
         ext(pda, Spinner(), run_on_prefix(pda, Spinner(), ()), "a")
 
 
@@ -162,14 +165,14 @@ def test_epsilon_cap_reads_the_entry_height(height):
     assert g.run.last.height == height
     cap = 2 * (height + 2) * 3 + 1
     spins.clear()
-    with pytest.raises(EpsilonDivergence, match=f"^more than {cap} epsilon steps before 'a'$"):
+    with pytest.raises(GuardExceeded, match=f"^more than {cap} epsilon steps before 'a'$"):
         ext(pda, Spinner(), g, "a")
     assert spins == [True] * (cap + 1)
 
 
 class Unsummarized(Resolver):
-    """A resolver with its summary hidden, and so its key: verification runs
-    to the guard, and a guided epsilon chain to the cap."""
+    """A resolver with its key hidden: verification runs to the guard, and a
+    guided epsilon chain to the cap."""
 
     def __init__(self, base):
         self.start, self.feed, self.pick = base.start, base.feed, base.pick
@@ -188,7 +191,7 @@ def _state_following(pda):
 @pytest.mark.parametrize("depth", [8, 9, 10, 11])
 def test_summarized_resolver_runs_a_long_terminating_epsilon_chain(depth):
     # The chain of 5 * 2**depth - 3 epsilon steps outruns the cap
-    # |Q|*(h+2)*(|Gamma|+1)+1, but no head (state, summary, top) repeats at
+    # |Q|*(h+2)*(|Gamma|+1)+1, but no head (state, key, top) repeats at
     # two steps, so the guided run reaches its first a.
     pda = epsilon_recursion(depth)
     r = _state_following(pda)
@@ -203,14 +206,35 @@ def test_summarized_resolver_runs_a_long_terminating_epsilon_chain(depth):
 
 
 def test_summary_less_resolver_past_the_cap_is_inconclusive():
-    # Past the cap a resolver without a summary may still be on a
-    # terminating chain, so verification cannot fail it.
+    # Past the cap a resolver without a key may still be on a terminating
+    # chain, so the cap is a bound, and verification cannot fail it.
     pda = epsilon_recursion(8)
     r = Unsummarized(_state_following(pda))
-    with pytest.raises(EpsilonDivergence, match="^more than 375 epsilon steps before 'a'$"):
+    with pytest.raises(GuardExceeded, match="^more than 375 epsilon steps before 'a'$"):
         run_on_prefix(pda, r, "a")
     report = verify_resolver(pda, r, [(parse_lasso(";a"), True)])
     assert [e[2] for e in report.entries] == ["inconclusive"]
+
+
+class KeyOnly(Unsummarized):
+    """A Moore resolver that defines no hook but ``key``, the Moore state."""
+
+    def key(self, state, w):
+        return state
+
+
+@pytest.mark.parametrize("depth", [8, 9, 10, 11])
+def test_a_key_alone_runs_a_long_terminating_epsilon_chain(depth):
+    # The key is the one fingerprint of epsilon chains: with it the guided
+    # run goes past the cap, through the whole chain, to its first a.
+    pda = epsilon_recursion(depth)
+    r = KeyOnly(_state_following(pda))
+    cap = len(pda.states) * 2 * (len(pda.stack_alphabet) + 1) + 1
+    g = run_on_prefix(pda, r, "a")
+    assert len(g.run) == 5 * 2**depth - 2 > cap
+    assert g.run.last == Configuration("ret", (BOTTOM,))
+    report = verify_resolver(pda, r, [(parse_lasso(";a"), True)], guard=len(g.run) + 10)
+    assert [e[2] for e in report.entries] == ["pass"]
 
 
 def test_undeclared_letter_is_checked_when_reached(ex23):
@@ -309,7 +333,7 @@ def test_periodic_split_stuck_drops_partial_infix():
                 raise ResolverUndefined("dead end")
             return pda.transitions[min(state, 1)]
 
-        def summary(self, state):
+        def key(self, state, w):
             return state
 
     r = SecondLetterStuck()
