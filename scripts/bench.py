@@ -1,6 +1,7 @@
-"""Layer benchmark of gfgpda: parsing and validation, lasso membership, guided
-runs, one synthesis, Gale-Stewart solving on both block automata, transducer
-epsilon closure, the constructions built by ``core.explore``.
+"""Layer benchmark of gfgpda: the package's cold import, parsing and
+validation, lasso membership, guided runs, one synthesis, Gale-Stewart
+solving on both block automata, transducer epsilon closure, the
+constructions built by ``core.explore``.
 
     python3 scripts/bench.py [OUTPUT.json]
 
@@ -16,6 +17,8 @@ two commits on the same machine to compare them.
 from __future__ import annotations
 
 import collections
+import importlib
+import importlib.util
 import json
 import os
 import platform
@@ -53,6 +56,7 @@ MEMBERSHIP_SAMPLE = 20  # words per zoo fixture
 SPECS = 150
 GS_BUDGET = 5_000  # the games workload's solver budget
 CLOSURE_DEPTHS = (8, 9, 10, 11)
+PACKAGE_MODULES = ("core", "analysis", "closure", "games", "resolvers", "zoo", "cli")
 
 
 def best_ms(fns: dict) -> dict:
@@ -74,6 +78,50 @@ def best_ms(fns: dict) -> dict:
                 fn()
             best[name] = min(best[name], (time.perf_counter() - start) / n)
     return {name: t * 1e3 for name, t in best.items()}
+
+
+def import_layer() -> dict:
+    """The package's cold import: the compile time of each module's source
+    and the fresh in-process import of the package and PACKAGE_MODULES that
+    the benchmark's set-up pays, each the best of REPEATS single runs.  A
+    fresh import compiles only the sources without cached bytecode, so the
+    row says whether bytecode writing was on and every module was cached."""
+    package = os.path.join(ROOT, "src", "gfgpda")
+    paths = {name: os.path.join(package, f"{name}.py") for name in ("__init__",) + PACKAGE_MODULES}
+    compile_ms = {}
+    for name, path in paths.items():
+        with open(path, encoding="utf-8") as fh:
+            source = fh.read()
+        compile_ms[name] = min(timed_ms(lambda: compile(source, path, "exec"))
+                               for _ in range(REPEATS))
+    cached = all(os.path.exists(importlib.util.cache_from_source(p)) for p in paths.values())
+    loaded = {n: m for n, m in sys.modules.items() if n == "gfgpda" or n.startswith("gfgpda.")}
+
+    def drop_package():
+        for name in [n for n in sys.modules if n == "gfgpda" or n.startswith("gfgpda.")]:
+            del sys.modules[name]
+
+    def fresh_import():
+        drop_package()
+        importlib.import_module("gfgpda")
+        for name in PACKAGE_MODULES:
+            importlib.import_module(f"gfgpda.{name}")
+
+    try:
+        import_ms = min(timed_ms(fresh_import) for _ in range(REPEATS))
+    finally:  # the rest of the bench keeps the modules it imported
+        drop_package()
+        sys.modules.update(loaded)
+    return {"compile_ms": compile_ms, "compile_total_ms": sum(compile_ms.values()),
+            "fresh_import_ms": import_ms, "bytecode_writing": not sys.dont_write_bytecode,
+            "bytecode_cached": cached}
+
+
+def timed_ms(fn) -> float:
+    """Milliseconds of one call of ``fn``."""
+    start = time.perf_counter()
+    fn()
+    return (time.perf_counter() - start) * 1e3
 
 
 def generated_pda_text(lines: int, rng: random.Random) -> str:
@@ -379,7 +427,8 @@ def main(argv: list[str]) -> int:
     out = argv[1] if len(argv) > 1 else "BENCH.json"
     started = time.perf_counter()
     report = {"python": platform.python_version(), "machine": platform.machine(),
-              "repeats": REPEATS, "series_seed": SERIES_SEED, "parse": parse_layer(),
+              "repeats": REPEATS, "series_seed": SERIES_SEED, "import": import_layer(),
+              "parse": parse_layer(),
               "membership": membership_layer(), "guided": guided_layer(),
               "synthesis": synthesis_layer(), "gale_stewart": gale_stewart_layer(),
               "closure": closure_layer(),
@@ -388,6 +437,12 @@ def main(argv: list[str]) -> int:
     with open(out, "w", encoding="utf-8") as fh:
         json.dump(report, fh, indent=1, sort_keys=True)
         fh.write("\n")
+    row = report["import"]
+    print(f"import: fresh {row['fresh_import_ms']:.1f} ms (bytecode writing "
+          f"{'on' if row['bytecode_writing'] else 'off'}, "
+          f"{'all' if row['bytecode_cached'] else 'not all'} modules cached); compile "
+          + ", ".join(f"{name} {ms:.1f}" for name, ms in row["compile_ms"].items())
+          + f" = {row['compile_total_ms']:.1f} ms")
     gate = report["parse"]["det_example23"]
     print(f"parse det(example23): {gate['parse_ms']:.3f} ms, "
           f"{gate['parse_over_slowest_tail']:.2f}-{gate['parse_over_fastest_tail']:.2f}x "

@@ -37,7 +37,6 @@ over all heads, seeded at the good heads of every color.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Optional, Union
 
@@ -46,6 +45,7 @@ from .core import (
     Configuration,
     LassoWord,
     OmegaPDA,
+    Record,
     Transition,
     replay,
     step,
@@ -54,8 +54,7 @@ from .core import (
 UNKNOWN = "unknown"
 
 
-@dataclass(frozen=True)
-class PAutomaton:
+class PAutomaton(Record):
     """NFA over ``Gamma_bottom`` whose control states are its initial states.
 
     A configuration ``(q, stack)`` is accepted iff ``q`` reads the stack top
@@ -109,8 +108,7 @@ class PAutomaton:
         return ".i", ".end", frozenset(edges)
 
 
-@dataclass(frozen=True)
-class EmptinessWitness:
+class EmptinessWitness(Record):
     """Finite certificate: replaying ``stem`` then ``loop`` forever is accepting."""
 
     stem: tuple[Transition, ...]
@@ -413,6 +411,8 @@ def parity_nonempty(
     pda: OmegaPDA, start: Optional[Configuration] = None
 ) -> Optional[EmptinessWitness]:
     """First emptiness witness found (even colors ascending), or None."""
+    if not any(t.color % 2 == 0 for t in pda.transitions):
+        return None  # no run is accepting
     if start is None:
         start = pda.initial_configuration()
     return _Summary(_rules(pda.transitions)).witness(pda, start)
@@ -501,6 +501,8 @@ def lasso_membership(pda: OmegaPDA, w: LassoWord) -> bool:
     for letter in w.prefix + w.loop:
         if letter not in letters:
             raise ValueError(f"letter {letter!r} not in the input alphabet")
+    if not any(t.color % 2 == 0 for t in pda.transitions):
+        return False  # no run is accepting
     adj, _pops, evens, _states = _lasso_heads(pda, w)
     return _search(list(adj), adj, evens) is not None
 

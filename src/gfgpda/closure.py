@@ -11,11 +11,10 @@ limit verdict.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from typing import Callable, Iterable, Optional
 
-from .core import (Configuration, FormatError, OmegaPDA, TokenValues, Transition, explore,
-                   read_declarations)
+from .core import (Configuration, FormatError, OmegaPDA, Record, TokenValues, Transition,
+                   explore, read_declarations)
 from .resolvers import Resolver, ResolverStuck
 
 MODES = ("intersect", "union", "minus")
@@ -25,8 +24,7 @@ class AlphabetMismatch(ValueError):
     """The automaton and the DPA read different alphabets."""
 
 
-@dataclass(frozen=True)
-class DeterministicParityAutomaton:
+class DeterministicParityAutomaton(Record):
     states: tuple[str, ...]
     alphabet: tuple[str, ...]
     initial: str
@@ -106,8 +104,7 @@ def zielonka_tree(mode: str, pairs: Iterable[tuple[int, int]]) -> tuple[int, Cal
     return len(leaves), move
 
 
-@dataclass(frozen=True)
-class ProductInfo:
+class ProductInfo(Record):
     base_of: dict[Transition, Transition]
     # (product state, base transition) -> product transition
     extend: dict[tuple[str, Transition], Transition]

@@ -14,8 +14,8 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
+from operator import attrgetter
 from typing import Any, Callable, Hashable, Iterable, Optional, Sequence
 
 BOTTOM = "_"
@@ -54,6 +54,57 @@ class FormatError(PdaError):
 
 class ResourceExceeded(PdaError):
     """A construction or solver hit its budget before it finished."""
+
+
+class Record:
+    """Base of the data classes, whose methods are shared: defining one runs no
+    generated code.  The fields are the annotations in order; a class
+    attribute of a field's name is its default.  ``__post_init__`` runs after
+    ``__init__``.  Frozen and hashable, or mutable and unhashable (``frozen=False``)."""
+
+    _fields: tuple[str, ...] = ()
+    _defaults: dict[str, Any] = {}
+
+    def __init_subclass__(cls, frozen: bool = True):
+        own = tuple(cls.__annotations__)  # the class's own, since Python 3.10
+        cls._fields += own
+        cls._defaults = {**cls._defaults, **{f: vars(cls)[f] for f in own if f in vars(cls)}}
+        cls._values = attrgetter(*cls._fields)  # C code; one field gives its value
+        if not frozen:
+            cls.__setattr__, cls.__delattr__ = object.__setattr__, object.__delattr__
+            cls.__hash__ = None
+
+    def __init__(self, *args, **kwargs):
+        fields = self._fields
+        if kwargs or len(args) != len(fields):
+            for f in fields[len(args):]:
+                if f not in kwargs and f not in self._defaults:
+                    raise TypeError(f"{type(self).__name__}() missing argument {f!r}")
+                args += (kwargs.pop(f, self._defaults.get(f)),)
+            if kwargs or len(args) > len(fields):
+                raise TypeError(f"{type(self).__name__}() takes only the fields {fields}")
+        for f, value in zip(fields, args):  # not via __dict__, which would slow reads
+            object.__setattr__(self, f, value)
+        if self.__post_init__ is not None:
+            self.__post_init__()
+
+    __post_init__ = None  # or a method of the class, run after __init__
+
+    def __setattr__(self, name: str, value: Any = None) -> None:
+        raise AttributeError(f"{name!r} of a frozen {type(self).__name__} cannot change")
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):  # only between instances of one class
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values(self) == self._values(other)
+
+    def __hash__(self) -> int:
+        return hash(self._values(self))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__qualname__}({fields})"
 
 
 # Transitions and configurations are values: slotted classes whose fields are
@@ -139,8 +190,7 @@ class Configuration:
     __repr__ = __str__
 
 
-@dataclass(frozen=True)
-class OmegaPDA:
+class OmegaPDA(Record):
     states: tuple[str, ...]
     input_alphabet: tuple[str, ...]
     stack_alphabet: tuple[str, ...]  # BOTTOM excluded, reserved
@@ -166,8 +216,7 @@ class OmegaPDA:
         return Configuration(self.initial, (BOTTOM,))
 
 
-@dataclass(frozen=True)
-class RunPrefix:
+class RunPrefix(Record):
     """A finite run: transitions plus the derived configuration sequence.
 
     ``configurations`` is one longer than ``transitions`` and starts at the
@@ -188,8 +237,7 @@ class RunPrefix:
         return len(self.transitions)
 
 
-@dataclass(frozen=True)
-class LassoWord:
+class LassoWord(Record):
     """Finite representation ``u . v^omega`` of an ultimately periodic word."""
 
     prefix: tuple[str, ...]

@@ -30,7 +30,6 @@ original game; a condition's own block game needs no second step.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Any, Callable, Iterable, Iterator, NamedTuple, Optional
 
@@ -43,6 +42,7 @@ from .core import (
     LassoWord,
     OmegaPDA,
     PdaError,
+    Record,
     ResourceExceeded,
     TokenValues,
     Transition,
@@ -80,8 +80,7 @@ def pair_id(a1: str, a2: str) -> str:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class GaleStewartSpec:
+class GaleStewartSpec(Record):
     """Player 1 picks from sigma1, Player 2 from sigma2; Player 2 wins iff the
     paired outcome is in the condition language."""
 
@@ -130,8 +129,7 @@ def make_universality_spec(pda: OmegaPDA, gfg_claimed: bool = True) -> GaleStewa
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PdInfo:
+class PdInfo(Record):
     sigma1: tuple[str, ...]
     sigma2: tuple[str, ...]
     condition: OmegaPDA
@@ -245,15 +243,13 @@ def _own_pd(spec: GaleStewartSpec) -> tuple[OmegaPDA, PdInfo]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class FiniteParityGame:
+class FiniteParityGame(Record):
     vertices: tuple
     owner: dict  # vertex -> EVE | ADAM
     edges: tuple  # (source, color, target)
 
 
-@dataclass
-class FiniteSolveResult:
+class FiniteSolveResult(Record, frozen=False):
     winning: dict  # player -> frozenset of vertices
     strategy: dict  # player -> {vertex: edge index}
 
@@ -380,8 +376,7 @@ class GameMove(NamedTuple):  # a tuple, so that arenas build their moves fast
     letter: Optional[str] = None  # Eve's letter, on a Gale-Stewart arena's Eve move
 
 
-@dataclass(frozen=True)
-class PushdownParityGame:
+class PushdownParityGame(Record):
     """Pushdown system plus owners; dead ends lose for their owner."""
 
     states: tuple
@@ -398,8 +393,7 @@ class PushdownParityGame:
         return idx
 
 
-@dataclass
-class PushdownSolveResult:
+class PushdownSolveResult(Record, frozen=False):
     """The winner from the initial configuration.  ``stats`` holds the
     vertices numbered in both phases, the height of the highest truncation
     solved (0 if none), ``decided_by`` (``"truncation"`` or ``"claims"``)
@@ -411,8 +405,7 @@ class PushdownSolveResult:
     claims: Optional[ClaimStrategy] = None  # Eve's win, when the claim game decided it
 
 
-@dataclass
-class ClaimStrategy:
+class ClaimStrategy(Record, frozen=False):
     """Eve's winning strategy on a claim game: a main vertex maps to the
     GameMove she plays, a claim vertex to the claim she makes."""
 
@@ -665,8 +658,7 @@ def gs_to_pushdown_game(dpda: OmegaPDA, info: PdInfo) -> PushdownParityGame:
     return PushdownParityGame(tuple(states), dpda.stack_alphabet, states[0], owner, tuple(moves))
 
 
-@dataclass
-class GsResult:
+class GsResult(Record, frozen=False):
     """The winner on the arena ``game`` of the block automaton of ``info``.
     An Adam win is ``sound`` if the condition is claimed good-for-games or
     deterministic."""
@@ -704,8 +696,7 @@ def universality(pda: OmegaPDA, budget: int = 5_000_000, gfg_claimed: bool = Tru
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class StrategyPDT:
+class StrategyPDT(Record):
     """Deterministic pushdown transducer from input words to output letters;
     the output is read at the (epsilon-closed) end of the run."""
 

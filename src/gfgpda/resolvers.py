@@ -9,7 +9,6 @@ function-of-history view.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Any, Hashable, Iterator, Optional
 
@@ -22,6 +21,7 @@ from .core import (
     LassoWord,
     OmegaPDA,
     PdaError,
+    Record,
     RunPrefix,
     Transition,
     explore,
@@ -77,8 +77,7 @@ def resolver_query(r: Resolver, history: RunPrefix, letter: str) -> Transition:
     return r.pick(st, history.last, letter)
 
 
-@dataclass(frozen=True)
-class GuidedRun:
+class GuidedRun(Record):
     """Immutable snapshot of a resolver-guided simulation."""
 
     run: RunPrefix
@@ -151,8 +150,7 @@ def run_on_prefix(pda: OmegaPDA, r: Resolver, word) -> GuidedRun:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class MooreResolver(Resolver):
+class MooreResolver(Record, Resolver):
     """Finite-state resolver: delta reads transitions, lambda picks the next one.
 
     ``delta`` must be total on M x Delta; ``output`` may be partial (a missing
@@ -184,8 +182,7 @@ class MooreResolver(Resolver):
         return state
 
 
-@dataclass(frozen=True)
-class PeriodicSplit:
+class PeriodicSplit(Record):
     """Guided run on a lasso, split at two matched step positions."""
 
     verdict: str  # accepted / rejected / stuck
@@ -293,8 +290,7 @@ def determinize_moore(pda: OmegaPDA, m: MooreResolver, budget: Optional[int] = N
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class DetPushdown:
+class DetPushdown(Record):
     """Uncolored deterministic PDA: its transitions have color 0 and read the
     symbol in ``label`` (None: epsilon); runs are maximal (end epsilon-closed).
     A rule set that breaks ``core.is_deterministic`` raises ValueError."""
@@ -358,8 +354,7 @@ class DetPushdown:
         return c
 
 
-@dataclass(frozen=True)
-class PDTResolver(Resolver):
+class PDTResolver(Record, Resolver):
     """Resolver computed by a deterministic pushdown transducer.
 
     The transducer reads the subject automaton's transitions; its output
@@ -399,8 +394,7 @@ def moore_as_pdt(pda: OmegaPDA, m: MooreResolver) -> PDTResolver:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ResolverReport:
+class ResolverReport(Record):
     entries: tuple[tuple[LassoWord, bool, str], ...]  # (word, expected, verdict)
 
     def failures(self) -> list:

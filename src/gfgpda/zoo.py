@@ -7,17 +7,15 @@ never from the membership engine.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from typing import Callable, Optional
 
-from .core import BOTTOM, LassoWord, OmegaPDA, Transition
+from .core import BOTTOM, LassoWord, OmegaPDA, Record, Transition
 from .resolvers import MooreResolver, Resolver
 
 Sample = list[tuple[LassoWord, bool]]
 
 
-@dataclass(frozen=True)
-class Fixture:
+class Fixture(Record):
     name: str
     automaton: OmegaPDA
     sampler: Callable[[int, int], Sample]

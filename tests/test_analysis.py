@@ -341,6 +341,43 @@ def test_parity_nonempty_all_odd():
     assert parity_nonempty(zoo.allodd().automaton) is None
 
 
+def test_no_even_color_answers_before_any_pass(monkeypatch):
+    # Without an even color no run accepts: membership (after its letter
+    # check) and emptiness answer before the head pass or a saturation.
+    def never(*_args):
+        raise AssertionError("a pass ran on an automaton without an even color")
+
+    monkeypatch.setattr(analysis, "_lasso_heads", never)
+    monkeypatch.setattr(analysis, "_saturate", never)
+    fx = zoo.allodd()
+    for w, _flag in fx.sample():
+        assert lasso_membership(fx.automaton, w) is False
+    assert parity_nonempty(fx.automaton) is None
+    assert parity_nonempty(fx.automaton, Configuration("s", (BOTTOM,))) is None
+    with pytest.raises(ValueError, match="not in the input alphabet"):
+        lasso_membership(fx.automaton, LassoWord((), ("y",)))
+
+
+def test_odd_recolored_automata_reject_as_the_oracle_says():
+    rng = random.Random(33)
+    decided = 0
+    for i in range(150):
+        pda = random_pda(rng)
+        odd = OmegaPDA(pda.states, pda.input_alphabet, pda.stack_alphabet, pda.initial, tuple(
+            Transition(t.source, t.top, t.label, t.target, t.push, 2 * t.color + 1)
+            for t in pda.transitions))
+        assert parity_nonempty(odd) is None, i
+        for _ in range(3):
+            u = tuple(rng.choice(pda.input_alphabet) for _ in range(rng.randint(0, 3)))
+            v = tuple(rng.choice(pda.input_alphabet) for _ in range(rng.randint(1, 3)))
+            w = LassoWord(u, v)
+            assert lasso_membership(odd, w) is False, (i, str(w))
+            verdict = brute_force_lasso_oracle(odd, w, 5, 3_000)
+            assert verdict in (False, UNKNOWN), (i, str(w))
+            decided += verdict is False
+    assert decided >= 300
+
+
 def test_parity_nonempty_lss_low_loop():
     fx = zoo.lss()
     w = parity_nonempty(fx.automaton)

@@ -46,6 +46,57 @@ def test_transitions_and_configurations_are_values():
     assert (c.state, c.stack, c.height, c.top, str(c)) == ("q", (BOTTOM, "N"), 1, "N", "(q, _N)")
 
 
+def test_records_keep_the_data_class_contract():
+    from functools import cached_property
+    from typing import Optional
+
+    class Pair(core.Record):
+        left: int
+        right: Optional[str] = None
+
+        @cached_property
+        def twice(self):
+            return 2 * self.left
+
+    class Other(core.Record):
+        left: int
+        right: Optional[str] = None
+
+    class Counter(core.Record, frozen=False):
+        count: int
+
+    p = Pair(1)
+    assert (p.left, p.right, repr(p)) == (1, None, "test_records_keep_the_data_class_contract."
+                                          "<locals>.Pair(left=1, right=None)")
+    assert p == Pair(1, None) == Pair(left=1) and hash(p) == hash(Pair(right=None, left=1))
+    assert p != Pair(1, "x") and p != Other(1) and Other(1) != p
+    assert p.twice == 2 and p.twice == 2  # cached on a frozen instance
+    for change in (lambda: setattr(p, "left", 2), lambda: delattr(p, "right"),
+                   lambda: setattr(p, "new", 0)):
+        with pytest.raises(AttributeError):
+            change()
+    for build in (lambda: Pair(), lambda: Pair(1, "x", 2), lambda: Pair(1, left=2),
+                  lambda: Pair(1, size=2)):
+        with pytest.raises(TypeError):
+            build()
+    c = Counter(0)
+    c.count += 1
+    assert c == Counter(1) and c.count == 1
+    with pytest.raises(TypeError):
+        hash(c)
+    with pytest.raises(ValueError, match="nonempty"):  # __post_init__ runs
+        core.LassoWord(("a",), ())
+
+    class Renamed(Pair):  # a subclass keeps the fields, and may add some
+        pass
+
+    class Triple(Pair):
+        extra: int = 0
+
+    assert Renamed(1) != p and repr(Renamed(1)).endswith("Renamed(left=1, right=None)")
+    assert (Triple(1, "x", 2).extra, Triple(1).extra, Triple(1).right) == (2, 0, None)
+
+
 def test_validate_fig2_clean(fig2):
     assert validate(fig2) == []
 

@@ -1,6 +1,9 @@
 """Static checks on the package source, with the standard library's ``ast``."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -85,6 +88,17 @@ def uncalled_public_names(source: str, elsewhere: set[str]) -> list[str]:
     return out
 
 
+def imported_modules(source: str) -> set[str]:
+    """Top-level names of the absolute imports of a source."""
+    out = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            out.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            out.add(node.module.split(".")[0])
+    return out
+
+
 def stack_reads(source: str) -> list[str]:
     """Reads of a ``.stack`` attribute: a configuration's stack tuple is an
     O(height) view that only ``core`` builds."""
@@ -149,6 +163,14 @@ def test_the_check_sees_an_uncalled_public_name():
     assert names_in(ast.parse("wrap('games', 'simulate_play', 'a b')")) >= {"simulate_play"}
 
 
+def test_the_check_sees_an_imported_module():
+    source = (
+        "import os.path\nfrom dataclasses import dataclass\nfrom . import core\n"
+        "from .games import solve\n\ndef f():\n    import inspect\n"
+    )
+    assert imported_modules(source) == {"os", "dataclasses", "inspect"}
+
+
 def test_the_check_sees_a_stack_read():
     source = (
         "def top(config):\n    return config.stack[-1]\n\n"
@@ -210,3 +232,19 @@ def test_resolvers_define_only_declared_hooks(path):
                          ids=lambda p: p.name)
 def test_only_core_reads_a_stack_tuple(path):
     assert stack_reads(path.read_text()) == []
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_module_imports_dataclasses(path):
+    """``core.Record`` stands in for them: generating the methods of the
+    package's classes took most of its import time."""
+    assert "dataclasses" not in imported_modules(path.read_text())
+
+
+def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
+    code = ("import sys, gfgpda.cli, gfgpda.zoo\n"
+            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
+    out = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=60)
+    assert out.stdout.strip() == "[]"
