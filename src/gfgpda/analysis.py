@@ -407,12 +407,17 @@ class _Summary:
         return found
 
 
+def _all_odd(pda: OmegaPDA) -> bool:
+    """No transition has an even color, so no run is accepting."""
+    return all(t.color & 1 for t in pda.transitions)
+
+
 def parity_nonempty(
     pda: OmegaPDA, start: Optional[Configuration] = None
 ) -> Optional[EmptinessWitness]:
     """First emptiness witness found (even colors ascending), or None."""
-    if not any(t.color % 2 == 0 for t in pda.transitions):
-        return None  # no run is accepting
+    if _all_odd(pda):
+        return None
     if start is None:
         start = pda.initial_configuration()
     return _Summary(_rules(pda.transitions)).witness(pda, start)
@@ -501,8 +506,8 @@ def lasso_membership(pda: OmegaPDA, w: LassoWord) -> bool:
     for letter in w.prefix + w.loop:
         if letter not in letters:
             raise ValueError(f"letter {letter!r} not in the input alphabet")
-    if not any(t.color % 2 == 0 for t in pda.transitions):
-        return False  # no run is accepting
+    if _all_odd(pda):
+        return False
     adj, _pops, evens, _states = _lasso_heads(pda, w)
     return _search(list(adj), adj, evens) is not None
 

@@ -57,38 +57,27 @@ class ResourceExceeded(PdaError):
 
 
 class Record:
-    """Base of the data classes, whose methods are shared: defining one runs no
-    generated code.  The fields are the annotations in order; a class
-    attribute of a field's name is its default.  ``__post_init__`` runs after
-    ``__init__``.  Frozen and hashable, or mutable and unhashable (``frozen=False``)."""
+    """Base of the data classes.  The fields are the annotations in order; a
+    class attribute of a field's name is its default.  Instances are frozen,
+    equal only within one class and hashed by their fields; ``__post_init__``
+    runs after ``__init__``.  Defining a class runs no generated code; its first
+    construction compiles the class's own ``__init__``, as a loop over the
+    fields shared by all classes would make every construction slower."""
 
-    _fields: tuple[str, ...] = ()
-    _defaults: dict[str, Any] = {}
-
-    def __init_subclass__(cls, frozen: bool = True):
-        own = tuple(cls.__annotations__)  # the class's own, since Python 3.10
-        cls._fields += own
-        cls._defaults = {**cls._defaults, **{f: vars(cls)[f] for f in own if f in vars(cls)}}
+    def __init_subclass__(cls):
+        cls._fields = tuple(vars(cls).get("__annotations__", {}))
         cls._values = attrgetter(*cls._fields)  # C code; one field gives its value
-        if not frozen:
-            cls.__setattr__, cls.__delattr__ = object.__setattr__, object.__delattr__
-            cls.__hash__ = None
 
     def __init__(self, *args, **kwargs):
-        fields = self._fields
-        if kwargs or len(args) != len(fields):
-            for f in fields[len(args):]:
-                if f not in kwargs and f not in self._defaults:
-                    raise TypeError(f"{type(self).__name__}() missing argument {f!r}")
-                args += (kwargs.pop(f, self._defaults.get(f)),)
-            if kwargs or len(args) > len(fields):
-                raise TypeError(f"{type(self).__name__}() takes only the fields {fields}")
-        for f, value in zip(fields, args):  # not via __dict__, which would slow reads
-            object.__setattr__(self, f, value)
-        if self.__post_init__ is not None:
-            self.__post_init__()
-
-    __post_init__ = None  # or a method of the class, run after __init__
+        cls, defaults = type(self), vars(type(self))
+        params = ", ".join(f"{f}=_d[{f!r}]" if f in defaults else f for f in cls._fields)
+        body = "".join(f"\n _set(self, {f!r}, {f})" for f in cls._fields)
+        if hasattr(cls, "__post_init__"):
+            body += "\n self.__post_init__()"
+        namespace: dict[str, Any] = {"_set": object.__setattr__, "_d": defaults}
+        exec(f"def __init__(self, {params}):{body}", namespace)
+        cls.__init__ = namespace["__init__"]
+        cls.__init__(self, *args, **kwargs)
 
     def __setattr__(self, name: str, value: Any = None) -> None:
         raise AttributeError(f"{name!r} of a frozen {type(self).__name__} cannot change")

@@ -249,7 +249,7 @@ class FiniteParityGame(Record):
     edges: tuple  # (source, color, target)
 
 
-class FiniteSolveResult(Record, frozen=False):
+class FiniteSolveResult(Record):
     winning: dict  # player -> frozenset of vertices
     strategy: dict  # player -> {vertex: edge index}
 
@@ -393,7 +393,7 @@ class PushdownParityGame(Record):
         return idx
 
 
-class PushdownSolveResult(Record, frozen=False):
+class PushdownSolveResult(Record):
     """The winner from the initial configuration.  ``stats`` holds the
     vertices numbered in both phases, the height of the highest truncation
     solved (0 if none), ``decided_by`` (``"truncation"`` or ``"claims"``)
@@ -405,7 +405,7 @@ class PushdownSolveResult(Record, frozen=False):
     claims: Optional[ClaimStrategy] = None  # Eve's win, when the claim game decided it
 
 
-class ClaimStrategy(Record, frozen=False):
+class ClaimStrategy(Record):
     """Eve's winning strategy on a claim game: a main vertex maps to the
     GameMove she plays, a claim vertex to the claim she makes."""
 
@@ -658,7 +658,7 @@ def gs_to_pushdown_game(dpda: OmegaPDA, info: PdInfo) -> PushdownParityGame:
     return PushdownParityGame(tuple(states), dpda.stack_alphabet, states[0], owner, tuple(moves))
 
 
-class GsResult(Record, frozen=False):
+class GsResult(Record):
     """The winner on the arena ``game`` of the block automaton of ``info``.
     An Adam win is ``sound`` if the condition is claimed good-for-games or
     deterministic."""

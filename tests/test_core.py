@@ -62,9 +62,7 @@ def test_records_keep_the_data_class_contract():
         left: int
         right: Optional[str] = None
 
-    class Counter(core.Record, frozen=False):
-        count: int
-
+    assert "__init__" not in vars(Pair)  # defining a record compiles nothing
     p = Pair(1)
     assert (p.left, p.right, repr(p)) == (1, None, "test_records_keep_the_data_class_contract."
                                           "<locals>.Pair(left=1, right=None)")
@@ -79,22 +77,11 @@ def test_records_keep_the_data_class_contract():
                   lambda: Pair(1, size=2)):
         with pytest.raises(TypeError):
             build()
-    c = Counter(0)
-    c.count += 1
-    assert c == Counter(1) and c.count == 1
-    with pytest.raises(TypeError):
-        hash(c)
+    assert "__init__" in vars(Pair) and Pair(2, "y").right == "y"  # compiled once
+    with pytest.raises(TypeError):  # a record holding a dict is unhashable
+        hash(Pair({}))
     with pytest.raises(ValueError, match="nonempty"):  # __post_init__ runs
         core.LassoWord(("a",), ())
-
-    class Renamed(Pair):  # a subclass keeps the fields, and may add some
-        pass
-
-    class Triple(Pair):
-        extra: int = 0
-
-    assert Renamed(1) != p and repr(Renamed(1)).endswith("Renamed(left=1, right=None)")
-    assert (Triple(1, "x", 2).extra, Triple(1).extra, Triple(1).right) == (2, 0, None)
 
 
 def test_validate_fig2_clean(fig2):
