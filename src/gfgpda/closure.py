@@ -239,21 +239,23 @@ def format_dpa(dpa: DeterministicParityAutomaton) -> str:
 
 
 def parse_dpa(text: str) -> DeterministicParityAutomaton:
-    states: list[str] = []
+    states: list[str] = []  # the declaration lines' tokens: keyword, name, keyword, ...
     alphabet: list[str] = []
     initial: list[str] = []
     delta: dict[tuple[str, str], str] = {}
     colors: dict[tuple[str, str], int] = {}
     values = TokenValues("color", int, str)
 
-    def dtrans(q, a, q2, color):
+    def dtrans(tokens):
+        _, q, a, q2, color = tokens
         delta[(q, a)], colors[(q, a)] = q2, values[color]
 
-    read_declarations(text, {"dstate": (1, states.append), "dinitial": (1, initial.append),
-                             "dletter": (1, alphabet.append), "dtrans": (4, dtrans)})
+    read_declarations(text, {"dstate": (2, states.extend), "dinitial": (2, initial.extend),
+                             "dletter": (2, alphabet.extend), "dtrans": (5, dtrans)})
     if not initial:
         raise FormatError("missing 'dinitial' declaration")
-    dpa = DeterministicParityAutomaton(tuple(states), tuple(alphabet), initial[-1], delta, colors)
+    dpa = DeterministicParityAutomaton(tuple(states[1::2]), tuple(alphabet[1::2]), initial[-1],
+                                       delta, colors)
     if bad := dpa.validate():
         raise FormatError("; ".join(bad))
     return dpa

@@ -344,8 +344,9 @@ def validate(pda: OmegaPDA) -> list[str]:
     return diags
 
 
-def _push_fault(top: str, push: tuple[str, ...], stack: set[str]) -> Optional[str]:
-    if len(push) > 2:
+def _push_fault(top: str, push: tuple[str, ...], stack: set[str],
+                longest: Optional[int] = 2) -> Optional[str]:
+    if longest is not None and len(push) > longest:
         return "push too long"
     if top == BOTTOM:
         if push[:1] == (BOTTOM,) and stack.issuperset(push[1:]):
@@ -485,7 +486,7 @@ def _over_budget(states: int, budget: Optional[int]) -> ResourceExceeded:
 
 
 def read_declarations(
-    text: str, handlers: dict[str, tuple[Optional[int], Callable[..., Any]]]
+    text: str, handlers: dict[str, tuple[Optional[int], Callable[[list[str]], Any]]]
 ) -> None:
     """Feed each declaration line of ``text`` to its keyword's handler.
 
@@ -493,30 +494,35 @@ def read_declarations(
     specifications, strategy transducers) share these rules: one declaration
     per line, a keyword followed by whitespace-separated fields; blank lines
     and lines whose first token starts with `#` are skipped.  ``handlers``
-    maps each keyword to its exact field count (None: any number) and a
-    callable that receives the fields as arguments.  Unknown keywords, wrong
-    field counts and a ``ValueError``, ``IndexError`` or ``KeyError`` (an
-    unknown name) from a handler become a ``FormatError`` naming the line.
+    maps each keyword to its line's exact token count, keyword included
+    (None: any number), and a callable that receives the line's token list,
+    keyword first.  Unknown keywords, wrong field counts and a ``ValueError``,
+    ``IndexError`` or ``KeyError`` (an unknown name) from a handler become a
+    ``FormatError`` naming the line.
 
     Automata: `state <id>` / `initial <id>` / `letter <id>` / `stacksym <id>` /
     `trans <src> <top|_> <letter|eps> <dst> <push|eps> <color>`.  `_` denotes
     the stack bottom.  A push word is `eps`, a single symbol, `_` (bottom kept
     alone), `_<sym>` (bottom plus one symbol) or two symbols joined by `.`.
     """
-    for ln, raw in enumerate(text.splitlines(), start=1):
-        fields = raw.split()
-        if not fields or fields[0][0] == "#":
-            continue
-        kind = fields.pop(0)  # cheaper than passing a slice: no second list
-        arity, handle = handlers.get(kind, (-1, None))
-        try:
-            if len(fields) != arity and arity is not None:  # -1: an unknown keyword
-                raise ValueError(f"unknown declaration {kind!r}" if handle is None else
-                                 f"{kind!r} takes {arity} field(s), got {len(fields)}")
-            handle(*fields)
-        except (ValueError, IndexError, KeyError) as exc:
-            reason = f"unknown {exc}" if isinstance(exc, KeyError) else exc
-            raise FormatError(f"line {ln}: {raw.strip()!r}: {reason}") from None
+    lines = text.splitlines()
+    try:
+        for ln, tokens in enumerate(map(str.split, lines), start=1):
+            if not tokens:
+                continue
+            count, handle = handlers.get(tokens[0], (-1, None))
+            if len(tokens) != count:  # also a comment, an unknown keyword or a variadic one
+                if tokens[0][0] == "#":
+                    continue
+                if handle is None:
+                    raise ValueError(f"unknown declaration {tokens[0]!r}")
+                if count is not None:
+                    raise ValueError(f"{tokens[0]!r} takes {count - 1} field(s), "
+                                     f"got {len(tokens) - 1}")
+            handle(tokens)
+    except (ValueError, IndexError, KeyError) as exc:
+        reason = f"unknown {exc}" if isinstance(exc, KeyError) else exc
+        raise FormatError(f"line {ln}: {lines[ln - 1].strip()!r}: {reason}") from None
 
 
 class TokenValues(dict):
@@ -574,7 +580,7 @@ def format_pda(pda: OmegaPDA) -> str:
 def pda_declarations() -> tuple[dict, Callable[[], OmegaPDA]]:
     """The automaton keyword table for ``read_declarations`` and a function
     that builds and validates the automaton once the text is read."""
-    states: list[str] = []
+    states: list[str] = []  # the declaration lines' tokens: keyword, name, keyword, ...
     letters: list[str] = []
     stack: list[str] = []
     initial: list[str] = []
@@ -582,7 +588,8 @@ def pda_declarations() -> tuple[dict, Callable[[], OmegaPDA]]:
     pushes = TokenValues("push word", push_from_text, push_to_text)
     colors = TokenValues("color", int, str)
 
-    def trans(src, top, lab, dst, push, color):
+    def trans(tokens):
+        _, src, top, lab, dst, push, color = tokens
         transitions.append(Transition(
             src, BOTTOM if top == "_" else top, None if lab == "eps" else lab, dst,
             pushes[push], colors[color],
@@ -591,16 +598,16 @@ def pda_declarations() -> tuple[dict, Callable[[], OmegaPDA]]:
     def build() -> OmegaPDA:
         if not initial:
             raise FormatError("missing 'initial' declaration")
-        pda = OmegaPDA(tuple(states), tuple(letters), tuple(stack), initial[-1],
-                       tuple(transitions))
+        pda = OmegaPDA(tuple(states[1::2]), tuple(letters[1::2]), tuple(stack[1::2]),
+                       initial[-1], tuple(transitions))
         diags = validate(pda)
         if diags:
             raise FormatError("; ".join(diags))
         return pda
 
-    handlers = {"state": (1, states.append), "initial": (1, initial.append),
-                "letter": (1, letters.append), "stacksym": (1, stack.append),
-                "trans": (6, trans)}
+    handlers = {"state": (2, states.extend), "initial": (2, initial.extend),
+                "letter": (2, letters.extend), "stacksym": (2, stack.extend),
+                "trans": (7, trans)}
     return handlers, build
 
 

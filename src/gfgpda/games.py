@@ -982,23 +982,21 @@ def parse_gs_spec(text: str) -> GaleStewartSpec:
     A claim is true/1/yes or false/0/no in any case; without one it is false."""
     sigma1: list[str] = []
     sigma2: list[str] = []
-    pairing: dict[str, tuple[str, str]] = {}
+    pairs: list[list[str]] = []  # the declaration lines
     claim: list[bool] = []
 
-    def pair(letter, a1, a2):
-        pairing[letter] = (a1, a2)
-
-    def gfg(value):
-        flag = _GFG_CLAIMS.get(value.lower())
+    def gfg(tokens):
+        flag = _GFG_CLAIMS.get(tokens[1].lower())
         if flag is None:
-            raise ValueError(f"gfg takes true/1/yes or false/0/no, not {value!r}")
+            raise ValueError(f"gfg takes true/1/yes or false/0/no, not {tokens[1]!r}")
         claim.append(flag)
 
     handlers, build = pda_declarations()
-    handlers.update({"sigma1": (None, lambda *xs: sigma1.extend(xs)),
-                     "sigma2": (None, lambda *xs: sigma2.extend(xs)),
-                     "pair": (3, pair), "gfg": (1, gfg)})
+    handlers.update({"sigma1": (None, lambda tokens: sigma1.extend(tokens[1:])),
+                     "sigma2": (None, lambda tokens: sigma2.extend(tokens[1:])),
+                     "pair": (4, pairs.append), "gfg": (2, gfg)})
     read_declarations(text, handlers)
+    pairing = {letter: (a1, a2) for _, letter, a1, a2 in pairs}
     spec = GaleStewartSpec(tuple(sigma1), tuple(sigma2), build(), pairing,
                            claim[-1] if claim else False)
     bad = spec.validate()
@@ -1036,35 +1034,40 @@ def format_strategy_pdt(t: StrategyPDT) -> str:
 
 
 def parse_strategy_pdt(text: str) -> StrategyPDT:
-    states: list[str] = []
+    states: list[str] = []  # the declaration lines' tokens: keyword, name, keyword, ...
     initial: list[str] = []
     stack: list[str] = []
     rules: list[Transition] = []
-    output: dict = {}
+    outs: list[list[str]] = []  # the declaration lines
     input_alphabet: list[str] = []
     output_alphabet: list[str] = []
     pushes = TokenValues("push word", push_from_text, push_to_text)
 
-    def ttrans(src, top, sym, dst, push):
+    def ttrans(tokens):
+        _, src, top, sym, dst, push = tokens
         rules.append(Transition(src, BOTTOM if top == "_" else top,
                                 None if sym == "eps" else sym, dst, pushes[push], 0))
 
-    def tout(q, out):
-        output[q] = out
-
     read_declarations(text, {
-        "tstate": (1, states.append), "tinitial": (1, initial.append),
-        "tstacksym": (1, stack.append), "ttrans": (5, ttrans), "tout": (2, tout),
-        "tinput": (None, lambda *xs: input_alphabet.extend(xs)),
-        "toutput": (None, lambda *xs: output_alphabet.extend(xs)),
+        "tstate": (2, states.extend), "tinitial": (2, initial.extend),
+        "tstacksym": (2, stack.extend), "ttrans": (6, ttrans), "tout": (3, outs.append),
+        "tinput": (None, lambda tokens: input_alphabet.extend(tokens[1:])),
+        "toutput": (None, lambda tokens: output_alphabet.extend(tokens[1:])),
     })
     if not initial:
         raise FormatError("missing 'tinitial' declaration")
-    declared = set(states)
+    output = {q: out for _, q, out in outs}
+    declared = set(states[1::2])
     used = [("tinitial", initial[-1])] + [("tout", q) for q in output]
     used += [("ttrans", q) for r in rules for q in (r.source, r.target)]
     for kind, q in used:
         if q not in declared:
             raise FormatError(f"{kind} names undeclared state {q!r}")
-    machine = DetPushdown(tuple(states), initial[-1], tuple(stack), tuple(rules))
+    # The stack shape of core._push_fault, without its length rule.
+    symbols = set(stack[1::2])
+    for i, r in enumerate(rules):
+        if fault := ("unknown top symbol" if r.top != BOTTOM and r.top not in symbols
+                     else _push_fault(r.top, r.push, symbols, longest=None)):
+            raise FormatError(f"rule {i} {r}: {fault}")
+    machine = DetPushdown(tuple(states[1::2]), initial[-1], tuple(stack[1::2]), tuple(rules))
     return StrategyPDT(machine, output, tuple(input_alphabet), tuple(output_alphabet))

@@ -445,7 +445,7 @@ def format_moore(pda: OmegaPDA, m: MooreResolver) -> str:
 
 
 def parse_moore(pda: OmegaPDA, text: str) -> MooreResolver:
-    states: list[str] = []
+    states: list[str] = []  # the declaration lines' tokens: keyword, name, keyword, ...
     initial: list[str] = []
     delta: dict[tuple[str, Transition], str] = {}
     output: dict[tuple[str, str, str], Transition] = {}
@@ -454,14 +454,16 @@ def parse_moore(pda: OmegaPDA, text: str) -> MooreResolver:
     # transition; a negative index is not counted from the end.
     by_index = {str(i): t for i, t in enumerate(pda.transitions)}
 
-    def mtrans(m, i, m2):
+    def mtrans(tokens):
+        _, m, i, m2 = tokens
         delta[(m, by_index[i])] = m2
 
-    def mout(m, letter, top, i):
+    def mout(tokens):
+        _, m, letter, top, i = tokens
         output[(m, letter, BOTTOM if top == "_" else top)] = by_index[i]
 
-    read_declarations(text, {"mstate": (1, states.append), "minitial": (1, initial.append),
-                             "mtrans": (3, mtrans), "mout": (4, mout)})
+    read_declarations(text, {"mstate": (2, states.extend), "minitial": (2, initial.extend),
+                             "mtrans": (4, mtrans), "mout": (5, mout)})
     if not initial:
         raise FormatError("missing 'minitial' declaration")
-    return MooreResolver(tuple(states), initial[-1], delta, output)
+    return MooreResolver(tuple(states[1::2]), initial[-1], delta, output)

@@ -386,6 +386,19 @@ def test_play_nondeterministic_transducer_is_input_error(capsys, tmp_path, monke
     assert code == 4 and "input error: nondeterministic transducer rules" in out
 
 
+def test_play_strategy_deleting_the_bottom_is_input_error(capsys, tmp_path, monkeypatch):
+    # Refused when the file is read, not when the first round pops the bottom.
+    specfile = tmp_path / "copycat.gs"
+    specfile.write_text(games.format_gs_spec(copycat_spec()))
+    strategyfile = tmp_path / "pop.pdt"
+    strategyfile.write_text("tstate s0\ntinitial s0\ntstacksym X\nttrans s0 _ a s0 eps\n"
+                            "tout s0 x\ntinput a b\ntoutput x y\n")
+    monkeypatch.setattr("sys.stdin", io.StringIO("a\n"))
+    code, out = run(capsys, "play", str(specfile), str(strategyfile))
+    assert code == 4 and out.startswith("input error: rule 0 ")
+    assert "bottom deleted or buried" in out and "enter letters" not in out
+
+
 def test_budget_flag_resource_exit(capsys, tmp_path):
     spec = games.make_universality_spec(zoo.example23().automaton)
     specfile = tmp_path / "fig2u.gs"

@@ -5,7 +5,7 @@ import pytest
 
 from gfgpda import cli, zoo
 from gfgpda.closure import DeterministicParityAutomaton, format_dpa, parse_dpa
-from gfgpda.core import FormatError, format_pda, parse_pda, read_declarations
+from gfgpda.core import FormatError, format_pda, parse_pda, push_from_text, read_declarations
 from gfgpda.games import (
     format_gs_spec,
     format_strategy_pdt,
@@ -68,12 +68,12 @@ def test_wrong_field_counts_name_their_line(name, text, parse):
 def test_reader_skips_comments_and_blank_lines():
     seen = []
     read_declarations("# header\n\n  #x y\nkey a b\n   \nkey c d # not a comment\n",
-                      {"key": (None, lambda *xs: seen.append(xs))})
+                      {"key": (None, lambda tokens: seen.append(tuple(tokens[1:])))})
     assert seen == [("a", "b"), ("c", "d", "#", "not", "a", "comment")]
 
 
 def test_reader_errors_carry_line_and_reason():
-    handlers = {"one": (1, int)}
+    handlers = {"one": (2, lambda tokens: int(tokens[1]))}
     with pytest.raises(FormatError, match=r"^line 3: 'two x': unknown declaration 'two'$"):
         read_declarations("one 1\n\ntwo x\n", handlers)
     with pytest.raises(FormatError, match=r"^line 1: 'one 1 2': 'one' takes 1 field"):
@@ -81,11 +81,23 @@ def test_reader_errors_carry_line_and_reason():
     with pytest.raises(FormatError, match=r"^line 2: 'one x': invalid literal"):
         read_declarations("one 1\none x\n", handlers)
 
-    def lookup(key):
-        return {}[key]
+    def lookup(tokens):
+        return {}[tokens[1]]
 
     with pytest.raises(FormatError, match=r"^line 1: 'k z': unknown 'z'$"):
-        read_declarations("k z\n", {"k": (1, lookup)})
+        read_declarations("k z\n", {"k": (2, lookup)})
+
+
+@pytest.mark.parametrize("name,text,parse", CASES, ids=[c[0] for c in CASES])
+def test_comments_and_blank_lines_before_each_declaration(name, text, parse):
+    # A comment reaches the reader's count-mismatch branch under every keyword table.
+    lines = text.splitlines()
+    commented = "".join(f"# {line}\n\n{line}\n" for line in lines)
+    assert parse(commented) == parse(text)
+    variadic = {line.split()[0] for line in lines} & {"sigma1", "tinput"}
+    for keyword in variadic:  # no fields: the line adds nothing
+        assert parse(text + keyword + "\n") == parse(text)
+    assert bool(variadic) == name.startswith(("gs:", "pdt:"))
 
 
 def test_spec_errors_use_the_files_line_numbers():
@@ -134,6 +146,30 @@ def test_strategy_transducer_uses_declared_states(line, kind, state):
     parse_strategy_pdt(text)
     with pytest.raises(FormatError, match=f"^{kind} names undeclared state '{state}'$"):
         parse_strategy_pdt(text + line + "\n")
+
+
+STRATEGY_HEAD = "tstate s0\ntinitial s0\ntstacksym X\ntout s0 b\ntinput a\ntoutput b\n"
+
+
+@pytest.mark.parametrize("top,push,fault", [
+    ("_", "eps", "bottom deleted or buried"),
+    ("_", "Y", "unknown push symbol"),
+    ("X", "_", "bottom written"),
+    ("_", "_Q", "unknown push symbol"),
+    ("Q", "X", "unknown top symbol"),
+    ("_", "X.X.X", "bottom deleted or buried"),
+])
+def test_strategy_rules_keep_the_stack_shape(top, push, fault):
+    # Rules come first: the declarations they are checked against may follow.
+    rule = f"ttrans s0 {top} a s0 {push}\n"
+    with pytest.raises(FormatError, match=rf"^rule 0 \(s0,{top},a,s0,.*\): {fault}$"):
+        parse_strategy_pdt(rule + STRATEGY_HEAD)
+
+
+@pytest.mark.parametrize("top,push", [("_", "_X.X"), ("X", "eps"), ("X", "X.X.X")])
+def test_strategy_rules_may_push_long_words(top, push):
+    text = f"ttrans s0 {top} a s0 {push}\n" + STRATEGY_HEAD
+    assert parse_strategy_pdt(text).machine.transitions[0].push == push_from_text(push)
 
 
 # Tokens the writers never print: each is an input error naming its line,
