@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 import time
 from typing import Optional
@@ -87,16 +88,15 @@ def cmd_empty(args) -> CommandResult:
 def cmd_tailset(args) -> CommandResult:
     pda = load_pda(args.file)
     pa = analysis.accepts_tail_of(pda, args.letter)
-    initial, final, edges = pa.bottom_first()
-    lines = [f"pa-initial {initial}", f"pa-final {final}"]
-    lines += [f"pa-edge {s} {sym} {t}" for s, sym, t in sorted(edges)]
     nonempty = pa.nonempty()
     verdict = "nonempty" if nonempty else "empty"
-    return CommandResult(
-        EXIT_OK if nonempty else EXIT_NEGATIVE,
-        "\n".join([verdict] + lines),
-        {"verdict": verdict, "edges": len(pa.edges)},
-    )
+    lines = [verdict]
+    if not args.json:  # the P-automaton is printed only as text
+        initial, final, edges = pa.bottom_first()
+        lines += [f"pa-initial {initial}", f"pa-final {final}"]
+        lines += [f"pa-edge {s} {sym} {t}" for s, sym, t in sorted(edges)]
+    return CommandResult(EXIT_OK if nonempty else EXIT_NEGATIVE, "\n".join(lines),
+                         {"verdict": verdict})
 
 
 def _game_verdict(spec, budget: int, eve_wins: tuple, player1_wins: str) -> CommandResult:
@@ -132,7 +132,7 @@ def cmd_synth(args) -> CommandResult:
     return CommandResult(
         EXIT_OK,
         f"strategy with {len(strategy.machine.states)} states written to {args.output}",
-        {"verdict": "synthesized", "states": len(strategy.machine.states)},
+        {"verdict": "synthesized"},
     )
 
 
@@ -140,14 +140,14 @@ def cmd_determinize(args) -> CommandResult:
     pda = load_pda(args.file)
     moore = parse_moore(pda, read_text(args.moorefile))
     out = determinize_moore(pda, moore, args.budget)
-    return CommandResult(EXIT_OK, format_pda(out), {"verdict": "ok", "states": len(out.states)})
+    return CommandResult(EXIT_OK, format_pda(out), {"verdict": "ok"})
 
 
 def cmd_product(args) -> CommandResult:
     pda = load_pda(args.file)
     dpa = closure.parse_dpa(read_text(args.dpafile))
     out = closure.product(pda, dpa, args.mode, args.budget)
-    return CommandResult(EXIT_OK, format_pda(out), {"verdict": "ok", "states": len(out.states)})
+    return CommandResult(EXIT_OK, format_pda(out), {"verdict": "ok"})
 
 
 def cmd_play(args) -> CommandResult:
@@ -167,13 +167,13 @@ def cmd_play(args) -> CommandResult:
         transcript.append(games.pair_id(letter, answer))
         print(answer, flush=True)
     return CommandResult(EXIT_OK, "transcript: " + " ".join(transcript),
-                         {"verdict": "played", "rounds": len(transcript)})
+                         {"verdict": "played"})
 
 
 def cmd_zoo(args) -> CommandResult:
     if args.action == "list":
         names = sorted(zoo.ZOO)
-        return CommandResult(EXIT_OK, "\n".join(names), {"verdict": "ok", "names": names})
+        return CommandResult(EXIT_OK, "\n".join(names), {"verdict": "ok"})
     fixture = zoo.get(args.name)
     return CommandResult(EXIT_OK, format_pda(fixture.automaton), {"verdict": "ok"})
 
@@ -247,9 +247,15 @@ def main(argv=None) -> int:
         }
         if "witness" in result.report:
             doc["witness"] = result.report["witness"]
-        print(json.dumps(doc, sort_keys=True))
+        text = json.dumps(doc, sort_keys=True)
     else:
-        print(result.human)
+        text = result.human
+    try:
+        print(text, flush=True)
+    except BrokenPipeError:  # the reader has gone; the command's exit code stands
+        devnull = os.open(os.devnull, os.O_WRONLY)  # so that the flush at exit cannot fail
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
     return result.exit_code
 
 

@@ -4,27 +4,30 @@ Pipeline: a condition automaton over paired letters is compiled into a
 deterministic block-reading automaton (``build_pd``) that consumes both an
 input word and a claimed run of the condition, moving all nondeterminism
 into Player 2's letter choices; a deterministic epsilon-free condition has
-no run to claim and is its own block automaton (``_own_pd``).  The game
-reduces to a parity game on the configuration graph of a pushdown machine
-with two vertex kinds per round (``gs_to_pushdown_game``): Adam picks a
-letter, then Eve takes the block automaton's transition on the pair her
-letter makes.  It is solved exactly in two phases.  Interval iteration on
-the height-truncated arenas of heights 1 to 3 comes first: out-of-bound
-edges lead to a dead end owned by either player in turn, and agreement of
-the two bounds is conclusive for the full game.
+no run to claim and is its own block automaton (``_own_pd``).  One table,
+``PdInfo.rounds``, reads each letter of the block automaton as its round
+``(x1, y)`` of Adam's and Eve's letters.  The game reduces to a parity game
+on the configuration graph of a pushdown machine with two vertex kinds per
+round (``gs_to_pushdown_game``): Adam picks a letter, then Eve takes the
+block automaton's transition on a round of that letter; each move carries
+the letter it picks.  It is solved exactly in two phases.  Interval
+iteration on the height-truncated arenas of heights 1 to 3 comes first:
+out-of-bound edges lead to a dead end owned by either player in turn, and
+agreement of the two bounds is conclusive for the full game.
 If these are inconclusive, Walukiewicz's claim game decides: a push makes
 Eve claim where and with which max color the pushed frame returns, and Adam
 either checks the claim above or takes one of its returns.  Both arenas are
 numbered on dense int ids by ``core.explore`` under one vertex budget and
 solved by Zielonka's algorithm with attractors to edges, no vertex added
 (``solve_parity_ids``); ``FiniteParityGame`` is only the public API for
-finite games.  Eve's winning strategies are packaged as pushdown
-transducers by one builder (``_strategy_pdt``): positional ones from a
-truncation keep the transducer's stack unused, claim-game ones push a
-context per stack frame.  Synthesis (``strategy_of`` a solved game) takes
-two steps: ``extract_strategy_pdt`` builds that transducer for the block
-game, and the three-phase ``delay_transform`` turns it into one for the
-original game; a condition's own block game needs no second step.
+finite games.  Eve's choices in the phase that decided are one map, which
+one builder (``_strategy_pdt``) packages as a pushdown transducer:
+positional ones from a truncation keep the transducer's stack unused,
+claim-game ones push a context per stack frame.  Synthesis (``strategy_of``
+a solved game) takes two steps: ``extract_strategy_pdt`` builds that
+transducer for the block game, and the three-phase ``delay_transform``
+turns it into one for the original game; a condition's own block game
+needs no second step.
 """
 
 from __future__ import annotations
@@ -134,22 +137,16 @@ class PdInfo(Record):
     sigma2: tuple[str, ...]
     condition: OmegaPDA
     transition_ids: dict[Transition, str]
-    decomp: dict[str, tuple[str, str, Any]]  # pd letter -> (a1, kind, payload)
-    pairing_rev: dict[tuple[str, str], str]  # (a1, a2) -> condition letter
+    rounds: dict[str, tuple[str, str]]  # block automaton letter -> (x1, y)
 
     @property
     def y_values(self) -> tuple[str, ...]:
         return self.sigma2 + tuple(self.transition_ids.values())
 
-    def pd_letter(self, x1: str, y: str) -> str:
-        return f"{x1}&{y}"
-
-    def transition_of(self, tid: str) -> Transition:
-        """The condition transition whose id is ``tid``."""
-        return self.decomp[self.pd_letter(self.sigma1[0], tid)][2]
-
-    def letter_for(self, a1: str, a2: str) -> str:
-        return self.pairing_rev[(a1, a2)]
+    @cached_property
+    def transition_of(self) -> dict[str, Transition]:
+        """The condition transition of each transition id."""
+        return {tid: t for t, tid in self.transition_ids.items()}
 
 
 def build_pd(spec: GaleStewartSpec) -> tuple[OmegaPDA, PdInfo]:
@@ -167,7 +164,9 @@ def build_pd(spec: GaleStewartSpec) -> tuple[OmegaPDA, PdInfo]:
     tids: dict[Transition, str] = {}
     for i, t in enumerate(cond.transitions):
         tids.setdefault(t, f"t{i}")  # a repeated transition keeps its first id
-    info = _pd_info(spec, tids)
+    ys = spec.sigma2 + tuple(tids.values())
+    info = _pd_info(spec, tids, {pair_id(x1, y): (x1, y) for x1 in spec.sigma1 for y in ys})
+    letter_of = {pair: letter for letter, pair in spec.pairing.items()}
 
     def name(node) -> str:
         if node[0] == "await":
@@ -188,8 +187,8 @@ def build_pd(spec: GaleStewartSpec) -> tuple[OmegaPDA, PdInfo]:
             if node[0] == "await":
                 for x1 in spec.sigma1:
                     for a2 in spec.sigma2:
-                        nxt = ("pending", node[1], info.pairing_rev[(x1, a2)], None)
-                        dst, letter = name(nxt), info.pd_letter(x1, a2)
+                        nxt = ("pending", node[1], letter_of[(x1, a2)], None)
+                        dst, letter = name(nxt), pair_id(x1, a2)
                         for x in cond.gamma_bottom:
                             yield u, 0, nxt, Transition(src, x, letter, dst, (x,), 0)
                 continue
@@ -203,39 +202,29 @@ def build_pd(spec: GaleStewartSpec) -> tuple[OmegaPDA, PdInfo]:
                     continue
                 dst = name(nxt)
                 for x1 in spec.sigma1:
-                    yield u, color, nxt, Transition(src, t.top, info.pd_letter(x1, tids[t]), dst,
+                    yield u, color, nxt, Transition(src, t.top, pair_id(x1, tids[t]), dst,
                                                     t.push, color)
 
     order, _, transitions = explore(("await", cond.initial), expand)
-    pd = OmegaPDA(tuple(map(name, order)), tuple(info.decomp), cond.stack_alphabet,
+    pd = OmegaPDA(tuple(map(name, order)), tuple(info.rounds), cond.stack_alphabet,
                   name(order[0]), tuple(transitions))
     return pd, info
 
 
-def _pd_info(spec: GaleStewartSpec, tids: dict[Transition, str]) -> PdInfo:
+def _pd_info(spec: GaleStewartSpec, tids: dict[Transition, str],
+             rounds: dict[str, tuple[str, str]]) -> PdInfo:
     """The ``PdInfo`` of a block automaton; an invalid ``spec`` raises."""
     bad = spec.validate()
     if bad:
         raise ValueError("; ".join(bad))
-    pairing_rev = {pair: letter for letter, pair in spec.pairing.items()}
-    info = PdInfo(spec.sigma1, spec.sigma2, spec.condition, tids, {}, pairing_rev)
-    for x1 in spec.sigma1:
-        for a2 in spec.sigma2:
-            info.decomp[info.pd_letter(x1, a2)] = (x1, "a2", a2)
-        for t in tids:
-            info.decomp[info.pd_letter(x1, tids[t])] = (x1, "tr", t)
-    return info
+    return PdInfo(spec.sigma1, spec.sigma2, spec.condition, tids, rounds)
 
 
 def _own_pd(spec: GaleStewartSpec) -> tuple[OmegaPDA, PdInfo]:
-    """A deterministic epsilon-free condition as its own block automaton over
-    pair letters: no transition ids, so no run is constructed."""
-    info, cond = _pd_info(spec, {}), spec.condition
-    letter = {c: info.pd_letter(*pair) for c, pair in spec.pairing.items()}
-    pd = OmegaPDA(cond.states, tuple(info.decomp), cond.stack_alphabet, cond.initial,
-                  tuple(Transition(t.source, t.top, letter[t.label], t.target, t.push, t.color)
-                        for t in cond.transitions))
-    return pd, info
+    """A deterministic epsilon-free condition as its own block automaton: its
+    rounds are the spec's pairing, and it has no transition ids, so no run is
+    constructed."""
+    return spec.condition, _pd_info(spec, {}, spec.pairing)
 
 
 # ---------------------------------------------------------------------------
@@ -373,7 +362,7 @@ class GameMove(NamedTuple):  # a tuple, so that arenas build their moves fast
     target: Any
     push: tuple[str, ...]
     color: int
-    letter: Optional[str] = None  # Eve's letter, on a Gale-Stewart arena's Eve move
+    letter: Optional[str] = None  # the letter a Gale-Stewart arena's move picks
 
 
 class PushdownParityGame(Record):
@@ -397,20 +386,14 @@ class PushdownSolveResult(Record):
     """The winner from the initial configuration.  ``stats`` holds the
     vertices numbered in both phases, the height of the highest truncation
     solved (0 if none), ``decided_by`` (``"truncation"`` or ``"claims"``)
-    and the claim game's vertices (0 if it was not built)."""
+    and the claim game's vertices (0 if it was not built); ``claim_game`` is
+    set if it decided.  On an Eve win, ``eve_strategy`` maps her vertices in
+    the deciding phase to her GameMoves, and claim vertices to her claims."""
 
     winner: str
-    eve_strategy: Optional[dict]  # (state, stack) -> GameMove, on the deciding truncation
+    eve_strategy: Optional[dict]
     stats: dict
-    claims: Optional[ClaimStrategy] = None  # Eve's win, when the claim game decided it
-
-
-class ClaimStrategy(Record):
-    """Eve's winning strategy on a claim game: a main vertex maps to the
-    GameMove she plays, a claim vertex to the claim she makes."""
-
-    game: ClaimGame
-    choice: dict
+    claim_game: Optional[ClaimGame] = None
 
 
 TRUNCATION_HEIGHTS = (1, 2, 3)
@@ -607,11 +590,10 @@ def solve_claim_game(
     wins, strats = solve_parity_ids(owner, edges)
     winner = EVE if 0 in wins[EVE] else ADAM
     stats = {"vertices": total, "height": 0, "decided_by": "claims", "claim_vertices": len(order)}
-    claims = None
+    choice = None
     if winner == EVE:
-        claims = ClaimStrategy(cg, {order[v]: labels[j] for v, j in strats[EVE].items()
-                                    if labels[j] is not None})
-    return PushdownSolveResult(winner, None, stats, claims)
+        choice = {order[v]: labels[j] for v, j in strats[EVE].items() if labels[j] is not None}
+    return PushdownSolveResult(winner, choice, stats, cg)
 
 
 # ---------------------------------------------------------------------------
@@ -623,16 +605,16 @@ def gs_to_pushdown_game(dpda: OmegaPDA, info: PdInfo) -> PushdownParityGame:
     """Turn-based arena with two vertex kinds.  At ``("A", q)`` Adam picks a
     letter ``x1`` of ``info.sigma1`` by a move of the minimal color; at
     ``("E", q, x1)`` Eve picks ``y`` of ``info.y_values`` by taking the dpda's
-    one transition on their pair letter, with its push and color, back to
-    Adam; the move carries ``y`` as its ``letter``.  A dpda that is not
-    deterministic, or has a transition off the pair letters (an epsilon one
-    could starve the word), raises ``ValueError``."""
+    one transition on a letter of round ``(x1, y)`` in ``info.rounds``, with
+    its push and color, back to Adam.  Each move carries the letter its
+    player picks as its ``letter``.  A dpda that is not deterministic, or has
+    a transition off the rounds' letters (an epsilon one could starve the
+    word), raises ``ValueError``."""
     det, pairs = is_deterministic(dpda)
     if not det:
         raise ValueError(f"arena needs a deterministic automaton: {pairs[:1]}")
-    sigma1, gb = info.sigma1, dpda.gamma_bottom
-    split = {info.pd_letter(x1, y): (x1, y) for y in info.y_values for x1 in sigma1}
-    bad = next((t for t in dpda.transitions if t.label not in split), None)
+    sigma1, gb, rounds = info.sigma1, dpda.gamma_bottom, info.rounds
+    bad = next((t for t in dpda.transitions if t.label not in rounds), None)
     if bad is not None:
         raise ValueError(f"arena needs an epsilon-free automaton over pair letters: {bad}")
     cmin = min((t.color for t in dpda.transitions), default=0)
@@ -643,12 +625,12 @@ def gs_to_pushdown_game(dpda: OmegaPDA, info: PdInfo) -> PushdownParityGame:
                 for x1 in sigma1:
                     tgt = ("E", v[1], x1)
                     for x in gb:
-                        yield u, cmin, tgt, GameMove(v, x, tgt, (x,), cmin)
+                        yield u, cmin, tgt, GameMove(v, x, tgt, (x,), cmin, x1)
                 continue
             _, q, x1 = v
             for x in gb:
                 for t in dpda.by_source_top.get((q, x), ()):
-                    a1, y = split[t.label]
+                    a1, y = rounds[t.label]
                     if a1 == x1:
                         tgt = ("A", t.target)
                         yield u, t.color, tgt, GameMove(v, x, tgt, t.push, t.color, y)
@@ -730,8 +712,9 @@ def extract_strategy_pdt(gs: GsResult) -> StrategyPDT:
     Adam win raises ``Player1Wins``."""
     if gs.winner != EVE:
         raise Player1Wins("Player 2 does not win this specification")
-    if gs.solve.claims is None:
-        choice, moves_at = gs.solve.eve_strategy, gs.game.moves_at
+    choice, cg = gs.solve.eve_strategy, gs.solve.claim_game
+    if cg is None:
+        moves_at = gs.game.moves_at
 
         def step(cfg, move: GameMove):
             return move.target, cfg[1][:-1] + move.push
@@ -742,7 +725,6 @@ def extract_strategy_pdt(gs: GsResult) -> StrategyPDT:
         return _strategy_pdt((gs.game.initial, (BOTTOM,)), choice,
                              lambda cfg: moves_at.get((cfg[0], cfg[1][-1]), ()), step, swap,
                              gs.info)
-    cg, choice = gs.solve.claims.game, gs.solve.claims.choice
 
     def eve_round(vertex):
         move = _chosen(choice, vertex)
@@ -774,12 +756,12 @@ def _strategy_pdt(start, choice: dict, moves: Callable, after: Callable,
 
     A state is a vertex where Eve picks her letter, and outputs the
     ``letter`` of her move there; ``moves(vertex)`` are the vertex's
-    GameMoves and ``after(vertex, move)`` its successor.  Each Adam letter
-    is one round: ``eve_round(vertex)`` plays Eve's move, the block
-    automaton's transition on her letter, and gives ``(vertex, None)`` for
-    a swap, ``(vertex above, context)`` for a push and ``(None, (r, c))``
-    for a pop to ``r`` with max color ``c`` since the frame began; Adam's
-    next letter follows.  A push pushes the interned context, a pop reads it
+    GameMoves, each with its player's ``letter``, and ``after(vertex, move)``
+    its successor.  Each Adam letter is one round: ``eve_round(vertex)``
+    plays Eve's move, the block automaton's transition on her letter, and
+    gives ``(vertex, None)`` for a swap, ``(vertex above, context)`` for a
+    push and ``(None, (r, c))`` for a pop to ``r`` with max color ``c``
+    since the frame began; Adam's next letter follows.  A push pushes the interned context, a pop reads it
     and resumes the frame below by ``ClaimGame.resume``.  Rules exist for
     each mode (state, top symbol) a run reaches: a pushed symbol records the
     symbols it was pushed onto, so each state a pop reaches gets them as
@@ -789,7 +771,7 @@ def _strategy_pdt(start, choice: dict, moves: Callable, after: Callable,
 
     def adam_read(vertex, x1: str):
         for move in moves(vertex):
-            if move.target[2] == x1:
+            if move.letter == x1:
                 return after(vertex, move)
         raise PdaError(f"no Adam move for {x1!r} at {vertex}")
 
@@ -867,7 +849,7 @@ def delay_transform(t: StrategyPDT, info: PdInfo) -> StrategyPDT:
     the initial one are built, by ``core.explore``."""
     sigma1, sigma2, dummy = info.sigma1, info.sigma2, info.sigma1[0]
     kinds = {q: "sigma2" if y in sigma2 else
-             "eps_trans" if info.transition_of(y).label is None else "letter_trans"
+             "eps_trans" if info.transition_of[y].label is None else "letter_trans"
              for q, y in t.output.items()}
     by_source: dict = {}
     for r in t.machine.transitions:
@@ -942,6 +924,7 @@ def compose_sigma_d(
     plus a resolver.  It alternates between simulating sigma's letter choice
     and letting the resolver build the run infix that processes it."""
     cache: dict[tuple[str, ...], str] = {}
+    letter_of = {pair: letter for letter, pair in spec.pairing.items()}
 
     def sd(v: tuple[str, ...]) -> str:
         v = tuple(v)
@@ -952,13 +935,13 @@ def compose_sigma_d(
             out = sigma((v[0],))
         else:
             prev = outputs[-1]
-            if prev not in spec.sigma2 and info.transition_of(prev).label is not None:
+            if prev not in spec.sigma2 and info.transition_of[prev].label is not None:
                 word = tuple(v[j] for j in range(len(outputs)) if outputs[j] in spec.sigma2)
                 out = sigma(word + (v[-1],))
             else:
-                history = [info.transition_of(y) for y in outputs if y not in spec.sigma2]
+                history = [info.transition_of[y] for y in outputs if y not in spec.sigma2]
                 j_prime = max(j for j in range(len(outputs)) if outputs[j] in spec.sigma2)
-                pending = info.letter_for(v[j_prime], outputs[j_prime])
+                pending = letter_of[(v[j_prime], outputs[j_prime])]
                 run = replay(spec.condition, tuple(history))
                 tr = resolver_query(resolver, run, pending)
                 out = info.transition_ids[tr]

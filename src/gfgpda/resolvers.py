@@ -466,4 +466,14 @@ def parse_moore(pda: OmegaPDA, text: str) -> MooreResolver:
                              "mtrans": (4, mtrans), "mout": (5, mout)})
     if not initial:
         raise FormatError("missing 'minitial' declaration")
+    declared = set(states[1::2])
+    for kind, what, names, known in (
+        ("minitial", "Moore state", {initial[-1]}, declared),
+        ("mtrans", "Moore state", {m for m, _ in delta} | set(delta.values()), declared),
+        ("mout", "Moore state", {m for m, _, _ in output}, declared),
+        ("mout", "letter", {a for _, a, _ in output}, set(pda.input_alphabet)),
+        ("mout", "top", {x for _, _, x in output}, set(pda.gamma_bottom)),
+    ):
+        if not names <= known:
+            raise FormatError(f"{kind} names undeclared {what} {min(names - known)!r}")
     return MooreResolver(tuple(states[1::2]), initial[-1], delta, output)

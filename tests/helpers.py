@@ -256,21 +256,23 @@ def zielonka_verdict(mode: str, pairs: list[tuple[int, int]], loop_from: int) ->
 # ---------------------------------------------------------------------------
 
 
-def encode_blocks(info: PdInfo, pairs, transitions) -> list[str]:
-    """Block encoding of (pair word, condition run); fillers repeat a1."""
+def encode_blocks(spec: GaleStewartSpec, info: PdInfo, pairs, transitions) -> list[str]:
+    """Block encoding of (pair word, condition run) for ``build_pd(spec)``
+    with ``info``; fillers repeat a1."""
+    letter_of = {pair: letter for letter, pair in spec.pairing.items()}
     out = []
     i = 0
     for a1, a2 in pairs:
-        out.append(info.pd_letter(a1, a2))
+        out.append(pair_id(a1, a2))
         block_letter = None
         while block_letter is None:
             if i >= len(transitions):
                 raise ValueError("run ended before processing the pair word")
             t = transitions[i]
             i += 1
-            out.append(info.pd_letter(a1, info.transition_ids[t]))
+            out.append(pair_id(a1, info.transition_ids[t]))
             block_letter = t.label
-        if block_letter != info.letter_for(a1, a2):
+        if block_letter != letter_of[(a1, a2)]:
             raise ValueError(f"run processes {block_letter!r}, word has ({a1},{a2})")
     if i != len(transitions):
         raise ValueError("trailing transitions after the pair word")
@@ -283,17 +285,18 @@ def decode_blocks(info: PdInfo, letters) -> tuple[list[tuple[str, str]], list[Tr
     transitions: list[Transition] = []
     expecting_pair = True
     for letter in letters:
-        a1, kind, payload = info.decomp[letter]
+        a1, y = info.rounds[letter]
         if expecting_pair:
-            if kind != "a2":
+            if y not in info.sigma2:
                 raise ValueError(f"expected a pair letter, got {letter!r}")
-            pairs.append((a1, payload))
+            pairs.append((a1, y))
             expecting_pair = False
         else:
-            if kind != "tr":
+            if y in info.sigma2:
                 raise ValueError(f"expected a transition letter, got {letter!r}")
-            transitions.append(payload)
-            if payload.label is not None:
+            t = info.transition_of[y]
+            transitions.append(t)
+            if t.label is not None:
                 expecting_pair = True
     return pairs, transitions
 
@@ -315,8 +318,8 @@ def three_kind_arena(dpda: OmegaPDA, info: PdInfo) -> PushdownParityGame:
     which fires the dpda's transition on the pair letter by a forced move.
 
     Turn-based arena: Adam picks a letter of ``info.sigma1``, Eve one of
-    ``info.y_values``, then the unique dpda transitions on their pair letter
-    fire with their own colors.
+    ``info.y_values``, then the unique dpda transitions on the letter of
+    their round in ``info.rounds`` fire with their own colors.
 
     Letter-choice moves carry the minimal color.  Winner correspondence with
     the Gale-Stewart game requires that the dpda cannot starve on epsilon
@@ -330,11 +333,12 @@ def three_kind_arena(dpda: OmegaPDA, info: PdInfo) -> PushdownParityGame:
     for t in dpda.transitions:
         if t.label is not None:
             sources.setdefault(t.label, set()).add(t.source)
-    sigma1, letter_of = info.sigma1, info.pd_letter
+    sigma1 = info.sigma1
+    letter_of = {pair: letter for letter, pair in info.rounds.items()}
     choices: dict[tuple[str, str], list[str]] = {}  # (q, x1) -> Eve's y, y_values order
     for y in info.y_values:
         for x1 in sigma1:
-            for q in sources.get(letter_of(x1, y), ()):
+            for q in sources.get(letter_of[(x1, y)], ()):
                 choices.setdefault((q, x1), []).append(y)
     gb = dpda.gamma_bottom
 
@@ -353,7 +357,7 @@ def three_kind_arena(dpda: OmegaPDA, info: PdInfo) -> PushdownParityGame:
                         yield u, cmin, tgt, GameMove(v, x, tgt, (x,), cmin)
             else:
                 _, q, x1, y = v
-                letter = letter_of(x1, y)
+                letter = letter_of[(x1, y)]
                 for x in gb:  # deterministic: an epsilon excludes a letter
                     t = next((t for t in dpda.by_source_top.get((q, x), ())
                               if t.label is None or t.label == letter), None)

@@ -193,8 +193,8 @@ def test_criterion_8_pd_round_trip():
             pairs = [(w.letter_at(i), "#") for i in range(split.stem_letters + split.loop_letters)]
             stem_pairs = pairs[: split.stem_letters]
             loop_pairs = pairs[split.stem_letters:]
-            enc_stem = encode_blocks(info, stem_pairs, split.stem_transitions)
-            enc_loop = encode_blocks(info, loop_pairs, split.loop_transitions)
+            enc_stem = encode_blocks(spec, info, stem_pairs, split.stem_transitions)
+            enc_loop = encode_blocks(spec, info, loop_pairs, split.loop_transitions)
             encoding = LassoWord(tuple(enc_stem), tuple(enc_loop))
             encodings.append((pd, info, spec, encoding))
 

@@ -2,13 +2,17 @@ import argparse
 import io
 import itertools
 import json
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
+import gfgpda
 from gfgpda import analysis, cli, games, zoo
-from gfgpda.core import BOTTOM, Configuration, format_pda, parse_pda
-from gfgpda.resolvers import determinize_moore, format_moore
+from gfgpda.core import BOTTOM, Configuration, FormatError, format_pda, parse_pda
+from gfgpda.resolvers import determinize_moore, format_moore, parse_moore
 
 from helpers import copycat_spec, cycle_dpa, eps_block_spec, random_spec
 
@@ -94,6 +98,23 @@ def test_tailset(capsys):
     assert code == 0 and out.startswith("nonempty")
     code, out = run(capsys, "tailset", "zoo:example23", "z")
     assert code == 4 and out == "input error: 'z' not in the input alphabet\n"
+
+
+def test_json_tailset_prints_no_automaton(capsys, monkeypatch):
+    # Under --json the printed P-automaton is never built.
+    argv = ["--json", "tailset", "zoo:example23", "#"]
+    docs = []
+    for patched in (False, True):
+        if patched:
+            def refuse(self):
+                raise AssertionError("bottom_first under --json")
+
+            monkeypatch.setattr(analysis.PAutomaton, "bottom_first", refuse)
+        code, out = run(capsys, *argv)
+        doc = json.loads(out)
+        doc["stats"].pop("time_ms")
+        docs.append((code, doc))
+    assert docs[0] == docs[1] and docs[0][1]["verdict"] == "nonempty"
 
 
 def _printed_pa(text):
@@ -182,6 +203,47 @@ def test_inputs_missing_a_part_are_input_errors(capsys, tmp_path, monkeypatch):
     ]:
         code, out = run(capsys, *argv)
         assert (code, out.splitlines()[0]) == (4, f"input error: {first}"), argv
+
+
+def test_moore_names_must_be_declared(capsys, tmp_path):
+    # An undeclared Moore state in minitial, mtrans or mout, and an undeclared
+    # letter or top in mout: a FormatError naming it, and exit 4.
+    fx = zoo.example23()
+    lines = format_moore(fx.automaton, fx.resolver).splitlines()
+    _, m, a, top, i = next(line for line in lines if line.startswith("mout ")).split()
+    mfile = tmp_path / "bad.moore"
+    for extra, first in [
+        ("minitial zz", "minitial names undeclared Moore state 'zz'"),
+        (f"mtrans {m} {i} zz", "mtrans names undeclared Moore state 'zz'"),
+        (f"mtrans zz {i} {m}", "mtrans names undeclared Moore state 'zz'"),
+        (f"mout zz {a} {top} {i}", "mout names undeclared Moore state 'zz'"),
+        (f"mout {m} zz {top} {i}", "mout names undeclared letter 'zz'"),
+        (f"mout {m} {a} ZZ {i}", "mout names undeclared top 'ZZ'"),
+    ]:
+        text = "\n".join(lines + [extra]) + "\n"
+        with pytest.raises(FormatError) as exc:
+            parse_moore(fx.automaton, text)
+        assert str(exc.value) == first
+        mfile.write_text(text)
+        code, out = run(capsys, "determinize", "zoo:example23", str(mfile))
+        assert (code, out.splitlines()[0]) == (4, f"input error: {first}"), extra
+
+
+def test_closed_pipe_keeps_the_exit_code():
+    # A reader that has gone (as in `| head -1`) ends the output, not the
+    # command: the exit code is the command's own and stderr stays empty.
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(gfgpda.__file__)))
+    for argv, want in ((["zoo", "dump", "example23"], 0),
+                       (["member", "zoo:example23", "acdd;#"], 1),
+                       (["--json", "member", "zoo:example23", "acd;#"], 0)):
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            done = subprocess.run([sys.executable, "-m", "gfgpda.cli", *argv], stdout=write,
+                                  stderr=subprocess.PIPE, env=env, timeout=120)
+        finally:
+            os.close(write)
+        assert (done.returncode, done.stderr) == (want, b""), argv
 
 
 def test_json_report_schema(capsys):

@@ -103,17 +103,17 @@ def test_build_pd_accepts_encoded_accepting_run():
     prefix_run = [relabeled[0]]
     loop_pairs = [("b", "#")]
     loop_run = [relabeled[5]]
-    enc_prefix = encode_blocks(info, prefix_pairs, prefix_run)
-    enc_loop = encode_blocks(info, loop_pairs, loop_run)
+    enc_prefix = encode_blocks(spec, info, prefix_pairs, prefix_run)
+    enc_loop = encode_blocks(spec, info, loop_pairs, loop_run)
     w = LassoWord(tuple(enc_prefix), tuple(enc_loop))
     assert analysis.lasso_membership(pd, w)
     # the rejecting branch: staying on the black state forever
     loop_pairs_bad = [("a", "#")]
     loop_run_bad = [relabeled[6]]
-    stem = encode_blocks(info, [("a", "#")], [relabeled[0]]) + encode_blocks(info, 
-        [("a", "#")], [relabeled[4]]
+    stem = encode_blocks(spec, info, [("a", "#")], [relabeled[0]]) + encode_blocks(
+        spec, info, [("a", "#")], [relabeled[4]]
     )
-    enc_bad = encode_blocks(info, loop_pairs_bad, loop_run_bad)
+    enc_bad = encode_blocks(spec, info, loop_pairs_bad, loop_run_bad)
     assert not analysis.lasso_membership(pd, LassoWord(tuple(stem), tuple(enc_bad)))
 
 
@@ -122,13 +122,13 @@ def test_build_pd_rejects_run_construction_starvation():
     spec = eps_block_spec()
     pd, info = build_pd(spec)
     eps_t = spec.condition.transitions[0]
-    letter = info.pd_letter("a", info.transition_ids[eps_t])
-    pair = info.pd_letter("a", "z")
+    letter = pair_id("a", info.transition_ids[eps_t])
+    pair = pair_id("a", "z")
     assert not analysis.lasso_membership(pd, LassoWord((pair,), (letter,)))
     # while the well-formed encoding is accepted (epsilon fires once, at the start)
     t0, t1 = spec.condition.transitions
-    good_prefix = encode_blocks(info, [("a", "z")], [t0, t1])
-    good_loop = encode_blocks(info, [("a", "z")], [t1])
+    good_prefix = encode_blocks(spec, info, [("a", "z")], [t0, t1])
+    good_loop = encode_blocks(spec, info, [("a", "z")], [t1])
     assert analysis.lasso_membership(pd, LassoWord(tuple(good_prefix), tuple(good_loop)))
 
 
@@ -144,7 +144,7 @@ def test_pd_decode_inverts_encode():
     split = periodic_split(spec.condition, r, relabeled_w)
     assert split.verdict == "accepted"
     pairs = [(w.letter_at(i), "#") for i in range(split.stem_letters + split.loop_letters)]
-    letters = encode_blocks(info, pairs, split.stem_transitions + split.loop_transitions)
+    letters = encode_blocks(spec, info, pairs, split.stem_transitions + split.loop_transitions)
     back_pairs, back_run = decode_blocks(info, letters)
     assert back_pairs == pairs
     assert tuple(back_run) == split.stem_transitions + split.loop_transitions
@@ -166,7 +166,7 @@ def test_gs_arena_alternates_owners():
 
 def test_gs_arena_forced_colors_match_dpda():
     # Eve's moves at ("E", q, x1) on top x are exactly the block automaton's
-    # transitions at (q, x) on the letters pd_letter(x1, y), each carrying y.
+    # transitions at (q, x) on the letters of the rounds (x1, y), each carrying y.
     for pd, info in (build_pd(make_universality_spec(zoo.figure1().automaton)),
                      _own_pd(copycat_spec()), build_pd(pq_drain_spec())):
         game = gs_to_pushdown_game(pd, info)
@@ -177,7 +177,7 @@ def test_gs_arena_forced_colors_match_dpda():
             for x in pd.gamma_bottom:
                 want = sorted((y, ("A", t.target), t.push, t.color) for y in info.y_values
                               for t in pd.by_source_top.get((q, x), ())
-                              if t.label == info.pd_letter(x1, y))
+                              if info.rounds[t.label] == (x1, y))
                 got = sorted((m.letter, m.target, m.push, m.color)
                              for m in game.moves_at.get((v, x), ()))
                 assert got == want, (v, x)
@@ -578,11 +578,11 @@ def _check_eve_strategy(game: PushdownParityGame, res) -> None:
     assert _strategy_wins(reached, sigma, start)
 
 
-def _check_claim_strategy(claims) -> None:
+def _check_claim_strategy(res) -> None:
     """Follow Eve's claim-game choices and every Adam edge from the initial
     vertex: each reached Eve vertex has a choice among its own edges (a
     sink its loop), and Eve wins the graph of reached vertices."""
-    cg = claims.game
+    cg, choice = res.claim_game, res.eve_strategy
     start = cg.initial()
     owner, edges, sigma = {}, [], {}
     queue = [start]
@@ -592,8 +592,8 @@ def _check_claim_strategy(claims) -> None:
         owner[vertex] = who
         if who == EVE:
             picked = [e for e in succ if vertex in (cg.WIN, cg.LOSE)
-                      or e[2] is not None and e[2] == claims.choice.get(vertex)]
-            assert len(picked) == 1, (vertex, claims.choice.get(vertex))
+                      or e[2] is not None and e[2] == choice.get(vertex)]
+            assert len(picked) == 1, (vertex, choice.get(vertex))
             succ = picked
             sigma[vertex] = picked[0][:2]
         for color, nxt, _ in succ:
@@ -615,11 +615,11 @@ def test_pushdown_eve_strategy_is_a_strategy_on_its_truncation():
             res = solve_pushdown_parity_game(game, budget=2_000)
         except ResourceExceeded:
             continue
-        if res.winner == EVE and res.claims is None:
+        if res.winner == EVE and res.claim_game is None:
             _check_eve_strategy(game, res)
             checked += 1
         elif res.winner == EVE:
-            _check_claim_strategy(res.claims)
+            _check_claim_strategy(res)
             claimed += 1
     assert checked >= 20 and claimed >= 1
     for spec in (copycat_spec(), pq_drain_spec()):
@@ -786,6 +786,46 @@ def test_copycat_is_its_own_block_automaton():
     machine = synthesize_strategy_pdt(copycat_spec()).machine
     sizes = len(machine.states), len(machine.transitions), len(machine.stack_alphabet)
     assert sizes == (3, 6, 0)
+
+
+def test_own_block_automaton_is_the_condition_with_its_pairing():
+    for spec in (copycat_spec(), pq_drain_spec()):
+        pd, info = _own_pd(spec)
+        assert pd is spec.condition and info.rounds == spec.pairing
+
+
+def test_build_pd_letters_are_the_rounds():
+    for spec in (make_universality_spec(zoo.figure1().automaton), pq_drain_spec(),
+                 eps_block_spec()):
+        pd, info = build_pd(spec)
+        assert pd.input_alphabet == tuple(info.rounds)
+        for letter, (x1, y) in info.rounds.items():
+            assert letter == pair_id(x1, y) and x1 in spec.sigma1 and y in info.y_values
+
+
+def test_adam_moves_carry_their_letter():
+    for spec in (make_universality_spec(zoo.figure1().automaton), copycat_spec()):
+        game = solve_gale_stewart(spec).game
+        adam = [m for m in game.moves if game.owner[m.source] == ADAM]
+        assert adam and all(m.letter == m.target[2] for m in adam)
+
+
+def test_play_outcome_is_read_through_the_pairing():
+    # Outcome letters are pair_id(a1, a2): the condition's letters only when
+    # the spec names its pairs that way.
+    text = "\n".join(["state s", "initial s", "letter l1", "letter l2", "letter l3",
+                      "letter l4", "trans s _ l1 s _ 2", "trans s _ l4 s _ 2",
+                      "sigma1 a b", "sigma2 x y", "pair l1 a x", "pair l2 a y",
+                      "pair l3 b x", "pair l4 b y", "gfg true"])
+    spec = parse_gs_spec(text)
+    letter_of = {pair_id(a1, a2): letter for letter, (a1, a2) in spec.pairing.items()}
+    strategy = synthesize_strategy_pdt(spec)
+    for adam in (parse_lasso("a;a"), parse_lasso("ab;ba"), parse_lasso(";abb")):
+        outcome = simulate_play(strategy, adam)
+        assert not set(outcome.prefix + outcome.loop) & set(spec.condition.input_alphabet)
+        read = LassoWord(tuple(map(letter_of.get, outcome.prefix)),
+                         tuple(map(letter_of.get, outcome.loop)))
+        assert analysis.lasso_membership(spec.condition, read), (adam, outcome)
 
 
 # -- synthesis ---------------------------------------------------------------------------------
@@ -1048,7 +1088,7 @@ def test_compose_sigma_d_first_move_and_blocks():
                     assert out in spec.sigma2
             prev = out
         # the block word consistent with sd decodes to word + run prefix
-        letters = [info.pd_letter(v[k], outputs[k]) for k in range(len(v))]
+        letters = [pair_id(v[k], outputs[k]) for k in range(len(v))]
         try:
             pairs, run = decode_blocks(info, letters)
         except ValueError:
