@@ -43,6 +43,17 @@ class CommandResult:
         self.report = report or {}
 
 
+def say(text: str) -> None:
+    """Print ``text``; once the reader has gone, stdout points at devnull, so
+    that later prints and the flush at exit cannot fail."""
+    try:
+        print(text, flush=True)
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+
+
 def load_pda(path: str) -> OmegaPDA:
     if path.startswith("zoo:"):
         return zoo.get(path[4:]).automaton
@@ -155,17 +166,17 @@ def cmd_play(args) -> CommandResult:
     strategy = games.parse_strategy_pdt(read_text(args.strategyfile))
     cfg = strategy.start()
     transcript = []
-    print("enter letters from", " ".join(spec.sigma1), "(:quit to stop)", flush=True)
+    say(f"enter letters from {' '.join(spec.sigma1)} (:quit to stop)")
     for line in sys.stdin:
         letter = line.strip()
         if letter == ":quit":
             break
         if letter not in spec.sigma1:
-            print(f"unknown letter {letter!r}", flush=True)
+            say(f"unknown letter {letter!r}")
             continue
         cfg, answer = strategy.round(cfg, letter)
         transcript.append(games.pair_id(letter, answer))
-        print(answer, flush=True)
+        say(answer)
     return CommandResult(EXIT_OK, "transcript: " + " ".join(transcript),
                          {"verdict": "played"})
 
@@ -250,12 +261,7 @@ def main(argv=None) -> int:
         text = json.dumps(doc, sort_keys=True)
     else:
         text = result.human
-    try:
-        print(text, flush=True)
-    except BrokenPipeError:  # the reader has gone; the command's exit code stands
-        devnull = os.open(os.devnull, os.O_WRONLY)  # so that the flush at exit cannot fail
-        os.dup2(devnull, sys.stdout.fileno())
-        os.close(devnull)
+    say(text)  # if the reader has gone, the command's exit code stands
     return result.exit_code
 
 

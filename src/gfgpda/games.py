@@ -110,21 +110,12 @@ class GaleStewartSpec(Record):
 
 
 def make_universality_spec(pda: OmegaPDA, gfg_claimed: bool = True) -> GaleStewartSpec:
-    """Universality of L as the game over {(w, #^omega) : w in L}."""
-    mark = "#"
-    relabeled = OmegaPDA(
-        pda.states,
-        tuple(pair_id(a, mark) for a in pda.input_alphabet),
-        pda.stack_alphabet,
-        pda.initial,
-        tuple(
-            Transition(t.source, t.top, None if t.label is None else pair_id(t.label, mark),
-                       t.target, t.push, t.color)
-            for t in pda.transitions
-        ),
-    )
-    pairing = {pair_id(a, mark): (a, mark) for a in pda.input_alphabet}
-    return GaleStewartSpec(pda.input_alphabet, (mark,), relabeled, pairing, gfg_claimed)
+    """Universality of L as the game over {(w, #^omega) : w in L}, with the
+    automaton itself as the condition: each letter ``a`` names the pair
+    ``(a, "#")``, so a play's ``pair_id`` letters are read through
+    ``spec.pairing``."""
+    pairing = {a: (a, "#") for a in pda.input_alphabet}
+    return GaleStewartSpec(pda.input_alphabet, ("#",), pda, pairing, gfg_claimed)
 
 
 # ---------------------------------------------------------------------------
@@ -135,7 +126,6 @@ def make_universality_spec(pda: OmegaPDA, gfg_claimed: bool = True) -> GaleStewa
 class PdInfo(Record):
     sigma1: tuple[str, ...]
     sigma2: tuple[str, ...]
-    condition: OmegaPDA
     transition_ids: dict[Transition, str]
     rounds: dict[str, tuple[str, str]]  # block automaton letter -> (x1, y)
 
@@ -217,7 +207,7 @@ def _pd_info(spec: GaleStewartSpec, tids: dict[Transition, str],
     bad = spec.validate()
     if bad:
         raise ValueError("; ".join(bad))
-    return PdInfo(spec.sigma1, spec.sigma2, spec.condition, tids, rounds)
+    return PdInfo(spec.sigma1, spec.sigma2, tids, rounds)
 
 
 def _own_pd(spec: GaleStewartSpec) -> tuple[OmegaPDA, PdInfo]:
@@ -894,7 +884,10 @@ def synthesize_strategy_pdt(spec: GaleStewartSpec, budget: int = 5_000_000) -> S
 
 def simulate_play(strategy: StrategyPDT, adam: LassoWord, guard: int = 2000) -> LassoWord:
     """Deterministic co-simulation; the outcome lasso is detected at a
-    repeated (transducer state, top symbol, adam position) step.  Every
+    repeated (transducer state, top symbol, adam position) step.  Its letters
+    are ``pair_id(a1, a2)``, the condition's letters only for a spec that
+    names its pairs so; those of any other spec, a universality spec among
+    them, are read through ``spec.pairing``.  Every
     configuration of a round counts, epsilon closure included: a round that
     dips below a candidate step and rebuilds the stack cancels it."""
     cfg = strategy.start()

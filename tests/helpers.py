@@ -36,7 +36,6 @@ from gfgpda.games import (
     solve_finite_parity_game,
     solve_pushdown_parity_game,
 )
-from gfgpda.resolvers import Resolver
 
 
 # ---------------------------------------------------------------------------
@@ -645,37 +644,41 @@ def finite_game_oracle(g: FiniteParityGame, v0) -> str:
     return ADAM
 
 
-class MappedResolver(Resolver):
-    """A base resolver transported along a transition bijection (by index),
-    e.g. onto the letter-relabeled copy used in universality games."""
-
-    def __init__(self, base: Resolver, base_pda: OmegaPDA, image_pda: OmegaPDA):
-        self.base = base
-        self.base_pda = base_pda
-        self.fwd = dict(zip(base_pda.transitions, image_pda.transitions))
-        self.bwd = dict(zip(image_pda.transitions, base_pda.transitions))
-        self.letter_bwd = dict(zip(image_pda.input_alphabet, base_pda.input_alphabet))
-
-    def start(self):
-        return (self.base.start(), self.base_pda.initial_configuration())
-
-    def feed(self, state, t):
-        base_state, base_config = state
-        bt = self.bwd[t]
-        return (self.base.feed(base_state, bt), step(base_config, bt))
-
-    def pick(self, state, config, letter):
-        base_state, base_config = state
-        return self.fwd[self.base.pick(base_state, base_config, self.letter_bwd[letter])]
-
-    def key(self, state, w):
-        back = self.letter_bwd
-        return self.base.key(state[0], LassoWord(tuple(back[a] for a in w.prefix),
-                                                 tuple(back[a] for a in w.loop)))
+def condition_word(spec: GaleStewartSpec, w: LassoWord) -> LassoWord:
+    """A play's outcome ``w``, over ``pair_id`` letters, as a word of the
+    condition: each pair read through ``spec.pairing``."""
+    letter_of = {pair_id(a1, a2): letter for letter, (a1, a2) in spec.pairing.items()}
+    return LassoWord(tuple(letter_of[a] for a in w.prefix), tuple(letter_of[a] for a in w.loop))
 
 
-def mapped_resolver(base, base_pda, image_pda) -> MappedResolver:
-    return MappedResolver(base, base_pda, image_pda)
+def game_membership(pda: OmegaPDA, w: LassoWord, budget: int = 200_000) -> bool:
+    """Does ``pda`` accept ``w``?  The lasso as a one-player pushdown parity
+    game, solved by ``solve_pushdown_parity_game``: a reference for
+    ``lasso_membership`` that shares no code with its heads.  Every vertex
+    ``(q, i, m)`` is Eve's, ``i`` the position of the next letter and ``m``
+    the max color since the last letter (-1 for none).  A letter step has
+    color ``max(m, t.color) + 2`` and an epsilon step color 1, so a run that
+    ends in epsilon steps loses and any other keeps its max recurring color's
+    parity."""
+    start = (pda.initial, 0, -1)
+    order, moves, queue = {start: None}, [], deque([start])
+    while queue:
+        v = queue.popleft()
+        q, i, m = v
+        for t in pda.transitions:
+            if t.source != q or t.label not in (None, w.letter_at(i)):
+                continue
+            if t.label is None:
+                target, color = (t.target, i, max(m, t.color)), 1
+            else:
+                target, color = (t.target, w.next_position(i), -1), max(m, t.color) + 2
+            moves.append(GameMove(v, t.top, target, t.push, color))
+            if target not in order:
+                order[target] = None
+                queue.append(target)
+    game = PushdownParityGame(tuple(order), pda.stack_alphabet, start,
+                              dict.fromkeys(order, EVE), tuple(moves))
+    return solve_pushdown_parity_game(game, budget).winner == EVE
 
 
 def random_adam_lassos(rng: random.Random, sigma1, count: int) -> list[LassoWord]:

@@ -19,7 +19,6 @@ from gfgpda.games import (
     EVE,
     build_pd,
     make_universality_spec,
-    pair_id,
     simulate_play,
     solve_gale_stewart,
     solve_pushdown_parity_game,
@@ -29,6 +28,7 @@ from gfgpda.resolvers import determinize_moore, periodic_split, verify_resolver
 from gfgpda.zoo import all_fixtures
 
 from helpers import (
+    condition_word,
     copycat_spec,
     decode_blocks,
     dpa_lasso_verdict,
@@ -36,7 +36,6 @@ from helpers import (
     encode_blocks,
     eps_block_spec,
     finite_game_oracle,
-    mapped_resolver,
     pq_drain_spec,
     random_adam_lassos,
     random_finite_game,
@@ -165,7 +164,7 @@ def test_criterion_7_synthesis_end_to_end():
         rng = random.Random(707)
         for adam in random_adam_lassos(rng, spec.sigma1, 20):
             outcome = simulate_play(strategy, adam)
-            if not analysis.lasso_membership(spec.condition, outcome):
+            if not analysis.lasso_membership(spec.condition, condition_word(spec, outcome)):
                 failures.append((name, str(adam)))
     elapsed = time.monotonic() - started
     report(
@@ -180,15 +179,10 @@ def test_criterion_8_pd_round_trip():
     for fx in (zoo.example23(), zoo.figure1()):
         spec = make_universality_spec(fx.automaton)
         pd, info = build_pd(spec)
-        resolver = mapped_resolver(fx.resolver, fx.automaton, spec.condition)
         in_words = [w for w, f in fx.sample(seed=808, count=90) if f][:15]
         assert len(in_words) == 15
         for w in in_words:
-            relabeled = LassoWord(
-                tuple(pair_id(a, "#") for a in w.prefix),
-                tuple(pair_id(a, "#") for a in w.loop),
-            )
-            split = periodic_split(spec.condition, resolver, relabeled)
+            split = periodic_split(spec.condition, fx.resolver, w)
             assert split.verdict == "accepted"
             pairs = [(w.letter_at(i), "#") for i in range(split.stem_letters + split.loop_letters)]
             stem_pairs = pairs[: split.stem_letters]

@@ -19,8 +19,8 @@ from gfgpda.core import (
 )
 from gfgpda.resolvers import determinize_moore
 from helpers import (
-    det_run_accepts, full_lasso_product, normalize_colors, pa_empty, pa_from_words, pa_universal,
-    random_pda, random_spec, validate_witness,
+    det_run_accepts, full_lasso_product, game_membership, normalize_colors, pa_empty,
+    pa_from_words, pa_universal, random_pda, random_spec, validate_witness,
 )
 
 
@@ -378,6 +378,43 @@ def test_odd_recolored_automata_reject_as_the_oracle_says():
     assert decided >= 300
 
 
+def _game_membership_queries():
+    """Each fixture's samples of seeds 0-2 and the ``;a`` tail of each of its
+    letters, det(example23) on example23's samples, and 300 seeded random
+    automata with one seeded lasso each."""
+    for fx in zoo.all_fixtures():
+        for seed in range(3):
+            for w, _flag in fx.sample(seed, 10):
+                yield fx.name, fx.automaton, w
+        for a in fx.automaton.input_alphabet:
+            yield fx.name, fx.automaton, LassoWord((), (a,))
+    fx = zoo.example23()
+    det = determinize_moore(fx.automaton, fx.resolver)
+    for seed in range(3):
+        for w, _flag in fx.sample(seed, 10):
+            yield "det(example23)", det, w
+    rng = random.Random(5)
+    for i in range(300):
+        pda = random_pda(rng)
+        u = tuple(rng.choice(pda.input_alphabet) for _ in range(rng.randint(0, 3)))
+        v = tuple(rng.choice(pda.input_alphabet) for _ in range(rng.randint(1, 3)))
+        yield f"random {i}", pda, LassoWord(u, v)
+
+
+def test_membership_agrees_with_the_one_player_game():
+    # The game is exact where the bounded oracle gives up, as when every
+    # accepting run pushes in every loop round: it leaves 78 of these
+    # words UNKNOWN.
+    unknown = 0
+    for name, pda, w in _game_membership_queries():
+        want = game_membership(pda, w)
+        assert lasso_membership(pda, w) == want, (name, str(w))
+        oracle = brute_force_lasso_oracle(pda, w, 12, 60_000)
+        assert oracle in (want, UNKNOWN), (name, str(w))
+        unknown += oracle == UNKNOWN
+    assert unknown == 78
+
+
 def test_parity_nonempty_lss_low_loop():
     fx = zoo.lss()
     w = parity_nonempty(fx.automaton)
@@ -593,6 +630,10 @@ def test_oracle_examples(fig2):
 def test_oracle_unknown_when_bound_too_small():
     fx = zoo.repbdd()
     assert brute_force_lasso_oracle(fx.automaton, parse_lasso(";+"), 1, 100) == UNKNOWN
+
+
+def test_oracle_unknown_past_its_node_bound(fig2):
+    assert brute_force_lasso_oracle(fig2, parse_lasso("acd;#"), 5, 2) == UNKNOWN
 
 
 def test_oracle_bounds_must_be_positive(fig2):

@@ -246,6 +246,37 @@ def test_closed_pipe_keeps_the_exit_code():
         assert (done.returncode, done.stderr) == (want, b""), argv
 
 
+def test_play_on_a_closed_pipe_keeps_the_exit_code(tmp_path):
+    # play prints its prompt and each answer as the rounds go; a reader that
+    # has gone ends that output too, not the command.
+    specfile, strategyfile = tmp_path / "copycat.gs", tmp_path / "copycat.pdt"
+    specfile.write_text(games.format_gs_spec(copycat_spec()))
+    strategy = games.synthesize_strategy_pdt(copycat_spec())
+    strategyfile.write_text(games.format_strategy_pdt(strategy))
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(gfgpda.__file__)))
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        done = subprocess.run([sys.executable, "-m", "gfgpda.cli", "play", str(specfile),
+                               str(strategyfile)], input=b"a\nb\nzz\n:quit\n", stdout=write,
+                              stderr=subprocess.PIPE, env=env, timeout=120)
+    finally:
+        os.close(write)
+    assert (done.returncode, done.stderr) == (0, b"")
+
+
+def test_play_strategy_without_output_is_engine_error(capsys, tmp_path, monkeypatch):
+    # A round reaches a state with no tout line: exit 5, as README documents.
+    specfile = tmp_path / "copycat.gs"
+    specfile.write_text(games.format_gs_spec(copycat_spec()))
+    strategyfile = tmp_path / "mute.pdt"
+    strategyfile.write_text("tstate s0\ntstate s1\ntinitial s0\nttrans s0 _ a s1 _\n"
+                            "tout s0 x\ntinput a b\ntoutput x y\n")
+    monkeypatch.setattr("sys.stdin", io.StringIO("a\n"))
+    code, out = run(capsys, "play", str(specfile), str(strategyfile))
+    assert (code, out.splitlines()[-1]) == (5, "engine error: strategy output undefined at s1")
+
+
 def test_json_report_schema(capsys):
     code, out = run(capsys, "--json", "member", "zoo:example23", "acd;#")
     doc = json.loads(out)

@@ -19,7 +19,9 @@ from gfgpda.closure import (
 from gfgpda.core import (
     BOTTOM, LassoWord, OmegaPDA, ResourceExceeded, Transition, parse_lasso, validate,
 )
-from gfgpda.resolvers import moore_lasso_acceptance, run_on_prefix, verify_resolver
+from gfgpda.resolvers import (
+    Resolver, ResolverStuck, moore_lasso_acceptance, run_on_prefix, verify_resolver,
+)
 from helpers import cycle_dpa, dpa_lasso_verdict, zielonka_verdict
 
 
@@ -111,6 +113,31 @@ def test_product_alphabet_mismatch():
         product(pda, one_state_dpa(("a", "b"), 2), "intersect")
 
 
+def test_unknown_modes_and_invalid_dpas_are_refused():
+    pda = zoo.example23().automaton
+    with pytest.raises(ValueError, match="unknown mode 'xor'"):
+        muller_accepts("xor", frozenset({(0, 0)}))
+    with pytest.raises(ValueError, match="mode must be one of"):
+        product_with_info(pda, one_state_dpa(pda.input_alphabet, 2), "xor")
+    good = one_state_dpa(pda.input_alphabet, 2)
+    bad = DeterministicParityAutomaton(good.states, good.alphabet, "d9", good.delta, good.colors)
+    with pytest.raises(ValueError, match="initial 'd9' not declared"):
+        product_with_info(pda, bad, "intersect")
+
+
+def test_union_sink_gets_a_fresh_name():
+    # The pushdown side already has a state named like the sink; the DPA
+    # accepts the words with infinitely many b's.
+    pda = OmegaPDA(("sink!",), ("a", "b"), (), "sink!",
+                   (Transition("sink!", BOTTOM, "a", "sink!", (BOTTOM,), 2),))
+    dpa = DeterministicParityAutomaton(("d",), ("a", "b"), "d", {("d", "a"): "d", ("d", "b"): "d"},
+                                       {("d", "a"): 1, ("d", "b"): 2})
+    prod, info = product_with_info(pda, dpa, "union")
+    assert set(info.base_state.values()) == {"sink!", "sink!!"}
+    for text, want in ((";a", True), ("a;b", True), ("b;a", False), (";ab", True)):
+        assert analysis.lasso_membership(prod, parse_lasso(text)) == want, text
+
+
 def test_product_epsilon_keeps_dpa_frozen():
     pda = zoo.palindrome().automaton
     dpa = contains_a_dpa(pda.input_alphabet)
@@ -143,6 +170,20 @@ def test_lift_resolver_projection_identity():
     base_g = run_on_prefix(fx.automaton, fx.resolver, "acd")
     assert tuple(info.base_of[t] for t in g.run.transitions) == base_g.run.transitions
     assert g.run.last.stack == base_g.run.last.stack
+
+
+def test_lifted_resolver_refuses_a_pick_outside_the_product():
+    fx = zoo.example23()
+    prod, info = product_with_info(fx.automaton, one_state_dpa(fx.automaton.input_alphabet, 2),
+                                   "intersect")
+
+    class Foreign(Resolver):
+        def pick(self, state, config, letter):
+            return Transition("q0", BOTTOM, "a", "q9", (BOTTOM, "A"), 1)
+
+    lifted = lift_resolver(Foreign(), fx.automaton, info)
+    with pytest.raises(ResolverStuck, match="no product transition extends"):
+        lifted.pick(None, prod.initial_configuration(), "a")
 
 
 def lss_union_product():

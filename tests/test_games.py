@@ -48,6 +48,7 @@ from gfgpda.resolvers import DetPushdown, periodic_split
 from helpers import (
     _strategy_wins,
     block_solve,
+    condition_word,
     copycat_spec,
     decode_blocks,
     det_run_accepts,
@@ -58,7 +59,6 @@ from helpers import (
     finite_game_oracle,
     full_lasso_product,
     interval_iteration,
-    mapped_resolver,
     pq_drain_spec,
     random_adam_lassos,
     random_finite_game,
@@ -91,6 +91,13 @@ def test_build_pd_size_polynomial():
         assert len(pd.states) <= c * len(cond.states)
 
 
+def test_build_pd_refuses_an_invalid_spec():
+    spec = copycat_spec()
+    pairing = dict(list(spec.pairing.items())[1:])
+    with pytest.raises(ValueError, match="pairing does not cover sigma1 x sigma2"):
+        build_pd(GaleStewartSpec(spec.sigma1, spec.sigma2, spec.condition, pairing))
+
+
 def test_build_pd_accepts_encoded_accepting_run():
     # block word for the q1-branch run of figure1 on a word with finitely many a's
     fx = zoo.figure1()
@@ -98,20 +105,19 @@ def test_build_pd_accepts_encoded_accepting_run():
     pd, info = build_pd(spec)
     t = fx.automaton.transitions
     # (a,#) via i->q1, then b's looping at q1 (white, color 2): accepting
-    relabeled = spec.condition.transitions
     prefix_pairs = [("a", "#")]
-    prefix_run = [relabeled[0]]
+    prefix_run = [t[0]]
     loop_pairs = [("b", "#")]
-    loop_run = [relabeled[5]]
+    loop_run = [t[5]]
     enc_prefix = encode_blocks(spec, info, prefix_pairs, prefix_run)
     enc_loop = encode_blocks(spec, info, loop_pairs, loop_run)
     w = LassoWord(tuple(enc_prefix), tuple(enc_loop))
     assert analysis.lasso_membership(pd, w)
     # the rejecting branch: staying on the black state forever
     loop_pairs_bad = [("a", "#")]
-    loop_run_bad = [relabeled[6]]
-    stem = encode_blocks(spec, info, [("a", "#")], [relabeled[0]]) + encode_blocks(
-        spec, info, [("a", "#")], [relabeled[4]]
+    loop_run_bad = [t[6]]
+    stem = encode_blocks(spec, info, [("a", "#")], [t[0]]) + encode_blocks(
+        spec, info, [("a", "#")], [t[4]]
     )
     enc_bad = encode_blocks(spec, info, loop_pairs_bad, loop_run_bad)
     assert not analysis.lasso_membership(pd, LassoWord(tuple(stem), tuple(enc_bad)))
@@ -136,12 +142,8 @@ def test_pd_decode_inverts_encode():
     fx = zoo.example23()
     spec = make_universality_spec(fx.automaton)
     pd, info = build_pd(spec)
-    r = mapped_resolver(fx.resolver, fx.automaton, spec.condition)
     w = parse_lasso("acd;#")
-    relabeled_w = LassoWord(
-        tuple(pair_id(a, "#") for a in w.prefix), tuple(pair_id(a, "#") for a in w.loop)
-    )
-    split = periodic_split(spec.condition, r, relabeled_w)
+    split = periodic_split(spec.condition, fx.resolver, w)
     assert split.verdict == "accepted"
     pairs = [(w.letter_at(i), "#") for i in range(split.stem_letters + split.loop_letters)]
     letters = encode_blocks(spec, info, pairs, split.stem_transitions + split.loop_transitions)
@@ -359,7 +361,8 @@ def test_strategy_rules_cover_tops_found_after_a_pop():
     assert sizes == (13, 44, 3)
     for adam in random_adam_lassos(random.Random(3), spec.sigma1, 60):
         outcome = simulate_play(strategy, adam)
-        assert analysis.lasso_membership(spec.condition, outcome), (adam, outcome)
+        assert analysis.lasso_membership(spec.condition, condition_word(spec, outcome)), \
+            (adam, outcome)
 
 
 def test_synthesized_strategy_text_is_independent_of_hash_seed(tmp_path):
@@ -482,6 +485,12 @@ def test_budget_bounds_claim_enumeration():
     finally:
         tracemalloc.stop()
     assert peak < 2_000_000
+
+
+def test_a_spent_budget_numbers_no_claim_vertex():
+    # Truncations that used up the whole budget leave the claim game none.
+    with pytest.raises(ResourceExceeded, match="^101 states exceed the budget 100$"):
+        solve_claim_game(_claiming_popper(), budget=100, total=100)
 
 
 @pytest.mark.parametrize("moves", [
@@ -690,7 +699,8 @@ def test_claim_stack_strategies_win():
         again = parse_strategy_pdt(format_strategy_pdt(strategy))
         for adam in random_adam_lassos(rng, spec.sigma1, 20):
             outcome = simulate_play(strategy, adam)
-            assert analysis.lasso_membership(spec.condition, outcome), (spec, adam, outcome)
+            word = condition_word(spec, outcome)
+            assert analysis.lasso_membership(spec.condition, word), (spec, adam, outcome)
             assert simulate_play(again, adam) == outcome
 
 
@@ -772,10 +782,10 @@ def test_direct_game_agrees_with_the_block_game():
         strategy = synthesize_strategy_pdt(spec, budget=60_000)
         assert strategy.output_alphabet == spec.sigma2
         for adam in random_adam_lassos(rng, spec.sigma1, 8):
-            outcome = simulate_play(strategy, adam)
-            assert analysis.lasso_membership(spec.condition, outcome), (spec, adam, outcome)
-            oracle = analysis.brute_force_lasso_oracle(spec.condition, outcome, 12, 60_000)
-            assert oracle in (True, analysis.UNKNOWN), (spec, adam, outcome)
+            word = condition_word(spec, simulate_play(strategy, adam))
+            assert analysis.lasso_membership(spec.condition, word), (spec, adam, word)
+            oracle = analysis.brute_force_lasso_oracle(spec.condition, word, 12, 60_000)
+            assert oracle in (True, analysis.UNKNOWN), (spec, adam, word)
     assert eve == 19
 
 
@@ -818,13 +828,11 @@ def test_play_outcome_is_read_through_the_pairing():
                       "sigma1 a b", "sigma2 x y", "pair l1 a x", "pair l2 a y",
                       "pair l3 b x", "pair l4 b y", "gfg true"])
     spec = parse_gs_spec(text)
-    letter_of = {pair_id(a1, a2): letter for letter, (a1, a2) in spec.pairing.items()}
     strategy = synthesize_strategy_pdt(spec)
     for adam in (parse_lasso("a;a"), parse_lasso("ab;ba"), parse_lasso(";abb")):
         outcome = simulate_play(strategy, adam)
         assert not set(outcome.prefix + outcome.loop) & set(spec.condition.input_alphabet)
-        read = LassoWord(tuple(map(letter_of.get, outcome.prefix)),
-                         tuple(map(letter_of.get, outcome.loop)))
+        read = condition_word(spec, outcome)
         assert analysis.lasso_membership(spec.condition, read), (adam, outcome)
 
 
@@ -832,11 +840,11 @@ def test_play_outcome_is_read_through_the_pairing():
 
 
 def _check_strategy_against(spec, strategy, seed, count=20):
-    cond = spec.condition
     rng = random.Random(seed)
     for adam in random_adam_lassos(rng, spec.sigma1, count):
         outcome = simulate_play(strategy, adam)
-        assert analysis.lasso_membership(cond, outcome), (adam, outcome)
+        assert analysis.lasso_membership(spec.condition, condition_word(spec, outcome)), \
+            (adam, outcome)
 
 
 def test_synthesize_fig1_universality():
@@ -996,9 +1004,10 @@ def test_golden_strategy_plays():
         for adam in random_adam_lassos(rng, spec.sigma1, 10):
             outcome = simulate_play(strategy, adam)
             assert simulate_play(again, adam) == outcome, (name, adam)
-            assert analysis.lasso_membership(spec.condition, outcome), (name, adam)
+            word = condition_word(spec, outcome)
+            assert analysis.lasso_membership(spec.condition, word), (name, adam)
             if is_deterministic(spec.condition)[0]:
-                assert det_run_accepts(spec.condition, outcome), (name, adam)
+                assert det_run_accepts(spec.condition, word), (name, adam)
             plays.append(f"{' '.join(outcome.prefix)};{' '.join(outcome.loop)}")
         assert plays == GOLDEN_PLAYS[name], name
 
@@ -1070,9 +1079,8 @@ def test_compose_sigma_d_first_move_and_blocks():
     fx = zoo.figure1()
     spec = make_universality_spec(fx.automaton)
     pd, info = build_pd(spec)
-    r = mapped_resolver(fx.resolver, fx.automaton, spec.condition)
     sigma = lambda v: "#"
-    sd = compose_sigma_d(spec, sigma, r, info)
+    sd = compose_sigma_d(spec, sigma, fx.resolver, info)
     # first move simulates sigma
     assert sd(("a",)) == "#" and sd(("b",)) == "#"
     # after a completed block the next output is a sigma2 letter again
@@ -1173,4 +1181,5 @@ def test_random_specs_synthesis_consistency():
         strategy = synthesize_strategy_pdt(spec, budget=60_000)
         for adam in random_adam_lassos(rng, spec.sigma1, 8):
             outcome = simulate_play(strategy, adam)
-            assert analysis.lasso_membership(spec.condition, outcome), (spec, adam)
+            assert analysis.lasso_membership(spec.condition, condition_word(spec, outcome)), \
+                (spec, adam)

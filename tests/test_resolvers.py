@@ -105,6 +105,32 @@ def test_ext_resolver_stuck(ex23):
         ext(pda, Stubborn(), run_on_prefix(pda, Stubborn(), ()), "a")
 
 
+def test_ext_resolver_picks_a_disabled_transition(ex23):
+    pda = ex23.automaton
+
+    class Early(Resolver):
+        def start(self):
+            return None
+
+        def feed(self, state, t):
+            return None
+
+        def pick(self, state, config, letter):
+            return pda.transitions[2]  # a c-transition needing top A
+
+    with pytest.raises(ResolverStuck, match="resolver returned disabled"):
+        ext(pda, Early(), run_on_prefix(pda, Early(), ()), "c")
+
+
+def test_moore_resolver_without_a_delta_entry_is_stuck(ex23):
+    pda = ex23.automaton
+    t = pda.transitions[0]
+    r = MooreResolver(("m",), "m", {}, {("m", "a", BOTTOM): t})
+    with pytest.raises(ResolverStuck, match="Moore delta undefined"):
+        r.feed("m", t)
+    assert periodic_split(pda, r, parse_lasso("a;#")).verdict == "stuck"
+
+
 def test_ext_epsilon_divergence():
     from gfgpda.core import OmegaPDA, Transition
 
