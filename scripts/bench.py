@@ -81,17 +81,19 @@ def best_ms(fns: dict) -> dict:
 
 
 def import_layer() -> dict:
-    """The package's cold import: the compile time of each module's source
-    and the fresh in-process import of the package and PACKAGE_MODULES that
-    the benchmark's set-up pays, each the best of REPEATS single runs.  A
-    fresh import compiles only the sources without cached bytecode, so the
-    row says whether bytecode writing was on and every module was cached."""
+    """The package's size and cold import: each module's line count and the
+    ``src/gfgpda`` total, the compile time of each module's source and the
+    fresh in-process import of the package and PACKAGE_MODULES that the
+    benchmark's set-up pays, each the best of REPEATS single runs.  A fresh
+    import compiles only the sources without cached bytecode, so the row
+    says whether bytecode writing was on and every module was cached."""
     package = os.path.join(ROOT, "src", "gfgpda")
     paths = {name: os.path.join(package, f"{name}.py") for name in ("__init__",) + PACKAGE_MODULES}
-    compile_ms = {}
+    compile_ms, lines = {}, {}
     for name, path in paths.items():
         with open(path, encoding="utf-8") as fh:
             source = fh.read()
+        lines[name] = source.count("\n")
         compile_ms[name] = min(timed_ms(lambda: compile(source, path, "exec"))
                                for _ in range(REPEATS))
     cached = all(os.path.exists(importlib.util.cache_from_source(p)) for p in paths.values())
@@ -112,7 +114,8 @@ def import_layer() -> dict:
     finally:  # the rest of the bench keeps the modules it imported
         drop_package()
         sys.modules.update(loaded)
-    return {"compile_ms": compile_ms, "compile_total_ms": sum(compile_ms.values()),
+    return {"lines": lines, "lines_total": sum(lines.values()),
+            "compile_ms": compile_ms, "compile_total_ms": sum(compile_ms.values()),
             "fresh_import_ms": import_ms, "bytecode_writing": not sys.dont_write_bytecode,
             "bytecode_cached": cached}
 
@@ -442,7 +445,9 @@ def main(argv: list[str]) -> int:
           f"{'on' if row['bytecode_writing'] else 'off'}, "
           f"{'all' if row['bytecode_cached'] else 'not all'} modules cached); compile "
           + ", ".join(f"{name} {ms:.1f}" for name, ms in row["compile_ms"].items())
-          + f" = {row['compile_total_ms']:.1f} ms")
+          + f" = {row['compile_total_ms']:.1f} ms; lines "
+          + ", ".join(f"{name} {n}" for name, n in row["lines"].items())
+          + f" = {row['lines_total']}")
     gate = report["parse"]["det_example23"]
     print(f"parse det(example23): {gate['parse_ms']:.3f} ms, "
           f"{gate['parse_over_slowest_tail']:.2f}-{gate['parse_over_fastest_tail']:.2f}x "

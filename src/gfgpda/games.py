@@ -657,10 +657,10 @@ def solve_gale_stewart(spec: GaleStewartSpec, budget: int = 5_000_000) -> GsResu
     return GsResult(res.winner, res.winner == EVE or spec.gfg_claimed or det, info, game, res)
 
 
-def universality(pda: OmegaPDA, budget: int = 5_000_000, gfg_claimed: bool = True) -> bool:
+def universality(pda: OmegaPDA, budget: int = 5_000_000) -> bool:
     """Universality via the game over {(w, #^omega) : w in L}; sound negative
     verdicts require the automaton to be good-for-games."""
-    return solve_gale_stewart(make_universality_spec(pda, gfg_claimed), budget).winner == EVE
+    return solve_gale_stewart(make_universality_spec(pda), budget).winner == EVE
 
 
 # ---------------------------------------------------------------------------

@@ -196,18 +196,17 @@ class PeriodicSplit(Record):
 def moore_lasso_acceptance(
     pda: OmegaPDA, m: Resolver, w: LassoWord, guard: int = 5000
 ) -> str:
-    """'accepted' / 'rejected' / 'stuck' for the guided run on ``u . v^omega``.
-
-    Periodicity is detected at step positions where the tuple (automaton
-    state, resolver key, top symbol, lasso position) repeats; the max color
-    between the matched steps decides acceptance.  Raises GuardExceeded
-    after ``guard`` steps (always, unless stuck, for a key of None) or past
-    ``_infix``'s keyless epsilon cap: bounds, not proofs.
-    """
+    """The verdict of ``periodic_split``: 'accepted', 'rejected' or 'stuck'."""
     return periodic_split(pda, m, w, guard).verdict
 
 
 def periodic_split(pda, r, w, guard=5000) -> PeriodicSplit:
+    """The guided run of ``r`` on ``u . v^omega``, cut at its first period:
+    two step positions where the tuple (automaton state, resolver key, top
+    symbol, lasso position) repeats; the max color between them decides
+    acceptance.  A failing pick ends the run as 'stuck'.  Raises GuardExceeded
+    after ``guard`` steps (always, unless stuck, for a key of None) or past
+    ``_infix``'s keyless epsilon cap: bounds, not proofs."""
     c = pda.initial_configuration()
     transitions, configs = [], [c]
     state = r.start()

@@ -6,6 +6,7 @@ never from the membership engine.
 
 from __future__ import annotations
 
+import functools
 import random
 from typing import Callable, Optional
 
@@ -36,6 +37,33 @@ def _t(src, top, lab, dst, push, color) -> Transition:
     return Transition(src, top, lab, dst, tuple(push), color)
 
 
+def _moore(pda: OmegaPDA, states, initial: str, hops: dict) -> MooreResolver:
+    """The Moore resolver whose hop ``(m, i) -> m2`` picks transition ``i`` at
+    ``m`` and moves to ``m2``; every other ``(m, t)`` moves to ``"sink"``."""
+    delta = {(m, t): "sink" for m in states for t in pda.transitions}
+    output = {}
+    for (m, i), m2 in hops.items():
+        t = pda.transitions[i]
+        delta[(m, t)] = m2
+        output[(m, t.label, t.top)] = t
+    return MooreResolver(states, initial, delta, output)
+
+
+def _lasso_sampler(words, letter, u_max: int, v_max: int, classify) -> Callable[[int, int], Sample]:
+    """``words``, then lassos u v^w of ``letter(rng)``s, |u| <= u_max, |v| <= v_max."""
+
+    def sampler(seed: int, count: int) -> Sample:
+        rng = random.Random(seed)
+        out = list(words)
+        while len(out) < count:
+            u = tuple(letter(rng) for _ in range(rng.randint(0, u_max)))
+            v = tuple(letter(rng) for _ in range(rng.randint(1, v_max)))
+            out.append(LassoWord(u, v))
+        return [(w, classify(w)) for w in out]
+
+    return sampler
+
+
 # ---------------------------------------------------------------------------
 # figure1: the 5-state stackless parity automaton recognizing {a,b}^omega.
 # The q1 branch rejects words with infinitely many a's (color 3 into the
@@ -61,59 +89,27 @@ def figure1() -> Fixture:
         _t("w2", B, "b", "q2", (B,), 2),   # 11
     ]
     pda = _pda(["i", "q1", "q2", "bl", "w2"], ["a", "b"], [], "i", ts)
-
-    def sampler(seed: int, count: int) -> Sample:
-        rng = random.Random(seed)
-        out = [
-            (LassoWord((), ("a",)), True),
-            (LassoWord((), ("b",)), True),
-            (LassoWord(("a", "b"), ("b", "a")), True),
-        ]
-        while len(out) < count:
-            u = tuple(rng.choice("ab") for _ in range(rng.randint(0, 4)))
-            v = tuple(rng.choice("ab") for _ in range(rng.randint(1, 4)))
-            out.append((LassoWord(u, v), True))
-        return out
-
+    words = [LassoWord((), ("a",)), LassoWord((), ("b",)), LassoWord(("a", "b"), ("b", "a"))]
+    sampler = _lasso_sampler(words, lambda rng: rng.choice("ab"), 4, 4, lambda w: True)
     return Fixture("figure1", pda, sampler, resolver=figure1_resolver(pda))
 
 
 def figure1_resolver(pda: OmegaPDA) -> MooreResolver:
     """Switch to q2 immediately, then track the current state."""
-    t = pda.transitions
-    states = ("m0", "m2", "mw", "sink")
-    hops = {
-        ("m0", t[2]): "m2", ("m0", t[3]): "m2",
-        ("m2", t[8]): "mw", ("m2", t[9]): "m2",
-        ("mw", t[10]): "mw", ("mw", t[11]): "m2",
-    }
-    delta = {(m, tr): hops.get((m, tr), "sink") for m in states for tr in t}
-    B = BOTTOM
-    output = {
-        ("m0", "a", B): t[2], ("m0", "b", B): t[3],
-        ("m2", "a", B): t[8], ("m2", "b", B): t[9],
-        ("mw", "a", B): t[10], ("mw", "b", B): t[11],
-    }
-    return MooreResolver(states, "m0", delta, output)
+    return _moore(pda, ("m0", "m2", "mw", "sink"), "m0", {
+        ("m0", 2): "m2", ("m0", 3): "m2",
+        ("m2", 8): "mw", ("m2", 9): "m2",
+        ("mw", 10): "mw", ("mw", 11): "m2",
+    })
 
 
 def figure1_always_q1_resolver(pda: OmegaPDA) -> MooreResolver:
     """Commit to q1: not a resolver (rejects words with infinitely many a's)."""
-    t = pda.transitions
-    states = ("m0", "m1", "mb", "sink")
-    hops = {
-        ("m0", t[0]): "m1", ("m0", t[1]): "m1",
-        ("m1", t[4]): "mb", ("m1", t[5]): "m1",
-        ("mb", t[6]): "mb", ("mb", t[7]): "m1",
-    }
-    delta = {(m, tr): hops.get((m, tr), "sink") for m in states for tr in t}
-    B = BOTTOM
-    output = {
-        ("m0", "a", B): t[0], ("m0", "b", B): t[1],
-        ("m1", "a", B): t[4], ("m1", "b", B): t[5],
-        ("mb", "a", B): t[6], ("mb", "b", B): t[7],
-    }
-    return MooreResolver(states, "m0", delta, output)
+    return _moore(pda, ("m0", "m1", "mb", "sink"), "m0", {
+        ("m0", 0): "m1", ("m0", 1): "m1",
+        ("m1", 4): "mb", ("m1", 5): "m1",
+        ("mb", 6): "mb", ("mb", 7): "m1",
+    })
 
 
 # ---------------------------------------------------------------------------
@@ -146,28 +142,15 @@ def _fig2_pda() -> OmegaPDA:
 
 
 def fig6_moore(pda: OmegaPDA) -> MooreResolver:
-    t = pda.transitions
-    states = ("i", "ua", "ub", "ad", "bd1", "bd2", "acc", "sink")
-    hops = {
-        ("i", t[0]): "ua", ("i", t[1]): "ub",
-        ("ua", t[2]): "ua", ("ua", t[4]): "ua", ("ua", t[5]): "ad",
-        ("ub", t[3]): "ub", ("ub", t[4]): "ub", ("ub", t[6]): "bd1",
-        ("ad", t[7]): "ad", ("ad", t[8]): "acc",
-        ("bd1", t[9]): "bd2", ("bd2", t[10]): "bd1", ("bd2", t[11]): "acc",
-        ("acc", t[12]): "acc",
-    }
-    delta = {(m, tr): hops.get((m, tr), "sink") for m in states for tr in t}
-    B = BOTTOM
-    output = {
-        ("i", "a", B): t[0], ("i", "b", B): t[1],
-        ("ua", "c", "A"): t[2], ("ua", "c", "N"): t[4], ("ua", "d", "N"): t[5],
-        ("ub", "c", "B"): t[3], ("ub", "c", "N"): t[4], ("ub", "d", "N"): t[6],
-        ("ad", "d", "N"): t[7], ("ad", "#", "A"): t[8],
-        ("bd1", "d", "N"): t[9],
-        ("bd2", "d", "N"): t[10], ("bd2", "#", "B"): t[11],
-        ("acc", "#", B): t[12],
-    }
-    return MooreResolver(states, "i", delta, output)
+    return _moore(pda, ("i", "ua", "ub", "ad", "bd1", "bd2", "acc", "sink"), "i", {
+        ("i", 0): "ua", ("i", 1): "ub",
+        ("ua", 2): "ua", ("ua", 4): "ua", ("ua", 5): "ad",
+        ("ub", 3): "ub", ("ub", 4): "ub", ("ub", 6): "bd1",
+        ("ad", 7): "ad", ("ad", 8): "acc",
+        ("bd1", 9): "bd2",
+        ("bd2", 10): "bd1", ("bd2", 11): "acc",
+        ("acc", 12): "acc",
+    })
 
 
 def _in_example23(w: LassoWord) -> bool:
@@ -317,6 +300,7 @@ class LssResolver(Resolver):
                 (at1 > at2) - (at1 < at2))
 
 
+@functools.lru_cache(maxsize=1024)  # key asks at every step of a guided run
 def loop_energy_deltas(w: LassoWord) -> tuple[int, int]:
     d1 = d2 = 0
     for letter in w.loop:
@@ -334,26 +318,13 @@ def _in_lss(w: LassoWord) -> bool:
 
 def lss() -> Fixture:
     pda = _lss_pda()
-
-    def sampler(seed: int, count: int) -> Sample:
-        rng = random.Random(seed)
-        words = [
-            LassoWord((), (pair_letter("+", "0"), pair_letter("+", "-"))),
-            LassoWord((), (pair_letter("-", "-"),)),
-            LassoWord((pair_letter("-", "0"),), (pair_letter("+", "+"),)),
-        ]
-        while len(words) < count:
-            u = tuple(
-                pair_letter(rng.choice(I_LETTERS), rng.choice(I_LETTERS))
-                for _ in range(rng.randint(0, 3))
-            )
-            v = tuple(
-                pair_letter(rng.choice(I_LETTERS), rng.choice(I_LETTERS))
-                for _ in range(rng.randint(1, 4))
-            )
-            words.append(LassoWord(u, v))
-        return [(w, _in_lss(w)) for w in words]
-
+    words = [
+        LassoWord((), (pair_letter("+", "0"), pair_letter("+", "-"))),
+        LassoWord((), (pair_letter("-", "-"),)),
+        LassoWord((pair_letter("-", "0"),), (pair_letter("+", "+"),)),
+    ]
+    sampler = _lasso_sampler(
+        words, lambda rng: pair_letter(rng.choice(I_LETTERS), rng.choice(I_LETTERS)), 3, 4, _in_lss)
     return Fixture("lss", pda, sampler, resolver=LssResolver(pda))
 
 
@@ -457,16 +428,9 @@ def parity_language(n: int) -> Fixture:
     letters = [str(p) for p in range(1, n + 1)]
     ts = [_t("s", B, p, "s", (B,), int(p)) for p in letters]
     pda = _pda(["s"], letters, [], "s", ts)
-
-    def sampler(seed: int, count: int) -> Sample:
-        rng = random.Random(seed)
-        words = [LassoWord((), (letters[-1],)), LassoWord((), tuple(letters))]
-        while len(words) < count:
-            u = tuple(rng.choice(letters) for _ in range(rng.randint(0, 3)))
-            v = tuple(rng.choice(letters) for _ in range(rng.randint(1, 4)))
-            words.append(LassoWord(u, v))
-        return [(w, max(int(p) for p in w.loop) % 2 == 0) for w in words]
-
+    sampler = _lasso_sampler(
+        [LassoWord((), (letters[-1],)), LassoWord((), tuple(letters))],
+        lambda rng: rng.choice(letters), 3, 4, lambda w: max(int(p) for p in w.loop) % 2 == 0)
     return Fixture(f"parity{n}", pda, sampler)
 
 
@@ -513,25 +477,14 @@ def _in_repbdd(w: LassoWord) -> bool:
 
 
 def repbdd() -> Fixture:
-    pda = _repbdd_pda()
-
-    def sampler(seed: int, count: int) -> Sample:
-        rng = random.Random(seed)
-        words = [
-            LassoWord((), ("+", "-")),
-            LassoWord((), ("+",)),
-            LassoWord(("-",), ("-",)),
-            LassoWord(("+",), ("+", "+", "-")),
-        ]
-        while len(words) < count:
-            u = tuple(rng.choice("+-") for _ in range(rng.randint(0, 4)))
-            v = tuple(rng.choice("+-") for _ in range(rng.randint(1, 5)))
-            words.append(LassoWord(u, v))
-        return [(w, _in_repbdd(w)) for w in words]
-
-    return Fixture(
-        "repbdd", pda, sampler, partition=(("+",), ("-",), ()),
-    )
+    words = [
+        LassoWord((), ("+", "-")),
+        LassoWord((), ("+",)),
+        LassoWord(("-",), ("-",)),
+        LassoWord(("+",), ("+", "+", "-")),
+    ]
+    sampler = _lasso_sampler(words, lambda rng: rng.choice("+-"), 4, 5, _in_repbdd)
+    return Fixture("repbdd", _repbdd_pda(), sampler, partition=(("+",), ("-",), ()))
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,11 @@
+import hashlib
+import json
+
 import pytest
 
 from gfgpda import analysis, zoo
 from gfgpda.core import check_visibly, parse_lasso, parse_pda, format_pda, validate
-from gfgpda.resolvers import verify_resolver
+from gfgpda.resolvers import format_moore, verify_resolver
 from gfgpda.zoo import loop_energy_deltas, pair_letter, prefix_energy_level, w_ss_bar_prefix
 
 
@@ -13,6 +16,40 @@ def test_registry_contents():
     }
     with pytest.raises(KeyError):
         zoo.get("nonesuch")
+
+
+# SHA-256 of corpus_snapshot(): every benchmark workload and many tests draw
+# their inputs from the zoo, so a change to an automaton, a resolver or a
+# sampler's draws must be deliberate.  Recompute it only with such a change.
+CORPUS_DIGEST = "242d8b10ff611be387db420d74661c45e40c7827de60bd92df44de40091f50c3"
+
+
+def corpus_snapshot() -> str:
+    """Canonical JSON of each fixture's text, the Moore resolvers' texts and
+    ``sample(seed, n)`` for seeds 0-7 and n in 5 and 40."""
+    fixtures = {}
+    for name in zoo.ZOO:
+        fx = zoo.get(name)
+        fixtures[name] = {
+            "pda": format_pda(fx.automaton),
+            "samples": [
+                [[list(w.prefix), list(w.loop), flag] for w, flag in fx.sample(seed, n)]
+                for seed in range(8) for n in (5, 40)
+            ],
+        }
+    fig1, ex23 = zoo.figure1(), zoo.example23()
+    moore = {
+        "figure1": format_moore(fig1.automaton, fig1.resolver),
+        "figure1_always_q1": format_moore(
+            fig1.automaton, zoo.figure1_always_q1_resolver(fig1.automaton)),
+        "example23": format_moore(ex23.automaton, ex23.resolver),
+    }
+    return json.dumps({"fixtures": fixtures, "moore": moore}, sort_keys=True)
+
+
+def test_corpus_is_pinned():
+    digest = hashlib.sha256(corpus_snapshot().encode()).hexdigest()
+    assert digest == CORPUS_DIGEST
 
 
 def test_all_fixtures_validate():
