@@ -368,14 +368,16 @@ def gale_stewart_layer() -> dict:
     report = {}
     for name in paths:
         vertices: collections.Counter = collections.Counter()
-        strategies = []
+        strategies = []  # (states, rules) of each Eve win's strategy
         for gs, strategy in results[name]:
             vertices[gs.solve.stats["decided_by"]] += gs.solve.stats["vertices"]
             if strategy is not None:
-                strategies.append(len(strategy.machine.states))
+                m = strategy.machine
+                strategies.append((len(m.states), len(m.transitions)))
         report[name] = {"specs": SPECS, "ms": ms[name], "eve_wins": len(strategies),
                         "vertices": dict(sorted(vertices.items())),
-                        "strategy_states": sum(strategies)}
+                        "strategy_states": sum(n for n, _ in strategies),
+                        "strategy_rules": sum(r for _, r in strategies)}
     return report
 
 
@@ -484,7 +486,8 @@ def main(argv: list[str]) -> int:
     for name, row in report["gale_stewart"].items():
         vertices = ", ".join(f"{n} by {phase}" for phase, n in row["vertices"].items())
         print(f"gale_stewart {name} ({row['specs']} specs): {row['ms']:.3f} ms, "
-              f"{row['eve_wins']} Eve wins with {row['strategy_states']} strategy states; "
+              f"{row['eve_wins']} Eve wins with {row['strategy_states']} strategy states, "
+              f"{row['strategy_rules']} rules; "
               f"solver vertices {vertices}")
     for row in report["closure"]:
         growth = "" if row["growth"] is None else f"  x{row['growth']:.2f}"

@@ -164,6 +164,12 @@ def cmd_product(args) -> CommandResult:
 def cmd_play(args) -> CommandResult:
     spec = games.parse_gs_spec(read_text(args.specfile))
     strategy = games.parse_strategy_pdt(read_text(args.strategyfile))
+    if set(strategy.input_alphabet) != set(spec.sigma1):
+        raise FormatError(f"strategy reads {' '.join(strategy.input_alphabet)}, "
+                          f"not sigma1 {' '.join(spec.sigma1)}")
+    if not set(strategy.output_alphabet) <= set(spec.sigma2):
+        raise FormatError(f"strategy writes {' '.join(strategy.output_alphabet)}, "
+                          f"not within sigma2 {' '.join(spec.sigma2)}")
     cfg = strategy.start()
     transcript = []
     say(f"enter letters from {' '.join(spec.sigma1)} (:quit to stop)")

@@ -21,13 +21,12 @@ numbered on dense int ids by ``core.explore`` under one vertex budget and
 solved by Zielonka's algorithm with attractors to edges, no vertex added
 (``solve_parity_ids``); ``FiniteParityGame`` is only the public API for
 finite games.  Eve's choices in the phase that decided are one map, which
-one builder (``_strategy_pdt``) packages as a pushdown transducer:
-positional ones from a truncation keep the transducer's stack unused,
-claim-game ones push a context per stack frame.  Synthesis (``strategy_of``
-a solved game) takes two steps: ``extract_strategy_pdt`` builds that
-transducer for the block game, and the three-phase ``delay_transform``
-turns it into one for the original game; a condition's own block game
-needs no second step.
+one builder (``_strategy_pdt``) packages as a pushdown transducer for the
+original game (``strategy_of`` a solved game): positional ones from a
+truncation keep the transducer's stack unused, claim-game ones push a
+context per stack frame.  Where the block game builds the condition's run,
+a state also stores Eve's letter until the block completes, the paper's
+delay.
 """
 
 from __future__ import annotations
@@ -691,9 +690,9 @@ class StrategyPDT(Record):
             raise PdaError(f"strategy output undefined at {cfg.state}") from None
 
 
-def extract_strategy_pdt(gs: GsResult) -> StrategyPDT:
-    """Eve's winning strategy in the block game as a transducer over sigma1,
-    built by ``_strategy_pdt`` from the phase that decided the game.
+def strategy_of(gs: GsResult) -> StrategyPDT:
+    """Eve's winning strategy for the original game, built by ``_strategy_pdt``
+    from the phase that decided the solved game ``gs``; no second solve.
 
     A strategy from a truncation is positional: its vertices are
     configurations, every round is a swap and the transducer's stack stays
@@ -741,23 +740,35 @@ def _chosen(choice: dict, vertex):
 
 def _strategy_pdt(start, choice: dict, moves: Callable, after: Callable,
                   eve_round: Callable, info: PdInfo) -> StrategyPDT:
-    """Eve's strategy ``choice`` on a Gale-Stewart arena as a transducer with
-    one stack symbol per stack frame below the current one.
+    """Eve's strategy ``choice`` on a Gale-Stewart arena as a transducer for
+    the original game, with one stack symbol per stack frame below the
+    current one.
 
-    A state is a vertex where Eve picks her letter, and outputs the
-    ``letter`` of her move there; ``moves(vertex)`` are the vertex's
-    GameMoves, each with its player's ``letter``, and ``after(vertex, move)``
-    its successor.  Each Adam letter is one round: ``eve_round(vertex)``
-    plays Eve's move, the block automaton's transition on her letter, and
-    gives ``(vertex, None)`` for a swap, ``(vertex above, context)`` for a
-    push and ``(None, (r, c))`` for a pop to ``r`` with max color ``c``
-    since the frame began; Adam's next letter follows.  A push pushes the interned context, a pop reads it
-    and resumes the frame below by ``ClaimGame.resume``.  Rules exist for
-    each mode (state, top symbol) a run reaches: a pushed symbol records the
-    symbols it was pushed onto, so each state a pop reaches gets them as
-    tops.
+    ``moves(vertex)`` are a vertex's GameMoves, each with its player's
+    ``letter``, and ``after(vertex, move)`` its successor.  A state is a
+    vertex where Eve picks her letter, plus the sigma2 letter it stores
+    (``None`` until it stores one).  Each rule is one block-game round:
+    ``eve_round(vertex)`` plays Eve's move, the block automaton's transition
+    on her letter, and gives ``(vertex, None)`` for a swap, ``(vertex above,
+    context)`` for a push and ``(None, (r, c))`` for a pop to ``r`` with max
+    color ``c`` since the frame began; Adam's next letter follows.
+
+    Eve's letter says what the state does, by the paper's three phases of
+    the delay: the initial state reads Adam's first letter; on a game that
+    builds the condition's run (``info.transition_ids``), Eve waits for the
+    letter due and stores it, a sigma2 letter, then delays while she builds
+    the run, skipping its epsilon transitions.  A store or a skip is one
+    epsilon rule that feeds ``sigma1[0]`` as Adam's dummy letter.  Any other
+    letter completes a block: the state outputs the stored letter (its own
+    on a condition's own block automaton) and reads every sigma1 letter.
+
+    A push pushes the interned context, a pop reads it and resumes the frame
+    below by ``ClaimGame.resume``.  Rules exist for each mode (state, top
+    symbol) a run reaches: a pushed symbol records the symbols it was pushed
+    onto, so each state a pop reaches gets them as tops.
     """
     sigma1 = info.sigma1
+    letters, dummy = tuple((x1, x1) for x1 in sigma1), ((sigma1[0], None),)
 
     def adam_read(vertex, x1: str):
         for move in moves(vertex):
@@ -772,15 +783,24 @@ def _strategy_pdt(start, choice: dict, moves: Callable, after: Callable,
     init = ("start", start)
     states: list = [init]
     output: dict = {}
+    reads: dict = {}  # state -> ((Adam letter, rule label), ...), the letter stored next
     rules: list[Transition] = []
     seen: set = set()
     queue: deque = deque()
 
-    def state(vertex) -> tuple:
-        node = ("play", vertex)
-        if node not in output:
+    def state(vertex, stored) -> tuple:
+        node = ("play", vertex, stored)
+        if node not in reads:
             states.append(node)
-            output[node] = _chosen(choice, vertex).letter
+            y = _chosen(choice, vertex).letter
+            if not info.transition_ids:  # a condition's own block automaton
+                output[node], reads[node] = y, (letters, None)
+            elif y in info.sigma2:
+                reads[node] = dummy, y
+            elif info.transition_of[y].label is None:
+                reads[node] = dummy, stored
+            else:
+                output[node], reads[node] = stored, (letters, None)
         return node
 
     def mode(node, top) -> None:
@@ -789,7 +809,7 @@ def _strategy_pdt(start, choice: dict, moves: Callable, after: Callable,
             queue.append((node, top))
 
     for x1 in sigma1:
-        node = state(adam_read(start, x1))
+        node = state(adam_read(start, x1), None)
         rules.append(Transition(init, BOTTOM, x1, node, (BOTTOM,), 0))
         mode(node, BOTTOM)
     while queue:
@@ -811,70 +831,16 @@ def _strategy_pdt(start, choice: dict, moves: Callable, after: Callable,
                 onto[top] = None
                 for target in returns.get(symbol, ()):
                     mode(target, top)
-        for x1 in sigma1:
-            target = state(adam_read(nxt, x1))
-            rules.append(Transition(node, top, x1, target, push, 0))
+        pairs, stored = reads[node]
+        for x1, label in pairs:
+            target = state(adam_read(nxt, x1), stored)
+            rules.append(Transition(node, top, label, target, push, 0))
             if not push:
                 returns.setdefault(top, {})[target] = None
             for x in tops:
                 mode(target, x)
     machine = DetPushdown(tuple(states), init, tuple(contexts), tuple(rules))
-    return StrategyPDT(machine, output, sigma1, info.y_values)
-
-
-def delay_transform(t: StrategyPDT, info: PdInfo) -> StrategyPDT:
-    """Three-phase transform of the block-game transducer ``t`` of
-    ``extract_strategy_pdt`` into a strategy for the original game:
-    initialization until the first real letter, waiting until an output
-    letter is due (stored), then a delay phase that feeds dummy letters while
-    the run infix is constructed and finally emits the stored letter when
-    the block completes.  A state's output says which phase comes next: a
-    letter of sigma2, an epsilon or a letter-reading condition transition.
-
-    No mode (state, top symbol) needs tracking in the state: ``t`` has a rule
-    for every Adam letter at every top a run can reach in a state, so every
-    reached mode reads, and its output depends on the state alone.  ``t`` has
-    no epsilon rules.  A state is ``(q, tag)``, tag ``"i"`` (only the initial
-    state), ``"w"`` or a stored sigma2 letter; only the states reachable from
-    the initial one are built, by ``core.explore``."""
-    sigma1, sigma2, dummy = info.sigma1, info.sigma2, info.sigma1[0]
-    kinds = {q: "sigma2" if y in sigma2 else
-             "eps_trans" if info.transition_of[y].label is None else "letter_trans"
-             for q, y in t.output.items()}
-    by_source: dict = {}
-    for r in t.machine.transitions:
-        by_source.setdefault(r.source, []).append(r)
-
-    def expand(order):  # by the kind of q, so that a stored letter may be "i" or "w"
-        for u, (q, tag) in enumerate(order):
-            kind = kinds.get(q)
-            for r in by_source.get(q, ()):
-                if q == t.machine.initial or kind == "letter_trans":
-                    # read the first real letter, or emit the stored one and read the next
-                    label, target = r.label, (r.target, "w")
-                elif kind == "sigma2":  # wait: store the letter due
-                    if r.label != dummy:
-                        continue
-                    label, target = None, (r.target, t.output[q])
-                elif r.label == dummy:  # an epsilon step of the run infix
-                    label, target = None, (r.target, tag)
-                else:
-                    continue
-                yield u, 0, target, Transition((q, tag), r.top, label, target, r.push, 0)
-
-    states, _, rules = explore((t.machine.initial, "i"), expand)
-    output = {(q, tag): tag for q, tag in states
-              if tag in sigma2 and kinds.get(q) == "letter_trans"}
-    machine = DetPushdown(tuple(states), states[0], t.machine.stack_alphabet, tuple(rules))
-    return StrategyPDT(machine, output, sigma1, sigma2)
-
-
-def strategy_of(gs: GsResult) -> StrategyPDT:
-    """Eve's strategy for the original game: ``extract_strategy_pdt`` (which
-    raises ``Player1Wins`` on an Adam win), then ``delay_transform`` if the
-    game constructs a run (a condition's own block game outputs sigma2)."""
-    strategy = extract_strategy_pdt(gs)
-    return delay_transform(strategy, gs.info) if gs.info.transition_ids else strategy
+    return StrategyPDT(machine, output, sigma1, info.sigma2)
 
 
 def synthesize_strategy_pdt(spec: GaleStewartSpec, budget: int = 5_000_000) -> StrategyPDT:
@@ -1033,12 +999,15 @@ def parse_strategy_pdt(text: str) -> StrategyPDT:
     if not initial:
         raise FormatError("missing 'tinitial' declaration")
     output = {q: out for _, q, out in outs}
-    declared = set(states[1::2])
-    used = [("tinitial", initial[-1])] + [("tout", q) for q in output]
-    used += [("ttrans", q) for r in rules for q in (r.source, r.target)]
-    for kind, q in used:
-        if q not in declared:
-            raise FormatError(f"{kind} names undeclared state {q!r}")
+    declared = {"state": set(states[1::2]), "input letter": set(input_alphabet),
+                "output letter": set(output_alphabet)}
+    used = [("tinitial", "state", initial[-1])] + [("tout", "state", q) for q in output]
+    used += [("ttrans", "state", q) for r in rules for q in (r.source, r.target)]
+    used += [("ttrans", "input letter", r.label) for r in rules if r.label is not None]
+    used += [("tout", "output letter", out) for out in output.values()]
+    for kind, what, name in used:
+        if name not in declared[what]:
+            raise FormatError(f"{kind} names undeclared {what} {name!r}")
     # The stack shape of core._push_fault, without its length rule.
     symbols = set(stack[1::2])
     for i, r in enumerate(rules):

@@ -153,8 +153,9 @@ def run_on_prefix(pda: OmegaPDA, r: Resolver, word) -> GuidedRun:
 class MooreResolver(Record, Resolver):
     """Finite-state resolver: delta reads transitions, lambda picks the next one.
 
-    ``delta`` must be total on M x Delta; ``output`` may be partial (a missing
-    entry is a resolver failure, surfaced as ResolverUndefined).
+    Both maps may be partial.  A missing ``delta`` entry makes ``feed`` raise
+    ResolverStuck, and ``determinize_moore`` leaves that edge out; a missing
+    ``output`` entry is a resolver failure, surfaced as ResolverUndefined.
     """
 
     states: tuple[str, ...]

@@ -536,7 +536,8 @@ def pq_drain_spec() -> GaleStewartSpec:
 
 def eps_block_spec() -> GaleStewartSpec:
     """Universal condition whose every run starts with an epsilon transition;
-    exercises epsilon handling in blocks and in the delay transform."""
+    exercises epsilon handling in blocks and in the epsilon rules by which
+    ``strategy_of`` builds the run."""
     sigma1, sigma2 = ("a",), ("z",)
     lz = pair_id("a", "z")
     ts = (

@@ -277,6 +277,27 @@ def test_play_strategy_without_output_is_engine_error(capsys, tmp_path, monkeypa
     assert (code, out.splitlines()[-1]) == (5, "engine error: strategy output undefined at s1")
 
 
+@pytest.mark.parametrize("old,new,error", [
+    ("tout s3 #", "tout s3 zz", "tout names undeclared output letter 'zz'"),
+    ("ttrans s0 _ a s1 _", "ttrans s0 _ q s1 _", "ttrans names undeclared input letter 'q'"),
+    ("tinput a b", "tinput a b c", "strategy reads a b c, not sigma1 a b"),
+    ("toutput #", "toutput # x", "strategy writes # x, not within sigma2 #"),
+], ids=["tout", "ttrans", "tinput", "toutput"])
+def test_play_strategy_with_other_letters_is_input_error(capsys, tmp_path, monkeypatch,
+                                                        old, new, error):
+    # figure1's universality strategy with one line changed: refused before
+    # any round, not answered in one (tout) or stuck in one (ttrans).
+    spec = games.make_universality_spec(zoo.figure1().automaton)
+    text = games.format_strategy_pdt(games.synthesize_strategy_pdt(spec))
+    assert text.count(old + "\n") == 1
+    specfile, strategyfile = tmp_path / "u.gs", tmp_path / "other.pdt"
+    specfile.write_text(games.format_gs_spec(spec))
+    strategyfile.write_text(text.replace(old + "\n", new + "\n"))
+    monkeypatch.setattr("sys.stdin", io.StringIO("a\nb\na\n"))
+    code, out = run(capsys, "play", str(specfile), str(strategyfile))
+    assert (code, out.splitlines()[-1]) == (4, f"input error: {error}")
+
+
 def test_json_report_schema(capsys):
     code, out = run(capsys, "--json", "member", "zoo:example23", "acd;#")
     doc = json.loads(out)

@@ -81,7 +81,7 @@ BUILDERS = {
     "determinize_moore": lambda: map(_automaton, _determinized()),
     "build_pd": lambda: map(_automaton, _block_automata()),
     "gs_to_pushdown_game": _arenas,
-    "delay_transform": _strategies,
+    "strategy_of": _strategies,
 }
 
 

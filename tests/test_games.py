@@ -25,8 +25,6 @@ from gfgpda.games import (
     _own_pd,
     build_pd,
     compose_sigma_d,
-    delay_transform,
-    extract_strategy_pdt,
     format_gs_spec,
     format_strategy_pdt,
     gs_to_pushdown_game,
@@ -354,7 +352,7 @@ def test_strategy_rules_cover_tops_found_after_a_pop():
     spec = random_spec(random.Random(1137), 3)
     gs = block_solve(spec, budget=5_000)
     assert gs.winner == EVE and gs.solve.stats["decided_by"] == "claims"
-    strategy = delay_transform(extract_strategy_pdt(gs), gs.info)
+    strategy = strategy_of(gs)
     machine = strategy.machine
     assert is_deterministic(machine)[0]
     sizes = len(machine.states), len(machine.transitions), len(machine.stack_alphabet)
@@ -876,7 +874,7 @@ def test_synthesize_refuses_adam_wins():
     gs = solve_gale_stewart(spec)
     assert gs.winner == ADAM
     with pytest.raises(Player1Wins) as raised:
-        extract_strategy_pdt(gs)
+        strategy_of(gs)
     assert not isinstance(raised.value, ValueError)
 
 
@@ -1021,9 +1019,10 @@ def test_t_minus_d_deterministic():
 
 @pytest.mark.parametrize("name", ["i", "w"])
 def test_sigma2_letter_may_share_a_phase_tag(name):
-    # The delay transform tags its states "i", "w" or a stored sigma2 letter;
-    # a letter of that name plays like any other, renamed in the outcome.
-    # Strategies come from the block path, which runs the delay transform.
+    # A sigma2 letter plays like any other whatever its name, renamed in the
+    # outcome: a strategy state stores its sigma2 letter next to its vertex,
+    # so no letter name is reserved.  Strategies come from the block path,
+    # where states store letters.
     for make in (copycat_spec, pq_drain_spec, eps_block_spec):
         base = make()
         old = re.compile(rf"\b{re.escape(base.sigma2[0])}\b")
@@ -1155,12 +1154,28 @@ def test_stackless_arena_size_bound():
     assert kinds["E"] <= q * s1
 
 
-def test_delay_transform_pieces_compose():
-    gs = solve_gale_stewart(eps_block_spec())
-    tmd = delay_transform(extract_strategy_pdt(gs), gs.info)
-    assert is_deterministic(tmd.machine)[0]
-    assert respond(tmd, ("a",)) == "z"
-    assert respond(tmd, ("a", "a", "a")) == "z"
+def test_synthesis_delays_over_epsilon_steps():
+    # eps_block_spec has one Adam letter; in the second condition, u -eps-> v
+    # and v reads (a,z) back to v and (b,z) to u, so Adam's letter b leads
+    # to a block that starts with an epsilon step.
+    la, lb = pair_id("a", "z"), pair_id("b", "z")
+    ts = (
+        Transition("u", BOTTOM, None, "v", (BOTTOM,), 0),
+        Transition("v", BOTTOM, la, "v", (BOTTOM,), 2),
+        Transition("v", BOTTOM, lb, "u", (BOTTOM,), 2),
+    )
+    cond = OmegaPDA(("u", "v"), (la, lb), (), "u", ts)
+    two = GaleStewartSpec(("a", "b"), ("z",), cond, {la: ("a", "z"), lb: ("b", "z")})
+    for spec in (eps_block_spec(), two):
+        gs = solve_gale_stewart(spec)
+        tmd = strategy_of(gs)
+        assert is_deterministic(tmd.machine)[0]
+        assert respond(tmd, ("a",)) == "z"
+        assert respond(tmd, ("a", "a", "a")) == "z"
+        for adam in random_adam_lassos(random.Random(4), spec.sigma1, 10):
+            outcome = simulate_play(tmd, adam)
+            assert analysis.lasso_membership(spec.condition, condition_word(spec, outcome)), \
+                (spec.sigma1, adam, outcome)
 
 
 def test_random_specs_synthesis_consistency():

@@ -450,6 +450,24 @@ def test_determinize_moore_follows_an_epsilon_output():
     assert set(verdicts) == {True, False}
 
 
+def test_determinize_moore_leaves_out_a_missing_delta_entry(ex23):
+    # example23's resolver without its (ad, t8) hop and its sink entries:
+    # where delta has no entry the guided run is stuck, and the determinized
+    # automaton has no edge, so it accepts exactly the accepted words.
+    pda, r = ex23.automaton, ex23.resolver
+    delta = {k: m2 for k, m2 in r.delta.items() if m2 != "sink"}
+    del delta[("ad", pda.transitions[8])]
+    partial = MooreResolver(r.states, r.initial, delta, r.output)
+    d = determinize_moore(pda, partial)
+    verdicts = collections.Counter()
+    for seed in range(6):
+        for w, _ in ex23.sample(seed, 40):
+            verdict = moore_lasso_acceptance(pda, partial, w)
+            assert analysis.lasso_membership(d, w) == (verdict == "accepted"), w
+            verdicts[verdict] += 1
+    assert verdicts == {"stuck": 210, "accepted": 30}
+
+
 def test_determinize_moore_state_names_are_injective():
     # Joining component names with "|" would name the read state of
     # ("a|b", "c") and the hold state of ("a", "b", letter "c") both "(a|b|c)".
