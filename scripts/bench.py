@@ -1,7 +1,7 @@
 """Layer benchmark of gfgpda: the package's cold import, parsing and
 validation, lasso membership, guided runs, one synthesis, Gale-Stewart
-solving on both block automata, transducer epsilon closure, the
-constructions built by ``core.explore``.
+solving on both block automata, the finite games of pushdown solving,
+transducer epsilon closure, the constructions built by ``core.explore``.
 
     python3 scripts/bench.py [OUTPUT.json]
 
@@ -55,6 +55,8 @@ MEMBERSHIP_PREFIXES = (16, 32, 64, 128)
 MEMBERSHIP_SAMPLE = 20  # words per zoo fixture
 SPECS = 150
 GS_BUDGET = 5_000  # the games workload's solver budget
+PUSHDOWN_SEEDS = (1, 2, 3)  # corpus seeds of the finite-solve row's pushdown games
+PUSHDOWN_GAMES = 100  # games per seed, as many as the games workload solves
 CLOSURE_DEPTHS = (8, 9, 10, 11)
 PACKAGE_MODULES = ("core", "analysis", "closure", "games", "resolvers", "zoo", "cli")
 
@@ -381,6 +383,44 @@ def gale_stewart_layer() -> dict:
     return report
 
 
+def finite_solve_layer() -> dict:
+    """``solve_parity_ids`` alone on the truncation games that solving the
+    150 seed-940 specifications and the corpus' pushdown games of
+    PUSHDOWN_SEEDS hands it, captured once by wrapping
+    ``games.solve_parity_ids`` as ``benchmark/tracing.py`` does.  The row
+    counts every finite solve per pushdown solve; a claim game, the last
+    finite solve of a claim-decided one, is counted but not timed."""
+    api = SimpleNamespace(core=core, games=games)
+    base = random.Random(corpus.SPEC_BASE_SEED)
+    specs = [corpus.random_spec(api, base) for _ in range(SPECS)]
+    solves = [lambda spec=spec: games.solve_gale_stewart(spec, GS_BUDGET).solve for spec in specs]
+    for seed in PUSHDOWN_SEEDS:
+        rng = random.Random(seed)
+        solves += [lambda g=corpus.random_pushdown_game(api, rng):
+                   games.solve_pushdown_parity_game(g, GS_BUDGET) for _ in range(PUSHDOWN_GAMES)]
+    solve_parity_ids, captured, truncations = games.solve_parity_ids, [], []
+    games.solve_parity_ids = lambda owner, edges: (captured.append((owner, edges))
+                                                   or solve_parity_ids(owner, edges))
+    claims = 0
+    try:
+        for solve in solves:
+            captured.clear()
+            try:
+                if solve().stats["decided_by"] == "claims":
+                    captured.pop()
+                    claims += 1
+            except games.ResourceExceeded:
+                pass
+            truncations += captured
+    finally:
+        games.solve_parity_ids = solve_parity_ids
+    ms = best_ms({"finite": lambda: [solve_parity_ids(o, e) for o, e in truncations]})
+    return {"pushdown_solves": len(solves), "truncation_solves": len(truncations),
+            "claim_solves": claims, "finite_per_pushdown": (len(truncations) + claims) / len(solves),
+            "vertices": sum(len(o) for o, _ in truncations),
+            "edges": sum(len(e) for _, e in truncations), "ms": ms["finite"]}
+
+
 def closure_layer() -> list:
     """``DetPushdown.close`` on the tests' epsilon recursion of each depth in
     CLOSURE_DEPTHS; a level more doubles the chain of 5 * 2**depth - 3 steps."""
@@ -436,6 +476,7 @@ def main(argv: list[str]) -> int:
               "parse": parse_layer(),
               "membership": membership_layer(), "guided": guided_layer(),
               "synthesis": synthesis_layer(), "gale_stewart": gale_stewart_layer(),
+              "finite_solve": finite_solve_layer(),
               "closure": closure_layer(),
               "constructions": constructions_layer()}
     report["elapsed_s"] = time.perf_counter() - started
@@ -489,6 +530,11 @@ def main(argv: list[str]) -> int:
               f"{row['eve_wins']} Eve wins with {row['strategy_states']} strategy states, "
               f"{row['strategy_rules']} rules; "
               f"solver vertices {vertices}")
+    row = report["finite_solve"]
+    print(f"finite_solve: {row['ms']:.3f} ms for {row['truncation_solves']} truncation games "
+          f"({row['vertices']} vertices, {row['edges']} edges); "
+          f"{row['finite_per_pushdown']:.3f} finite solves per pushdown solve "
+          f"({row['pushdown_solves']} solves, {row['claim_solves']} claim games)")
     for row in report["closure"]:
         growth = "" if row["growth"] is None else f"  x{row['growth']:.2f}"
         print(f"closure recursion depth {row['depth']:2d}: {row['close_ms']:.3f} ms, "

@@ -44,6 +44,7 @@ from .games import (
     GaleStewartSpec,
     StrategyPDT,
     simulate_play,
+    solve_claim_game,
     solve_gale_stewart,
     synthesize_strategy_pdt,
     universality,

@@ -253,18 +253,19 @@ def solve_parity_ids(owner: list, edges: list) -> tuple[dict, dict]:
     ``owner[v]``, with edges ``(u, color, v)``.  Returns per player the
     winning vertices and a map from each of its vertices there to the index
     of the edge it takes.  A subgame is a vertex set and a color bound, with
-    the edges between its vertices up to the bound.  A dead end gets a
-    self-loop edge after ``edges`` whose color loses for its owner, so no
-    strategy takes it."""
-    top = max((c for _, c, _ in edges), default=0)
-    sources = {u for u, _, _ in edges}
-    loops = [(v, top | 1 if who == EVE else top + top % 2, v)
-             for v, who in enumerate(owner) if v not in sources]
+    the edges between its vertices up to the bound.  The ``k``-th dead end
+    gets the self-loop edge ``len(edges) + k``, whose color loses for its
+    owner, so no strategy takes it."""
     out: list[list] = [[] for _ in owner]
     inc: list[list] = [[] for _ in owner]
-    for j, (u, c, v) in enumerate(edges + loops):
+    top = edges[0][1] if edges else 0
+    for j, (u, c, v) in enumerate(edges):
         out[u].append((c, v, j))
         inc[v].append((c, u, j))
+        if c > top:
+            top = c
+    for j, v in enumerate([v for v, succ in enumerate(out) if not succ], len(edges)):
+        out[v].append((top | 1 if owner[v] == EVE else top + top % 2, v, j))
     for succ in out:
         succ.sort(reverse=True)
     stack = [_zielonka(set(range(len(owner))), top + 1, out, inc, owner)]
@@ -310,10 +311,10 @@ def _zielonka(sub, bound, out, inc, owner):
     """Winning regions and strategies on the subgame ``(sub, bound)``, which
     has no dead end.  The player ``p`` of its top color ``d`` attracts to
     the edges of color ``d``.  The rest, with bound ``d - 1``, is a trap for
-    ``p`` without a dead end; it is yielded and the caller sends its result
-    back, so nesting lives on the caller's list, not the Python stack.  What
-    is left after peeling the opponent's attractor to their wins there is
-    solved by the loop."""
+    ``p`` without a dead end; unless it is empty, where ``p`` wins ``sub``,
+    it is yielded and the caller sends its result back, so nesting lives on
+    the caller's list, not the Python stack.  What is left after peeling the
+    opponent's attractor to their wins there is solved by the loop."""
     wins_all: dict = {EVE: set(), ADAM: set()}
     strats_all: dict = {EVE: {}, ADAM: {}}
     while sub:
@@ -333,7 +334,7 @@ def _zielonka(sub, bound, out, inc, owner):
         targets = [v for v, _ in top
                    if v in strat or not any(e < d and w in sub for e, w, _ in out[v])]
         region, rstrat = _attractor(p, sub, d - 1, out, inc, owner, targets, strat)
-        wins, strats = yield sub - region, d - 1
+        wins, strats = (yield rest, d - 1) if (rest := sub - region) else ({opp: ()}, {p: {}})
         if not wins[opp]:
             wins_all[p] |= sub
             strats_all[p] |= strats[p] | rstrat
@@ -398,7 +399,7 @@ def solve_pushdown_parity_game(
     decide most games in a few small arenas, where the claim game of the
     same game can be far larger.  If they are inconclusive, the winner is
     the winner of ``ClaimGame`` (Walukiewicz), built lazily from the initial
-    vertex by ``solve_claim_game``.  Both phases number their vertices with
+    vertex as ``solve_claim_game`` does.  Both phases number their vertices with
     ``core.explore``, which counts them against the budget as they are
     numbered, so ``ResourceExceeded`` comes after at most budget + 1 of them.
     ``stats["decided_by"]`` says which phase decided.  A malformed move
@@ -410,7 +411,7 @@ def solve_pushdown_parity_game(
         result, total = _solve_truncation(game, height, total, budget)
         if result is not None:
             return result
-    result = solve_claim_game(game, budget, total)
+    result = _solve_claims(game, budget, total)
     result.stats["height"] = TRUNCATION_HEIGHTS[-1]
     return result
 
@@ -433,7 +434,8 @@ def _solve_truncation(
     where a successor above ``height`` is ``None``; those edges then point
     at one paradise id.  The paradise is a dead end owned by one player at
     a time, so it loses for them, and a player winning the truncation that
-    is pessimistic for them wins the full game."""
+    is pessimistic for them wins the full game.  Eve's goes first; if Adam's
+    winning strategy there never reaches the paradise, it wins his too."""
     moves_at = game.moves_at
 
     def expand(order):
@@ -454,11 +456,22 @@ def _solve_truncation(
     for player in (EVE, ADAM) if boundary else (None,):
         wins, strats = solve_parity_ids(owner + [player] if boundary else owner, edges)
         winner = EVE if 0 in wins[EVE] else ADAM
-        if winner == player or not boundary:
+        if (winner == player or not boundary
+                or player == EVE and not _reaches(paradise, edges, strats[ADAM])):
             strat = ({order[v]: edge_moves[j] for v, j in strats[EVE].items()}
                      if winner == EVE else None)
             return PushdownSolveResult(winner, strat, stats), total
     return None, total
+
+
+def _reaches(goal: int, edges: list, strat: dict) -> bool:
+    """Does a play from vertex 0 reach ``goal`` if the vertices of ``strat``
+    take its edges and the others any edge?  Passes over ``edges`` to a fixpoint."""
+    seen, size = {0}, 0
+    while size < len(seen):
+        size = len(seen)
+        seen.update(v for j, (u, _, v) in enumerate(edges) if u in seen and strat.get(u, j) == j)
+    return goal in seen
 
 
 class ClaimGame:
@@ -492,8 +505,7 @@ class ClaimGame:
     def __init__(self, game: PushdownParityGame):
         self.game = game
         self.moves_at = game.moves_at
-        colors = [m.color for m in game.moves]
-        self.cmin = min(colors, default=0)
+        self.cmin = min((m.color for m in game.moves), default=0)
         facts, _ = _saturate(
             [(m.source, m.top, 0, m.target, m.push, m.color, m) for m in game.moves])
         rank: dict = {}  # (r, c) -> first-seen index
@@ -564,6 +576,11 @@ def solve_claim_game(
     ``total`` vertices already count against ``budget``.  A malformed move
     raises ``ValueError``."""
     _check_moves(game)
+    return _solve_claims(game, budget, total)
+
+
+def _solve_claims(game: PushdownParityGame, budget: int, total: int) -> PushdownSolveResult:
+    """``solve_claim_game`` on a game whose moves are checked."""
     cg = ClaimGame(game)
     owner: list[str] = []
 
@@ -579,9 +596,8 @@ def solve_claim_game(
     wins, strats = solve_parity_ids(owner, edges)
     winner = EVE if 0 in wins[EVE] else ADAM
     stats = {"vertices": total, "height": 0, "decided_by": "claims", "claim_vertices": len(order)}
-    choice = None
-    if winner == EVE:
-        choice = {order[v]: labels[j] for v, j in strats[EVE].items() if labels[j] is not None}
+    choice = ({order[v]: labels[j] for v, j in strats[EVE].items() if labels[j] is not None}
+              if winner == EVE else None)
     return PushdownSolveResult(winner, choice, stats, cg)
 
 
@@ -596,16 +612,23 @@ def gs_to_pushdown_game(dpda: OmegaPDA, info: PdInfo) -> PushdownParityGame:
     ``("E", q, x1)`` Eve picks ``y`` of ``info.y_values`` by taking the dpda's
     one transition on a letter of round ``(x1, y)`` in ``info.rounds``, with
     its push and color, back to Adam.  Each move carries the letter its
-    player picks as its ``letter``.  A dpda that is not deterministic, or has
-    a transition off the rounds' letters (an epsilon one could starve the
-    word), raises ``ValueError``."""
-    det, pairs = is_deterministic(dpda)
-    if not det:
-        raise ValueError(f"arena needs a deterministic automaton: {pairs[:1]}")
+    player picks as its ``letter``.  One pass indexes the transitions and
+    finds a dpda that is not deterministic, or else has a transition off the
+    rounds' letters (an epsilon one could starve the word): ``ValueError``."""
     sigma1, gb, rounds = info.sigma1, dpda.gamma_bottom, info.rounds
-    bad = next((t for t in dpda.transitions if t.label not in rounds), None)
-    if bad is not None:
-        raise ValueError(f"arena needs an epsilon-free automaton over pair letters: {bad}")
+    index: dict = {}  # (source, top, x1) -> [(transition, y)]
+    keys, bad = set(), None
+    for t in dpda.transitions:
+        keys.add((t.source, t.top, t.label))
+        if t.label in rounds:
+            x1, y = rounds[t.label]
+            index.setdefault((t.source, t.top, x1), []).append((t, y))
+        elif bad is None:
+            bad = t
+    if bad is not None or len(keys) < len(dpda.transitions):
+        det, pairs = is_deterministic(dpda)  # the first fault, for the message
+        raise ValueError(f"arena needs an epsilon-free automaton over pair letters: {bad}" if det
+                         else f"arena needs a deterministic automaton: {pairs[:1]}")
     cmin = min((t.color for t in dpda.transitions), default=0)
 
     def expand(order):
@@ -618,11 +641,9 @@ def gs_to_pushdown_game(dpda: OmegaPDA, info: PdInfo) -> PushdownParityGame:
                 continue
             _, q, x1 = v
             for x in gb:
-                for t in dpda.by_source_top.get((q, x), ()):
-                    a1, y = rounds[t.label]
-                    if a1 == x1:
-                        tgt = ("A", t.target)
-                        yield u, t.color, tgt, GameMove(v, x, tgt, t.push, t.color, y)
+                for t, y in index.get((q, x, x1), ()):
+                    tgt = ("A", t.target)
+                    yield u, t.color, tgt, GameMove(v, x, tgt, t.push, t.color, y)
 
     states, _, moves = explore(("A", dpda.initial), expand)
     owner = {v: ADAM if v[0] == "A" else EVE for v in states}
@@ -647,10 +668,8 @@ def solve_gale_stewart(spec: GaleStewartSpec, budget: int = 5_000_000) -> GsResu
     That direct game is exact: a round fires the one transition on its
     pair, with its color, or dead-ends at Eve, as the word has no run."""
     det = is_deterministic(spec.condition)[0]
-    if det and all(t.label is not None for t in spec.condition.transitions):
-        pd, info = _own_pd(spec)
-    else:
-        pd, info = build_pd(spec)
+    own = det and all(t.label is not None for t in spec.condition.transitions)
+    pd, info = _own_pd(spec) if own else build_pd(spec)
     game = gs_to_pushdown_game(pd, info)
     res = solve_pushdown_parity_game(game, budget)
     return GsResult(res.winner, res.winner == EVE or spec.gfg_claimed or det, info, game, res)

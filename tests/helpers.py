@@ -382,12 +382,14 @@ def dual_game(game: PushdownParityGame) -> PushdownParityGame:
     return PushdownParityGame(game.states, game.stack_alphabet, game.initial, owner, moves)
 
 
-def interval_iteration(game: PushdownParityGame, budget: int) -> Optional[str]:
+def interval_iteration(game: PushdownParityGame, budget: int) -> Optional[tuple[str, int]]:
     """The winner by interval iteration at heights 1, 2, ... on
-    ``FiniteParityGame`` truncations, or None once their vertices exceed
-    ``budget``.  Overflow edges go to a paradise vertex whose loop is won by
-    one player at a time; a player who wins the truncation where the
-    paradise is their opponent's wins the game."""
+    ``FiniteParityGame`` truncations and the height that decided, or None
+    once their vertices exceed ``budget``.  Overflow edges go to a paradise
+    vertex whose loop is won by one player at a time; a player who wins the
+    truncation where the paradise is their opponent's wins the game.  No
+    solve is skipped: when Eve loses her pessimistic truncation, Adam's is
+    solved too."""
     cmax = max((m.color for m in game.moves), default=0)
     even = cmax + 2 - cmax % 2
     start = (game.initial, (BOTTOM,))
@@ -413,7 +415,7 @@ def interval_iteration(game: PushdownParityGame, budget: int) -> Optional[str]:
             g = FiniteParityGame(tuple(owner), owner,
                                  tuple(edges) + (("paradise", color, "paradise"),))
             if solve_finite_parity_game(g).winner_of(start) == player:
-                return player
+                return player, height
 
 
 def random_spec(rng: random.Random, max_states: int = 4) -> GaleStewartSpec:

@@ -36,6 +36,7 @@ from gfgpda.games import (
     solve_claim_game,
     solve_finite_parity_game,
     solve_gale_stewart,
+    solve_parity_ids,
     solve_pushdown_parity_game,
     strategy_of,
     synthesize_strategy_pdt,
@@ -344,6 +345,52 @@ def test_zielonka_leaves_no_process_global_state():
     assert threading.active_count() == threads
 
 
+def _with_dead_ends(rng: random.Random):
+    # random_finite_game draws with the edges of one vertex removed, and
+    # random_hard_finite_game draws that have a dead end.
+    while True:
+        g = random_finite_game(rng)
+        dead = rng.choice(g.vertices)
+        yield FiniteParityGame(g.vertices, g.owner, tuple(e for e in g.edges if e[0] != dead))
+        g = random_hard_finite_game(rng)
+        if set(g.vertices) - {u for u, _, _ in g.edges}:
+            yield g
+
+
+def test_zielonka_on_dead_ends_is_exact_and_takes_no_dead_end_loop():
+    # Each winning region is exact, each strategy wins, and each strategy
+    # edge index is an edge of its vertex or the k-th dead end's own loop,
+    # len(edges) + k.
+    draws = _with_dead_ends(random.Random(39))
+    for _ in range(120):
+        g = next(draws)
+        index = {v: i for i, v in enumerate(g.vertices)}
+        edges = [(index[u], c, index[w]) for u, c, w in g.edges]
+        wins, strats = solve_parity_ids([g.owner[v] for v in g.vertices], edges)
+        sources = {u for u, _, _ in edges}
+        dead = [v for v in range(len(g.vertices)) if v not in sources]
+        loop = {v: len(edges) + k for k, v in enumerate(dead)}
+        for v, name in enumerate(g.vertices):
+            assert (v in wins[EVE], v in wins[ADAM]) == \
+                ((True, False) if finite_game_oracle(g, name) == EVE else (False, True)), (g, v)
+        for player in (EVE, ADAM):
+            for v, j in strats[player].items():
+                assert j == loop.get(v) or j < len(edges) and edges[j][0] == v, (g, v, j)
+        _check_finite_strategies(g, solve_finite_parity_game(g))
+
+
+def test_zielonka_top_attractor_takes_every_vertex():
+    # Eve's edge of the top color 4 attracts b (its one edge leads to e) and
+    # then a (both its edges do): no vertex is left for a subgame below.
+    g = FiniteParityGame(("e", "a", "b"), {"e": EVE, "a": ADAM, "b": ADAM},
+                         (("e", 4, "a"), ("a", 1, "e"), ("a", 3, "b"), ("b", 0, "e"),
+                          ("e", 2, "b")))
+    res = solve_finite_parity_game(g)
+    assert res.winning == {EVE: frozenset(g.vertices), ADAM: frozenset()}
+    assert res.strategy == {EVE: {"e": 0}, ADAM: {}}
+    _check_finite_strategies(g, res)
+
+
 def test_strategy_rules_cover_tops_found_after_a_pop():
     # In this claim-decided spec's block-path strategy a pushed symbol is
     # pushed onto a new top after its pop was already recorded: each state
@@ -650,7 +697,7 @@ def _nested_return() -> PushdownParityGame:
 
 
 def test_claim_game_agrees_with_interval_iteration():
-    assert interval_iteration(_nested_return(), 100) == EVE
+    assert interval_iteration(_nested_return(), 100) == (EVE, 2)
     assert solve_claim_game(_nested_return()).winner == EVE
     rng = random.Random(3)
     decided = 0
@@ -658,9 +705,72 @@ def test_claim_game_agrees_with_interval_iteration():
         game = _random_pushdown_game(rng)
         want = interval_iteration(game, 60_000)
         if want is not None:
-            assert solve_claim_game(game).winner == want, game
+            assert solve_claim_game(game).winner == want[0], game
             decided += 1
     assert decided >= 50
+
+
+def _push_or_concede() -> PushdownParityGame:
+    # Eve at e pushes A with color 0, or moves to Adam's a, whose loop has
+    # color 1.  Every truncation is lost for Eve where the paradise is hers
+    # and won where it is Adam's, as pushing reaches it; the claim game
+    # lets her push forever.
+    moves = tuple(GameMove("e", x, "e", (x, "A"), 0) for x in (BOTTOM, "A"))
+    moves += tuple(GameMove(s, x, "a", (x,), c) for s, c in (("e", 0), ("a", 1))
+                   for x in (BOTTOM, "A"))
+    return PushdownParityGame(("e", "a"), ("A",), "e", {"e": EVE, "a": ADAM}, moves)
+
+
+def test_truncation_shortcut_agrees_with_interval_iteration(monkeypatch):
+    # The helper solves every truncation it needs, the solver skips Adam's
+    # pessimistic one when his strategy in Eve's never reaches the paradise:
+    # the same winner and the same deciding height (3 once the claim game
+    # decides) on 60 random games, the seed-940 specs' arenas and the
+    # fixtures' universality arenas.
+    reaches, skipped = gfgpda.games._reaches, []
+
+    def counted(*args):
+        found = reaches(*args)
+        if not found:
+            skipped.append(args)
+        return found
+
+    monkeypatch.setattr(gfgpda.games, "_reaches", counted)
+    rng, base = random.Random(3), random.Random(940)
+    games = [_random_pushdown_game(rng) for _ in range(60)]
+    games += [solve_gale_stewart(random_spec(base), 5_000).game for _ in range(150)]
+    games += [solve_gale_stewart(make_universality_spec(fx.automaton)).game
+              for fx in zoo.all_fixtures()]
+    heights = collections.Counter()
+    for game in games:
+        want = interval_iteration(game, 60_000)
+        if want is None:
+            continue
+        res = solve_pushdown_parity_game(game)
+        height, phase = min(want[1], 3), "truncation" if want[1] <= 3 else "claims"
+        assert (res.winner, res.stats["height"], res.stats["decided_by"]) == \
+            (want[0], height, phase), game
+        heights[want[1]] += 1
+    # 217 decided here, 76 of them with Adam's pessimistic solve skipped.
+    assert sum(heights.values()) >= 210 and heights[2] >= 10 and len(skipped) >= 70
+    # Adam wins Eve's pessimistic truncations, but Eve's pushes reach the
+    # paradise: a shortcut that skipped the second solve would answer ADAM.
+    assert interval_iteration(_push_or_concede(), 2_000) is None
+    res = solve_pushdown_parity_game(_push_or_concede())
+    assert res.winner == EVE and res.stats["decided_by"] == "claims"
+
+
+def test_moves_are_checked_once_per_solve(monkeypatch):
+    calls = []
+    check = gfgpda.games._check_moves
+    monkeypatch.setattr(gfgpda.games, "_check_moves", lambda game: calls.append(game) or check(game))
+    for game, phase in ((_push_or_concede(), "claims"), (_nested_return(), "truncation")):
+        calls.clear()
+        assert solve_pushdown_parity_game(game).stats["decided_by"] == phase
+        assert calls == [game]
+    calls.clear()
+    solve_claim_game(_nested_return())
+    assert len(calls) == 1
 
 
 def test_claim_game_is_determined():
