@@ -16,6 +16,7 @@ two commits on the same machine to compare them.
 
 from __future__ import annotations
 
+import ast
 import collections
 import importlib
 import importlib.util
@@ -83,19 +84,22 @@ def best_ms(fns: dict) -> dict:
 
 
 def import_layer() -> dict:
-    """The package's size and cold import: each module's line count and the
-    ``src/gfgpda`` total, the compile time of each module's source and the
-    fresh in-process import of the package and PACKAGE_MODULES that the
-    benchmark's set-up pays, each the best of REPEATS single runs.  A fresh
+    """The package's size and cold import: each module's line count and AST
+    node count (``ast.walk``) with their ``src/gfgpda`` totals, the compile
+    time of each module's source and the fresh in-process import of the
+    package and PACKAGE_MODULES that the benchmark's set-up pays, each the
+    best of REPEATS single runs.  The set-up's peak RSS steps with the AST
+    size of the modules it compiles.  A fresh
     import compiles only the sources without cached bytecode, so the row
     says whether bytecode writing was on and every module was cached."""
     package = os.path.join(ROOT, "src", "gfgpda")
     paths = {name: os.path.join(package, f"{name}.py") for name in ("__init__",) + PACKAGE_MODULES}
-    compile_ms, lines = {}, {}
+    compile_ms, lines, nodes = {}, {}, {}
     for name, path in paths.items():
         with open(path, encoding="utf-8") as fh:
             source = fh.read()
         lines[name] = source.count("\n")
+        nodes[name] = sum(1 for _ in ast.walk(ast.parse(source)))
         compile_ms[name] = min(timed_ms(lambda: compile(source, path, "exec"))
                                for _ in range(REPEATS))
     cached = all(os.path.exists(importlib.util.cache_from_source(p)) for p in paths.values())
@@ -117,6 +121,7 @@ def import_layer() -> dict:
         drop_package()
         sys.modules.update(loaded)
     return {"lines": lines, "lines_total": sum(lines.values()),
+            "ast_nodes": nodes, "ast_nodes_total": sum(nodes.values()),
             "compile_ms": compile_ms, "compile_total_ms": sum(compile_ms.values()),
             "fresh_import_ms": import_ms, "bytecode_writing": not sys.dont_write_bytecode,
             "bytecode_cached": cached}
@@ -490,7 +495,9 @@ def main(argv: list[str]) -> int:
           + ", ".join(f"{name} {ms:.1f}" for name, ms in row["compile_ms"].items())
           + f" = {row['compile_total_ms']:.1f} ms; lines "
           + ", ".join(f"{name} {n}" for name, n in row["lines"].items())
-          + f" = {row['lines_total']}")
+          + f" = {row['lines_total']}; ast nodes "
+          + ", ".join(f"{name} {n}" for name, n in row["ast_nodes"].items())
+          + f" = {row['ast_nodes_total']}")
     gate = report["parse"]["det_example23"]
     print(f"parse det(example23): {gate['parse_ms']:.3f} ms, "
           f"{gate['parse_over_slowest_tail']:.2f}-{gate['parse_over_fastest_tail']:.2f}x "

@@ -356,13 +356,22 @@ class GameMove(NamedTuple):  # a tuple, so that arenas build their moves fast
 
 
 class PushdownParityGame(Record):
-    """Pushdown system plus owners; dead ends lose for their owner."""
+    """Pushdown system plus owners; dead ends lose for their owner.  Its
+    build checks each distinct ``(top, push)`` once by ``core._push_fault``;
+    the first move that breaks it raises ``ValueError`` with the fault."""
 
     states: tuple
     stack_alphabet: tuple[str, ...]
     initial: Any
     owner: dict
     moves: tuple[GameMove, ...]
+
+    def __post_init__(self):
+        stack = set(self.stack_alphabet)
+        if any(_push_fault(top, push, stack) for top, push in {(m.top, m.push) for m in self.moves}):
+            for m in self.moves:
+                if fault := _push_fault(m.top, m.push, stack):
+                    raise ValueError(f"malformed move {m}: {fault}")
 
     @cached_property
     def moves_at(self) -> dict:
@@ -402,28 +411,16 @@ def solve_pushdown_parity_game(
     vertex as ``solve_claim_game`` does.  Both phases number their vertices with
     ``core.explore``, which counts them against the budget as they are
     numbered, so ``ResourceExceeded`` comes after at most budget + 1 of them.
-    ``stats["decided_by"]`` says which phase decided.  A malformed move
-    raises ``ValueError``.
+    ``stats["decided_by"]`` says which phase decided.
     """
-    _check_moves(game)
     total = 0
     for height in TRUNCATION_HEIGHTS:
         result, total = _solve_truncation(game, height, total, budget)
         if result is not None:
             return result
-    result = _solve_claims(game, budget, total)
+    result = solve_claim_game(game, budget, total)
     result.stats["height"] = TRUNCATION_HEIGHTS[-1]
     return result
-
-
-def _check_moves(game: PushdownParityGame) -> None:
-    """Raise ``ValueError`` naming the first move whose push breaks the rule of
-    ``core._push_fault``, and the fault; each distinct ``(top, push)`` is checked once."""
-    stack = set(game.stack_alphabet)
-    if any(_push_fault(top, push, stack) for top, push in {(m.top, m.push) for m in game.moves}):
-        for m in game.moves:
-            if fault := _push_fault(m.top, m.push, stack):
-                raise ValueError(f"malformed move {m}: {fault}")
 
 
 def _solve_truncation(
@@ -435,7 +432,8 @@ def _solve_truncation(
     at one paradise id.  The paradise is a dead end owned by one player at
     a time, so it loses for them, and a player winning the truncation that
     is pessimistic for them wins the full game.  Eve's goes first; if Adam's
-    winning strategy there never reaches the paradise, it wins his too."""
+    winning strategy there never reaches the paradise (as when no edge
+    overflows), it wins his too."""
     moves_at = game.moves_at
 
     def expand(order):
@@ -450,14 +448,11 @@ def _solve_truncation(
              "claim_vertices": 0}
     owner = [game.owner[state] for state, _ in order]
     paradise = len(order)
-    boundary = any(v is None for _, _, v in edges)
-    if boundary:
-        edges = [(u, c, paradise if v is None else v) for u, c, v in edges]
-    for player in (EVE, ADAM) if boundary else (None,):
-        wins, strats = solve_parity_ids(owner + [player] if boundary else owner, edges)
+    edges = [(u, c, paradise if v is None else v) for u, c, v in edges]
+    for player in (EVE, ADAM):
+        wins, strats = solve_parity_ids(owner + [player], edges)
         winner = EVE if 0 in wins[EVE] else ADAM
-        if (winner == player or not boundary
-                or player == EVE and not _reaches(paradise, edges, strats[ADAM])):
+        if winner == player or player == EVE and not _reaches(paradise, edges, strats[ADAM]):
             strat = ({order[v]: edge_moves[j] for v, j in strats[EVE].items()}
                      if winner == EVE else None)
             return PushdownSolveResult(winner, strat, stats), total
@@ -573,14 +568,7 @@ def solve_claim_game(
     game: PushdownParityGame, budget: int = 5_000_000, total: int = 0
 ) -> PushdownSolveResult:
     """The exact winner by ``ClaimGame``, built from its initial vertex;
-    ``total`` vertices already count against ``budget``.  A malformed move
-    raises ``ValueError``."""
-    _check_moves(game)
-    return _solve_claims(game, budget, total)
-
-
-def _solve_claims(game: PushdownParityGame, budget: int, total: int) -> PushdownSolveResult:
-    """``solve_claim_game`` on a game whose moves are checked."""
+    ``total`` vertices already count against ``budget``."""
     cg = ClaimGame(game)
     owner: list[str] = []
 
@@ -664,15 +652,19 @@ class GsResult(Record):
 
 def solve_gale_stewart(spec: GaleStewartSpec, budget: int = 5_000_000) -> GsResult:
     """The winner on the arena of a block automaton: the condition itself if
-    it is deterministic and epsilon-free (``_own_pd``), else ``build_pd``'s.
-    That direct game is exact: a round fires the one transition on its
-    pair, with its color, or dead-ends at Eve, as the word has no run."""
-    det = is_deterministic(spec.condition)[0]
-    own = det and all(t.label is not None for t in spec.condition.transitions)
+    it is epsilon-free with one transition per ``(source, top, label)``
+    (``_own_pd``), else ``build_pd``'s.  That direct game is exact: a round
+    fires the one transition on its pair, or dead-ends at Eve, as the word
+    has no run.  ``is_deterministic`` runs only for an unclaimed Adam win
+    on ``build_pd``'s game, to say whether it is sound."""
+    cond = spec.condition
+    keys = {(t.source, t.top, t.label) for t in cond.transitions}
+    own = len(keys) == len(cond.transitions) and all(label is not None for _, _, label in keys)
     pd, info = _own_pd(spec) if own else build_pd(spec)
     game = gs_to_pushdown_game(pd, info)
     res = solve_pushdown_parity_game(game, budget)
-    return GsResult(res.winner, res.winner == EVE or spec.gfg_claimed or det, info, game, res)
+    sound = res.winner == EVE or spec.gfg_claimed or own or is_deterministic(cond)[0]
+    return GsResult(res.winner, sound, info, game, res)
 
 
 def universality(pda: OmegaPDA, budget: int = 5_000_000) -> bool:

@@ -268,9 +268,7 @@ class LssResolver(Resolver):
         return (n + 1, (level1, low1, at1) if level1 >= low1 else (level1, level1, n + 1),
                 (level2, low2, at2) if level2 >= low2 else (level2, level2, n + 1))
 
-    def feed(self, state, t):
-        if t.label is None:
-            return state
+    def feed(self, state, t):  # lss and its union products have no epsilon transition
         return self._advance(state, t.label)
 
     def pick(self, state, config, letter):

@@ -11,15 +11,20 @@ import pytest
 
 import gfgpda
 from gfgpda import analysis, zoo
-from gfgpda.core import BOTTOM, LassoWord, OmegaPDA, Transition, is_deterministic, parse_lasso
+from gfgpda.core import (
+    BOTTOM, LassoWord, OmegaPDA, PdaError, Transition, is_deterministic, parse_lasso,
+)
 from gfgpda.games import (
     ADAM,
     EVE,
+    ClaimGame,
     FiniteParityGame,
     GaleStewartSpec,
     GameMove,
+    GsResult,
     Player1Wins,
     PushdownParityGame,
+    PushdownSolveResult,
     ResourceExceeded,
     StrategyPDT,
     _own_pd,
@@ -551,21 +556,17 @@ def test_a_spent_budget_numbers_no_claim_vertex():
     (GameMove("v", BOTTOM, "v", (BOTTOM, "M"), 0),),
 ])
 def test_malformed_pushdown_games_are_rejected(moves):
-    game = PushdownParityGame(("v",), ("N",), "v", {"v": EVE}, moves)
-    for solve in (solve_pushdown_parity_game, solve_claim_game):
-        with pytest.raises(ValueError, match=re.escape(f"malformed move {moves[-1]}")):
-            solve(game)
+    with pytest.raises(ValueError, match=re.escape(f"malformed move {moves[-1]}")):
+        PushdownParityGame(("v",), ("N",), "v", {"v": EVE}, moves)
 
 
 def test_malformed_move_names_its_fault():
     # The pushed symbols are checked before the bottom shape.
     for move in (GameMove("v", "N", "v", ("N", "M"), 0),
                  GameMove("v", BOTTOM, "v", (BOTTOM, "M"), 0)):
-        game = PushdownParityGame(("v",), ("N",), "v", {"v": EVE}, (move,))
-        for solve in (solve_pushdown_parity_game, solve_claim_game):
-            with pytest.raises(ValueError,
-                               match=re.escape(f"malformed move {move}: unknown push symbol")):
-                solve(game)
+        with pytest.raises(ValueError,
+                           match=re.escape(f"malformed move {move}: unknown push symbol")):
+            PushdownParityGame(("v",), ("N",), "v", {"v": EVE}, (move,))
 
 
 def test_moves_are_checked_once_per_distinct_shape(monkeypatch):
@@ -581,13 +582,12 @@ def test_moves_are_checked_once_per_distinct_shape(monkeypatch):
     monkeypatch.setattr(gfgpda.games, "_push_fault",
                         lambda *args: calls.append(args) or push_fault(*args))
     owner = dict.fromkeys(states, EVE)
-    gfgpda.games._check_moves(PushdownParityGame(states, ("N",), "p0", owner, moves))
+    PushdownParityGame(states, ("N",), "p0", owner, moves)
     assert len(moves) == 1000 and len(calls) == len(shapes)
     bad = (GameMove("p3", "N", "p0", ("N", "M"), 0), GameMove("p1", "N", "p0", ("N", BOTTOM), 0))
-    game = PushdownParityGame(states, ("N",), "p0", owner, moves[:700] + bad + moves[700:])
     fault = f"malformed move {bad[0]}: unknown push symbol"
     with pytest.raises(ValueError, match=re.escape(fault)):
-        gfgpda.games._check_moves(game)
+        PushdownParityGame(states, ("N",), "p0", owner, moves[:700] + bad + moves[700:])
 
 
 def _random_pushdown_game(rng: random.Random) -> PushdownParityGame:
@@ -760,17 +760,19 @@ def test_truncation_shortcut_agrees_with_interval_iteration(monkeypatch):
     assert res.winner == EVE and res.stats["decided_by"] == "claims"
 
 
-def test_moves_are_checked_once_per_solve(monkeypatch):
+def test_moves_are_checked_when_built_not_when_solved(monkeypatch):
     calls = []
-    check = gfgpda.games._check_moves
-    monkeypatch.setattr(gfgpda.games, "_check_moves", lambda game: calls.append(game) or check(game))
-    for game, phase in ((_push_or_concede(), "claims"), (_nested_return(), "truncation")):
+    push_fault = gfgpda.games._push_fault
+    monkeypatch.setattr(gfgpda.games, "_push_fault",
+                        lambda *args: calls.append(args) or push_fault(*args))
+    for build, phase in ((_push_or_concede, "claims"), (_nested_return, "truncation")):
+        calls.clear()
+        game = build()
+        assert len(calls) == len({(m.top, m.push) for m in game.moves})
         calls.clear()
         assert solve_pushdown_parity_game(game).stats["decided_by"] == phase
-        assert calls == [game]
-    calls.clear()
-    solve_claim_game(_nested_return())
-    assert len(calls) == 1
+        solve_claim_game(game)
+        assert calls == []
 
 
 def test_claim_game_is_determined():
@@ -837,6 +839,23 @@ def test_solve_gale_stewart_unsound_flag():
     spec = make_universality_spec(zoo.example23().automaton, gfg_claimed=False)
     result = solve_gale_stewart(spec)
     assert result.winner == ADAM and not result.sound
+
+
+def test_soundness_pays_for_determinism_only_when_an_adam_win_needs_it(monkeypatch):
+    calls = []
+    check = gfgpda.games.is_deterministic
+    monkeypatch.setattr(gfgpda.games, "is_deterministic",
+                        lambda pda: calls.append(pda) or check(pda))
+    # Direct (deterministic epsilon-free) conditions, one an unclaimed Adam
+    # win, and a claimed universality spec: no determinism pass.
+    ncw1 = make_universality_spec(zoo.ncw1().automaton, gfg_claimed=False)
+    for spec, winner in ((copycat_spec(), EVE), (ncw1, ADAM),
+                         (make_universality_spec(zoo.example23().automaton), ADAM)):
+        result = solve_gale_stewart(spec)
+        assert (result.winner, result.sound, calls) == (winner, True, [])
+    spec = make_universality_spec(zoo.example23().automaton, gfg_claimed=False)
+    result = solve_gale_stewart(spec)
+    assert (result.winner, result.sound, calls) == (ADAM, False, [spec.condition])
 
 
 def test_universality_fixtures():
@@ -1006,6 +1025,69 @@ def test_strategy_of_a_solved_game_is_the_synthesized_one():
         text = format_strategy_pdt(synthesize_strategy_pdt(spec, budget=5_000))
         assert format_strategy_pdt(strategy_of(gs)) == text, spec
     assert eve == 13 + 1
+
+
+def _tampered(gs, choice=None, game=None):
+    """``gs`` with Eve's choice map or the arena replaced, and its claim game
+    (if one decided) rebuilt on the arena."""
+    solve, game = gs.solve, game or gs.game
+    res = PushdownSolveResult(gs.winner, solve.eve_strategy if choice is None else choice,
+                              solve.stats, solve.claim_game and ClaimGame(game))
+    return GsResult(gs.winner, gs.sound, gs.info, game, res)
+
+
+def _strategy_fault(gs) -> str:
+    """The message of the ``PdaError`` that ``strategy_of(gs)`` raises, or ""."""
+    try:
+        strategy_of(gs)
+    except PdaError as e:
+        return str(e)
+    return ""
+
+
+def _eve_wins_of_both_phases():
+    return [solve_gale_stewart(make_universality_spec(zoo.figure1().automaton))] + [
+        solve_gale_stewart(spec) for spec in _claim_decided_specs()]
+
+
+def test_strategy_building_names_a_vertex_missing_from_the_choice_map():
+    # Dropping any one of Eve's choices either leaves the transducer's
+    # reachable vertices alone or is named; in the claim game, a dropped
+    # claim (at an "e" vertex) is named too.
+    kinds = collections.Counter()
+    for gs in _eve_wins_of_both_phases():
+        choice = gs.solve.eve_strategy
+        for v in choice:
+            fault = _strategy_fault(_tampered(gs, {u: m for u, m in choice.items() if u != v}))
+            assert fault in ("", f"Eve strategy undefined at {v}"), (v, fault)
+            if fault:
+                kinds[gs.solve.stats["decided_by"], v[0] if v[0] in ("v", "e") else "cfg"] += 1
+    assert set(kinds) == {("truncation", "cfg"), ("claims", "v"), ("claims", "e")}, kinds
+
+
+def test_strategy_building_names_a_missing_adam_move():
+    for gs in _eve_wins_of_both_phases():
+        x1 = gs.info.sigma1[-1]
+        game = gs.game
+        moves = tuple(m for m in game.moves if game.owner[m.source] == EVE or m.letter != x1)
+        game = PushdownParityGame(game.states, game.stack_alphabet, game.initial, game.owner, moves)
+        with pytest.raises(PdaError, match=f"^no Adam move for '{x1}' at "):
+            strategy_of(_tampered(gs, game=game))
+
+
+def test_strategy_building_names_a_pop_to_an_unclaimed_return():
+    # Eve's move at a main vertex swapped for one that pops to a return her
+    # frame's claim does not hold: Adam wins there, which no strategy allows.
+    named = 0
+    for gs in _eve_wins_of_both_phases()[1:]:
+        cg, choice = gs.solve.claim_game, gs.solve.eve_strategy
+        for v in [u for u in choice if u[0] == "v"]:
+            for m in cg.moves_at.get((v[1], v[2]), ()):
+                if cg.after(v, m) == cg.LOSE:
+                    fault = _strategy_fault(_tampered(gs, choice | {v: m}))
+                    assert fault in ("", f"no winning Adam vertex after Eve's move at {v}")
+                    named += bool(fault)
+    assert named >= 2
 
 
 # Outcomes of synthesized strategies against Adam lassos drawn by
