@@ -1,7 +1,8 @@
 """Layer benchmark of gfgpda: the package's cold import, parsing and
 validation, lasso membership, guided runs, one synthesis, Gale-Stewart
-solving on both block automata, the finite games of pushdown solving,
-transducer epsilon closure, the constructions built by ``core.explore``.
+solving on both block automata, the finite games of pushdown solving, the
+cycle family's deep Zielonka nesting, transducer epsilon closure, the
+constructions built by ``core.explore``.
 
     python3 scripts/bench.py [OUTPUT.json]
 
@@ -58,6 +59,8 @@ SPECS = 150
 GS_BUDGET = 5_000  # the games workload's solver budget
 PUSHDOWN_SEEDS = (1, 2, 3)  # corpus seeds of the finite-solve row's pushdown games
 PUSHDOWN_GAMES = 100  # games per seed, as many as the games workload solves
+CYCLE_STATES = (250, 500, 1000)
+CYCLE_REPEATS = 2
 CLOSURE_DEPTHS = (8, 9, 10, 11)
 PACKAGE_MODULES = ("core", "analysis", "closure", "games", "resolvers", "zoo", "cli")
 
@@ -394,7 +397,9 @@ def finite_solve_layer() -> dict:
     PUSHDOWN_SEEDS hands it, captured once by wrapping
     ``games.solve_parity_ids`` as ``benchmark/tracing.py`` does.  The row
     counts every finite solve per pushdown solve; a claim game, the last
-    finite solve of a claim-decided one, is counted but not timed."""
+    finite solve of a claim-decided one, is counted but not timed.  The
+    pushdown solves' Zielonka levels (``_zielonka`` generators) and
+    ``_reaches`` calls are counted in the capture, claim games included."""
     api = SimpleNamespace(core=core, games=games)
     base = random.Random(corpus.SPEC_BASE_SEED)
     specs = [corpus.random_spec(api, base) for _ in range(SPECS)]
@@ -404,8 +409,11 @@ def finite_solve_layer() -> dict:
         solves += [lambda g=corpus.random_pushdown_game(api, rng):
                    games.solve_pushdown_parity_game(g, GS_BUDGET) for _ in range(PUSHDOWN_GAMES)]
     solve_parity_ids, captured, truncations = games.solve_parity_ids, [], []
+    zielonka, reaches, calls = games._zielonka, games._reaches, collections.Counter()
     games.solve_parity_ids = lambda owner, edges: (captured.append((owner, edges))
                                                    or solve_parity_ids(owner, edges))
+    games._zielonka = lambda *args: calls.update(["zielonka"]) or zielonka(*args)
+    games._reaches = lambda *args: calls.update(["reaches"]) or reaches(*args)
     claims = 0
     try:
         for solve in solves:
@@ -419,11 +427,39 @@ def finite_solve_layer() -> dict:
             truncations += captured
     finally:
         games.solve_parity_ids = solve_parity_ids
+        games._zielonka, games._reaches = zielonka, reaches
     ms = best_ms({"finite": lambda: [solve_parity_ids(o, e) for o, e in truncations]})
     return {"pushdown_solves": len(solves), "truncation_solves": len(truncations),
             "claim_solves": claims, "finite_per_pushdown": (len(truncations) + claims) / len(solves),
             "vertices": sum(len(o) for o, _ in truncations),
-            "edges": sum(len(e) for _, e in truncations), "ms": ms["finite"]}
+            "edges": sum(len(e) for _, e in truncations), "ms": ms["finite"],
+            "zielonka_levels": calls["zielonka"], "reaches_calls": calls["reaches"]}
+
+
+def cycle_game(n: int) -> games.PushdownParityGame:
+    """The cycle family: n states at the bottom of the stack, owners
+    alternating, the move from state i to i + 1 (mod n) of color i and a
+    color-0 loop at each state."""
+    moves = [games.GameMove(i, core.BOTTOM, (i + 1) % n, (core.BOTTOM,), i) for i in range(n)]
+    moves += [games.GameMove(i, core.BOTTOM, i, (core.BOTTOM,), 0) for i in range(n)]
+    owner = {i: games.EVE if i % 2 == 0 else games.ADAM for i in range(n)}
+    return games.PushdownParityGame(tuple(range(n)), (), 0, owner, tuple(moves))
+
+
+def cycle_family_layer() -> list:
+    """``solve_pushdown_parity_game`` on ``cycle_game(n)`` at budget 10n for
+    each n in CYCLE_STATES, best of CYCLE_REPEATS single runs.  The first
+    truncation decides it on n vertices, and Zielonka nests one level per
+    color, so the time grows faster than n (ROADMAP item 4)."""
+    rows = []
+    for i, n in enumerate(CYCLE_STATES):
+        game, results = cycle_game(n), []
+        ms = min(timed_ms(lambda: results.append(games.solve_pushdown_parity_game(game, 10 * n)))
+                 for _ in range(CYCLE_REPEATS))
+        rows.append({"states": n, "budget": 10 * n, "solve_ms": ms, "winner": results[0].winner,
+                     "vertices": results[0].stats["vertices"],
+                     "growth": None if i == 0 else ms / rows[-1]["solve_ms"]})
+    return rows
 
 
 def closure_layer() -> list:
@@ -481,7 +517,7 @@ def main(argv: list[str]) -> int:
               "parse": parse_layer(),
               "membership": membership_layer(), "guided": guided_layer(),
               "synthesis": synthesis_layer(), "gale_stewart": gale_stewart_layer(),
-              "finite_solve": finite_solve_layer(),
+              "finite_solve": finite_solve_layer(), "cycle_family": cycle_family_layer(),
               "closure": closure_layer(),
               "constructions": constructions_layer()}
     report["elapsed_s"] = time.perf_counter() - started
@@ -541,7 +577,12 @@ def main(argv: list[str]) -> int:
     print(f"finite_solve: {row['ms']:.3f} ms for {row['truncation_solves']} truncation games "
           f"({row['vertices']} vertices, {row['edges']} edges); "
           f"{row['finite_per_pushdown']:.3f} finite solves per pushdown solve "
-          f"({row['pushdown_solves']} solves, {row['claim_solves']} claim games)")
+          f"({row['pushdown_solves']} solves, {row['claim_solves']} claim games); "
+          f"{row['zielonka_levels']} Zielonka levels, {row['reaches_calls']} _reaches calls")
+    for row in report["cycle_family"]:
+        growth = "" if row["growth"] is None else f"  x{row['growth']:.2f}"
+        print(f"cycle_family {row['states']:4d} states (budget {row['budget']}): "
+              f"{row['solve_ms']:.3f} ms, {row['winner']} on {row['vertices']} vertices{growth}")
     for row in report["closure"]:
         growth = "" if row["growth"] is None else f"  x{row['growth']:.2f}"
         print(f"closure recursion depth {row['depth']:2d}: {row['close_ms']:.3f} ms, "

@@ -250,12 +250,13 @@ def solve_finite_parity_game(g: FiniteParityGame) -> FiniteSolveResult:
 
 def solve_parity_ids(owner: list, edges: list) -> tuple[dict, dict]:
     """Zielonka on an edge-colored game over vertices ``0..n-1`` owned by
-    ``owner[v]``, with edges ``(u, color, v)``.  Returns per player the
-    winning vertices and a map from each of its vertices there to the index
-    of the edge it takes.  A subgame is a vertex set and a color bound, with
-    the edges between its vertices up to the bound.  The ``k``-th dead end
-    gets the self-loop edge ``len(edges) + k``, whose color loses for its
-    owner, so no strategy takes it."""
+    ``owner[v]``, with edges ``(u, color, v)``: a claim game, or a truncation
+    as explored, plus a last, paradise vertex only if an edge overflows.
+    Returns per player the winning vertices and a map from each of its
+    vertices there to the index of the edge it takes.  A subgame is a vertex
+    set and a color bound, with the edges between its vertices up to the
+    bound.  The ``k``-th dead end gets the self-loop edge ``len(edges) + k``,
+    whose color loses for its owner, so no strategy takes it."""
     out: list[list] = [[] for _ in owner]
     inc: list[list] = [[] for _ in owner]
     top = edges[0][1] if edges else 0
@@ -289,16 +290,19 @@ def _attractor(player, sub, bound, out, inc, owner, targets, strat):
     its subgame edges lead into the attractor."""
     attracted = set(targets)
     counts: dict = {}
-    queue = deque(attracted)
-    while queue:
-        for c, v, j in inc[queue.popleft()]:
+    queue = list(attracted)
+    for u in queue:  # grows as vertices join
+        for c, v, j in inc[u]:
             if c > bound or v in attracted or v not in sub:
                 continue
             if owner[v] == player:
                 strat[v] = j
             elif len(out[v]) > 1:  # else its one edge leads into the attractor
-                k = counts[v] if v in counts else len(
-                    [w for e, w, _ in out[v] if e <= bound and w in sub])
+                if (k := counts.get(v)) is None:  # count its subgame edges
+                    k = 0
+                    for e, w, _ in out[v]:
+                        if e <= bound and w in sub:
+                            k += 1
                 counts[v] = k - 1
                 if k > 1:
                     continue
@@ -330,9 +334,17 @@ def _zielonka(sub, bound, out, inc, owner):
                     break
         p = EVE if d % 2 == 0 else ADAM
         opp = ADAM if p == EVE else EVE
-        strat = {v: j for v, j in top if owner[v] == p}
-        targets = [v for v, _ in top
-                   if v in strat or not any(e < d and w in sub for e, w, _ in out[v])]
+        strat, targets = {}, []
+        for v, j in top:
+            if owner[v] == p:
+                strat[v] = j
+                targets.append(v)
+                continue
+            for e, w, _ in out[v]:  # the opponent joins if held to color d
+                if e < d and w in sub:
+                    break
+            else:
+                targets.append(v)
         region, rstrat = _attractor(p, sub, d - 1, out, inc, owner, targets, strat)
         wins, strats = (yield rest, d - 1) if (rest := sub - region) else ({opp: ()}, {p: {}})
         if not wins[opp]:
@@ -428,12 +440,12 @@ def _solve_truncation(
 ) -> tuple[Optional[PushdownSolveResult], int]:
     """The truncation at ``height``: its result if conclusive, and ``total``
     plus its vertices.  Its configurations are numbered once by ``explore``,
-    where a successor above ``height`` is ``None``; those edges then point
-    at one paradise id.  The paradise is a dead end owned by one player at
-    a time, so it loses for them, and a player winning the truncation that
-    is pessimistic for them wins the full game.  Eve's goes first; if Adam's
-    winning strategy there never reaches the paradise (as when no edge
-    overflows), it wins his too."""
+    where a successor above ``height`` is ``None``.  With no such edge the
+    truncation is the game, solved once.  Else they point at a paradise id,
+    ``len(order)``, a dead end owned by one player at a time, so it loses
+    for them: a player winning the truncation pessimistic for them wins the
+    game.  Eve's goes first; if Adam's winning strategy there never reaches
+    the paradise, it wins his too."""
     moves_at = game.moves_at
 
     def expand(order):
@@ -448,11 +460,12 @@ def _solve_truncation(
              "claim_vertices": 0}
     owner = [game.owner[state] for state, _ in order]
     paradise = len(order)
-    edges = [(u, c, paradise if v is None else v) for u, c, v in edges]
+    if not (whole := all(v is not None for _, _, v in edges)):
+        edges = [(u, c, paradise if v is None else v) for u, c, v in edges]
     for player in (EVE, ADAM):
-        wins, strats = solve_parity_ids(owner + [player], edges)
+        wins, strats = solve_parity_ids(owner if whole else owner + [player], edges)
         winner = EVE if 0 in wins[EVE] else ADAM
-        if winner == player or player == EVE and not _reaches(paradise, edges, strats[ADAM]):
+        if whole or winner == player or player == EVE and not _reaches(paradise, edges, strats[ADAM]):
             strat = ({order[v]: edge_moves[j] for v, j in strats[EVE].items()}
                      if winner == EVE else None)
             return PushdownSolveResult(winner, strat, stats), total

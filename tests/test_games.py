@@ -1,4 +1,5 @@
 import collections
+import hashlib
 import os
 import random
 import re
@@ -305,14 +306,18 @@ def test_zielonka_on_dead_ends_parallel_edges_and_seven_colors():
     assert seen == {EVE, ADAM, "parallel", *range(7)}
 
 
+def _deep_nesting_cycle(n: int = 400) -> FiniteParityGame:
+    return FiniteParityGame(
+        tuple(range(n)), {v: EVE if v % 2 == 0 else ADAM for v in range(n)},
+        tuple((i, i, (i + 1) % n) for i in range(n)) + tuple((i, 0, i) for i in range(n)),
+    )
+
+
 def test_zielonka_deep_nesting_cycle():
     # Edge i of the cycle has color i, so the solver nests a level per color;
     # Eve wins everywhere because she can stay on her color-0 loop.
     n = 400
-    g = FiniteParityGame(
-        tuple(range(n)), {v: EVE if v % 2 == 0 else ADAM for v in range(n)},
-        tuple((i, i, (i + 1) % n) for i in range(n)) + tuple((i, 0, i) for i in range(n)),
-    )
+    g = _deep_nesting_cycle(n)
     res = solve_finite_parity_game(g)
     assert res.winning[EVE] == frozenset(range(n))
     sigma = {v: g.edges[i][1:] for v, i in res.strategy[EVE].items()}
@@ -394,6 +399,32 @@ def test_zielonka_top_attractor_takes_every_vertex():
     assert res.winning == {EVE: frozenset(g.vertices), ADAM: frozenset()}
     assert res.strategy == {EVE: {"e": 0}, ADAM: {}}
     _check_finite_strategies(g, res)
+
+
+def _kernel_draws():
+    # 150 draws each of random_finite_game and random_hard_finite_game (dead
+    # ends, parallel edges, seven colors), and the deep-nesting cycle.
+    rng = random.Random(41)
+    draws = [draw(rng) for _ in range(150)
+             for draw in (random_finite_game, random_hard_finite_game)]
+    for g in draws + [_deep_nesting_cycle()]:
+        index = {v: i for i, v in enumerate(g.vertices)}
+        yield [g.owner[v] for v in g.vertices], [(index[u], c, index[w]) for u, c, w in g.edges]
+
+
+# SHA-256 of solve_parity_ids' winning regions and strategy maps on
+# _kernel_draws(), taken before the kernel's inner loops were rewritten for
+# speed: the rewrite must not move a win or a strategy edge.
+KERNEL_DIGEST = "161c9ff15915948b801798fd4f6955b7c4acc507c0cf33c7d51f64f43921b5e0"
+
+
+def test_finite_kernel_output_is_pinned():
+    h = hashlib.sha256()
+    for owner, edges in _kernel_draws():
+        wins, strats = solve_parity_ids(owner, edges)
+        h.update(repr([(sorted(wins[p]), sorted(strats[p].items())) for p in (EVE, ADAM)])
+                 .encode())
+    assert h.hexdigest() == KERNEL_DIGEST
 
 
 def test_strategy_rules_cover_tops_found_after_a_pop():
@@ -758,6 +789,48 @@ def test_truncation_shortcut_agrees_with_interval_iteration(monkeypatch):
     assert interval_iteration(_push_or_concede(), 2_000) is None
     res = solve_pushdown_parity_game(_push_or_concede())
     assert res.winner == EVE and res.stats["decided_by"] == "claims"
+
+
+def test_a_truncation_without_overflow_is_solved_once_without_paradise(monkeypatch):
+    # A stackless embedding never overflows: its first truncation is the
+    # whole game, handed to the finite solver as explored, once, and Adam's
+    # paradise check never runs.  Where edges overflow, the paradise is the
+    # id after the explored configurations, owned by Eve and then by Adam.
+    calls, reaches = [], []
+    solve = gfgpda.games.solve_parity_ids
+    monkeypatch.setattr(gfgpda.games, "solve_parity_ids",
+                        lambda owner, edges: calls.append((owner, edges)) or solve(owner, edges))
+    found = gfgpda.games._reaches
+    monkeypatch.setattr(gfgpda.games, "_reaches",
+                        lambda *args: reaches.append(args) or found(*args))
+    rng = random.Random(41)
+    for _ in range(20):
+        g = random_finite_game(rng)
+        calls.clear()
+        res = solve_pushdown_parity_game(embed_finite_game(g, g.vertices[0]))
+        assert res.winner == finite_game_oracle(g, g.vertices[0])
+        assert (res.stats["height"], res.stats["decided_by"]) == (1, "truncation")
+        reached, queue = {g.vertices[0]}, [g.vertices[0]]
+        for u in queue:
+            for w in (w for v, _, w in g.edges if v == u and w not in reached):
+                reached.add(w)
+                queue.append(w)
+        assert len(calls) == 1
+        owner, edges = calls[0]
+        assert len(owner) == len(reached) == res.stats["vertices"]
+        assert sorted(owner) == sorted(g.owner[v] for v in reached)
+        assert len(edges) == sum(1 for v, _, _ in g.edges if v in reached)
+        assert all(v < len(owner) for _, _, v in edges)
+    assert reaches == []
+    calls.clear()
+    res = solve_pushdown_parity_game(_push_or_concede())
+    assert res.winner == EVE and res.stats["decided_by"] == "claims"
+    # Height 1 explores (e, _), (a, _), (e, _A) and (a, _A); the paradise is
+    # id 4, Eve's in the first solve and Adam's in the second.
+    for (owner, edges), player in zip(calls, (EVE, ADAM)):
+        assert sorted(owner[:4]) == [ADAM, ADAM, EVE, EVE] and owner[4:] == [player]
+        assert max(v for _, _, v in edges) == 4
+    assert len(calls) == 7 and len(reaches) == 3  # two solves per height, then claims
 
 
 def test_moves_are_checked_when_built_not_when_solved(monkeypatch):

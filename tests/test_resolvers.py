@@ -368,6 +368,48 @@ def test_periodic_split_stuck_drops_partial_infix():
     assert split.run == run_on_prefix(pda, r, "a").run
 
 
+def _dip_in_an_infix() -> OmegaPDA:
+    # s pushes A by epsilon; s2 reads a on A and pushes X, to q; q pops X by
+    # epsilon, to r; r reads a on A and rewrites it as B X, back to q; r on B
+    # pops by epsilon to a sink, which loops on a with color 1.
+    ts = (
+        Transition("s", BOTTOM, None, "s2", (BOTTOM, "A"), 2),
+        Transition("s2", "A", "a", "q", ("A", "X"), 2),
+        Transition("q", "X", None, "r", (), 2),
+        Transition("r", "A", "a", "q", ("B", "X"), 2),
+        Transition("r", "B", None, "sink", (), 2),
+        Transition("sink", BOTTOM, "a", "sink", (BOTTOM,), 1),
+    )
+    return OmegaPDA(("s", "s2", "q", "r", "sink"), ("a",), ("A", "B", "X"), "s", ts)
+
+
+def test_a_dip_inside_an_infix_drops_the_candidates_above_it():
+    # After one and after two letters the run is at (q, X), height 2.  In
+    # between, the second infix dips to height 1 at its first configuration,
+    # (r, _A), so the two are no period; cutting there would read 'accepted'.
+    # The run goes on to the sink's color-1 loop.
+    pda = _dip_in_an_infix()
+    r = _state_following(pda)
+    w = parse_lasso(";a")
+    split = periodic_split(pda, r, w)
+    assert split.verdict == "rejected" and not analysis.lasso_membership(pda, w)
+    assert [t.target for t in split.loop_transitions] == ["sink"]
+    assert [(c.state, c.height) for c in split.run.configurations] == [
+        ("s", 0), ("s2", 1), ("q", 2), ("r", 1), ("q", 2), ("r", 1), ("sink", 0), ("sink", 0),
+        ("sink", 0)]
+
+
+def test_the_guard_is_checked_between_letters_and_is_inclusive():
+    # The same run has 8 transitions; its period is found after the last.
+    # The guard is checked at the steps before, after 0, 2, 4 and 7
+    # transitions, so guard 7 is the least that lets it through.
+    pda, w = _dip_in_an_infix(), parse_lasso(";a")
+    r = _state_following(pda)
+    assert len(periodic_split(pda, r, w, guard=7).run.transitions) == 8
+    with pytest.raises(GuardExceeded, match="^no period within 6 transitions$"):
+        periodic_split(pda, r, w, guard=6)
+
+
 # -- determinization -------------------------------------------------------------
 
 
