@@ -463,18 +463,19 @@ def cycle_family_layer() -> list:
 
 
 def closure_layer() -> list:
-    """``DetPushdown.close`` on the tests' epsilon recursion of each depth in
-    CLOSURE_DEPTHS; a level more doubles the chain of 5 * 2**depth - 3 steps."""
+    """``DetPushdown.start``, the epsilon closure of the initial configuration,
+    on the tests' epsilon recursion of each depth in CLOSURE_DEPTHS; a level
+    more doubles the chain of 5 * 2**depth - 3 steps."""
     machines = {}
     for depth in CLOSURE_DEPTHS:
         pda = epsilon_recursion(depth)
         machines[depth] = resolvers.DetPushdown(pda.states, pda.initial, pda.stack_alphabet,
                                                 pda.transitions)
-    series = doubling_series("depth", lambda m: m.close(m.initial_configuration()), machines,
-                             unit="close_ms")
+    series = doubling_series("depth", lambda m: m.start(), machines, unit="close_ms")
     for row in series:
         m = machines[row["depth"]]
-        row["steps"] = sum(1 for _ in m._epsilon_steps(m.initial_configuration()))
+        start = core.Configuration(m.initial, (core.BOTTOM,))
+        row["steps"] = sum(1 for _ in m._epsilon_steps(start))
     return series
 
 

@@ -170,7 +170,7 @@ def cmd_play(args) -> CommandResult:
     if not set(strategy.output_alphabet) <= set(spec.sigma2):
         raise FormatError(f"strategy writes {' '.join(strategy.output_alphabet)}, "
                           f"not within sigma2 {' '.join(spec.sigma2)}")
-    cfg = strategy.start()
+    cfg = strategy.machine.start()
     transcript = []
     say(f"enter letters from {' '.join(spec.sigma1)} (:quit to stop)")
     for line in sys.stdin:

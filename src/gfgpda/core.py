@@ -119,7 +119,7 @@ class Transition:
     def __str__(self) -> str:
         lab = self.label if self.label is not None else "eps"
         push = push_to_text(self.push)
-        return f"({self.source},{top_to_text(self.top)},{lab},{self.target},{push},{self.color})"
+        return f"({self.source},{self.top},{lab},{self.target},{push},{self.color})"
     __repr__ = __str__
 
 
@@ -540,8 +540,8 @@ class TokenValues(dict):
         return value
 
 
-def top_to_text(top: str) -> str:
-    return "_" if top == BOTTOM else top
+def pair_id(a1: str, a2: str) -> str:
+    return f"({a1},{a2})"
 
 
 def push_to_text(push: tuple[str, ...]) -> str:
@@ -571,7 +571,7 @@ def format_pda(pda: OmegaPDA) -> str:
     for t in pda.transitions:
         lab = t.label if t.label is not None else "eps"
         lines.append(
-            f"trans {t.source} {top_to_text(t.top)} {lab} {t.target} "
+            f"trans {t.source} {t.top} {lab} {t.target} "
             f"{push_to_text(t.push)} {t.color}"
         )
     return "\n".join(lines) + "\n"
@@ -591,7 +591,7 @@ def pda_declarations() -> tuple[dict, Callable[[], OmegaPDA]]:
     def trans(tokens):
         _, src, top, lab, dst, push, color = tokens
         transitions.append(Transition(
-            src, BOTTOM if top == "_" else top, None if lab == "eps" else lab, dst,
+            src, top, None if lab == "eps" else lab, dst,
             pushes[push], colors[color],
         ))
 

@@ -52,12 +52,12 @@ from .core import (
     explore,
     format_pda,
     is_deterministic,
+    pair_id,
     pda_declarations,
     push_from_text,
     push_to_text,
     read_declarations,
     replay,
-    top_to_text,
 )
 from .analysis import _saturate
 from .resolvers import DetPushdown, Resolver, resolver_query
@@ -71,10 +71,6 @@ ResourceExceeded = ResourceExceeded
 
 class Player1Wins(PdaError):
     """Synthesis was asked for a specification that Player 2 does not win."""
-
-
-def pair_id(a1: str, a2: str) -> str:
-    return f"({a1},{a2})"
 
 
 # ---------------------------------------------------------------------------
@@ -700,9 +696,6 @@ class StrategyPDT(Record):
     input_alphabet: tuple[str, ...]
     output_alphabet: tuple[str, ...]
 
-    def start(self) -> Configuration:
-        return self.machine.close(self.machine.initial_configuration())
-
     def round(self, cfg: Configuration, letter: str) -> tuple[Configuration, str]:
         nxt = self.machine.consume(cfg, letter)
         return nxt, self.output_at(nxt)
@@ -880,7 +873,7 @@ def simulate_play(strategy: StrategyPDT, adam: LassoWord, guard: int = 2000) -> 
     them, are read through ``spec.pairing``.  Every
     configuration of a round counts, epsilon closure included: a round that
     dips below a candidate step and rebuilds the stack cancels it."""
-    cfg = strategy.start()
+    cfg = strategy.machine.start()
     outcome: list[str] = []
     pos = 0
     lasso = LassoDetector()
@@ -989,7 +982,7 @@ def format_strategy_pdt(t: StrategyPDT) -> str:
     for r in t.machine.transitions:
         sym = "eps" if r.label is None else r.label
         lines.append(
-            f"ttrans {ids[r.source]} {top_to_text(r.top)} {sym} "
+            f"ttrans {ids[r.source]} {r.top} {sym} "
             f"{ids[r.target]} {push_to_text(r.push)}"
         )
     for q, out in t.output.items():
@@ -1011,8 +1004,7 @@ def parse_strategy_pdt(text: str) -> StrategyPDT:
 
     def ttrans(tokens):
         _, src, top, sym, dst, push = tokens
-        rules.append(Transition(src, BOTTOM if top == "_" else top,
-                                None if sym == "eps" else sym, dst, pushes[push], 0))
+        rules.append(Transition(src, top, None if sym == "eps" else sym, dst, pushes[push], 0))
 
     read_declarations(text, {
         "tstate": (2, states.extend), "tinitial": (2, initial.extend),

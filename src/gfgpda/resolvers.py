@@ -28,7 +28,6 @@ from .core import (
     is_deterministic,
     read_declarations,
     step,
-    top_to_text,
 )
 
 
@@ -95,17 +94,17 @@ def _infix(pda: OmegaPDA, r: Resolver, state, c: Configuration, a: str,
     top) repeats at two steps.  Without one, a cap raises GuardExceeded."""
     if a not in pda.letters:
         raise ValueError(f"letter {a!r} not in the input alphabet")
-    entry, eps_steps = c, 0
+    eps_steps = 0
     while True:
         t = r.pick(state, c, a)
         label = t.label
         if label is None:
-            if not eps_steps:
-                entry_state, lasso, w = state, None, LassoWord((), (a,))
-            elif (key := r.key(state, w)) is not None:  # a second epsilon step
+            if not eps_steps:  # c is the entry: every epsilon step comes before a
+                lasso, w = None, LassoWord((), (a,))
+                eps_cap = len(pda.states) * (c.height + 2) * (len(pda.stack_alphabet) + 1) + 1
+            if (key := r.key(state, w)) is not None:
                 if lasso is None:
                     lasso = LassoDetector()
-                    lasso.visit((entry.state, r.key(entry_state, w), entry.top), entry.height, True)
                 if lasso.visit((c.state, key, c.top), c.height, True) is not None:
                     raise EpsilonDivergence(f"epsilon loop at {c} before {a!r}")
         elif label != a:
@@ -120,10 +119,8 @@ def _infix(pda: OmegaPDA, r: Resolver, state, c: Configuration, a: str,
         if label is not None:
             return state, c
         eps_steps += 1
-        if lasso is None:
-            eps_cap = len(pda.states) * (entry.height + 2) * (len(pda.stack_alphabet) + 1) + 1
-            if eps_steps > eps_cap:
-                raise GuardExceeded(f"more than {eps_cap} epsilon steps before {a!r}")
+        if lasso is None and eps_steps > eps_cap:
+            raise GuardExceeded(f"more than {eps_cap} epsilon steps before {a!r}")
 
 
 def ext(pda: OmegaPDA, r: Resolver, g: GuidedRun, a: str) -> GuidedRun:
@@ -312,10 +309,9 @@ class DetPushdown(Record):
     def _index(self) -> dict:
         return {(t.source, t.top, t.label): t for t in self.transitions}
 
-    def initial_configuration(self) -> Configuration:
-        return Configuration(self.initial, (BOTTOM,))
-
-    def close(self, c: Configuration) -> Configuration:
+    def start(self) -> Configuration:
+        """The initial configuration after its epsilon closure."""
+        c = Configuration(self.initial, (BOTTOM,))
         for c in self._epsilon_steps(c):
             pass
         return c
@@ -323,20 +319,17 @@ class DetPushdown(Record):
     def _epsilon_steps(self, c: Configuration) -> Iterator[Configuration]:
         """The configurations of the epsilon closure of ``c``.  As the machine
         is deterministic, the closure diverges exactly when a head repeats at
-        two steps, which raises TransducerStuck.  The detector is made when a
-        second rule applies: one rule repeats no head."""
-        lasso, first = None, c
-        rule = self.rule_at(c.state, c.top, None)
+        two steps, which raises TransducerStuck.  The detector is made when
+        the first rule applies, so a configuration without one costs none."""
+        if (rule := self.rule_at(c.state, c.top, None)) is None:
+            return
+        lasso = LassoDetector()
         while rule is not None:
+            if lasso.visit((c.state, c.top), c.height, True) is not None:
+                raise TransducerStuck(f"epsilon divergence in transducer at {c}")
             c = step(c, rule)
             yield c
             rule = self.rule_at(c.state, c.top, None)
-            if rule is not None:
-                if lasso is None:
-                    lasso = LassoDetector()
-                    lasso.visit((first.state, first.top), first.height, True)
-                if lasso.visit((c.state, c.top), c.height, True) is not None:
-                    raise TransducerStuck(f"epsilon divergence in transducer at {c}")
 
     def trail(self, c: Configuration, symbol) -> Iterator[Configuration]:
         """Each configuration of reading ``symbol`` at ``c``: after its rule,
@@ -366,7 +359,7 @@ class PDTResolver(Record, Resolver):
     output: dict[tuple[Any, str, str], Transition]
 
     def start(self):
-        return self.machine.close(self.machine.initial_configuration())
+        return self.machine.start()
 
     def feed(self, state, t):
         return self.machine.consume(state, t)
@@ -440,7 +433,7 @@ def format_moore(pda: OmegaPDA, m: MooreResolver) -> str:
     for (mm, t), m2 in sorted(m.delta.items(), key=lambda kv: (kv[0][0], index[kv[0][1]])):
         lines.append(f"mtrans {mm} {index[t]} {m2}")
     for (mm, a, x), t in sorted(m.output.items(), key=str):
-        lines.append(f"mout {mm} {a} {top_to_text(x)} {index[t]}")
+        lines.append(f"mout {mm} {a} {x} {index[t]}")
     return "\n".join(lines) + "\n"
 
 
@@ -460,7 +453,7 @@ def parse_moore(pda: OmegaPDA, text: str) -> MooreResolver:
 
     def mout(tokens):
         _, m, letter, top, i = tokens
-        output[(m, letter, BOTTOM if top == "_" else top)] = by_index[i]
+        output[(m, letter, top)] = by_index[i]
 
     read_declarations(text, {"mstate": (2, states.extend), "minitial": (2, initial.extend),
                              "mtrans": (4, mtrans), "mout": (5, mout)})

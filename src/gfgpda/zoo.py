@@ -10,7 +10,7 @@ import functools
 import random
 from typing import Callable, Optional
 
-from .core import BOTTOM, LassoWord, OmegaPDA, Record, Transition
+from .core import BOTTOM, LassoWord, OmegaPDA, Record, Transition, pair_id
 from .resolvers import MooreResolver, Resolver
 
 Sample = list[tuple[LassoWord, bool]]
@@ -205,18 +205,14 @@ def example23() -> Fixture:
 I_LETTERS = ("0", "+", "-")
 
 
-def pair_letter(x: str, y: str) -> str:
-    return f"({x},{y})"
-
-
 def _lss_pda() -> OmegaPDA:
     B = BOTTOM
-    letters = [pair_letter(x, y) for x in I_LETTERS for y in I_LETTERS]
+    letters = [pair_id(x, y) for x in I_LETTERS for y in I_LETTERS]
     ts = []
     for s, other in (("1", "2"), ("2", "1")):
         for x in I_LETTERS:
             for y in I_LETTERS:
-                lab = pair_letter(x, y)
+                lab = pair_id(x, y)
                 c = x if s == "1" else y
                 if c == "0":
                     ts.append(_t(s, B, lab, s, (B,), 0))
@@ -317,17 +313,17 @@ def _in_lss(w: LassoWord) -> bool:
 def lss() -> Fixture:
     pda = _lss_pda()
     words = [
-        LassoWord((), (pair_letter("+", "0"), pair_letter("+", "-"))),
-        LassoWord((), (pair_letter("-", "-"),)),
-        LassoWord((pair_letter("-", "0"),), (pair_letter("+", "+"),)),
+        LassoWord((), (pair_id("+", "0"), pair_id("+", "-"))),
+        LassoWord((), (pair_id("-", "-"),)),
+        LassoWord((pair_id("-", "0"),), (pair_id("+", "+"),)),
     ]
     sampler = _lasso_sampler(
-        words, lambda rng: pair_letter(rng.choice(I_LETTERS), rng.choice(I_LETTERS)), 3, 4, _in_lss)
+        words, lambda rng: pair_id(rng.choice(I_LETTERS), rng.choice(I_LETTERS)), 3, 4, _in_lss)
     return Fixture("lss", pda, sampler, resolver=LssResolver(pda))
 
 
-X1 = (pair_letter("+", "0"), pair_letter("+", "-"))
-X2 = (pair_letter("0", "+"), pair_letter("-", "+"))
+X1 = (pair_id("+", "0"), pair_id("+", "-"))
+X2 = (pair_id("0", "+"), pair_id("-", "+"))
 
 
 def w_ss_bar_prefix(k: int) -> tuple[str, ...]:

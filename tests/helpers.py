@@ -452,7 +452,7 @@ def random_spec(rng: random.Random, max_states: int = 4) -> GaleStewartSpec:
 
 def respond(strategy: StrategyPDT, word) -> str:
     """The strategy's answer to the last letter of a nonempty word."""
-    cfg = strategy.start()
+    cfg = strategy.machine.start()
     out = None
     for a in word:
         cfg, out = strategy.round(cfg, a)

@@ -1,6 +1,7 @@
 """Static checks on the package source, with the standard library's ``ast``."""
 
 import ast
+import copy
 import os
 import subprocess
 import sys
@@ -130,6 +131,38 @@ def undeclared_hooks(source: str, hooks: set[str]) -> list[str]:
     return out
 
 
+def body_key(fn: ast.FunctionDef) -> str:
+    """A function's parameters and body, without its name, docstring and
+    annotations, with each parameter renamed by its position."""
+    fn = copy.deepcopy(fn)
+    a = fn.args
+    params = a.posonlyargs + a.args + a.kwonlyargs + [p for p in (a.vararg, a.kwarg) if p]
+    names = {p.arg: f"_{i}" for i, p in enumerate(params)}
+    for p in params:
+        p.arg, p.annotation = names[p.arg], None
+    for node in ast.walk(fn):
+        if isinstance(node, ast.Name) and node.id in names:
+            node.id = names[node.id]
+    if ast.get_docstring(fn) is not None:
+        fn.body = fn.body[1:]
+    fn.name, fn.returns = "", None
+    return ast.dump(fn)
+
+
+def duplicate_bodies(sources: dict[str, str]) -> list[str]:
+    """Each function or method, at any depth, of ``sources`` (a name per
+    source text) whose ``body_key`` an earlier one has, with that one."""
+    seen, out = {}, []
+    for name, source in sources.items():
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.FunctionDef):
+                where = f"{name}:{node.lineno} {node.name}"
+                first = seen.setdefault(body_key(node), where)
+                if first != where:
+                    out.append(f"{where} repeats {first}")
+    return out
+
+
 def test_the_check_sees_an_unused_import():
     source = "from .core import Configuration, step\n\nConfiguration('q', ())\n"
     assert unused_imports(source) == ["line 1: step"]
@@ -197,6 +230,26 @@ def test_the_check_sees_an_undeclared_resolver_hook():
     ]
 
 
+def test_the_check_sees_a_duplicate_body():
+    first = (
+        "def pair_id(a1: str, a2: str) -> str:\n    return f'({a1},{a2})'\n\n"
+        "class Machine:\n    def start(self):\n        \"\"\"Doc.\"\"\"\n"
+        "        return self.close(self.initial)\n"
+    )
+    second = (
+        "def pair_letter(x, y):\n    return f'({x},{y})'\n\n"
+        "def swapped(x, y):\n    return f'({y},{x})'\n\n"
+        "class Strategy:\n    def start(self) -> int:\n        return self.close(self.initial)\n\n"
+        "    def final(self):\n        return self.close(self.final)\n\n"
+        "    def with_arg(self, x):\n        return self.close(self.initial)\n\n"
+        "def outer(n):\n    def inner(t):\n        return f'({t},{n})'\n    return inner\n"
+    )
+    assert duplicate_bodies({"a.py": first, "b.py": second}) == [
+        "b.py:1 pair_letter repeats a.py:1 pair_id",
+        "b.py:8 start repeats a.py:5 start",
+    ]
+
+
 def test_the_package_has_modules():
     assert len(MODULES) >= 5
 
@@ -226,6 +279,12 @@ def test_resolvers_define_only_declared_hooks(path):
     hooks = declared_hooks((SRC / "resolvers.py").read_text())
     assert hooks == {"start", "feed", "pick", "key"}
     assert undeclared_hooks(path.read_text(), hooks) == []
+
+
+def test_no_two_functions_have_the_same_body():
+    """A second copy is one more place to keep in step: define it once and
+    import it."""
+    assert duplicate_bodies({p.name: p.read_text() for p in sorted(SRC.glob("*.py"))}) == []
 
 
 @pytest.mark.parametrize("path", [p for p in MODULES if p.name != "core.py"],

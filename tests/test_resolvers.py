@@ -576,9 +576,9 @@ def test_det_pushdown_closes_a_long_terminating_recursion():
     # 10,237 epsilon steps that return to the bottom: no head repeats at two
     # steps, so the closure ends however long it is.
     machine = _machine(epsilon_recursion(11))
-    start = machine.initial_configuration()
+    start = Configuration(machine.initial, (BOTTOM,))
     assert sum(1 for _ in machine._epsilon_steps(start)) == 10_237
-    assert machine.close(start) == Configuration("ret", (BOTTOM,))
+    assert machine.start() == Configuration("ret", (BOTTOM,))
 
 
 EPSILON_LOOPS = {
@@ -592,12 +592,12 @@ EPSILON_LOOPS = {
 @pytest.mark.parametrize("rules", EPSILON_LOOPS.values(), ids=EPSILON_LOOPS.keys())
 def test_det_pushdown_reports_an_epsilon_loop_within_a_few_steps(rules):
     machine = DetPushdown(("s", "t"), "s", ("X",), rules)
-    start, steps = machine.initial_configuration(), []
+    start, steps = Configuration(machine.initial, (BOTTOM,)), []
     with pytest.raises(TransducerStuck, match="epsilon divergence"):
         steps.extend(machine._epsilon_steps(start))
     assert len(steps) == 2
     with pytest.raises(TransducerStuck, match="epsilon divergence"):
-        machine.close(start)
+        machine.start()
 
 
 @pytest.mark.parametrize("rules", EPSILON_LOOPS.values(), ids=EPSILON_LOOPS.keys())

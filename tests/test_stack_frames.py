@@ -117,7 +117,7 @@ def test_consume_paths_agree_with_the_tuple_model(machine):
     entries = []
     for seed in range(3):
         rng = random.Random(seed)
-        c = machine.initial_configuration()
+        c = Configuration(machine.initial, (BOTTOM,))
         state, stack = c.state, (BOTTOM,)
         for _ in range(40):
             enabled_symbols = [a for a in symbols if machine.rule_at(state, stack[-1], a)]
@@ -215,6 +215,6 @@ def test_a_stack_without_symbols_is_refused():
     # A transducer rule that pops the bottom, as a strategy file may hold one.
     machine = DetPushdown(("s",), "s", (), (Transition("s", BOTTOM, "a", "s", (), 0),))
     with pytest.raises(ValueError, match="at least one symbol"):
-        machine.consume(machine.initial_configuration(), "a")
+        machine.consume(Configuration(machine.initial, (BOTTOM,)), "a")
     with pytest.raises(ValueError, match="at least one symbol"):
         Configuration("s", ())

@@ -4,9 +4,9 @@ import json
 import pytest
 
 from gfgpda import analysis, zoo
-from gfgpda.core import check_visibly, parse_lasso, parse_pda, format_pda, validate
+from gfgpda.core import check_visibly, pair_id, parse_lasso, parse_pda, format_pda, validate
 from gfgpda.resolvers import format_moore, verify_resolver
-from gfgpda.zoo import loop_energy_deltas, pair_letter, prefix_energy_level, w_ss_bar_prefix
+from gfgpda.zoo import loop_energy_deltas, prefix_energy_level, w_ss_bar_prefix
 
 
 def test_registry_contents():
@@ -119,8 +119,8 @@ def test_repbdd_is_visibly_pushdown():
 
 
 def test_w_ss_bar_prefix():
-    x1 = (pair_letter("+", "0"), pair_letter("+", "-"))
-    x2 = (pair_letter("0", "+"), pair_letter("-", "+"))
+    x1 = (pair_id("+", "0"), pair_id("+", "-"))
+    x2 = (pair_id("0", "+"), pair_id("-", "+"))
     assert w_ss_bar_prefix(1) == x1
     assert w_ss_bar_prefix(2) == x1 + x2 * 3
     # energy levels per the recurrence
