@@ -250,14 +250,23 @@ def lss_lassos(sizes) -> dict:
 
 def head_counts(pda, w) -> collections.Counter:
     """Heads and pop facts of membership's pass, which reaches the heads from
-    the start, and of the emptiness summary of the unrestricted product
+    the start; the heads that ``lasso_membership`` hands to its SCC search
+    (``_search``, wrapped for one call; 0 when it answers before); and the
+    heads and pop facts of the emptiness summary of the unrestricted product
     (``full_lasso_product``, every state ``q@i``)."""
-    adj, pops, _evens, _states = analysis._lasso_heads(pda, w)
+    adj, pops, *_ = analysis._lasso_heads(pda, w)
+    searched, search = [0], analysis._search
+    analysis._search = lambda heads, *args: searched.append(len(heads)) or search(heads, *args)
+    try:
+        analysis.lasso_membership(pda, w)
+    finally:
+        analysis._search = search
     product = full_lasso_product(pda, w)
     full = analysis._Summary(analysis._rules(product.transitions))
     heads = {(product.initial, core.BOTTOM)} | set(full.adj) | {key[:2] for key in full.defs}
     heads.update(move[0] for moves in full.adj.values() for move in moves)
-    return collections.Counter(pass_heads=len(adj), pass_facts=sum(map(len, pops.values())),
+    return collections.Counter(pass_heads=len(adj), searched_heads=sum(searched),
+                               pass_facts=sum(map(len, pops.values())),
                                full_heads=len(heads), full_facts=len(full.defs))
 
 
@@ -550,11 +559,13 @@ def main(argv: list[str]) -> int:
           f"{row['us_per_query']:.1f} us each: parse {row['parse_ms']:.3f} ms "
           f"({row['parse_share']:.0%}), lasso_membership {row['membership_ms']:.3f} ms")
     print(f"membership zoo sample: heads {row['pass_heads']} of {row['full_heads']}, "
-          f"pop facts {row['pass_facts']} of {row['full_facts']} (pass of unrestricted product)")
+          f"pop facts {row['pass_facts']} of {row['full_facts']} (pass of unrestricted product), "
+          f"{row['searched_heads']} heads searched")
     for row in report["membership"]["lss_series"]:
         growth = "" if row["growth"] is None else f"  x{row['growth']:.2f}"
         print(f"membership lss |u|={row['u']:3d}: {row['membership_ms']:.3f} ms, "
-              f"accepted {row['accepted']}, heads {row['pass_heads']} of {row['full_heads']}, "
+              f"accepted {row['accepted']}, heads {row['pass_heads']} of {row['full_heads']} "
+              f"({row['searched_heads']} searched), "
               f"pop facts {row['pass_facts']} of {row['full_facts']}{growth}")
     guided = report["guided"]
     for series, what, unit in (("verify_series", "guard", "verify_ms"),

@@ -26,10 +26,12 @@ is needed and witnesses replay on the input unchanged.
 ``parity_nonempty`` searches forward from the start: the heads it reaches
 with their stems, Tarjan on them for each even color in ascending order,
 and a stop at the lowest color with a good head.  ``lasso_membership`` runs
-the same layers on the heads of the lasso product reached from the start,
-found by one head-driven pass, ``_lasso_heads``, that saturates only them
-and keeps no derivations, since a verdict needs no witness; the rule-driven
-``_saturate`` serves the rest (each measured slower at the other's job).
+the same layers on the loop-position heads of the lasso product reached from
+the start (a letter never returns to a prefix position, so a prefix head
+pumps no letter), found by one head-driven pass, ``_lasso_heads``, over dense
+integer ids, that saturates only them and keeps no derivations, since a
+verdict needs no witness; the rule-driven ``_saturate`` serves the rest
+(each measured slower at the other's job).
 ``accepts_tail_of`` needs every accepting head at once: one backward search
 over all heads, seeded at the good heads of every color.
 """
@@ -429,87 +431,100 @@ def parity_nonempty(
 
 
 def _lasso_heads(pda: OmegaPDA, w: LassoWord) -> tuple[dict, dict, list, list]:
-    """The heads ``(p, X)`` of the lasso product reached from ``(0, BOTTOM)``:
-    their moves, their pop facts, the even colors of the rules they read, and
-    the product states ``(q, i)`` that the numbers ``p`` stand for.
+    """The heads of the lasso product reached from its start head: their
+    moves, their pop facts, the even colors of the rules they read, and those
+    at loop positions (``i >= |u|``) in the order reached.
+
+    Ids are dense: with ``n = |u| + |v|`` positions and ``g`` stack symbols,
+    ``BOTTOM`` first as id 0, the state ``(q, i)`` is ``k * n + i`` for
+    ``q = pda.states[k]``, the head ``(p, X)`` is ``p * g + id(X)``, and a
+    fact ``(r, c, l)`` names its target by the head ``(r, BOTTOM)``.
 
     Tabulation (Reps, Horwitz & Sagiv, POPL'95): ``_saturate``'s rules, driven
-    by the heads reached.  A new head reads its rules from one ``(state,
-    top, letter)`` index: a pop is a fact; a swap, and a push to its new top,
-    is a head move, added at once and joined with the facts its target
-    already has.  A new fact fires the moves waiting on its head: a swap
-    gives a fact, a two-symbol push over ``Y`` the swap to ``(r, Y)``.  So
-    the moves ``(dst, c, l, None)`` and facts ``(r, c, l)`` of a head are
+    by the heads reached, read from one ``(state, top, letter)`` index keyed
+    by the head at position 0: each rule's target head at position 0 and the
+    id below its push (None for a pop, -1 for no symbol).  A pop is a fact; a
+    swap, and a push to its new top, is a head move, joined at once with the
+    facts its target has.  A new fact fires the moves waiting on its head: a
+    swap gives a fact, a two-symbol push over ``Y`` the swap to ``(r, Y)``.
+    So a head's moves ``(dst, c, l, None)`` and facts ``(r, c, l)`` are
     ``_Summary``'s, without the derivations that only a witness needs.
     """
     word = w.prefix + w.loop
-    nexts = [*range(1, len(word)), len(w.prefix)]
-    index: dict = {}
+    n, cut, g = len(word), len(w.prefix), len(pda.gamma_bottom)
+    ids = {x: k for k, x in enumerate(pda.gamma_bottom)}
+    base = {q: k * n * g for k, q in enumerate(pda.states)}
+    # per position i: the offset i * g, the letter at i, the offset of the next position
+    at = [(i * g, word[i], (i + 1 if i + 1 < n else cut) * g) for i in range(n)]
+    index: dict = {}  # (head at position 0, label) -> [(target at position 0, c, below)]
     for t in pda.transitions:
-        index.setdefault((t.source, t.top, t.label), []).append(
-            (t.target, int(t.label is not None), t.color, t.push))
-    states, ids = [(pda.initial, 0)], {(pda.initial, 0): 0}
-    heads, adj, evens = [(0, BOTTOM)], {(0, BOTTOM): []}, set()
-    pops: dict = {}  # (p, X) -> [(r, c, l)], the facts fired so far
-    waiting: dict = {}  # (q, Y) -> [(p, X, c, l, below)]: a swap, below None, or a push over below
+        top = ids[t.push[-1]] if t.push else 0
+        below = ids[t.push[0]] if len(t.push) == 2 else -1 if t.push else None
+        index.setdefault((base[t.source] + ids[t.top], t.label), []).append(
+            (base[t.target] + top, t.color, below))
+    start = base[pda.initial]  # the head ((initial, 0), BOTTOM)
+    heads, adj, loop, evens = [start], {start: []}, [], set()
+    pops: dict = {}  # head -> [(r, c, l)], the facts fired so far
+    waiting: dict = {}  # head -> [(h, c, l, below)]: a swap, below -1, or a push over below
     facts: set = set()
-    work: deque = deque()  # facts (p, X, r, c, l) not fired yet
+    work: deque = deque()  # facts (h, r, c, l) not fired yet
 
-    def move(p, x, dst, c, l, below) -> None:
-        adj[p, x].append((dst, c, l, None))
+    def move(h, dst, c, l, below) -> None:
+        adj[h].append((dst, c, l, None))
         if dst not in adj:
             adj[dst] = []
             heads.append(dst)
-        waiting.setdefault(dst, []).append((p, x, c, l, below))
+        waiting.setdefault(dst, []).append((h, c, l, below))
         for r, c2, l2 in pops.get(dst, ()):
             c2, l2 = c if c > c2 else c2, l | l2
-            if below is not None:
-                move(p, x, (r, below), c2, l2, None)
-            elif (p, x, r, c2, l2) not in facts:
-                facts.add((p, x, r, c2, l2))
-                work.append((p, x, r, c2, l2))
+            if below >= 0:
+                move(h, r + below, c2, l2, -1)
+            elif (fact := (h, r, c2, l2)) not in facts:
+                facts.add(fact)
+                work.append(fact)
 
-    for p, x in heads:  # grows as heads are reached
-        q, i = states[p]
-        for label in (None, word[i]):
-            for target, l, c, push in index.get((q, x, label), ()):
-                if c % 2 == 0:
+    for h in heads:  # grows as heads are reached
+        i = h // g % n
+        if i >= cut:
+            loop.append(h)
+        here, letter, there = at[i]
+        for label, l, off in ((None, 0, here), (letter, 1, there)):
+            for dst, c, below in index.get((h - here, label), ()):
+                if not c & 1:
                     evens.add(c)
-                dst = (target, nexts[i] if l else i)
-                r = ids.get(dst)
-                if r is None:
-                    r = ids[dst] = len(states)
-                    states.append(dst)
-                if push:
-                    move(p, x, (r, push[-1]), c, l, push[0] if len(push) == 2 else None)
-                elif (p, x, r, c, l) not in facts:
-                    facts.add((p, x, r, c, l))
-                    work.append((p, x, r, c, l))
-        while work:
-            q, y, r, c, l = work.popleft()
-            pops.setdefault((q, y), []).append((r, c, l))
-            for p0, x0, c0, l0, below in waiting.get((q, y), ()):
-                c0, l0 = c0 if c0 > c else c, l0 | l
+                dst += off
                 if below is not None:
-                    move(p0, x0, (r, below), c0, l0, None)
-                elif (p0, x0, r, c0, l0) not in facts:
-                    facts.add((p0, x0, r, c0, l0))
-                    work.append((p0, x0, r, c0, l0))
-    return adj, pops, sorted(evens), states
+                    move(h, dst, c, l, below)
+                elif (fact := (h, dst, c, l)) not in facts:
+                    facts.add(fact)
+                    work.append(fact)
+        while work:
+            h1, r, c, l = work.popleft()
+            pops.setdefault(h1, []).append((r, c, l))
+            for h0, c0, l0, below in waiting.get(h1, ()):
+                c0, l0 = c0 if c0 > c else c, l0 | l
+                if below >= 0:
+                    move(h0, r + below, c0, l0, -1)
+                elif (fact := (h0, r, c0, l0)) not in facts:
+                    facts.add(fact)
+                    work.append(fact)
+    return adj, pops, sorted(evens), loop
 
 
 def lasso_membership(pda: OmegaPDA, w: LassoWord) -> bool:
-    """Does the automaton accept ``u . v^omega``?  A verdict only, no witness:
-    ``_lasso_heads`` reaches the heads from the start and their moves, keeping
-    no derivations, and the even-color layers look for a good head among them."""
+    """Does the automaton accept ``u . v^omega``?  A verdict only: the heads
+    ``_lasso_heads`` reaches from the start, with their moves and no
+    derivations, and the even-color layers on those at loop positions, a set
+    closed under moves.  A letter from a prefix position ``i`` leads to
+    ``i + 1``, so a cycle through a prefix head reads no letter: it cannot pump."""
     letters = pda.letters
     for letter in w.prefix + w.loop:
         if letter not in letters:
             raise ValueError(f"letter {letter!r} not in the input alphabet")
     if _all_odd(pda):
         return False
-    adj, _pops, evens, _states = _lasso_heads(pda, w)
-    return _search(list(adj), adj, evens) is not None
+    adj, _pops, evens, loop = _lasso_heads(pda, w)
+    return _search(loop, adj, evens) is not None
 
 
 def brute_force_lasso_oracle(

@@ -766,18 +766,42 @@ def test_reachable_product_membership_matches_full_product():
     assert verdicts == {True, False} and decided >= 1000
 
 
+def _pass_names(pda, w):
+    """Decodes the numbering of membership's pass: the head ``p * g + j`` is
+    ``(q@i, X)`` for the product state ``p = k * n + i``, ``q`` the ``k``-th
+    state and ``X`` the ``j``-th symbol of ``gamma_bottom``."""
+    g, n = len(pda.gamma_bottom), w.positions()
+
+    def head(h):
+        p, j = divmod(h, g)
+        return f"{pda.states[p // n]}@{p % n}", pda.gamma_bottom[j]
+    return head
+
+
+def _position(name: str) -> int:
+    return int(name.rsplit("@", 1)[1])
+
+
 def test_reachable_product_keeps_only_reachable_states():
-    # Membership's pass numbers the product states (q, i) it reaches from
-    # (initial, 0), each once: every one is control-reachable from
+    # Membership's pass numbers the product states (q, i) densely and starts
+    # at the head (initial@0, _): every state it reaches, at a head or as a
+    # pop fact's target (r, _), has one name and is control-reachable from
     # initial@0 in the full product, and on twopump they are fewer than all.
     for name, pda, w in _membership_queries():
-        names = [f"{q}@{i}" for q, i in analysis._lasso_heads(pda, w)[3]]
+        adj, pops, _evens, _loop = analysis._lasso_heads(pda, w)
+        head = _pass_names(pda, w)
+        targets = [head(r) for fs in pops.values() for r, _c, _l in fs]
+        assert {x for _q, x in targets} <= {BOTTOM}, (name, str(w))
+        names = {head(h)[0] for h in adj} | {q for q, _x in targets}
         full = full_lasso_product(pda, w)
-        assert names[0] == full.initial and len(set(names)) == len(names), (name, str(w))
-        assert set(names) <= _control_reachable(full), (name, str(w))
+        assert head(next(iter(adj))) == (full.initial, BOTTOM), (name, str(w))
+        assert len({head(h) for h in adj}) == len(adj), (name, str(w))
+        assert names <= _control_reachable(full), (name, str(w))
     fx = zoo.get("twopump")
     for w, _flag in fx.sample():
-        states = analysis._lasso_heads(fx.automaton, w)[3]
+        adj, pops, _evens, _loop = analysis._lasso_heads(fx.automaton, w)
+        head = _pass_names(fx.automaton, w)
+        states = {head(h)[0] for h in adj} | {head(r)[0] for fs in pops.values() for r, *_ in fs}
         assert len(states) < len(fx.automaton.states) * w.positions(), str(w)
 
 
@@ -848,24 +872,25 @@ def test_membership_joins_facts_and_moves_in_either_order():
 
 
 def _pass_and_full_summary(pda, w):
-    """The membership pass on ``pda`` and ``w``: its state names ``q@i`` by
-    number, and its moves and facts renamed by them; then the summary of the
-    unrestricted product and the heads reachable from its start head."""
-    adj, pops, _evens, states = analysis._lasso_heads(pda, w)
-    names = [f"{q}@{i}" for q, i in states]
-    moves = {(names[p], x): [((names[q], y), c, l, parts) for (q, y), c, l, parts in ms]
-             for (p, x), ms in adj.items()}
-    facts = {(names[p], x, names[r], c, l) for (p, x), fs in pops.items() for r, c, l in fs}
+    """The membership pass on ``pda`` and ``w``: its moves and facts and its
+    loop-position heads, each head named ``(q@i, X)`` and each fact's target
+    ``q@i``; then the summary of the unrestricted product and the heads
+    reachable from its start head."""
+    adj, pops, _evens, loop = analysis._lasso_heads(pda, w)
+    head = _pass_names(pda, w)
+    moves = {head(h): [(head(dst), c, l, parts) for dst, c, l, parts in ms]
+             for h, ms in adj.items()}
+    facts = {(*head(h), head(r)[0], c, l) for h, fs in pops.items() for r, c, l in fs}
     assert len(facts) == sum(map(len, pops.values()))
     full = analysis._Summary(analysis._rules(full_lasso_product(pda, w).transitions))
     start = (f"{pda.initial}@0", BOTTOM)
     reached, work = {start}, [start]
     while work:
-        for head, _c, _l, _parts in full.adj.get(work.pop(), ()):
-            if head not in reached:
-                reached.add(head)
-                work.append(head)
-    return names, moves, facts, full, reached
+        for dst, _c, _l, _parts in full.adj.get(work.pop(), ()):
+            if dst not in reached:
+                reached.add(dst)
+                work.append(dst)
+    return [head(h) for h in loop], moves, facts, full, reached
 
 
 def test_head_moves_are_computed_once_per_summary(monkeypatch):
@@ -911,7 +936,7 @@ def test_head_moves_are_computed_once_per_summary(monkeypatch):
     for pda, w in lassos:
         lasso_membership(pda, w)
         assert not built and len(passes) == 1, str(w)
-        _names, moves, _facts, full, reached = _pass_and_full_summary(pda, w)
+        _loop, moves, _facts, full, reached = _pass_and_full_summary(pda, w)
         built.clear()
         passes.clear()
         assert set(moves) == reached, str(w)
@@ -932,8 +957,10 @@ def test_head_moves_are_computed_once_per_summary(monkeypatch):
 def test_membership_search_visits_only_heads_reachable_from_the_start(monkeypatch):
     # Membership's pass reaches exactly the heads reachable from (initial@0, _)
     # in the summary of the whole product, with that summary's pop facts at
-    # them, and runs Tarjan on those heads alone; the whole product's
-    # saturation has facts at heads that the pass never reaches.
+    # them, and runs Tarjan on exactly the reached heads at loop positions
+    # (i >= |u|), in the order reached; the whole product's saturation has
+    # facts at heads that the pass never reaches, and some reached heads are
+    # at prefix positions, which no search visits.
     visited = []
     tarjan = analysis._tarjan_sccs
 
@@ -943,19 +970,86 @@ def test_membership_search_visits_only_heads_reachable_from_the_start(monkeypatc
         return scc_of
 
     monkeypatch.setattr(analysis, "_tarjan_sccs", counting_tarjan)
-    runs = pass_facts = full_facts = 0
+    runs = pass_facts = full_facts = searched = prefix_heads = 0
     for name, pda, w in _membership_queries():
         visited.clear()
         lasso_membership(pda, w)
-        names, moves, facts, full, reached = _pass_and_full_summary(pda, w)
+        loop, moves, facts, full, reached = _pass_and_full_summary(pda, w)
         assert set(moves) == reached, (name, str(w))
         assert facts == {key for key in full.defs if key[:2] in reached}, (name, str(w))
+        at_loop = {h for h in reached if _position(h[0]) >= len(w.prefix)}
+        assert loop == [h for h in moves if h in at_loop], (name, str(w))
+        head = _pass_names(pda, w)
         for seen in visited:
-            assert {(names[p], x) for p, x in seen} == reached, (name, str(w))
+            assert {head(h) for h in seen} == at_loop, (name, str(w))
         runs += len(visited)
+        if visited:
+            searched += len(at_loop)
+            prefix_heads += len(reached - at_loop)
         pass_facts += len(facts)
         full_facts += len(full.defs)
-    assert runs > 0 and pass_facts < full_facts
+    assert runs > 0 and pass_facts < full_facts and searched > 0 and prefix_heads > 0
+
+
+def _bottom_push_automaton() -> OmegaPDA:
+    """``x^omega`` is accepted only through two pushes onto the bottom.
+
+    ``(s, _)`` pushes ``_ A`` to ``(a, A)``, which pops to ``b``: the push
+    over ``BOTTOM`` (stack id 0) gives the move ``(s, _) -> (b, _)`` when
+    the fact arrives.  ``(b, _)`` reads ``x`` and pushes ``_ A`` again onto
+    ``(a, A)``, which has that fact already: the join gives the loop
+    ``(b, _) -> (b, _)`` of color 2.  Read as "no symbol below", id 0 turns
+    both moves into pop facts of a bottom and leaves ``(b, _)`` with no loop.
+    """
+    ts = (
+        Transition("s", BOTTOM, None, "a", (BOTTOM, "A"), 0),
+        Transition("a", "A", None, "b", (), 0),
+        Transition("b", BOTTOM, "x", "a", (BOTTOM, "A"), 2),
+    )
+    return OmegaPDA(("s", "a", "b"), ("x", "y"), ("A",), "s", ts)
+
+
+def _prefix_loop_automaton() -> OmegaPDA:
+    """An even epsilon loop at every ``x`` position, and the only letter
+    loop, of color 2, on ``y`` from ``t``, which ``y`` enters from ``s``.
+    The initial state ``s`` is not the first state: state ``u``, first,
+    reads ``y`` forever in color 1."""
+    ts = (
+        Transition("s", BOTTOM, None, "s", (BOTTOM,), 0),
+        Transition("s", BOTTOM, "x", "s", (BOTTOM,), 1),
+        Transition("s", BOTTOM, "y", "t", (BOTTOM,), 1),
+        Transition("t", BOTTOM, "y", "t", (BOTTOM,), 2),
+        Transition("u", BOTTOM, "y", "u", (BOTTOM,), 1),
+    )
+    return OmegaPDA(("u", "s", "t"), ("x", "y"), (), "s", ts)
+
+
+def test_membership_numbering_keeps_pushes_onto_the_bottom_and_the_loop_entry():
+    # The pass numbers stack symbols with BOTTOM as id 0, which is a symbol
+    # below a push, not "none", and starts at the initial state's head,
+    # wherever that state is declared.  Its search starts at position |u|: a
+    # prefix head lies on no cycle that reads a letter, but a head at |u|
+    # may, and with |v| = 1 it is the only loop position.
+    cases = [(_bottom_push_automaton(), text, text.endswith(";x") and "y" not in text)
+             for text in (";x", "x;x", "xx;x", ";y", "x;y", ";xy", "y;x")]
+    cases += [(_prefix_loop_automaton(), text, want) for text, want in
+               [("xxy;y", True), ("y;y", True), ("xy;y", True), (";y", True),
+                ("x;x", False), ("xx;x", False), ("xxy;x", False), (";x", False),
+                ("x;xy", False), ("y;yx", False)]]
+    for pda, text, want in cases:
+        w = parse_lasso(text)
+        assert game_membership(pda, w) == want, text
+        assert brute_force_lasso_oracle(pda, w, 4, 1_000) == want, text
+        assert lasso_membership(pda, w) == want, text
+    # (s, _) has its even epsilon loop at both prefix positions; the search
+    # starts at position 2 = |u|, where y enters t and stays.
+    pda, w = _prefix_loop_automaton(), parse_lasso("xx;y")
+    adj, _pops, _evens, loop = analysis._lasso_heads(pda, w)
+    head = _pass_names(pda, w)
+    assert [head(h) for h in adj] == [("s@0", BOTTOM), ("s@1", BOTTOM), ("s@2", BOTTOM),
+                                      ("t@2", BOTTOM)]
+    assert [head(h) for h in loop] == [("s@2", BOTTOM), ("t@2", BOTTOM)]
+    assert all((h, 0, 0, None) in adj[h] for h in adj if head(h)[0].startswith("s"))
 
 
 # -- color normalization -------------------------------------------------------
