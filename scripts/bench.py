@@ -1,5 +1,5 @@
 """Layer benchmark of gfgpda: the package's cold import, parsing and
-validation, lasso membership, guided runs, one synthesis, Gale-Stewart
+validation, lasso membership, emptiness, guided runs, one synthesis, Gale-Stewart
 solving on both block automata, the finite games of pushdown solving, the
 cycle family's deep Zielonka nesting, transducer epsilon closure, the
 constructions built by ``core.explore``.
@@ -40,6 +40,7 @@ from helpers import (  # noqa: E402  (test helpers)
     block_solve,
     epsilon_recursion,
     full_lasso_product,
+    random_pda,
 )
 
 REPEATS = 5
@@ -55,6 +56,8 @@ VERIFY_SEED = 2024
 LIFTED_GUARD = 1000
 MEMBERSHIP_PREFIXES = (16, 32, 64, 128)
 MEMBERSHIP_SAMPLE = 20  # words per zoo fixture
+EMPTINESS_SEED = 23  # the random_pda draws whose witnesses the tests pin
+EMPTINESS_DRAWS = 50
 SPECS = 150
 GS_BUDGET = 5_000  # the games workload's solver budget
 PUSHDOWN_SEEDS = (1, 2, 3)  # corpus seeds of the finite-solve row's pushdown games
@@ -319,6 +322,22 @@ def membership_layer() -> dict:
             "lss_series": series}
 
 
+def emptiness_layer() -> dict:
+    """``parity_nonempty`` on every zoo fixture, det(example23) and the first
+    EMPTINESS_DRAWS ``random_pda`` draws of EMPTINESS_SEED, timed as one set
+    in one ``best_ms`` call; how many are nonempty, and the transitions of
+    their witnesses' stems and loops."""
+    ex23 = zoo.example23()
+    automata = [fx.automaton for fx in zoo.all_fixtures()]
+    automata.append(resolvers.determinize_moore(ex23.automaton, ex23.resolver))
+    rng = random.Random(EMPTINESS_SEED)
+    automata += [random_pda(rng) for _ in range(EMPTINESS_DRAWS)]
+    found = [w for w in map(analysis.parity_nonempty, automata) if w is not None]
+    ms = best_ms({"all": lambda: [analysis.parity_nonempty(pda) for pda in automata]})["all"]
+    return {"automata": len(automata), "ms": ms, "nonempty": len(found),
+            "witness_transitions": sum(len(w.stem) + len(w.loop) for w in found)}
+
+
 def guided_layer() -> dict:
     """Resolver-guided runs of the lss resolver: ``verify_resolver`` on ten
     seeded accepted lassos (the guided workload's words) at doubling guards,
@@ -525,7 +544,8 @@ def main(argv: list[str]) -> int:
     report = {"python": platform.python_version(), "machine": platform.machine(),
               "repeats": REPEATS, "series_seed": SERIES_SEED, "import": import_layer(),
               "parse": parse_layer(),
-              "membership": membership_layer(), "guided": guided_layer(),
+              "membership": membership_layer(), "emptiness": emptiness_layer(),
+              "guided": guided_layer(),
               "synthesis": synthesis_layer(), "gale_stewart": gale_stewart_layer(),
               "finite_solve": finite_solve_layer(), "cycle_family": cycle_family_layer(),
               "closure": closure_layer(),
@@ -567,6 +587,9 @@ def main(argv: list[str]) -> int:
               f"accepted {row['accepted']}, heads {row['pass_heads']} of {row['full_heads']} "
               f"({row['searched_heads']} searched), "
               f"pop facts {row['pass_facts']} of {row['full_facts']}{growth}")
+    row = report["emptiness"]
+    print(f"emptiness: {row['ms']:.3f} ms for {row['automata']} automata, "
+          f"{row['nonempty']} nonempty with {row['witness_transitions']} witness transitions")
     guided = report["guided"]
     for series, what, unit in (("verify_series", "guard", "verify_ms"),
                                ("run_series", "letters", "run_ms")):

@@ -23,15 +23,17 @@ start level, using only colors ``<= d``.  The letter edge makes
 epsilon-only loops non-accepting directly, so no color normalization pass
 is needed and witnesses replay on the input unchanged.
 
-``parity_nonempty`` searches forward from the start: the heads it reaches
-with their stems, Tarjan on them for each even color in ascending order,
-and a stop at the lowest color with a good head.  ``lasso_membership`` runs
-the same layers on the loop-position heads of the lasso product reached from
-the start (a letter never returns to a prefix position, so a prefix head
-pumps no letter), found by one head-driven pass, ``_lasso_heads``, over dense
-integer ids, that saturates only them and keeps no derivations, since a
-verdict needs no witness; the rule-driven ``_saturate`` serves the rest
-(each measured slower at the other's job).
+``parity_nonempty`` searches forward from the initial configuration's head
+``(initial, BOTTOM)``: the heads it reaches with their stems, Tarjan on them
+for each even color in ascending order, and a stop at the lowest color with
+a good head; a witness is a stem and a loop.  Other configurations are
+``accepts_tail_of``'s.  ``lasso_membership`` runs the same layers on the
+loop-position heads of the lasso product reached from the start (a letter
+never returns to a prefix position, so a prefix head pumps no letter),
+found by one head-driven pass, ``_lasso_heads``, over dense integer ids,
+that saturates only them and keeps no derivations, since a verdict needs
+no witness; the rule-driven ``_saturate`` serves the rest (each measured
+slower at the other's job).
 ``accepts_tail_of`` needs every accepting head at once: one backward search
 over all heads, seeded at the good heads of every color.
 """
@@ -49,7 +51,6 @@ from .core import (
     OmegaPDA,
     Record,
     Transition,
-    replay,
     step,
 )
 
@@ -111,11 +112,11 @@ class PAutomaton(Record):
 
 
 class EmptinessWitness(Record):
-    """Finite certificate: replaying ``stem`` then ``loop`` forever is accepting."""
+    """Finite certificate: replaying ``stem`` from the initial configuration,
+    then ``loop`` forever, is accepting."""
 
     stem: tuple[Transition, ...]
     loop: tuple[Transition, ...]
-    loop_start: Configuration
 
 
 def _pa_of_heads(pda: OmegaPDA, heads: Iterable[tuple[str, str]]) -> PAutomaton:
@@ -268,7 +269,7 @@ class _Summary:
     """Start-independent emptiness summary of a list of rule tuples.
 
     One ``_saturate`` gives the pop facts ``defs`` with their derivations
-    and ``by_head``, ``(p, X) -> [(r, c, l, key)]`` in worklist order; one
+    and their index ``(p, X) -> [(r, c, l, key)]`` in worklist order; one
     head adjacency, built with them in rule order, maps a head to its moves
     ``(dst, c, l, parts)``: abstract run infixes that never dip below the
     head's level, to the head a rule pushes on top and, for a push of two
@@ -279,7 +280,7 @@ class _Summary:
 
     def __init__(self, rules: list):
         self.rules = rules
-        self.defs, self.by_head = _saturate(rules)
+        self.defs, by_head = _saturate(rules)
         self.adj = adj = {}
         for p, x, l, q, push, c, tag in rules:
             if not push:
@@ -287,7 +288,7 @@ class _Summary:
             moves = adj.setdefault((p, x), [])
             moves.append(((q, push[-1]), c, l, (tag,)))
             if len(push) == 2:
-                for r, c2, l2, key in self.by_head.get((q, push[1]), ()):
+                for r, c2, l2, key in by_head.get((q, push[1]), ()):
                     moves.append(((r, push[0]), c if c > c2 else c2, l | l2, (tag, key)))
         self.evens = sorted({rule[5] for rule in rules if rule[5] % 2 == 0})
 
@@ -302,42 +303,6 @@ class _Summary:
             else:
                 out.append(part)
         return tuple(out)
-
-    def heads_from(self, start: Configuration) -> dict:
-        """Heads reachable from ``start`` in breadth-first order.
-
-        Each head maps to its stem as a parent pointer: ``None`` for the
-        empty stem, else ``(parent stem, rule tag or pop key)``.
-        """
-        facts: dict = {}
-        work: deque = deque()
-
-        def add(head, stem) -> None:
-            if head not in facts:
-                facts[head] = stem
-                work.append(head)
-
-        add((start.state, start.top), None)
-        # Popping into the start stack exposes the symbols below the top;
-        # one carrier per state, the first found, as add keeps the first stem.
-        carriers, f = {start.state: None}, start.frame
-        while f.below is not None:
-            below: dict = {}
-            for st, stem in carriers.items():
-                for r, _c, _l, key in self.by_head.get((st, f.symbol), ()):
-                    below.setdefault(r, (stem, key))
-            carriers, f = below, f.below
-            for st, stem in carriers.items():
-                add((st, f.symbol), stem)
-
-        while work:
-            head = work.popleft()
-            for dst, _c, _l, parts in self.adj.get(head, ()):
-                stem = facts[head]
-                for part in parts:
-                    stem = (stem, part)
-                add(dst, stem)
-        return facts
 
     def loop(self, head, d: int, scc_of: dict) -> tuple:
         """Closed walk from a good ``head`` through a color-``d`` and a letter
@@ -373,22 +338,31 @@ class _Summary:
         walk += path(cur, head)
         return self.expand(*(part for e in walk for part in e[4]))
 
-    def witness(self, pda: OmegaPDA, start: Configuration) -> Optional[EmptinessWitness]:
-        """First witness from ``start`` on ``pda``: lowest even color, then first head found."""
-        heads = self.heads_from(start)
-        found = _search(heads, self.adj, self.evens)
+    def witness(self, start) -> Optional[EmptinessWitness]:
+        """First witness from the head ``start``: lowest even color, then the
+        first head found.  The heads reached map, in breadth-first order, to
+        their stems as parent pointers: ``None`` for the empty stem, else
+        ``(parent stem, rule tag or pop key)``."""
+        heads, order = {start: None}, [start]
+        for head in order:  # grows as heads are reached
+            for dst, _c, _l, parts in self.adj.get(head, ()):
+                if dst not in heads:
+                    stem = heads[head]
+                    for part in parts:
+                        stem = (stem, part)
+                    heads[dst] = stem
+                    order.append(dst)
+        found = _search(order, self.adj, self.evens)
         if found is None:
             return None
         d, scc_of, pumping = found
-        head = next(head for head in heads if scc_of[head] in pumping)
+        head = next(head for head in order if scc_of[head] in pumping)
         parts = []
         stem = heads[head]
         while stem is not None:
             stem, part = stem
             parts.append(part)
-        stem_ts = self.expand(*reversed(parts))
-        loop_start = replay(pda, stem_ts, start).last
-        return EmptinessWitness(stem_ts, self.loop(head, d, scc_of), loop_start)
+        return EmptinessWitness(self.expand(*reversed(parts)), self.loop(head, d, scc_of))
 
     def accepting_heads(self) -> set:
         """Heads ``(q, X)`` from which some run pumps without going below ``X``:
@@ -414,15 +388,12 @@ def _all_odd(pda: OmegaPDA) -> bool:
     return all(t.color & 1 for t in pda.transitions)
 
 
-def parity_nonempty(
-    pda: OmegaPDA, start: Optional[Configuration] = None
-) -> Optional[EmptinessWitness]:
-    """First emptiness witness found (even colors ascending), or None."""
+def parity_nonempty(pda: OmegaPDA) -> Optional[EmptinessWitness]:
+    """First emptiness witness from the initial configuration (even colors
+    ascending), or None.  ``accepts_tail_of`` answers for other configurations."""
     if _all_odd(pda):
         return None
-    if start is None:
-        start = pda.initial_configuration()
-    return _Summary(_rules(pda.transitions)).witness(pda, start)
+    return _Summary(_rules(pda.transitions)).witness((pda.initial, BOTTOM))
 
 
 # ---------------------------------------------------------------------------
@@ -430,10 +401,10 @@ def parity_nonempty(
 # ---------------------------------------------------------------------------
 
 
-def _lasso_heads(pda: OmegaPDA, w: LassoWord) -> tuple[dict, dict, list, list]:
+def _lasso_heads(pda: OmegaPDA, w: LassoWord) -> tuple[dict, dict, list]:
     """The heads of the lasso product reached from its start head: their
-    moves, their pop facts, the even colors of the rules they read, and those
-    at loop positions (``i >= |u|``) in the order reached.
+    moves, their pop facts, and those at loop positions (``i >= |u|``) in
+    the order reached.
 
     Ids are dense: with ``n = |u| + |v|`` positions and ``g`` stack symbols,
     ``BOTTOM`` first as id 0, the state ``(q, i)`` is ``k * n + i`` for
@@ -463,7 +434,7 @@ def _lasso_heads(pda: OmegaPDA, w: LassoWord) -> tuple[dict, dict, list, list]:
         index.setdefault((base[t.source] + ids[t.top], t.label), []).append(
             (base[t.target] + top, t.color, below))
     start = base[pda.initial]  # the head ((initial, 0), BOTTOM)
-    heads, adj, loop, evens = [start], {start: []}, [], set()
+    heads, adj, loop = [start], {start: []}, []
     pops: dict = {}  # head -> [(r, c, l)], the facts fired so far
     waiting: dict = {}  # head -> [(h, c, l, below)]: a swap, below -1, or a push over below
     facts: set = set()
@@ -490,8 +461,6 @@ def _lasso_heads(pda: OmegaPDA, w: LassoWord) -> tuple[dict, dict, list, list]:
         here, letter, there = at[i]
         for label, l, off in ((None, 0, here), (letter, 1, there)):
             for dst, c, below in index.get((h - here, label), ()):
-                if not c & 1:
-                    evens.add(c)
                 dst += off
                 if below is not None:
                     move(h, dst, c, l, below)
@@ -508,14 +477,15 @@ def _lasso_heads(pda: OmegaPDA, w: LassoWord) -> tuple[dict, dict, list, list]:
                 elif (fact := (h0, r, c0, l0)) not in facts:
                     facts.add(fact)
                     work.append(fact)
-    return adj, pops, sorted(evens), loop
+    return adj, pops, loop
 
 
 def lasso_membership(pda: OmegaPDA, w: LassoWord) -> bool:
     """Does the automaton accept ``u . v^omega``?  A verdict only: the heads
     ``_lasso_heads`` reaches from the start, with their moves and no
-    derivations, and the even-color layers on those at loop positions, a set
-    closed under moves.  A letter from a prefix position ``i`` leads to
+    derivations, and the layers on those at loop positions, a set closed
+    under moves, for the even colors of their moves: a good head's SCC has a
+    move of its color.  A letter from a prefix position ``i`` leads to
     ``i + 1``, so a cycle through a prefix head reads no letter: it cannot pump."""
     letters = pda.letters
     for letter in w.prefix + w.loop:
@@ -523,7 +493,8 @@ def lasso_membership(pda: OmegaPDA, w: LassoWord) -> bool:
             raise ValueError(f"letter {letter!r} not in the input alphabet")
     if _all_odd(pda):
         return False
-    adj, _pops, evens, loop = _lasso_heads(pda, w)
+    adj, _pops, loop = _lasso_heads(pda, w)
+    evens = sorted({c for h in loop for _dst, c, _l, _parts in adj[h] if not c & 1})
     return _search(loop, adj, evens) is not None
 
 

@@ -64,14 +64,13 @@ def pa_empty() -> PAutomaton:
     return PAutomaton(frozenset(), frozenset())
 
 
-def validate_witness(pda: OmegaPDA, w: EmptinessWitness, start: Optional[Configuration] = None):
-    """Raise if the witness does not certify nonemptiness."""
-    run = replay(pda, w.stem + w.loop + w.loop, start)
+def validate_witness(pda: OmegaPDA, w: EmptinessWitness):
+    """Raise if the witness does not certify nonemptiness from the initial
+    configuration."""
+    run = replay(pda, w.stem + w.loop + w.loop)
     k = len(w.stem)
     n = len(w.loop)
     c0, c1, c2 = run.configurations[k], run.configurations[k + n], run.configurations[k + 2 * n]
-    if c0 != w.loop_start:
-        raise AssertionError("loop start mismatch")
     for c in (c1, c2):
         if c.state != c0.state or c.top != c0.top or c.height < c0.height:
             raise AssertionError("loop does not pump")
@@ -81,6 +80,21 @@ def validate_witness(pda: OmegaPDA, w: EmptinessWitness, start: Optional[Configu
         raise AssertionError("loop has no letter transition")
     if max(t.color for t in w.loop) % 2 != 0:
         raise AssertionError("loop max color is odd")
+
+
+def started_at(pda: OmegaPDA, config: Configuration) -> OmegaPDA:
+    """A copy of ``pda`` whose runs from the initial configuration are its
+    runs from ``config`` behind color-0 epsilon moves from fresh states: one
+    push per symbol of ``config``'s stack above the bottom, then a move into
+    ``config.state``.  ``pda``'s transitions keep their indices."""
+    stack = config.stack
+    fresh = tuple(f"start~{i}" for i in range(len(stack)))
+    assert not set(fresh) & set(pda.states)
+    ts = [Transition(fresh[i], x, None, fresh[i + 1], (x, y), 0)
+          for i, (x, y) in enumerate(zip(stack, stack[1:]))]
+    ts.append(Transition(fresh[-1], stack[-1], None, config.state, (stack[-1],), 0))
+    return OmegaPDA(pda.states + fresh, pda.input_alphabet, pda.stack_alphabet, fresh[0],
+                    pda.transitions + tuple(ts))
 
 
 def normalize_colors(pda: OmegaPDA) -> OmegaPDA:

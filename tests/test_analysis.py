@@ -20,7 +20,7 @@ from gfgpda.core import (
 from gfgpda.resolvers import determinize_moore
 from helpers import (
     det_run_accepts, full_lasso_product, game_membership, normalize_colors, pa_empty,
-    pa_from_words, pa_universal, random_pda, random_spec, validate_witness,
+    pa_from_words, pa_universal, random_pda, random_spec, started_at, validate_witness,
 )
 
 
@@ -260,7 +260,7 @@ def test_tail_set_heads_match_per_start_emptiness(monkeypatch):
                 starts += [(level, (BOTTOM, x)) for x in pda.stack_alphabet]
                 for auto, stack in starts:
                     start = Configuration(q, stack)
-                    expected = parity_nonempty(auto, start) is not None
+                    expected = parity_nonempty(started_at(auto, start)) is not None
                     assert heads.accepts(start) == expected, (name, letter, start)
 
 
@@ -364,7 +364,6 @@ def test_no_even_color_answers_before_any_pass(monkeypatch):
     for w, _flag in fx.sample():
         assert lasso_membership(fx.automaton, w) is False
     assert parity_nonempty(fx.automaton) is None
-    assert parity_nonempty(fx.automaton, Configuration("s", (BOTTOM,))) is None
     with pytest.raises(ValueError, match="not in the input alphabet"):
         lasso_membership(fx.automaton, LassoWord((), ("y",)))
 
@@ -450,10 +449,10 @@ def test_witnesses_from_every_head_validate():
         pda = fx.automaton
         for q in pda.states:
             for stack in [(BOTTOM,)] + [(BOTTOM, x) for x in pda.stack_alphabet]:
-                start = Configuration(q, stack)
-                w = parity_nonempty(pda, start)
+                started = started_at(pda, Configuration(q, stack))
+                w = parity_nonempty(started)
                 if w is not None:
-                    validate_witness(pda, w, start)
+                    validate_witness(started, w)
 
 
 # The first witness parity_nonempty finds from the initial configuration,
@@ -497,31 +496,6 @@ def test_witnesses_are_pinned_as_transition_indices():
     rng = random.Random(23)
     found = {i: indices(random_pda(rng)) for i in range(50)}
     assert {i: w for i, w in found.items() if w is not None} == RANDOM_WITNESSES
-
-
-def test_tall_start_stack_queries_each_state_once_per_level(monkeypatch):
-    # Both states pop X into both states: following every popping run
-    # separately would query the pop summaries 2^h times for height h.
-    ts = [Transition(s, "X", None, r, (), 1) for s in "ab" for r in "ab"]
-    ts.append(Transition("a", BOTTOM, "x", "a", (BOTTOM,), 2))
-    pda = OmegaPDA(("a", "b"), ("x",), ("X",), "a", tuple(ts))
-    queried = []
-
-    class CountingPops(dict):
-        def get(self, head, default=None):
-            queried.append(head)
-            return super().get(head, default)
-
-    class CountingSummary(analysis._Summary):
-        def __init__(self, rules):
-            super().__init__(rules)
-            self.by_head = CountingPops(self.by_head)
-
-    monkeypatch.setattr(analysis, "_Summary", CountingSummary)
-    start = Configuration("a", (BOTTOM,) + ("X",) * 12)
-    w = parity_nonempty(pda, start)
-    validate_witness(pda, w, start)
-    assert len(queried) <= 2 * 12
 
 
 # -- pop summaries against replay and a bounded search ---------------------------
@@ -648,8 +622,9 @@ def test_oracle_unknown_past_its_node_bound(fig2):
 
 
 def test_oracle_bounds_must_be_positive(fig2):
-    with pytest.raises(ValueError):
-        brute_force_lasso_oracle(fig2, parse_lasso(";#"), 0, 10)
+    for height, nodes in ((0, 10), (10, 0)):
+        with pytest.raises(ValueError):
+            brute_force_lasso_oracle(fig2, parse_lasso(";#"), height, nodes)
 
 
 @given(st.sampled_from([f.name for f in zoo.all_fixtures()]), st.integers(0, 10_000))
@@ -788,7 +763,7 @@ def test_reachable_product_keeps_only_reachable_states():
     # pop fact's target (r, _), has one name and is control-reachable from
     # initial@0 in the full product, and on twopump they are fewer than all.
     for name, pda, w in _membership_queries():
-        adj, pops, _evens, _loop = analysis._lasso_heads(pda, w)
+        adj, pops, _loop = analysis._lasso_heads(pda, w)
         head = _pass_names(pda, w)
         targets = [head(r) for fs in pops.values() for r, _c, _l in fs]
         assert {x for _q, x in targets} <= {BOTTOM}, (name, str(w))
@@ -799,7 +774,7 @@ def test_reachable_product_keeps_only_reachable_states():
         assert names <= _control_reachable(full), (name, str(w))
     fx = zoo.get("twopump")
     for w, _flag in fx.sample():
-        adj, pops, _evens, _loop = analysis._lasso_heads(fx.automaton, w)
+        adj, pops, _loop = analysis._lasso_heads(fx.automaton, w)
         head = _pass_names(fx.automaton, w)
         states = {head(h)[0] for h in adj} | {head(r)[0] for fs in pops.values() for r, *_ in fs}
         assert len(states) < len(fx.automaton.states) * w.positions(), str(w)
@@ -876,7 +851,7 @@ def _pass_and_full_summary(pda, w):
     loop-position heads, each head named ``(q@i, X)`` and each fact's target
     ``q@i``; then the summary of the unrestricted product and the heads
     reachable from its start head."""
-    adj, pops, _evens, loop = analysis._lasso_heads(pda, w)
+    adj, pops, loop = analysis._lasso_heads(pda, w)
     head = _pass_names(pda, w)
     moves = {head(h): [(head(dst), c, l, parts) for dst, c, l, parts in ms]
              for h, ms in adj.items()}
@@ -919,8 +894,8 @@ def test_head_moves_are_computed_once_per_summary(monkeypatch):
                 if names is not None:
                     p, q = names[p], names[q]
                 out.append(str(Transition(p, x, t.label, q, t.push, c)))
-        pops = sum(len(summary.by_head.get((rule[3], rule[4][1]), ()))
-                   for rule in summary.rules if len(rule[4]) == 2)
+        facts = Counter(key[:2] for key in summary.defs)
+        pops = sum(facts[rule[3], rule[4][1]] for rule in summary.rules if len(rule[4]) == 2)
         assert sum(map(len, adj.values())) == len(out) + pops
         return sorted(out)
 
@@ -1044,7 +1019,7 @@ def test_membership_numbering_keeps_pushes_onto_the_bottom_and_the_loop_entry():
     # (s, _) has its even epsilon loop at both prefix positions; the search
     # starts at position 2 = |u|, where y enters t and stays.
     pda, w = _prefix_loop_automaton(), parse_lasso("xx;y")
-    adj, _pops, _evens, loop = analysis._lasso_heads(pda, w)
+    adj, _pops, loop = analysis._lasso_heads(pda, w)
     head = _pass_names(pda, w)
     assert [head(h) for h in adj] == [("s@0", BOTTOM), ("s@1", BOTTOM), ("s@2", BOTTOM),
                                       ("t@2", BOTTOM)]
